@@ -19,11 +19,11 @@ FUZZTIME ?= 5s
 # operator reaches for mid-incident, so their test coverage is gated.
 COVER_FLOOR ?= 85
 
-.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-json bench-check cover e2e
+.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke bench-json bench-check cover e2e
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
-check: build vet fmt-check lint test bench-alloc race fuzz
+check: build vet fmt-check lint test bench-alloc bench-smoke race fuzz
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,13 @@ bench: bench-json
 # still covers the same code for data races.
 bench-alloc:
 	$(GO) test -run 'TestZeroAlloc' -count=1 -v .
+
+# The repo benchmark (bench/) is its own Go module, so `go test ./...` at
+# the root skips it. Vet and test it here: its smoke test replays every
+# fleet workload through a daemon-free mirror and requires each tenant's
+# ProtectionReport to match the daemon's exactly.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage gate on the observability layer: fails when total statement
 # coverage across internal/telemetry/... + internal/ops drops below

@@ -445,8 +445,8 @@ func (f *Framework) NewDefense(gs *GadgetSet, mechanism string, param float64) (
 // MultiResult is the outcome of a multi-event deployment: the deployed
 // obfuscator plus the events that could not be protected.
 type MultiResult struct {
-	// Multi is the deployed multi-event obfuscator.
-	Multi *obfuscator.MultiObfuscator
+	// Multi is the deployed obfuscator, one plan per protected event.
+	Multi *obfuscator.Obfuscator
 	// ProtectedEvents are the events that received their own d* plan.
 	ProtectedEvents []string
 	// SkippedEvents are the requested events with no confirmed gadget;
@@ -500,11 +500,10 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 		return nil, fmt.Errorf("%w: no confirmed gadget for any requested event (skipped: %s)",
 			ErrNoGadgets, strings.Join(result.SkippedEvents, ", "))
 	}
-	multi, err := obfuscator.NewMulti(plans)
+	multi, err := obfuscator.NewMulti(plans, f.cfg.Seed^rng.HashString("multi-defense"), f.cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
-	multi.SetFaults(f.faults)
 	if err := vm.AddProcess(vcpu, multi); err != nil {
 		return nil, err
 	}

@@ -180,6 +180,12 @@ func TestProtectMulti(t *testing.T) {
 	if res.Multi.InjectedReps() == 0 {
 		t.Error("multi-event deployment injected nothing")
 	}
+	// The funnel counts (plan, tick) pairs: every plan runs every tick.
+	r := res.Multi.Report()
+	if want := int64(res.Multi.Plans()) * 60; r.Ticks != want ||
+		r.InjectedTicks+r.ZeroDrawTicks+r.NoInjectionTicks+r.DegradedTicks != want {
+		t.Errorf("multi funnel %+v, want %d reconciled plan-ticks", r, want)
+	}
 	if _, err := fw.ProtectMulti(vm, 0, nil, 1.0); !errors.Is(err, ErrNoGadgets) {
 		t.Errorf("nil gadget set error = %v", err)
 	}

@@ -18,6 +18,7 @@ import (
 	"github.com/repro/aegis/internal/benchkit"
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
+	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/obfuscator"
@@ -126,7 +127,8 @@ func TestZeroAllocWorldStep(t *testing.T) {
 
 // TestZeroAllocObfuscatorTick gates the full per-tick protection loop
 // (kernel-module read, noise draw, clip, gadget injection) for both DP
-// mechanisms, driven through World.Step like a deployed obfuscator.
+// mechanisms and for a two-plan (Laplace plus d*) multi-event deployment,
+// driven through World.Step like a deployed obfuscator.
 func TestZeroAllocObfuscatorTick(t *testing.T) {
 	quietTelemetry(t)
 	rec := loudFlight(t)
@@ -134,29 +136,45 @@ func TestZeroAllocObfuscatorTick(t *testing.T) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	ref := cat.MustByName("RETIRED_UOPS")
 	seg := benchSegment(t)
+	single := func(mech obfuscator.Mechanism, err error) (*obfuscator.Obfuscator, error) {
+		if err != nil {
+			return nil, err
+		}
+		return obfuscator.New(obfuscator.Config{
+			Mechanism: mech,
+			Segment:   seg,
+			RefEvent:  ref,
+			ClipBound: 20000,
+			Seed:      11,
+		})
+	}
 	for _, tc := range []struct {
 		name string
-		mech func() (obfuscator.Mechanism, error)
+		obf  func() (*obfuscator.Obfuscator, error)
 	}{
-		{"laplace", func() (obfuscator.Mechanism, error) {
-			return obfuscator.NewLaplaceMechanism(1, 1500, rng.New(6).Split("lap"))
+		{"laplace", func() (*obfuscator.Obfuscator, error) {
+			return single(obfuscator.NewLaplaceMechanism(1, 1500, rng.New(6).Split("lap")))
 		}},
-		{"dstar", func() (obfuscator.Mechanism, error) {
-			return obfuscator.NewDStarMechanism(1, 1500, rng.New(7).Split("dstar"))
+		{"dstar", func() (*obfuscator.Obfuscator, error) {
+			return single(obfuscator.NewDStarMechanism(1, 1500, rng.New(7).Split("dstar")))
+		}},
+		{"multi", func() (*obfuscator.Obfuscator, error) {
+			lap, err := obfuscator.NewLaplaceMechanism(1, 1500, rng.New(8).Split("lap"))
+			if err != nil {
+				return nil, err
+			}
+			dstar, err := obfuscator.NewDStarMechanism(1, 1500, rng.New(8).Split("dstar"))
+			if err != nil {
+				return nil, err
+			}
+			return obfuscator.NewMulti([]obfuscator.Plan{
+				{Mechanism: lap, Segment: seg, Event: ref, ClipBound: 20000},
+				{Mechanism: dstar, Segment: seg, Event: cat.MustByName("LS_DISPATCH"), ClipBound: 20000},
+			}, 11, faultinject.Config{})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mech, err := tc.mech()
-			if err != nil {
-				t.Fatal(err)
-			}
-			obf, err := obfuscator.New(obfuscator.Config{
-				Mechanism: mech,
-				Segment:   seg,
-				RefEvent:  ref,
-				ClipBound: 20000,
-				Seed:      11,
-			})
+			obf, err := tc.obf()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +186,7 @@ func TestZeroAllocObfuscatorTick(t *testing.T) {
 			if err := vm.AddProcess(0, obf); err != nil {
 				t.Fatal(err)
 			}
-			world.Run(8) // attach the kernel module, settle the caches
+			world.Run(8) // attach the kernel modules, settle the caches
 			requireZeroAllocs(t, "obfuscator tick "+tc.name, 128, func() { world.Step() })
 		})
 	}

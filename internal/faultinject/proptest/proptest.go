@@ -10,7 +10,11 @@
 //     no-injection + degraded);
 //   - degradation is monotone: a deployment that saw faults on its own
 //     substrate never reports full protection, and a healthy deployment
-//     always does.
+//     always does unless a d* plan's own clip streak forced the
+//     d*→Laplace fallback (the one degradation no substrate fault causes).
+//
+// The single- and multi-event deployments are the same obfuscator with one
+// and N plans, so both run through the same checks.
 package proptest
 
 import (
@@ -59,30 +63,40 @@ func Schedules(n int, baseSeed uint64) []Schedule {
 	return out
 }
 
+// Deployment is the comparable outcome of one deployed obfuscator.
+type Deployment struct {
+	Report       obfuscator.ProtectionReport
+	InjectedReps int64
+	// Plans holds each plan's status in plan order.
+	Plans []obfuscator.PlanStatus
+}
+
+// deployment snapshots a deployed obfuscator.
+func deployment(o *obfuscator.Obfuscator) (Deployment, error) {
+	d := Deployment{Report: o.Report(), InjectedReps: o.InjectedReps()}
+	for i := 0; i < o.Plans(); i++ {
+		st, err := o.PlanStatus(i)
+		if err != nil {
+			return d, err
+		}
+		d.Plans = append(d.Plans, st)
+	}
+	return d, nil
+}
+
 // Artifacts is the comparable outcome of one schedule run. All fields are
 // deterministic functions of (seed, schedule, parallelism).
 type Artifacts struct {
-	// Single-event deployment.
-	Report         obfuscator.ProtectionReport
-	InjectedCounts float64
-	InjectedReps   int64
-	PerExec        float64
-	ClipBound      float64
-	// Multi-event deployment.
-	MultiReps     int64
-	MultiDegraded int64
-	MultiRearms   int64
-	MultiFull     bool
+	// Single is the single-event d* deployment, Multi the multi-event
+	// reinforcement (one d* plan per protected event).
+	Single, Multi Deployment
 	// World-level fault totals (preemption + gadget interrupts).
 	WorldFaults uint64
 }
 
-// Fingerprint renders every artifact field into a byte-comparable string.
-func (a Artifacts) Fingerprint() string {
-	return fmt.Sprintf("%+v|counts=%x|per=%x|multi=%d/%d/%d/%t|world=%d",
-		a.Report, a.InjectedCounts, a.PerExec,
-		a.MultiReps, a.MultiDegraded, a.MultiRearms, a.MultiFull, a.WorldFaults)
-}
+// Fingerprint renders every artifact field into a byte-comparable string
+// (floats print in their shortest exact form).
+func (a Artifacts) Fingerprint() string { return fmt.Sprintf("%+v", a) }
 
 // Harness owns the expensive shared state: one fuzzed gadget set reused
 // across schedules (the offline pipeline's fault determinism is covered by
@@ -158,16 +172,11 @@ func (h *Harness) Run(s Schedule) (a Artifacts, err error) {
 
 	w.Run(s.Ticks)
 
-	a = Artifacts{
-		Report:         obf.Report(),
-		InjectedCounts: obf.InjectedCounts(),
-		InjectedReps:   obf.InjectedReps(),
-		PerExec:        obf.PerExecDelta(),
-		ClipBound:      20000, // aegis.Config default B_u
-		MultiReps:      multi.Multi.InjectedReps(),
-		MultiDegraded:  multi.Multi.DegradedPlanTicks(),
-		MultiRearms:    multi.Multi.CounterRearms(),
-		MultiFull:      multi.Multi.FullProtection(),
+	if a.Single, err = deployment(obf); err != nil {
+		return a, err
+	}
+	if a.Multi, err = deployment(multi.Multi); err != nil {
+		return a, err
 	}
 	if in := fw.FaultInjector(); in != nil {
 		a.WorldFaults = in.Total()
@@ -178,42 +187,64 @@ func (h *Harness) Run(s Schedule) (a Artifacts, err error) {
 // Check asserts every schedule-independent invariant on one run's
 // artifacts and returns the first violation.
 func Check(s Schedule, a Artifacts) error {
-	r := a.Report
+	if err := checkDeployment(s, "single", a.Single); err != nil {
+		return err
+	}
+	if err := checkDeployment(s, "multi", a.Multi); err != nil {
+		return err
+	}
+	if s.Preset == faultinject.PresetOff && a.WorldFaults != 0 {
+		return fmt.Errorf("%v: healthy schedule recorded %d world faults", s, a.WorldFaults)
+	}
+	return nil
+}
+
+// checkDeployment asserts the invariants of one deployed obfuscator.
+func checkDeployment(s Schedule, name string, d Deployment) error {
+	r := d.Report
+	plans := int64(len(d.Plans))
+	if plans == 0 {
+		return fmt.Errorf("%v: %s deployment has no plans", s, name)
+	}
 	// The obfuscator shares its vCPU round-robin with the workload: a tick
 	// whose budget dies before the obfuscator's turn never reaches it, so
-	// it runs at most — not exactly — the world's tick count.
-	if r.Ticks <= 0 || r.Ticks > int64(s.Ticks) {
-		return fmt.Errorf("%v: obfuscator ran %d ticks, want 1..%d", s, r.Ticks, s.Ticks)
+	// it runs at most — not exactly — the world's tick count. When it
+	// runs, every plan does, so the funnel counts whole ticks of plans.
+	if r.Ticks <= 0 || r.Ticks > plans*int64(s.Ticks) || r.Ticks%plans != 0 {
+		return fmt.Errorf("%v: %s obfuscator ran %d plan-ticks, want a multiple of %d in 1..%d",
+			s, name, r.Ticks, plans, plans*int64(s.Ticks))
 	}
 	if got := r.InjectedTicks + r.ZeroDrawTicks + r.NoInjectionTicks + r.DegradedTicks; got != r.Ticks {
-		return fmt.Errorf("%v: funnel does not reconcile: %d+%d+%d+%d != %d",
-			s, r.InjectedTicks, r.ZeroDrawTicks, r.NoInjectionTicks, r.DegradedTicks, r.Ticks)
+		return fmt.Errorf("%v: %s funnel does not reconcile: %d+%d+%d+%d != %d",
+			s, name, r.InjectedTicks, r.ZeroDrawTicks, r.NoInjectionTicks, r.DegradedTicks, r.Ticks)
 	}
-	// DP clipped support: no run can inject more than ticks × (B_u plus
-	// one rep of rounding slack).
-	if maxTotal := float64(r.Ticks) * (a.ClipBound + a.PerExec); a.InjectedCounts > maxTotal {
-		return fmt.Errorf("%v: injected %v counts exceeds clipped support %v",
-			s, a.InjectedCounts, maxTotal)
+	// DP clipped support: no plan can inject more than its ticks × (B_u
+	// plus one rep of rounding slack).
+	ticks := float64(r.Ticks / plans)
+	for i, p := range d.Plans {
+		if maxTotal := ticks * (p.ClipBound + p.PerExec); p.InjectedCounts > maxTotal {
+			return fmt.Errorf("%v: %s plan %d injected %v counts, exceeding clipped support %v",
+				s, name, i, p.InjectedCounts, maxTotal)
+		}
+		if p.InjectedCounts < 0 {
+			return fmt.Errorf("%v: %s plan %d injected negative counts %v", s, name, i, p.InjectedCounts)
+		}
 	}
-	if a.InjectedCounts < 0 || a.InjectedReps < 0 {
-		return fmt.Errorf("%v: negative injection totals: %+v", s, a)
+	if d.InjectedReps < 0 {
+		return fmt.Errorf("%v: %s injected negative reps %d", s, name, d.InjectedReps)
 	}
 	// Monotone degradation: faults on the obfuscator's own substrate (or
-	// any degraded tick) must void the full-protection claim; a healthy
-	// preset must keep it.
+	// any degraded tick) must void the full-protection claim. A healthy
+	// preset must keep it, unless the mechanism itself fell back: a d*
+	// recursion committing near-bound noise can clip high for long enough
+	// on a healthy substrate too. Each fallback degrades one tick, so
+	// without one this demands Full().
 	if (r.FaultsSeen > 0 || r.DegradedTicks > 0 || r.MechanismFallbacks > 0) && r.Full() {
-		return fmt.Errorf("%v: full protection reported despite faults: %+v", s, r)
+		return fmt.Errorf("%v: %s full protection reported despite faults: %+v", s, name, r)
 	}
-	if s.Preset == faultinject.PresetOff {
-		if !r.Full() {
-			return fmt.Errorf("%v: healthy schedule not reported full: %+v", s, r)
-		}
-		if a.WorldFaults != 0 || !a.MultiFull || a.MultiDegraded != 0 {
-			return fmt.Errorf("%v: healthy schedule recorded faults: %+v", s, a)
-		}
-	}
-	if a.MultiDegraded > 0 && a.MultiFull {
-		return fmt.Errorf("%v: multi deployment full despite %d degraded plan-ticks", s, a.MultiDegraded)
+	if s.Preset == faultinject.PresetOff &&
+		(r.FaultsSeen != 0 || r.DegradedTicks != r.DegradedByReason[obfuscator.ReasonDStarClipFallback]) {
+		return fmt.Errorf("%v: healthy schedule's %s deployment not reported full: %+v", s, name, r)
 	}
 	return nil
 }

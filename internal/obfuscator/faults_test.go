@@ -326,7 +326,7 @@ func TestObfuscatorDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
-func TestMultiObfuscatorDegradesPerPlan(t *testing.T) {
+func TestMultiPlanDegradesPerPlan(t *testing.T) {
 	seg, ref := coverSegment(t)
 	mkPlans := func() []Plan {
 		d1, err := NewDStarMechanism(1, 100, rng.New(40).Split("d1"))
@@ -342,46 +342,32 @@ func TestMultiObfuscatorDegradesPerPlan(t *testing.T) {
 			{Mechanism: d2, Segment: seg, Event: ref, ClipBound: 1000},
 		}
 	}
-	run := func(faults faultinject.Config) *MultiObfuscator {
-		m, err := NewMulti(mkPlans())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetFaults(faultinject.New(faults))
-		w := sev.NewWorld(sev.DefaultConfig(23))
-		vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.AddProcess(0, m); err != nil {
-			t.Fatal(err)
-		}
-		w.Run(80)
-		return m
+
+	healthy := runMulti(t, mkPlans(), 40, faultinject.Config{}, 80).Report()
+	if !healthy.Full() {
+		t.Errorf("healthy multi run degraded: %+v", healthy)
 	}
 
-	healthy := run(faultinject.Config{})
-	if !healthy.FullProtection() || healthy.DegradedPlanTicks() != 0 {
-		t.Errorf("healthy multi run degraded: %d plan-ticks", healthy.DegradedPlanTicks())
-	}
-
-	faulted := run(faultinject.Config{Seed: 41, PMUReadErrorRate: 1})
-	if faulted.FullProtection() {
+	faulted := runMulti(t, mkPlans(), 40, faultinject.Config{Seed: 41, PMUReadErrorRate: 1}, 80)
+	r := faulted.Report()
+	if r.Full() {
 		t.Error("fully faulted multi run reported full protection")
 	}
-	if got := faulted.DegradedPlanTicks(); got != 2*80 {
-		t.Errorf("degraded plan-ticks = %d, want 160 (both plans, every tick)", got)
+	if got := r.DegradedByReason[ReasonPMURead]; got != 2*80 {
+		t.Errorf("pmu-read degradations = %d, want 160 (both plans, every tick)", got)
 	}
-	if faulted.Retries() == 0 {
+	if r.Retries == 0 {
 		t.Error("no retries recorded in multi deployment")
 	}
 	if faulted.InjectedReps() != 0 {
 		t.Errorf("faulted multi run injected %d reps", faulted.InjectedReps())
 	}
 
-	// Saturation path: latched counters are re-armed, not consumed.
-	sat := run(faultinject.Config{Seed: 42, CounterSaturationRate: 1, SaturationCap: 5e5})
-	if sat.CounterRearms() == 0 {
-		t.Error("no counter rearms under saturation in multi deployment")
+	// Saturation path: latched counters are re-armed, not consumed, and
+	// each re-arm degrades its plan's tick.
+	sat := runMulti(t, mkPlans(), 40, faultinject.Config{Seed: 42, CounterSaturationRate: 1, SaturationCap: 5e5}, 80).Report()
+	if sat.CounterRearms != 2*80 || sat.DegradedByReason[ReasonCounterRearm] != 2*80 {
+		t.Errorf("saturated multi run: %d rearms, %v; want 160 re-armed degraded plan-ticks",
+			sat.CounterRearms, sat.DegradedByReason)
 	}
 }

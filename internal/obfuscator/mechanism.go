@@ -317,3 +317,43 @@ func (m *ConstantOutputMechanism) Noise(_ int64, x float64) float64 {
 	}
 	return m.Peak - x
 }
+
+// SecretDependentMechanism wraps a base mechanism with a constant,
+// secret-derived offset. Paper §IX-B: an attacker who collects many traces
+// of the same secret could average the DP noise away; attaching a constant
+// secret-dependent noise term defeats that, because the residual after
+// averaging still depends on a value the attacker does not know.
+type SecretDependentMechanism struct {
+	Base Mechanism
+	// Offset is the constant per-tick addend, derived inside the VM from
+	// the secret (the hypervisor never sees it).
+	Offset float64
+}
+
+// NewSecretDependentMechanism derives the constant offset from a secret
+// key (e.g. a hash of the secret value) scaled into [0, amplitude].
+func NewSecretDependentMechanism(base Mechanism, secretKey uint64, amplitude float64) (*SecretDependentMechanism, error) {
+	if base == nil {
+		return nil, ErrNoMechanism
+	}
+	if amplitude <= 0 {
+		return nil, fmt.Errorf("%w: %v", ErrBadBound, amplitude)
+	}
+	frac := float64(secretKey%4096) / 4096
+	return &SecretDependentMechanism{Base: base, Offset: frac * amplitude}, nil
+}
+
+// Name implements Mechanism.
+func (m *SecretDependentMechanism) Name() string {
+	return m.Base.Name() + "+secret-offset"
+}
+
+// NeedsObservation implements Mechanism.
+func (m *SecretDependentMechanism) NeedsObservation() bool {
+	return m.Base.NeedsObservation()
+}
+
+// Noise implements Mechanism.
+func (m *SecretDependentMechanism) Noise(t int64, x float64) float64 {
+	return m.Offset + m.Base.Noise(t, x)
+}

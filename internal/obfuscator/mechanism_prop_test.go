@@ -227,3 +227,60 @@ func FuzzMechanismDraw(f *testing.F) {
 		}
 	})
 }
+
+func TestSecretDependentMechanism(t *testing.T) {
+	base, err := NewLaplaceMechanism(1, 10, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSecretDependentMechanism(nil, 1, 100); err == nil {
+		t.Error("nil base accepted")
+	}
+	if _, err := NewSecretDependentMechanism(base, 1, 0); err == nil {
+		t.Error("zero amplitude accepted")
+	}
+	m, err := NewSecretDependentMechanism(base, rng.HashString("secret-a"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Offset < 0 || m.Offset > 1000 {
+		t.Fatalf("offset = %v out of [0, 1000]", m.Offset)
+	}
+	// Two different secrets derive different offsets (overwhelmingly).
+	m2, err := NewSecretDependentMechanism(base, rng.HashString("secret-b"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Offset == m2.Offset {
+		t.Error("distinct secrets derived identical offsets")
+	}
+	if m.Name() != "laplace+secret-offset" {
+		t.Errorf("name = %q", m.Name())
+	}
+}
+
+func TestSecretOffsetSurvivesAveraging(t *testing.T) {
+	// §IX-B: averaging n noisy samples converges to the mean, which for
+	// the secret-dependent mechanism retains the secret offset.
+	base, err := NewLaplaceMechanism(1, 50, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSecretDependentMechanism(base, rng.HashString("youtube.com"), 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50000
+	var sum float64
+	for i := 0; i < n; i++ {
+		sum += m.Noise(int64(i), 0)
+	}
+	mean := sum / n
+	// Laplace base has mean 0, so the average converges to the offset.
+	if diff := mean - m.Offset; diff < -5 || diff > 5 {
+		t.Errorf("averaged noise %v does not converge to offset %v", mean, m.Offset)
+	}
+	if m.Offset < 100 {
+		t.Skip("offset too small for a meaningful persistence check")
+	}
+}

@@ -3,6 +3,7 @@ package obfuscator
 import (
 	"testing"
 
+	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
@@ -14,21 +15,47 @@ func TestNewMultiValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMulti(nil); err == nil {
+	healthy := faultinject.Config{}
+	if _, err := NewMulti(nil, 1, healthy); err == nil {
 		t.Error("empty plans accepted")
 	}
-	if _, err := NewMulti([]Plan{{Segment: seg, Event: ref}}); err == nil {
+	if _, err := NewMulti([]Plan{{Segment: seg, Event: ref}}, 1, healthy); err == nil {
 		t.Error("nil mechanism accepted")
 	}
-	if _, err := NewMulti([]Plan{{Mechanism: lap, Event: ref}}); err == nil {
+	if _, err := NewMulti([]Plan{{Mechanism: lap, Event: ref}}, 1, healthy); err == nil {
 		t.Error("empty segment accepted")
 	}
-	if _, err := NewMulti([]Plan{{Mechanism: lap, Segment: seg}}); err == nil {
+	if _, err := NewMulti([]Plan{{Mechanism: lap, Segment: seg}}, 1, healthy); err == nil {
 		t.Error("nil event accepted")
 	}
 }
 
-func TestMultiObfuscatorProtectsTwoEvents(t *testing.T) {
+// runMulti drives a multi-plan obfuscator alone on one SEV vCPU.
+func runMulti(t *testing.T, plans []Plan, seed uint64, faults faultinject.Config, ticks int) *Obfuscator {
+	t.Helper()
+	m, err := NewMulti(plans, seed, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sev.NewWorld(sev.DefaultConfig(23))
+	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.AddProcess(0, m); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(ticks)
+	return m
+}
+
+// reconciles reports whether every (plan, tick) pair landed in exactly one
+// funnel bucket.
+func reconciles(r ProtectionReport) bool {
+	return r.InjectedTicks+r.ZeroDrawTicks+r.NoInjectionTicks+r.DegradedTicks == r.Ticks
+}
+
+func TestMultiPlanProtectsTwoEvents(t *testing.T) {
 	seg, _ := coverSegment(t)
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	mkDStar := func(seed uint64) Mechanism {
@@ -38,97 +65,74 @@ func TestMultiObfuscatorProtectsTwoEvents(t *testing.T) {
 		}
 		return m
 	}
-	multi, err := NewMulti([]Plan{
+	multi := runMulti(t, []Plan{
 		{Mechanism: mkDStar(1), Segment: seg, Event: cat.MustByName("RETIRED_UOPS"), ClipBound: 5000},
 		{Mechanism: mkDStar(2), Segment: seg, Event: cat.MustByName("LS_DISPATCH"), ClipBound: 5000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 30, faultinject.Config{}, 80)
 	if multi.Plans() != 2 {
 		t.Fatalf("plans = %d", multi.Plans())
 	}
-
-	w := sev.NewWorld(sev.DefaultConfig(30))
-	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.AddProcess(0, multi); err != nil {
-		t.Fatal(err)
-	}
-	w.Run(80)
-
 	if multi.InjectedReps() == 0 {
 		t.Fatal("no injection over 80 ticks")
 	}
 	for i := 0; i < 2; i++ {
-		counts, err := multi.InjectedCounts(i)
+		st, err := multi.PlanStatus(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if counts <= 0 {
+		if st.InjectedCounts <= 0 {
 			t.Errorf("plan %d injected no counts", i)
 		}
 	}
-	if _, err := multi.InjectedCounts(5); err == nil {
+	if _, err := multi.PlanStatus(5); err == nil {
 		t.Error("out-of-range plan accepted")
 	}
-}
-
-func TestSecretDependentMechanism(t *testing.T) {
-	base, err := NewLaplaceMechanism(1, 10, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSecretDependentMechanism(nil, 1, 100); err == nil {
-		t.Error("nil base accepted")
-	}
-	if _, err := NewSecretDependentMechanism(base, 1, 0); err == nil {
-		t.Error("zero amplitude accepted")
-	}
-	m, err := NewSecretDependentMechanism(base, rng.HashString("secret-a"), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Offset < 0 || m.Offset > 1000 {
-		t.Fatalf("offset = %v out of [0, 1000]", m.Offset)
-	}
-	// Two different secrets derive different offsets (overwhelmingly).
-	m2, err := NewSecretDependentMechanism(base, rng.HashString("secret-b"), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Offset == m2.Offset {
-		t.Error("distinct secrets derived identical offsets")
-	}
-	if m.Name() != "laplace+secret-offset" {
-		t.Errorf("name = %q", m.Name())
+	r := multi.Report()
+	if r.Ticks != 2*80 || !reconciles(r) || !r.Full() {
+		t.Errorf("healthy two-plan funnel: %+v, want 160 reconciled full plan-ticks", r)
 	}
 }
 
-func TestSecretOffsetSurvivesAveraging(t *testing.T) {
-	// §IX-B: averaging n noisy samples converges to the mean, which for
-	// the secret-dependent mechanism retains the secret offset.
-	base, err := NewLaplaceMechanism(1, 50, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
+// TestMultiDStarPlansFallBackIndependently drives two d* plans through a
+// draw-extreme storm: every draw is replaced by ±1e9, so each plan's clip
+// streak eventually reaches the fallback threshold and that plan — on its
+// own schedule — swaps to Laplace with a typed degradation.
+func TestMultiDStarPlansFallBackIndependently(t *testing.T) {
+	seg, ref := coverSegment(t)
+	cat := hpc.NewAMDEpyc7252Catalog(1)
+	var plans []Plan
+	for i, ev := range []*hpc.Event{ref, cat.MustByName("LS_DISPATCH")} {
+		d, err := NewDStarMechanism(1, 100, rng.New(60).SplitN("dstar", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, Plan{Mechanism: d, Segment: seg, Event: ev, ClipBound: 1000})
 	}
-	m, err := NewSecretDependentMechanism(base, rng.HashString("youtube.com"), 2000)
-	if err != nil {
-		t.Fatal(err)
+	const ticks = 3000
+	multi := runMulti(t, plans, 61,
+		faultinject.Config{Seed: 62, DrawExtremeRate: 1, DrawExtremeMagnitude: 1e9}, ticks)
+
+	r := multi.Report()
+	if r.Ticks != 2*ticks || !reconciles(r) {
+		t.Fatalf("funnel does not reconcile over %d plan-ticks: %+v", 2*ticks, r)
 	}
-	const n = 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += m.Noise(int64(i), 0)
+	if r.MechanismFallbacks != 2 || r.DegradedByReason[ReasonDStarClipFallback] != 2 {
+		t.Errorf("want one dstar-clip-fallback per plan, got %d fallbacks, %v",
+			r.MechanismFallbacks, r.DegradedByReason)
 	}
-	mean := sum / n
-	// Laplace base has mean 0, so the average converges to the offset.
-	if diff := mean - m.Offset; diff < -5 || diff > 5 {
-		t.Errorf("averaged noise %v does not converge to offset %v", mean, m.Offset)
+	for i := 0; i < 2; i++ {
+		st, err := multi.PlanStatus(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Mechanism != "laplace" {
+			t.Errorf("plan %d mechanism after storm = %q, want laplace", i, st.Mechanism)
+		}
+		if st.InjectedCounts > ticks*(st.ClipBound+st.PerExec) {
+			t.Errorf("plan %d injected %v counts, beyond the clipped support", i, st.InjectedCounts)
+		}
 	}
-	if m.Offset < 100 {
-		t.Skip("offset too small for a meaningful persistence check")
+	if r.Full() {
+		t.Error("fallback run reported as full protection")
 	}
 }

@@ -15,9 +15,8 @@ import (
 )
 
 // Obfuscator metrics: per-tick injection volume, clip/budget saturation,
-// mechanism draw latency, and the degradation funnel (every tick lands in
-// exactly one of injected/zero-draw/no-injection/degraded), shared by
-// single- and multi-event deployers.
+// mechanism draw latency, and the degradation funnel (every (plan, tick)
+// pair lands in exactly one of injected/zero-draw/no-injection/degraded).
 var (
 	mTicks           = telemetry.C("obfuscator_ticks_total")
 	mInjectedReps    = telemetry.C("obfuscator_injected_reps_total")
@@ -174,7 +173,9 @@ type TickInfo struct {
 	FellBack bool
 }
 
-// ProtectionReport summarises what the obfuscator actually delivered.
+// ProtectionReport summarises what the obfuscator actually delivered. The
+// tick funnel counts (plan, tick) pairs, so a one-plan obfuscator counts
+// ticks and an N-plan one N per tick.
 type ProtectionReport struct {
 	Ticks, InjectedTicks, ZeroDrawTicks, NoInjectionTicks, DegradedTicks int64
 	// DegradedByReason splits DegradedTicks (plus fallback events) by
@@ -214,22 +215,22 @@ type Config struct {
 	// starve the protected application outright; 0 means no cap beyond
 	// the vCPU budget.
 	MaxRepsPerTick int
-	// Seed drives the noise sampling.
+	// Seed drives the d*→Laplace fallback mechanism's noise stream.
 	Seed uint64
 	// Faults injects substrate faults into the obfuscator's own kernel
 	// module PMU and mechanism draws. The zero value is the healthy
 	// substrate.
 	Faults faultinject.Config
-	// MaxRetries bounds per-tick retries of failed PMU reads and
-	// fault-interrupted gadget executions; 0 means 3, negative disables
-	// retrying.
-	MaxRetries int
 	// FallbackAfterClips is the number of consecutive clip saturations
 	// after which an observation-based d* mechanism falls back to a
 	// Laplace mechanism with the same (ε, Δ); 0 means 8, negative
 	// disables the fallback.
 	FallbackAfterClips int
 }
+
+// maxRetries bounds per-plan, per-tick retries of failed PMU reads and
+// fault-interrupted gadget executions.
+const maxRetries = 3
 
 // Errors returned by the obfuscator.
 var (
@@ -280,34 +281,52 @@ func (k *kernelModule) rearm(ev *hpc.Event) error {
 	return k.pmu.Program(hpc.NumCounterRegisters-1, ev)
 }
 
-// Obfuscator is the sev.Process deployed inside the victim VM. It is
-// scheduled on the same vCPU as the protected application (paper §VII-C)
-// so the hypervisor cannot separate the two.
-type Obfuscator struct {
-	cfg Config
+// Plan protects one critical HPC event with its own mechanism and gadget
+// segment.
+type Plan struct {
+	Mechanism Mechanism
+	Segment   []isa.Variant
+	// Event calibrates counts→repetitions and is the event the kernel
+	// module monitors for observation-based mechanisms.
+	Event *hpc.Event
+	// ClipBound is the plan's B_u; 0 means 20000.
+	ClipBound float64
+}
 
+// planState is one plan's deployment: its calibration, kernel module,
+// fault handles and degradation-policy state.
+type planState struct {
+	Plan
 	kmod    kernelModule
-	noise   *rng.Source
 	perExec float64 // reference-event counts per segment execution
 
-	// Fault handling. faults is this obfuscator's own injector (nil when
-	// healthy); kmodFaults feeds the kernel module's PMU, drawFaults the
-	// mechanism draw path.
-	faults     *faultinject.Injector
+	// kmodFaults feeds the kernel module's PMU, drawFaults the mechanism
+	// draw path; both nil when healthy.
 	kmodFaults *faultinject.Handle
 	drawFaults *faultinject.Handle
-	maxRetries int
 
-	// Degradation policy state: the active mechanism (swapped on
-	// fallback), the prepared Laplace fallback, and the consecutive
-	// high-clip streak that triggers it.
-	mech          Mechanism
-	fallback      Mechanism
-	fallbackAfter int
-	consecClips   int
+	// The active mechanism (swapped on fallback), the prepared Laplace
+	// fallback, and the consecutive high-clip streak that triggers it.
+	mech        Mechanism
+	mechCode    flight.Code
+	fallback    Mechanism
+	consecClips int
 
-	// Telemetry.
-	injectedCounts float64
+	injectedCounts float64 // in the plan event's units
+}
+
+// Obfuscator is the sev.Process deployed inside the victim VM. It is
+// scheduled on the same vCPU as the protected application (paper §VII-C)
+// so the hypervisor cannot separate the two. It protects one event per
+// plan; the plans share the vCPU tick budget in order, each running the
+// same per-tick protocol.
+type Obfuscator struct {
+	plans []planState
+
+	maxRepsPerTick int
+	fallbackAfter  int
+
+	// Telemetry, summed across plans. Tick counts are (plan, tick) pairs.
 	injectedReps   int64
 	ticks          int64
 	saturatedTicks int64
@@ -317,7 +336,6 @@ type Obfuscator struct {
 	noInjectionTicks int64
 	degradedTicks    int64
 	degradedByReason map[DegradeReason]int64
-	mechCode         flight.Code
 	retriesTotal     int64
 	counterRearms    int64
 	fallbacks        int64
@@ -326,62 +344,104 @@ type Obfuscator struct {
 
 var _ sev.Process = (*Obfuscator)(nil)
 
-// New builds an obfuscator. The counts→repetitions calibration executes
-// the segment on an offline scratch core (part of the one-time deployment
-// work, like the fuzzer's offline analysis).
+// New builds a single-event obfuscator: the one-plan case of NewMulti. The
+// counts→repetitions calibration executes the segment on an offline
+// scratch core (part of the one-time deployment work, like the fuzzer's
+// offline analysis).
 func New(cfg Config) (*Obfuscator, error) {
-	if cfg.Mechanism == nil {
-		return nil, ErrNoMechanism
+	return build([]Plan{{
+		Mechanism: cfg.Mechanism,
+		Segment:   cfg.Segment,
+		Event:     cfg.RefEvent,
+		ClipBound: cfg.ClipBound,
+	}}, cfg)
+}
+
+// NewMulti builds an obfuscator reinforcing protection for several
+// critical HPC events at once, the deployment the paper recommends the d*
+// mechanism for (§VII-B: "d* mechanism is better suited for reinforcing
+// protection for multiple critical HPC events"). Each plan runs its own
+// noise recursion and injects its own gadget segment, with the same
+// retry, re-arm, clip and d*→Laplace fallback policy as a single-event
+// obfuscator. seed drives the fallback mechanisms and faults the plans'
+// kernel modules and draws.
+func NewMulti(plans []Plan, seed uint64, faults faultinject.Config) (*Obfuscator, error) {
+	if len(plans) == 0 {
+		return nil, fmt.Errorf("obfuscator: no plans")
 	}
-	if len(cfg.Segment) == 0 {
-		return nil, ErrNoSegment
-	}
-	if cfg.RefEvent == nil {
-		return nil, ErrNoRefEvent
-	}
-	if cfg.ClipBound <= 0 {
-		cfg.ClipBound = 20000
-	}
-	maxRetries := cfg.MaxRetries
-	switch {
-	case maxRetries == 0:
-		maxRetries = 3
-	case maxRetries < 0:
-		maxRetries = 0
-	}
+	return build(plans, Config{Seed: seed, Faults: faults})
+}
+
+// build deploys plans under cfg's seed, faults and tick policy (cfg's
+// per-event fields are ignored).
+func build(plans []Plan, cfg Config) (*Obfuscator, error) {
 	fallbackAfter := cfg.FallbackAfterClips
 	if fallbackAfter == 0 {
 		fallbackAfter = 8
 	}
 	o := &Obfuscator{
-		cfg:              cfg,
-		noise:            rng.New(cfg.Seed).Split("obfuscator"),
-		faults:           faultinject.New(cfg.Faults),
-		maxRetries:       maxRetries,
-		mech:             cfg.Mechanism,
+		plans:            make([]planState, len(plans)),
+		maxRepsPerTick:   cfg.MaxRepsPerTick,
 		fallbackAfter:    fallbackAfter,
 		degradedByReason: make(map[DegradeReason]int64),
 	}
-	o.mechCode = mechFlightCode(o.mech)
-	o.kmodFaults = o.faults.Handle("obfuscator", "kmod")
-	o.drawFaults = o.faults.Handle("obfuscator", "draw")
+	faults := faultinject.New(cfg.Faults)
+	for i, p := range plans {
+		if err := o.plans[i].init(p, i, cfg.Seed, faults, fallbackAfter); err != nil {
+			if len(plans) > 1 {
+				err = fmt.Errorf("plan %d: %w", i, err)
+			}
+			return nil, err
+		}
+	}
+	return o, nil
+}
+
+// planLabel names plan i's fault handles and fallback stream. Plan 0
+// keeps the bare label, so adding plans never changes the first plan's
+// fault schedule or fallback draws.
+func planLabel(label string, i int) string {
+	if i == 0 {
+		return label
+	}
+	return fmt.Sprintf("%s-plan%d", label, i)
+}
+
+func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Injector, fallbackAfter int) error {
+	if p.Mechanism == nil {
+		return ErrNoMechanism
+	}
+	if len(p.Segment) == 0 {
+		return ErrNoSegment
+	}
+	if p.Event == nil {
+		return ErrNoRefEvent
+	}
+	if p.ClipBound <= 0 {
+		p.ClipBound = 20000
+	}
+	ps.Plan = p
+	ps.mech = p.Mechanism
+	ps.mechCode = mechFlightCode(p.Mechanism)
+	ps.kmodFaults = faults.Handle("obfuscator", planLabel("kmod", i))
+	ps.drawFaults = faults.Handle("obfuscator", planLabel("draw", i))
 	// Prepare the d*→Laplace fallback with the same privacy parameters:
 	// if draws clip persistently, the tree recursion's committed noise no
 	// longer matches what was drawn, so a memoryless mechanism is safer.
-	if d, ok := cfg.Mechanism.(*DStarMechanism); ok && fallbackAfter > 0 {
+	if d, ok := p.Mechanism.(*DStarMechanism); ok && fallbackAfter > 0 {
 		fb, err := NewLaplaceMechanism(d.Epsilon, d.Sensitivity,
-			rng.New(cfg.Seed).Split("obfuscator-fallback"))
+			rng.New(seed).Split(planLabel("obfuscator-fallback", i)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		o.fallback = fb
+		ps.fallback = fb
 	}
-	per, err := calibrateSegment(cfg.Segment, cfg.RefEvent)
+	per, err := calibrateSegment(p.Segment, p.Event)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	o.perExec = per
-	return o, nil
+	ps.perExec = per
+	return nil
 }
 
 // calibrateSegment measures the reference event's count change of one
@@ -414,19 +474,56 @@ func calibrateSegment(seg []isa.Variant, ev *hpc.Event) (float64, error) {
 // Name implements sev.Process.
 func (o *Obfuscator) Name() string { return "aegis-obfuscator" }
 
-// PerExecDelta returns the calibrated reference-event counts per segment
-// execution.
-func (o *Obfuscator) PerExecDelta() float64 { return o.perExec }
+// Plans returns the number of protected events.
+func (o *Obfuscator) Plans() int { return len(o.plans) }
+
+// PerExecDelta returns the first plan's calibrated reference-event counts
+// per segment execution.
+func (o *Obfuscator) PerExecDelta() float64 { return o.plans[0].perExec }
 
 // InjectedCounts returns the cumulative injected noise in reference-event
-// counts (the quantity compared across defenses in paper §IX-A).
-func (o *Obfuscator) InjectedCounts() float64 { return o.injectedCounts }
+// counts (the quantity compared across defenses in paper §IX-A), summed
+// across plans.
+func (o *Obfuscator) InjectedCounts() float64 {
+	var sum float64
+	for i := range o.plans {
+		sum += o.plans[i].injectedCounts
+	}
+	return sum
+}
 
-// InjectedReps returns the cumulative segment executions.
+// PlanStatus is one plan's share of a deployment.
+type PlanStatus struct {
+	// Mechanism names the plan's active mechanism.
+	Mechanism string
+	// PerExec is the calibrated event counts per segment execution.
+	PerExec float64
+	// ClipBound is the plan's B_u.
+	ClipBound float64
+	// InjectedCounts is the cumulative injected noise in the plan event's
+	// units.
+	InjectedCounts float64
+}
+
+// PlanStatus returns plan i's status.
+func (o *Obfuscator) PlanStatus(i int) (PlanStatus, error) {
+	if i < 0 || i >= len(o.plans) {
+		return PlanStatus{}, fmt.Errorf("obfuscator: plan %d out of range", i)
+	}
+	p := &o.plans[i]
+	return PlanStatus{
+		Mechanism:      p.mech.Name(),
+		PerExec:        p.perExec,
+		ClipBound:      p.ClipBound,
+		InjectedCounts: p.injectedCounts,
+	}, nil
+}
+
+// InjectedReps returns the cumulative segment executions across plans.
 func (o *Obfuscator) InjectedReps() int64 { return o.injectedReps }
 
-// SaturationRate returns the fraction of ticks where the vCPU budget or
-// rep cap truncated the requested injection.
+// SaturationRate returns the fraction of (plan, tick) pairs where the
+// vCPU budget or rep cap truncated the requested injection.
 func (o *Obfuscator) SaturationRate() float64 {
 	if o.ticks == 0 {
 		return 0
@@ -434,11 +531,13 @@ func (o *Obfuscator) SaturationRate() float64 {
 	return float64(o.saturatedTicks) / float64(o.ticks)
 }
 
-// ActiveMechanism returns the mechanism currently drawing noise (the
-// configured one, or the Laplace fallback after a d* clip storm).
-func (o *Obfuscator) ActiveMechanism() Mechanism { return o.mech }
+// ActiveMechanism returns the mechanism currently drawing the first
+// plan's noise (the configured one, or the Laplace fallback after a d*
+// clip storm).
+func (o *Obfuscator) ActiveMechanism() Mechanism { return o.plans[0].mech }
 
-// LastTick returns the most recent tick's result.
+// LastTick returns the most recent tick's result: the first degraded
+// plan's when any plan degraded, else the first plan's.
 func (o *Obfuscator) LastTick() TickInfo { return o.last }
 
 // Report returns the cumulative protection report.
@@ -447,6 +546,10 @@ func (o *Obfuscator) Report() ProtectionReport {
 	//aegis:allow(maprange) flat key-by-key copy into a fresh map; iteration order cannot leak
 	for k, v := range o.degradedByReason {
 		byReason[k] = v
+	}
+	var faults uint64
+	for i := range o.plans {
+		faults += o.plans[i].kmodFaults.Total() + o.plans[i].drawFaults.Total()
 	}
 	return ProtectionReport{
 		Ticks:              o.ticks,
@@ -458,11 +561,12 @@ func (o *Obfuscator) Report() ProtectionReport {
 		Retries:            o.retriesTotal,
 		CounterRearms:      o.counterRearms,
 		MechanismFallbacks: o.fallbacks,
-		FaultsSeen:         o.kmodFaults.Total() + o.drawFaults.Total(),
+		FaultsSeen:         faults,
 	}
 }
 
-// Step implements sev.Process: one tick of the kernel-module/daemon loop.
+// Step implements sev.Process: one tick of the kernel-module/daemon loop,
+// run for each plan in order.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocObfuscatorTick
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -471,38 +575,45 @@ func (o *Obfuscator) Report() ProtectionReport {
 //
 //aegis:hotpath
 func (o *Obfuscator) Step(g *sev.GuestExecutor) {
-	o.ticks++
-	tickSpan := telemetry.StartSpan("obfuscator.tick")
-	info := o.runTick(g, g.Tick())
-	tickSpan.End()
-	mTicks.Inc()
-	o.last = info
-	o.retriesTotal += int64(info.Retries)
-	switch info.Outcome {
-	case TickInjected:
-		o.injectedTicks++
-		mInjectedTicks.Inc()
-	case TickZeroDraw:
-		o.zeroDrawTicks++
-		mZeroDrawTicks.Inc()
-	case TickNoInjection:
-		o.noInjectionTicks++
-		mNoInjectionTicks.Inc()
-	case TickDegraded:
-		o.degradedTicks++
-		o.degradedByReason[info.DegradedReason]++
-		if c, ok := mDegraded[info.DegradedReason]; ok {
-			c.Inc()
+	t := g.Tick()
+	for i := range o.plans {
+		p := &o.plans[i]
+		o.ticks++
+		tickSpan := telemetry.StartSpan("obfuscator.tick")
+		info := o.runTick(p, g, t)
+		tickSpan.End()
+		mTicks.Inc()
+		if i == 0 || (info.Outcome == TickDegraded && o.last.Outcome != TickDegraded) {
+			o.last = info
 		}
-	}
-	// Journal the tick: code is the outcome (or degradation reason), sub
-	// the active mechanism, payload the draw/injection/retry shape.
-	if info.Outcome == TickDegraded {
-		fTick.Incident(info.Tick, info.DegradedReason.FlightCode(), o.mechCode,
-			info.Noise, float64(info.Injected), float64(info.Retries))
-	} else {
-		fTick.Record(info.Tick, tickFlightCode(info.Outcome), o.mechCode,
-			info.Noise, float64(info.Injected), float64(info.Retries))
+		o.retriesTotal += int64(info.Retries)
+		switch info.Outcome {
+		case TickInjected:
+			o.injectedTicks++
+			mInjectedTicks.Inc()
+		case TickZeroDraw:
+			o.zeroDrawTicks++
+			mZeroDrawTicks.Inc()
+		case TickNoInjection:
+			o.noInjectionTicks++
+			mNoInjectionTicks.Inc()
+		case TickDegraded:
+			o.degradedTicks++
+			o.degradedByReason[info.DegradedReason]++
+			if c, ok := mDegraded[info.DegradedReason]; ok {
+				c.Inc()
+			}
+		}
+		// Journal the plan's tick: code is the outcome (or degradation
+		// reason), sub the active mechanism, payload the
+		// draw/injection/retry shape.
+		if info.Outcome == TickDegraded {
+			fTick.Incident(info.Tick, info.DegradedReason.FlightCode(), p.mechCode,
+				info.Noise, float64(info.Injected), float64(info.Retries))
+		} else {
+			fTick.Record(info.Tick, tickFlightCode(info.Outcome), p.mechCode,
+				info.Noise, float64(info.Injected), float64(info.Retries))
+		}
 	}
 }
 
@@ -544,10 +655,11 @@ func degrade(info *TickInfo, reason DegradeReason) {
 	}
 }
 
-// runTick executes one tick of the kernel-module/daemon protocol with the
-// per-tick degradation policy: bounded retries on PMU read failures,
-// counter re-arm on overflow latches, skip-and-count when recovery fails,
-// and a d*→Laplace fallback under persistent clip saturation.
+// runTick executes one plan's tick of the kernel-module/daemon protocol
+// with the per-tick degradation policy: bounded retries on PMU read
+// failures, counter re-arm on overflow latches, skip-and-count when
+// recovery fails, and a d*→Laplace fallback under persistent clip
+// saturation.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocObfuscatorTick
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -555,24 +667,24 @@ func degrade(info *TickInfo, reason DegradeReason) {
 // function carrying this annotation.
 //
 //aegis:hotpath
-func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
+func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickInfo {
 	info := TickInfo{Tick: t}
 
 	// Kernel module: lazily attach to this vCPU's core, then read the
 	// real-time HPC value when the mechanism needs it.
-	if !o.kmod.attached {
-		if err := o.kmod.attach(g.Core(), o.cfg.RefEvent, o.kmodFaults); err != nil {
+	if !p.kmod.attached {
+		if err := p.kmod.attach(g.Core(), p.Event, p.kmodFaults); err != nil {
 			degrade(&info, ReasonKmodAttach)
 			return info
 		}
 	}
 	var x float64
-	if o.mech.NeedsObservation() {
-		v, err := o.kmod.readAndReset()
-		for attempt := 0; err != nil && attempt < o.maxRetries; attempt++ {
+	if p.mech.NeedsObservation() {
+		v, err := p.kmod.readAndReset()
+		for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 			info.Retries++
 			mRetries.Inc()
-			v, err = o.kmod.readAndReset()
+			v, err = p.kmod.readAndReset()
 		}
 		switch {
 		case err != nil:
@@ -580,11 +692,11 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 			// silently injecting on a stale x would distort the recursion.
 			degrade(&info, ReasonPMURead)
 			return info
-		case o.kmod.saturated():
+		case p.kmod.saturated():
 			// The read came back latched at the overflow cap: garbage.
 			// Re-arm the counter (re-program clears the latch) and proceed
 			// with x = 0 rather than feeding the cap into the mechanism.
-			if rerr := o.kmod.rearm(o.cfg.RefEvent); rerr != nil {
+			if rerr := p.kmod.rearm(p.Event); rerr != nil {
 				degrade(&info, ReasonCounterRearm)
 				return info
 			}
@@ -600,28 +712,28 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 
 	// Daemon: noise calculation with clipping to [0, B_u]. An injected
 	// draw-extreme fault replaces the draw with a clipping extreme.
-	raw := drawNoise(o.mech, t, x)
-	if v, ok := o.drawFaults.DrawExtreme(); ok {
+	raw := drawNoise(p.mech, t, x)
+	if v, ok := p.drawFaults.DrawExtreme(); ok {
 		raw = v
 	}
 	info.RawDraw = raw
-	noise, cLo, cHi := clampDraw(raw, o.cfg.ClipBound)
+	noise, cLo, cHi := clampDraw(raw, p.ClipBound)
 	info.ClippedLow = cLo
 	info.ClippedHigh = cHi
 	if cHi {
 		mClipSaturations.Inc()
-		o.consecClips++
+		p.consecClips++
 	} else {
-		o.consecClips = 0
+		p.consecClips = 0
 	}
 	info.Noise = noise
 
 	// Persistent clip saturation: the d* recursion keeps committing
 	// clipped values that diverge from its draws, so swap to the prepared
 	// memoryless Laplace fallback (same ε and Δ) from the next tick on.
-	if o.fallback != nil && o.mech != o.fallback && o.consecClips >= o.fallbackAfter {
-		o.mech = o.fallback
-		o.mechCode = mechFlightCode(o.mech)
+	if p.fallback != nil && p.mech != p.fallback && p.consecClips >= o.fallbackAfter {
+		p.mech = p.fallback
+		p.mechCode = mechFlightCode(p.mech)
 		o.fallbacks++
 		mMechFallbacks.Inc()
 		info.FellBack = true
@@ -635,7 +747,7 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 	if info.Outcome != TickDegraded {
 		if raw <= 0 {
 			info.Outcome = TickZeroDraw
-		} else if int(noise/o.perExec+0.5) == 0 {
+		} else if int(noise/p.perExec+0.5) == 0 {
 			info.Outcome = TickNoInjection
 		}
 	}
@@ -644,22 +756,24 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 	// fault-interrupted executions with a deterministic backoff (each
 	// retry halves the remaining plan, so interrupt storms converge
 	// instead of hammering the executor).
-	reps := int(noise/o.perExec + 0.5)
-	if o.cfg.MaxRepsPerTick > 0 && reps > o.cfg.MaxRepsPerTick {
-		reps = o.cfg.MaxRepsPerTick
-		o.saturatedTicks++
-		mRepSaturations.Inc()
+	// A tick counts as saturated at most once, whether the rep cap, the
+	// vCPU budget or both truncated it.
+	reps := int(noise/p.perExec + 0.5)
+	saturated := false
+	if o.maxRepsPerTick > 0 && reps > o.maxRepsPerTick {
+		reps = o.maxRepsPerTick
+		saturated = true
 	}
 	info.Requested = reps
 	injectedReps := 0
 	planned := reps
 	for i := 0; i < planned; {
-		n, err := g.ExecuteSeq(o.cfg.Segment)
+		n, err := g.ExecuteSeq(p.Segment)
 		if err != nil {
 			degrade(&info, ReasonExecError)
 			break
 		}
-		if n == len(o.cfg.Segment) {
+		if n == len(p.Segment) {
 			injectedReps++
 			i++
 			continue
@@ -667,8 +781,7 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 		if g.Remaining() == 0 {
 			// vCPU tick budget exhausted mid-segment: physics, not a
 			// fault — stop here as before.
-			o.saturatedTicks++
-			mRepSaturations.Inc()
+			saturated = true
 			if n > 0 {
 				injectedReps++ // partial execution still perturbs
 			}
@@ -676,7 +789,7 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 		}
 		// Budget remains but the segment stopped short: an interrupt
 		// landed mid-gadget. Retry with backoff.
-		if info.Retries < o.maxRetries {
+		if info.Retries < maxRetries {
 			info.Retries++
 			mRetries.Inc()
 			remaining := planned - i
@@ -686,14 +799,18 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 		degrade(&info, ReasonRetryExhausted)
 		break
 	}
-	applied := float64(injectedReps) * o.perExec
+	if saturated {
+		o.saturatedTicks++
+		mRepSaturations.Inc()
+	}
+	applied := float64(injectedReps) * p.perExec
 	info.Injected = injectedReps
 	info.Applied = applied
-	o.injectedCounts += applied
+	p.injectedCounts += applied
 	o.injectedReps += int64(injectedReps)
 	mInjectedReps.Add(float64(injectedReps))
 	mInjectedCounts.Add(applied)
-	mInjectedInstr.Add(float64(injectedReps * len(o.cfg.Segment)))
+	mInjectedInstr.Add(float64(injectedReps * len(p.Segment)))
 	if info.Outcome == TickInjected && injectedReps == 0 {
 		// The plan asked for reps but none retired (e.g. budget hit on
 		// the very first segment): an empty tick, not an injected one.
@@ -701,7 +818,7 @@ func (o *Obfuscator) runTick(g *sev.GuestExecutor, t int64) TickInfo {
 	}
 
 	// Observation-based mechanisms track what was actually injected.
-	if d, ok := o.mech.(*DStarMechanism); ok {
+	if d, ok := p.mech.(*DStarMechanism); ok {
 		d.Commit(t, applied)
 	}
 	return info

@@ -446,3 +446,33 @@ func TestNoiseNonNegativityAfterClip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSaturationRateCountsTicksOnce: a tick whose rep cap truncates the
+// plan and whose vCPU budget then runs out mid-injection is one saturated
+// tick, not two, so the rate stays a fraction of ticks.
+func TestSaturationRateCountsTicksOnce(t *testing.T) {
+	seg, ref := coverSegment(t)
+	lap, err := NewLaplaceMechanism(0.01, 100000, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obf, err := New(Config{
+		Mechanism: lap, Segment: seg, RefEvent: ref,
+		ClipBound: 1e9, MaxRepsPerTick: 100000, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sev.NewWorld(sev.DefaultConfig(14))
+	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.AddProcess(0, obf); err != nil {
+		t.Fatal(err)
+	}
+	w.Run(50)
+	if rate := obf.SaturationRate(); rate <= 0 || rate > 1 {
+		t.Errorf("saturation rate = %v, want in (0, 1]", rate)
+	}
+}

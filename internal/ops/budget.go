@@ -115,10 +115,9 @@ func TelemetrySource(reg *telemetry.Registry) func() (float64, float64) {
 		reg = telemetry.Default()
 	}
 	injected := reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal)
-	multi := reg.Counter(telemetry.MetricObfuscatorMultiInjectedInstructionsTotal)
 	steps := reg.Counter(telemetry.MetricSevVcpuStepsTotal)
 	budget := reg.Gauge(telemetry.MetricSevTickBudget)
 	return func() (float64, float64) {
-		return injected.Value() + multi.Value(), steps.Value() * budget.Value()
+		return injected.Value(), steps.Value() * budget.Value()
 	}
 }

@@ -168,8 +168,7 @@ func TestOverheadBudget(t *testing.T) {
 
 func TestBudgetTelemetrySource(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal).Add(10)
-	reg.Counter(telemetry.MetricObfuscatorMultiInjectedInstructionsTotal).Add(5)
+	reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal).Add(15)
 	reg.Counter(telemetry.MetricSevVcpuStepsTotal).Add(100)
 	reg.Gauge(telemetry.MetricSevTickBudget).Set(20)
 	b := NewOverheadBudget(0)

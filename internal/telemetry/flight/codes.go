@@ -23,16 +23,15 @@ const (
 	CodeTickZeroDraw
 	CodeTickNoInjection
 
-	// KindObfuscatorTick degradation reasons (incident ticks). One per
-	// obfuscator.DegradeReason, plus CodeDegradedPlan for a
-	// MultiObfuscator plan that degraded without a per-reason split.
+	// KindObfuscatorTick degradation reasons (incident ticks), one per
+	// obfuscator.DegradeReason. A multi-plan obfuscator journals one
+	// record per (plan, tick), so a degraded plan carries its own reason.
 	CodeDegradedKmodAttach
 	CodeDegradedPMURead
 	CodeDegradedCounterRearm
 	CodeDegradedDStarClipFallback
 	CodeDegradedRetryExhausted
 	CodeDegradedExecError
-	CodeDegradedPlan
 
 	// KindObfuscatorTick sub-codes: the noise mechanism that drove the
 	// tick.
@@ -101,7 +100,6 @@ var codeNames = [numCodes]string{
 	CodeDegradedDStarClipFallback: "degraded:dstar-clip-fallback",
 	CodeDegradedRetryExhausted:    "degraded:retry-exhausted",
 	CodeDegradedExecError:         "degraded:exec-error",
-	CodeDegradedPlan:              "degraded:plan",
 
 	CodeMechLaplace:  "mech:laplace",
 	CodeMechDStar:    "mech:dstar",

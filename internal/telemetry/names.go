@@ -102,27 +102,20 @@ const (
 
 // Online obfuscator tick funnel (single and multi-plan).
 const (
-	MetricObfuscatorBudgetSaturationsTotal         = "obfuscator_budget_saturations_total"
-	MetricObfuscatorClipSaturationsTotal           = "obfuscator_clip_saturations_total"
-	MetricObfuscatorCounterRearmsTotal             = "obfuscator_counter_rearms_total"
-	MetricObfuscatorDegradedTicksTotal             = "obfuscator_degraded_ticks_total"
-	MetricObfuscatorInjectedCountsTotal            = "obfuscator_injected_counts_total"
-	MetricObfuscatorInjectedInstructionsTotal      = "obfuscator_injected_instructions_total"
-	MetricObfuscatorInjectedRepsTotal              = "obfuscator_injected_reps_total"
-	MetricObfuscatorInjectedTicksTotal             = "obfuscator_injected_ticks_total"
-	MetricObfuscatorMechanismDrawNs                = "obfuscator_mechanism_draw_ns"
-	MetricObfuscatorMechanismFallbacksTotal        = "obfuscator_mechanism_fallbacks_total"
-	MetricObfuscatorMultiClipSaturationsTotal      = "obfuscator_multi_clip_saturations_total"
-	MetricObfuscatorMultiCounterRearmsTotal        = "obfuscator_multi_counter_rearms_total"
-	MetricObfuscatorMultiDegradedPlanTicksTotal    = "obfuscator_multi_degraded_plan_ticks_total"
-	MetricObfuscatorMultiInjectedInstructionsTotal = "obfuscator_multi_injected_instructions_total"
-	MetricObfuscatorMultiInjectedRepsTotal         = "obfuscator_multi_injected_reps_total"
-	MetricObfuscatorMultiRetriesTotal              = "obfuscator_multi_retries_total"
-	MetricObfuscatorMultiTicksTotal                = "obfuscator_multi_ticks_total"
-	MetricObfuscatorNoInjectionTicksTotal          = "obfuscator_no_injection_ticks_total"
-	MetricObfuscatorRetriesTotal                   = "obfuscator_retries_total"
-	MetricObfuscatorTicksTotal                     = "obfuscator_ticks_total"
-	MetricObfuscatorZeroDrawTicksTotal             = "obfuscator_zero_draw_ticks_total"
+	MetricObfuscatorBudgetSaturationsTotal    = "obfuscator_budget_saturations_total"
+	MetricObfuscatorClipSaturationsTotal      = "obfuscator_clip_saturations_total"
+	MetricObfuscatorCounterRearmsTotal        = "obfuscator_counter_rearms_total"
+	MetricObfuscatorDegradedTicksTotal        = "obfuscator_degraded_ticks_total"
+	MetricObfuscatorInjectedCountsTotal       = "obfuscator_injected_counts_total"
+	MetricObfuscatorInjectedInstructionsTotal = "obfuscator_injected_instructions_total"
+	MetricObfuscatorInjectedRepsTotal         = "obfuscator_injected_reps_total"
+	MetricObfuscatorInjectedTicksTotal        = "obfuscator_injected_ticks_total"
+	MetricObfuscatorMechanismDrawNs           = "obfuscator_mechanism_draw_ns"
+	MetricObfuscatorMechanismFallbacksTotal   = "obfuscator_mechanism_fallbacks_total"
+	MetricObfuscatorNoInjectionTicksTotal     = "obfuscator_no_injection_ticks_total"
+	MetricObfuscatorRetriesTotal              = "obfuscator_retries_total"
+	MetricObfuscatorTicksTotal                = "obfuscator_ticks_total"
+	MetricObfuscatorZeroDrawTicksTotal        = "obfuscator_zero_draw_ticks_total"
 )
 
 // Ops server (internal/ops).
