@@ -25,6 +25,17 @@ func benchScale(i int) experiment.Scale {
 	return experiment.TestScale(uint64(1000 + i))
 }
 
+// pointWhere returns the first experiment point satisfying match.
+func pointWhere[P any](points []P, match func(P) bool) (P, bool) {
+	for _, p := range points {
+		if match(p) {
+			return p, true
+		}
+	}
+	var zero P
+	return zero, false
+}
+
 // --- Tables -----------------------------------------------------------------
 
 func BenchmarkTable1EventStatistics(b *testing.B) {
@@ -111,7 +122,11 @@ func BenchmarkFigure9aDefenseEffectiveness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defended = res.Accuracy(experiment.MechLaplace, 0.125, experiment.WFA)
+		if p, ok := pointWhere(res.Points, func(p experiment.DefensePoint) bool {
+			return p.Mechanism == experiment.MechLaplace && p.Epsilon == 0.125 && p.Attack == experiment.WFA
+		}); ok {
+			defended = p.Accuracy
+		}
 	}
 	b.ReportMetric(defended*100, "wfa-defended-acc-%")
 }
@@ -126,7 +141,11 @@ func BenchmarkFigure9bAdaptiveAttacker(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = res.Accuracy(experiment.MechDStar, 1.0/256, experiment.WFA)
+		if p, ok := pointWhere(res.Points, func(p experiment.DefensePoint) bool {
+			return p.Mechanism == experiment.MechDStar && p.Epsilon == 1.0/256 && p.Attack == experiment.WFA
+		}); ok {
+			acc = p.Accuracy
+		}
 	}
 	b.ReportMetric(acc*100, "adaptive-wfa-acc-%")
 }
@@ -138,7 +157,11 @@ func BenchmarkFigure9cResidualMutualInformation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mi = res.MI(experiment.MechLaplace, 0.125)
+		if p, ok := pointWhere(res.Points, func(p experiment.Figure9cPoint) bool {
+			return p.Mechanism == experiment.MechLaplace && p.Epsilon == 0.125
+		}); ok {
+			mi = p.MI
+		}
 	}
 	b.ReportMetric(mi, "residual-MI-bits")
 }
@@ -150,7 +173,9 @@ func BenchmarkFigure10Overhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if p, ok := res.Point(experiment.MechLaplace, 1, "website"); ok {
+		if p, ok := pointWhere(res.Points, func(p experiment.OverheadPoint) bool {
+			return p.Mechanism == experiment.MechLaplace && p.Epsilon == 1 && p.App == "website"
+		}); ok {
 			latency = p.LatencyOverhead
 		}
 	}
@@ -363,26 +388,6 @@ func BenchmarkGRUCTCTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.TrainStep(xs, label); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCTCLoss(b *testing.B) {
-	r := rng.New(10)
-	const T, classes = 80, 7
-	logits := make([][]float64, T)
-	for t := range logits {
-		row := make([]float64, classes+1)
-		for j := range row {
-			row[j] = r.Gaussian(0, 1)
-		}
-		logits[t] = row
-	}
-	label := []int{0, 1, 2, 3, 4, 5, 6, 0, 1, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ml.CTCLoss(logits, label, classes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,9 @@ func TestCtlClientSmoke(t *testing.T) {
 		t.Fatalf("duplicate attach error lacks status: %v", err)
 	}
 
-	d.Run(2)
+	for i := 0; i < 2; i++ {
+		d.Step()
+	}
 	if out, err = ctl("tenant", "cli-a"); err != nil {
 		t.Fatal(err)
 	}

@@ -305,21 +305,6 @@ func RunningSet(rules []*Rule) map[string]bool {
 	return running
 }
 
-// Analyze runs the given rules over the packages and returns the surviving
-// diagnostics sorted by position: rule findings minus suppressed sites,
-// plus suppression hygiene findings (malformed/unknown/reason-less/unused
-// allows). The packages form the analyzed program: for the interprocedural
-// rules to see through package boundaries, dependencies must be included
-// (the CLI passes the loader's full cache).
-func Analyze(pkgs []*Package, rules []*Rule) []Diagnostic {
-	prog := NewProgram(pkgs)
-	results := make([]PackageResult, 0, len(prog.Packages))
-	for _, pkg := range prog.Packages {
-		results = append(results, AnalyzePackage(prog, pkg, rules))
-	}
-	return Merge(results, RunningSet(rules), true)
-}
-
 // SortDiagnostics orders diagnostics by file, line, column, rule, message.
 func SortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {

@@ -18,12 +18,17 @@ import (
 //   - A call through an interface method becomes one over-approximated
 //     edge to every module method with the same name and an identical
 //     signature that is declared inside the calling package's import
-//     closure (a concrete type cannot reach a call site without its
-//     package being imported somewhere in that closure, and restricting
-//     dispatch to the closure keeps per-package analysis results — and
-//     therefore the lint cache — independent of which other packages
-//     happen to be loaded). These edges carry Dynamic=true, and the deep
-//     rules name the dispatch in their call chains.
+//     closure. These edges carry Dynamic=true, and the deep rules name
+//     the dispatch in their call chains. The closure restriction is what
+//     keeps per-package analysis results — and therefore the lint cache —
+//     independent of which other packages happen to be loaded, but it is
+//     not sound: an importer can hand the call site a concrete type whose
+//     package the caller never imports. sev.World.Step calls Process.Step,
+//     yet neither obfuscator nor workload is in sev's closure, so no edge
+//     reaches (*obfuscator.Obfuscator).Step or (*workload.Runner).Step;
+//     the daemon and the facade wire those types in from above. A
+//     whole-program question (reachability, say) must dispatch to every
+//     matching method instead.
 //   - A call of a function-typed value (a method value, a stored closure,
 //     a func field or parameter) cannot be resolved at all; the site is
 //     recorded as a DynSite and the deep rules report it conservatively —
@@ -59,10 +64,6 @@ type Node struct {
 
 	id string // Fn.FullName(), cached for sorting
 }
-
-// ID returns the node's stable identity: the type-qualified full name of
-// its function (e.g. "(*path/to/pkg.T).Method" or "path/to/pkg.F").
-func (n *Node) ID() string { return n.id }
 
 // Edge is one call from a node to a module function.
 type Edge struct {

@@ -232,3 +232,44 @@ func TestAnalyzeDeterministicDiagnostics(t *testing.T) {
 		}
 	}
 }
+
+// ID returns the node's stable identity: the type-qualified full name of
+// its function (e.g. "(*path/to/pkg.T).Method" or "path/to/pkg.F").
+func (n *Node) ID() string { return n.id }
+
+// TestCallGraphDispatchStopsAtImportClosure pins the documented limit of
+// interface dispatch: lib.Run calls Stepper.Step, but the only
+// implementation lives in impl, which imports lib rather than the other
+// way round, so the graph has no edge from Run to it. The main package
+// wires the two together; whole-program reachability has to dispatch past
+// the closure on its own.
+func TestCallGraphDispatchStopsAtImportClosure(t *testing.T) {
+	_, g := buildGraph(t, writeTree(t, map[string]string{
+		"go.mod": "module cgmod\n\ngo 1.21\n",
+		"lib/lib.go": `package lib
+
+type Stepper interface{ Step() }
+
+func Run(s Stepper) { s.Step() }
+`,
+		"impl/impl.go": `package impl
+
+type Obf struct{}
+
+func (Obf) Step() {}
+`,
+		"cmd/app/main.go": `package main
+
+import (
+	"cgmod/impl"
+	"cgmod/lib"
+)
+
+func main() { lib.Run(impl.Obf{}) }
+`,
+	}))
+	graphNode(t, g, "(cgmod/impl.Obf).Step")
+	if run := graphNode(t, g, "cgmod/lib.Run"); len(run.Edges) != 0 {
+		t.Errorf("lib.Run edges = %+v; want none (impl is outside lib's import closure)", run.Edges)
+	}
+}

@@ -151,7 +151,7 @@ func TestPutOverwritesAtomically(t *testing.T) {
 		t.Fatalf("overwrite lost: ok=%v ids=%v", ok, got.Section("ids"))
 	}
 	// No temp droppings left behind.
-	files, err := os.ReadDir(filepath.Join(st.Dir(), "screen-memo"))
+	files, err := os.ReadDir(filepath.Join(st.dir, "screen-memo"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path returns the artifact file path; kind and fingerprint are generated
 // by this module (kind constants, hex sums), so they are path-safe by
 // construction — Base guards against hostile inputs anyway.

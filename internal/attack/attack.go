@@ -363,31 +363,3 @@ func (c *Classifier) Evaluate(ds *trace.Dataset) (float64, error) {
 
 // Classes returns the number of secret classes (for random-guess baselines).
 func (c *Classifier) Classes() int { return c.labels.Len() }
-
-// ConfusionMatrix evaluates the classifier on a dataset and returns the
-// class-name-ordered confusion table (rows = true labels, columns =
-// predictions) plus the label order.
-func (c *Classifier) ConfusionMatrix(ds *trace.Dataset) ([][]int, []string, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, nil, ErrNoDataset
-	}
-	n := c.labels.Len()
-	m := make([][]int, n)
-	for i := range m {
-		m[i] = make([]int, n)
-	}
-	for _, tr := range ds.Traces {
-		truth := c.labels.Index(tr.Label)
-		if truth < 0 {
-			continue // trace labelled with a class unseen in training
-		}
-		pred, err := c.PredictIndex(tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		if pred >= 0 && pred < n {
-			m[truth][pred]++
-		}
-	}
-	return m, c.labels.Names(), nil
-}

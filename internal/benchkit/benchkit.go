@@ -35,17 +35,6 @@ func PCARows(n, d int) [][]float64 {
 	return rows
 }
 
-// PCASlab flattens PCARows(n, d) into the contiguous row-major block
-// FitPCASlab consumes; the values are identical to the row form.
-func PCASlab(n, d int) []float64 {
-	rows := PCARows(n, d)
-	slab := make([]float64, n*d)
-	for i, row := range rows {
-		copy(slab[i*d:(i+1)*d], row)
-	}
-	return slab
-}
-
 // BinnedPairs builds a deterministic correlated sample pair of the Fig. 9c
 // shape (clean vs. noised leakage traces).
 func BinnedPairs(n int) (xs, ys []float64) {
@@ -90,17 +79,6 @@ func Kernels() []Kernel {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.FitPCA(rows, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{Name: "fitpca_slab", Bench: func(b *testing.B) {
-			slab := PCASlab(72, 150)
-			var s stats.Scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.FitPCASlab(slab, 72, 150, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -194,7 +194,9 @@ func TestCtlMountedOnOpsServer(t *testing.T) {
 		t.Fatalf("/healthz while overloaded = %d: %s", code, body)
 	}
 	// Drain and recover.
-	d.Run(2)
+	for i := 0; i < 2; i++ {
+		d.Step()
+	}
 	if code, body := get("/readyz"); code != 200 {
 		t.Fatalf("/readyz after drain = %d: %s", code, body)
 	}

@@ -995,13 +995,6 @@ func (d *Daemon) finishTickLocked() {
 		float64(len(d.order)), float64(procTick), float64(shedTick))
 }
 
-// Run advances the daemon by n ticks.
-func (d *Daemon) Run(n int) {
-	for i := 0; i < n; i++ {
-		d.Step()
-	}
-}
-
 // TenantStatus returns one tenant's status.
 func (d *Daemon) TenantStatus(name string) (TenantStatus, error) {
 	d.mu.Lock()

@@ -145,7 +145,9 @@ func TestBackpressureShedAndRecover(t *testing.T) {
 		t.Fatal("no tenant:shed incident journaled for the burst")
 	}
 	// Drain: 2 items/tick → empty after 2 ticks; the gate recovers.
-	d.Run(2)
+	for i := 0; i < 2; i++ {
+		d.Step()
+	}
 	st, _ = d.TenantStatus("bp")
 	if st.QueueDepth != 0 || st.Processed != 4 {
 		t.Fatalf("after drain: depth=%d processed=%d, want 0/4", st.QueueDepth, st.Processed)
@@ -296,7 +298,9 @@ func TestLoadGeneratorFunnel(t *testing.T) {
 	if err := d.Attach(daemon.AttachSpec{Name: "load"}); err != nil {
 		t.Fatal(err)
 	}
-	d.Run(10)
+	for i := 0; i < 10; i++ {
+		d.Step()
+	}
 	st, _ := d.TenantStatus("load")
 	if st.Shed == 0 {
 		t.Fatal("overdriven tenant shed nothing")
@@ -369,7 +373,9 @@ func TestDaemonPromGolden(t *testing.T) {
 	if err := d.Reload(daemon.Tunables{Mechanism: "bogus"}); err == nil {
 		t.Fatal("bogus reload accepted")
 	}
-	d.Run(4)
+	for i := 0; i < 4; i++ {
+		d.Step()
+	}
 	if err := d.Detach("golden-b", true); err != nil {
 		t.Fatal(err)
 	}

@@ -292,7 +292,9 @@ func TestDaemonConcurrentLifecycle(t *testing.T) {
 	wg.Add(workers + 1)
 	go func() { // the tick loop
 		defer wg.Done()
-		d.Run(60)
+		for i := 0; i < 60; i++ {
+			d.Step()
+		}
 	}()
 	for w := 0; w < workers; w++ {
 		go func(w int) {
@@ -319,7 +321,9 @@ func TestDaemonConcurrentLifecycle(t *testing.T) {
 	}
 	wg.Wait()
 	// Drain whatever survived and check the books still balance.
-	d.Run(4)
+	for i := 0; i < 4; i++ {
+		d.Step()
+	}
 	st := d.Status()
 	if st.Tick != 64 {
 		t.Fatalf("tick = %d, want 64", st.Tick)

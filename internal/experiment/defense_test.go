@@ -59,8 +59,8 @@ func TestFigure9aDefenseCollapsesAccuracy(t *testing.T) {
 	}
 	for _, mech := range []MechanismKind{MechLaplace, MechDStar} {
 		for _, a := range []AttackName{WFA, KSA} {
-			strong := res.Accuracy(mech, 0.125, a)
-			weak := res.Accuracy(mech, 8, a)
+			strong := defenseAccuracy(res.Points, mech, 0.125, a)
+			weak := defenseAccuracy(res.Points, mech, 8, a)
 			clean := res.CleanAccuracy[a]
 			// Paper Fig. 9a remark 1: both mechanisms collapse the attack;
 			// remark 2: larger ε leaves more accuracy.
@@ -182,8 +182,8 @@ func TestFigure9bAdaptiveAttacker(t *testing.T) {
 	}
 	for _, mech := range []MechanismKind{MechLaplace, MechDStar} {
 		for _, a := range []AttackName{WFA, KSA} {
-			strong := res.Accuracy(mech, 1.0/256, a)
-			weak := res.Accuracy(mech, 8, a)
+			strong := defenseAccuracy(res.Points, mech, 1.0/256, a)
+			weak := defenseAccuracy(res.Points, mech, 8, a)
 			// Paper Fig. 9b: smaller ε still suppresses the adaptive
 			// attacker (allow sampling slack at test scale).
 			if strong > weak+0.25 {
@@ -333,4 +333,45 @@ func TestFigure8AppComparison(t *testing.T) {
 	if res.Render() == "" {
 		t.Error("empty render")
 	}
+}
+
+// defenseAccuracy returns the recorded accuracy of a Figure 9a/9b point
+// (0 if absent).
+func defenseAccuracy(points []DefensePoint, mech MechanismKind, eps float64, a AttackName) float64 {
+	for _, p := range points {
+		if p.Mechanism == mech && p.Epsilon == eps && p.Attack == a {
+			return p.Accuracy
+		}
+	}
+	return 0
+}
+
+// MI returns the recorded MI for a point (-1 if absent).
+func (r *Figure9cResult) MI(mech MechanismKind, eps float64) float64 {
+	for _, p := range r.Points {
+		if p.Mechanism == mech && p.Epsilon == eps {
+			return p.MI
+		}
+	}
+	return -1
+}
+
+// Accuracy returns the recorded point (-1 if absent).
+func (r *MultipleTriesResult) Accuracy(defense string, averaged int) float64 {
+	for _, p := range r.Points {
+		if p.Defense == defense && p.Averaged == averaged {
+			return p.Accuracy
+		}
+	}
+	return -1
+}
+
+// Point returns the recorded overhead point.
+func (r *Figure10Result) Point(mech MechanismKind, eps float64, app string) (OverheadPoint, bool) {
+	for _, p := range r.Points {
+		if p.Mechanism == mech && p.Epsilon == eps && p.App == app {
+			return p, true
+		}
+	}
+	return OverheadPoint{}, false
 }

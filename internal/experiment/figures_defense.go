@@ -110,16 +110,6 @@ func victimReps(sc Scale) int {
 	return reps
 }
 
-// Accuracy returns the recorded accuracy of a point (0 if absent).
-func (r *Figure9aResult) Accuracy(mech MechanismKind, eps float64, a AttackName) float64 {
-	for _, p := range r.Points {
-		if p.Mechanism == mech && p.Epsilon == eps && p.Attack == a {
-			return p.Accuracy
-		}
-	}
-	return 0
-}
-
 // Render prints the accuracy grid.
 func (r *Figure9aResult) Render() string {
 	out := "Figure 9a: attack accuracy under defense (clean-trained attacker)\n"
@@ -194,16 +184,6 @@ func Figure9b(sc Scale, epsilons []float64) (*Figure9bResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Accuracy returns the recorded accuracy of a point (0 if absent).
-func (r *Figure9bResult) Accuracy(mech MechanismKind, eps float64, a AttackName) float64 {
-	for _, p := range r.Points {
-		if p.Mechanism == mech && p.Epsilon == eps && p.Attack == a {
-			return p.Accuracy
-		}
-	}
-	return 0
 }
 
 // Render prints the grid.
@@ -298,16 +278,6 @@ func Figure9c(sc Scale, epsilons []float64) (*Figure9cResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// MI returns the recorded MI for a point (-1 if absent).
-func (r *Figure9cResult) MI(mech MechanismKind, eps float64) float64 {
-	for _, p := range r.Points {
-		if p.Mechanism == mech && p.Epsilon == eps {
-			return p.MI
-		}
-	}
-	return -1
 }
 
 // Render prints the curve.

@@ -25,12 +25,6 @@ type OverheadPoint struct {
 	CPUUsageDefended float64
 }
 
-// CPUOverhead returns the CPU usage increase in absolute percentage points
-// of utilisation.
-func (p OverheadPoint) CPUOverhead() float64 {
-	return p.CPUUsageDefended - p.CPUUsageClean
-}
-
 // Figure10Result reproduces Fig. 10: latency and CPU overhead vs ε.
 type Figure10Result struct {
 	Points []OverheadPoint
@@ -135,16 +129,6 @@ func Figure10(sc Scale, epsilons []float64) (*Figure10Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Point returns the recorded overhead point.
-func (r *Figure10Result) Point(mech MechanismKind, eps float64, app string) (OverheadPoint, bool) {
-	for _, p := range r.Points {
-		if p.Mechanism == mech && p.Epsilon == eps && p.App == app {
-			return p, true
-		}
-	}
-	return OverheadPoint{}, false
 }
 
 // Render prints the overhead grid.
@@ -265,19 +249,6 @@ func Figure11(sc Scale) (*Figure11Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// EffectiveRandomBound returns the smallest swept bound fraction whose
-// accuracy drops to at most target, or -1 if none does (the paper finds
-// random noise needs a 0.4p bound and 4.37× more injected counts to match
-// the Laplace mechanism's protection).
-func (r *Figure11Result) EffectiveRandomBound(target float64) float64 {
-	for _, p := range r.Points {
-		if p.Accuracy <= target {
-			return p.BoundFraction
-		}
-	}
-	return -1
 }
 
 // Render prints the comparison.

@@ -217,16 +217,6 @@ func boolOffset(b bool) int {
 	return 0
 }
 
-// Accuracy returns the recorded point (-1 if absent).
-func (r *MultipleTriesResult) Accuracy(defense string, averaged int) float64 {
-	for _, p := range r.Points {
-		if p.Defense == defense && p.Averaged == averaged {
-			return p.Accuracy
-		}
-	}
-	return -1
-}
-
 // Render prints the analysis.
 func (r *MultipleTriesResult) Render() string {
 	out := fmt.Sprintf("Multiple-tries analysis (§IX-B); clean accuracy %.1f%%\n", r.CleanAccuracy*100)

@@ -1,10 +1,10 @@
 // Package faultinject is a deterministic, seed-driven fault-injection
 // layer for the simulated substrate. Real PMU infrastructure misbehaves
-// under load — counters drop samples while multiplexing, RDPMC reads race
-// counter rotation, counters overflow and latch, and SEV vCPUs are
-// preempted (or single-stepped) by the hypervisor mid-gadget. The online
-// defense must keep working on such a substrate, so this package makes
-// those failures first-class, reproducible events.
+// under load — RDPMC reads race counter rotation, counters overflow and
+// latch, and SEV vCPUs are preempted (or single-stepped) by the
+// hypervisor mid-gadget. The online defense must keep working on such a
+// substrate, so this package makes those failures first-class,
+// reproducible events.
 //
 // Faults are drawn from rng.NewStream schedules: an Injector holds a
 // Config, and every injection point derives a Handle identified by a label
@@ -35,14 +35,11 @@ type Kind int
 // Fault classes, each modelled on a documented real-hardware failure mode.
 const (
 	// KindPMURead: an RDPMC read fails outright (races a counter
-	// rotation, or the perf fd returns an error under multiplex churn).
+	// rotation).
 	KindPMURead Kind = iota
 	// KindCounterSaturation: a counter overflows and latches at its cap
 	// until re-programmed.
 	KindCounterSaturation
-	// KindMultiplexStarvation: the active multiplex group is starved of
-	// PMC time for a tick; its samples are lost and rotation stalls.
-	KindMultiplexStarvation
 	// KindPreemption: the hypervisor preempts the vCPU for a burst of
 	// ticks, slashing its instruction budget.
 	KindPreemption
@@ -63,8 +60,6 @@ func (k Kind) String() string {
 		return "pmu-read"
 	case KindCounterSaturation:
 		return "counter-saturation"
-	case KindMultiplexStarvation:
-		return "multiplex-starvation"
 	case KindPreemption:
 		return "vcpu-preemption"
 	case KindGadgetInterrupt:
@@ -76,15 +71,6 @@ func (k Kind) String() string {
 		// the out-of-range fallback avoids fmt formatting machinery.
 		return "kind(" + strconv.Itoa(int(k)) + ")"
 	}
-}
-
-// Kinds returns every fault kind in stable order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		out[k] = k
-	}
-	return out
 }
 
 // mInjected counts injected faults per kind. The counters are created
@@ -103,12 +89,11 @@ var mInjected = func() [numKinds]*telemetry.Counter {
 var (
 	fFault      = flight.Get(flight.KindFault)
 	flightCodes = [numKinds]flight.Code{
-		KindPMURead:             flight.CodeFaultPMURead,
-		KindCounterSaturation:   flight.CodeFaultCounterSaturation,
-		KindMultiplexStarvation: flight.CodeFaultMultiplexStarvation,
-		KindPreemption:          flight.CodeFaultPreemption,
-		KindGadgetInterrupt:     flight.CodeFaultGadgetInterrupt,
-		KindDrawExtreme:         flight.CodeFaultDrawExtreme,
+		KindPMURead:           flight.CodeFaultPMURead,
+		KindCounterSaturation: flight.CodeFaultCounterSaturation,
+		KindPreemption:        flight.CodeFaultPreemption,
+		KindGadgetInterrupt:   flight.CodeFaultGadgetInterrupt,
+		KindDrawExtreme:       flight.CodeFaultDrawExtreme,
 	}
 )
 
@@ -127,9 +112,6 @@ type Config struct {
 	// SaturationCap is the latched value of a saturated counter;
 	// <= 0 means 1e6.
 	SaturationCap float64
-	// MultiplexStarvationRate is the probability a perf-session tick
-	// starves the active multiplex group.
-	MultiplexStarvationRate float64
 	// PreemptionRate is the probability a vCPU tick starts a preemption
 	// burst.
 	PreemptionRate float64
@@ -152,8 +134,8 @@ type Config struct {
 // Enabled reports whether any fault class has a positive rate.
 func (c Config) Enabled() bool {
 	return c.PMUReadErrorRate > 0 || c.CounterSaturationRate > 0 ||
-		c.MultiplexStarvationRate > 0 || c.PreemptionRate > 0 ||
-		c.GadgetInterruptRate > 0 || c.DrawExtremeRate > 0
+		c.PreemptionRate > 0 || c.GadgetInterruptRate > 0 ||
+		c.DrawExtremeRate > 0
 }
 
 // withDefaults fills shape parameters left at zero.
@@ -189,25 +171,23 @@ func Preset(name string, seed uint64) (Config, error) {
 		return Config{}, nil
 	case PresetLight:
 		return Config{
-			Seed:                    seed,
-			PMUReadErrorRate:        0.01,
-			CounterSaturationRate:   0.002,
-			MultiplexStarvationRate: 0.05,
-			PreemptionRate:          0.02,
-			GadgetInterruptRate:     0.01,
-			DrawExtremeRate:         0.005,
+			Seed:                  seed,
+			PMUReadErrorRate:      0.01,
+			CounterSaturationRate: 0.002,
+			PreemptionRate:        0.02,
+			GadgetInterruptRate:   0.01,
+			DrawExtremeRate:       0.005,
 		}, nil
 	case PresetHeavy:
 		return Config{
-			Seed:                    seed,
-			PMUReadErrorRate:        0.08,
-			CounterSaturationRate:   0.02,
-			MultiplexStarvationRate: 0.25,
-			PreemptionRate:          0.10,
-			PreemptionBurstTicks:    5,
-			PreemptionBudgetFrac:    0.1,
-			GadgetInterruptRate:     0.08,
-			DrawExtremeRate:         0.04,
+			Seed:                  seed,
+			PMUReadErrorRate:      0.08,
+			CounterSaturationRate: 0.02,
+			PreemptionRate:        0.10,
+			PreemptionBurstTicks:  5,
+			PreemptionBudgetFrac:  0.1,
+			GadgetInterruptRate:   0.08,
+			DrawExtremeRate:       0.04,
 		}, nil
 	default:
 		return Config{}, fmt.Errorf("faultinject: unknown preset %q (want %s, %s or %s)",
@@ -219,8 +199,8 @@ func Preset(name string, seed uint64) (Config, error) {
 // Handle derivation and count reads; the Handles it returns are not
 // goroutine-safe (like rng.Source, each injection site owns its own).
 type Injector struct {
-	cfg    Config
-	totals [numKinds]atomic.Uint64
+	cfg   Config
+	total atomic.Uint64
 }
 
 // New builds an injector, or returns nil (the healthy substrate) when the
@@ -232,37 +212,13 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg.withDefaults()}
 }
 
-// Enabled reports whether the injector injects anything; nil-safe.
-func (in *Injector) Enabled() bool { return in != nil }
-
-// Config returns the (default-filled) fault config; nil-safe.
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
-// Count returns the number of faults of one kind injected so far across
-// every handle of this injector; nil-safe.
-func (in *Injector) Count(k Kind) uint64 {
-	if in == nil || k < 0 || k >= numKinds {
-		return 0
-	}
-	return in.totals[k].Load()
-}
-
 // Total returns the number of faults injected so far across every handle
 // and kind; nil-safe.
 func (in *Injector) Total() uint64 {
 	if in == nil {
 		return 0
 	}
-	var sum uint64
-	for k := Kind(0); k < numKinds; k++ {
-		sum += in.totals[k].Load()
-	}
-	return sum
+	return in.total.Load()
 }
 
 // Handle derives the fault schedule for one injection site. The schedule
@@ -291,7 +247,7 @@ type Handle struct {
 	cfg     Config
 	root    *Injector
 	streams [numKinds]*rng.Source
-	counts  [numKinds]uint64
+	total   uint64
 
 	// preemptLeft is the remaining length of the current preemption
 	// burst.
@@ -304,19 +260,11 @@ func (h *Handle) fire(k Kind, rate float64) bool {
 	if rate <= 0 || h.streams[k].Float64() >= rate {
 		return false
 	}
-	h.counts[k]++
-	h.root.totals[k].Add(1)
+	h.total++
+	h.root.total.Add(1)
 	mInjected[k].Inc()
 	fFault.Incident(0, flightCodes[k], flight.CodeNone, 0, 0, 0)
 	return true
-}
-
-// Count returns the number of faults of one kind this handle injected.
-func (h *Handle) Count(k Kind) uint64 {
-	if h == nil || k < 0 || k >= numKinds {
-		return 0
-	}
-	return h.counts[k]
 }
 
 // Total returns the number of faults this handle injected across kinds.
@@ -324,11 +272,7 @@ func (h *Handle) Total() uint64 {
 	if h == nil {
 		return 0
 	}
-	var sum uint64
-	for _, c := range h.counts {
-		sum += c
-	}
-	return sum
+	return h.total
 }
 
 // PMUReadError reports whether this RDPMC read fails.
@@ -351,15 +295,6 @@ func (h *Handle) CounterSaturation() (float64, bool) {
 	return h.cfg.SaturationCap, true
 }
 
-// MultiplexStarved reports whether this perf tick starves the active
-// multiplex group.
-func (h *Handle) MultiplexStarved() bool {
-	if h == nil {
-		return false
-	}
-	return h.fire(KindMultiplexStarvation, h.cfg.MultiplexStarvationRate)
-}
-
 // PreemptBudget returns the vCPU instruction budget for this tick,
 // reduced while a preemption burst is active. Bursts start with
 // probability PreemptionRate and last PreemptionBurstTicks ticks.
@@ -380,10 +315,6 @@ func (h *Handle) PreemptBudget(budget int) int {
 	}
 	return b
 }
-
-// Preempted reports whether a preemption burst is in progress (without
-// advancing any schedule).
-func (h *Handle) Preempted() bool { return h != nil && h.preemptLeft > 0 }
 
 // GadgetInterrupt reports whether a sequence of seqLen instructions is
 // interrupted partway, returning how many instructions retire before the

@@ -13,7 +13,6 @@ func trace(h *Handle, n int) []bool {
 		out = append(out, h.PMUReadError())
 		_, sat := h.CounterSaturation()
 		out = append(out, sat)
-		out = append(out, h.MultiplexStarved())
 		out = append(out, h.PreemptBudget(1000) < 1000)
 		_, gi := h.GadgetInterrupt(8)
 		out = append(out, gi)
@@ -33,14 +32,14 @@ func heavy(seed uint64) Config {
 
 func TestNilInjectorAndHandleAreHealthy(t *testing.T) {
 	var in *Injector
-	if in.Enabled() || in.Total() != 0 || in.Count(KindPMURead) != 0 {
+	if in.Total() != 0 {
 		t.Error("nil injector not inert")
 	}
 	h := in.Handle("anything")
 	if h != nil {
 		t.Fatal("nil injector must derive nil handles")
 	}
-	if h.PMUReadError() || h.MultiplexStarved() || h.Preempted() {
+	if h.PMUReadError() {
 		t.Error("nil handle injected a fault")
 	}
 	if _, ok := h.CounterSaturation(); ok {
@@ -138,15 +137,15 @@ func TestPreemptionBursts(t *testing.T) {
 			t.Fatalf("tick %d budget = %d, want 500", i, got)
 		}
 	}
-	if !h.Preempted() && h.Count(KindPreemption) != 1 {
+	if h.preemptLeft == 0 && h.Total() != 1 {
 		t.Error("burst not accounted as one fault")
 	}
 	// The tick after the burst immediately starts the next (rate 1).
 	if got := h.PreemptBudget(2000); got != 500 {
 		t.Errorf("post-burst tick budget = %d (new burst expected)", got)
 	}
-	if h.Count(KindPreemption) != 2 {
-		t.Errorf("preemption faults = %d, want 2 (one per burst)", h.Count(KindPreemption))
+	if h.Total() != 2 {
+		t.Errorf("preemption faults = %d, want 2 (one per burst)", h.Total())
 	}
 	// Budget floor: the reduced budget never drops below one instruction.
 	floor := New(Config{Seed: 1, PreemptionRate: 1, PreemptionBudgetFrac: 0.001}).Handle("v")
@@ -197,16 +196,17 @@ func TestDrawExtremeHasBothSigns(t *testing.T) {
 func TestInjectorAggregatesHandleCounts(t *testing.T) {
 	in := New(Config{Seed: 5, PMUReadErrorRate: 1, DrawExtremeRate: 1})
 	a, b := in.Handle("a"), in.Handle("b")
+	pmu0, draw0 := mInjected[KindPMURead].Value(), mInjected[KindDrawExtreme].Value()
 	for i := 0; i < 10; i++ {
 		a.PMUReadError()
 		b.DrawExtreme()
 	}
-	if in.Count(KindPMURead) != 10 || in.Count(KindDrawExtreme) != 10 {
-		t.Errorf("per-kind totals = %d/%d, want 10/10",
-			in.Count(KindPMURead), in.Count(KindDrawExtreme))
+	pmu, draw := mInjected[KindPMURead].Value()-pmu0, mInjected[KindDrawExtreme].Value()-draw0
+	if pmu != 10 || draw != 10 {
+		t.Errorf("per-kind fault_injected_total deltas = %v/%v, want 10/10", pmu, draw)
 	}
-	if in.Total() != a.Total()+b.Total() {
-		t.Errorf("root total %d != handle totals %d+%d", in.Total(), a.Total(), b.Total())
+	if a.Total() != 10 || b.Total() != 10 || in.Total() != 20 {
+		t.Errorf("totals root/a/b = %d/%d/%d, want 20/10/10", in.Total(), a.Total(), b.Total())
 	}
 }
 
@@ -232,15 +232,14 @@ func TestPresets(t *testing.T) {
 
 func TestKindNamesStable(t *testing.T) {
 	want := map[Kind]string{
-		KindPMURead:             "pmu-read",
-		KindCounterSaturation:   "counter-saturation",
-		KindMultiplexStarvation: "multiplex-starvation",
-		KindPreemption:          "vcpu-preemption",
-		KindGadgetInterrupt:     "gadget-interrupt",
-		KindDrawExtreme:         "draw-extreme",
+		KindPMURead:           "pmu-read",
+		KindCounterSaturation: "counter-saturation",
+		KindPreemption:        "vcpu-preemption",
+		KindGadgetInterrupt:   "gadget-interrupt",
+		KindDrawExtreme:       "draw-extreme",
 	}
-	if len(Kinds()) != len(want) {
-		t.Fatalf("Kinds() = %v", Kinds())
+	if int(numKinds) != len(want) {
+		t.Fatalf("%d kinds, want %d", numKinds, len(want))
 	}
 	for k, name := range want {
 		if k.String() != name {

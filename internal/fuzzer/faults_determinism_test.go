@@ -8,6 +8,7 @@ import (
 
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/telemetry"
 )
 
 // TestFaultedFuzzDeterministicAcrossParallelism extends the determinism
@@ -66,13 +67,27 @@ func TestFaultedFuzzDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionCountsReplay: the injector's per-kind totals are part
-// of the deterministic contract too — identical campaigns must inject
-// identical fault counts.
+// TestFaultInjectionCountsReplay: the per-kind fault counts are part of
+// the deterministic contract too — identical campaigns must inject
+// identical counts of every fault kind. Each run is sequential within the
+// test, so the change in the process-wide fault_injected_total{kind}
+// counters across a run is exactly that run's injections.
 func TestFaultInjectionCountsReplay(t *testing.T) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	events := []*hpc.Event{cat.MustByName("RETIRED_UOPS"), cat.MustByName("LS_DISPATCH")}
-	run := func(parallelism int) map[faultinject.Kind]uint64 {
+	// KindDrawExtreme is the last declared kind.
+	var kinds []faultinject.Kind
+	for k := faultinject.Kind(0); k <= faultinject.KindDrawExtreme; k++ {
+		kinds = append(kinds, k)
+	}
+	injected := func() map[faultinject.Kind]float64 {
+		out := map[faultinject.Kind]float64{}
+		for _, k := range kinds {
+			out[k] = telemetry.C("fault_injected_total", telemetry.L("kind", k.String())).Value()
+		}
+		return out
+	}
+	run := func(parallelism int) map[faultinject.Kind]float64 {
 		cfg := smallConfig(43)
 		cfg.Parallelism = parallelism
 		faults, err := faultinject.Preset(faultinject.PresetHeavy, 43)
@@ -84,22 +99,28 @@ func TestFaultInjectionCountsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := injected()
 		if _, err := f.Fuzz(events); err != nil && f.faults.Total() == 0 {
 			t.Fatalf("campaign failed without any fault injected: %v", err)
 		}
-		out := map[faultinject.Kind]uint64{}
-		for _, k := range faultinject.Kinds() {
-			out[k] = f.faults.Count(k)
+		out := injected()
+		var sum float64
+		for _, k := range kinds {
+			out[k] -= before[k]
+			sum += out[k]
+		}
+		if sum != float64(f.faults.Total()) {
+			t.Fatalf("per-kind deltas sum to %v, injector total %d", sum, f.faults.Total())
 		}
 		return out
 	}
 	a, b, c := run(1), run(1), run(4)
-	for _, k := range faultinject.Kinds() {
+	for _, k := range kinds {
 		if a[k] != b[k] {
-			t.Errorf("kind %s: counts differ across identical runs: %d vs %d", k, a[k], b[k])
+			t.Errorf("kind %s: counts differ across identical runs: %v vs %v", k, a[k], b[k])
 		}
 		if a[k] != c[k] {
-			t.Errorf("kind %s: counts differ across parallelism: %d vs %d", k, a[k], c[k])
+			t.Errorf("kind %s: counts differ across parallelism: %v vs %v", k, a[k], c[k])
 		}
 	}
 	if a[faultinject.KindPMURead] == 0 {

@@ -208,11 +208,6 @@ type Result struct {
 	Timing StepTiming
 }
 
-// GadgetsFor returns the representative gadget list for an event.
-func (r *Result) GadgetsFor(event string) []Finding {
-	return r.Representatives[event]
-}
-
 // Fuzzer runs gadget-search campaigns. A Fuzzer is safe for the concurrent
 // per-event fan-out of Fuzz: its fields are read-only after New except the
 // screening memo, which is lock-protected and caches only pure values.
@@ -891,18 +886,4 @@ func StackSegment(cover []CoverageEntry) []isa.Variant {
 		seg = append(seg, c.Finding.Gadget.Sequence()...)
 	}
 	return seg
-}
-
-// FullCampaignHours extrapolates the wall-clock of a full fuzzing campaign
-// that executes every legal×legal gadget pair once per profiled event, at
-// the given measured throughput (gadget executions per second). With the
-// paper's native throughputs this reproduces Table III's headline runtimes:
-// 3386² gadgets × 738 events at 253,314/s ≈ 9.3 h (Intel) and 3407² × 137
-// at 235,449/s ≈ 1.9–2.2 h (AMD).
-func FullCampaignHours(legalVariants, profiledEvents int, throughputPerSec float64) float64 {
-	if throughputPerSec <= 0 {
-		return 0
-	}
-	totalGadgets := float64(legalVariants) * float64(legalVariants)
-	return totalGadgets * float64(profiledEvents) / throughputPerSec / 3600
 }

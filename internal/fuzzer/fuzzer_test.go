@@ -271,38 +271,3 @@ func TestFuzzDeterministic(t *testing.T) {
 		t.Error("identical campaigns found different gadget counts")
 	}
 }
-
-func TestFullCampaignHoursMatchesPaper(t *testing.T) {
-	// Paper §VIII-B: Intel full run 9.3 h at 253,314 gadgets/s over 738
-	// events; AMD ~2.2 h at 235,449/s over 137 events.
-	intel := FullCampaignHours(3386, 738, 253314)
-	if intel < 9.0 || intel > 9.6 {
-		t.Errorf("intel campaign = %.2f h, want ~9.3", intel)
-	}
-	amd := FullCampaignHours(3407, 137, 235449)
-	if amd < 1.7 || amd > 2.3 {
-		t.Errorf("amd campaign = %.2f h, want ~1.9-2.2", amd)
-	}
-	if FullCampaignHours(100, 10, 0) != 0 {
-		t.Error("zero throughput not handled")
-	}
-}
-
-func TestResultGadgetsFor(t *testing.T) {
-	f, err := New(legalAMD(t), smallConfig(80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := hpc.NewAMDEpyc7252Catalog(1)
-	ev := cat.MustByName("LS_DISPATCH")
-	res, err := f.Fuzz([]*hpc.Event{ev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.GadgetsFor("LS_DISPATCH"); len(got) != len(res.Representatives["LS_DISPATCH"]) {
-		t.Errorf("GadgetsFor returned %d, want %d", len(got), len(res.Representatives["LS_DISPATCH"]))
-	}
-	if got := res.GadgetsFor("MISSING"); got != nil {
-		t.Errorf("missing event returned %v", got)
-	}
-}

@@ -106,7 +106,6 @@ func (f *Fuzzer) eventFP(e *hpc.Event) string {
 	fp.Float("faults.read-err", fc.PMUReadErrorRate)
 	fp.Float("faults.saturate", fc.CounterSaturationRate)
 	fp.Float("faults.cap", fc.SaturationCap)
-	fp.Float("faults.starve", fc.MultiplexStarvationRate)
 	fp.Float("faults.preempt", fc.PreemptionRate)
 	fp.Int("faults.burst", fc.PreemptionBurstTicks)
 	fp.Float("faults.budget", fc.PreemptionBudgetFrac)

@@ -1,10 +1,10 @@
 // Package hpc simulates the hardware-performance-counter subsystem of a
 // processor: a large per-model catalog of countable events (hardware,
 // software, hardware-cache, tracepoint, raw-CPU and other events, matching
-// the paper's Table II taxonomy), a per-core PMU with four programmable
-// counter registers read via an RDPMC analog, and a perf_event_open-like
-// monitoring session with time multiplexing when more events are requested
-// than registers exist.
+// the paper's Table II taxonomy) and a per-core PMU with four programmable
+// counter registers read via an RDPMC analog. Like the paper's monitoring
+// setup, at most four events are counted at once, so time multiplexing is
+// never modelled.
 //
 // Events derive their counts from the raw micro-event signals of a
 // microarch.Core, so they respond mechanistically to executed instructions.
@@ -20,7 +20,6 @@ package hpc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/repro/aegis/internal/microarch"
@@ -446,18 +445,6 @@ func (c *Catalog) TypeCounts() map[EventType]int {
 	return out
 }
 
-// GuestVisibleCounts returns the number of guest-visible events per type
-// (the population the warm-up profiling retains).
-func (c *Catalog) GuestVisibleCounts() map[EventType]int {
-	out := make(map[EventType]int, 6)
-	for _, e := range c.Events {
-		if e.GuestVisible {
-			out[e.Type]++
-		}
-	}
-	return out
-}
-
 // DifferentEvents returns the number of event names present in exactly one
 // of the two catalogs (paper Table I's "# of Different Events" row).
 func DifferentEvents(a, b *Catalog) int {
@@ -475,16 +462,6 @@ func DifferentEvents(a, b *Catalog) int {
 		}
 	}
 	return diff
-}
-
-// EventNames returns the sorted event names (test helper).
-func (c *Catalog) EventNames() []string {
-	names := make([]string, 0, len(c.Events))
-	for _, e := range c.Events {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SignalIndexCount is the number of raw signals events may reference.

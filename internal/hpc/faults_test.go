@@ -90,94 +90,3 @@ func TestHealthyPMUUnaffectedByNilHandle(t *testing.T) {
 		t.Fatalf("nil fault handle changed reads: %v/%v vs %v/%v", a, errA, b, errB)
 	}
 }
-
-// muxSession opens a 5-event (hence multiplexed) noise-free session.
-func muxSession(t *testing.T) *PerfSession {
-	t.Helper()
-	cat := NewAMDEpyc7252Catalog(1)
-	var events []*Event
-	for _, name := range []string{"RETIRED_UOPS", "LS_DISPATCH",
-		"MAB_ALLOCATION_BY_PIPE", "DATA_CACHE_REFILLS_FROM_SYSTEM",
-		"HW_CACHE_L1D:WRITE"} {
-		events = append(events, cat.MustByName(name))
-	}
-	s, err := OpenPerfSession(PerfAttr{Pid: 1}, events, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Multiplexed() {
-		t.Fatal("5 events on 4 registers must multiplex")
-	}
-	return s
-}
-
-func TestMultiplexStarvationLosesSamples(t *testing.T) {
-	healthy, starved := muxSession(t), muxSession(t)
-	starved.SetFaults(faultinject.New(faultinject.Config{
-		Seed: 3, MultiplexStarvationRate: 1,
-	}).Handle("test-perf"))
-
-	var ctrs microarch.Counters
-	healthy.Tick(ctrs)
-	starved.Tick(ctrs)
-	for i := 0; i < 12; i++ {
-		ctrs.UopsRetired += 10
-		healthy.Tick(ctrs)
-		starved.Tick(ctrs)
-	}
-	if h, err := healthy.Read(0); err != nil || h <= 0 {
-		t.Fatalf("healthy estimate = %v, %v", h, err)
-	}
-	// A fully starved session never schedules any group: every sample is
-	// lost and the estimate collapses to zero.
-	if v, _ := starved.Read(0); v != 0 {
-		t.Fatalf("fully starved estimate = %v, want 0", v)
-	}
-}
-
-func TestPartialStarvationKeepsEstimateUsable(t *testing.T) {
-	s := muxSession(t)
-	s.SetFaults(faultinject.New(faultinject.Config{
-		Seed: 4, MultiplexStarvationRate: 0.5,
-	}).Handle("test-perf"))
-	var ctrs microarch.Counters
-	s.Tick(ctrs)
-	const ticks = 400
-	for i := 0; i < ticks; i++ {
-		ctrs.UopsRetired += 10
-		s.Tick(ctrs)
-	}
-	// Starvation loses samples but total/live scaling still extrapolates
-	// from the slices that were observed: the estimate stays non-negative
-	// and within an order of magnitude of truth.
-	v, err := s.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v <= 0 || v > 10*ticks*10 {
-		t.Fatalf("half-starved estimate = %v, want usable (truth %d)", v, 10*ticks)
-	}
-}
-
-func TestStarvationScheduleDeterministic(t *testing.T) {
-	run := func() []float64 {
-		s := muxSession(t)
-		s.SetFaults(faultinject.New(faultinject.Config{
-			Seed: 5, MultiplexStarvationRate: 0.3,
-		}).Handle("test-perf"))
-		var ctrs microarch.Counters
-		s.Tick(ctrs)
-		for i := 0; i < 100; i++ {
-			ctrs.UopsRetired += 7
-			ctrs.LoadsDisp += 3
-			s.Tick(ctrs)
-		}
-		return s.ReadAll()
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d estimate differs across identical runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}

@@ -302,167 +302,14 @@ func TestPMUNoiseBounded(t *testing.T) {
 	}
 }
 
-func TestPerfSessionExactWithoutMultiplexing(t *testing.T) {
-	cat := NewAMDEpyc7252Catalog(1)
-	events := []*Event{cat.MustByName("RETIRED_UOPS"), cat.MustByName("LS_DISPATCH")}
-	s, err := OpenPerfSession(PerfAttr{Pid: 1, ExcludeKernel: true}, events, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Multiplexed() {
-		t.Error("2 events should not multiplex")
-	}
-	var ctrs microarch.Counters
-	s.Tick(ctrs) // establish baseline
-	for i := 0; i < 10; i++ {
-		ctrs.UopsRetired += 5
-		ctrs.LoadsDisp += 2
-		s.Tick(ctrs)
-	}
-	uops, _ := s.Read(0)
-	ls, _ := s.Read(1)
-	if uops != 50 || ls != 20 {
-		t.Errorf("reads = %v/%v, want 50/20", uops, ls)
-	}
-}
-
-func TestPerfSessionMultiplexScaling(t *testing.T) {
-	cat := NewAMDEpyc7252Catalog(1)
-	// 8 events over 4 registers: 2 groups, each live half the time.
-	var events []*Event
-	for _, name := range []string{"RETIRED_UOPS", "LS_DISPATCH",
-		"MAB_ALLOCATION_BY_PIPE", "DATA_CACHE_REFILLS_FROM_SYSTEM",
-		"HW_CACHE_L1D:WRITE", "HW_CACHE_L1D:READ", "HW_CACHE_L1D:MISS",
-		"RETIRED_INSTRUCTIONS"} {
-		events = append(events, cat.MustByName(name))
-	}
-	s, err := OpenPerfSession(PerfAttr{}, events, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Multiplexed() {
-		t.Fatal("8 events must multiplex over 4 registers")
-	}
-	var ctrs microarch.Counters
-	s.Tick(ctrs)
-	const ticks = 1000
-	for i := 0; i < ticks; i++ {
-		ctrs.UopsRetired += 10
-		ctrs.Instructions += 8
-		s.Tick(ctrs)
-	}
-	uops, _ := s.Read(0)
-	instr, _ := s.Read(7)
-	// Scaled estimates should approximate the full-window truth.
-	if math.Abs(uops-10*ticks) > 0.02*10*ticks {
-		t.Errorf("multiplexed uops estimate = %v, want ~%v", uops, 10*ticks)
-	}
-	if math.Abs(instr-8*ticks) > 0.02*8*ticks {
-		t.Errorf("multiplexed instr estimate = %v, want ~%v", instr, 8*ticks)
-	}
-}
-
-func TestPerfSessionErrors(t *testing.T) {
-	if _, err := OpenPerfSession(PerfAttr{}, nil, nil); err != ErrNoEvents {
-		t.Errorf("empty session error = %v", err)
-	}
-	if _, err := OpenPerfSession(PerfAttr{}, []*Event{nil}, nil); err == nil {
-		t.Error("nil event accepted")
-	}
-	cat := NewAMDEpyc7252Catalog(1)
-	s, err := OpenPerfSession(PerfAttr{}, []*Event{cat.MustByName("RETIRED_UOPS")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(5); err == nil {
-		t.Error("out-of-range read accepted")
-	}
-}
-
-func TestPerfExcludeKernelReducesNoise(t *testing.T) {
-	cat := NewAMDEpyc7252Catalog(1)
-	spread := func(exclude bool) float64 {
-		s, err := OpenPerfSession(PerfAttr{ExcludeKernel: exclude},
-			[]*Event{cat.MustByName("RETIRED_UOPS")}, rng.New(7).Split("perfnoise"))
-		if err != nil {
-			t.Fatal(err)
+// GuestVisibleCounts returns the number of guest-visible events per type
+// (the population the warm-up profiling retains).
+func (c *Catalog) GuestVisibleCounts() map[EventType]int {
+	out := make(map[EventType]int, 6)
+	for _, e := range c.Events {
+		if e.GuestVisible {
+			out[e.Type]++
 		}
-		var ctrs microarch.Counters
-		s.Tick(ctrs)
-		var sumSq float64
-		const ticks = 400
-		for i := 0; i < ticks; i++ {
-			ctrs.UopsRetired += 1000
-			s.Tick(ctrs)
-			v, _ := s.Read(0)
-			expect := float64(1000 * (i + 1))
-			d := v - expect
-			sumSq += d * d
-		}
-		return math.Sqrt(sumSq / ticks)
 	}
-	noisy := spread(false)
-	quiet := spread(true)
-	if quiet >= noisy {
-		t.Errorf("exclude_kernel rmse %v >= inclusive rmse %v", quiet, noisy)
-	}
-}
-
-func TestMultiplexingLosesBurstAccuracy(t *testing.T) {
-	// Paper §V-B monitors at most 4 events concurrently because perf's
-	// time multiplexing "would affect the value accuracy". With a bursty
-	// signal, the multiplexed estimate scales whatever slice it happened
-	// to observe, so its error must exceed the dedicated session's.
-	cat := NewAMDEpyc7252Catalog(1)
-	uops := cat.MustByName("RETIRED_UOPS")
-	// Dedicated session: 1 event over 4 registers.
-	direct, err := OpenPerfSession(PerfAttr{}, []*Event{uops}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Multiplexed session: the same event among 8.
-	events := []*Event{uops}
-	for i := 0; i < 7; i++ {
-		events = append(events, cat.Events[30+i])
-	}
-	muxed, err := OpenPerfSession(PerfAttr{}, events, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := rng.New(99).Split("bursty")
-	var ctrs microarch.Counters
-	direct.Tick(ctrs)
-	muxed.Tick(ctrs)
-	var truth float64
-	const ticks = 400
-	for i := 0; i < ticks; i++ {
-		// Bursty activity: quiet most ticks, heavy bursts occasionally.
-		var inc uint64
-		if r.Float64() < 0.1 {
-			inc = 5000
-		} else {
-			inc = 10
-		}
-		ctrs.UopsRetired += inc
-		truth += float64(inc)
-		direct.Tick(ctrs)
-		muxed.Tick(ctrs)
-	}
-	dv, err := direct.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv, err := muxed.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	directErr := math.Abs(dv - truth)
-	muxedErr := math.Abs(mv - truth)
-	if directErr > truth*0.001 {
-		t.Errorf("dedicated session error %v on truth %v", directErr, truth)
-	}
-	if muxedErr <= directErr {
-		t.Errorf("multiplexed error %v not above dedicated error %v", muxedErr, directErr)
-	}
+	return out
 }

@@ -3,7 +3,6 @@ package hpc
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/microarch"
@@ -111,14 +110,6 @@ func (p *PMU) Program(slot int, e *Event) error {
 	return nil
 }
 
-// Programmed returns the event loaded in a slot, or nil.
-func (p *PMU) Programmed(slot int) *Event {
-	if slot < 0 || slot >= NumCounterRegisters {
-		return nil
-	}
-	return p.slots[slot].event
-}
-
 // RDPMC reads a counter register: the event count accumulated since it was
 // programmed (or last reset), with measurement noise.
 //
@@ -182,53 +173,4 @@ func (p *PMU) Reset(slot int) error {
 	s.drift = 0
 	mPMUResets.Inc()
 	return nil
-}
-
-// ReadAllInto reads every counter register into dst, indexed by slot
-// number — the dense, allocation-free form of ReadAll. Unprogrammed slots
-// and failed reads are reported as NaN (a counter value is never NaN, so
-// the sentinel is unambiguous). dst's backing array is reused when it has
-// capacity for NumCounterRegisters elements; the filled slice is returned.
-//
-// The steady-state path is allocation-free: gated dynamically by TestZeroAllocReadAllInto
-// (alloc_gate_test.go, `make bench-alloc`) and statically by the
-// aegis-lint hotpath rule, which bans allocating constructs in any
-// function carrying this annotation.
-//
-//aegis:hotpath
-func (p *PMU) ReadAllInto(dst []float64) []float64 {
-	if cap(dst) < NumCounterRegisters {
-		dst = make([]float64, NumCounterRegisters)
-	}
-	dst = dst[:NumCounterRegisters]
-	for i := range p.slots {
-		if p.slots[i].event == nil {
-			dst[i] = math.NaN()
-			continue
-		}
-		v, err := p.RDPMC(i)
-		if err != nil {
-			dst[i] = math.NaN()
-			continue
-		}
-		dst[i] = v
-	}
-	return dst
-}
-
-// ReadAll reads every programmed slot, returning a map from event name to
-// value. It is a compatibility wrapper over ReadAllInto; per-tick readers
-// should use ReadAllInto (or slot-indexed RDPMC) to avoid the map
-// allocation.
-func (p *PMU) ReadAll() map[string]float64 {
-	var buf [NumCounterRegisters]float64
-	vals := p.ReadAllInto(buf[:])
-	out := make(map[string]float64, NumCounterRegisters)
-	for i, v := range vals {
-		if math.IsNaN(v) {
-			continue
-		}
-		out[p.slots[i].event.Name] = v
-	}
-	return out
 }

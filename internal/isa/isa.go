@@ -13,7 +13,6 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -177,18 +176,6 @@ type Variant struct {
 	Reserved bool
 	// PageFaults marks encodings whose implicit memory access raises #PF.
 	PageFaults bool
-}
-
-// Asm renders the variant as an assembly line against the fuzzer's scratch
-// data page register (paper §VI-D initialises memory operands to a
-// pre-allocated writable page).
-func (v Variant) Asm() string {
-	ops := string(v.Operands)
-	if ops == "" {
-		return v.Mnemonic
-	}
-	ops = strings.ReplaceAll(ops, "M", "[RSI+0x0]/M")
-	return v.Mnemonic + " " + ops
 }
 
 // Key returns the unique "MNEMONIC (operands)" identity of a variant.
@@ -595,33 +582,6 @@ type CleanupResult struct {
 	FaultCounts map[FaultKind]int
 }
 
-// LegalFraction returns the share of probed variants that execute normally.
-func (c CleanupResult) LegalFraction() float64 {
-	if c.TotalProbed == 0 {
-		return 0
-	}
-	return float64(len(c.Legal)) / float64(c.TotalProbed)
-}
-
-// UDFaultShare returns the fraction of faults that were illegal-instruction
-// faults (#UD); the paper measures ~98.8% on Intel and ~98.7% on AMD.
-func (c CleanupResult) UDFaultShare() float64 {
-	var total, ud int
-	for k, n := range c.FaultCounts {
-		if k == FaultNone {
-			continue
-		}
-		total += n
-		if k == FaultUD {
-			ud += n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ud) / float64(total)
-}
-
 // Cleanup probes every variant of the specification against the
 // micro-architecture and returns the legal subset plus fault statistics.
 func Cleanup(spec *Spec, features CPUFeatures) CleanupResult {
@@ -637,19 +597,4 @@ func Cleanup(spec *Spec, features CPUFeatures) CleanupResult {
 		}
 	}
 	return res
-}
-
-// Mnemonics returns the sorted set of distinct mnemonics in variants, which
-// tests use to sanity-check generator coverage.
-func Mnemonics(variants []Variant) []string {
-	set := make(map[string]bool, len(variants))
-	for _, v := range variants {
-		set[v.Mnemonic] = true
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }

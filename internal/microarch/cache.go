@@ -19,11 +19,6 @@ type Cache struct {
 	lines [][]uint64
 	valid [][]bool
 	lru   [][]uint8
-
-	// Stats.
-	accesses  uint64
-	misses    uint64
-	evictions uint64
 }
 
 // CacheConfig sizes a cache.
@@ -77,7 +72,6 @@ func (c *Cache) line(addr uint64) (tag uint64, set int) {
 // Access touches addr and returns whether it hit. On a miss the line is
 // filled, evicting the LRU way if the set is full.
 func (c *Cache) Access(addr uint64) bool {
-	c.accesses++
 	tag, set := c.line(addr)
 	for w := 0; w < c.ways; w++ {
 		if c.valid[set][w] && c.lines[set][w] == tag {
@@ -85,7 +79,6 @@ func (c *Cache) Access(addr uint64) bool {
 			return true
 		}
 	}
-	c.misses++
 	c.fill(set, tag)
 	return false
 }
@@ -114,16 +107,8 @@ func (c *Cache) Flush(addr uint64) bool {
 	return false
 }
 
-// FlushAll invalidates every line (WBINVD analog).
-func (c *Cache) FlushAll() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
-	}
-}
-
-// Insert fills addr's line without counting an access (prefetch/refill path).
+// Insert fills addr's line for the prefetch/refill path: Access without
+// the hit result.
 func (c *Cache) Insert(addr uint64) {
 	tag, set := c.line(addr)
 	for w := 0; w < c.ways; w++ {
@@ -153,7 +138,6 @@ func (c *Cache) fill(set int, tag uint64) {
 				victim = w
 			}
 		}
-		c.evictions++
 	}
 	c.lines[set][victim] = tag
 	c.valid[set][victim] = true
@@ -171,11 +155,6 @@ func (c *Cache) touch(set, way int) {
 	c.lru[set][way] = 0
 }
 
-// Stats returns the access/miss/eviction counts since construction.
-func (c *Cache) Stats() (accesses, misses, evictions uint64) {
-	return c.accesses, c.misses, c.evictions
-}
-
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
 
@@ -187,9 +166,6 @@ type TLB struct {
 	pages    []uint64
 	valid    []bool
 	lru      []uint8
-
-	accesses uint64
-	misses   uint64
 }
 
 // NewTLB builds a TLB with the given entry count and page size.
@@ -215,7 +191,6 @@ func NewTLB(entries, pageSize int) *TLB {
 
 // Access translates addr and returns whether the page entry was resident.
 func (t *TLB) Access(addr uint64) bool {
-	t.accesses++
 	page := addr >> t.pageBits
 	for i := 0; i < t.entries; i++ {
 		if t.valid[i] && t.pages[i] == page {
@@ -223,7 +198,6 @@ func (t *TLB) Access(addr uint64) bool {
 			return true
 		}
 	}
-	t.misses++
 	victim := -1
 	for i := 0; i < t.entries; i++ {
 		if !t.valid[i] {
@@ -261,9 +235,4 @@ func (t *TLB) touch(entry int) {
 		}
 	}
 	t.lru[entry] = 0
-}
-
-// Stats returns the access and miss counts since construction.
-func (t *TLB) Stats() (accesses, misses uint64) {
-	return t.accesses, t.misses
 }

@@ -492,12 +492,3 @@ func (c *Core) Interrupt() {
 	c.ctrs.BranchesRet += 30
 	c.TLB.Flush()
 }
-
-// ContextSwitch models a scheduler context switch on this core.
-func (c *Core) ContextSwitch() {
-	c.ctrs.CtxSwitches++
-	c.ctrs.Cycles += 2000
-	c.ctrs.Instructions += 500
-	c.ctrs.UopsRetired += 700
-	c.TLB.Flush()
-}

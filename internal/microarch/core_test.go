@@ -290,21 +290,3 @@ func TestCountersSub(t *testing.T) {
 		t.Errorf("Sub = %+v", d)
 	}
 }
-
-func TestContextSwitchFlushesTLB(t *testing.T) {
-	c := testCore(t)
-	ctx := NewScratchContext(0x90000)
-	load := variantOf(t, isa.ClassLoad)
-	if err := c.Execute(load, ctx); err != nil {
-		t.Fatal(err)
-	}
-	c.ContextSwitch()
-	before := c.Counters()
-	if err := c.Execute(load, ctx); err != nil {
-		t.Fatal(err)
-	}
-	delta := c.Counters().Sub(before)
-	if delta.DTLBMisses != 1 {
-		t.Errorf("post-context-switch load DTLB misses = %d, want 1", delta.DTLBMisses)
-	}
-}

@@ -4,9 +4,6 @@ package microarch
 // of the branch address, the classic bimodal predictor.
 type BranchPredictor struct {
 	table []uint8
-
-	predictions uint64
-	mispredicts uint64
 }
 
 // NewBranchPredictor builds a predictor with the given table size (rounded
@@ -26,21 +23,12 @@ func (b *BranchPredictor) index(pc uint64) int {
 	return int(pc % uint64(len(b.table)))
 }
 
-// Predict returns the predicted direction for the branch at pc.
-func (b *BranchPredictor) Predict(pc uint64) bool {
-	return b.table[b.index(pc)] >= 2
-}
-
 // Resolve records the actual outcome, updates the counter, and reports
 // whether the prediction was wrong.
 func (b *BranchPredictor) Resolve(pc uint64, taken bool) bool {
 	idx := b.index(pc)
 	predicted := b.table[idx] >= 2
-	b.predictions++
 	mispredicted := predicted != taken
-	if mispredicted {
-		b.mispredicts++
-	}
 	if taken {
 		if b.table[idx] < 3 {
 			b.table[idx]++
@@ -51,9 +39,4 @@ func (b *BranchPredictor) Resolve(pc uint64, taken bool) bool {
 		}
 	}
 	return mispredicted
-}
-
-// Stats returns total predictions and mispredictions.
-func (b *BranchPredictor) Stats() (predictions, mispredicts uint64) {
-	return b.predictions, b.mispredicts
 }

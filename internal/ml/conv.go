@@ -341,15 +341,6 @@ func (c *CNN1D) Predict(x [][]float64) (int, error) {
 	return Argmax(tr.logits), nil
 }
 
-// Proba returns class probabilities.
-func (c *CNN1D) Proba(x [][]float64) ([]float64, error) {
-	tr, err := c.forward(x, false)
-	if err != nil {
-		return nil, err
-	}
-	return Softmax(tr.logits), nil
-}
-
 // step runs one SGD step and returns loss and correctness.
 func (c *CNN1D) step(x [][]float64, y int) (float64, bool, error) {
 	tr, err := c.forward(x, true)

@@ -146,25 +146,6 @@ func TestCNNShapeErrors(t *testing.T) {
 	}
 }
 
-func TestCNNProbaSumsToOne(t *testing.T) {
-	cnn, err := NewCNN1D(DefaultCNNConfig(2, 40, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := [][]float64{make([]float64, 40), make([]float64, 40)}
-	p, err := cnn.Proba(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
 func TestConvLayerOutputLength(t *testing.T) {
 	l := newConvLayer(1, 1, 5, 2, rng.New(1))
 	for _, tc := range []struct{ in, want int }{

@@ -130,13 +130,6 @@ func ctcLossGrad(logits [][]float64, label []int, classes int) (float64, [][]flo
 	return -logP, grads, nil
 }
 
-// CTCLoss returns just the negative log-likelihood (exported for tests and
-// validation-loss tracking).
-func CTCLoss(logits [][]float64, label []int, classes int) (float64, error) {
-	loss, _, err := ctcLossGrad(logits, label, classes)
-	return loss, err
-}
-
 // GreedyCTCDecode performs best-path decoding: per-timestep argmax,
 // collapse repeats, remove blanks. Returned symbols use the external
 // alphabet [0, classes).

@@ -7,6 +7,12 @@ import (
 	"github.com/repro/aegis/internal/rng"
 )
 
+// ctcLoss returns just the negative log-likelihood of ctcLossGrad.
+func ctcLoss(logits [][]float64, label []int, classes int) (float64, error) {
+	loss, _, err := ctcLossGrad(logits, label, classes)
+	return loss, err
+}
+
 // logitsFor builds logits strongly favouring the given internal symbol path.
 func logitsFor(path []int, classes int) [][]float64 {
 	out := make([][]float64, len(path))
@@ -50,11 +56,11 @@ func TestGreedyCTCRepeatsWithBlank(t *testing.T) {
 func TestCTCLossLowForMatchingPath(t *testing.T) {
 	classes := 3
 	matching := logitsFor([]int{1, 0, 2}, classes) // external [0, 1]
-	lossGood, err := CTCLoss(matching, []int{0, 1}, classes)
+	lossGood, err := ctcLoss(matching, []int{0, 1}, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossBad, err := CTCLoss(matching, []int{2, 2}, classes)
+	lossBad, err := ctcLoss(matching, []int{2, 2}, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +73,14 @@ func TestCTCLossLowForMatchingPath(t *testing.T) {
 }
 
 func TestCTCLossErrors(t *testing.T) {
-	if _, err := CTCLoss(nil, []int{0}, 2); err == nil {
+	if _, err := ctcLoss(nil, []int{0}, 2); err == nil {
 		t.Error("empty logits accepted")
 	}
 	logits := logitsFor([]int{1}, 2)
-	if _, err := CTCLoss(logits, []int{0, 1}, 2); err == nil {
+	if _, err := ctcLoss(logits, []int{0, 1}, 2); err == nil {
 		t.Error("label longer than sequence accepted")
 	}
-	if _, err := CTCLoss(logits, []int{7}, 2); err == nil {
+	if _, err := ctcLoss(logits, []int{7}, 2); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 }
@@ -100,12 +106,12 @@ func TestCTCGradientNumerical(t *testing.T) {
 	for _, probe := range []struct{ t, k int }{{0, 0}, {2, 1}, {3, 3}, {5, 2}} {
 		orig := logits[probe.t][probe.k]
 		logits[probe.t][probe.k] = orig + eps
-		lp, err := CTCLoss(logits, label, classes)
+		lp, err := ctcLoss(logits, label, classes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		logits[probe.t][probe.k] = orig - eps
-		lm, err := CTCLoss(logits, label, classes)
+		lm, err := ctcLoss(logits, label, classes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,5 +249,25 @@ func TestBiGRUDecodeBeam(t *testing.T) {
 	xs := [][]float64{{1, 0}, {0, 1}, {1, 0}}
 	if _, err := m.DecodeBeam(xs, 4); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func BenchmarkCTCLoss(b *testing.B) {
+	r := rng.New(10)
+	const T, classes = 80, 7
+	logits := make([][]float64, T)
+	for t := range logits {
+		row := make([]float64, classes+1)
+		for j := range row {
+			row[j] = r.Gaussian(0, 1)
+		}
+		logits[t] = row
+	}
+	label := []int{0, 1, 2, 3, 4, 5, 6, 0, 1, 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctcLoss(logits, label, classes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

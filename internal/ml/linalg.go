@@ -29,20 +29,9 @@ func newMatrix(rows, cols int) *matrix {
 	return &matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-func (m *matrix) at(r, c int) float64     { return m.data[r*m.cols+c] }
-func (m *matrix) set(r, c int, v float64) { m.data[r*m.cols+c] = v }
-func (m *matrix) add(r, c int, v float64) { m.data[r*m.cols+c] += v }
-
 // row returns a view of row r.
 func (m *matrix) row(r int) []float64 {
 	return m.data[r*m.cols : (r+1)*m.cols]
-}
-
-// zero resets the matrix in place.
-func (m *matrix) zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
 }
 
 // glorotInit fills the matrix with Glorot-uniform values.

@@ -1,34 +1,5 @@
 package ml
 
-// Accuracy returns the fraction of matching prediction/label pairs.
-func Accuracy(pred, labels []int) float64 {
-	if len(pred) == 0 || len(pred) != len(labels) {
-		return 0
-	}
-	correct := 0
-	for i := range pred {
-		if pred[i] == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}
-
-// ConfusionMatrix builds a classes×classes count table: rows are true
-// labels, columns predictions.
-func ConfusionMatrix(pred, labels []int, classes int) [][]int {
-	m := make([][]int, classes)
-	for i := range m {
-		m[i] = make([]int, classes)
-	}
-	for i := range pred {
-		if labels[i] >= 0 && labels[i] < classes && pred[i] >= 0 && pred[i] < classes {
-			m[labels[i]][pred[i]]++
-		}
-	}
-	return m
-}
-
 // EditDistance returns the Levenshtein distance between two integer
 // sequences.
 func EditDistance(a, b []int) int {
@@ -92,54 +63,4 @@ func MeanSequenceAccuracy(preds, labels [][]int) float64 {
 		sum += SequenceAccuracy(preds[i], labels[i])
 	}
 	return sum / float64(len(preds))
-}
-
-// ClassMetrics holds per-class precision, recall and F1 derived from a
-// confusion matrix.
-type ClassMetrics struct {
-	Precision float64
-	Recall    float64
-	F1        float64
-}
-
-// PerClassMetrics computes precision/recall/F1 per class from a confusion
-// matrix (rows = truth, columns = predictions). Classes with no examples
-// or no predictions get zero for the undefined ratios.
-func PerClassMetrics(confusion [][]int) []ClassMetrics {
-	n := len(confusion)
-	out := make([]ClassMetrics, n)
-	for c := 0; c < n; c++ {
-		tp := confusion[c][c]
-		var fn, fp int
-		for j := 0; j < n; j++ {
-			if j != c {
-				fn += confusion[c][j]
-				fp += confusion[j][c]
-			}
-		}
-		m := &out[c]
-		if tp+fp > 0 {
-			m.Precision = float64(tp) / float64(tp+fp)
-		}
-		if tp+fn > 0 {
-			m.Recall = float64(tp) / float64(tp+fn)
-		}
-		if m.Precision+m.Recall > 0 {
-			m.F1 = 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
-		}
-	}
-	return out
-}
-
-// MacroF1 averages the per-class F1 scores.
-func MacroF1(confusion [][]int) float64 {
-	ms := PerClassMetrics(confusion)
-	if len(ms) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, m := range ms {
-		sum += m.F1
-	}
-	return sum / float64(len(ms))
 }

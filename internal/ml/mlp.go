@@ -93,9 +93,6 @@ func NewMLP(cfg MLPConfig) (*MLP, error) {
 	return m, nil
 }
 
-// NumClasses returns the output width.
-func (m *MLP) NumClasses() int { return m.cfg.Layers[len(m.cfg.Layers)-1] }
-
 // InputDim returns the expected feature count.
 func (m *MLP) InputDim() int { return m.cfg.Layers[0] }
 
@@ -143,15 +140,6 @@ func (m *MLP) Predict(x []float64) (int, error) {
 	}
 	acts, _ := m.forward(x, false)
 	return Argmax(acts[len(acts)-1]), nil
-}
-
-// Proba returns class probabilities for a feature vector.
-func (m *MLP) Proba(x []float64) ([]float64, error) {
-	if len(x) != m.InputDim() {
-		return nil, fmt.Errorf("%w: got %d features, want %d", ErrShapeMismatch, len(x), m.InputDim())
-	}
-	acts, _ := m.forward(x, false)
-	return Softmax(acts[len(acts)-1]), nil
 }
 
 // step runs one SGD step on a single example and returns its loss and

@@ -79,7 +79,7 @@ func TestMLPGeneralises(t *testing.T) {
 	}
 }
 
-func TestMLPPredictAndProba(t *testing.T) {
+func TestMLPPredict(t *testing.T) {
 	r := rng.New(3)
 	xs, ys := blobs(r, 3, 30, 6, 7)
 	m, err := NewMLP(DefaultMLPConfig(6, 3))
@@ -89,19 +89,12 @@ func TestMLPPredictAndProba(t *testing.T) {
 	if _, err := m.Train(xs, ys, 15, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	p, err := m.Proba(xs[0])
+	c, err := m.Predict(xs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum float64
-	for _, v := range p {
-		if v < 0 {
-			t.Errorf("negative probability %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
+	if c < 0 || c >= 3 {
+		t.Errorf("predicted class %d outside [0, 3)", c)
 	}
 	if _, err := m.Predict(make([]float64, 3)); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("wrong-shape predict error = %v", err)
@@ -191,57 +184,6 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
-func TestTemplateClassifier(t *testing.T) {
-	r := rng.New(5)
-	xs, ys := blobs(r, 4, 50, 6, 8)
-	tc, err := FitTemplate(xs, ys, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := tc.Accuracy(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Errorf("template accuracy = %v, want > 0.9", acc)
-	}
-}
-
-func TestTemplateErrors(t *testing.T) {
-	if _, err := FitTemplate(nil, nil, 2); !errors.Is(err, ErrNoTrainingData) {
-		t.Errorf("empty fit error = %v", err)
-	}
-	if _, err := FitTemplate([][]float64{{1}}, []int{5}, 2); err == nil {
-		t.Error("out-of-range label accepted")
-	}
-	tc, err := FitTemplate([][]float64{{1, 2}, {3, 4}}, []int{0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tc.Predict([]float64{1}); !errors.Is(err, ErrShapeMismatch) {
-		t.Errorf("wrong-dim predict error = %v", err)
-	}
-}
-
-func TestMetricsAccuracy(t *testing.T) {
-	if a := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(a-2.0/3) > 1e-12 {
-		t.Errorf("accuracy = %v", a)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Error("empty accuracy != 0")
-	}
-	if Accuracy([]int{1}, []int{1, 2}) != 0 {
-		t.Error("length mismatch accuracy != 0")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	cm := ConfusionMatrix([]int{0, 1, 1}, []int{0, 1, 0}, 2)
-	if cm[0][0] != 1 || cm[1][1] != 1 || cm[0][1] != 1 {
-		t.Errorf("confusion = %v", cm)
-	}
-}
-
 func TestEditDistance(t *testing.T) {
 	for _, tc := range []struct {
 		a, b []int
@@ -274,38 +216,5 @@ func TestSequenceAccuracy(t *testing.T) {
 	long := make([]int, 100)
 	if a := SequenceAccuracy(long, []int{9}); a != 0 {
 		t.Errorf("clamped accuracy = %v", a)
-	}
-}
-
-func TestPerClassMetrics(t *testing.T) {
-	// Confusion: class 0 perfectly predicted; class 1 half lost to 0.
-	cm := [][]int{
-		{10, 0},
-		{5, 5},
-	}
-	ms := PerClassMetrics(cm)
-	if math.Abs(ms[0].Recall-1) > 1e-12 {
-		t.Errorf("class0 recall = %v", ms[0].Recall)
-	}
-	if math.Abs(ms[0].Precision-10.0/15) > 1e-12 {
-		t.Errorf("class0 precision = %v", ms[0].Precision)
-	}
-	if math.Abs(ms[1].Recall-0.5) > 1e-12 {
-		t.Errorf("class1 recall = %v", ms[1].Recall)
-	}
-	if math.Abs(ms[1].Precision-1) > 1e-12 {
-		t.Errorf("class1 precision = %v", ms[1].Precision)
-	}
-	f1 := MacroF1(cm)
-	if f1 <= 0 || f1 >= 1 {
-		t.Errorf("macro F1 = %v", f1)
-	}
-	if MacroF1(nil) != 0 {
-		t.Error("empty macro F1 != 0")
-	}
-	// Degenerate class with no examples or predictions.
-	ms = PerClassMetrics([][]int{{0, 0}, {0, 3}})
-	if ms[0].Precision != 0 || ms[0].Recall != 0 || ms[0].F1 != 0 {
-		t.Errorf("empty class metrics = %+v", ms[0])
 	}
 }

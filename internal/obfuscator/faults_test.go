@@ -101,7 +101,7 @@ func TestZeroDrawDistinguishedFromNoInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm2.v = obf2.PerExecDelta() * 0.4
+	fm2.v = obf2.plans[0].perExec * 0.4
 	runObf(t, obf2, 10)
 	r2 := obf2.Report()
 	if r2.NoInjectionTicks != 10 {
@@ -209,7 +209,7 @@ func TestDrawExtremesClipAndStillInject(t *testing.T) {
 	if r.InjectedTicks+r.ZeroDrawTicks+r.NoInjectionTicks+r.DegradedTicks != r.Ticks {
 		t.Errorf("funnel does not reconcile under draw extremes: %+v", r)
 	}
-	maxPerTick := cfg.ClipBound + obf.PerExecDelta() // rounding slack
+	maxPerTick := cfg.ClipBound + obf.plans[0].perExec // rounding slack
 	if obf.InjectedCounts() > float64(r.Ticks)*maxPerTick {
 		t.Errorf("injected %v counts over %d ticks exceeds clipped support",
 			obf.InjectedCounts(), r.Ticks)
@@ -239,7 +239,7 @@ func TestDStarFallsBackToLaplaceUnderClipStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obf.ActiveMechanism() != Mechanism(dstar) {
+	if obf.plans[0].mech != Mechanism(dstar) {
 		t.Fatal("active mechanism before faults should be d*")
 	}
 	runObf(t, obf, 200)
@@ -250,7 +250,7 @@ func TestDStarFallsBackToLaplaceUnderClipStorm(t *testing.T) {
 	if r.DegradedByReason[ReasonDStarClipFallback] != 1 {
 		t.Errorf("dstar-clip-fallback degradations = %d, want 1", r.DegradedByReason[ReasonDStarClipFallback])
 	}
-	if got := obf.ActiveMechanism().Name(); got != "laplace" {
+	if got := obf.plans[0].mech.Name(); got != "laplace" {
 		t.Errorf("active mechanism after clip storm = %q, want laplace", got)
 	}
 	if r.Full() {

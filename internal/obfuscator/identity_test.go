@@ -33,9 +33,6 @@ func TestSinglePlanDigestPinned(t *testing.T) {
 		"dstar/storm":   "fb68ff306bbcd34b",
 	}
 	rec := flight.Default()
-	was := rec.Enabled()
-	rec.SetEnabled(true)
-	t.Cleanup(func() { rec.SetEnabled(was) })
 
 	seg, ref := coverSegment(t)
 	mechs := []struct {
@@ -71,17 +68,22 @@ func TestSinglePlanDigestPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rec.Reset()
+			// The recorder is shared: digest only this run's records, with
+			// sequence numbers counted from the run's start.
+			base := rec.Total()
 			h := sha256.New()
 			for i := 0; i < 200; i++ {
 				w.Step()
 				fmt.Fprintf(h, "tick %+v\n", obf.LastTick())
 			}
-			if rec.Total() > uint64(rec.Capacity()) {
-				t.Fatalf("%s: %d records overflow the %d-record ring", name, rec.Total(), rec.Capacity())
+			if n := rec.Total() - base; n > uint64(rec.Capacity()) {
+				t.Fatalf("%s: %d records overflow the %d-record ring", name, n, rec.Capacity())
 			}
 			for _, r := range rec.Snapshot() {
-				digestRecord(h, r)
+				if r.Seq > base {
+					r.Seq -= base
+					digestRecord(h, r)
+				}
 			}
 			fmt.Fprintf(h, "report %+v\n", obf.Report())
 			got := hex.EncodeToString(h.Sum(nil))[:16]

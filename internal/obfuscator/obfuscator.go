@@ -28,7 +28,7 @@ var (
 		telemetry.ExpBuckets(64, 4, 8))
 
 	// fTick journals every tick outcome in the flight recorder; degraded
-	// ticks are incidents and mark the ring dirty.
+	// ticks are incidents.
 	fTick = flight.Get(flight.KindObfuscatorTick)
 
 	// Robustness metrics.
@@ -477,10 +477,6 @@ func (o *Obfuscator) Name() string { return "aegis-obfuscator" }
 // Plans returns the number of protected events.
 func (o *Obfuscator) Plans() int { return len(o.plans) }
 
-// PerExecDelta returns the first plan's calibrated reference-event counts
-// per segment execution.
-func (o *Obfuscator) PerExecDelta() float64 { return o.plans[0].perExec }
-
 // InjectedCounts returns the cumulative injected noise in reference-event
 // counts (the quantity compared across defenses in paper §IX-A), summed
 // across plans.
@@ -530,11 +526,6 @@ func (o *Obfuscator) SaturationRate() float64 {
 	}
 	return float64(o.saturatedTicks) / float64(o.ticks)
 }
-
-// ActiveMechanism returns the mechanism currently drawing the first
-// plan's noise (the configured one, or the Laplace fallback after a d*
-// clip storm).
-func (o *Obfuscator) ActiveMechanism() Mechanism { return o.plans[0].mech }
 
 // LastTick returns the most recent tick's result: the first degraded
 // plan's when any plan degraded, else the first plan's.

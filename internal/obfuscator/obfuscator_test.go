@@ -274,7 +274,7 @@ func TestObfuscatorInjectsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obf.PerExecDelta() <= 0 {
+	if obf.plans[0].perExec <= 0 {
 		t.Fatal("calibration produced non-positive per-exec delta")
 	}
 

@@ -83,9 +83,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Budget returns the configured overhead tracker (nil when absent).
-func (s *Server) Budget() *OverheadBudget { return s.cfg.Budget }
-
 // RegisterHealth adds a component probe to /healthz.
 func (s *Server) RegisterHealth(p Probe) {
 	s.mu.Lock()

@@ -131,7 +131,7 @@ func TestReadyzGate(t *testing.T) {
 		t.Fatalf("closed gate: /readyz = %d, want 503", w.Code)
 	}
 	gate.Open()
-	if !gate.Opened() {
+	if !gate.open.Load() {
 		t.Fatal("gate did not open")
 	}
 	if w := get(t, h, "/readyz"); w.Code != 200 {

@@ -71,9 +71,6 @@ func (g *Gate) Open() { g.open.Store(true) }
 // Close marks the gate not ready again.
 func (g *Gate) Close() { g.open.Store(false) }
 
-// Opened reports whether the gate is open.
-func (g *Gate) Opened() bool { return g.open.Load() }
-
 // Probe returns the gate as a readiness probe.
 func (g *Gate) Probe() Probe {
 	return Probe{Name: g.name, Check: func() ProbeResult {

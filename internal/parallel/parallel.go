@@ -42,7 +42,7 @@ func Workers(n int) int {
 
 // Pool is a named, bounded worker pool. The name keys the pool's telemetry
 // (worker gauges, shard histograms); the worker count bounds concurrency
-// for every Map/ForEach run on the pool. A Pool is stateless between runs
+// for every Map run on the pool. A Pool is stateless between runs
 // and safe for concurrent use.
 type Pool struct {
 	name    string
@@ -73,9 +73,6 @@ func NewPool(name string, workers int) *Pool {
 
 // Name returns the pool's telemetry name.
 func (p *Pool) Name() string { return p.name }
-
-// Workers returns the resolved worker count.
-func (p *Pool) Workers() int { return p.workers }
 
 // itemError records one failed index for deterministic aggregation.
 type itemError struct {
@@ -157,13 +154,4 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context
 		errs = append(errs, fmt.Errorf("%s item %d: %w", p.name, f.index, f.err))
 	}
 	return out, errors.Join(errs...)
-}
-
-// ForEach is Map without results: it runs fn(ctx, i) for every i in [0, n)
-// with the same ordering, cancellation and error-aggregation semantics.
-func ForEach(ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, p, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

@@ -153,7 +153,7 @@ func TestMapParentCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if n := ran.Load(); n > int64(p.Workers()) {
+	if n := ran.Load(); n > int64(p.workers) {
 		t.Errorf("cancelled run still executed %d items", n)
 	}
 }
@@ -169,32 +169,12 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	p := NewPool("test-foreach", 4)
-	if err := ForEach(context.Background(), p, 100, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Errorf("sum = %d, want 4950", sum.Load())
-	}
-	wantErr := errors.New("nope")
-	if err := ForEach(context.Background(), p, 3, func(_ context.Context, i int) error {
-		return wantErr
-	}); !errors.Is(err, wantErr) {
-		t.Errorf("ForEach error = %v", err)
-	}
-}
-
 func TestPoolAccessors(t *testing.T) {
 	p := NewPool("test-accessors", 5)
 	if p.Name() != "test-accessors" {
 		t.Errorf("Name() = %q", p.Name())
 	}
-	if p.Workers() != 5 {
-		t.Errorf("Workers() = %d", p.Workers())
+	if p.workers != 5 {
+		t.Errorf("workers = %d", p.workers)
 	}
 }

@@ -242,14 +242,6 @@ type WarmupResult struct {
 	RemainingPerType map[hpc.EventType]int
 }
 
-// RemainingFraction returns N/M.
-func (w WarmupResult) RemainingFraction() float64 {
-	if w.TotalEvents == 0 {
-		return 0
-	}
-	return float64(len(w.Remaining)) / float64(w.TotalEvents)
-}
-
 // Warmup performs the warm-up profiling of paper §V-B: measure every event
 // with the VM idle and with the application running (under a representative
 // secret), repeated WarmupRepeats times; keep events whose counts change.
@@ -403,7 +395,6 @@ func (p *Profiler) scoreEvent(e *hpc.Event, raws []rawSet, timed bool) *RankedEv
 	sc.slab = sc.slab[:total]
 	all := sc.all[:0]
 	off := 0
-	d, uniform := -1, true
 	for si := range raws {
 		for _, raw := range raws[si].traces {
 			series := sc.slab[off : off+len(raw) : off+len(raw)]
@@ -411,31 +402,16 @@ func (p *Profiler) scoreEvent(e *hpc.Event, raws []rawSet, timed bool) *RankedEv
 			for t, sig := range raw {
 				series[t] = e.Value(sig)
 			}
-			if d < 0 {
-				d = len(raw)
-			} else if len(raw) != d {
-				uniform = false
-			}
 			all = append(all, series)
 		}
 	}
 	sc.all = all
 	// Feature extraction over the full trace population: the paper's
-	// PCA first component, or the raw sum for the ablation. The trace
-	// matrix already lives in one contiguous row-major slab, so the fit
-	// goes through FitPCASlab and the blocked covariance kernel streams
-	// the block directly — `all` stays around as the per-trace row views
-	// the feature-extraction loop below projects. Campaign traces share
-	// one length (TraceTicks), so the slab is always a dense matrix;
-	// FitPCASlab is bit-identical to FitPCA over the same rows.
+	// PCA first component, or the raw sum for the ablation.
 	var pca *stats.PCA
 	if !p.cfg.RawMeanFeature {
 		var err error
-		if uniform && d > 0 {
-			pca, err = sc.st.FitPCASlab(sc.slab[:total], len(all), d, 1)
-		} else {
-			pca, err = sc.st.FitPCA(all, 1) // ragged traces: row-view path
-		}
+		pca, err = sc.st.FitPCA(all, 1)
 		if err != nil {
 			mRankDegenerate.Inc()
 			return nil // degenerate event; cannot be ranked
@@ -692,21 +668,6 @@ func (p *Profiler) DistributionFor(app workload.App, secret string, event *hpc.E
 		KS:        stats.KSNormal(samples),
 		Histogram: stats.NewHistogram(samples, 16),
 	}, nil
-}
-
-// Wall-clock cost model of paper §VIII-A, used to reproduce the quoted
-// profiling times: T_W = (M × t_w × 2) / C and T_P = (N × S × R × t_p) / C.
-
-// EstimateWarmupHours returns the warm-up profiling time for M events
-// monitored t_w seconds each (twice: idle and active) over C registers.
-func EstimateWarmupHours(mEvents, cRegisters int, twSeconds float64) float64 {
-	return float64(mEvents) * twSeconds * 2 / float64(cRegisters) / 3600
-}
-
-// EstimateRankingHours returns the ranking time for N events, S secrets,
-// R repeats, t_p seconds per measurement over C registers.
-func EstimateRankingHours(nEvents, sSecrets, repeats, cRegisters int, tpSeconds float64) float64 {
-	return float64(nEvents) * float64(sSecrets) * float64(repeats) * tpSeconds / float64(cRegisters) / 3600
 }
 
 var _ = microarch.NumSignals // raw traces use microarch's signal order

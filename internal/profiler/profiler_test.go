@@ -183,27 +183,10 @@ func TestDistributionForIsGaussianLike(t *testing.T) {
 	}
 }
 
-func TestTimeModelMatchesPaper(t *testing.T) {
-	// Paper §VIII-A: warm-up takes 0.85h on Intel (6166 events) and 0.26h
-	// on AMD (1903 events) with 4 registers and 1s per measurement.
-	if h := EstimateWarmupHours(6166, 4, 1); math.Abs(h-0.85) > 0.01 {
-		t.Errorf("intel warm-up estimate = %v h, want 0.85", h)
+// RemainingFraction returns N/M.
+func (w WarmupResult) RemainingFraction() float64 {
+	if w.TotalEvents == 0 {
+		return 0
 	}
-	if h := EstimateWarmupHours(1903, 4, 1); math.Abs(h-0.26) > 0.01 {
-		t.Errorf("amd warm-up estimate = %v h, want 0.26", h)
-	}
-	// Ranking: 42.81h for WFA (738 events × 45 secrets... on Intel) etc.
-	// WFA: N=738? paper computes per-app on its platform; for AMD (137
-	// events, 45 sites, 100 repeats): (137×45×100×1)/4 s = 42.81 h.
-	if h := EstimateRankingHours(137, 45, 100, 4, 1); math.Abs(h-42.81) > 0.05 {
-		t.Errorf("WFA ranking estimate = %v h, want 42.81", h)
-	}
-	// KSA: 10 secrets -> 9.51 h.
-	if h := EstimateRankingHours(137, 10, 100, 4, 1); math.Abs(h-9.51) > 0.05 {
-		t.Errorf("KSA ranking estimate = %v h, want 9.51", h)
-	}
-	// MEA: 30 secrets -> 28.54 h.
-	if h := EstimateRankingHours(137, 30, 100, 4, 1); math.Abs(h-28.54) > 0.05 {
-		t.Errorf("MEA ranking estimate = %v h, want 28.54", h)
-	}
+	return float64(len(w.Remaining)) / float64(w.TotalEvents)
 }

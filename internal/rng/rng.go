@@ -85,11 +85,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	// 53 random mantissa bits.
@@ -125,36 +120,6 @@ func (s *Source) Laplace(scale float64) float64 {
 		return scale * math.Log(1+2*u)
 	}
 	return -scale * math.Log(1-2*u)
-}
-
-// Exponential returns an Exp(rate) sample.
-func (s *Source) Exponential(rate float64) float64 {
-	return -math.Log(1-s.Float64()) / rate
-}
-
-// Poisson returns a Poisson(lambda) sample using Knuth's method for small
-// lambda and a normal approximation for large lambda.
-func (s *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		v := s.Gaussian(lambda, math.Sqrt(lambda))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Perm returns a random permutation of [0, n).

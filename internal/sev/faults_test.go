@@ -47,7 +47,7 @@ func TestPreemptionSlashesBudget(t *testing.T) {
 		Seed: 1, PreemptionRate: 1, PreemptionBurstTicks: 1, PreemptionBudgetFrac: 0.25,
 	}))
 	w.Run(4)
-	want := 4 * w.TickBudget() / 4
+	want := 4 * w.cfg.TickBudget / 4
 	if p.total != want {
 		t.Errorf("retired %d instructions under full preemption, want %d", p.total, want)
 	}
@@ -60,7 +60,7 @@ func TestPreemptionSlashesBudget(t *testing.T) {
 	if u < 0.2 || u > 0.3 {
 		t.Errorf("preempted usage = %v, want ~0.25 of the full budget", u)
 	}
-	if w.Faults().Count(faultinject.KindPreemption) == 0 {
+	if w.faults.Total() == 0 {
 		t.Error("preemption faults not accounted on the injector")
 	}
 }

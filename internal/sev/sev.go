@@ -195,9 +195,6 @@ type VM struct {
 	// memory is the guest's (plaintext) memory content; the SEV engine
 	// encrypts it from the host's perspective.
 	memory []byte
-	// regs is the architectural register file the hypervisor sees on a
-	// world switch; SEV-ES and later encrypt it.
-	regs [16]uint64
 }
 
 // Attestation is the PSP attestation report the guest obtains at launch;
@@ -242,9 +239,6 @@ func (w *World) SetFaults(in *faultinject.Injector) {
 	}
 }
 
-// Faults returns the attached fault injector (nil when healthy).
-func (w *World) Faults() *faultinject.Injector { return w.faults }
-
 // NewWorld builds a host machine.
 func NewWorld(cfg Config) *World {
 	if cfg.PhysicalCores < 1 {
@@ -281,20 +275,11 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
-// Processor returns the host CPU model.
-func (w *World) Processor() string { return w.cfg.Processor }
-
-// TickBudget returns the per-core per-tick instruction capacity.
-func (w *World) TickBudget() int { return w.cfg.TickBudget }
-
 // Tick returns the current tick count.
 func (w *World) Tick() int64 { return w.tick }
 
-// Cores returns the number of physical cores.
-func (w *World) Cores() int { return len(w.cores) }
-
 // Core returns a physical core. The malicious host owns the hardware, so
-// this is host-privileged access (used to attach PMUs and perf sessions);
+// this is host-privileged access (used to attach PMUs);
 // guest confidentiality is enforced at the VM API layer, not here.
 func (w *World) Core(i int) (*microarch.Core, error) {
 	if i < 0 || i >= len(w.cores) {
@@ -486,34 +471,6 @@ func (w *World) Run(n int) {
 // ID returns the VM identifier.
 func (vm *VM) ID() int { return vm.id }
 
-// SEVEnabled reports whether the guest runs under any SEV generation.
-func (vm *VM) SEVEnabled() bool { return vm.version != SEVDisabled }
-
-// Version returns the guest's SEV generation.
-func (vm *VM) Version() SEVVersion { return vm.version }
-
-// GuestSetRegister writes an architectural register from inside the guest.
-func (vm *VM) GuestSetRegister(idx int, value uint64) error {
-	if idx < 0 || idx >= len(vm.regs) {
-		return fmt.Errorf("sev: register %d out of range", idx)
-	}
-	vm.regs[idx] = value
-	return nil
-}
-
-// HostReadRegisters is the hypervisor's view of the guest register state
-// at a world switch. Plain SEV leaves registers readable — the gap SEV-ES
-// closed (paper §II-B); SEV-ES and SEV-SNP return an encrypted view.
-func (vm *VM) HostReadRegisters() ([16]uint64, error) {
-	if vm.version >= SEVES {
-		return [16]uint64{}, ErrEncrypted
-	}
-	return vm.regs, nil
-}
-
-// VCPUs returns the number of virtual CPUs.
-func (vm *VM) VCPUs() int { return len(vm.vcpus) }
-
 // PhysicalCore returns the physical core index a vCPU is pinned to. The
 // hypervisor knows the mapping; what it cannot see is which guest process
 // runs on the vCPU (paper §VII-C: Aegis pins the obfuscator and the
@@ -574,15 +531,6 @@ func (vm *VM) HostReadMemory(offset, n int) ([]byte, error) {
 	out := make([]byte, n)
 	copy(out, vm.memory[offset:offset+n])
 	return out, nil
-}
-
-// GuestWriteMemory writes guest memory from inside the VM (always allowed).
-func (vm *VM) GuestWriteMemory(offset int, data []byte) error {
-	if offset < 0 || offset+len(data) > len(vm.memory) {
-		return fmt.Errorf("sev: memory write out of range")
-	}
-	copy(vm.memory[offset:], data)
-	return nil
 }
 
 // CPUUsage returns the vCPU's mean utilisation over the last n ticks, the

@@ -8,7 +8,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Gaussian is a univariate normal distribution N(mu, sigma^2).
@@ -36,12 +35,6 @@ func FitGaussian(samples []float64) (Gaussian, error) {
 		sigma = 1e-9
 	}
 	return Gaussian{Mu: m, Sigma: sigma}, nil
-}
-
-// PDF evaluates the probability density at x.
-func (g Gaussian) PDF(x float64) float64 {
-	z := (x - g.Mu) / g.Sigma
-	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // CDF evaluates the cumulative distribution at x.
@@ -80,24 +73,8 @@ func Variance(xs []float64, mean float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs, Mean(xs)))
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return SortedMedian(cp)
-}
-
-// SortedMedian is Median for samples already in ascending order: no copy,
-// no re-sort.
+// SortedMedian returns the median of samples already in ascending order
+// (0 for empty input).
 func SortedMedian(sorted []float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -107,21 +84,6 @@ func SortedMedian(sorted []float64) float64 {
 		return sorted[n/2]
 	}
 	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-// MedianInt64 returns the median of integer samples, rounding half up.
-func MedianInt64(xs []int64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]int64, len(xs))
-	copy(cp, xs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2] + 1) / 2
 }
 
 // MinMax returns the extrema of xs.

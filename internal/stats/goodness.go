@@ -128,59 +128,6 @@ func NewHistogram(samples []float64, bins int) Histogram {
 	return h
 }
 
-// Density returns the normalised density per bin (sums×binwidth = 1).
-func (h Histogram) Density() []float64 {
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	out := make([]float64, len(h.Counts))
-	if total == 0 {
-		return out
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / (float64(total) * width)
-	}
-	return out
-}
-
-// Percentile returns the q-th percentile (q in [0,100]) using linear
-// interpolation between order statistics.
-func Percentile(samples []float64, q float64) float64 {
-	n := len(samples)
-	if n == 0 {
-		return 0
-	}
-	cp := make([]float64, n)
-	copy(cp, samples)
-	sort.Float64s(cp)
-	return SortedPercentile(cp, q)
-}
-
-// SortedPercentile is Percentile for samples already in ascending order:
-// no copy, no re-sort. Tight loops that can keep their buffer sorted (or
-// sort a private buffer in place once) should use this form.
-func SortedPercentile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 100 {
-		return sorted[n-1]
-	}
-	pos := q / 100 * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
 // Spearman returns the Spearman rank correlation of two equal-length
 // samples: the Pearson correlation of their rank vectors, with average
 // ranks for ties.

@@ -33,15 +33,8 @@ type ClassModel struct {
 //
 // The integral is evaluated numerically over ±span standard deviations
 // around the widest class envelope with the given number of grid steps.
-// The result is in bits and lies in [0, H(Y)] up to quadrature error.
-//
-// Repeated evaluations should go through Scratch.MutualInformation, which
-// reuses the prior/posterior grids and produces bit-identical results.
-func MutualInformation(classes []ClassModel, steps int) (float64, error) {
-	return new(Scratch).MutualInformation(classes, steps)
-}
-
-// MutualInformation is MutualInformation staged in the arena.
+// The result is in bits and lies in [0, H(Y)] up to quadrature error. The
+// prior/posterior grids are staged in the arena.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -197,11 +190,6 @@ func (s *Scratch) BinnedMI(xs, ys []float64, bins int) (float64, error) {
 	for i := range py {
 		py[i] = 0
 	}
-	// Binning and the fused count-entropy sweep are shared with MIAccum
-	// (stream.go): the accumulator bins partial sample batches with
-	// binCounts and finishes merged tables with countEntropyMI, so a
-	// merged partial-count estimate is bit-identical to this one-shot
-	// path over the concatenated samples.
 	binCounts(joint, py, xs, ys, bins, xlo, ylo, invW(bins, xlo, xhi), invW(bins, ylo, yhi))
 	return countEntropyMI(joint, py, bins, float64(len(xs))), nil
 }
@@ -221,8 +209,7 @@ func invW(bins int, lo, hi float64) float64 {
 // one ULP of a bin boundary may shift one bin — the estimator goldens
 // were explicitly re-pinned (see TestKernelGoldenRepins). Counts stay
 // exact integers, so everything downstream of binning is
-// order-insensitive — which is also what makes MIAccum partial tables
-// mergeable without changing the estimate.
+// order-insensitive.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -323,42 +310,6 @@ func log2Count(c float64) float64 {
 		return log2IntTab[ci]
 	}
 	return math.Log2(c)
-}
-
-// DiscreteMI computes the exact mutual information of a joint count table.
-func DiscreteMI(joint [][]float64) float64 {
-	var n float64
-	rows := len(joint)
-	if rows == 0 {
-		return 0
-	}
-	cols := len(joint[0])
-	px := make([]float64, rows)
-	py := make([]float64, cols)
-	for i := range joint {
-		for j := range joint[i] {
-			n += joint[i][j]
-			px[i] += joint[i][j]
-			py[j] += joint[i][j]
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	var mi float64
-	for i := range joint {
-		for j := range joint[i] {
-			if joint[i][j] == 0 {
-				continue
-			}
-			pij := joint[i][j] / n
-			mi += pij * math.Log2(pij*n*n/(px[i]*py[j]))
-		}
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
 }
 
 func binIndex(v, lo, hi float64, bins int) int {

@@ -18,17 +18,10 @@ type PCA struct {
 // deflation. The paper uses PCA to reduce each leakage time-series to a
 // compact feature value before Gaussian modelling (paper §V-B).
 //
-// The result owns its buffers. Repeated fits of identically-shaped inputs
-// should go through Scratch.FitPCA, which reuses all intermediates and
-// produces bit-identical results.
-func FitPCA(rows [][]float64, k int) (*PCA, error) {
-	return new(Scratch).FitPCA(rows, k)
-}
-
-// FitPCA is FitPCA staged in the arena: the mean/centered/component
-// buffers and the power-iteration work vector are all reused across calls.
-// The returned *PCA aliases the arena and is valid until the next call on
-// s (see the Scratch ownership rules).
+// The fit is staged in the arena: the mean/centered/component buffers and
+// the power-iteration work vector are all reused across calls. The
+// returned *PCA aliases the arena and is valid until the next call on s
+// (see the Scratch ownership rules).
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -75,60 +68,8 @@ func (s *Scratch) FitPCA(rows [][]float64, k int) (*PCA, error) {
 	return s.fitCentered(n, d, k)
 }
 
-// FitPCASlab is FitPCA over a contiguous row-major sample block: slab holds
-// n rows of d features back to back, exactly the layout the profiler's
-// trace collector produces. It avoids the per-row slice-header walk of the
-// [][]float64 form and produces bit-identical results to FitPCA over row
-// views of the same slab.
-//
-// The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
-// (alloc_gate_test.go, `make bench-alloc`) and statically by the
-// aegis-lint hotpath rule, which bans allocating constructs in any
-// function carrying this annotation.
-//
-//aegis:hotpath
-func (s *Scratch) FitPCASlab(slab []float64, n, d, k int) (*PCA, error) {
-	if n < 2 {
-		return nil, ErrInsufficientData
-	}
-	if d < 1 || len(slab) != n*d {
-		return nil, fmt.Errorf("stats: slab of %d values cannot hold %d×%d samples", len(slab), n, d) //aegis:allow(hotpath) cold validation branch; shapes are fixed in steady state
-	}
-	if k < 1 || k > d {
-		return nil, fmt.Errorf("stats: invalid component count %d for dimension %d", k, d) //aegis:allow(hotpath) cold validation branch; shapes are fixed in steady state
-	}
-
-	// Mean and centering sweep the slab row by row, in the same element
-	// order as the row-view path, so the centered matrix is bit-identical.
-	s.mean = grow(s.mean, d)
-	mean := s.mean
-	for j := range mean {
-		mean[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		r := slab[i*d : (i+1)*d : (i+1)*d]
-		for j, v := range r {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-
-	s.centSlab = grow(s.centSlab, n*d)
-	for i := 0; i < n; i++ {
-		r := slab[i*d : (i+1)*d : (i+1)*d]
-		c := s.centSlab[i*d : (i+1)*d : (i+1)*d]
-		for j, v := range r {
-			c[j] = v - mean[j]
-		}
-	}
-	return s.fitCentered(n, d, k)
-}
-
 // fitCentered runs the power iteration over the centered slab prepared by
-// FitPCA/FitPCASlab. Split out so both entry points share the blocked
-// covariance kernel.
+// FitPCA.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -191,26 +132,9 @@ func (s *Scratch) fitCentered(n, d, k int) (*PCA, error) {
 	return p, nil
 }
 
-// Transform projects a sample onto the fitted components.
-func (p *PCA) Transform(row []float64) ([]float64, error) {
-	if len(row) != len(p.Mean) {
-		return nil, fmt.Errorf("stats: sample has %d features, PCA fitted on %d", len(row), len(p.Mean))
-	}
-	out := make([]float64, len(p.Components))
-	for c, comp := range p.Components {
-		var dot float64
-		for j, v := range row {
-			dot += (v - p.Mean[j]) * comp[j]
-		}
-		out[c] = dot
-	}
-	return out, nil
-}
-
 // FirstComponent projects a sample onto the leading principal direction and
-// returns the scalar feature value used for Gaussian modelling. It is the
-// single-component Transform without the output allocation, so per-trace
-// feature extraction stays allocation-free.
+// returns the scalar feature value used for Gaussian modelling, without
+// allocating, so per-trace feature extraction stays allocation-free.
 func (p *PCA) FirstComponent(row []float64) (float64, error) {
 	if len(row) != len(p.Mean) {
 		return 0, fmt.Errorf("stats: sample has %d features, PCA fitted on %d", len(row), len(p.Mean))

@@ -127,6 +127,12 @@ func oldBinnedMI(xs, ys []float64, bins int) float64 {
 	return mi
 }
 
+// PDF evaluates the probability density at x.
+func (g Gaussian) PDF(x float64) float64 {
+	z := (x - g.Mu) / g.Sigma
+	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
+}
+
 // oldMutualInformation is the pre-blocked-kernels quadrature loop body,
 // kept verbatim as the re-pin reference: per-(step, class) PDF calls and
 // posterior normalisation by division.
@@ -184,7 +190,7 @@ func oldMutualInformation(classes []ClassModel, steps int) float64 {
 //
 //	kernel             golden    why
 //	-----------------  --------  ------------------------------------------
-//	FitPCA/FitPCASlab  KEPT      blocked covApplySlab replays the row-
+//	FitPCA             KEPT      blocked covApplySlab replays the row-
 //	                             sequential add order exactly (left-to-
 //	                             right evaluation); see
 //	                             TestBlockedCovApplyBitIdentical
@@ -200,34 +206,33 @@ func oldMutualInformation(classes []ClassModel, steps int) float64 {
 // inside quadrature/estimator error — the re-pin is a rounding change, not
 // a value change.
 func TestKernelGoldenRepins(t *testing.T) {
-	// FitPCA: bit-identical across old row-view path, new row-view path
-	// and the slab path.
+	// FitPCA: bit-identical between a fresh arena and one already grown
+	// to a larger shape.
 	rows := repinRows(t, 30, 40)
-	slab := make([]float64, 30*40)
-	for i, row := range rows {
-		copy(slab[i*40:(i+1)*40], row)
-	}
 	var s1, s2 Scratch
-	fromRows, err := s1.FitPCA(rows, 2)
+	fresh, err := s1.FitPCA(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSlab, err := s2.FitPCASlab(slab, 30, 40, 2)
+	if _, err := s2.FitPCA(repinRows(t, 72, 150), 3); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := s2.FitPCA(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range fromRows.Mean {
-		if math.Float64bits(fromRows.Mean[j]) != math.Float64bits(fromSlab.Mean[j]) {
-			t.Fatalf("FitPCA mean[%d] differs between rows and slab paths", j)
+	for j := range fresh.Mean {
+		if math.Float64bits(fresh.Mean[j]) != math.Float64bits(reused.Mean[j]) {
+			t.Fatalf("FitPCA mean[%d] differs between fresh and reused arenas", j)
 		}
 	}
-	for c := range fromRows.Components {
-		if math.Float64bits(fromRows.Variances[c]) != math.Float64bits(fromSlab.Variances[c]) {
-			t.Fatalf("FitPCA variance[%d] differs between rows and slab paths", c)
+	for c := range fresh.Components {
+		if math.Float64bits(fresh.Variances[c]) != math.Float64bits(reused.Variances[c]) {
+			t.Fatalf("FitPCA variance[%d] differs between fresh and reused arenas", c)
 		}
-		for j := range fromRows.Components[c] {
-			if math.Float64bits(fromRows.Components[c][j]) != math.Float64bits(fromSlab.Components[c][j]) {
-				t.Fatalf("FitPCA component[%d][%d] differs between rows and slab paths", c, j)
+		for j := range fresh.Components[c] {
+			if math.Float64bits(fresh.Components[c][j]) != math.Float64bits(reused.Components[c][j]) {
+				t.Fatalf("FitPCA component[%d][%d] differs between fresh and reused arenas", c, j)
 			}
 		}
 	}
@@ -257,7 +262,7 @@ func TestKernelGoldenRepins(t *testing.T) {
 			Dist:   Gaussian{Mu: float64(i) * 2.5, Sigma: 1 + 0.2*float64(i)},
 		}
 	}
-	newQ, err := MutualInformation(classes, 600)
+	newQ, err := new(Scratch).MutualInformation(classes, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +297,6 @@ func TestLog2CountTableBitIdentical(t *testing.T) {
 // no shared mutable state, so concurrency must not change a single bit.
 func TestBlockedKernelsDeterministicAcrossParallelism(t *testing.T) {
 	rows := repinRows(t, 72, 150)
-	slab := make([]float64, 72*150)
-	for i, row := range rows {
-		copy(slab[i*150:(i+1)*150], row)
-	}
 	r := rng.New(12).Split("binned-bench")
 	xs := make([]float64, 400)
 	ys := make([]float64, 400)
@@ -305,7 +306,7 @@ func TestBlockedKernelsDeterministicAcrossParallelism(t *testing.T) {
 	}
 
 	var serial Scratch
-	wantPCA, err := serial.FitPCASlab(slab, 72, 150, 1)
+	wantPCA, err := serial.FitPCA(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestBlockedKernelsDeterministicAcrossParallelism(t *testing.T) {
 				defer wg.Done()
 				var s Scratch
 				for iter := 0; iter < 3; iter++ {
-					p, err := s.FitPCASlab(slab, 72, 150, 1)
+					p, err := s.FitPCA(rows, 1)
 					if err != nil {
 						errs[w] = err
 						return

@@ -1,11 +1,5 @@
 package stats
 
-import "slices"
-
-// sortFloat64s sorts in place without allocating (slices.Sort, unlike a
-// sort.Interface round trip, never boxes).
-func sortFloat64s(xs []float64) { slices.Sort(xs) }
-
 // Scratch is a reusable buffer arena for the numeric kernels. The offline
 // pipelines call FitPCA / MutualInformation / BinnedMI thousands of times
 // per campaign with identically-shaped inputs; routing those calls through
@@ -19,18 +13,17 @@ func sortFloat64s(xs []float64) { slices.Sort(xs) }
 //   - Results returned by Scratch methods (the *PCA, in particular) alias
 //     the arena and are valid only until the next call on the same
 //     Scratch. Callers that need to retain a result across calls must
-//     copy it out — or use the package-level functions, which allocate a
-//     fresh arena per call and therefore return independent results.
+//     copy it out — or use a fresh Scratch per call.
 //   - The zero value is ready to use; buffers grow to the high-water mark
 //     of the shapes seen and are then reused.
 //
-// Every kernel performs the exact floating-point operations of its
-// package-level counterpart in the same order, so scratch-backed results
-// are bit-identical to the allocating paths.
+// Every kernel performs the same floating-point operations in the same
+// order whatever the arena's history, so results are bit-identical
+// across reuse (and BinnedMI matches its package-level counterpart).
 type Scratch struct {
-	// FitPCA / FitPCASlab: the centered sample block lives in one
-	// row-major slab so the blocked covariance kernel streams it with
-	// register-blocked inner loops (see covApplySlab).
+	// FitPCA: the centered sample block lives in one row-major slab so
+	// the blocked covariance kernel streams it with register-blocked inner
+	// loops (see covApplySlab).
 	mean     []float64
 	centSlab []float64
 	compRows [][]float64
@@ -51,9 +44,6 @@ type Scratch struct {
 	// marginal is derived row by row inside the fused MI sweep.
 	jointSlab []float64
 	py        []float64
-
-	// sortBuf backs copy-and-sort helpers (MedianOf / PercentileOf).
-	sortBuf []float64
 }
 
 // grow returns buf resized to n elements, reusing its backing array when
@@ -71,42 +61,4 @@ func growRows(buf [][]float64, n int) [][]float64 {
 		return make([][]float64, n)
 	}
 	return buf[:n]
-}
-
-// MedianOf returns the median of xs without modifying it, staging the
-// copy-and-sort in the arena's sort buffer.
-//
-// The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
-// (alloc_gate_test.go, `make bench-alloc`) and statically by the
-// aegis-lint hotpath rule, which bans allocating constructs in any
-// function carrying this annotation.
-//
-//aegis:hotpath
-func (s *Scratch) MedianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s.sortBuf = grow(s.sortBuf, len(xs))
-	copy(s.sortBuf, xs)
-	sortFloat64s(s.sortBuf)
-	return SortedMedian(s.sortBuf)
-}
-
-// PercentileOf returns the q-th percentile of xs without modifying it,
-// staging the copy-and-sort in the arena's sort buffer.
-//
-// The steady-state path is allocation-free: gated dynamically by TestZeroAllocStatsScratch
-// (alloc_gate_test.go, `make bench-alloc`) and statically by the
-// aegis-lint hotpath rule, which bans allocating constructs in any
-// function carrying this annotation.
-//
-//aegis:hotpath
-func (s *Scratch) PercentileOf(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s.sortBuf = grow(s.sortBuf, len(xs))
-	copy(s.sortBuf, xs)
-	sortFloat64s(s.sortBuf)
-	return SortedPercentile(s.sortBuf, q)
 }

@@ -1,8 +1,8 @@
 package stats
 
 import (
+	"fmt"
 	"math"
-	"sort"
 	"testing"
 
 	"github.com/repro/aegis/internal/rng"
@@ -22,9 +22,9 @@ func testRows(r *rng.Source, n, d int) [][]float64 {
 	return rows
 }
 
-// TestScratchFitPCAEquivalence pins the scratch-staged PCA bit-identically
-// against the allocating path, including across reuses of the same arena
-// with different shapes.
+// TestScratchFitPCAEquivalence pins PCA fits in one reused arena
+// bit-identically against fresh arenas, across reuses with different
+// shapes.
 func TestScratchFitPCAEquivalence(t *testing.T) {
 	r := rng.New(42).Split("scratch-pca")
 	s := &Scratch{}
@@ -32,13 +32,13 @@ func TestScratchFitPCAEquivalence(t *testing.T) {
 		{8, 12, 1}, {30, 40, 3}, {8, 12, 2}, {5, 3, 1},
 	} {
 		rows := testRows(r, shape.n, shape.d)
-		want, err := FitPCA(rows, shape.k)
+		want, err := new(Scratch).FitPCA(rows, shape.k)
 		if err != nil {
-			t.Fatalf("FitPCA(%v): %v", shape, err)
+			t.Fatalf("fresh FitPCA(%v): %v", shape, err)
 		}
 		got, err := s.FitPCA(rows, shape.k)
 		if err != nil {
-			t.Fatalf("Scratch.FitPCA(%v): %v", shape, err)
+			t.Fatalf("reused FitPCA(%v): %v", shape, err)
 		}
 		for j := range want.Mean {
 			if math.Float64bits(got.Mean[j]) != math.Float64bits(want.Mean[j]) {
@@ -62,12 +62,29 @@ func TestScratchFitPCAEquivalence(t *testing.T) {
 	}
 }
 
+// Transform projects a sample onto every fitted component: the general,
+// allocating projection FirstComponent is checked against.
+func (p *PCA) Transform(row []float64) ([]float64, error) {
+	if len(row) != len(p.Mean) {
+		return nil, fmt.Errorf("stats: sample has %d features, PCA fitted on %d", len(row), len(p.Mean))
+	}
+	out := make([]float64, len(p.Components))
+	for c, comp := range p.Components {
+		var dot float64
+		for j, v := range row {
+			dot += (v - p.Mean[j]) * comp[j]
+		}
+		out[c] = dot
+	}
+	return out, nil
+}
+
 // TestFirstComponentMatchesTransform pins the allocation-free projection
 // against the general Transform.
 func TestFirstComponentMatchesTransform(t *testing.T) {
 	r := rng.New(7).Split("first-comp")
 	rows := testRows(r, 20, 16)
-	p, err := FitPCA(rows, 2)
+	p, err := new(Scratch).FitPCA(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +106,9 @@ func TestFirstComponentMatchesTransform(t *testing.T) {
 	}
 }
 
-// TestScratchMIEquivalence pins scratch-staged MutualInformation and
-// BinnedMI bit-identically against the allocating paths.
+// TestScratchMIEquivalence pins MutualInformation in a reused arena
+// against fresh arenas, and scratch BinnedMI against the allocating path,
+// bit-identically.
 func TestScratchMIEquivalence(t *testing.T) {
 	s := &Scratch{}
 	for _, nc := range []int{2, 5, 9} {
@@ -102,7 +120,7 @@ func TestScratchMIEquivalence(t *testing.T) {
 				Dist:   Gaussian{Mu: float64(i) * 1.5, Sigma: 0.5 + 0.3*float64(i)},
 			}
 		}
-		want, err := MutualInformation(classes, 300)
+		want, err := new(Scratch).MutualInformation(classes, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,39 +152,5 @@ func TestScratchMIEquivalence(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("bins=%d: scratch BinnedMI = %v, want %v", bins, got, want)
 		}
-	}
-}
-
-// TestSortedFastPathEquivalence pins SortedPercentile/SortedMedian and the
-// arena's MedianOf/PercentileOf against the copy-and-sort originals.
-func TestSortedFastPathEquivalence(t *testing.T) {
-	r := rng.New(11).Split("sorted")
-	s := &Scratch{}
-	for _, n := range []int{1, 2, 7, 100, 101} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Gaussian(5, 20)
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		for _, q := range []float64{-1, 0, 0.3, 25, 50, 99.9, 100, 150} {
-			want := Percentile(xs, q)
-			if got := SortedPercentile(sorted, q); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d q=%v: SortedPercentile = %v, Percentile = %v", n, q, got, want)
-			}
-			if got := s.PercentileOf(xs, q); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d q=%v: PercentileOf = %v, Percentile = %v", n, q, got, want)
-			}
-		}
-		wantMed := Median(xs)
-		if got := SortedMedian(sorted); math.Float64bits(got) != math.Float64bits(wantMed) {
-			t.Fatalf("n=%d: SortedMedian = %v, Median = %v", n, got, wantMed)
-		}
-		if got := s.MedianOf(xs); math.Float64bits(got) != math.Float64bits(wantMed) {
-			t.Fatalf("n=%d: MedianOf = %v, Median = %v", n, got, wantMed)
-		}
-	}
-	if SortedMedian(nil) != 0 || SortedPercentile(nil, 50) != 0 {
-		t.Fatal("empty-input fast paths should return 0")
 	}
 }

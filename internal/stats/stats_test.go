@@ -78,7 +78,7 @@ func TestMutualInformationSeparatedClasses(t *testing.T) {
 		{Secret: "c", Dist: Gaussian{Mu: 200, Sigma: 1}},
 		{Secret: "d", Dist: Gaussian{Mu: 300, Sigma: 1}},
 	}
-	mi, err := MutualInformation(classes, 4000)
+	mi, err := new(Scratch).MutualInformation(classes, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMutualInformationIdenticalClasses(t *testing.T) {
 		{Secret: "a", Dist: Gaussian{Mu: 5, Sigma: 2}},
 		{Secret: "b", Dist: Gaussian{Mu: 5, Sigma: 2}},
 	}
-	mi, err := MutualInformation(classes, 2000)
+	mi, err := new(Scratch).MutualInformation(classes, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMutualInformationMonotoneInSeparation(t *testing.T) {
 			{Secret: "a", Dist: Gaussian{Mu: 0, Sigma: 1}},
 			{Secret: "b", Dist: Gaussian{Mu: sep, Sigma: 1}},
 		}
-		mi, err := MutualInformation(classes, 2000)
+		mi, err := new(Scratch).MutualInformation(classes, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestMutualInformationBounded(t *testing.T) {
 			{Secret: "a", Dist: Gaussian{Mu: float64(m1), Sigma: float64(s1%10) + 0.5}},
 			{Secret: "b", Dist: Gaussian{Mu: float64(m2), Sigma: float64(s2%10) + 0.5}},
 		}
-		mi, err := MutualInformation(classes, 600)
+		mi, err := new(Scratch).MutualInformation(classes, 600)
 		return err == nil && mi >= 0 && mi <= 1.0001
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -189,37 +189,15 @@ func TestBinnedMINoiseDecreases(t *testing.T) {
 	}
 }
 
-func TestDiscreteMI(t *testing.T) {
-	// Perfectly dependent 2x2 table: 1 bit.
-	joint := [][]float64{{50, 0}, {0, 50}}
-	if mi := DiscreteMI(joint); math.Abs(mi-1) > 1e-12 {
-		t.Errorf("MI = %v, want 1", mi)
-	}
-	// Independent table: 0 bits.
-	joint = [][]float64{{25, 25}, {25, 25}}
-	if mi := DiscreteMI(joint); mi > 1e-12 {
-		t.Errorf("MI = %v, want 0", mi)
-	}
-}
-
 func TestMedian(t *testing.T) {
-	if m := Median([]float64{5, 1, 3}); m != 3 {
+	if m := SortedMedian([]float64{1, 3, 5}); m != 3 {
 		t.Errorf("median = %v, want 3", m)
 	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
+	if m := SortedMedian([]float64{1, 2, 3, 4}); m != 2.5 {
 		t.Errorf("median = %v, want 2.5", m)
 	}
-	if m := Median(nil); m != 0 {
+	if m := SortedMedian(nil); m != 0 {
 		t.Errorf("median of empty = %v, want 0", m)
-	}
-}
-
-func TestMedianInt64(t *testing.T) {
-	if m := MedianInt64([]int64{9, 1, 5}); m != 5 {
-		t.Errorf("median = %v, want 5", m)
-	}
-	if m := MedianInt64([]int64{1, 2}); m != 2 { // rounds half up
-		t.Errorf("median = %v, want 2", m)
 	}
 }
 
@@ -234,19 +212,6 @@ func TestNormalize(t *testing.T) {
 	}
 	if m := Mean(xs); math.Abs(m) > 1e-12 {
 		t.Errorf("normalized mean = %v, want 0", m)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("p50 = %v, want 3", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v, want 1", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %v, want 5", p)
 	}
 }
 

@@ -44,7 +44,6 @@ const (
 	// KindFault codes, one per faultinject.Kind.
 	CodeFaultPMURead
 	CodeFaultCounterSaturation
-	CodeFaultMultiplexStarvation
 	CodeFaultPreemption
 	CodeFaultGadgetInterrupt
 	CodeFaultDrawExtreme
@@ -107,12 +106,11 @@ var codeNames = [numCodes]string{
 	CodeMechConstant: "mech:constant",
 	CodeMechOther:    "mech:other",
 
-	CodeFaultPMURead:             "fault:pmu-read",
-	CodeFaultCounterSaturation:   "fault:counter-saturation",
-	CodeFaultMultiplexStarvation: "fault:multiplex-starvation",
-	CodeFaultPreemption:          "fault:vcpu-preemption",
-	CodeFaultGadgetInterrupt:     "fault:gadget-interrupt",
-	CodeFaultDrawExtreme:         "fault:draw-extreme",
+	CodeFaultPMURead:           "fault:pmu-read",
+	CodeFaultCounterSaturation: "fault:counter-saturation",
+	CodeFaultPreemption:        "fault:vcpu-preemption",
+	CodeFaultGadgetInterrupt:   "fault:gadget-interrupt",
+	CodeFaultDrawExtreme:       "fault:draw-extreme",
 
 	CodePMUSaturated: "pmu:saturated",
 	CodePMURearmed:   "pmu:rearmed",
@@ -144,14 +142,4 @@ func (c Code) String() string {
 		return "unknown"
 	}
 	return codeNames[c]
-}
-
-// CodeByName resolves a wire name back to its code.
-func CodeByName(name string) (Code, bool) {
-	for c := Code(0); c < numCodes; c++ {
-		if codeNames[c] == name {
-			return c, true
-		}
-	}
-	return 0, false
 }

@@ -57,9 +57,7 @@ type wireRecord struct {
 
 // WriteJSONL dumps the retained records oldest-first as "aegis-flight/v1"
 // JSONL: one header line, then one line per record, in seq order. Two
-// dumps of the same ring produce byte-identical output. A successful dump
-// marks the ring clean (see Dirty): the incident window it held has been
-// captured.
+// dumps of the same ring produce byte-identical output.
 func (r *Recorder) WriteJSONL(w io.Writer, opts DumpOptions) error {
 	recs := r.Snapshot()
 	total := r.Total()
@@ -112,22 +110,7 @@ func (r *Recorder) WriteJSONL(w io.Writer, opts DumpOptions) error {
 			return fmt.Errorf("flight: encode record %d: %w", rec.Seq, err)
 		}
 	}
-	// Only an unfiltered-by-kind dump captures the full incident window,
-	// so only that marks the ring clean.
-	if len(opts.Kinds) == 0 {
-		r.markClean(total)
-	}
 	return nil
-}
-
-// markClean records that every record up to seq has been dumped.
-func (r *Recorder) markClean(seq uint64) {
-	for {
-		old := r.dumpedThrough.Load()
-		if old >= seq || r.dumpedThrough.CompareAndSwap(old, seq) {
-			return
-		}
-	}
 }
 
 func containsKind(ks []Kind, k Kind) bool {

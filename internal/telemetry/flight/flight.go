@@ -11,8 +11,7 @@
 //
 // Instrumented packages record through a pre-registered *Handle obtained
 // once in a package-level var (flight.Get(flight.KindFault)); a write is
-// one atomic load when recording is disabled and a mutex-guarded value
-// store when enabled — zero heap allocations either way, which is what
+// a mutex-guarded value store with zero heap allocations, which is what
 // lets //aegis:hotpath code (PMU.RDPMC, World.Step, Obfuscator.Step)
 // record unconditionally. The alloc gates in make bench-alloc enforce
 // this.
@@ -97,15 +96,6 @@ func KindByName(name string) (Kind, bool) {
 	return 0, false
 }
 
-// Kinds returns all registered kinds in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Record is one journal entry. The per-kind meaning of Code, Sub and the
 // A/B/C payload fields is documented on the Kind constants; Tick is the
 // deterministic world tick where one applies (0 for offline stages).
@@ -125,14 +115,8 @@ type Record struct {
 // concurrent use; the zero value is not usable — construct with
 // NewRecorder or use the process-wide Default.
 type Recorder struct {
-	enabled atomic.Bool
-	seq     atomic.Uint64 // written under mu, read lock-free
-	// Incident bookkeeping: lastIncident is the seq of the newest
-	// incident record, dumpedThrough the newest seq included in a dump.
-	// The ring is "dirty" while lastIncident > dumpedThrough.
-	lastIncident  atomic.Uint64
-	dumpedThrough atomic.Uint64
-	incidents     atomic.Uint64
+	seq       atomic.Uint64 // written under mu, read lock-free
+	incidents atomic.Uint64
 
 	mu   sync.Mutex
 	ring []Record
@@ -147,7 +131,7 @@ type Recorder struct {
 // than the window an operator needs around an incident.
 const DefaultCapacity = 4096
 
-// NewRecorder builds an enabled recorder holding the last capacity
+// NewRecorder builds a recorder holding the last capacity
 // records (minimum 1).
 func NewRecorder(capacity int) *Recorder {
 	if capacity < 1 {
@@ -157,7 +141,6 @@ func NewRecorder(capacity int) *Recorder {
 	for k := range r.handles {
 		r.handles[k] = Handle{rec: r, kind: Kind(k)}
 	}
-	r.enabled.Store(true)
 	return r
 }
 
@@ -181,47 +164,17 @@ func (r *Recorder) Handle(k Kind) *Handle {
 	return &r.handles[k]
 }
 
-// SetEnabled switches recording on or off. Disabled writes are a single
-// atomic load.
-func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether writes are recorded.
-func (r *Recorder) Enabled() bool { return r.enabled.Load() }
-
 // Total returns the number of records ever written (the newest seq).
 func (r *Recorder) Total() uint64 { return r.seq.Load() }
 
 // Incidents returns the number of incident records ever written.
 func (r *Recorder) Incidents() uint64 { return r.incidents.Load() }
 
-// Dirty reports whether an incident has been recorded since the last
-// dump: the snapshot-on-incident signal that tells an operator (or
-// aegis-bench) the ring holds an undumped incident window.
-func (r *Recorder) Dirty() bool {
-	return r.lastIncident.Load() > r.dumpedThrough.Load()
-}
-
 // Capacity returns the ring size.
 func (r *Recorder) Capacity() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.ring)
-}
-
-// Reset clears the ring and all counters, for tests that need a
-// from-zero journal on the shared default recorder.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.ring {
-		r.ring[i] = Record{}
-	}
-	r.next = 0
-	r.full = false
-	r.seq.Store(0)
-	r.lastIncident.Store(0)
-	r.dumpedThrough.Store(0)
-	r.incidents.Store(0)
 }
 
 // Snapshot returns the retained records oldest-first. The copy is taken
@@ -240,11 +193,11 @@ func (r *Recorder) Snapshot() []Record {
 
 // write appends one record. Zero heap allocations: the hot instrumented
 // paths (RDPMC, World.Step, Obfuscator.Step) call this on every tick and
-// the bench-alloc gates hold them to 0 allocs/op with recording enabled.
+// the bench-alloc gates hold them to 0 allocs/op.
 //
 //aegis:hotpath
 func (r *Recorder) write(k Kind, tick int64, code, sub Code, incident bool, a, b, c float64) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()
@@ -261,7 +214,6 @@ func (r *Recorder) write(k Kind, tick int64, code, sub Code, incident bool, a, b
 	}
 	if incident {
 		r.incidents.Add(1)
-		r.lastIncident.Store(seq)
 	}
 	r.mu.Unlock()
 	mRecords[k].Inc()
@@ -288,8 +240,8 @@ func (h *Handle) Record(tick int64, code, sub Code, a, b, c float64) {
 	h.rec.write(h.kind, tick, code, sub, false, a, b, c)
 }
 
-// Incident journals one incident record and marks the ring dirty, so the
-// surrounding window is flagged for dumping.
+// Incident journals one incident record: it carries Incident=true in the
+// dump and counts toward the recorder's incident total.
 //
 //aegis:hotpath
 func (h *Handle) Incident(tick int64, code, sub Code, a, b, c float64) {
@@ -298,9 +250,6 @@ func (h *Handle) Incident(tick int64, code, sub Code, a, b, c float64) {
 	}
 	h.rec.write(h.kind, tick, code, sub, true, a, b, c)
 }
-
-// Kind returns the handle's record kind.
-func (h *Handle) Kind() Kind { return h.kind }
 
 // Per-kind record counters plus the incident counter, eagerly created so
 // hot-path writes never take the registry lookup path.

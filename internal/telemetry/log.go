@@ -62,7 +62,6 @@ type Sink interface {
 // instrumented hot paths cost ~zero when logging is off.
 type Logger struct {
 	sink atomic.Pointer[sinkBox]
-	min  atomic.Int32 // minimum level emitted
 }
 
 // sinkBox wraps the interface so it fits an atomic.Pointer.
@@ -77,29 +76,20 @@ func (l *Logger) SetSink(s Sink) {
 	l.sink.Store(&sinkBox{s: s})
 }
 
-// SetLevel sets the minimum emitted level.
-func (l *Logger) SetLevel(min Level) { l.min.Store(int32(min)) }
-
-// Log emits one event if a sink is installed and the level passes.
+// Log emits one event if a sink is installed.
 func (l *Logger) Log(level Level, msg string, fields ...Field) {
 	box := l.sink.Load()
-	if box == nil || int32(level) < l.min.Load() {
+	if box == nil {
 		return
 	}
 	box.s.Emit(Event{Time: time.Now(), Level: level, Msg: msg, Fields: fields})
 }
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.Log(LevelDebug, msg, fields...) }
 
 // Info logs at info level.
 func (l *Logger) Info(msg string, fields ...Field) { l.Log(LevelInfo, msg, fields...) }
 
 // Warn logs at warn level.
 func (l *Logger) Warn(msg string, fields ...Field) { l.Log(LevelWarn, msg, fields...) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, fields ...Field) { l.Log(LevelError, msg, fields...) }
 
 // WriterSink renders events as one "time level msg k=v ..." line each.
 type WriterSink struct {
@@ -119,24 +109,4 @@ func (s *WriterSink) Emit(e Event) {
 		fmt.Fprintf(s.w, " %s=%v", f.Key, f.Value)
 	}
 	fmt.Fprintln(s.w)
-}
-
-// MemorySink buffers events in memory; tests use it to assert on logs.
-type MemorySink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit implements Sink.
-func (s *MemorySink) Emit(e Event) {
-	s.mu.Lock()
-	s.events = append(s.events, e)
-	s.mu.Unlock()
-}
-
-// Events returns a copy of the buffered events.
-func (s *MemorySink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
 }

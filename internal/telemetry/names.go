@@ -93,11 +93,9 @@ const (
 
 // Hardware performance counter substrate.
 const (
-	MetricHpcMultiplexRotationsTotal = "hpc_multiplex_rotations_total"
-	MetricHpcPerfTicksTotal          = "hpc_perf_ticks_total"
-	MetricHpcPmuProgramsTotal        = "hpc_pmu_programs_total"
-	MetricHpcPmuResetsTotal          = "hpc_pmu_resets_total"
-	MetricHpcRdpmcReadsTotal         = "hpc_rdpmc_reads_total"
+	MetricHpcPmuProgramsTotal = "hpc_pmu_programs_total"
+	MetricHpcPmuResetsTotal   = "hpc_pmu_resets_total"
+	MetricHpcRdpmcReadsTotal  = "hpc_rdpmc_reads_total"
 )
 
 // Online obfuscator tick funnel (single and multi-plan).

@@ -136,18 +136,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
-// Mean returns the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the +Inf bucket.
 func (h *Histogram) BucketCounts() []uint64 {
@@ -163,18 +151,6 @@ func (h *Histogram) Name() string { return h.name }
 
 // DefBuckets are general-purpose duration buckets in seconds.
 var DefBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
 
 // ExpBuckets returns n ascending bounds start, start*factor, ...
 func ExpBuckets(start, factor float64, n int) []float64 {
@@ -311,9 +287,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 
 // Tracer returns the registry's span tracer.
 func (r *Registry) Tracer() *Tracer { return r.tracer }
-
-// Logger returns the registry's structured event log.
-func (r *Registry) Logger() *Logger { return r.logger }
 
 // Package-level helpers bound to the default registry.
 

@@ -19,6 +19,7 @@ import (
 
 // Errors returned by the package.
 var (
+	ErrNoEvents      = errors.New("trace: collector needs at least one event")
 	ErrTooManyEvents = errors.New("trace: more events than counter registers")
 	ErrEmptyTrace    = errors.New("trace: empty trace")
 )
@@ -63,15 +64,6 @@ func (tr Trace) Channel(e int) []float64 {
 	return out
 }
 
-// Total returns the summed count of channel e over the whole trace.
-func (tr Trace) Total(e int) float64 {
-	var sum float64
-	for t := range tr.Data {
-		sum += tr.Data[t][e]
-	}
-	return sum
-}
-
 // Clone deep-copies the trace.
 func (tr Trace) Clone() Trace {
 	data := make([][]float64, len(tr.Data))
@@ -94,7 +86,7 @@ type Collector struct {
 // be nil for exact reads.
 func NewCollector(core *microarch.Core, events []*hpc.Event, noise *rng.Source) (*Collector, error) {
 	if len(events) == 0 {
-		return nil, hpc.ErrNoEvents
+		return nil, ErrNoEvents
 	}
 	if len(events) > hpc.NumCounterRegisters {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyEvents, len(events), hpc.NumCounterRegisters)
@@ -111,24 +103,9 @@ func NewCollector(core *microarch.Core, events []*hpc.Event, noise *rng.Source) 
 	return c, nil
 }
 
-// EventNames returns the monitored event names in channel order.
-func (c *Collector) EventNames() []string {
-	names := make([]string, len(c.events))
-	for i, e := range c.events {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// Sample reads the per-tick counts and re-arms the counters.
-func (c *Collector) Sample() ([]float64, error) {
-	return c.SampleInto(nil)
-}
-
-// SampleInto is Sample writing into a caller-supplied buffer: it reads the
-// per-tick counts, re-arms the counters, and fills dst (reallocating only
-// when its capacity is short). The returned slice has one value per
-// monitored event, in channel order.
+// SampleInto reads the per-tick counts, re-arms the counters, and fills
+// dst (reallocating only when its capacity is short). The returned slice
+// has one value per monitored event, in channel order.
 func (c *Collector) SampleInto(dst []float64) ([]float64, error) {
 	if cap(dst) < len(c.events) {
 		dst = make([]float64, len(c.events))
@@ -289,13 +266,6 @@ func (n *Normalizer) Apply(tr *Trace) {
 	}
 }
 
-// ApplyDataset normalises every trace of a dataset in place.
-func (n *Normalizer) ApplyDataset(d *Dataset) {
-	for i := range d.Traces {
-		n.Apply(&d.Traces[i])
-	}
-}
-
 // LabelIndex maps class names to dense indices for classifiers.
 type LabelIndex struct {
 	names []string
@@ -337,9 +307,4 @@ func (li *LabelIndex) Name(i int) string {
 		return ""
 	}
 	return li.names[i]
-}
-
-// Names returns all labels in index order.
-func (li *LabelIndex) Names() []string {
-	return append([]string(nil), li.names...)
 }

@@ -27,8 +27,8 @@ func TestTraceAccessors(t *testing.T) {
 	if ch[0] != 2 || ch[2] != 6 {
 		t.Errorf("channel = %v", ch)
 	}
-	if tr.Total(0) != 9 {
-		t.Errorf("total = %v, want 9", tr.Total(0))
+	if channelTotal(tr, 0) != 9 {
+		t.Errorf("total = %v, want 9", channelTotal(tr, 0))
 	}
 }
 
@@ -47,7 +47,7 @@ func TestNewCollectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCollector(core, nil, nil); !errors.Is(err, hpc.ErrNoEvents) {
+	if _, err := NewCollector(core, nil, nil); !errors.Is(err, ErrNoEvents) {
 		t.Errorf("no events error = %v", err)
 	}
 	cat := hpc.NewAMDEpyc7252Catalog(1)
@@ -108,12 +108,11 @@ func TestCollectDuring(t *testing.T) {
 	if tr.Ticks() != 50 || tr.Events() != 4 {
 		t.Fatalf("trace dims = %dx%d, want 50x4", tr.Ticks(), tr.Events())
 	}
-	if tr.Total(0) == 0 {
+	if channelTotal(tr, 0) == 0 {
 		t.Error("RETIRED_UOPS channel is all zero during a page load")
 	}
-	names := col.EventNames()
-	if names[0] != "RETIRED_UOPS" || names[3] != "DATA_CACHE_REFILLS_FROM_SYSTEM" {
-		t.Errorf("event names = %v", names)
+	if col.events[0].Name != "RETIRED_UOPS" || col.events[3].Name != "DATA_CACHE_REFILLS_FROM_SYSTEM" {
+		t.Errorf("events = %s, %s", col.events[0].Name, col.events[3].Name)
 	}
 }
 
@@ -126,7 +125,7 @@ func TestTracesDistinguishSites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.Total(0)
+		return channelTotal(tr, 0)
 	}
 	g1 := total(10, "google.com")
 	g2 := total(11, "google.com")
@@ -191,7 +190,9 @@ func TestNormalizer(t *testing.T) {
 	if n.Mean[0] != 2 || n.Mean[1] != 20 {
 		t.Errorf("means = %v", n.Mean)
 	}
-	n.ApplyDataset(d)
+	for i := range d.Traces {
+		n.Apply(&d.Traces[i])
+	}
 	// After normalisation, channel means are 0.
 	var sum0, sum1 float64
 	for _, row := range d.Traces[0].Data {
@@ -238,4 +239,13 @@ func TestLabelIndex(t *testing.T) {
 	if li.Name(9) != "" {
 		t.Error("out of range name not empty")
 	}
+}
+
+// channelTotal sums channel e of a trace.
+func channelTotal(tr Trace, e int) float64 {
+	var sum float64
+	for _, v := range tr.Channel(e) {
+		sum += v
+	}
+	return sum
 }

@@ -57,30 +57,12 @@ func (l *Library) Sample(class isa.Class, r *rng.Source) isa.Variant {
 	return pool[r.Intn(len(pool))]
 }
 
-// Classes returns the classes available in the library (sorted, for tests).
-func (l *Library) Classes() []isa.Class {
-	out := make([]isa.Class, 0, len(l.byClass))
-	for c := range l.byClass {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Mix is a weighted instruction-class distribution.
 type Mix map[isa.Class]float64
 
-// Sample draws a class proportional to the weights. Callers drawing in a
-// tight loop should compile the mix once instead (see compileMix): this
-// convenience form rebuilds the sorted class table on every call.
-func (m Mix) Sample(r *rng.Source) isa.Class {
-	return compileMix(m).sample(r)
-}
-
 // mixSampler is a Mix compiled to a sorted class/weight table, so per-
 // instruction draws dispatch on slice index without rebuilding and sorting
-// the class list per call. Sampling is draw-for-draw identical to
-// Mix.Sample: same RNG consumption, same class for the same draw.
+// the class list per call. It draws a class proportional to the weights.
 type mixSampler struct {
 	classes []isa.Class // all mix classes, ascending (incl. non-positive weights)
 	weights []float64
@@ -144,15 +126,6 @@ type Phase struct {
 type Job struct {
 	Label  string
 	Phases []Phase
-}
-
-// TotalInstructions sums the phase budgets.
-func (j Job) TotalInstructions() int {
-	var n int
-	for _, p := range j.Phases {
-		n += p.Instructions
-	}
-	return n
 }
 
 // JobTiming records when a job ran, in world ticks.
@@ -226,9 +199,6 @@ func (r *Runner) Pending() int { return len(r.queue) }
 func (r *Runner) Timings() []JobTiming {
 	return append([]JobTiming(nil), r.timings...)
 }
-
-// Idle reports whether the runner has no active job.
-func (r *Runner) Idle() bool { return len(r.queue) == 0 }
 
 // Step implements sev.Process: run up to one tick of the current job.
 func (r *Runner) Step(g *sev.GuestExecutor) {

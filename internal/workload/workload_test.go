@@ -40,7 +40,7 @@ func TestMixSampleProportions(t *testing.T) {
 	counts := map[isa.Class]int{}
 	const n = 40000
 	for i := 0; i < n; i++ {
-		counts[m.Sample(r)]++
+		counts[compileMix(m).sample(r)]++
 	}
 	aluFrac := float64(counts[isa.ClassALU]) / n
 	if aluFrac < 0.72 || aluFrac > 0.78 {
@@ -49,10 +49,10 @@ func TestMixSampleProportions(t *testing.T) {
 }
 
 func TestMixSampleEmpty(t *testing.T) {
-	if c := (Mix{}).Sample(rng.New(1)); c != isa.ClassNop {
+	if c := compileMix(Mix{}).sample(rng.New(1)); c != isa.ClassNop {
 		t.Errorf("empty mix sampled %v", c)
 	}
-	if c := (Mix{isa.ClassALU: -1}).Sample(rng.New(1)); c != isa.ClassNop {
+	if c := compileMix(Mix{isa.ClassALU: -1}).sample(rng.New(1)); c != isa.ClassNop {
 		t.Errorf("all-negative mix sampled %v", c)
 	}
 }
@@ -287,7 +287,7 @@ func TestMixSampleAlwaysReturnsWeightedClass(t *testing.T) {
 		}
 		r := rng.New(seed)
 		for i := 0; i < 50; i++ {
-			c := m.Sample(r)
+			c := compileMix(m).sample(r)
 			if len(positive) == 0 {
 				return c == isa.ClassNop
 			}
@@ -338,4 +338,13 @@ func TestKeystrokeJobCoversWindow(t *testing.T) {
 	}, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TotalInstructions sums the phase budgets.
+func (j Job) TotalInstructions() int {
+	var n int
+	for _, p := range j.Phases {
+		n += p.Instructions
+	}
+	return n
 }
