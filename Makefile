@@ -1,15 +1,5 @@
 GO ?= go
 
-# Bench trajectory settings: the JSON the harness emits and the committed
-# baseline bench-check compares against (latest BENCH_*.json by default).
-# The run covers the full matrix GOMAXPROCS in {1, 4, NumCPU} (duplicates
-# collapse on small hosts) x parallelism in {1, 4}, measures the
-# internal/benchkit kernels per GOMAXPROCS value, and commits the
-# multi-core scaling floors bench-check gates on hosts with >= 4 CPUs.
-BENCH_JSON ?= BENCH_$(shell date +%F).json
-BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-BENCH_ARGS ?= -scale eval -seed 1 -only table2,table3 -parallelism 1,4 -gomaxprocs 1,4,0 -scaling-floors table2=1.5,table3=1.5 -telemetry=false
-
 # Native Go fuzzing budget per target; `make check` runs a short smoke pass,
 # raise FUZZTIME for a longer campaign (e.g. make fuzz FUZZTIME=60s).
 FUZZTIME ?= 5s
@@ -19,7 +9,7 @@ FUZZTIME ?= 5s
 # operator reaches for mid-incident, so their test coverage is gated.
 COVER_FLOOR ?= 85
 
-.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke bench-json bench-check cover e2e
+.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
@@ -78,7 +68,7 @@ fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultinject/proptest/ -run='^$$' -fuzz=FuzzTickUnderFaults -fuzztime $(FUZZTIME)
 
-bench: bench-json
+bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Allocation gates: assert the steady-state hot paths (RDPMC, World.Step,
@@ -106,15 +96,3 @@ cover:
 	if [ "$$ok" != "1" ]; then \
 		echo "cover: observability coverage $$pct% is below the $(COVER_FLOOR)% floor"; exit 1; \
 	fi
-
-# Run the GOMAXPROCS x parallelism trajectory matrix and record
-# wall-clock/throughput plus per-kernel ns/op and allocs/op.
-bench-json:
-	$(GO) run ./cmd/aegis-bench $(BENCH_ARGS) -bench-json $(BENCH_JSON)
-
-# Re-run the matrix and fail on >20% per-experiment or per-kernel
-# regressions, allocs/op increases, or (on hosts with >= 4 CPUs)
-# trajectory speedups below the baseline's committed scaling floors.
-bench-check:
-	@if [ -z "$(BASELINE)" ]; then echo "bench-check: no BENCH_*.json baseline found"; exit 1; fi
-	$(GO) run ./cmd/aegis-bench $(BENCH_ARGS) -bench-check $(BASELINE)

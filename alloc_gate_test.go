@@ -15,7 +15,6 @@ package aegis
 import (
 	"testing"
 
-	"github.com/repro/aegis/internal/benchkit"
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
 	"github.com/repro/aegis/internal/faultinject"
@@ -206,9 +205,9 @@ func TestZeroAllocFlightRecord(t *testing.T) {
 // TestZeroAllocStatsScratch gates the arena-reusing numeric kernels at the
 // shapes the profiler's scoring loop uses.
 func TestZeroAllocStatsScratch(t *testing.T) {
-	rows := benchkit.PCARows(72, 150)
-	classes := benchkit.MIClasses(6)
-	xs, ys := benchkit.BinnedPairs(400)
+	rows := pcaRows(72, 150)
+	classes := miClasses(6)
+	xs, ys := binnedPairs(400)
 	var s stats.Scratch
 	requireZeroAllocs(t, "Scratch.FitPCA", 32, func() {
 		if _, err := s.FitPCA(rows, 1); err != nil {

@@ -11,11 +11,9 @@ import (
 	"testing"
 
 	"github.com/repro/aegis/internal/experiment"
-	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/ml"
-	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
 	"github.com/repro/aegis/internal/workload"
@@ -287,21 +285,6 @@ func BenchmarkCoreExecuteLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkPMURead(b *testing.B) {
-	core := microarch.NewCore(0, microarch.DefaultCoreConfig(), nil)
-	pmu := hpc.NewPMU(core, rng.New(3).Split("pmu"))
-	cat := hpc.NewAMDEpyc7252Catalog(1)
-	if err := pmu.Program(0, cat.MustByName("RETIRED_UOPS")); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pmu.RDPMC(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWorldTick(b *testing.B) {
 	world := sev.NewWorld(sev.DefaultConfig(4))
 	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
@@ -318,30 +301,6 @@ func BenchmarkWorldTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		world.Step()
-	}
-}
-
-func BenchmarkLaplaceMechanismNoise(b *testing.B) {
-	m, err := obfuscator.NewLaplaceMechanism(1, 1500, rng.New(6).Split("lap"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Noise(int64(i), 0)
-	}
-}
-
-func BenchmarkDStarMechanismNoise(b *testing.B) {
-	m, err := obfuscator.NewDStarMechanism(1, 1500, rng.New(7).Split("dstar"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := int64(i + 1)
-		n := m.Noise(t, 0)
-		m.Commit(t, n)
 	}
 }
 

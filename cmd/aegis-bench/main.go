@@ -4,43 +4,19 @@
 // Usage:
 //
 //	aegis-bench [-only table1,figure9a,...] [-scale test|eval] [-seed N]
-//	            [-parallelism N[,M,...]] [-gomaxprocs N[,M,...]]
-//	            [-bench-json PATH] [-bench-check BASELINE]
-//	            [-scaling-floors name=MIN,...] [-kernels=BOOL]
-//	            [-serial] [-flight PATH]
+//	            [-parallelism N] [-serial] [-flight PATH]
 //	            [-store DIR] [-store-compare] [-store-assert]
 //	            [-cpuprofile PATH] [-memprofile PATH]
 //
 // Without -only, every experiment runs in paper order. The eval scale
 // matches the values recorded in EXPERIMENTS.md; the test scale is a quick
-// smoke run.
+// smoke run. Performance is measured by the repo benchmark in bench/, not
+// by this command.
 //
 // -parallelism bounds the worker pools inside the fuzzing and profiling
-// pipelines (0 = GOMAXPROCS). A comma-separated list runs the selected
-// experiments once per value — a benchmark trajectory — and reports the
-// speedup of the last value over the first. Results are byte-identical at
-// every value; only wall-clock time changes.
-//
-// -gomaxprocs runs that trajectory once per scheduler width (0 = NumCPU;
-// duplicates after resolving 0 collapse). Every run entry in the report
-// records the gomaxprocs and numcpu it executed under, so a committed
-// BENCH_*.json is self-describing about the host it was measured on — a
-// 1-vCPU container's numbers are never mistaken for multi-core scaling.
-//
-// -bench-json writes per-experiment wall-clock (and throughput, where the
-// experiment exposes a work-item count) to PATH as an aegis-bench/v2
-// document. Timing runs also measure the internal/benchkit hot-path
-// kernels (PCA fit, MI estimators, DP draw paths) once per gomaxprocs
-// value, recording ns/op and allocs/op per kernel (disable with
-// -kernels=false). -bench-check re-runs the same experiments and fails if
-// any experiment is more than 20% slower than the entries recorded in
-// BASELINE (v1 or v2), if any kernel is more than 20% slower or allocates
-// more per op, or — on hosts with at least 4 CPUs — if a trajectory
-// speedup drops below the baseline's committed scaling floors
-// (-scaling-floors commits them into a fresh report). Timing runs imply
-// serial job execution so timings are not polluted by sibling
-// experiments; otherwise independent experiments run concurrently
-// (disable with -serial).
+// pipelines (0 = GOMAXPROCS). Results are byte-identical at every value;
+// only wall-clock time changes. Independent experiments run concurrently
+// unless -serial is given.
 //
 // -flight writes the flight recorder's journal to PATH as aegis-flight/v1
 // JSONL, one labelled dump per experiment as it completes. It implies
@@ -58,25 +34,22 @@
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments (the heap profile is taken after a final GC, so it shows
-// retained memory rather than transient garbage). Combine with -serial and
-// a single -parallelism value when attributing costs to one pipeline.
+// retained memory rather than transient garbage). Combine with -serial
+// when attributing costs to one pipeline.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/repro/aegis/internal/artifact"
-	"github.com/repro/aegis/internal/benchkit"
 	"github.com/repro/aegis/internal/experiment"
 	"github.com/repro/aegis/internal/ops"
 	"github.com/repro/aegis/internal/parallel"
@@ -93,293 +66,44 @@ func main() {
 
 type job struct {
 	name string
-	// run returns the rendered result and the number of work items the
-	// experiment processed (0 when the experiment has no natural unit);
-	// items feed the throughput column of -bench-json.
-	run func(experiment.Scale) (fmt.Stringer, int, error)
+	run  func(experiment.Scale) (string, error)
 }
 
-// renderable adapts experiment results to fmt.Stringer.
-type renderable struct{ s string }
-
-func (r renderable) String() string { return r.s }
-
-func wrap(s string, err error) (fmt.Stringer, int, error) {
-	return renderable{s: s}, 0, err
+// render turns an experiment's (result, error) pair into a job's output.
+func render[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
 }
 
 func jobs() []job {
 	return []job{
-		{"table1", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			return wrap(experiment.Table1().Render(), nil)
+		{"table1", func(experiment.Scale) (string, error) { return experiment.Table1().Render(), nil }},
+		{"table2", func(sc experiment.Scale) (string, error) { return render(experiment.Table2(sc)) }},
+		{"table3", func(sc experiment.Scale) (string, error) { return render(experiment.Table3(sc)) }},
+		{"figure1", func(sc experiment.Scale) (string, error) { return render(experiment.Figure1(sc)) }},
+		{"figure3", func(sc experiment.Scale) (string, error) { return render(experiment.Figure3(sc)) }},
+		{"figure8", func(sc experiment.Scale) (string, error) { return render(experiment.Figure8(sc)) }},
+		{"figure9a", func(sc experiment.Scale) (string, error) { return render(experiment.Figure9a(sc, nil)) }},
+		{"figure9b", func(sc experiment.Scale) (string, error) { return render(experiment.Figure9b(sc, nil)) }},
+		{"figure9c", func(sc experiment.Scale) (string, error) { return render(experiment.Figure9c(sc, nil)) }},
+		{"figure10", func(sc experiment.Scale) (string, error) { return render(experiment.Figure10(sc, nil)) }},
+		{"figure11", func(sc experiment.Scale) (string, error) { return render(experiment.Figure11(sc)) }},
+		{"constant", func(sc experiment.Scale) (string, error) { return render(experiment.ConstantOutputComparison(sc)) }},
+		{"operating", func(sc experiment.Scale) (string, error) {
+			return render(experiment.FindOperatingPoints(sc, 0.25, nil))
 		}},
-		{"table2", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Table2(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			items := 0
-			for _, row := range res.Rows {
-				items += row.TotalEvents
-			}
-			return renderable{s: res.Render()}, items, nil
+		{"multitries", func(sc experiment.Scale) (string, error) { return render(experiment.MultipleTriesAnalysis(sc, nil)) }},
+		{"occupancy", func(sc experiment.Scale) (string, error) {
+			return render(experiment.CacheOccupancyExtension(sc, 0.125))
 		}},
-		{"table3", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Table3(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			items := 0
-			for _, row := range res.Rows {
-				items += row.GadgetsTried
-			}
-			return renderable{s: res.Render()}, items, nil
-		}},
-		{"figure1", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure1(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure3", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure3(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure8", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure8(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure9a", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure9a(sc, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure9b", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure9b(sc, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure9c", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure9c(sc, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure10", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure10(sc, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"figure11", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Figure11(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"constant", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.ConstantOutputComparison(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"operating", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.FindOperatingPoints(sc, 0.25, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"multitries", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.MultipleTriesAnalysis(sc, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"occupancy", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.CacheOccupancyExtension(sc, 0.125)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"ablation-cover", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.AblationSetCover(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"ablation-pca", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.AblationPCA(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"ablation-confirm", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.AblationConfirmation(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
-		{"ablation-buffer", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			return wrap(experiment.AblationNoiseBuffer(1<<20).Render(), nil)
-		}},
-		{"robustness", func(sc experiment.Scale) (fmt.Stringer, int, error) {
-			res, err := experiment.Robustness(sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			return wrap(res.Render(), nil)
-		}},
+		{"ablation-cover", func(sc experiment.Scale) (string, error) { return render(experiment.AblationSetCover(sc)) }},
+		{"ablation-pca", func(sc experiment.Scale) (string, error) { return render(experiment.AblationPCA(sc)) }},
+		{"ablation-confirm", func(sc experiment.Scale) (string, error) { return render(experiment.AblationConfirmation(sc)) }},
+		{"ablation-buffer", func(experiment.Scale) (string, error) { return experiment.AblationNoiseBuffer(1 << 20).Render(), nil }},
+		{"robustness", func(sc experiment.Scale) (string, error) { return render(experiment.Robustness(sc)) }},
 	}
-}
-
-// benchEntry records one experiment's timing within one trajectory run.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Items       int     `json:"items,omitempty"`
-	// Throughput is items per second, present when Items > 0.
-	Throughput float64 `json:"throughput,omitempty"`
-}
-
-// benchRun is one pass over the selected experiments at a fixed pipeline
-// parallelism and scheduler width. GOMAXPROCS/NumCPU are recorded per run
-// (not only at the top level) so every entry is self-describing about the
-// execution environment it was timed under; v1 documents predate the
-// fields and leave them 0 (bench-check fills them from the top level).
-type benchRun struct {
-	Parallelism int          `json:"parallelism"`
-	GOMAXPROCS  int          `json:"gomaxprocs,omitempty"`
-	NumCPU      int          `json:"numcpu,omitempty"`
-	Entries     []benchEntry `json:"entries"`
-}
-
-// kernelEntry is one hot-path kernel's measured cost (internal/benchkit).
-type kernelEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// kernelRun is one pass over the kernel suite at a fixed scheduler width.
-type kernelRun struct {
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"numcpu"`
-	Kernels    []kernelEntry `json:"kernels"`
-}
-
-// benchReport is the -bench-json document (schema aegis-bench/v2;
-// bench-check also reads v1 baselines, which lack per-run gomaxprocs,
-// kernel runs and scaling floors).
-type benchReport struct {
-	Schema     string     `json:"schema"`
-	Created    string     `json:"created"`
-	GoVersion  string     `json:"go_version"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"numcpu,omitempty"`
-	Seed       uint64     `json:"seed"`
-	Scale      string     `json:"scale"`
-	Runs       []benchRun `json:"runs"`
-	// KernelRuns holds the per-kernel micro-benchmark sections, one per
-	// gomaxprocs value (timing runs only).
-	KernelRuns []kernelRun `json:"kernel_runs,omitempty"`
-	// Speedups maps experiment name to wall(first run)/wall(last run) of
-	// the parallelism trajectory at the widest gomaxprocs value measured.
-	Speedups map[string]float64 `json:"speedups,omitempty"`
-	// ScalingFloors maps experiment name to the minimum trajectory
-	// speedup a multi-core host (NumCPU >= 4) must reach; bench-check
-	// gates fresh Speedups against the baseline's committed floors and
-	// skips the gate — loudly — on hosts that cannot scale.
-	ScalingFloors map[string]float64 `json:"scaling_floors,omitempty"`
-}
-
-const benchSchema = "aegis-bench/v2"
-
-func parseIntList(flagName, s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad %s value %q", flagName, part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty %s list", flagName)
-	}
-	return out, nil
-}
-
-func parseParallelismList(s string) ([]int, error) {
-	return parseIntList("-parallelism", s)
-}
-
-// parseGomaxprocsList parses the -gomaxprocs list, resolving 0 to NumCPU
-// and collapsing duplicates (order-preserving), so `1,4,0` on a 4-CPU host
-// is {1, 4} and on a 16-CPU host {1, 4, 16}.
-func parseGomaxprocsList(s string, numCPU int) ([]int, error) {
-	raw, err := parseIntList("-gomaxprocs", s)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, g := range raw {
-		if g == 0 {
-			g = numCPU
-		}
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	return out, nil
-}
-
-// parseFloors parses `-scaling-floors table2=1.5,table3=1.5`.
-func parseFloors(s string) (map[string]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	out := map[string]float64{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		f, err := strconv.ParseFloat(val, 64)
-		if !ok || name == "" || err != nil || f < 1 {
-			return nil, fmt.Errorf("bad -scaling-floors entry %q (want name=MIN with MIN >= 1)", part)
-		}
-		out[name] = f
-	}
-	return out, nil
 }
 
 func run(args []string) error {
@@ -390,13 +114,8 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 1, "experiment seed")
 		list     = fs.Bool("list", false, "list experiment names and exit")
 		telem    = fs.Bool("telemetry", true, "print a telemetry summary after the run")
-		para     = fs.String("parallelism", "0", "pipeline worker bound; comma-separated list runs a trajectory (0 = GOMAXPROCS)")
-		gomax    = fs.String("gomaxprocs", "0", "scheduler widths to run the trajectory under; comma-separated (0 = NumCPU)")
-		benchOut = fs.String("bench-json", "", "write wall-clock/throughput JSON to this path (implies serial jobs)")
-		baseline = fs.String("bench-check", "", "compare a fresh run against this baseline JSON; fail on >20% regression")
-		floorsIn = fs.String("scaling-floors", "", "trajectory speedup floors to commit into the report, e.g. table2=1.5,table3=1.5")
-		kernels  = fs.Bool("kernels", true, "measure per-kernel ns/op and allocs/op in timing runs")
-		serial   = fs.Bool("serial", false, "run experiments one at a time even when not benchmarking")
+		para     = fs.Int("parallelism", 0, "pipeline worker bound (0 = GOMAXPROCS)")
+		serial   = fs.Bool("serial", false, "run experiments one at a time")
 		flightTo = fs.String("flight", "", "write per-experiment aegis-flight/v1 JSONL dumps to this path (implies serial jobs)")
 		storeDir = fs.String("store", "", "artifact store directory backing the offline pipelines (enables campaign resume)")
 		storeCmp = fs.Bool("store-compare", false, "run the selected experiments twice against -store and report cold vs warm wall-clock and hit rates")
@@ -451,19 +170,11 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
+	if *para < 0 {
+		return fmt.Errorf("bad -parallelism %d (want >= 0)", *para)
+	}
 	sc.FaultPreset = *faults
-	parallelisms, err := parseParallelismList(*para)
-	if err != nil {
-		return err
-	}
-	gomaxes, err := parseGomaxprocsList(*gomax, runtime.NumCPU())
-	if err != nil {
-		return err
-	}
-	floors, err := parseFloors(*floorsIn)
-	if err != nil {
-		return err
-	}
+	sc.Parallelism = *para
 
 	selected := map[string]bool{}
 	if *only != "" {
@@ -477,8 +188,16 @@ func run(args []string) error {
 			picked = append(picked, j)
 		}
 	}
-	if len(picked) == 0 {
-		return fmt.Errorf("no experiments matched %q", *only)
+	for _, j := range picked {
+		delete(selected, j.name)
+	}
+	if len(selected) > 0 {
+		unknown := make([]string, 0, len(selected))
+		for name := range selected {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+		sort.Strings(unknown)
+		return fmt.Errorf("unknown experiment(s) %s in -only (see -list)", strings.Join(unknown, ", "))
 	}
 
 	if *storeCmp && *storeDir == "" {
@@ -489,16 +208,8 @@ func run(args []string) error {
 	}
 	sc.ArtifactDir = *storeDir
 	if *storeCmp {
-		scp := sc
-		scp.Parallelism = parallelisms[0]
-		return runStoreCompare(picked, scp, *storeChk)
+		return runStoreCompare(picked, sc, *storeChk)
 	}
-
-	// Timing runs must not share the machine with sibling experiments,
-	// and flight dumps need experiments serialised so each dump window
-	// holds exactly one experiment's records.
-	timing := *benchOut != "" || *baseline != ""
-	concurrent := !timing && !*serial && *flightTo == "" && len(picked) > 1
 
 	var flightFile *os.File
 	if *flightTo != "" {
@@ -510,144 +221,45 @@ func run(args []string) error {
 		defer flightFile.Close()
 	}
 
-	report := benchReport{
-		Schema:     benchSchema,
-		Created:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Seed:       *seed,
-		Scale:      *scale,
+	outs := make([]string, len(picked))
+	exec := func(_ context.Context, i int) (struct{}, error) {
+		j := picked[i]
+		start := time.Now()
+		out, err := j.run(sc)
+		if err != nil {
+			return struct{}{}, fmt.Errorf("%s: %w", j.name, err)
+		}
+		outs[i] = fmt.Sprintf("=== %s ===\n%s\n(%s in %s)\n\n", j.name, out, j.name, time.Since(start).Round(time.Millisecond))
+		return struct{}{}, nil
 	}
-	if len(floors) > 0 {
-		report.ScalingFloors = floors
-	}
-	prevGomax := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevGomax)
-	matrix := len(gomaxes) > 1 || gomaxes[0] != prevGomax
-	for _, g := range gomaxes {
-		runtime.GOMAXPROCS(g)
-		if timing && *kernels {
-			kr := kernelRun{GOMAXPROCS: g, NumCPU: runtime.NumCPU()}
-			fmt.Printf("=== kernels (gomaxprocs %d) ===\n", g)
-			for _, res := range benchkit.MeasureAll() {
-				kr.Kernels = append(kr.Kernels, kernelEntry{
-					Name:        res.Name,
-					NsPerOp:     res.NsPerOp,
-					AllocsPerOp: res.AllocsPerOp,
-					BytesPerOp:  res.BytesPerOp,
+	// Flight dumps need experiments serialised so each dump window holds
+	// exactly one experiment's records.
+	if !*serial && flightFile == nil && len(picked) > 1 {
+		pool := parallel.NewPool("bench.jobs", 0)
+		if _, err := parallel.Map(context.Background(), pool, len(picked), exec); err != nil {
+			return err
+		}
+		for _, o := range outs {
+			fmt.Print(o)
+		}
+	} else {
+		for i := range picked {
+			before := flight.Default().Total()
+			if _, err := exec(context.Background(), i); err != nil {
+				return err
+			}
+			fmt.Print(outs[i])
+			if flightFile != nil {
+				err := flight.Default().WriteJSONL(flightFile, flight.DumpOptions{
+					Since: before, Label: picked[i].name,
 				})
-				fmt.Printf("%-14s %12.1f ns/op %6d allocs/op %8d B/op\n",
-					res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp)
-			}
-			fmt.Println()
-			report.KernelRuns = append(report.KernelRuns, kr)
-		}
-		for _, p := range parallelisms {
-			scp := sc
-			scp.Parallelism = p
-			if len(parallelisms) > 1 || matrix {
-				fmt.Printf("=== gomaxprocs %d, parallelism %d ===\n\n", g, p)
-			}
-			run := benchRun{Parallelism: p, GOMAXPROCS: g, NumCPU: runtime.NumCPU()}
-			type jobOut struct {
-				text  string
-				entry benchEntry
-			}
-			outs := make([]jobOut, len(picked))
-			exec := func(_ context.Context, i int) (struct{}, error) {
-				j := picked[i]
-				start := time.Now()
-				out, items, err := j.run(scp)
 				if err != nil {
-					return struct{}{}, fmt.Errorf("%s: %w", j.name, err)
-				}
-				wall := time.Since(start)
-				e := benchEntry{Name: j.name, WallSeconds: wall.Seconds(), Items: items}
-				if items > 0 && wall > 0 {
-					e.Throughput = float64(items) / wall.Seconds()
-				}
-				outs[i] = jobOut{
-					text:  fmt.Sprintf("=== %s ===\n%s\n(%s in %s)\n\n", j.name, out.String(), j.name, wall.Round(time.Millisecond)),
-					entry: e,
-				}
-				return struct{}{}, nil
-			}
-			if concurrent {
-				pool := parallel.NewPool("bench.jobs", 0)
-				if _, err := parallel.Map(context.Background(), pool, len(picked), exec); err != nil {
-					return err
-				}
-			} else {
-				for i := range picked {
-					before := flight.Default().Total()
-					if _, err := exec(context.Background(), i); err != nil {
-						return err
-					}
-					fmt.Print(outs[i].text)
-					outs[i].text = ""
-					if flightFile != nil {
-						err := flight.Default().WriteJSONL(flightFile, flight.DumpOptions{
-							Since: before, Label: picked[i].name,
-						})
-						if err != nil {
-							return fmt.Errorf("flight: %w", err)
-						}
-					}
+					return fmt.Errorf("flight: %w", err)
 				}
 			}
-			for _, o := range outs {
-				if o.text != "" {
-					fmt.Print(o.text)
-				}
-				run.Entries = append(run.Entries, o.entry)
-			}
-			report.Runs = append(report.Runs, run)
 		}
 	}
-
-	// Trajectory speedups: first vs. last parallelism at the widest
-	// scheduler width measured (the last gomaxprocs group is what the
-	// committed scaling floors gate on multi-core hosts).
-	if len(parallelisms) > 1 {
-		lastG := gomaxes[len(gomaxes)-1]
-		var group []benchRun
-		for _, r := range report.Runs {
-			if r.GOMAXPROCS == lastG {
-				group = append(group, r)
-			}
-		}
-		if len(group) > 1 {
-			report.Speedups = map[string]float64{}
-			first, last := group[0], group[len(group)-1]
-			for i, e := range first.Entries {
-				if e.WallSeconds > 0 && last.Entries[i].WallSeconds > 0 {
-					report.Speedups[e.Name] = e.WallSeconds / last.Entries[i].WallSeconds
-				}
-			}
-			fmt.Printf("=== speedup (gomaxprocs %d, parallelism %d -> %d) ===\n",
-				lastG, first.Parallelism, last.Parallelism)
-			for _, e := range first.Entries {
-				if s, ok := report.Speedups[e.Name]; ok {
-					fmt.Printf("%-18s %.2fx\n", e.Name, s)
-				}
-			}
-			fmt.Println()
-		}
-	}
-
-	if *benchOut != "" {
-		if err := writeReport(*benchOut, report); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
-	if *baseline != "" {
-		if err := checkRegression(*baseline, report, runtime.NumCPU()); err != nil {
-			return err
-		}
-	}
-	if *flightTo != "" {
+	if flightFile != nil {
 		fmt.Printf("wrote flight journal to %s\n", *flightTo)
 	}
 	if *telem {
@@ -662,7 +274,7 @@ func run(args []string) error {
 // runStoreCompare measures what the artifact store buys the selected
 // experiments: a cold pass and a warm pass against the same store, with
 // the process-wide store counters diffed around each pass. Passes run
-// serially — this is a timing measurement, like -bench-json. "Cold" means
+// serially — this is a timing measurement. "Cold" means
 // the first pass of this process against the given directory; point
 // -store at an empty directory for a true cold start.
 func runStoreCompare(picked []job, sc experiment.Scale, assert bool) error {
@@ -672,7 +284,7 @@ func runStoreCompare(picked []job, sc experiment.Scale, assert bool) error {
 		start := time.Now()
 		for _, j := range picked {
 			jobStart := time.Now()
-			if _, _, err := j.run(sc); err != nil {
+			if _, err := j.run(sc); err != nil {
 				return 0, artifact.Stats{}, fmt.Errorf("%s (%s pass): %w", j.name, label, err)
 			}
 			fmt.Printf("%-18s %s\n", j.name, time.Since(jobStart).Round(time.Millisecond))
@@ -719,151 +331,5 @@ func runStoreCompare(picked []job, sc experiment.Scale, assert bool) error {
 				warm.Round(time.Millisecond), cold.Round(time.Millisecond))
 		}
 	}
-	return nil
-}
-
-func writeReport(path string, r benchReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runGomaxprocs returns a run's recorded scheduler width, falling back to
-// the report-level value for v1 baselines (whose runs predate the field).
-func runGomaxprocs(r benchRun, report benchReport) int {
-	if r.GOMAXPROCS > 0 {
-		return r.GOMAXPROCS
-	}
-	return report.GOMAXPROCS
-}
-
-// checkRegression compares a fresh report against a committed baseline
-// (v1 or v2):
-//
-//   - any experiment more than 20% slower than the baseline entry with
-//     the same (gomaxprocs, parallelism, name) fails;
-//   - any kernel more than 20% slower in ns/op, or allocating more per
-//     op, than the baseline kernel entry at the same gomaxprocs fails;
-//   - on hosts with NumCPU >= 4, any fresh trajectory speedup below the
-//     baseline's committed scaling floor fails. Hosts that cannot scale
-//     skip the floor gate with an explicit message — a 1-vCPU container
-//     must not silently "pass" a multi-core bar it never attempted.
-//
-// Entries present on only one side are ignored, so the baseline may cover
-// a superset (or, for v1 baselines, a subset) of what the fresh run
-// measured.
-// numCPU is the fresh host's CPU count (parameterised for tests).
-func checkRegression(path string, fresh benchReport, numCPU int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("bench-check: %w", err)
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench-check: parse %s: %w", path, err)
-	}
-	baseWall := map[string]float64{}
-	for _, r := range base.Runs {
-		for _, e := range r.Entries {
-			baseWall[fmt.Sprintf("g%d/p%d/%s", runGomaxprocs(r, base), r.Parallelism, e.Name)] = e.WallSeconds
-		}
-	}
-	const tolerance = 1.20
-	var regressions []string
-	compared := 0
-	for _, r := range fresh.Runs {
-		for _, e := range r.Entries {
-			key := fmt.Sprintf("g%d/p%d/%s", runGomaxprocs(r, fresh), r.Parallelism, e.Name)
-			b, ok := baseWall[key]
-			if !ok || b <= 0 {
-				continue
-			}
-			compared++
-			ratio := e.WallSeconds / b
-			status := "ok"
-			if ratio > tolerance {
-				status = "REGRESSION"
-				regressions = append(regressions,
-					fmt.Sprintf("%s: %.2fs vs baseline %.2fs (%.0f%% slower)", key, e.WallSeconds, b, (ratio-1)*100))
-			}
-			fmt.Printf("bench-check %-26s %.2fs vs %.2fs  %s\n", key, e.WallSeconds, b, status)
-		}
-	}
-
-	// Per-kernel gates: ns/op within tolerance, allocs/op never up.
-	baseKernels := map[string]kernelEntry{}
-	for _, kr := range base.KernelRuns {
-		for _, k := range kr.Kernels {
-			baseKernels[fmt.Sprintf("g%d/%s", kr.GOMAXPROCS, k.Name)] = k
-		}
-	}
-	for _, kr := range fresh.KernelRuns {
-		for _, k := range kr.Kernels {
-			key := fmt.Sprintf("g%d/%s", kr.GOMAXPROCS, k.Name)
-			b, ok := baseKernels[key]
-			if !ok || b.NsPerOp <= 0 {
-				continue
-			}
-			compared++
-			ratio := k.NsPerOp / b.NsPerOp
-			status := "ok"
-			if ratio > tolerance {
-				status = "REGRESSION"
-				regressions = append(regressions,
-					fmt.Sprintf("kernel %s: %.0fns vs baseline %.0fns (%.0f%% slower)", key, k.NsPerOp, b.NsPerOp, (ratio-1)*100))
-			}
-			if k.AllocsPerOp > b.AllocsPerOp {
-				status = "REGRESSION"
-				regressions = append(regressions,
-					fmt.Sprintf("kernel %s: %d allocs/op vs baseline %d", key, k.AllocsPerOp, b.AllocsPerOp))
-			}
-			fmt.Printf("bench-check %-26s %.0fns vs %.0fns, %d vs %d allocs/op  %s\n",
-				key, k.NsPerOp, b.NsPerOp, k.AllocsPerOp, b.AllocsPerOp, status)
-		}
-	}
-
-	// Scaling floors: the baseline commits the bar; the fresh host only
-	// takes the gate if it can physically scale.
-	floors := base.ScalingFloors
-	if len(floors) == 0 {
-		floors = fresh.ScalingFloors
-	}
-	if len(floors) > 0 {
-		if numCPU < 4 {
-			fmt.Printf("bench-check: scaling floors skipped: host has %d CPU(s), floors gate only on hosts with >= 4\n", numCPU)
-		} else {
-			names := make([]string, 0, len(floors))
-			for name := range floors {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				floor := floors[name]
-				got, ok := fresh.Speedups[name]
-				if !ok {
-					continue // experiment not in this run's trajectory
-				}
-				compared++
-				status := "ok"
-				if got < floor {
-					status = "REGRESSION"
-					regressions = append(regressions,
-						fmt.Sprintf("scaling %s: speedup %.2fx below floor %.2fx", name, got, floor))
-				}
-				fmt.Printf("bench-check scaling %-18s %.2fx vs floor %.2fx  %s\n", name, got, floor, status)
-			}
-		}
-	}
-
-	if compared == 0 {
-		return fmt.Errorf("bench-check: no comparable entries in %s", path)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("bench-check: %d regression(s): %s",
-			len(regressions), strings.Join(regressions, "; "))
-	}
-	fmt.Printf("bench-check: %d entries within bounds of baseline\n", compared)
 	return nil
 }

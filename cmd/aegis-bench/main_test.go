@@ -1,215 +1,44 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/repro/aegis/internal/artifact"
 )
 
-func TestParseGomaxprocsList(t *testing.T) {
+func TestRun(t *testing.T) {
 	cases := []struct {
-		in     string
-		numCPU int
-		want   []int
-		err    bool
+		name    string
+		args    []string
+		wantErr string // substring of the error; empty means run must succeed
+		hits    bool   // the run must record artifact-store cache hits
 	}{
-		{"0", 8, []int{8}, false},
-		{"1,4,0", 4, []int{1, 4}, false},
-		{"1,4,0", 16, []int{1, 4, 16}, false},
-		{"1,1,1", 2, []int{1}, false},
-		{"", 4, nil, true},
-		{"x", 4, nil, true},
-		{"-1", 4, nil, true},
+		{name: "list", args: []string{"-list"}},
+		{name: "unknown scale", args: []string{"-scale", "huge"}, wantErr: `unknown scale "huge"`},
+		{name: "unknown only name", args: []string{"-only", "table1,tabel3", "-scale", "test"}, wantErr: `"tabel3"`},
+		{name: "negative parallelism", args: []string{"-parallelism", "-1", "-scale", "test"}, wantErr: "-parallelism"},
+		{name: "store-assert without store-compare", args: []string{"-store-assert"}, wantErr: "-store-assert requires -store-compare"},
+		{
+			name: "store compare",
+			args: []string{"-only", "table3", "-scale", "test", "-telemetry=false", "-store", t.TempDir(), "-store-compare"},
+			hits: true,
+		},
 	}
-	for _, c := range cases {
-		got, err := parseGomaxprocsList(c.in, c.numCPU)
-		if c.err != (err != nil) {
-			t.Fatalf("parseGomaxprocsList(%q, %d) err = %v, want err=%v", c.in, c.numCPU, err, c.err)
-		}
-		if err != nil {
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Fatalf("parseGomaxprocsList(%q, %d) = %v, want %v", c.in, c.numCPU, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("parseGomaxprocsList(%q, %d) = %v, want %v", c.in, c.numCPU, got, c.want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := artifact.GlobalStats()
+			err := run(tc.args)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("run(%q) = %v, want nil", tc.args, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
 			}
-		}
-	}
-}
-
-func TestParseFloors(t *testing.T) {
-	got, err := parseFloors("table2=1.5, table3=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["table2"] != 1.5 || got["table3"] != 2 {
-		t.Fatalf("parseFloors = %v", got)
-	}
-	if got, err := parseFloors(""); err != nil || got != nil {
-		t.Fatalf("parseFloors(\"\") = %v, %v; want nil, nil", got, err)
-	}
-	for _, bad := range []string{"table2", "=1.5", "table2=x", "table2=0.5"} {
-		if _, err := parseFloors(bad); err == nil {
-			t.Fatalf("parseFloors(%q) accepted", bad)
-		}
-	}
-}
-
-// writeBaseline marshals a report to a temp file for checkRegression.
-func writeBaseline(t *testing.T, r benchReport) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := writeReport(path, r); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestCheckRegressionV1Compat pins the v1-baseline reading path: v1 runs
-// carry no per-run gomaxprocs, so the top-level value keys them, and a
-// fresh v2 run at the same width compares against them.
-func TestCheckRegressionV1Compat(t *testing.T) {
-	base := benchReport{
-		Schema:     "aegis-bench/v1",
-		GOMAXPROCS: 1,
-		Runs: []benchRun{
-			{Parallelism: 1, Entries: []benchEntry{{Name: "table2", WallSeconds: 1.0}}},
-			{Parallelism: 4, Entries: []benchEntry{{Name: "table2", WallSeconds: 0.8}}},
-		},
-	}
-	path := writeBaseline(t, base)
-	fresh := benchReport{
-		Schema:     benchSchema,
-		GOMAXPROCS: 1,
-		Runs: []benchRun{
-			{Parallelism: 1, GOMAXPROCS: 1, NumCPU: 1, Entries: []benchEntry{{Name: "table2", WallSeconds: 1.1}}},
-			{Parallelism: 4, GOMAXPROCS: 1, NumCPU: 1, Entries: []benchEntry{{Name: "table2", WallSeconds: 0.85}}},
-		},
-	}
-	if err := checkRegression(path, fresh, 1); err != nil {
-		t.Fatalf("within tolerance against v1 baseline: %v", err)
-	}
-	fresh.Runs[0].Entries[0].WallSeconds = 1.5 // 50% slower
-	if err := checkRegression(path, fresh, 1); err == nil || !strings.Contains(err.Error(), "table2") {
-		t.Fatalf("want table2 regression, got %v", err)
-	}
-	// A fresh run at a width the v1 baseline never measured has nothing
-	// to compare and must say so rather than silently pass.
-	wide := benchReport{
-		Schema: benchSchema,
-		Runs: []benchRun{
-			{Parallelism: 1, GOMAXPROCS: 8, Entries: []benchEntry{{Name: "table2", WallSeconds: 0.4}}},
-		},
-	}
-	if err := checkRegression(path, wide, 8); err == nil || !strings.Contains(err.Error(), "no comparable entries") {
-		t.Fatalf("want no-comparable-entries error, got %v", err)
-	}
-}
-
-// TestCheckRegressionKernels pins the per-kernel gates: >20% ns/op
-// regressions and any allocs/op increase fail; matching entries pass.
-func TestCheckRegressionKernels(t *testing.T) {
-	base := benchReport{
-		Schema: benchSchema,
-		KernelRuns: []kernelRun{{
-			GOMAXPROCS: 1,
-			Kernels: []kernelEntry{
-				{Name: "fitpca", NsPerOp: 50000, AllocsPerOp: 0},
-				{Name: "binnedmi", NsPerOp: 2500, AllocsPerOp: 0},
-			},
-		}},
-	}
-	path := writeBaseline(t, base)
-	fresh := base
-	fresh.KernelRuns = []kernelRun{{
-		GOMAXPROCS: 1,
-		Kernels: []kernelEntry{
-			{Name: "fitpca", NsPerOp: 55000, AllocsPerOp: 0},
-			{Name: "binnedmi", NsPerOp: 2400, AllocsPerOp: 0},
-		},
-	}}
-	if err := checkRegression(path, fresh, 1); err != nil {
-		t.Fatalf("within tolerance: %v", err)
-	}
-	fresh.KernelRuns[0].Kernels[0].NsPerOp = 70000 // 40% slower
-	if err := checkRegression(path, fresh, 1); err == nil || !strings.Contains(err.Error(), "fitpca") {
-		t.Fatalf("want fitpca ns/op regression, got %v", err)
-	}
-	fresh.KernelRuns[0].Kernels[0].NsPerOp = 50000
-	fresh.KernelRuns[0].Kernels[1].AllocsPerOp = 2
-	if err := checkRegression(path, fresh, 1); err == nil || !strings.Contains(err.Error(), "allocs/op") {
-		t.Fatalf("want binnedmi allocs/op regression, got %v", err)
-	}
-}
-
-// TestCheckRegressionScalingFloors pins the floor gate: it only engages on
-// hosts with at least 4 CPUs, compares fresh speedups against the
-// baseline's committed floors, and skips loudly otherwise.
-func TestCheckRegressionScalingFloors(t *testing.T) {
-	base := benchReport{
-		Schema:        benchSchema,
-		ScalingFloors: map[string]float64{"table2": 1.5},
-		Runs: []benchRun{
-			{Parallelism: 1, GOMAXPROCS: 4, Entries: []benchEntry{{Name: "table2", WallSeconds: 1.0}}},
-		},
-	}
-	path := writeBaseline(t, base)
-	fresh := benchReport{
-		Schema: benchSchema,
-		Runs: []benchRun{
-			{Parallelism: 1, GOMAXPROCS: 4, Entries: []benchEntry{{Name: "table2", WallSeconds: 1.0}}},
-		},
-		Speedups: map[string]float64{"table2": 1.2},
-	}
-	// 1-CPU host: the floor gate must skip, leaving only the passing
-	// wall-clock comparison.
-	if err := checkRegression(path, fresh, 1); err != nil {
-		t.Fatalf("floor gate should skip on 1 CPU: %v", err)
-	}
-	// 8-CPU host: 1.2x is below the committed 1.5x floor.
-	if err := checkRegression(path, fresh, 8); err == nil || !strings.Contains(err.Error(), "below floor") {
-		t.Fatalf("want scaling floor regression, got %v", err)
-	}
-	fresh.Speedups["table2"] = 1.7
-	if err := checkRegression(path, fresh, 8); err != nil {
-		t.Fatalf("above floor: %v", err)
-	}
-}
-
-// TestReportRoundTrip pins the v2 document shape through write/read.
-func TestReportRoundTrip(t *testing.T) {
-	r := benchReport{
-		Schema:        benchSchema,
-		GOMAXPROCS:    4,
-		NumCPU:        4,
-		ScalingFloors: map[string]float64{"table3": 1.5},
-		Runs: []benchRun{
-			{Parallelism: 2, GOMAXPROCS: 4, NumCPU: 4,
-				Entries: []benchEntry{{Name: "table3", WallSeconds: 0.5, Items: 100, Throughput: 200}}},
-		},
-		KernelRuns: []kernelRun{{GOMAXPROCS: 4, NumCPU: 4,
-			Kernels: []kernelEntry{{Name: "fitpca", NsPerOp: 50000}}}},
-		Speedups: map[string]float64{"table3": 1.6},
-	}
-	path := writeBaseline(t, r)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`"schema": "aegis-bench/v2"`, `"gomaxprocs": 4`, `"numcpu": 4`,
-		`"kernel_runs"`, `"ns_per_op"`, `"scaling_floors"`,
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("report JSON missing %s", want)
-		}
-	}
-	// checkRegression must accept its own output as a baseline.
-	if err := checkRegression(path, r, 4); err != nil {
-		t.Fatalf("self-comparison: %v", err)
+			if hits := artifact.GlobalStats().Hits - before.Hits; tc.hits && hits == 0 {
+				t.Fatalf("run(%q) recorded no artifact-store hits", tc.args)
+			}
+		})
 	}
 }

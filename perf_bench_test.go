@@ -3,15 +3,15 @@ package aegis
 // Hot-path micro-benchmarks with allocation reporting. These are the
 // substrate paths the obfuscator's online budget and the offline pipelines'
 // wall-clock ride on; `make bench-alloc` gates their steady-state allocation
-// behaviour (see alloc_gate_test.go), and this file tracks their ns/op and
-// allocs/op in EXPERIMENTS.md. Run with:
+// behaviour (see alloc_gate_test.go), and EXPERIMENTS.md records their ns/op
+// and allocs/op. End-to-end and per-layer costs are measured by the repo
+// benchmark in bench/ (see bench/README.md). Run with:
 //
 //	go test -bench='RDPMC|WorldStep|ObfuscatorTick|FitPCA|MutualInformation' -benchmem -run=^$ .
 
 import (
 	"testing"
 
-	"github.com/repro/aegis/internal/benchkit"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/microarch"
@@ -143,13 +143,56 @@ func BenchmarkObfuscatorTick(b *testing.B) {
 	}
 }
 
+// The stats fixtures below are shared with the allocation gates. They live
+// here because alloc_gate_test.go is excluded under -race.
+
+// pcaRows builds a deterministic n×d sample matrix with a dominant
+// direction, shaped like the profiler's per-event trace population.
+func pcaRows(n, d int) [][]float64 {
+	r := rng.New(21).Split("pca-bench")
+	rows := make([][]float64, n)
+	for i := range rows {
+		row := make([]float64, d)
+		base := r.Gaussian(0, 3)
+		for j := range row {
+			row[j] = base*float64(j%7) + r.Gaussian(0, 1)
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// binnedPairs builds a deterministic correlated sample pair of the Fig. 9c
+// shape (clean vs. noised leakage traces).
+func binnedPairs(n int) (xs, ys []float64) {
+	r := rng.New(12).Split("binned-bench")
+	xs = make([]float64, n)
+	ys = make([]float64, n)
+	for i := range xs {
+		xs[i] = r.Gaussian(0, 1)
+		ys[i] = xs[i]*0.7 + r.Gaussian(0, 0.5)
+	}
+	return xs, ys
+}
+
+// miClasses builds k well-separated Gaussian secret classes for the MI
+// quadrature kernel.
+func miClasses(k int) []stats.ClassModel {
+	classes := make([]stats.ClassModel, k)
+	for i := range classes {
+		classes[i] = stats.ClassModel{
+			Secret: string(rune('a' + i)),
+			Dist:   stats.Gaussian{Mu: float64(i) * 2.5, Sigma: 1 + 0.2*float64(i)},
+		}
+	}
+	return classes
+}
+
 // BenchmarkFitPCA measures one PCA fit over a trace population of the
 // profiler's ranking shape (secrets*repeats traces x TraceTicks features)
 // through the arena-reusing path the profiler's scoring loop uses.
-// Fixtures come from internal/benchkit so the aegis-bench per-kernel
-// harness measures exactly the same work.
 func BenchmarkFitPCA(b *testing.B) {
-	rows := benchkit.PCARows(72, 150)
+	rows := pcaRows(72, 150)
 	b.Run("scratch", func(b *testing.B) {
 		var s stats.Scratch
 		b.ReportAllocs()
@@ -166,7 +209,7 @@ func BenchmarkFitPCA(b *testing.B) {
 // shape (400 paired samples, 16 bins), in both the one-shot and
 // arena-reusing forms.
 func BenchmarkBinnedMI(b *testing.B) {
-	xs, ys := benchkit.BinnedPairs(400)
+	xs, ys := binnedPairs(400)
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -191,7 +234,7 @@ func BenchmarkBinnedMI(b *testing.B) {
 // classes at the profiler's default grid resolution, in both the one-shot
 // and arena-reusing forms.
 func BenchmarkMutualInformation(b *testing.B) {
-	classes := benchkit.MIClasses(6)
+	classes := miClasses(6)
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
