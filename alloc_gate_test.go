@@ -225,3 +225,21 @@ func TestZeroAllocStatsScratch(t *testing.T) {
 		}
 	})
 }
+
+// TestZeroAllocPerCacheSet gates core construction, which the fuzzer pays
+// once per signature: each cache and the TLB is one flat allocation, so a
+// core makes the same small number of allocations however many sets its
+// caches have.
+func TestZeroAllocPerCacheSet(t *testing.T) {
+	const maxAllocs = 12 // the core, 3 caches, TLB and predictor, and their 6 tables
+	cfg := microarch.DefaultCoreConfig()
+	base := testing.AllocsPerRun(16, func() { coreSink = microarch.NewCore(0, cfg, nil) })
+	if base > maxAllocs {
+		t.Errorf("NewCore: %v allocs, want at most %d", base, maxAllocs)
+	}
+	big := cfg
+	big.L1DSets, big.L1ISets, big.L2Sets = 4*cfg.L1DSets, 4*cfg.L1ISets, 4*cfg.L2Sets
+	if n := testing.AllocsPerRun(16, func() { coreSink = microarch.NewCore(0, big, nil) }); n != base {
+		t.Errorf("NewCore with 4x the sets: %v allocs, want %v as with the default sets", n, base)
+	}
+}

@@ -260,11 +260,40 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = r.Uint64() % (1 << 20)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i%len(addrs)])
 	}
 }
+
+// BenchmarkTLBAccess translates addresses over a working set of twice the
+// default TLB's reach, so accesses both hit and miss.
+func BenchmarkTLBAccess(b *testing.B) {
+	tlb := microarch.NewTLB(64, 4096)
+	r := rng.New(1)
+	addrs := make([]uint64, 1024)
+	for i := range addrs {
+		addrs[i] = r.Uint64() % (128 << 12)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tlb.Access(addrs[i%len(addrs)])
+	}
+}
+
+// BenchmarkNewCore builds a default core, the fuzzer's per-signature set-up
+// cost.
+func BenchmarkNewCore(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coreSink = microarch.NewCore(0, microarch.DefaultCoreConfig(), nil)
+	}
+}
+
+// coreSink keeps constructed cores live so construction is not optimised away.
+var coreSink *microarch.Core
 
 func BenchmarkCoreExecuteLoad(b *testing.B) {
 	core := microarch.NewCore(0, microarch.DefaultCoreConfig(), nil)
@@ -277,9 +306,10 @@ func BenchmarkCoreExecuteLoad(b *testing.B) {
 			break
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.Execute(load, ctx); err != nil {
+		if err := core.Execute(&load, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

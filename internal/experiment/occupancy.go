@@ -35,7 +35,7 @@ func (p *probeProc) Step(g *sev.GuestExecutor) {
 	// evicts a probe line.
 	g.Context().WorkingSet = 512 << 10
 	for i := 0; i < p.perTick; i++ {
-		ok, err := g.Execute(p.load)
+		ok, err := g.Execute(&p.load)
 		if err != nil || !ok {
 			return
 		}

@@ -380,7 +380,7 @@ func (b *bench) measureGadget(event *hpc.Event, seq []isa.Variant) (float64, err
 	}
 	// Serialising prolog regulates the execution flow before measurement.
 	serial := isa.Variant{Mnemonic: "CPUID", Class: isa.ClassSerial, Uops: 20}
-	if err := b.core.Execute(serial, b.ctx); err != nil {
+	if err := b.core.Execute(&serial, b.ctx); err != nil {
 		return 0, err
 	}
 	if err := b.pmu.Reset(0); err != nil {
@@ -394,7 +394,7 @@ func (b *bench) measureGadget(event *hpc.Event, seq []isa.Variant) (float64, err
 		return 0, err
 	}
 	// Epilog: serialise again so the next measurement starts clean.
-	if err := b.core.Execute(serial, b.ctx); err != nil {
+	if err := b.core.Execute(&serial, b.ctx); err != nil {
 		return 0, err
 	}
 	return v, nil

@@ -199,7 +199,7 @@ func execCore(t *testing.T, n int) *microarch.Core {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if err := core.Execute(load, ctx); err != nil {
+		if err := core.Execute(&load, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestPMUProgramAndRead(t *testing.T) {
 		}
 	}
 	for i := 0; i < 25; i++ {
-		if err := core.Execute(alu, ctx); err != nil {
+		if err := core.Execute(&alu, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,24 +1,33 @@
 // Package microarch simulates the micro-architectural state of one CPU core:
-// set-associative caches with LRU replacement, a TLB, a branch predictor and
-// an execution engine that retires instruction variants from the isa package
-// while accounting every raw micro-event (dispatches, refills, mispredicts,
-// ...). The hpc package derives its performance-counter events from these
-// raw counts, so instruction gadgets perturb HPC events through the same
-// mechanistic paths as on real hardware: a CLFLUSH analog actually evicts
-// the line a subsequent load will miss on.
+// set-associative caches, a TLB, a branch predictor and an execution engine
+// that retires instruction variants from the isa package while accounting
+// every raw micro-event (dispatches, refills, mispredicts, ...). The hpc
+// package derives its performance-counter events from these raw counts, so
+// instruction gadgets perturb HPC events through the same mechanistic paths
+// as on real hardware: a CLFLUSH analog actually evicts the line a
+// subsequent load will miss on.
+//
+// Caches and the TLB share one replacement policy: a miss fills the first
+// free way (entry), and a full set evicts its last way. A hit does not
+// protect a line from eviction; the policy is not LRU.
 package microarch
 
-// Cache is a set-associative cache with true-LRU replacement.
+// free marks an empty way or TLB entry. Ways store a line or page number
+// plus one, and line and page sizes are at least two bytes, so no address
+// maps to it.
+const free = 0
+
+// Cache is a set-associative cache: a miss fills the first free way of its
+// set, else replaces the set's last way.
 type Cache struct {
 	name     string
-	sets     int
+	sets     uint64
+	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	ways     int
 	lineBits uint
-	// lines[set][way] holds the cached line tag; lru[set][way] holds the
-	// recency rank (0 = most recent).
-	lines [][]uint64
-	valid [][]bool
-	lru   [][]uint8
+	// lines holds each way's line number plus one, set-major:
+	// lines[set*ways+way], free when empty.
+	lines []uint64
 }
 
 // CacheConfig sizes a cache.
@@ -29,8 +38,10 @@ type CacheConfig struct {
 	LineSize int // bytes; must be a power of two
 }
 
-// NewCache builds a cache. Invalid configurations are normalised to small
-// positive values so a zero-value config still yields a working cache.
+// NewCache builds a cache. Invalid configurations (including one-byte
+// lines, which would leave no line number for the free marker) are
+// normalised to small positive values so a zero-value config still yields
+// a working cache.
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Sets < 1 {
 		cfg.Sets = 1
@@ -38,201 +49,162 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Ways < 1 {
 		cfg.Ways = 1
 	}
-	if cfg.LineSize < 1 {
+	if cfg.LineSize < 2 {
 		cfg.LineSize = 64
-	}
-	bits := uint(0)
-	for 1<<bits < cfg.LineSize {
-		bits++
 	}
 	c := &Cache{
 		name:     cfg.Name,
-		sets:     cfg.Sets,
+		sets:     uint64(cfg.Sets),
 		ways:     cfg.Ways,
-		lineBits: bits,
+		lineBits: log2Ceil(cfg.LineSize),
+		lines:    make([]uint64, cfg.Sets*cfg.Ways),
 	}
-	c.lines = make([][]uint64, cfg.Sets)
-	c.valid = make([][]bool, cfg.Sets)
-	c.lru = make([][]uint8, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		c.lines[s] = make([]uint64, cfg.Ways)
-		c.valid[s] = make([]bool, cfg.Ways)
-		c.lru[s] = make([]uint8, cfg.Ways)
+	if c.sets&(c.sets-1) == 0 {
+		c.setMask = c.sets - 1
 	}
 	return c
 }
 
-// line returns the line address (tag) and set index for addr.
-func (c *Cache) line(addr uint64) (tag uint64, set int) {
-	tag = addr >> c.lineBits
-	set = int(tag % uint64(c.sets))
-	return tag, set
+// log2Ceil returns the smallest b with 1<<b >= n.
+func log2Ceil(n int) uint {
+	b := uint(0)
+	for 1<<b < n {
+		b++
+	}
+	return b
+}
+
+// set returns addr's stored line value and the ways of its set.
+func (c *Cache) set(addr uint64) (line uint64, ways []uint64) {
+	tag := addr >> c.lineBits
+	s := tag & c.setMask // a mask instead of a division on the usual sizes
+	if c.setMask == 0 {
+		s = tag % c.sets
+	}
+	i := int(s) * c.ways
+	return tag + 1, c.lines[i : i+c.ways]
+}
+
+// find returns the index of the first way holding v, or -1.
+func find(ways []uint64, v uint64) int {
+	for w, l := range ways {
+		if l == v {
+			return w
+		}
+	}
+	return -1
 }
 
 // Access touches addr and returns whether it hit. On a miss the line is
-// filled, evicting the LRU way if the set is full.
+// filled into the first free way, or over the set's last way when the set
+// is full.
 func (c *Cache) Access(addr uint64) bool {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			c.touch(set, w)
-			return true
-		}
+	line, ways := c.set(addr)
+	if find(ways, line) >= 0 {
+		return true
 	}
-	c.fill(set, tag)
+	victim := find(ways[:len(ways)-1], free)
+	if victim < 0 {
+		victim = len(ways) - 1
+	}
+	ways[victim] = line
 	return false
 }
 
-// Contains reports whether addr's line is cached, without updating LRU or
-// statistics (a probe, not an access).
+// Contains reports whether addr's line is cached, without filling it or
+// updating statistics (a probe, not an access).
 func (c *Cache) Contains(addr uint64) bool {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			return true
-		}
-	}
-	return false
+	line, ways := c.set(addr)
+	return find(ways, line) >= 0
 }
 
 // Flush evicts addr's line if present and reports whether it was cached.
 func (c *Cache) Flush(addr uint64) bool {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			c.valid[set][w] = false
-			return true
-		}
+	line, ways := c.set(addr)
+	w := find(ways, line)
+	if w < 0 {
+		return false
 	}
-	return false
-}
-
-// Insert fills addr's line for the prefetch/refill path: Access without
-// the hit result.
-func (c *Cache) Insert(addr uint64) {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			c.touch(set, w)
-			return
-		}
-	}
-	c.fill(set, tag)
-}
-
-// fill installs tag into set, evicting the LRU victim if needed.
-func (c *Cache) fill(set int, tag uint64) {
-	victim := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
-			break
-		}
-	}
-	if victim < 0 {
-		// Evict the way with the highest recency rank.
-		var worst uint8
-		for w := 0; w < c.ways; w++ {
-			if c.lru[set][w] >= worst {
-				worst = c.lru[set][w]
-				victim = w
-			}
-		}
-	}
-	c.lines[set][victim] = tag
-	c.valid[set][victim] = true
-	c.touch(set, victim)
-}
-
-// touch marks way as most recently used within set.
-func (c *Cache) touch(set, way int) {
-	old := c.lru[set][way]
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lru[set][w] < old {
-			c.lru[set][w]++
-		}
-	}
-	c.lru[set][way] = 0
+	ways[w] = free
+	return true
 }
 
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
 
-// TLB is a fully-associative translation lookaside buffer with LRU
-// replacement over page numbers.
+// TLB is a fully-associative translation lookaside buffer over page
+// numbers with the cache's policy: a miss fills the first free entry, else
+// replaces the last one. Only Flush frees entries, so the entries in use
+// are always a prefix, and all but the last stay put until the next Flush.
 type TLB struct {
-	entries  int
 	pageBits uint
-	pages    []uint64
-	valid    []bool
-	lru      []uint8
+	// pages holds each entry's page number plus one, free when empty;
+	// entries [0, used) are in use, and so is the last once it is filled.
+	// Resident pages are unique.
+	pages []uint64
+	used  int
+	last  int // the most recently hit or filled entry
+	// settled is an insert-only open-addressing set of the pages in
+	// entries [0, len(pages)-1), which no miss replaces. It has at least
+	// twice as many slots as entries, so probes end at a free slot.
+	settled []uint64
+	shift   uint
 }
 
-// NewTLB builds a TLB with the given entry count and page size.
+// NewTLB builds a TLB with the given entry count and page size; page sizes
+// below two bytes are normalised to 4096.
 func NewTLB(entries, pageSize int) *TLB {
 	if entries < 1 {
 		entries = 1
 	}
-	if pageSize < 1 {
+	if pageSize < 2 {
 		pageSize = 4096
 	}
-	bits := uint(0)
-	for 1<<bits < pageSize {
-		bits++
-	}
+	bits := log2Ceil(2 * entries)
 	return &TLB{
-		entries:  entries,
-		pageBits: bits,
+		pageBits: log2Ceil(pageSize),
 		pages:    make([]uint64, entries),
-		valid:    make([]bool, entries),
-		lru:      make([]uint8, entries),
+		settled:  make([]uint64, 1<<bits),
+		shift:    64 - bits,
 	}
 }
 
 // Access translates addr and returns whether the page entry was resident.
 func (t *TLB) Access(addr uint64) bool {
-	page := addr >> t.pageBits
-	for i := 0; i < t.entries; i++ {
-		if t.valid[i] && t.pages[i] == page {
-			t.touch(i)
-			return true
-		}
+	page := addr>>t.pageBits + 1
+	n := len(t.pages) - 1
+	if t.pages[t.last] == page || t.pages[n] == page {
+		return true
 	}
-	victim := -1
-	for i := 0; i < t.entries; i++ {
-		if !t.valid[i] {
-			victim = i
-			break
-		}
+	i := t.slot(page)
+	if t.settled[i] == page {
+		return true
 	}
-	if victim < 0 {
-		var worst uint8
-		for i := 0; i < t.entries; i++ {
-			if t.lru[i] >= worst {
-				worst = t.lru[i]
-				victim = i
-			}
-		}
+	victim := n
+	if t.used < n {
+		victim = t.used
+		t.used++
+		t.settled[i] = page
 	}
 	t.pages[victim] = page
-	t.valid[victim] = true
-	t.touch(victim)
+	t.last = victim
 	return false
+}
+
+// slot returns the settled slot holding page, or the free slot where it
+// belongs.
+func (t *TLB) slot(page uint64) uint64 {
+	mask := uint64(len(t.settled) - 1)
+	i := (page * 0x9e3779b97f4a7c15) >> t.shift
+	for t.settled[i] != page && t.settled[i] != free {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // Flush invalidates every entry (context-switch analog).
 func (t *TLB) Flush() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
-}
-
-func (t *TLB) touch(entry int) {
-	old := t.lru[entry]
-	for i := 0; i < t.entries; i++ {
-		if t.valid[i] && t.lru[i] < old {
-			t.lru[i]++
-		}
-	}
-	t.lru[entry] = 0
+	clear(t.pages)
+	clear(t.settled)
+	t.used = 0
 }

@@ -21,12 +21,14 @@ func TestCacheHitAfterFill(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	// 1 set, 2 ways: the third distinct line evicts the least recent.
+	// 1 set, 2 ways: the third distinct line replaces the last way, B.
+	// B is also the least recently used here; TestReplacementPolicy shows
+	// that recency plays no part.
 	c := NewCache(CacheConfig{Sets: 1, Ways: 2, LineSize: 64})
-	c.Access(0x0)  // fill A
-	c.Access(0x40) // fill B
-	c.Access(0x0)  // touch A; B is now LRU
-	c.Access(0x80) // fill C, evicting B
+	c.Access(0x0)  // fill A into way 0
+	c.Access(0x40) // fill B into way 1
+	c.Access(0x0)  // hit A
+	c.Access(0x80) // fill C over the last way, evicting B
 	if !c.Contains(0x0) {
 		t.Error("A was evicted but is most-recently used")
 	}
@@ -35,6 +37,36 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if !c.Contains(0x80) {
 		t.Error("C missing after fill")
+	}
+}
+
+// TestReplacementPolicy pins the replacement policy of caches and the TLB:
+// a miss fills the first free way, a full set replaces its last way, and a
+// hit does not protect a line. Making them LRU must change this test.
+func TestReplacementPolicy(t *testing.T) {
+	const a, b, c, d, e = 0x0, 0x40, 0x80, 0xc0, 0x100
+	cache := NewCache(CacheConfig{Sets: 1, Ways: 3, LineSize: 64})
+	for _, addr := range []uint64{a, b, c, c} {
+		cache.Access(addr) // a, b, c fill ways 0, 1, 2; then c hits
+	}
+	cache.Access(d) // full: d replaces the last way, c, though c is the most recent
+	if cache.Contains(c) || !cache.Contains(a) || !cache.Contains(b) || !cache.Contains(d) {
+		t.Fatal("a full set did not replace its last way")
+	}
+	cache.Flush(a)  // frees way 0
+	cache.Access(c) // fills way 0, the first free way; d in the last way stays
+	cache.Access(e) // full: replaces d
+	if !cache.Contains(c) || cache.Contains(d) || !cache.Contains(e) {
+		t.Error("a miss did not fill the first free way")
+	}
+
+	tlb := NewTLB(3, 4096)
+	for _, addr := range []uint64{0x0000, 0x1000, 0x2000, 0x2000} {
+		tlb.Access(addr)
+	}
+	tlb.Access(0x3000) // replaces page 2 in the last entry
+	if !tlb.Access(0x0000) || tlb.Access(0x2000) {
+		t.Error("a full TLB did not replace its last entry")
 	}
 }
 
@@ -107,11 +139,13 @@ func TestTLBHitMiss(t *testing.T) {
 }
 
 func TestTLBLRUReplacement(t *testing.T) {
+	// The new page replaces the last entry, which holds page 1; the hit on
+	// page 0 plays no part (see TestReplacementPolicy).
 	tlb := NewTLB(2, 4096)
-	tlb.Access(0x0000) // page 0
-	tlb.Access(0x1000) // page 1
-	tlb.Access(0x0000) // touch page 0
-	tlb.Access(0x2000) // page 2 evicts page 1
+	tlb.Access(0x0000) // page 0 into entry 0
+	tlb.Access(0x1000) // page 1 into entry 1
+	tlb.Access(0x0000) // hit page 0
+	tlb.Access(0x2000) // page 2 replaces the last entry, evicting page 1
 	if !tlb.Access(0x0000) {
 		t.Error("page 0 evicted despite recent use")
 	}

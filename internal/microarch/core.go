@@ -310,8 +310,9 @@ func (e *ErrIllegalInstruction) Error() string {
 
 // Execute retires one instruction variant in the given context, updating
 // caches, predictor and counters mechanistically. It returns an error for
-// variants that fault (reserved encodings, privileged instructions).
-func (c *Core) Execute(v isa.Variant, ctx *ExecContext) error {
+// variants that fault (reserved encodings, privileged instructions). v is
+// only read.
+func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
 	if v.Reserved || v.PageFaults || v.Privileged || v.Class == isa.ClassIO || v.Class == isa.ClassInvalid {
 		kind := isa.FaultUD
 		switch {
@@ -321,7 +322,7 @@ func (c *Core) Execute(v isa.Variant, ctx *ExecContext) error {
 		case v.Privileged, v.Class == isa.ClassIO:
 			kind = isa.FaultGP
 		}
-		return &ErrIllegalInstruction{Variant: v, Fault: kind}
+		return &ErrIllegalInstruction{Variant: *v, Fault: kind}
 	}
 
 	ctx.PC += 4
@@ -399,8 +400,8 @@ func (c *Core) Execute(v isa.Variant, ctx *ExecContext) error {
 		// Prefetch pulls the line into L1D through L2 without counting a
 		// demand access.
 		if !c.L1D.Contains(addr) {
-			c.L2.Insert(addr)
-			c.L1D.Insert(addr)
+			c.L2.Access(addr)
+			c.L1D.Access(addr)
 		}
 	case isa.ClassFlush:
 		addr := ctx.dataAddr()
@@ -469,8 +470,8 @@ func (c *Core) dataAccess(addr uint64, write bool) uint64 {
 // ExecuteSequence retires a slice of variants in order, stopping at the
 // first fault.
 func (c *Core) ExecuteSequence(seq []isa.Variant, ctx *ExecContext) error {
-	for _, v := range seq {
-		if err := c.Execute(v, ctx); err != nil {
+	for i := range seq {
+		if err := c.Execute(&seq[i], ctx); err != nil {
 			return err
 		}
 	}

@@ -30,7 +30,7 @@ func TestExecuteCountsInstructions(t *testing.T) {
 	ctx := NewScratchContext(0x10000)
 	v := variantOf(t, isa.ClassALU)
 	for i := 0; i < 10; i++ {
-		if err := c.Execute(v, ctx); err != nil {
+		if err := c.Execute(&v, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestLoadDispatchAndRefill(t *testing.T) {
 	ctx := NewScratchContext(0x10000)
 	load := variantOf(t, isa.ClassLoad)
 
-	if err := c.Execute(load, ctx); err != nil {
+	if err := c.Execute(&load, ctx); err != nil {
 		t.Fatal(err)
 	}
 	ctrs := c.Counters()
@@ -63,7 +63,7 @@ func TestLoadDispatchAndRefill(t *testing.T) {
 	}
 
 	before := c.Counters()
-	if err := c.Execute(load, ctx); err != nil {
+	if err := c.Execute(&load, ctx); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Counters().Sub(before)
@@ -81,14 +81,14 @@ func TestFlushThenLoadRefills(t *testing.T) {
 	flush := variantOf(t, isa.ClassFlush)
 
 	// Warm the line.
-	if err := c.Execute(load, ctx); err != nil {
+	if err := c.Execute(&load, ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Counters()
-	if err := c.Execute(flush, ctx); err != nil {
+	if err := c.Execute(&flush, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Execute(load, ctx); err != nil {
+	if err := c.Execute(&load, ctx); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Counters().Sub(before)
@@ -106,11 +106,11 @@ func TestPrefetchWarmsCache(t *testing.T) {
 	prefetch := variantOf(t, isa.ClassPrefetch)
 	load := variantOf(t, isa.ClassLoad)
 
-	if err := c.Execute(prefetch, ctx); err != nil {
+	if err := c.Execute(&prefetch, ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Counters()
-	if err := c.Execute(load, ctx); err != nil {
+	if err := c.Execute(&load, ctx); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Counters().Sub(before)
@@ -123,7 +123,7 @@ func TestStoreCountsWrites(t *testing.T) {
 	c := testCore(t)
 	ctx := NewScratchContext(0x30000)
 	store := variantOf(t, isa.ClassStore)
-	if err := c.Execute(store, ctx); err != nil {
+	if err := c.Execute(&store, ctx); err != nil {
 		t.Fatal(err)
 	}
 	ctrs := c.Counters()
@@ -153,7 +153,8 @@ func TestVectorClassCounters(t *testing.T) {
 		{isa.ClassBit, func(c Counters) uint64 { return c.BitOps }, "bit"},
 	} {
 		before := tc.get(c.Counters())
-		if err := c.Execute(variantOf(t, tc.class), ctx); err != nil {
+		v := variantOf(t, tc.class)
+		if err := c.Execute(&v, ctx); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if tc.get(c.Counters()) <= before {
@@ -168,7 +169,7 @@ func TestBranchExecution(t *testing.T) {
 	ctx := NewWorkloadContext(0x50000, 1<<16, r)
 	branch := variantOf(t, isa.ClassBranch)
 	for i := 0; i < 200; i++ {
-		if err := c.Execute(branch, ctx); err != nil {
+		if err := c.Execute(&branch, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func TestIllegalExecutionFaults(t *testing.T) {
 	c := testCore(t)
 	ctx := NewScratchContext(0x60000)
 	reserved := isa.Variant{Mnemonic: "DB 0x0F", Reserved: true, Class: isa.ClassInvalid}
-	err := c.Execute(reserved, ctx)
+	err := c.Execute(&reserved, ctx)
 	var illegal *ErrIllegalInstruction
 	if !errors.As(err, &illegal) {
 		t.Fatalf("err = %v, want ErrIllegalInstruction", err)
@@ -198,7 +199,7 @@ func TestIllegalExecutionFaults(t *testing.T) {
 	}
 
 	priv := isa.Variant{Mnemonic: "RDMSR", Privileged: true, Class: isa.ClassSystem}
-	err = c.Execute(priv, ctx)
+	err = c.Execute(&priv, ctx)
 	if !errors.As(err, &illegal) || illegal.Fault != isa.FaultGP {
 		t.Errorf("privileged fault = %v, want #GP", err)
 	}
@@ -229,7 +230,7 @@ func TestWorkingSetDrivesMissRate(t *testing.T) {
 		ctx := NewWorkloadContext(0x100000, ws, r)
 		load := variantOf(t, isa.ClassLoad)
 		for i := 0; i < 5000; i++ {
-			if err := c.Execute(load, ctx); err != nil {
+			if err := c.Execute(&load, ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -263,7 +264,7 @@ func TestInterruptNoiseRate(t *testing.T) {
 	ctx := NewScratchContext(0x80000)
 	alu := variantOf(t, isa.ClassALU)
 	for i := 0; i < 1000; i++ {
-		if err := c.Execute(alu, ctx); err != nil {
+		if err := c.Execute(&alu, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,0 +1,313 @@
+package microarch
+
+import (
+	"testing"
+
+	"github.com/repro/aegis/internal/rng"
+)
+
+// refCache and refTLB are the reference model the flat Cache and TLB are
+// checked against operation by operation: nested slices with per-way
+// recency ranks, written as true LRU. The ranks never leave 0 (each starts
+// at 0, and touch raises only ranks below the touched way's, which is 0),
+// so a full set always evicts its last way; Cache and TLB implement that
+// policy directly.
+
+// refCache is a set-associative cache with per-way recency ranks.
+type refCache struct {
+	name     string
+	sets     int
+	ways     int
+	lineBits uint
+	// lines[set][way] holds the cached line tag; lru[set][way] holds the
+	// recency rank (0 = most recent).
+	lines [][]uint64
+	valid [][]bool
+	lru   [][]uint8
+}
+
+// newRefCache builds a cache. Invalid configurations are normalised to small
+// positive values so a zero-value config still yields a working cache.
+func newRefCache(cfg CacheConfig) *refCache {
+	if cfg.Sets < 1 {
+		cfg.Sets = 1
+	}
+	if cfg.Ways < 1 {
+		cfg.Ways = 1
+	}
+	if cfg.LineSize < 1 {
+		cfg.LineSize = 64
+	}
+	bits := uint(0)
+	for 1<<bits < cfg.LineSize {
+		bits++
+	}
+	c := &refCache{
+		name:     cfg.Name,
+		sets:     cfg.Sets,
+		ways:     cfg.Ways,
+		lineBits: bits,
+	}
+	c.lines = make([][]uint64, cfg.Sets)
+	c.valid = make([][]bool, cfg.Sets)
+	c.lru = make([][]uint8, cfg.Sets)
+	for s := 0; s < cfg.Sets; s++ {
+		c.lines[s] = make([]uint64, cfg.Ways)
+		c.valid[s] = make([]bool, cfg.Ways)
+		c.lru[s] = make([]uint8, cfg.Ways)
+	}
+	return c
+}
+
+// line returns the line address (tag) and set index for addr.
+func (c *refCache) line(addr uint64) (tag uint64, set int) {
+	tag = addr >> c.lineBits
+	set = int(tag % uint64(c.sets))
+	return tag, set
+}
+
+// Access touches addr and returns whether it hit. On a miss the line is
+// filled, evicting the LRU way if the set is full.
+func (c *refCache) Access(addr uint64) bool {
+	tag, set := c.line(addr)
+	for w := 0; w < c.ways; w++ {
+		if c.valid[set][w] && c.lines[set][w] == tag {
+			c.touch(set, w)
+			return true
+		}
+	}
+	c.fill(set, tag)
+	return false
+}
+
+// Contains reports whether addr's line is cached, without updating LRU or
+// statistics (a probe, not an access).
+func (c *refCache) Contains(addr uint64) bool {
+	tag, set := c.line(addr)
+	for w := 0; w < c.ways; w++ {
+		if c.valid[set][w] && c.lines[set][w] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// Flush evicts addr's line if present and reports whether it was cached.
+func (c *refCache) Flush(addr uint64) bool {
+	tag, set := c.line(addr)
+	for w := 0; w < c.ways; w++ {
+		if c.valid[set][w] && c.lines[set][w] == tag {
+			c.valid[set][w] = false
+			return true
+		}
+	}
+	return false
+}
+
+// Insert fills addr's line for the prefetch/refill path: Access without
+// the hit result.
+func (c *refCache) Insert(addr uint64) {
+	tag, set := c.line(addr)
+	for w := 0; w < c.ways; w++ {
+		if c.valid[set][w] && c.lines[set][w] == tag {
+			c.touch(set, w)
+			return
+		}
+	}
+	c.fill(set, tag)
+}
+
+// fill installs tag into set, evicting the LRU victim if needed.
+func (c *refCache) fill(set int, tag uint64) {
+	victim := -1
+	for w := 0; w < c.ways; w++ {
+		if !c.valid[set][w] {
+			victim = w
+			break
+		}
+	}
+	if victim < 0 {
+		// Evict the way with the highest recency rank.
+		var worst uint8
+		for w := 0; w < c.ways; w++ {
+			if c.lru[set][w] >= worst {
+				worst = c.lru[set][w]
+				victim = w
+			}
+		}
+	}
+	c.lines[set][victim] = tag
+	c.valid[set][victim] = true
+	c.touch(set, victim)
+}
+
+// touch marks way as most recently used within set.
+func (c *refCache) touch(set, way int) {
+	old := c.lru[set][way]
+	for w := 0; w < c.ways; w++ {
+		if c.valid[set][w] && c.lru[set][w] < old {
+			c.lru[set][w]++
+		}
+	}
+	c.lru[set][way] = 0
+}
+
+// refTLB is a fully-associative translation lookaside buffer with LRU
+// replacement over page numbers.
+type refTLB struct {
+	entries  int
+	pageBits uint
+	pages    []uint64
+	valid    []bool
+	lru      []uint8
+}
+
+// newRefTLB builds a refTLB with the given entry count and page size.
+func newRefTLB(entries, pageSize int) *refTLB {
+	if entries < 1 {
+		entries = 1
+	}
+	if pageSize < 1 {
+		pageSize = 4096
+	}
+	bits := uint(0)
+	for 1<<bits < pageSize {
+		bits++
+	}
+	return &refTLB{
+		entries:  entries,
+		pageBits: bits,
+		pages:    make([]uint64, entries),
+		valid:    make([]bool, entries),
+		lru:      make([]uint8, entries),
+	}
+}
+
+// Access translates addr and returns whether the page entry was resident.
+func (t *refTLB) Access(addr uint64) bool {
+	page := addr >> t.pageBits
+	for i := 0; i < t.entries; i++ {
+		if t.valid[i] && t.pages[i] == page {
+			t.touch(i)
+			return true
+		}
+	}
+	victim := -1
+	for i := 0; i < t.entries; i++ {
+		if !t.valid[i] {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		var worst uint8
+		for i := 0; i < t.entries; i++ {
+			if t.lru[i] >= worst {
+				worst = t.lru[i]
+				victim = i
+			}
+		}
+	}
+	t.pages[victim] = page
+	t.valid[victim] = true
+	t.touch(victim)
+	return false
+}
+
+// Flush invalidates every entry (context-switch analog).
+func (t *refTLB) Flush() {
+	for i := range t.valid {
+		t.valid[i] = false
+	}
+}
+
+func (t *refTLB) touch(entry int) {
+	old := t.lru[entry]
+	for i := 0; i < t.entries; i++ {
+		if t.valid[i] && t.lru[i] < old {
+			t.lru[i]++
+		}
+	}
+	t.lru[entry] = 0
+}
+
+// TestCacheMatchesReference drives seeded random Access, Contains, Flush
+// and Insert sequences through the flat cache and the reference model and
+// requires every result, and the final contents way by way, to agree.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, geo := range []struct{ sets, ways int }{{1, 1}, {1, 2}, {3, 4}, {4, 4}, {64, 8}, {1024, 8}} {
+		cfg := CacheConfig{Sets: geo.sets, Ways: geo.ways, LineSize: 64}
+		got, want := NewCache(cfg), newRefCache(cfg)
+		r := rng.New(uint64(geo.sets*31 + geo.ways))
+		// Draw from twice the cache's capacity in lines, so sets fill,
+		// overflow and hit; every 64th address is arbitrary.
+		span := uint64(2*geo.sets*geo.ways) * 64
+		for i := 0; i < 50000; i++ {
+			addr := r.Uint64()
+			if i%64 != 0 {
+				addr %= span
+			}
+			switch op := r.Intn(8); {
+			case op < 4:
+				if g, w := got.Access(addr), want.Access(addr); g != w {
+					t.Fatalf("%v op %d: Access(%#x) = %v, reference %v", cfg, i, addr, g, w)
+				}
+			case op < 6:
+				if g, w := got.Contains(addr), want.Contains(addr); g != w {
+					t.Fatalf("%v op %d: Contains(%#x) = %v, reference %v", cfg, i, addr, g, w)
+				}
+			case op < 7:
+				if g, w := got.Flush(addr), want.Flush(addr); g != w {
+					t.Fatalf("%v op %d: Flush(%#x) = %v, reference %v", cfg, i, addr, g, w)
+				}
+			default:
+				got.Access(addr)
+				want.Insert(addr)
+			}
+		}
+		for s := 0; s < geo.sets; s++ {
+			for w := 0; w < geo.ways; w++ {
+				ref := uint64(free)
+				if want.valid[s][w] {
+					ref = want.lines[s][w] + 1
+				}
+				if l := got.lines[s*geo.ways+w]; l != ref {
+					t.Errorf("%v: set %d way %d holds %#x, reference %#x", cfg, s, w, l, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestTLBMatchesReference does the same for seeded random TLB Access and
+// Flush sequences.
+func TestTLBMatchesReference(t *testing.T) {
+	for _, entries := range []int{1, 2, 5, 64} {
+		got, want := NewTLB(entries, 4096), newRefTLB(entries, 4096)
+		r := rng.New(uint64(entries))
+		span := uint64(2*entries) << 12
+		for i := 0; i < 50000; i++ {
+			if r.Intn(500) == 0 {
+				got.Flush()
+				want.Flush()
+				continue
+			}
+			addr := r.Uint64()
+			if i%64 != 0 {
+				addr %= span
+			}
+			if g, w := got.Access(addr), want.Access(addr); g != w {
+				t.Fatalf("%d entries op %d: Access(%#x) = %v, reference %v", entries, i, addr, g, w)
+			}
+		}
+		for i := 0; i < entries; i++ {
+			ref := uint64(free)
+			if want.valid[i] {
+				ref = want.pages[i] + 1
+			}
+			if p := got.pages[i]; p != ref {
+				t.Errorf("%d entries: entry %d holds %#x, reference %#x", entries, i, p, ref)
+			}
+		}
+	}
+}

@@ -98,8 +98,8 @@ type GuestExecutor struct {
 }
 
 // Execute retires one instruction if budget remains; it reports whether the
-// instruction was executed.
-func (g *GuestExecutor) Execute(v isa.Variant) (bool, error) {
+// instruction was executed. v is only read.
+func (g *GuestExecutor) Execute(v *isa.Variant) (bool, error) {
 	if g.used >= g.budget {
 		return false, nil
 	}
@@ -120,8 +120,8 @@ func (g *GuestExecutor) ExecuteSeq(seq []isa.Variant) (int, error) {
 		seq = seq[:stop]
 	}
 	n := 0
-	for _, v := range seq {
-		ok, err := g.Execute(v)
+	for i := range seq {
+		ok, err := g.Execute(&seq[i])
 		if err != nil {
 			return n, err
 		}

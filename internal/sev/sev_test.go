@@ -20,7 +20,7 @@ func (b *burnProc) Name() string { return b.name }
 
 func (b *burnProc) Step(g *GuestExecutor) {
 	for i := 0; i < b.perTick; i++ {
-		ok, err := g.Execute(b.instr)
+		ok, err := g.Execute(&b.instr)
 		if err != nil || !ok {
 			return
 		}
@@ -501,7 +501,7 @@ func (p *wsProc) Name() string { return p.name }
 func (p *wsProc) Step(g *GuestExecutor) {
 	g.Context().WorkingSet = p.ws
 	for i := 0; i < p.perTick; i++ {
-		ok, err := g.Execute(p.instr)
+		ok, err := g.Execute(&p.instr)
 		if err != nil || !ok {
 			return
 		}

@@ -44,17 +44,22 @@ func DefaultLibrary(seed uint64) *Library {
 	return NewLibrary(res.Legal)
 }
 
+// nop is what Sample draws from a library with neither the requested class
+// nor ALU variants.
+var nop = isa.Variant{Mnemonic: "NOP", Class: isa.ClassNop, Uops: 1}
+
 // Sample draws a variant of the given class; it falls back to ALU variants
-// for classes absent from the library.
-func (l *Library) Sample(class isa.Class, r *rng.Source) isa.Variant {
+// for classes absent from the library. The result points into the
+// library's pool and must not be modified.
+func (l *Library) Sample(class isa.Class, r *rng.Source) *isa.Variant {
 	pool := l.byClass[class]
 	if len(pool) == 0 {
 		pool = l.byClass[isa.ClassALU]
 		if len(pool) == 0 {
-			return isa.Variant{Mnemonic: "NOP", Class: isa.ClassNop, Uops: 1}
+			return &nop
 		}
 	}
-	return pool[r.Intn(len(pool))]
+	return &pool[r.Intn(len(pool))]
 }
 
 // Mix is a weighted instruction-class distribution.
