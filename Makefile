@@ -39,12 +39,9 @@ race:
 
 # Project-specific static analysis (exit 0 clean / 1 findings / 2 load
 # error). Rules and the //aegis:allow suppression contract are documented
-# in DESIGN.md "Mechanically enforced invariants". Per-package results are
-# cached as lint-result artifacts in lint.aegis-artifact/ (gitignored), so
-# a warm run re-analyzes only packages whose import-closure file contents
-# changed.
+# in DESIGN.md "Mechanically enforced invariants".
 lint:
-	$(GO) run ./cmd/aegis-lint -cache ./...
+	$(GO) run ./cmd/aegis-lint ./...
 
 # Same lint run rendered as SARIF 2.1.0 for GitHub code-scanning upload.
 # The file is written even when findings exist; the lint exit status is

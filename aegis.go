@@ -65,10 +65,10 @@ var (
 
 // Mechanism names accepted by NewDefense/Protect.
 const (
-	MechanismLaplace  = "laplace"
-	MechanismDStar    = "dstar"
-	MechanismRandom   = "random"   // §IX-A baseline, no privacy guarantee
-	MechanismConstant = "constant" // §IX-A baseline, pad to a constant
+	MechanismLaplace  = obfuscator.MechanismLaplace
+	MechanismDStar    = obfuscator.MechanismDStar
+	MechanismRandom   = obfuscator.MechanismRandom   // §IX-A baseline, no privacy guarantee
+	MechanismConstant = obfuscator.MechanismConstant // §IX-A baseline, pad to a constant
 )
 
 // Errors returned by the facade.
@@ -404,30 +404,13 @@ func (f *Framework) NewDefense(gs *GadgetSet, mechanism string, param float64) (
 	if gs == nil || len(gs.segment) == 0 {
 		return nil, ErrNoGadgets
 	}
-	switch mechanism {
-	case MechanismLaplace, MechanismDStar, MechanismRandom, MechanismConstant:
-	default:
+	if !obfuscator.KnownMechanism(mechanism) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMechanism, mechanism)
 	}
 	cfg := f.cfg
 	return func(seed uint64) (*obfuscator.Obfuscator, error) {
 		r := rng.New(seed).Split("aegis-defense")
-		var (
-			mech obfuscator.Mechanism
-			err  error
-		)
-		switch mechanism {
-		case MechanismLaplace:
-			mech, err = obfuscator.NewLaplaceMechanism(param, cfg.Sensitivity, r)
-		case MechanismDStar:
-			mech, err = obfuscator.NewDStarMechanism(param, cfg.Sensitivity, r)
-		case MechanismRandom:
-			mech, err = obfuscator.NewRandomNoiseMechanism(param, r)
-		case MechanismConstant:
-			mech, err = obfuscator.NewConstantOutputMechanism(param)
-		default:
-			return nil, fmt.Errorf("%w: %q", ErrUnknownMechanism, mechanism)
-		}
+		mech, err := obfuscator.NewMechanism(mechanism, param, param, cfg.Sensitivity, r)
 		if err != nil {
 			return nil, err
 		}

@@ -6,17 +6,14 @@
 //
 // Usage:
 //
-//	aegis-lint [-json|-sarif] [-cache [-store dir]] [-C dir] [./...]   lint the module
+//	aegis-lint [-json|-sarif] [-C dir] [./...]   lint the module
 //	aegis-lint -audit [./...]   inventory every //aegis:allow as JSON
 //	aegis-lint -rules           list the registered rules
 //	aegis-lint -gofmt           gofmt gate on the same file walk
 //
-// -sarif emits SARIF 2.1.0 for GitHub code-scanning upload. -cache reuses
-// per-package results stored as lint-result artifacts (default store
-// <module root>/lint.aegis-artifact), re-analyzing only packages whose
-// import-closure file contents changed; the hit/miss funnel is printed to
-// stderr. -audit reports each suppression's rule, position, reason, and
-// whether it still suppresses or prunes anything.
+// -sarif emits SARIF 2.1.0 for GitHub code-scanning upload. -audit reports
+// each suppression's rule, position, reason, and whether it still
+// suppresses or prunes anything.
 //
 // Exit codes: 0 clean, 1 findings, 2 load error.
 package main

@@ -29,9 +29,9 @@ import (
 
 // Diagnostic is one finding, positioned in the linted source tree.
 type Diagnostic struct {
-	Pos     token.Position `json:"pos"`
-	Rule    string         `json:"rule"`
-	Message string         `json:"message"`
+	Pos     token.Position
+	Rule    string
+	Message string
 }
 
 func (d Diagnostic) String() string {
@@ -92,6 +92,10 @@ type Rule struct {
 // malformed, unknown-rule, reason-less, and unused //aegis:allow comments.
 // It is not a Rule (it cannot be disabled) and cannot itself be suppressed.
 const SuppressionRule = "suppression"
+
+// rulesetVersion names the rule set in SARIF and -audit output: bump it
+// whenever any rule's logic or message format changes.
+const rulesetVersion = "aegis-lint-rules/v2"
 
 // AllRules returns every registered rule, sorted by name. Adding a rule to
 // the suite means adding one file defining it, listing it here, and adding
@@ -170,7 +174,7 @@ func pkgPathHasSuffix(pkg *types.Package, suffix string) bool {
 }
 
 // PackageResult is everything one package's analysis produces, shaped so
-// it can be cached per package and merged later: the surviving rule
+// per-package results can be merged later: the surviving rule
 // diagnostics (which for deep rules may be positioned in dependency
 // files), the inventory of //aegis:allow comments in the package's own
 // files, and the keys of every allow the analysis marked used — including
@@ -179,10 +183,10 @@ func pkgPathHasSuffix(pkg *types.Package, suffix string) bool {
 // allow is unused is a whole-run property (another package's analysis may
 // be the one using it), so Merge computes it from the union of used keys.
 type PackageResult struct {
-	Path        string        `json:"path"`
-	Diagnostics []Diagnostic  `json:"diagnostics"`
-	Allows      []AllowRecord `json:"allows"`
-	UsedKeys    []string      `json:"usedKeys"`
+	Path        string
+	Diagnostics []Diagnostic
+	Allows      []AllowRecord
+	UsedKeys    []string
 }
 
 // AnalyzePackage runs the given rules over one package of the program and
@@ -190,8 +194,8 @@ type PackageResult struct {
 // module import closure before rules run, because interprocedural
 // diagnostics can land in — and be suppressed or pruned in — dependency
 // files. The result depends only on the package's import closure, never on
-// which other packages happen to be loaded; that independence is what
-// makes per-package caching sound.
+// which other packages happen to be loaded, so a single-directory run
+// reports the same diagnostics for that package as a ./... run.
 func AnalyzePackage(prog *Program, pkg *Package, rules []*Rule) PackageResult {
 	sup := &suppressions{}
 	closure := prog.Closure(pkg)

@@ -53,7 +53,7 @@ func writeAudit(w io.Writer, results []PackageResult, root string) error {
 			seen[k] = true
 			allows = append(allows, auditAllow{
 				Rule:      a.Rule,
-				File:      relocatePath(a.Pos.Filename, root),
+				File:      relPath(a.Pos.Filename, root),
 				Line:      a.Pos.Line,
 				Reason:    a.Reason,
 				Malformed: a.Malformed,
@@ -72,5 +72,5 @@ func writeAudit(w io.Writer, results []PackageResult, root string) error {
 	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(auditReport{Schema: AuditSchema, Root: root, Ruleset: lintRulesetVersion, Allows: allows})
+	return enc.Encode(auditReport{Schema: AuditSchema, Root: root, Ruleset: rulesetVersion, Allows: allows})
 }

@@ -19,16 +19,17 @@ import (
 //     edge to every module method with the same name and an identical
 //     signature that is declared inside the calling package's import
 //     closure. These edges carry Dynamic=true, and the deep rules name
-//     the dispatch in their call chains. The closure restriction is what
-//     keeps per-package analysis results — and therefore the lint cache —
-//     independent of which other packages happen to be loaded, but it is
-//     not sound: an importer can hand the call site a concrete type whose
-//     package the caller never imports. sev.World.Step calls Process.Step,
-//     yet neither obfuscator nor workload is in sev's closure, so no edge
+//     the dispatch in their call chains. The closure restriction keeps
+//     per-package analysis results independent of which other packages
+//     happen to be loaded, so a single-directory run reports the same
+//     diagnostics for that package as ./... does. It is not sound: an
+//     importer can hand the call site a concrete type whose package the
+//     caller never imports. sev.World.Step calls Process.Step, yet
+//     neither obfuscator nor workload is in sev's closure, so no edge
 //     reaches (*obfuscator.Obfuscator).Step or (*workload.Runner).Step;
-//     the daemon and the facade wire those types in from above. A
-//     whole-program question (reachability, say) must dispatch to every
-//     matching method instead.
+//     the daemon and the facade wire those types in from above (DESIGN.md
+//     lists what this hides). A whole-program question (reachability,
+//     say) must dispatch to every matching method instead.
 //   - A call of a function-typed value (a method value, a stored closure,
 //     a func field or parameter) cannot be resolved at all; the site is
 //     recorded as a DynSite and the deep rules report it conservatively —

@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"github.com/repro/aegis/internal/artifact"
 )
 
 // Exit codes of the aegis-lint CLI, asserted by cli_test.go and relied on
@@ -50,13 +48,11 @@ func CLI(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (schema aegis-lint/v1)")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 for code-scanning upload")
 	audit := fs.Bool("audit", false, "emit a JSON inventory of every //aegis:allow (schema aegis-lint-audit/v1) instead of diagnostics")
-	cache := fs.Bool("cache", false, "cache per-package results as lint-result artifacts and reuse them on unchanged packages")
-	storeDir := fs.String("store", "", "artifact store directory for -cache (default <module root>/lint.aegis-artifact)")
 	gofmt := fs.Bool("gofmt", false, "check gofmt cleanliness over the same file walk instead of linting")
 	dir := fs.String("C", ".", "directory to resolve the module from")
 	listRules := fs.Bool("rules", false, "list the registered rules and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: aegis-lint [-json|-sarif|-audit] [-cache [-store dir]] [-gofmt] [-rules] [-C dir] [./...]\n")
+		fmt.Fprintf(stderr, "usage: aegis-lint [-json|-sarif|-audit] [-gofmt] [-rules] [-C dir] [./...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -92,9 +88,10 @@ func CLI(args []string, stdout, stderr io.Writer) int {
 	// analyzed and reported.
 	prog := NewProgram(loader.Loaded())
 	rules := AllRules()
-	results, code := analyzeTargets(prog, dedupe(pkgs), rules, root, *cache, *storeDir, stderr)
-	if code != ExitClean {
-		return code
+	targets := dedupe(pkgs)
+	results := make([]PackageResult, 0, len(targets))
+	for _, pkg := range targets {
+		results = append(results, AnalyzePackage(prog, pkg, rules))
 	}
 
 	if *audit {
@@ -134,38 +131,6 @@ func dedupe(pkgs []*Package) []*Package {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// analyzeTargets produces one PackageResult per requested package, going
-// through the lint-result artifact cache when enabled. The hit/miss
-// funnel is reported to stderr so CI can assert a warm run is all-hit.
-func analyzeTargets(prog *Program, pkgs []*Package, rules []*Rule, root string, cache bool, storeDir string, stderr io.Writer) ([]PackageResult, int) {
-	results := make([]PackageResult, 0, len(pkgs))
-	if !cache {
-		for _, pkg := range pkgs {
-			results = append(results, AnalyzePackage(prog, pkg, rules))
-		}
-		return results, ExitClean
-	}
-	if storeDir == "" {
-		storeDir = filepath.Join(root, "lint.aegis-artifact")
-	}
-	store, err := artifact.Open(storeDir)
-	if err != nil {
-		fmt.Fprintf(stderr, "aegis-lint: %v\n", err)
-		return nil, ExitLoadError
-	}
-	var stats CacheStats
-	for _, pkg := range pkgs {
-		res, err := AnalyzeCachedPackage(prog, pkg, rules, store, root, &stats)
-		if err != nil {
-			fmt.Fprintf(stderr, "aegis-lint: %v\n", err)
-			return nil, ExitLoadError
-		}
-		results = append(results, res)
-	}
-	fmt.Fprintf(stderr, "aegis-lint: lint-result cache: %d hit, %d miss\n", stats.Hits, stats.Misses)
-	return results, ExitClean
 }
 
 // loadPatterns resolves the package patterns (default "./...") against the
@@ -213,20 +178,23 @@ func loadPatterns(loader *Loader, patterns []string, stderr io.Writer) ([]*Packa
 	return pkgs, ExitClean
 }
 
+// relPath maps a file name under root to a slash-separated relative one,
+// the form every output format reports; files outside root stay as-is.
+func relPath(name, root string) string {
+	if r, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(r, "..") {
+		return filepath.ToSlash(r)
+	}
+	return name
+}
+
 // emit prints the diagnostics (text or JSON, paths relative to root) and
 // returns the exit code.
 func emit(diags []Diagnostic, root string, asJSON bool, stdout, stderr io.Writer) int {
-	rel := func(file string) string {
-		if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
-			return filepath.ToSlash(r)
-		}
-		return file
-	}
 	if asJSON {
 		report := jsonReport{Schema: JSONSchema, Root: root, Diagnostics: []jsonDiagnostic{}}
 		for _, d := range diags {
 			report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
-				File: rel(d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
+				File: relPath(d.Pos.Filename, root), Line: d.Pos.Line, Col: d.Pos.Column,
 				Rule: d.Rule, Message: d.Message,
 			})
 		}
@@ -238,7 +206,7 @@ func emit(diags []Diagnostic, root string, asJSON bool, stdout, stderr io.Writer
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(d.Pos.Filename, root), d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 		}
 	}
 	if len(diags) > 0 {

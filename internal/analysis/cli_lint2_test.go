@@ -2,14 +2,14 @@ package analysis
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// Tests for the v2 CLI surface: SARIF output, the lint-result artifact
-// cache, and the -audit suppression inventory.
+// Tests for the v2 CLI surface: SARIF output, single-directory runs, and
+// the -audit suppression inventory.
 
 func TestCLISARIF(t *testing.T) {
 	root := writeTree(t, map[string]string{
@@ -19,6 +19,9 @@ func TestCLISARIF(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "-C", root, "-sarif", "./...")
 	if code != ExitFindings {
 		t.Fatalf("exit = %d, want %d\nstderr: %s", code, ExitFindings, stderr)
+	}
+	if code2, stdout2, _ := runCLI(t, "-C", root, "-sarif", "./..."); code2 != code || stdout2 != stdout {
+		t.Errorf("second run differs (exit %d vs %d):\n--- first\n%s--- second\n%s", code2, code, stdout, stdout2)
 	}
 	var doc struct {
 		Schema  string `json:"$schema"`
@@ -109,67 +112,64 @@ func TestCLISARIFCleanTree(t *testing.T) {
 	}
 }
 
-func TestCLICacheWarmRunIsAllHitAndByteIdentical(t *testing.T) {
+func TestCLISingleDirMatchesWholeModule(t *testing.T) {
+	// dep declares an interface and calls it on a hot path; its only
+	// implementation lives in app, which imports dep and allocates. Interface
+	// dispatch stops at the caller's import closure, so dep's analysis never
+	// reaches app.(Impl).Step whether or not app is loaded: ./dep reports the
+	// same diagnostics as the ./... run does for dep. app reports nothing of
+	// its own; other is unrelated and has a finding of its own.
 	root := writeTree(t, map[string]string{
-		"go.mod":                "module tmpmod\n\ngo 1.21\n",
-		"internal/fuzzer/fz.go": dirtyFuzzer,
-		"internal/clean/c.go":   cleanFile,
+		"go.mod": "module tmpmod\n\ngo 1.21\n",
+		"dep/d.go": "package dep\n\ntype Stepper interface{ Step() int }\n\n" +
+			"//aegis:hotpath\nfunc Tick(s Stepper) int {\n\tm := map[int]int{}\n\tm[0] = s.Step()\n\treturn m[0]\n}\n",
+		"app/a.go": "package app\n\nimport \"tmpmod/dep\"\n\ntype Impl struct{ log []int }\n\n" +
+			"func (i *Impl) Step() int {\n\ti.log = append(i.log, 1)\n\treturn len(i.log)\n}\n\n" +
+			"func A() int { return dep.Tick(&Impl{}) }\n",
+		"other/o.go": "package other\n\n//aegis:hotpath\nfunc O() map[int]int { return map[int]int{} }\n",
 	})
-	store := filepath.Join(root, "lint.aegis-artifact")
-
-	code1, out1, err1 := runCLI(t, "-C", root, "-cache", "-store", store, "./...")
-	if code1 != ExitFindings {
-		t.Fatalf("cold exit = %d, want %d\nstderr: %s", code1, ExitFindings, err1)
+	type report struct {
+		Diagnostics []struct {
+			File    string `json:"file"`
+			Line    int    `json:"line"`
+			Col     int    `json:"col"`
+			Rule    string `json:"rule"`
+			Message string `json:"message"`
+		} `json:"diagnostics"`
 	}
-	if !strings.Contains(err1, "0 hit, 2 miss") {
-		t.Errorf("cold run funnel = %q, want 0 hit, 2 miss", err1)
-	}
-
-	code2, out2, err2 := runCLI(t, "-C", root, "-cache", "-store", store, "./...")
-	if code2 != ExitFindings {
-		t.Fatalf("warm exit = %d, want %d", code2, ExitFindings)
-	}
-	if !strings.Contains(err2, "2 hit, 0 miss") {
-		t.Errorf("warm run funnel = %q, want 2 hit, 0 miss", err2)
-	}
-	if out1 != out2 {
-		t.Errorf("warm run diagnostics differ from cold run:\n--- cold\n%s--- warm\n%s", out1, out2)
+	decode := func(stdout string) report {
+		t.Helper()
+		var r report
+		if err := json.Unmarshal([]byte(stdout), &r); err != nil {
+			t.Fatalf("invalid JSON: %v\n%s", err, stdout)
+		}
+		return r
 	}
 
-	// Editing one package re-analyzes only it; the untouched package hits.
-	if err := os.WriteFile(filepath.Join(root, "internal/clean/c.go"),
-		[]byte(cleanFile+"\nfunc Add2(a, b int) int { return a + b }\n"), 0o644); err != nil {
-		t.Fatal(err)
+	code, stdout, stderr := runCLI(t, "-C", root, "-json", "./...")
+	if code != ExitFindings {
+		t.Fatalf("./... exit = %d, want %d\nstderr: %s", code, ExitFindings, stderr)
 	}
-	code3, _, err3 := runCLI(t, "-C", root, "-cache", "-store", store, "./...")
-	if code3 != ExitFindings {
-		t.Fatalf("post-edit exit = %d, want %d", code3, ExitFindings)
+	whole := decode(stdout)
+	var subset report
+	sawOther := false
+	for _, d := range whole.Diagnostics {
+		if strings.HasPrefix(d.File, "other/") {
+			sawOther = true
+			continue
+		}
+		subset.Diagnostics = append(subset.Diagnostics, d)
 	}
-	if !strings.Contains(err3, "1 hit, 1 miss") {
-		t.Errorf("post-edit funnel = %q, want 1 hit, 1 miss", err3)
+	if !sawOther || len(subset.Diagnostics) == 0 {
+		t.Fatalf("fixture should report in both dep and other:\n%s", stdout)
 	}
-}
 
-func TestCLICacheInvalidatesDependents(t *testing.T) {
-	// dep is imported by app: editing dep must re-analyze both, because
-	// the interprocedural rules read through the import closure.
-	root := writeTree(t, map[string]string{
-		"go.mod":     "module tmpmod\n\ngo 1.21\n",
-		"dep/d.go":   "package dep\n\nfunc D() int { return 1 }\n",
-		"app/a.go":   "package app\n\nimport \"tmpmod/dep\"\n\nfunc A() int { return dep.D() }\n",
-		"other/o.go": "package other\n\nfunc O() {}\n",
-	})
-	store := filepath.Join(root, "lint.aegis-artifact")
-	if code, _, err1 := runCLI(t, "-C", root, "-cache", "-store", store, "./..."); code != ExitClean {
-		t.Fatalf("cold exit = %d\nstderr: %s", code, err1)
+	code, stdout, stderr = runCLI(t, "-C", root, "-json", filepath.Join(root, "dep"))
+	if code != ExitFindings {
+		t.Fatalf("./dep exit = %d, want %d\nstderr: %s", code, ExitFindings, stderr)
 	}
-	if err := os.WriteFile(filepath.Join(root, "dep/d.go"),
-		[]byte("package dep\n\nfunc D() int { return 2 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err2 := runCLI(t, "-C", root, "-cache", "-store", store, "./...")
-	if !strings.Contains(err2, "1 hit, 2 miss") {
-		t.Errorf("after dep edit funnel = %q, want 1 hit, 2 miss (dep and app re-analyzed, other hits)", err2)
+	if single := decode(stdout); !reflect.DeepEqual(single, subset) {
+		t.Errorf("./dep diagnostics differ from the dep subset of ./...:\n--- ./dep\n%+v\n--- ./... without other/\n%+v", single, subset)
 	}
 }
 

@@ -114,7 +114,7 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, rules []*Rule, root string) err
 			Level:     "error",
 			Message:   sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifactLoc{URI: relocatePath(d.Pos.Filename, root)},
+				ArtifactLocation: sarifArtifactLoc{URI: relPath(d.Pos.Filename, root)},
 				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 			}}},
 		})
@@ -126,7 +126,7 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, rules []*Rule, root string) err
 		Runs: []sarifRun{{
 			Tool: sarifTool{Driver: sarifDriver{
 				Name:           "aegis-lint",
-				Version:        lintRulesetVersion,
+				Version:        rulesetVersion,
 				InformationURI: "https://github.com/repro/aegis",
 				Rules:          sr,
 			}},

@@ -31,10 +31,10 @@ func (a *allow) key() string {
 // AllowRecord is the exported inventory form of one //aegis:allow comment,
 // used by Merge for hygiene and by `aegis-lint -audit` for review.
 type AllowRecord struct {
-	Pos       token.Position `json:"pos"`
-	Rule      string         `json:"rule"`
-	Reason    string         `json:"reason"`
-	Malformed bool           `json:"malformed,omitempty"`
+	Pos       token.Position
+	Rule      string
+	Reason    string
+	Malformed bool
 }
 
 // Key returns the record's cross-run identity (file:line:rule).

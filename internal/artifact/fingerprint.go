@@ -75,18 +75,6 @@ func (f *Fingerprint) Float(label string, v float64) *Fingerprint {
 	return f.Uint64(label, math.Float64bits(v))
 }
 
-// Bytes mixes in a labeled raw byte field (file contents, serialized
-// blobs). The label\0value\0 framing applies as for String, so byte
-// fields cannot alias neighbouring fields.
-func (f *Fingerprint) Bytes(label string, v []byte) *Fingerprint {
-	f.writeString(label)
-	for _, b := range v {
-		f.writeByte(b)
-	}
-	f.writeByte(0)
-	return f
-}
-
 // Bool mixes in a labeled bool field.
 func (f *Fingerprint) Bool(label string, v bool) *Fingerprint {
 	var b uint64

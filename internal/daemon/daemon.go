@@ -66,10 +66,10 @@ var (
 
 // Mechanism names accepted by Config.Mechanism and Tunables.Mechanism.
 const (
-	MechanismLaplace  = "laplace"
-	MechanismDStar    = "dstar"
-	MechanismRandom   = "random"
-	MechanismConstant = "constant"
+	MechanismLaplace  = obfuscator.MechanismLaplace
+	MechanismDStar    = obfuscator.MechanismDStar
+	MechanismRandom   = obfuscator.MechanismRandom
+	MechanismConstant = obfuscator.MechanismConstant
 )
 
 // Config configures a daemon. Segment and RefEvent are the shared
@@ -155,9 +155,7 @@ type Tunables struct {
 // validate checks the delta against the closed mechanism set and the
 // positivity constraints; the daemon applies none of it on error.
 func (t Tunables) validate() error {
-	switch t.Mechanism {
-	case "", MechanismLaplace, MechanismDStar, MechanismRandom, MechanismConstant:
-	default:
+	if t.Mechanism != "" && !obfuscator.KnownMechanism(t.Mechanism) {
 		return fmt.Errorf("%w: unknown mechanism %q", ErrBadTunables, t.Mechanism)
 	}
 	if t.Epsilon != nil && *t.Epsilon <= 0 {
@@ -459,18 +457,7 @@ func buildApp(name string, secrets int) (workload.App, error) {
 // noise stream, so replans re-seed deterministically.
 func (d *Daemon) buildMechanism(t *Tenant, set settings) (obfuscator.Mechanism, error) {
 	r := rng.NewStream(d.cfg.Seed, "daemon", t.name, "mech").SplitN("gen", t.planGen)
-	switch set.mechanism {
-	case MechanismLaplace:
-		return obfuscator.NewLaplaceMechanism(set.epsilon, d.cfg.Sensitivity, r)
-	case MechanismDStar:
-		return obfuscator.NewDStarMechanism(set.epsilon, d.cfg.Sensitivity, r)
-	case MechanismRandom:
-		return obfuscator.NewRandomNoiseMechanism(set.clipBound, r)
-	case MechanismConstant:
-		return obfuscator.NewConstantOutputMechanism(set.clipBound)
-	default:
-		return nil, fmt.Errorf("%w: unknown mechanism %q", ErrBadTunables, set.mechanism)
-	}
+	return obfuscator.NewMechanism(set.mechanism, set.epsilon, set.clipBound, d.cfg.Sensitivity, r)
 }
 
 // tenantFaults derives the tenant's own fault schedule: same rates as the

@@ -78,10 +78,10 @@ type MechanismKind string
 
 // Mechanism kinds.
 const (
-	MechLaplace  MechanismKind = "laplace"
-	MechDStar    MechanismKind = "dstar"
-	MechRandom   MechanismKind = "random"
-	MechConstant MechanismKind = "constant"
+	MechLaplace  MechanismKind = obfuscator.MechanismLaplace
+	MechDStar    MechanismKind = obfuscator.MechanismDStar
+	MechRandom   MechanismKind = obfuscator.MechanismRandom
+	MechConstant MechanismKind = obfuscator.MechanismConstant
 )
 
 // Defense builds an attack.DefenseFactory for the kit with the given
@@ -89,23 +89,8 @@ const (
 // baselines).
 func (k *DefenseKit) Defense(kind MechanismKind, param float64) attack.DefenseFactory {
 	return func(seed uint64) (*obfuscator.Obfuscator, error) {
-		var (
-			mech obfuscator.Mechanism
-			err  error
-		)
 		r := rng.New(seed).Split("defense")
-		switch kind {
-		case MechLaplace:
-			mech, err = obfuscator.NewLaplaceMechanism(param, k.Sensitivity, r)
-		case MechDStar:
-			mech, err = obfuscator.NewDStarMechanism(param, k.Sensitivity, r)
-		case MechRandom:
-			mech, err = obfuscator.NewRandomNoiseMechanism(param, r)
-		case MechConstant:
-			mech, err = obfuscator.NewConstantOutputMechanism(param)
-		default:
-			return nil, fmt.Errorf("experiment: unknown mechanism %q", kind)
-		}
+		mech, err := obfuscator.NewMechanism(string(kind), param, param, k.Sensitivity, r)
 		if err != nil {
 			return nil, err
 		}

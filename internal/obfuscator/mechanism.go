@@ -23,9 +23,53 @@ import (
 
 // Errors returned by the package.
 var (
-	ErrBadEpsilon = errors.New("obfuscator: epsilon must be positive and finite")
-	ErrBadBound   = errors.New("obfuscator: bound must be positive and finite")
+	ErrBadEpsilon       = errors.New("obfuscator: epsilon must be positive and finite")
+	ErrBadBound         = errors.New("obfuscator: bound must be positive and finite")
+	ErrUnknownMechanism = errors.New("obfuscator: unknown mechanism")
 )
+
+// Mechanism names: each mechanism's Name() and the keys NewMechanism
+// accepts.
+const (
+	MechanismLaplace  = "laplace"
+	MechanismDStar    = "dstar"
+	MechanismRandom   = "random"   // §IX-A baseline, no privacy guarantee
+	MechanismConstant = "constant" // §IX-A baseline, pad to a constant
+)
+
+// mechanisms is the one name → constructor table. The DP mechanisms take
+// ε and the sensitivity; the §IX-A baselines take the noise bound (random)
+// or padding peak (constant).
+var mechanisms = map[string]func(epsilon, bound, sensitivity float64, r *rng.Source) (Mechanism, error){
+	MechanismLaplace: func(epsilon, _, sensitivity float64, r *rng.Source) (Mechanism, error) {
+		return NewLaplaceMechanism(epsilon, sensitivity, r)
+	},
+	MechanismDStar: func(epsilon, _, sensitivity float64, r *rng.Source) (Mechanism, error) {
+		return NewDStarMechanism(epsilon, sensitivity, r)
+	},
+	MechanismRandom: func(_, bound, _ float64, r *rng.Source) (Mechanism, error) {
+		return NewRandomNoiseMechanism(bound, r)
+	},
+	MechanismConstant: func(_, bound, _ float64, _ *rng.Source) (Mechanism, error) {
+		return NewConstantOutputMechanism(bound)
+	},
+}
+
+// KnownMechanism reports whether NewMechanism accepts name.
+func KnownMechanism(name string) bool {
+	_, ok := mechanisms[name]
+	return ok
+}
+
+// NewMechanism builds the named mechanism, drawing noise from r. An
+// unknown name wraps ErrUnknownMechanism.
+func NewMechanism(name string, epsilon, bound, sensitivity float64, r *rng.Source) (Mechanism, error) {
+	build, ok := mechanisms[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownMechanism, name)
+	}
+	return build(epsilon, bound, sensitivity, r)
+}
 
 // badParam reports a NaN/Inf/non-positive mechanism parameter. NaN needs
 // explicit rejection: `v <= 0` is false for NaN and would slip through.
@@ -35,7 +79,7 @@ func badParam(v float64) bool {
 
 // Mechanism produces the per-tick noise (in event counts) to inject.
 type Mechanism interface {
-	// Name identifies the mechanism ("laplace", "dstar", ...).
+	// Name identifies the mechanism (MechanismLaplace, MechanismDStar, ...).
 	Name() string
 	// NeedsObservation reports whether the mechanism requires the
 	// real-time HPC value x[t] (read by the kernel module via RDPMC).
@@ -144,7 +188,7 @@ func NewLaplaceMechanism(epsilon, sensitivity float64, r *rng.Source) (*LaplaceM
 }
 
 // Name implements Mechanism.
-func (m *LaplaceMechanism) Name() string { return "laplace" }
+func (m *LaplaceMechanism) Name() string { return MechanismLaplace }
 
 // NeedsObservation implements Mechanism: the Laplace mechanism is oblivious
 // to the actual HPC values, which also suits the paper's stricter threat
@@ -198,7 +242,7 @@ func NewDStarMechanism(epsilon, sensitivity float64, r *rng.Source) (*DStarMecha
 }
 
 // Name implements Mechanism.
-func (m *DStarMechanism) Name() string { return "dstar" }
+func (m *DStarMechanism) Name() string { return MechanismDStar }
 
 // NeedsObservation implements Mechanism: the d* recursion tracks real HPC
 // values across ticks, which is why the kernel module monitors them.
@@ -278,7 +322,7 @@ func NewRandomNoiseMechanism(bound float64, r *rng.Source) (*RandomNoiseMechanis
 }
 
 // Name implements Mechanism.
-func (m *RandomNoiseMechanism) Name() string { return "random" }
+func (m *RandomNoiseMechanism) Name() string { return MechanismRandom }
 
 // NeedsObservation implements Mechanism.
 func (m *RandomNoiseMechanism) NeedsObservation() bool { return false }
@@ -304,7 +348,7 @@ func NewConstantOutputMechanism(peak float64) (*ConstantOutputMechanism, error) 
 }
 
 // Name implements Mechanism.
-func (m *ConstantOutputMechanism) Name() string { return "constant" }
+func (m *ConstantOutputMechanism) Name() string { return MechanismConstant }
 
 // NeedsObservation implements Mechanism: padding to a constant requires
 // knowing the current value.

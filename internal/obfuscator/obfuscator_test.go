@@ -211,6 +211,40 @@ func TestMechanismConstructorsValidate(t *testing.T) {
 	}
 }
 
+func TestNewMechanismTable(t *testing.T) {
+	for _, name := range []string{MechanismLaplace, MechanismDStar, MechanismRandom, MechanismConstant} {
+		if !KnownMechanism(name) {
+			t.Errorf("KnownMechanism(%q) = false", name)
+		}
+		m, err := NewMechanism(name, 0.5, 300, 1500, rng.New(1))
+		if err != nil {
+			t.Fatalf("NewMechanism(%q): %v", name, err)
+		}
+		if m.Name() != name {
+			t.Errorf("NewMechanism(%q).Name() = %q", name, m.Name())
+		}
+	}
+	// ε and the sensitivity go to the DP mechanisms, the bound to the
+	// baselines.
+	lap, _ := NewMechanism(MechanismLaplace, 0.5, 300, 1500, rng.New(1))
+	if l := lap.(*LaplaceMechanism); l.Epsilon != 0.5 || l.Sensitivity != 1500 {
+		t.Errorf("laplace got ε=%v Δ=%v, want 0.5 and 1500", l.Epsilon, l.Sensitivity)
+	}
+	cst, _ := NewMechanism(MechanismConstant, 0.5, 300, 1500, nil)
+	if c := cst.(*ConstantOutputMechanism); c.Peak != 300 {
+		t.Errorf("constant peak = %v, want 300", c.Peak)
+	}
+	if _, err := NewMechanism(MechanismRandom, 0.5, 0, 1500, rng.New(1)); !errors.Is(err, ErrBadBound) {
+		t.Errorf("random bound=0 error = %v, want ErrBadBound", err)
+	}
+	if KnownMechanism("bogus") {
+		t.Error(`KnownMechanism("bogus") = true`)
+	}
+	if _, err := NewMechanism("bogus", 1, 1, 1, rng.New(1)); !errors.Is(err, ErrUnknownMechanism) {
+		t.Errorf("unknown name error = %v, want ErrUnknownMechanism", err)
+	}
+}
+
 // coverSegment builds a small stacked gadget segment via the fuzzer.
 func coverSegment(t *testing.T) ([]isa.Variant, *hpc.Event) {
 	t.Helper()
