@@ -226,10 +226,11 @@ func TestZeroAllocStatsScratch(t *testing.T) {
 	})
 }
 
-// TestZeroAllocPerCacheSet gates core construction, which the fuzzer pays
-// once per signature: each cache and the TLB is one flat allocation, so a
-// core makes the same small number of allocations however many sets its
-// caches have.
+// TestZeroAllocPerCacheSet gates core construction, which a world pays once
+// per core its guests pin (the fuzzer resets pooled cores instead, see
+// TestZeroAllocCoreReset): each cache and the TLB is one flat allocation,
+// so a core makes the same small number of allocations however many sets
+// its caches have.
 func TestZeroAllocPerCacheSet(t *testing.T) {
 	const maxAllocs = 12 // the core, 3 caches, TLB and predictor, and their 6 tables
 	cfg := microarch.DefaultCoreConfig()
@@ -241,5 +242,33 @@ func TestZeroAllocPerCacheSet(t *testing.T) {
 	big.L1DSets, big.L1ISets, big.L2Sets = 4*cfg.L1DSets, 4*cfg.L1ISets, 4*cfg.L2Sets
 	if n := testing.AllocsPerRun(16, func() { coreSink = microarch.NewCore(0, big, nil) }); n != base {
 		t.Errorf("NewCore with 4x the sets: %v allocs, want %v as with the default sets", n, base)
+	}
+}
+
+// TestZeroAllocCoreReset gates Core.Reset, which the fuzzer runs on a
+// pooled core before every signature it measures: returning a core to cold
+// clears its tables in place.
+func TestZeroAllocCoreReset(t *testing.T) {
+	core := microarch.NewCore(0, microarch.DefaultCoreConfig(), nil)
+	requireZeroAllocs(t, "Core.Reset", 64, core.Reset)
+}
+
+// TestZeroAllocTemplateWorld gates the profiler's template world, a 1-vCPU
+// guest on a fresh host: cores are built only when a vCPU is pinned, so
+// set-up makes the same number of allocations however many physical cores
+// the host has.
+func TestZeroAllocTemplateWorld(t *testing.T) {
+	quietTelemetry(t)
+	allocs := func(cores int) float64 {
+		cfg := sev.DefaultConfig(4)
+		cfg.PhysicalCores = cores
+		return testing.AllocsPerRun(16, func() {
+			if _, err := sev.NewWorld(cfg).LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := allocs(8), allocs(32); big != small {
+		t.Errorf("NewWorld+LaunchVM: %v allocs with 32 cores, want %v as with 8", big, small)
 	}
 }

@@ -283,8 +283,8 @@ func BenchmarkTLBAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkNewCore builds a default core, the fuzzer's per-signature set-up
-// cost.
+// BenchmarkNewCore builds a default core, the set-up cost a world pays per
+// pinned core.
 func BenchmarkNewCore(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

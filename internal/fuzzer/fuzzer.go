@@ -210,13 +210,17 @@ type Result struct {
 
 // Fuzzer runs gadget-search campaigns. A Fuzzer is safe for the concurrent
 // per-event fan-out of Fuzz: its fields are read-only after New except the
-// screening memo, which is lock-protected and caches only pure values.
+// screening memo, which is lock-protected and caches only pure values, and
+// the cold-bench pool.
 type Fuzzer struct {
 	legal  []isa.Variant
 	cfg    Config
 	root   *rng.Source
 	memo   *screenMemo
 	faults *faultinject.Injector
+	// cold pools the noise-free benches signatures are measured on, so a
+	// memo miss resets a core instead of building one.
+	cold sync.Pool
 	// resumeOnce/legalHash/byID cache the legal-list fingerprint and the
 	// variant-ID index used by artifact resume.
 	resumeOnce sync.Once
@@ -225,7 +229,7 @@ type Fuzzer struct {
 }
 
 // gadgetSig is a gadget's noise-free execution signature: the raw counter
-// deltas of running it on a fresh, interrupt-free bench. cold is the first
+// deltas of running it on a cold, interrupt-free bench. cold is the first
 // execution (empty caches), warm the second (steady state), total their
 // sum — exactly the two-execution measurement MinimalCover credits
 // coverage from. The signature is a pure function of (gadget, CoreConfig),
@@ -277,10 +281,31 @@ func (f *Fuzzer) signature(g Gadget) (gadgetSig, error) {
 	}
 	mMemoMisses.Inc()
 	// Compute outside the lock: the value is pure, so a racing duplicate
-	// computation stores an identical signature. Signatures stay
-	// fault-free (nil handle) even when the campaign injects faults —
-	// otherwise cache hits would make results scheduling-dependent.
-	b := f.newBench(nil, nil)
+	// computation stores an identical signature.
+	sig, err := f.coldSignature(g)
+	if err != nil {
+		return gadgetSig{}, err
+	}
+	f.memo.store(id, sig)
+	return sig, nil
+}
+
+// coldSignature measures g on a pooled bench reset to the state
+// newBench(nil, nil) builds, so the result equals a fresh bench's.
+// Signature benches stay fault-free (nil handle) even when the campaign
+// injects faults — otherwise cache hits would make results
+// scheduling-dependent.
+func (f *Fuzzer) coldSignature(g Gadget) (gadgetSig, error) {
+	b := f.cold.Get().(*bench)
+	defer f.cold.Put(b)
+	b.core.Reset()
+	*b.ctx = *microarch.NewScratchContext(scratchBase)
+	return b.signature(g)
+}
+
+// signature runs g twice from the bench's current state and returns the
+// cold, warm and total counter deltas.
+func (b *bench) signature(g Gadget) (gadgetSig, error) {
 	before := b.core.Counters()
 	if err := b.core.ExecuteSequence(g.Sequence(), b.ctx); err != nil {
 		return gadgetSig{}, err
@@ -290,13 +315,11 @@ func (f *Fuzzer) signature(g Gadget) (gadgetSig, error) {
 		return gadgetSig{}, err
 	}
 	afterWarm := b.core.Counters()
-	sig := gadgetSig{
+	return gadgetSig{
 		cold:  afterCold.Sub(before).Vector(),
 		warm:  afterWarm.Sub(afterCold).Vector(),
 		total: afterWarm.Sub(before).Vector(),
-	}
-	f.memo.store(id, sig)
-	return sig, nil
+	}, nil
 }
 
 // canPerturb reports whether the signature shows any mechanistic effect of
@@ -334,14 +357,19 @@ func New(legal []isa.Variant, cfg Config) (*Fuzzer, error) {
 		cfg.Core = microarch.DefaultCoreConfig()
 		cfg.Core.InterruptRate = 0
 	}
-	return &Fuzzer{
+	f := &Fuzzer{
 		legal:  append([]isa.Variant(nil), legal...),
 		cfg:    cfg,
 		root:   rng.New(cfg.Seed).Split("fuzzer"),
 		memo:   &screenMemo{},
 		faults: faultinject.New(cfg.Faults),
-	}, nil
+	}
+	f.cold.New = func() any { return f.newBench(nil, nil) }
+	return f, nil
 }
+
+// scratchBase is the address of the bench's pre-allocated data page.
+const scratchBase = 0x1000_0000
 
 // bench is one measurement environment: an isolated core with a scratch
 // data page and a noise-free or noisy PMU. The sample buffers below are
@@ -367,7 +395,7 @@ func (f *Fuzzer) newBench(noise *rng.Source, faults *faultinject.Handle) *bench 
 	pmu.SetFaults(faults)
 	return &bench{
 		core: core,
-		ctx:  microarch.NewScratchContext(0x1000_0000),
+		ctx:  microarch.NewScratchContext(scratchBase),
 		pmu:  pmu,
 	}
 }

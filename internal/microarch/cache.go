@@ -202,9 +202,11 @@ func (t *TLB) slot(page uint64) uint64 {
 	return i
 }
 
-// Flush invalidates every entry (context-switch analog).
+// Flush invalidates every entry (context-switch analog), leaving the TLB
+// as NewTLB built it.
 func (t *TLB) Flush() {
 	clear(t.pages)
 	clear(t.settled)
 	t.used = 0
+	t.last = 0
 }

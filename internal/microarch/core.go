@@ -297,6 +297,20 @@ func NewCoreWithL2(id int, cfg CoreConfig, noise *rng.Source, sharedL2 *Cache) *
 // Counters returns a snapshot of the core's raw counters.
 func (c *Core) Counters() Counters { return c.ctrs }
 
+// Reset returns the core to the cold state NewCore builds: empty caches
+// and TLB, a cleared predictor table and zeroed counters. It keeps the
+// configuration and does not rewind the noise stream. A shared L2 is
+// cleared too, under every core that shares it, so only a core with a
+// private L2 (the fuzzer's) can be reset without disturbing another.
+func (c *Core) Reset() {
+	clear(c.L1D.lines)
+	clear(c.L1I.lines)
+	clear(c.L2.lines)
+	c.TLB.Flush()
+	clear(c.BP.table)
+	c.ctrs = Counters{}
+}
+
 // ErrIllegalInstruction reports execution of a variant that faults on this
 // core; the fuzzer's cleanup step is expected to have removed them.
 type ErrIllegalInstruction struct {

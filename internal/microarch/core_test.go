@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/repro/aegis/internal/isa"
@@ -289,5 +290,46 @@ func TestCountersSub(t *testing.T) {
 	d := a.Sub(b)
 	if d.Instructions != 6 || d.Cycles != 60 || d.L1DMisses != 2 {
 		t.Errorf("Sub = %+v", d)
+	}
+}
+
+// TestCoreResetMatchesNewCore pins what "cold" means in one place: after
+// seeded random loads, stores, flushes, branches and TLB churn, Reset must
+// leave a core deep-equal to a fresh NewCore of the same config. A field
+// added to Core later fails here until Reset handles it.
+func TestCoreResetMatchesNewCore(t *testing.T) {
+	var pool []isa.Variant
+	for _, v := range isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal {
+		switch v.Class {
+		case isa.ClassLoad, isa.ClassStore, isa.ClassLoadStore, isa.ClassFlush,
+			isa.ClassPrefetch, isa.ClassBranch, isa.ClassALU:
+			pool = append(pool, v)
+		}
+	}
+	odd := DefaultCoreConfig()
+	odd.L1DSets, odd.L2Sets, odd.TLBEntries, odd.PredictorEntries = 48, 96, 7, 100
+	for _, cfg := range []CoreConfig{DefaultCoreConfig(), odd} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r := rng.New(seed)
+			c := NewCore(3, cfg, nil)
+			ctx := NewWorkloadContext(0x10000, 1<<22, r.Split("ctx"))
+			for i := 0; i < 5000; i++ {
+				if r.Intn(500) == 0 {
+					c.Interrupt()
+					continue
+				}
+				if err := c.Execute(&pool[r.Intn(len(pool))], ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh := NewCore(3, cfg, nil)
+			if reflect.DeepEqual(c, fresh) {
+				t.Fatalf("seed %d: the workload left the core cold; the test exercises nothing", seed)
+			}
+			c.Reset()
+			if !reflect.DeepEqual(c, fresh) {
+				t.Errorf("seed %d, config %+v: Reset core differs from NewCore", seed, cfg)
+			}
+		}
 	}
 }

@@ -669,5 +669,3 @@ func (p *Profiler) DistributionFor(app workload.App, secret string, event *hpc.E
 		Histogram: stats.NewHistogram(samples, 16),
 	}, nil
 }
-
-var _ = microarch.NumSignals // raw traces use microarch's signal order

@@ -193,8 +193,10 @@ type VM struct {
 	world   *World
 	vcpus   []*vcpu
 	// memory is the guest's (plaintext) memory content; the SEV engine
-	// encrypts it from the host's perspective.
-	memory []byte
+	// encrypts it from the host's perspective. It is allocated on first
+	// write; until then all memorySize bytes read as zero.
+	memory     []byte
+	memorySize int
 }
 
 // Attestation is the PSP attestation report the guest obtains at launch;
@@ -210,7 +212,10 @@ type Attestation struct {
 
 // World is the simulated host machine.
 type World struct {
-	cfg   Config
+	cfg Config
+	// cores has one slot per physical core. A core (with its shared-L2
+	// partner) is built on first use, by a LaunchVM pin or Core, so a
+	// world whose guests pin few of its cores never builds the rest.
 	cores []*microarch.Core
 	vms   map[int]*VM
 	// vmOrder holds the live VMs in launch order; Step iterates it so the
@@ -250,29 +255,35 @@ func NewWorld(cfg Config) *World {
 	// Last world wins: the gauge feeds the ops overhead-budget tracker,
 	// which observes the live deployment, not retired test worlds.
 	gTickBudget.Set(float64(cfg.TickBudget))
-	root := rng.New(cfg.Seed).Split("sev/world")
-	w := &World{
+	return &World{
 		cfg:    cfg,
+		cores:  make([]*microarch.Core, cfg.PhysicalCores),
 		vms:    make(map[int]*VM),
 		pinned: make(map[int]*vcpu),
-		rand:   root,
+		rand:   rng.New(cfg.Seed).Split("sev/world"),
 	}
-	var sharedL2 *microarch.Cache
-	for i := 0; i < cfg.PhysicalCores; i++ {
-		noise := root.SplitN("core-noise", i)
-		if !cfg.SharedL2 {
-			w.cores = append(w.cores, microarch.NewCore(i, cfg.Core, noise))
-			continue
-		}
-		if i%2 == 0 {
-			sharedL2 = microarch.NewCache(microarch.CacheConfig{
-				Name: "L2-shared", Sets: cfg.Core.L2Sets, Ways: cfg.Core.L2Ways,
-				LineSize: cfg.Core.LineSize,
-			})
-		}
-		w.cores = append(w.cores, microarch.NewCoreWithL2(i, cfg.Core, noise, sharedL2))
+}
+
+// core returns physical core i, building it on first use from its own
+// SplitN("core-noise", i) stream. Split never advances the parent, so the
+// core is the same whenever it is built. Under SharedL2 the pair
+// (2k, 2k+1) is built together around one L2.
+func (w *World) core(i int) *microarch.Core {
+	if c := w.cores[i]; c != nil {
+		return c
 	}
-	return w
+	if !w.cfg.SharedL2 {
+		w.cores[i] = microarch.NewCore(i, w.cfg.Core, w.rand.SplitN("core-noise", i))
+		return w.cores[i]
+	}
+	l2 := microarch.NewCache(microarch.CacheConfig{
+		Name: "L2-shared", Sets: w.cfg.Core.L2Sets, Ways: w.cfg.Core.L2Ways,
+		LineSize: w.cfg.Core.LineSize,
+	})
+	for j := i &^ 1; j <= i|1 && j < len(w.cores); j++ {
+		w.cores[j] = microarch.NewCoreWithL2(j, w.cfg.Core, w.rand.SplitN("core-noise", j), l2)
+	}
+	return w.cores[i]
 }
 
 // Tick returns the current tick count.
@@ -285,7 +296,7 @@ func (w *World) Core(i int) (*microarch.Core, error) {
 	if i < 0 || i >= len(w.cores) {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchCore, i)
 	}
-	return w.cores[i], nil
+	return w.core(i), nil
 }
 
 // SEVVersion selects the generation of the encryption feature; each adds
@@ -354,10 +365,10 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 		version = SEVSNP
 	}
 	vm := &VM{
-		id:      w.nextVM,
-		version: version,
-		world:   w,
-		memory:  make([]byte, cfg.MemoryBytes),
+		id:         w.nextVM,
+		version:    version,
+		world:      w,
+		memorySize: cfg.MemoryBytes,
 	}
 	w.nextVM++
 	for i := 0; i < cfg.VCPUs; i++ {
@@ -372,6 +383,7 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 		}
 		vm.vcpus = append(vm.vcpus, vc)
 		w.pinned[core] = vc
+		w.core(core) // built here so Step never allocates one
 	}
 	w.vms[vm.id] = vm
 	w.vmOrder = append(w.vmOrder, vm)
@@ -525,11 +537,13 @@ func (vm *VM) HostReadMemory(offset, n int) ([]byte, error) {
 	if vm.version != SEVDisabled {
 		return nil, ErrEncrypted
 	}
-	if offset < 0 || n < 0 || offset+n > len(vm.memory) {
+	if offset < 0 || n < 0 || offset+n > vm.memorySize {
 		return nil, fmt.Errorf("sev: memory read out of range")
 	}
 	out := make([]byte, n)
-	copy(out, vm.memory[offset:offset+n])
+	if vm.memory != nil {
+		copy(out, vm.memory[offset:offset+n])
+	}
 	return out, nil
 }
 

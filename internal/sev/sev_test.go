@@ -2,10 +2,13 @@ package sev
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/microarch"
+	"github.com/repro/aegis/internal/rng"
 )
 
 // burnProc executes a fixed number of ALU instructions per tick.
@@ -510,9 +513,66 @@ func (p *wsProc) Step(g *GuestExecutor) {
 
 // GuestWriteMemory writes guest memory from inside the VM (always allowed).
 func (vm *VM) GuestWriteMemory(offset int, data []byte) error {
-	if offset < 0 || offset+len(data) > len(vm.memory) {
+	if offset < 0 || offset+len(data) > vm.memorySize {
 		return errors.New("sev: memory write out of range")
+	}
+	if vm.memory == nil {
+		vm.memory = make([]byte, vm.memorySize)
 	}
 	copy(vm.memory[offset:], data)
 	return nil
+}
+
+// TestLazyCoresMatchEagerBuild checks that building cores on first use, in
+// any order, yields the cores an eager build from the same per-core noise
+// streams does, with each shared-L2 pair around one cache.
+func TestLazyCoresMatchEagerBuild(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		cfg := DefaultConfig(21)
+		cfg.PhysicalCores = 5
+		cfg.SharedL2 = shared
+		w := NewWorld(cfg)
+		root := rng.New(cfg.Seed).Split("sev/world")
+		got := make([]*microarch.Core, cfg.PhysicalCores)
+		for _, i := range []int{3, 4, 0, 2, 1} {
+			c, err := w.Core(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = c
+		}
+		var l2 *microarch.Cache
+		for i, c := range got {
+			noise := root.SplitN("core-noise", i)
+			want := microarch.NewCore(i, cfg.Core, noise)
+			if shared {
+				if i%2 == 0 {
+					l2 = microarch.NewCache(microarch.CacheConfig{
+						Name: "L2-shared", Sets: cfg.Core.L2Sets, Ways: cfg.Core.L2Ways,
+						LineSize: cfg.Core.LineSize,
+					})
+				}
+				want = microarch.NewCoreWithL2(i, cfg.Core, noise, l2)
+			}
+			if !reflect.DeepEqual(c, want) {
+				t.Errorf("shared=%v: lazily built core %d differs from the eager build", shared, i)
+			}
+			if i%2 == 1 && (got[i-1].L2 == c.L2) != shared {
+				t.Errorf("shared=%v: cores %d and %d share an L2: %v", shared, i-1, i, got[i-1].L2 == c.L2)
+			}
+		}
+	}
+}
+
+// TestGuestMemoryReadsZeroBeforeWrite checks that unwritten guest memory,
+// which is not allocated yet, reads as zeros.
+func TestGuestMemoryReadsZeroBeforeWrite(t *testing.T) {
+	vm, err := NewWorld(DefaultConfig(22)).LaunchVM(VMConfig{VCPUs: 1, MemoryBytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := vm.HostReadMemory(8, 16)
+	if err != nil || string(data) != string(make([]byte, 16)) {
+		t.Errorf("read of unwritten memory = %v, %v; want 16 zero bytes", data, err)
+	}
 }

@@ -25,14 +25,19 @@ import (
 // Library indexes the legal instruction variants of a processor by class,
 // so workloads can sample concrete instructions for a mix.
 type Library struct {
-	byClass map[isa.Class][]isa.Variant
+	// byClass is indexed by class, so a per-instruction draw costs no hash
+	// lookup. Variants of classes outside the isa enumeration are dropped:
+	// Sample could never ask for them.
+	byClass [isa.ClassInvalid + 1][]isa.Variant
 }
 
 // NewLibrary builds a library from the post-cleanup legal variant list.
 func NewLibrary(legal []isa.Variant) *Library {
-	l := &Library{byClass: make(map[isa.Class][]isa.Variant)}
+	l := &Library{}
 	for _, v := range legal {
-		l.byClass[v.Class] = append(l.byClass[v.Class], v)
+		if v.Class > 0 && v.Class <= isa.ClassInvalid {
+			l.byClass[v.Class] = append(l.byClass[v.Class], v)
+		}
 	}
 	return l
 }
@@ -49,10 +54,14 @@ func DefaultLibrary(seed uint64) *Library {
 var nop = isa.Variant{Mnemonic: "NOP", Class: isa.ClassNop, Uops: 1}
 
 // Sample draws a variant of the given class; it falls back to ALU variants
-// for classes absent from the library. The result points into the
-// library's pool and must not be modified.
+// for classes absent from the library, including values outside the isa
+// enumeration. The result points into the library's pool and must not be
+// modified.
 func (l *Library) Sample(class isa.Class, r *rng.Source) *isa.Variant {
-	pool := l.byClass[class]
+	var pool []isa.Variant
+	if class > 0 && class <= isa.ClassInvalid {
+		pool = l.byClass[class]
+	}
 	if len(pool) == 0 {
 		pool = l.byClass[isa.ClassALU]
 		if len(pool) == 0 {

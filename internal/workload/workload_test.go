@@ -21,16 +21,35 @@ func TestLibrarySample(t *testing.T) {
 	}
 }
 
+// TestLibraryFallback pins Sample's fallback order: the requested class,
+// then ALU, then NOP, for absent classes and for values outside the isa
+// enumeration, none of which may panic.
 func TestLibraryFallback(t *testing.T) {
-	lib := NewLibrary([]isa.Variant{{Mnemonic: "ADD", Class: isa.ClassALU, Uops: 1}})
-	r := rng.New(3)
-	v := lib.Sample(isa.ClassAVX, r)
-	if v.Class != isa.ClassALU {
-		t.Errorf("missing class fell back to %v, want ALU", v.Class)
-	}
+	add := isa.Variant{Mnemonic: "ADD", Class: isa.ClassALU, Uops: 1}
+	mov := isa.Variant{Mnemonic: "MOV", Class: isa.ClassLoad, Uops: 1, MemReads: 1}
+	withALU := NewLibrary([]isa.Variant{add, mov})
+	noALU := NewLibrary([]isa.Variant{mov})
 	empty := NewLibrary(nil)
-	if v := empty.Sample(isa.ClassAVX, r); v.Class != isa.ClassNop {
-		t.Errorf("empty library returned %v, want NOP", v.Class)
+	for _, tc := range []struct {
+		name  string
+		lib   *Library
+		class isa.Class
+		want  string
+	}{
+		{"present", withALU, isa.ClassLoad, "MOV"},
+		{"absent", withALU, isa.ClassAVX, "ADD"},
+		{"zero", withALU, 0, "ADD"},
+		{"negative", withALU, -1, "ADD"},
+		{"past-invalid", withALU, isa.ClassInvalid + 1, "ADD"},
+		{"absent-no-alu", noALU, isa.ClassAVX, "NOP"},
+		{"zero-no-alu", noALU, 0, "NOP"},
+		{"negative-no-alu", noALU, -1 << 40, "NOP"},
+		{"past-invalid-no-alu", noALU, isa.ClassInvalid + 1, "NOP"},
+		{"empty", empty, isa.ClassAVX, "NOP"},
+	} {
+		if v := tc.lib.Sample(tc.class, rng.New(3)); v.Mnemonic != tc.want {
+			t.Errorf("%s: Sample(%d) = %s, want %s", tc.name, int(tc.class), v.Mnemonic, tc.want)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ package aegis
 // and allocs/op. End-to-end and per-layer costs are measured by the repo
 // benchmark in bench/ (see bench/README.md). Run with:
 //
-//	go test -bench='RDPMC|WorldStep|ObfuscatorTick|FitPCA|MutualInformation' -benchmem -run=^$ .
+//	go test -bench='RDPMC|WorldStep|ColdSignature|ObfuscatorTick|FitPCA|MutualInformation' -benchmem -run=^$ .
 
 import (
 	"testing"
@@ -72,6 +72,36 @@ func BenchmarkWorldStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		world.Step()
 	}
+}
+
+// BenchmarkColdSignature measures one fuzzer screening signature: a
+// two-instruction load/flush gadget run twice from a cold, noise-free core.
+// "new-core" builds the core per signature; "reset-core" resets one reused
+// core, which is what the fuzzer's pooled benches do.
+func BenchmarkColdSignature(b *testing.B) {
+	seg := benchSegment(b)[:2]
+	cfg := microarch.DefaultCoreConfig()
+	cfg.InterruptRate = 0
+	run := func(b *testing.B, cold func() *microarch.Core) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core := cold()
+			ctx := microarch.NewScratchContext(0x1000_0000)
+			for rep := 0; rep < 2; rep++ {
+				if err := core.ExecuteSequence(seg, ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			coreSink = core
+		}
+	}
+	b.Run("new-core", func(b *testing.B) {
+		run(b, func() *microarch.Core { return microarch.NewCore(0, cfg, nil) })
+	})
+	b.Run("reset-core", func(b *testing.B) {
+		core := microarch.NewCore(0, cfg, nil)
+		run(b, func() *microarch.Core { core.Reset(); return core })
+	})
 }
 
 // benchSegment returns a small stacked gadget segment (load-class reset and
