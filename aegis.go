@@ -147,10 +147,10 @@ func New(cfg Config) (*Framework, error) {
 		cfg.FuzzCandidates = 600
 	}
 	if cfg.ClipBound <= 0 {
-		cfg.ClipBound = 20000
+		cfg.ClipBound = obfuscator.DefaultClipBound
 	}
 	if cfg.Sensitivity <= 0 {
-		cfg.Sensitivity = 1500
+		cfg.Sensitivity = obfuscator.DefaultSensitivity
 	}
 	catalog, err := hpc.CatalogByProcessor(cfg.Processor, 1)
 	if err != nil {
@@ -395,7 +395,7 @@ func (gs *GadgetSet) Segment() []isa.Variant { return gs.segment }
 func (gs *GadgetSet) RefEvent() *hpc.Event { return gs.refEvent }
 
 // DefenseFactory builds fresh obfuscator instances (one per deployment).
-type DefenseFactory func(seed uint64) (*obfuscator.Obfuscator, error)
+type DefenseFactory = obfuscator.Factory
 
 // NewDefense returns a factory producing obfuscators for the gadget set
 // under the named mechanism. For the DP mechanisms param is ε; for the
@@ -407,22 +407,13 @@ func (f *Framework) NewDefense(gs *GadgetSet, mechanism string, param float64) (
 	if !obfuscator.KnownMechanism(mechanism) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMechanism, mechanism)
 	}
-	cfg := f.cfg
-	return func(seed uint64) (*obfuscator.Obfuscator, error) {
-		r := rng.New(seed).Split("aegis-defense")
-		mech, err := obfuscator.NewMechanism(mechanism, param, param, cfg.Sensitivity, r)
-		if err != nil {
-			return nil, err
-		}
-		return obfuscator.New(obfuscator.Config{
-			Mechanism: mech,
-			Segment:   gs.segment,
-			RefEvent:  gs.refEvent,
-			ClipBound: cfg.ClipBound,
-			Seed:      seed,
-			Faults:    cfg.Faults,
-		})
-	}, nil
+	recipe := obfuscator.Recipe{
+		Segment:     gs.segment,
+		RefEvent:    gs.refEvent,
+		ClipBound:   f.cfg.ClipBound,
+		Sensitivity: f.cfg.Sensitivity,
+	}
+	return recipe.Factory(mechanism, param, param, "aegis-defense", f.cfg.Faults), nil
 }
 
 // MultiResult is the outcome of a multi-event deployment: the deployed

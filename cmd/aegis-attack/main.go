@@ -74,7 +74,7 @@ func run(args []string) error {
 		Seed:            *seed,
 	}
 
-	var defense attack.DefenseFactory
+	var defense aegis.DefenseFactory
 	if *defend {
 		fw, err := aegis.New(aegis.Config{Seed: *seed, FuzzCandidates: 300})
 		if err != nil {
@@ -84,11 +84,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		factory, err := fw.NewDefense(gadgets, *mechanism, *epsilon)
+		defense, err = fw.NewDefense(gadgets, *mechanism, *epsilon)
 		if err != nil {
 			return err
 		}
-		defense = attack.DefenseFactory(factory)
 		fmt.Printf("defense: %s eps=%g, %d-gadget cover\n", *mechanism, *epsilon, gadgets.CoverSize)
 	}
 

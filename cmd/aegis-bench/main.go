@@ -5,7 +5,7 @@
 //
 //	aegis-bench [-only table1,figure9a,...] [-scale test|eval] [-seed N]
 //	            [-parallelism N] [-serial] [-flight PATH]
-//	            [-store DIR] [-store-compare] [-store-assert]
+//	            [-store DIR]
 //	            [-cpuprofile PATH] [-memprofile PATH]
 //
 // Without -only, every experiment runs in paper order. The eval scale
@@ -26,11 +26,7 @@
 // -store DIR backs the profiling and fuzzing pipelines with the versioned
 // artifact store rooted at DIR: campaign shards checkpoint there and
 // matching shards resume on later runs. Results are byte-identical with
-// or without the store. -store-compare runs the selected experiments
-// twice against the store — a cold pass and a warm pass — and reports
-// per-pass wall-clock, the warm speedup and the store's hit rates;
-// -store-assert additionally fails the process unless the warm pass hit
-// the cache and was strictly faster (the CI warm-cache gate).
+// or without the store.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments (the heap profile is taken after a final GC, so it shows
@@ -49,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/repro/aegis/internal/artifact"
 	"github.com/repro/aegis/internal/experiment"
 	"github.com/repro/aegis/internal/ops"
 	"github.com/repro/aegis/internal/parallel"
@@ -118,8 +113,6 @@ func run(args []string) error {
 		serial   = fs.Bool("serial", false, "run experiments one at a time")
 		flightTo = fs.String("flight", "", "write per-experiment aegis-flight/v1 JSONL dumps to this path (implies serial jobs)")
 		storeDir = fs.String("store", "", "artifact store directory backing the offline pipelines (enables campaign resume)")
-		storeCmp = fs.Bool("store-compare", false, "run the selected experiments twice against -store and report cold vs warm wall-clock and hit rates")
-		storeChk = fs.Bool("store-assert", false, "with -store-compare: exit nonzero unless the warm pass hit the cache and was strictly faster")
 		faults   = fs.String("faults", "", "fault preset for the robustness experiment: off | light | heavy (empty = sweep all)")
 		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memprof  = fs.String("memprofile", "", "write a pprof heap profile (post-GC) to this path at exit")
@@ -200,16 +193,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown experiment(s) %s in -only (see -list)", strings.Join(unknown, ", "))
 	}
 
-	if *storeCmp && *storeDir == "" {
-		return fmt.Errorf("-store-compare requires -store DIR")
-	}
-	if *storeChk && !*storeCmp {
-		return fmt.Errorf("-store-assert requires -store-compare")
-	}
 	sc.ArtifactDir = *storeDir
-	if *storeCmp {
-		return runStoreCompare(picked, sc, *storeChk)
-	}
 
 	var flightFile *os.File
 	if *flightTo != "" {
@@ -267,69 +251,6 @@ func run(args []string) error {
 		budget := ops.NewOverheadBudget(0)
 		budget.SetSource(ops.TelemetrySource(telemetry.Default()))
 		fmt.Println(budget.Status().Verdict())
-	}
-	return nil
-}
-
-// runStoreCompare measures what the artifact store buys the selected
-// experiments: a cold pass and a warm pass against the same store, with
-// the process-wide store counters diffed around each pass. Passes run
-// serially — this is a timing measurement. "Cold" means
-// the first pass of this process against the given directory; point
-// -store at an empty directory for a true cold start.
-func runStoreCompare(picked []job, sc experiment.Scale, assert bool) error {
-	pass := func(label string) (time.Duration, artifact.Stats, error) {
-		fmt.Printf("=== store pass: %s ===\n", label)
-		before := artifact.GlobalStats()
-		start := time.Now()
-		for _, j := range picked {
-			jobStart := time.Now()
-			if _, err := j.run(sc); err != nil {
-				return 0, artifact.Stats{}, fmt.Errorf("%s (%s pass): %w", j.name, label, err)
-			}
-			fmt.Printf("%-18s %s\n", j.name, time.Since(jobStart).Round(time.Millisecond))
-		}
-		wall := time.Since(start)
-		after := artifact.GlobalStats()
-		fmt.Println()
-		return wall, artifact.Stats{
-			Hits:    after.Hits - before.Hits,
-			Misses:  after.Misses - before.Misses,
-			Writes:  after.Writes - before.Writes,
-			Corrupt: after.Corrupt - before.Corrupt,
-		}, nil
-	}
-	cold, coldStats, err := pass("cold")
-	if err != nil {
-		return err
-	}
-	warm, warmStats, err := pass("warm")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== store (cold vs warm, %s) ===\n", sc.ArtifactDir)
-	row := func(label string, wall time.Duration, s artifact.Stats) {
-		total := s.Hits + s.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(s.Hits) / float64(total)
-		}
-		fmt.Printf("%-5s %12s  hits %5d  misses %5d  writes %5d  hit rate %5.1f%%\n",
-			label, wall.Round(time.Millisecond), s.Hits, s.Misses, s.Writes, 100*rate)
-	}
-	row("cold", cold, coldStats)
-	row("warm", warm, warmStats)
-	if warm > 0 {
-		fmt.Printf("warm speedup %.2fx\n", cold.Seconds()/warm.Seconds())
-	}
-	if assert {
-		if warmStats.Hits == 0 {
-			return fmt.Errorf("store-assert: warm pass recorded no cache hits")
-		}
-		if warm >= cold {
-			return fmt.Errorf("store-assert: warm pass (%s) not faster than cold pass (%s)",
-				warm.Round(time.Millisecond), cold.Round(time.Millisecond))
-		}
 	}
 	return nil
 }

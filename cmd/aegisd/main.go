@@ -38,6 +38,10 @@ import (
 // soon as the server is up.
 var opsAddrNotify func(addr string)
 
+// profileNotify, when set (by tests), receives the application aegisd
+// profiles to select events.
+var profileNotify func(app workload.App)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "aegisd:", err)
@@ -91,9 +95,12 @@ func run(args []string) error {
 			}
 		}
 	} else {
-		app, err := pickApp(*appName, *secrets)
+		app, err := daemon.BuildApp(*appName, *secrets)
 		if err != nil {
 			return err
+		}
+		if profileNotify != nil {
+			profileNotify(app)
 		}
 		fmt.Printf("profiling %q to select events (use -events to skip)...\n", app.Name())
 		profile, err := fw.Profile(app)
@@ -180,28 +187,6 @@ loop:
 	fmt.Printf("aegisd: stopped at tick %d — %d tenants, %d enqueued / %d processed / %d shed, %d degraded tenant ticks\n",
 		st.Tick, st.Tenants, st.Enqueued, st.Processed, st.Shed, st.DegradedTenantTicks)
 	return nil
-}
-
-// pickApp builds the profiling application for event selection.
-func pickApp(name string, secrets int) (workload.App, error) {
-	switch name {
-	case "website":
-		sites := workload.Websites()
-		if secrets > 0 && secrets < len(sites) {
-			sites = sites[:secrets]
-		}
-		return &workload.WebsiteApp{Sites: sites}, nil
-	case "keystroke":
-		maxKeys := secrets
-		if maxKeys <= 0 || maxKeys > 10 {
-			maxKeys = 10
-		}
-		return &workload.KeystrokeApp{MaxKeys: maxKeys}, nil
-	case "dnn":
-		return &workload.DNNApp{}, nil
-	default:
-		return nil, fmt.Errorf("unknown app %q (want website, keystroke or dnn)", name)
-	}
 }
 
 // reloadFromFile reads a JSON tunables delta and stages it; unknown

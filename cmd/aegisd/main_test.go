@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
+	"github.com/repro/aegis/internal/workload"
 )
 
 // TestDaemonSmoke boots a real aegisd — fuzzed plan, ticker-driven loop,
@@ -144,5 +146,33 @@ func TestReloadFromFile(t *testing.T) {
 	}
 	if err := reloadFromFile(d, ""); err == nil {
 		t.Fatal("empty path accepted")
+	}
+}
+
+// TestProfiledAppMatchesTenant checks that event selection profiles the
+// same application a tenant runs: with -secrets 0 both get the daemon's
+// default alphabet, not the full 45 sites / 10 keys.
+func TestProfiledAppMatchesTenant(t *testing.T) {
+	var profiled workload.App
+	profileNotify = func(app workload.App) { profiled = app }
+	defer func() { profileNotify = nil }()
+	err := run([]string{
+		"-addr", "127.0.0.1:0",
+		"-app", "keystroke",
+		"-secrets", "0",
+		"-top", "1",
+		"-candidates", "30",
+		"-ticks", "1",
+		"-tick-interval", "1ms",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := daemon.BuildApp("keystroke", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled == nil || !reflect.DeepEqual(profiled.Secrets(), tenant.Secrets()) {
+		t.Fatalf("profiled secrets %v, tenant secrets %v", profiled.Secrets(), tenant.Secrets())
 	}
 }

@@ -83,7 +83,7 @@ func run() error {
 	defended := *scenario
 	defended.Seed = 131
 	defended.TracesPerSecret = 4
-	defendedData, err := defended.Collect(attack.DefenseFactory(defense))
+	defendedData, err := defended.Collect(defense)
 	if err != nil {
 		return err
 	}

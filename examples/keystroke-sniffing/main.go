@@ -76,7 +76,7 @@ func run() error {
 	defended := *scenario
 	defended.Seed = 88
 	defended.TracesPerSecret = 5
-	defendedData, err := defended.Collect(attack.DefenseFactory(defense))
+	defendedData, err := defended.Collect(defense)
 	if err != nil {
 		return err
 	}

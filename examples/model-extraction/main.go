@@ -96,7 +96,7 @@ func run() error {
 	defendedSc := *scenario
 	defendedSc.Seed = 111
 	defendedSc.TracesPerSecret = 3
-	defendedData, err := defendedSc.Collect(attack.DefenseFactory(defense))
+	defendedData, err := defendedSc.Collect(defense)
 	if err != nil {
 		return err
 	}

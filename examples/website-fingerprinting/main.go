@@ -84,7 +84,7 @@ func run() error {
 	defendedVictim := *scenario
 	defendedVictim.Seed = 123
 	defendedVictim.TracesPerSecret = 4
-	defendedData, err := defendedVictim.Collect(attack.DefenseFactory(defense))
+	defendedData, err := defendedVictim.Collect(defense)
 	if err != nil {
 		return err
 	}

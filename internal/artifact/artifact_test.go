@@ -5,6 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/microarch"
+	"github.com/repro/aegis/internal/telemetry"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -251,7 +255,11 @@ func TestGlobalStatsMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := GlobalStats()
+	kind := telemetry.L("kind", "gadget-catalog")
+	writes := telemetry.C("artifact_writes_total", kind)
+	hits := telemetry.C("artifact_cache_hits_total", kind)
+	misses := telemetry.C("artifact_cache_misses_total", kind)
+	w0, h0, m0 := writes.Value(), hits.Value(), misses.Value()
 	a := New("gadget-catalog", "0123456789abcdef")
 	a.AddSection("ids", []float64{9})
 	if err := st.Put(a); err != nil {
@@ -259,9 +267,21 @@ func TestGlobalStatsMove(t *testing.T) {
 	}
 	st.Get("gadget-catalog", "0123456789abcdef")
 	st.Get("gadget-catalog", "ffffffffffffffff")
-	after := GlobalStats()
-	if after.Writes-before.Writes != 1 || after.Hits-before.Hits != 1 || after.Misses-before.Misses != 1 {
-		t.Fatalf("stats delta writes=%d hits=%d misses=%d, want 1/1/1",
-			after.Writes-before.Writes, after.Hits-before.Hits, after.Misses-before.Misses)
+	if dw, dh, dm := writes.Value()-w0, hits.Value()-h0, misses.Value()-m0; dw != 1 || dh != 1 || dm != 1 {
+		t.Fatalf("counter delta writes=%v hits=%v misses=%v, want 1/1/1", dw, dh, dm)
+	}
+}
+
+// TestSimFingerprintsPinned pins the core and event fingerprint sums: the
+// fuzzer and profiler address their shards with them, so a drift would
+// turn every existing store into misses.
+func TestSimFingerprintsPinned(t *testing.T) {
+	core := NewFingerprint("core").Core(microarch.DefaultCoreConfig()).Sum()
+	if core != "c3144328b352e529" {
+		t.Errorf("core fingerprint %s, want c3144328b352e529", core)
+	}
+	ev := NewFingerprint("event").Event(hpc.NewAMDEpyc7252Catalog(1).MustByName("RETIRED_UOPS")).Sum()
+	if ev != "83285855b7f87d9f" {
+		t.Errorf("event fingerprint %s, want 83285855b7f87d9f", ev)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/microarch"
 )
 
 // Fingerprint accumulates a 64-bit FNV-1a hash over labeled input fields.
@@ -88,4 +91,28 @@ func (f *Fingerprint) Bool(label string, v bool) *Fingerprint {
 // address.
 func (f *Fingerprint) Sum() string {
 	return fmt.Sprintf("%016x", f.h)
+}
+
+// Core mixes a simulated core configuration into the fingerprint: every
+// field that shapes a measurement participates.
+func (f *Fingerprint) Core(c microarch.CoreConfig) *Fingerprint {
+	f.Int("core.l1d-sets", c.L1DSets).Int("core.l1d-ways", c.L1DWays)
+	f.Int("core.l1i-sets", c.L1ISets).Int("core.l1i-ways", c.L1IWays)
+	f.Int("core.l2-sets", c.L2Sets).Int("core.l2-ways", c.L2Ways)
+	f.Int("core.line", c.LineSize).Int("core.tlb", c.TLBEntries)
+	f.Int("core.predictor", c.PredictorEntries)
+	return f.Float("core.interrupt-rate", c.InterruptRate)
+}
+
+// Event mixes an HPC event's identity and derivation formula into the
+// fingerprint; the formula (terms) is what measurement and scoring
+// evaluate, so a catalog delta that redefines an event changes the sum.
+func (f *Fingerprint) Event(e *hpc.Event) *Fingerprint {
+	f.Int("event.id", e.ID).String("event.name", e.Name)
+	f.Int("event.type", int(e.Type)).Bool("event.guest", e.GuestVisible)
+	f.Float("event.noise", e.NoiseSigma).Int("event.terms", len(e.Terms))
+	for _, t := range e.Terms {
+		f.Int("term.signal", t.Signal).Float("term.weight", t.Weight)
+	}
+	return f
 }

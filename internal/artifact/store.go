@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/repro/aegis/internal/telemetry"
@@ -21,28 +20,6 @@ var (
 	hLoadSeconds  = telemetry.H("artifact_load_seconds", telemetry.DefBuckets)
 	hWriteSeconds = telemetry.H("artifact_write_seconds", telemetry.DefBuckets)
 )
-
-// Stats are process-wide artifact-store totals, kept as plain atomics next
-// to the telemetry counters so tools (aegis-bench -store) can diff cache
-// behaviour around a run without scraping the registry.
-type Stats struct {
-	Hits    int64
-	Misses  int64
-	Writes  int64
-	Corrupt int64
-}
-
-var gHits, gMisses, gWrites, gCorrupt atomic.Int64
-
-// GlobalStats returns the process-wide store totals.
-func GlobalStats() Stats {
-	return Stats{
-		Hits:    gHits.Load(),
-		Misses:  gMisses.Load(),
-		Writes:  gWrites.Load(),
-		Corrupt: gCorrupt.Load(),
-	}
-}
 
 // Store is a directory of content-addressed artifacts, laid out as
 // DIR/<kind>/<fingerprint>.art. A Store is safe for concurrent use: reads
@@ -85,19 +62,16 @@ func (s *Store) Get(kind, fingerprint string) (*Artifact, bool) {
 	a, err := decode(buf)
 	if err != nil || a.Kind != kind || a.Fingerprint != fingerprint {
 		mCorrupt.Inc()
-		gCorrupt.Add(1)
 		miss(kind)
 		return nil, false
 	}
 	hLoadSeconds.Observe(time.Since(start).Seconds())
 	telemetry.C("artifact_cache_hits_total", telemetry.L("kind", kind)).Inc()
-	gHits.Add(1)
 	return a, true
 }
 
 func miss(kind string) {
 	telemetry.C("artifact_cache_misses_total", telemetry.L("kind", kind)).Inc()
-	gMisses.Add(1)
 }
 
 // Put durably writes the artifact: encode, write to a unique temp file in
@@ -138,7 +112,6 @@ func (s *Store) Put(a *Artifact) error {
 	}
 	hWriteSeconds.Observe(time.Since(start).Seconds())
 	telemetry.C("artifact_writes_total", telemetry.L("kind", a.Kind)).Inc()
-	gWrites.Add(1)
 	return nil
 }
 
@@ -180,7 +153,6 @@ func (s *Store) List() ([]Entry, error) {
 			a, err := decode(buf)
 			if err != nil {
 				mCorrupt.Inc()
-				gCorrupt.Add(1)
 				continue
 			}
 			out = append(out, Entry{

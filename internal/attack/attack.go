@@ -38,10 +38,6 @@ func DefaultEventNames() []string {
 	}
 }
 
-// DefenseFactory builds a fresh obfuscator per victim run (mechanism state
-// is per-deployment). The seed decorrelates noise across runs.
-type DefenseFactory func(seed uint64) (*obfuscator.Obfuscator, error)
-
 // Scenario describes one attack data-collection campaign.
 type Scenario struct {
 	// App is the victim application.
@@ -86,7 +82,7 @@ func (s *Scenario) events() ([]*hpc.Event, error) {
 
 // CollectOne records a single victim trace for the given secret, optionally
 // under a defense.
-func (s *Scenario) CollectOne(secret string, rep int, defense DefenseFactory) (trace.Trace, error) {
+func (s *Scenario) CollectOne(secret string, rep int, defense obfuscator.Factory) (trace.Trace, error) {
 	events, err := s.events()
 	if err != nil {
 		return trace.Trace{}, err
@@ -141,7 +137,7 @@ func (s *Scenario) CollectOne(secret string, rep int, defense DefenseFactory) (t
 
 // Collect records the full labelled dataset: TracesPerSecret recordings per
 // secret, optionally under a defense.
-func (s *Scenario) Collect(defense DefenseFactory) (*trace.Dataset, error) {
+func (s *Scenario) Collect(defense obfuscator.Factory) (*trace.Dataset, error) {
 	events, err := s.events()
 	if err != nil {
 		return nil, err

@@ -106,7 +106,7 @@ func TestKSACleanAttack(t *testing.T) {
 	}
 }
 
-func testDefense(t *testing.T, epsilon float64) DefenseFactory {
+func testDefense(t *testing.T, epsilon float64) obfuscator.Factory {
 	t.Helper()
 	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
 	fcfg := fuzzer.DefaultConfig(1)

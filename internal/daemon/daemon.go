@@ -84,9 +84,11 @@ type Config struct {
 	Mechanism string
 	// Epsilon is the per-tick privacy parameter (0 means 1).
 	Epsilon float64
-	// Sensitivity is the DP sensitivity Δ (0 means 1500).
+	// Sensitivity is the DP sensitivity Δ (0 means
+	// obfuscator.DefaultSensitivity).
 	Sensitivity float64
-	// ClipBound truncates per-tick noise to [0, ClipBound] (0 means 20000).
+	// ClipBound truncates per-tick noise to [0, ClipBound] (0 means
+	// obfuscator.DefaultClipBound).
 	ClipBound float64
 	// QueueCapacity bounds each tenant's work queue (0 means 64).
 	QueueCapacity int
@@ -352,10 +354,10 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.Epsilon = 1
 	}
 	if cfg.Sensitivity <= 0 {
-		cfg.Sensitivity = 1500
+		cfg.Sensitivity = obfuscator.DefaultSensitivity
 	}
 	if cfg.ClipBound <= 0 {
-		cfg.ClipBound = 20000
+		cfg.ClipBound = obfuscator.DefaultClipBound
 	}
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 64
@@ -428,9 +430,11 @@ func (d *Daemon) Tick() int64 {
 	return d.tick
 }
 
-// buildApp constructs the workload for an attach spec with a bounded
-// secret alphabet.
-func buildApp(name string, secrets int) (workload.App, error) {
+// BuildApp constructs the named tenant application with a bounded secret
+// alphabet (secrets <= 0 means 4). Attach builds every tenant's app with
+// it, so callers that must see the same app as a tenant (aegisd's
+// event-selection profiling) build theirs with it too.
+func BuildApp(name string, secrets int) (workload.App, error) {
 	if secrets <= 0 {
 		secrets = 4
 	}
@@ -453,13 +457,6 @@ func buildApp(name string, secrets int) (workload.App, error) {
 	}
 }
 
-// buildMechanism constructs a named mechanism with a generation-derived
-// noise stream, so replans re-seed deterministically.
-func (d *Daemon) buildMechanism(t *Tenant, set settings) (obfuscator.Mechanism, error) {
-	r := rng.NewStream(d.cfg.Seed, "daemon", t.name, "mech").SplitN("gen", t.planGen)
-	return obfuscator.NewMechanism(set.mechanism, set.epsilon, set.clipBound, d.cfg.Sensitivity, r)
-}
-
 // tenantFaults derives the tenant's own fault schedule: same rates as the
 // daemon config, tenant-specific seed, so tenants degrade independently.
 func (d *Daemon) tenantFaults(name string) faultinject.Config {
@@ -471,20 +468,18 @@ func (d *Daemon) tenantFaults(name string) faultinject.Config {
 }
 
 // buildObfuscator constructs tenant t's obfuscator for the given settings
-// at the current plan generation.
+// at the current plan generation: mechanism and fallback streams are
+// generation-derived, so replans re-seed deterministically.
 func (d *Daemon) buildObfuscator(t *Tenant, set settings) (*obfuscator.Obfuscator, error) {
-	mech, err := d.buildMechanism(t, set)
+	mech, err := obfuscator.NewMechanism(set.mechanism, set.epsilon, set.clipBound, d.cfg.Sensitivity,
+		rng.NewStream(d.cfg.Seed, "daemon", t.name, "mech").SplitN("gen", t.planGen))
 	if err != nil {
 		return nil, err
 	}
-	return obfuscator.New(obfuscator.Config{
-		Mechanism: mech,
-		Segment:   d.cfg.Segment,
-		RefEvent:  d.cfg.RefEvent,
-		ClipBound: set.clipBound,
-		Seed:      rng.NewStream(d.cfg.Seed, "daemon", t.name, "plan").SplitN("gen", t.planGen).Uint64(),
-		Faults:    d.tenantFaults(t.name),
-	})
+	recipe := obfuscator.Recipe{Segment: d.cfg.Segment, RefEvent: d.cfg.RefEvent, ClipBound: set.clipBound}
+	return recipe.Deploy(mech,
+		rng.NewStream(d.cfg.Seed, "daemon", t.name, "plan").SplitN("gen", t.planGen).Uint64(),
+		d.tenantFaults(t.name))
 }
 
 // Attach launches a tenant: a fresh 1-core SEV world, the app runner and
@@ -494,7 +489,7 @@ func (d *Daemon) Attach(spec AttachSpec) error {
 	if spec.Name == "" {
 		return fmt.Errorf("%w: empty tenant name", ErrBadAttach)
 	}
-	app, err := buildApp(spec.App, spec.Secrets)
+	app, err := BuildApp(spec.App, spec.Secrets)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ type Figure10Result struct {
 // returns the mean job duration (ticks) and the mean vCPU usage. The
 // workload stream depends only on workloadSeed so a clean/defended pair
 // executes the identical job sequence; defenseSeed varies the noise.
-func jobRun(app workload.App, sc Scale, jobs int, defense attack.DefenseFactory, workloadSeed, defenseSeed uint64) (meanTicks, cpuUsage float64, err error) {
+func jobRun(app workload.App, sc Scale, jobs int, defense obfuscator.Factory, workloadSeed, defenseSeed uint64) (meanTicks, cpuUsage float64, err error) {
 	worldCfg := sev.DefaultConfig(workloadSeed)
 	world := sev.NewWorld(worldCfg)
 	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
@@ -198,7 +198,7 @@ func Figure11(sc Scale) (*Figure11Result, error) {
 
 	// injected collects a defended dataset while summing the per-run
 	// injected noise counts, then evaluates the clean-trained attacker.
-	injected := func(defense attack.DefenseFactory, off uint64) (float64, float64, error) {
+	injected := func(defense obfuscator.Factory, off uint64) (float64, float64, error) {
 		sc2 := scenarioFor(app, sc, off)
 		sc2.TracesPerSecret = victimReps(sc)
 		ds := &trace.Dataset{EventNames: cleanDs.EventNames}
@@ -313,7 +313,7 @@ func ConstantOutputComparison(sc Scale) (*ConstantOutputResult, error) {
 	}
 	res := &ConstantOutputResult{Peak: peak}
 
-	measure := func(defense attack.DefenseFactory, off uint64) (float64, error) {
+	measure := func(defense obfuscator.Factory, off uint64) (float64, error) {
 		sc2 := scenarioFor(app, sc, off)
 		var total float64
 		var runs int

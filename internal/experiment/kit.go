@@ -4,29 +4,22 @@ import (
 	"fmt"
 
 	"github.com/repro/aegis/internal/attack"
+	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/fuzzer"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/obfuscator"
-	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/workload"
 )
 
 // DefenseKit bundles the offline Aegis artefacts shared by the defense
-// experiments: the fuzzed gadget cover, the stacked noise segment and the
-// reference event.
+// experiments: the fuzzed gadget cover and the deployable recipe (stacked
+// noise segment, reference event, the paper's B_u and Δ).
 type DefenseKit struct {
-	Catalog  *hpc.Catalog
-	Events   []*hpc.Event
-	Cover    []fuzzer.CoverageEntry
-	Segment  []isa.Variant
-	RefEvent *hpc.Event
-	// ClipBound is B_u for the reference event (paper: 2e4 for
-	// RETIRED_UOPS).
-	ClipBound float64
-	// Sensitivity converts the normalised DP sensitivity into reference
-	// event counts at the simulator's tick scale.
-	Sensitivity float64
+	Catalog *hpc.Catalog
+	Events  []*hpc.Event
+	Cover   []fuzzer.CoverageEntry
+	obfuscator.Recipe
 }
 
 // BuildDefenseKit runs the offline pipeline (fuzz → confirm → cover →
@@ -63,13 +56,15 @@ func BuildDefenseKit(sc Scale) (*DefenseKit, error) {
 		return nil, fmt.Errorf("experiment: fuzzer produced an empty cover segment")
 	}
 	return &DefenseKit{
-		Catalog:     cat,
-		Events:      events,
-		Cover:       cover,
-		Segment:     seg,
-		RefEvent:    cat.MustByName("RETIRED_UOPS"),
-		ClipBound:   20000,
-		Sensitivity: 1500,
+		Catalog: cat,
+		Events:  events,
+		Cover:   cover,
+		Recipe: obfuscator.Recipe{
+			Segment:     seg,
+			RefEvent:    cat.MustByName("RETIRED_UOPS"),
+			ClipBound:   obfuscator.DefaultClipBound,
+			Sensitivity: obfuscator.DefaultSensitivity,
+		},
 	}, nil
 }
 
@@ -84,24 +79,11 @@ const (
 	MechConstant MechanismKind = obfuscator.MechanismConstant
 )
 
-// Defense builds an attack.DefenseFactory for the kit with the given
+// Defense builds an obfuscator factory for the kit with the given
 // mechanism and parameter (ε for DP mechanisms, the bound/peak for the
 // baselines).
-func (k *DefenseKit) Defense(kind MechanismKind, param float64) attack.DefenseFactory {
-	return func(seed uint64) (*obfuscator.Obfuscator, error) {
-		r := rng.New(seed).Split("defense")
-		mech, err := obfuscator.NewMechanism(string(kind), param, param, k.Sensitivity, r)
-		if err != nil {
-			return nil, err
-		}
-		return obfuscator.New(obfuscator.Config{
-			Mechanism: mech,
-			Segment:   k.Segment,
-			RefEvent:  k.RefEvent,
-			ClipBound: k.ClipBound,
-			Seed:      seed,
-		})
-	}
+func (k *DefenseKit) Defense(kind MechanismKind, param float64) obfuscator.Factory {
+	return k.Factory(string(kind), param, param, "defense", faultinject.Config{})
 }
 
 // websiteApp returns the scaled-down website application.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/repro/aegis/internal/attack"
+	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/trace"
@@ -120,7 +121,7 @@ func MultipleTriesAnalysis(sc Scale, averagedCounts []int) (*MultipleTriesResult
 
 	// defense builders: plain laplace vs laplace + secret offset. The
 	// offset is derived inside the VM from the running secret.
-	mkDefense := func(withOffset bool, secret string) attack.DefenseFactory {
+	mkDefense := func(withOffset bool, secret string) obfuscator.Factory {
 		return func(seed uint64) (*obfuscator.Obfuscator, error) {
 			r := rng.New(seed).Split("multitries")
 			base, err := obfuscator.NewLaplaceMechanism(1, kit.Sensitivity, r)
@@ -135,13 +136,7 @@ func MultipleTriesAnalysis(sc Scale, averagedCounts []int) (*MultipleTriesResult
 					return nil, err
 				}
 			}
-			return obfuscator.New(obfuscator.Config{
-				Mechanism: mech,
-				Segment:   kit.Segment,
-				RefEvent:  kit.RefEvent,
-				ClipBound: kit.ClipBound,
-				Seed:      seed,
-			})
+			return kit.Deploy(mech, seed, faultinject.Config{})
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
 	"github.com/repro/aegis/internal/trace"
@@ -54,7 +55,7 @@ type OccupancyScenario struct {
 
 // collectOne records one occupancy trace, optionally with the victim
 // defended.
-func (s *OccupancyScenario) collectOne(secret string, rep int, defense attack.DefenseFactory) (trace.Trace, error) {
+func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscator.Factory) (trace.Trace, error) {
 	cfg := sev.DefaultConfig(s.Seed)
 	cfg.SharedL2 = true
 	stream := rng.New(s.Seed).Split("occupancy/"+secret).SplitN("rep", rep)
@@ -121,7 +122,7 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense attack.De
 }
 
 // Collect records the full labelled occupancy dataset.
-func (s *OccupancyScenario) Collect(defense attack.DefenseFactory) (*trace.Dataset, error) {
+func (s *OccupancyScenario) Collect(defense obfuscator.Factory) (*trace.Dataset, error) {
 	ds := &trace.Dataset{EventNames: []string{"L2_CACHE_MISSES(attacker-core)"}}
 	for _, secret := range s.App.Secrets() {
 		for rep := 0; rep < s.TracesPerSecret; rep++ {

@@ -87,14 +87,7 @@ func Robustness(sc Scale) (*RobustnessResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		obf, err := obfuscator.New(obfuscator.Config{
-			Mechanism: mech,
-			Segment:   kit.Segment,
-			RefEvent:  kit.RefEvent,
-			ClipBound: kit.ClipBound,
-			Seed:      sc.Seed,
-			Faults:    faults,
-		})
+		obf, err := kit.Deploy(mech, sc.Seed, faults)
 		if err != nil {
 			return nil, err
 		}

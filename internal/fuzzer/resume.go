@@ -34,26 +34,6 @@ var (
 		telemetry.L("outcome", "miss"))
 )
 
-// fpCore mixes the measurement core configuration into a fingerprint.
-func fpCore(f *artifact.Fingerprint, c microarch.CoreConfig) {
-	f.Int("core.l1d-sets", c.L1DSets).Int("core.l1d-ways", c.L1DWays)
-	f.Int("core.l1i-sets", c.L1ISets).Int("core.l1i-ways", c.L1IWays)
-	f.Int("core.l2-sets", c.L2Sets).Int("core.l2-ways", c.L2Ways)
-	f.Int("core.line", c.LineSize).Int("core.tlb", c.TLBEntries)
-	f.Int("core.predictor", c.PredictorEntries)
-	f.Float("core.interrupt-rate", c.InterruptRate)
-}
-
-// fpEvent mixes an event's identity and formula into a fingerprint.
-func fpEvent(f *artifact.Fingerprint, e *hpc.Event) {
-	f.Int("event.id", e.ID).String("event.name", e.Name)
-	f.Int("event.type", int(e.Type)).Bool("event.guest", e.GuestVisible)
-	f.Float("event.noise", e.NoiseSigma).Int("event.terms", len(e.Terms))
-	for _, t := range e.Terms {
-		f.Int("term.signal", t.Signal).Float("term.weight", t.Weight)
-	}
-}
-
 // fpVariant mixes one legal instruction variant into a fingerprint; every
 // field that shapes execution or clustering participates.
 func fpVariant(f *artifact.Fingerprint, v isa.Variant) {
@@ -100,7 +80,7 @@ func (f *Fuzzer) eventFP(e *hpc.Event) string {
 	fp.Float("lambda1", f.cfg.Lambda1).Float("lambda2", f.cfg.Lambda2)
 	fp.Float("min-delta", f.cfg.MinDelta)
 	fp.Bool("noise", f.cfg.MeasureNoise).Bool("no-confirm", f.cfg.DisableConfirmation)
-	fpCore(fp, f.cfg.Core)
+	fp.Core(f.cfg.Core)
 	fc := f.cfg.Faults
 	fp.Uint64("faults.seed", fc.Seed)
 	fp.Float("faults.read-err", fc.PMUReadErrorRate)
@@ -112,7 +92,7 @@ func (f *Fuzzer) eventFP(e *hpc.Event) string {
 	fp.Float("faults.interrupt", fc.GadgetInterruptRate)
 	fp.Float("faults.extreme", fc.DrawExtremeRate)
 	fp.Float("faults.magnitude", fc.DrawExtremeMagnitude)
-	fpEvent(fp, e)
+	fp.Event(e)
 	return fp.Sum()
 }
 
@@ -124,7 +104,7 @@ func (f *Fuzzer) eventFP(e *hpc.Event) string {
 func (f *Fuzzer) memoFP() string {
 	fp := artifact.NewFingerprint(kindScreenMemo)
 	fp.String("legal", f.legalFP())
-	fpCore(fp, f.cfg.Core)
+	fp.Core(f.cfg.Core)
 	return fp.Sum()
 }
 

@@ -289,7 +289,7 @@ type Plan struct {
 	// Event calibrates counts→repetitions and is the event the kernel
 	// module monitors for observation-based mechanisms.
 	Event *hpc.Event
-	// ClipBound is the plan's B_u; 0 means 20000.
+	// ClipBound is the plan's B_u; 0 means DefaultClipBound.
 	ClipBound float64
 }
 
@@ -418,7 +418,7 @@ func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Inject
 		return ErrNoRefEvent
 	}
 	if p.ClipBound <= 0 {
-		p.ClipBound = 20000
+		p.ClipBound = DefaultClipBound
 	}
 	ps.Plan = p
 	ps.mech = p.Mechanism

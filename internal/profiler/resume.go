@@ -46,28 +46,6 @@ func resumeCounter(stage, outcome string) *telemetry.Counter {
 		telemetry.L("stage", stage), telemetry.L("outcome", outcome))
 }
 
-// fpCore mixes a core configuration into a fingerprint.
-func fpCore(f *artifact.Fingerprint, c microarch.CoreConfig) {
-	f.Int("core.l1d-sets", c.L1DSets).Int("core.l1d-ways", c.L1DWays)
-	f.Int("core.l1i-sets", c.L1ISets).Int("core.l1i-ways", c.L1IWays)
-	f.Int("core.l2-sets", c.L2Sets).Int("core.l2-ways", c.L2Ways)
-	f.Int("core.line", c.LineSize).Int("core.tlb", c.TLBEntries)
-	f.Int("core.predictor", c.PredictorEntries)
-	f.Float("core.interrupt-rate", c.InterruptRate)
-}
-
-// fpEvent mixes an event's identity and derivation formula into a
-// fingerprint; the formula (terms) is what scoring evaluates, so a
-// catalog delta that redefines an event invalidates its score cells.
-func fpEvent(f *artifact.Fingerprint, e *hpc.Event) {
-	f.Int("event.id", e.ID).String("event.name", e.Name)
-	f.Int("event.type", int(e.Type)).Bool("event.guest", e.GuestVisible)
-	f.Float("event.noise", e.NoiseSigma).Int("event.terms", len(e.Terms))
-	for _, t := range e.Terms {
-		f.Int("term.signal", t.Signal).Float("term.weight", t.Weight)
-	}
-}
-
 // worldFP mixes the template-server world configuration into a
 // fingerprint: it shapes every collected trace.
 func (p *Profiler) worldFP(f *artifact.Fingerprint) {
@@ -75,7 +53,7 @@ func (p *Profiler) worldFP(f *artifact.Fingerprint) {
 	f.String("world.processor", w.Processor)
 	f.Int("world.cores", w.PhysicalCores).Int("world.budget", w.TickBudget)
 	f.Bool("world.shared-l2", w.SharedL2).Uint64("world.seed", w.Seed)
-	fpCore(f, w.Core)
+	f.Core(w.Core)
 }
 
 // catalogFP hashes the full event catalog once per Profiler.
@@ -84,7 +62,7 @@ func (p *Profiler) catalogFP() string {
 		f := artifact.NewFingerprint("catalog")
 		f.String("processor", p.catalog.Processor).Int("size", p.catalog.Size())
 		for _, e := range p.catalog.Events {
-			fpEvent(f, e)
+			f.Event(e)
 		}
 		p.catFP = f.Sum()
 	})
@@ -133,7 +111,7 @@ func (p *Profiler) scoreFP(e *hpc.Event, tracesFP string) string {
 	f := artifact.NewFingerprint(kindScore)
 	f.String("traces", tracesFP)
 	f.Int("quadrature", p.cfg.QuadratureSteps).Bool("raw-mean", p.cfg.RawMeanFeature)
-	fpEvent(f, e)
+	f.Event(e)
 	return f.Sum()
 }
 
