@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -249,4 +252,36 @@ func Mnemonics(variants []Variant) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestSpecDigestsPinned pins both vendor specifications field by field at
+// two seeds. Table I/II and the fuzzer's legal list come from these specs,
+// so any change to the template expansion, the alias draws or the
+// reserved-encoding fill moves a digest here.
+func TestSpecDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"amd/1":   "7fc0219636b68290",
+		"amd/7":   "cfdc213a5125d735",
+		"intel/1": "397d9db87cadacc6",
+		"intel/7": "4d1a21d878bbbeee",
+	}
+	for _, tc := range []struct {
+		vendor string
+		spec   func(uint64) *Spec
+	}{{"amd", SpecAMDEpyc}, {"intel", SpecIntelXeonE5}} {
+		for _, seed := range []uint64{1, 7} {
+			s := tc.spec(seed)
+			h := sha256.New()
+			fmt.Fprintf(h, "%s %d\n", s.Vendor, len(s.Variants))
+			for _, v := range s.Variants {
+				fmt.Fprintf(h, "%d %q %q %q %q %d %d %d %d %t %t %t %q\n",
+					v.ID, v.Mnemonic, v.Operands, v.Extension, v.Category, v.Class,
+					v.Uops, v.MemReads, v.MemWrites, v.Privileged, v.Reserved, v.PageFaults, v.Key())
+			}
+			name := fmt.Sprintf("%s/%d", tc.vendor, seed)
+			if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want[name] {
+				t.Errorf("%s: spec digest %s, want %s", name, got, want[name])
+			}
+		}
+	}
 }
