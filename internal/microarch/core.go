@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/rng"
@@ -264,6 +265,7 @@ type Core struct {
 	ctrs Counters
 
 	interruptRate float64
+	interruptP    float64 // interruptRate per instruction, divided out once
 	noise         *rng.Source
 }
 
@@ -290,6 +292,7 @@ func NewCoreWithL2(id int, cfg CoreConfig, noise *rng.Source, sharedL2 *Cache) *
 		BP:  NewBranchPredictor(cfg.PredictorEntries),
 
 		interruptRate: cfg.InterruptRate,
+		interruptP:    cfg.InterruptRate / 1e6,
 		noise:         noise,
 	}
 }
@@ -312,40 +315,109 @@ func (c *Core) Reset() {
 }
 
 // ErrIllegalInstruction reports execution of a variant that faults on this
-// core; the fuzzer's cleanup step is expected to have removed them.
+// core; the fuzzer's cleanup step is expected to have removed them. A
+// faulting op run through ExecuteOp reports a variant with only its class
+// set.
 type ErrIllegalInstruction struct {
 	Variant isa.Variant
 	Fault   isa.FaultKind
 }
 
 func (e *ErrIllegalInstruction) Error() string {
+	if e.Variant.Mnemonic == "" {
+		return fmt.Sprintf("microarch: decoded %s op faults with %s", e.Variant.Class, e.Fault)
+	}
 	return fmt.Sprintf("microarch: %s faults with %s", e.Variant.Key(), e.Fault)
 }
+
+// Op is an instruction variant decoded to exactly what a core reads to
+// retire it, packed into one word. Workload libraries hold ops instead of
+// variants, so a simulated instruction touches 8 bytes instead of a
+// 112-byte variant and its mnemonic string.
+type Op uint64
+
+// Op bit layout: micro-ops (at least 1), memory reads and writes, the
+// isa.Class (0 for values outside the enumeration), the isa.FaultKind
+// raised on execution (0 if the op retires), and the stack flag of PUSH
+// and POP.
+const (
+	opUopsShift   = 0
+	opReadsShift  = 16
+	opWritesShift = 24
+	opClassShift  = 32
+	opFaultShift  = 40
+	opStack       = Op(1) << 48
+)
+
+// Decode packs a variant into an Op. Micro-op counts below 1 retire as 1,
+// and counts past the field widths saturate; no variant of either
+// specification comes near them.
+func Decode(v *isa.Variant) Op {
+	op := Op(min(max(v.Uops, 1), math.MaxUint16))<<opUopsShift |
+		Op(min(max(v.MemReads, 0), math.MaxUint8))<<opReadsShift |
+		Op(min(max(v.MemWrites, 0), math.MaxUint8))<<opWritesShift
+	if v.Class > 0 && v.Class <= isa.ClassInvalid {
+		op |= Op(v.Class) << opClassShift
+	}
+	switch {
+	case v.PageFaults:
+		op |= Op(isa.FaultPF) << opFaultShift
+	case v.Privileged, v.Class == isa.ClassIO:
+		op |= Op(isa.FaultGP) << opFaultShift
+	case v.Reserved, v.Class == isa.ClassInvalid:
+		op |= Op(isa.FaultUD) << opFaultShift
+	}
+	if v.Mnemonic == "PUSH" || v.Mnemonic == "POP" {
+		op |= opStack
+	}
+	return op
+}
+
+func (o Op) uops() uint64         { return uint64(o>>opUopsShift) & math.MaxUint16 }
+func (o Op) reads() int           { return int(o>>opReadsShift) & math.MaxUint8 }
+func (o Op) writes() int          { return int(o>>opWritesShift) & math.MaxUint8 }
+func (o Op) fault() isa.FaultKind { return isa.FaultKind(o>>opFaultShift) & math.MaxUint8 }
+
+// Class returns the op's micro-op class, or 0 for a class outside the isa
+// enumeration.
+func (o Op) Class() isa.Class { return isa.Class(o>>opClassShift) & math.MaxUint8 }
+
+// WithoutStack returns o without the stack-engine count of PUSH and POP.
+// An encoding alias of PUSH or POP decodes this way: its suffixed mnemonic
+// is neither.
+func (o Op) WithoutStack() Op { return o &^ opStack }
 
 // Execute retires one instruction variant in the given context, updating
 // caches, predictor and counters mechanistically. It returns an error for
 // variants that fault (reserved encodings, privileged instructions). v is
 // only read.
 func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
-	if v.Reserved || v.PageFaults || v.Privileged || v.Class == isa.ClassIO || v.Class == isa.ClassInvalid {
-		kind := isa.FaultUD
-		switch {
-		case v.PageFaults:
-			kind = isa.FaultPF
+	return c.execute(Decode(v), v, ctx)
+}
+
+// ExecuteOp retires one decoded instruction exactly as Execute retires the
+// variant it was decoded from.
+func (c *Core) ExecuteOp(op Op, ctx *ExecContext) error {
+	return c.execute(op, nil, ctx)
+}
+
+// execute is the one retirement path; v, when non-nil, names the variant
+// in a fault error.
+func (c *Core) execute(op Op, v *isa.Variant, ctx *ExecContext) error {
+	if kind := op.fault(); kind != 0 {
+		if kind == isa.FaultPF {
 			c.ctrs.PageFaults++
-		case v.Privileged, v.Class == isa.ClassIO:
-			kind = isa.FaultGP
 		}
-		return &ErrIllegalInstruction{Variant: *v, Fault: kind}
+		err := &ErrIllegalInstruction{Variant: isa.Variant{Class: op.Class()}, Fault: kind}
+		if v != nil {
+			err.Variant = *v
+		}
+		return err
 	}
 
 	ctx.PC += 4
 	c.ctrs.Instructions++
-	uops := v.Uops
-	if uops < 1 {
-		uops = 1
-	}
-	c.ctrs.UopsRetired += uint64(uops)
+	c.ctrs.UopsRetired += op.uops()
 	cycles := uint64(1)
 
 	// Instruction fetch.
@@ -362,16 +434,16 @@ func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
 	c.ctrs.L1IAccesses++
 
 	// Memory reads.
-	for i := 0; i < v.MemReads; i++ {
+	for i := op.reads(); i > 0; i-- {
 		cycles += c.dataAccess(ctx.dataAddr(), false)
 	}
 	// Memory writes.
-	for i := 0; i < v.MemWrites; i++ {
+	for i := op.writes(); i > 0; i-- {
 		cycles += c.dataAccess(ctx.dataAddr(), true)
 	}
 
 	// Class-specific behaviour.
-	switch v.Class {
+	switch op.Class() {
 	case isa.ClassALU, isa.ClassNop:
 		// Plain retirement.
 	case isa.ClassMul:
@@ -391,7 +463,7 @@ func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
 			cycles += 14
 		}
 		c.ctrs.BranchesRet++
-		if v.MemWrites > 0 || v.MemReads > 0 {
+		if op.writes() > 0 || op.reads() > 0 {
 			c.ctrs.StackOps++ // CALL/RET stack engine activity
 		}
 	case isa.ClassX87:
@@ -432,7 +504,7 @@ func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
 	}
 
 	// Stack push/pop accounting.
-	if v.Mnemonic == "PUSH" || v.Mnemonic == "POP" {
+	if op&opStack != 0 {
 		c.ctrs.StackOps++
 	}
 
@@ -441,7 +513,7 @@ func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
 	// Spurious interrupts (paper challenge C2: HPCs cannot count
 	// precisely because of external interference).
 	if c.noise != nil && c.interruptRate > 0 {
-		if c.noise.Float64() < c.interruptRate/1e6 {
+		if c.noise.Float64() < c.interruptP {
 			c.Interrupt()
 		}
 	}

@@ -333,3 +333,68 @@ func TestCoreResetMatchesNewCore(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteOpMatchesExecute runs every variant of both full
+// specifications, faulting ones included, plus out-of-range edge cases, on
+// three twin noisy cores: through Execute, through ExecuteOp of the decoded
+// op, and through refExecute, the variant-based path both replaced. After
+// every instruction the counters (PageFaults included), the contexts and
+// the fault kinds must agree; at the end the whole cores must.
+func TestExecuteOpMatchesExecute(t *testing.T) {
+	variants := append(isa.SpecAMDEpyc(3).Variants, isa.SpecIntelXeonE5(3).Variants...)
+	variants = append(variants,
+		isa.Variant{Mnemonic: "PUSH", Class: isa.ClassBranch, Uops: -4, MemReads: -1, MemWrites: 1},
+		isa.Variant{Mnemonic: "POP", Class: isa.ClassInvalid + 5, MemReads: 3},
+		isa.Variant{Mnemonic: "ODD", Class: -2, Uops: 0},
+		isa.Variant{Mnemonic: "IODD", Class: isa.ClassIO, PageFaults: true},
+	)
+	cfg := DefaultCoreConfig()
+	cfg.InterruptRate = 5000 // exercise the interrupt draw on both paths
+	newTwin := func() (*Core, *ExecContext) {
+		r := rng.New(11)
+		return NewCore(0, cfg, r.Split("noise")), NewWorkloadContext(0x10000, 1<<20, r.Split("ctx"))
+	}
+	cv, ctxV := newTwin()
+	co, ctxO := newTwin()
+	cr, ctxR := newTwin()
+	faultOf := func(err error) isa.FaultKind {
+		var illegal *ErrIllegalInstruction
+		if err == nil {
+			return isa.FaultNone
+		}
+		if !errors.As(err, &illegal) {
+			t.Fatalf("err = %v, want ErrIllegalInstruction", err)
+		}
+		return illegal.Fault
+	}
+	faulted := 0
+	for i := range variants {
+		v := &variants[i]
+		errV := cv.Execute(v, ctxV)
+		errO := co.ExecuteOp(Decode(v), ctxO)
+		errR := refExecute(cr, v, ctxR)
+		kv, ko, kr := faultOf(errV), faultOf(errO), faultOf(errR)
+		if kv != kr || ko != kr {
+			t.Fatalf("%s: faults Execute %v, ExecuteOp %v, reference %v", v.Key(), kv, ko, kr)
+		}
+		if errV != nil {
+			faulted++
+			if errV.Error() != errR.Error() {
+				t.Fatalf("%s: Execute error %q, reference %q", v.Key(), errV, errR)
+			}
+		}
+		if cv.ctrs != cr.ctrs || co.ctrs != cr.ctrs {
+			t.Fatalf("%s: counters diverge", v.Key())
+		}
+		if !reflect.DeepEqual(ctxV, ctxR) || !reflect.DeepEqual(ctxO, ctxR) {
+			t.Fatalf("%s: contexts diverge", v.Key())
+		}
+	}
+	if !reflect.DeepEqual(cv, cr) || !reflect.DeepEqual(co, cr) {
+		t.Error("cores diverge after the full specifications")
+	}
+	if faulted == 0 || cr.ctrs.PageFaults == 0 || cr.ctrs.Interrupts == 0 || cr.ctrs.StackOps == 0 {
+		t.Errorf("run exercised too little: %d faults, %d page faults, %d interrupts, %d stack ops",
+			faulted, cr.ctrs.PageFaults, cr.ctrs.Interrupts, cr.ctrs.StackOps)
+	}
+}

@@ -3,6 +3,7 @@ package microarch
 import (
 	"testing"
 
+	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/rng"
 )
 
@@ -310,4 +311,119 @@ func TestTLBMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refExecute is the variant-based Core.Execute that Decode and ExecuteOp
+// replaced, kept as the reference TestExecuteOpMatchesExecute checks both
+// execution paths against: it reads the variant's fields and compares its
+// mnemonic on every instruction, and divides the interrupt rate per draw.
+func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
+	if v.Reserved || v.PageFaults || v.Privileged || v.Class == isa.ClassIO || v.Class == isa.ClassInvalid {
+		kind := isa.FaultUD
+		switch {
+		case v.PageFaults:
+			kind = isa.FaultPF
+			c.ctrs.PageFaults++
+		case v.Privileged, v.Class == isa.ClassIO:
+			kind = isa.FaultGP
+		}
+		return &ErrIllegalInstruction{Variant: *v, Fault: kind}
+	}
+
+	ctx.PC += 4
+	c.ctrs.Instructions++
+	uops := v.Uops
+	if uops < 1 {
+		uops = 1
+	}
+	c.ctrs.UopsRetired += uint64(uops)
+	cycles := uint64(1)
+
+	if !c.L1I.Access(ctx.PC) {
+		c.ctrs.L1IMisses++
+		c.ctrs.L2Accesses++
+		if !c.L2.Access(ctx.PC) {
+			c.ctrs.L2Misses++
+			cycles += 40
+		} else {
+			cycles += 8
+		}
+	}
+	c.ctrs.L1IAccesses++
+
+	for i := 0; i < v.MemReads; i++ {
+		cycles += c.dataAccess(ctx.dataAddr(), false)
+	}
+	for i := 0; i < v.MemWrites; i++ {
+		cycles += c.dataAccess(ctx.dataAddr(), true)
+	}
+
+	switch v.Class {
+	case isa.ClassALU, isa.ClassNop:
+	case isa.ClassMul:
+		c.ctrs.MulOps++
+		cycles += 2
+	case isa.ClassDiv:
+		c.ctrs.DivOps++
+		cycles += 20
+	case isa.ClassBit:
+		c.ctrs.BitOps++
+	case isa.ClassLoad, isa.ClassStore, isa.ClassLoadStore:
+	case isa.ClassBranch:
+		taken := ctx.branchTaken()
+		if c.BP.Resolve(ctx.PC, taken) {
+			c.ctrs.BranchMispred++
+			cycles += 14
+		}
+		c.ctrs.BranchesRet++
+		if v.MemWrites > 0 || v.MemReads > 0 {
+			c.ctrs.StackOps++
+		}
+	case isa.ClassX87:
+		c.ctrs.X87Ops++
+		cycles += 3
+	case isa.ClassSSE:
+		c.ctrs.SSEOps++
+	case isa.ClassAVX:
+		c.ctrs.AVXOps++
+		cycles++
+	case isa.ClassString:
+		c.ctrs.StringOps++
+		cycles += 4
+	case isa.ClassCrypto:
+		c.ctrs.CryptoOps++
+		cycles += 2
+	case isa.ClassPrefetch:
+		addr := ctx.dataAddr()
+		c.ctrs.Prefetches++
+		if !c.L1D.Contains(addr) {
+			c.L2.Access(addr)
+			c.L1D.Access(addr)
+		}
+	case isa.ClassFlush:
+		addr := ctx.dataAddr()
+		c.ctrs.CacheFlushes++
+		c.L1D.Flush(addr)
+		c.L2.Flush(addr)
+		cycles += 3
+	case isa.ClassFence:
+		c.ctrs.Fences++
+		cycles += 4
+	case isa.ClassSerial:
+		c.ctrs.SerializeOps++
+		cycles += 30
+	}
+
+	if v.Mnemonic == "PUSH" || v.Mnemonic == "POP" {
+		c.ctrs.StackOps++
+	}
+
+	c.ctrs.Cycles += cycles
+
+	if c.noise != nil && c.interruptRate > 0 {
+		if c.noise.Float64() < c.interruptRate/1e6 {
+			c.Interrupt()
+		}
+	}
+	return nil
 }

@@ -298,7 +298,8 @@ type Plan struct {
 type planState struct {
 	Plan
 	kmod    kernelModule
-	perExec float64 // reference-event counts per segment execution
+	ops     []microarch.Op // Segment decoded, the form injection executes
+	perExec float64        // reference-event counts per segment execution
 
 	// kmodFaults feeds the kernel module's PMU, drawFaults the mechanism
 	// draw path; both nil when healthy.
@@ -435,6 +436,10 @@ func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Inject
 			return err
 		}
 		ps.fallback = fb
+	}
+	ps.ops = make([]microarch.Op, len(p.Segment))
+	for i := range p.Segment {
+		ps.ops[i] = microarch.Decode(&p.Segment[i])
 	}
 	per, err := calibrateSegment(p.Segment, p.Event)
 	if err != nil {
@@ -759,12 +764,12 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 	injectedReps := 0
 	planned := reps
 	for i := 0; i < planned; {
-		n, err := g.ExecuteSeq(p.Segment)
+		n, err := g.ExecuteSeq(p.ops)
 		if err != nil {
 			degrade(&info, ReasonExecError)
 			break
 		}
-		if n == len(p.Segment) {
+		if n == len(p.ops) {
 			injectedReps++
 			i++
 			continue

@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"github.com/repro/aegis/internal/faultinject"
-	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/microarch"
 )
 
 // seqProc runs one fixed instruction sequence per tick via ExecuteSeq and
 // records how many instructions retired each tick.
 type seqProc struct {
 	name string
-	seq  []isa.Variant
+	seq  []microarch.Op
 	ran  []int
 }
 
@@ -67,9 +67,10 @@ func TestPreemptionSlashesBudget(t *testing.T) {
 
 func TestGadgetInterruptExecutesPartialSequence(t *testing.T) {
 	w, vm := launchOne(t, 2)
-	seq := make([]isa.Variant, 16)
+	seq := make([]microarch.Op, 16)
 	for i := range seq {
-		seq[i] = aluVariant(t)
+		alu := aluVariant(t)
+		seq[i] = microarch.Decode(&alu)
 	}
 	p := &seqProc{name: "gadget", seq: seq}
 	if err := vm.AddProcess(0, p); err != nil {
@@ -127,9 +128,10 @@ func TestFaultSchedulesIndependentOfVMOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p := &seqProc{name: "probe", seq: make([]isa.Variant, 8)}
+		p := &seqProc{name: "probe", seq: make([]microarch.Op, 8)}
 		for i := range p.seq {
-			p.seq[i] = aluVariant(t)
+			alu := aluVariant(t)
+			p.seq[i] = microarch.Decode(&alu)
 		}
 		if err := vm.AddProcess(0, p); err != nil {
 			t.Fatal(err)

@@ -1,22 +1,37 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
 )
+
+// newLibrary builds a library from a post-cleanup legal variant list, by
+// decoding each variant in order.
+func newLibrary(legal []isa.Variant) *Library {
+	l := &Library{}
+	for i := range legal {
+		if c := legal[i].Class; c > 0 && c <= isa.ClassInvalid {
+			l.byClass[c] = append(l.byClass[c], microarch.Decode(&legal[i]))
+		}
+	}
+	return l
+}
 
 func TestLibrarySample(t *testing.T) {
 	lib := DefaultLibrary(1)
 	r := rng.New(2)
 	for _, class := range []isa.Class{isa.ClassALU, isa.ClassLoad, isa.ClassStore,
 		isa.ClassSSE, isa.ClassFlush, isa.ClassPrefetch, isa.ClassSerial} {
-		v := lib.Sample(class, r)
-		if v.Class != class {
-			t.Errorf("Sample(%v) returned class %v", class, v.Class)
+		op := lib.Sample(class, r)
+		if op.Class() != class {
+			t.Errorf("Sample(%v) returned class %v", class, op.Class())
 		}
 	}
 }
@@ -27,28 +42,68 @@ func TestLibrarySample(t *testing.T) {
 func TestLibraryFallback(t *testing.T) {
 	add := isa.Variant{Mnemonic: "ADD", Class: isa.ClassALU, Uops: 1}
 	mov := isa.Variant{Mnemonic: "MOV", Class: isa.ClassLoad, Uops: 1, MemReads: 1}
-	withALU := NewLibrary([]isa.Variant{add, mov})
-	noALU := NewLibrary([]isa.Variant{mov})
-	empty := NewLibrary(nil)
+	withALU := newLibrary([]isa.Variant{add, mov})
+	noALU := newLibrary([]isa.Variant{mov})
+	empty := newLibrary(nil)
 	for _, tc := range []struct {
 		name  string
 		lib   *Library
 		class isa.Class
-		want  string
+		want  isa.Class
 	}{
-		{"present", withALU, isa.ClassLoad, "MOV"},
-		{"absent", withALU, isa.ClassAVX, "ADD"},
-		{"zero", withALU, 0, "ADD"},
-		{"negative", withALU, -1, "ADD"},
-		{"past-invalid", withALU, isa.ClassInvalid + 1, "ADD"},
-		{"absent-no-alu", noALU, isa.ClassAVX, "NOP"},
-		{"zero-no-alu", noALU, 0, "NOP"},
-		{"negative-no-alu", noALU, -1 << 40, "NOP"},
-		{"past-invalid-no-alu", noALU, isa.ClassInvalid + 1, "NOP"},
-		{"empty", empty, isa.ClassAVX, "NOP"},
+		{"present", withALU, isa.ClassLoad, isa.ClassLoad},
+		{"absent", withALU, isa.ClassAVX, isa.ClassALU},
+		{"zero", withALU, 0, isa.ClassALU},
+		{"negative", withALU, -1, isa.ClassALU},
+		{"past-invalid", withALU, isa.ClassInvalid + 1, isa.ClassALU},
+		{"absent-no-alu", noALU, isa.ClassAVX, isa.ClassNop},
+		{"zero-no-alu", noALU, 0, isa.ClassNop},
+		{"negative-no-alu", noALU, -1 << 40, isa.ClassNop},
+		{"past-invalid-no-alu", noALU, isa.ClassInvalid + 1, isa.ClassNop},
+		{"empty", empty, isa.ClassAVX, isa.ClassNop},
 	} {
-		if v := tc.lib.Sample(tc.class, rng.New(3)); v.Mnemonic != tc.want {
-			t.Errorf("%s: Sample(%d) = %s, want %s", tc.name, int(tc.class), v.Mnemonic, tc.want)
+		if op := tc.lib.Sample(tc.class, rng.New(3)); op.Class() != tc.want {
+			t.Errorf("%s: Sample(%d) = %v op, want %v", tc.name, int(tc.class), op.Class(), tc.want)
+		}
+	}
+}
+
+// TestDefaultLibraryMatchesSpec checks the op library against its
+// definition: every class pool of DefaultLibrary(seed) is the decoded
+// legal variants of the full AMD specification at that seed, in spec
+// order. It covers seeds 0..199 and the library seeds daemon.Attach draws
+// for the daemontest scenarios' tenants (the second draw of the tenant's
+// rng.NewStream(cfg.Seed, "daemon", name)).
+func TestDefaultLibraryMatchesSpec(t *testing.T) {
+	var seeds []uint64
+	for s := uint64(0); s < 200; s++ {
+		seeds = append(seeds, s)
+	}
+	tenantSeed := func(cfgSeed uint64, name string) uint64 {
+		s := rng.NewStream(cfgSeed, "daemon", name)
+		s.Uint64() // the tenant's world seed
+		return s.Uint64()
+	}
+	for _, sc := range []struct {
+		seed    uint64
+		tenants int
+		late    bool
+	}{{42, 8, true}, {99, 8, true}, {7, 120, false}, {1234, 12, false}} {
+		for i := 0; i < sc.tenants; i++ {
+			seeds = append(seeds, tenantSeed(sc.seed, fmt.Sprintf("t%03d", i)))
+		}
+		if sc.late {
+			seeds = append(seeds, tenantSeed(sc.seed, "late"))
+		}
+	}
+	for _, seed := range seeds {
+		want := newLibrary(isa.Cleanup(isa.SpecAMDEpyc(seed), isa.AMDEpycFeatures()).Legal)
+		got := DefaultLibrary(seed)
+		for c := range want.byClass {
+			if !slices.Equal(got.byClass[c], want.byClass[c]) {
+				t.Fatalf("seed %d: %v pool differs from the decoded spec (%d ops, want %d)",
+					seed, isa.Class(c), len(got.byClass[c]), len(want.byClass[c]))
+			}
 		}
 	}
 }
