@@ -6,6 +6,7 @@ import (
 	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
@@ -25,7 +26,7 @@ import (
 
 // probeProc sweeps a fixed buffer spanning the shared L2 each tick.
 type probeProc struct {
-	load    isa.Variant
+	load    microarch.Op
 	perTick int
 }
 
@@ -36,7 +37,7 @@ func (p *probeProc) Step(g *sev.GuestExecutor) {
 	// evicts a probe line.
 	g.Context().WorkingSet = 512 << 10
 	for i := 0; i < p.perTick; i++ {
-		ok, err := g.Execute(&p.load)
+		ok, err := g.ExecuteOp(p.load)
 		if err != nil || !ok {
 			return
 		}
@@ -98,7 +99,7 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 			break
 		}
 	}
-	if err := attacker.AddProcess(0, &probeProc{load: load, perTick: 600}); err != nil {
+	if err := attacker.AddProcess(0, &probeProc{load: microarch.Decode(&load), perTick: 600}); err != nil {
 		return trace.Trace{}, err
 	}
 

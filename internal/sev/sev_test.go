@@ -23,7 +23,7 @@ func (b *burnProc) Name() string { return b.name }
 
 func (b *burnProc) Step(g *GuestExecutor) {
 	for i := 0; i < b.perTick; i++ {
-		ok, err := g.Execute(&b.instr)
+		ok, err := g.ExecuteOp(microarch.Decode(&b.instr))
 		if err != nil || !ok {
 			return
 		}
@@ -504,7 +504,7 @@ func (p *wsProc) Name() string { return p.name }
 func (p *wsProc) Step(g *GuestExecutor) {
 	g.Context().WorkingSet = p.ws
 	for i := 0; i < p.perTick; i++ {
-		ok, err := g.Execute(&p.instr)
+		ok, err := g.ExecuteOp(microarch.Decode(&p.instr))
 		if err != nil || !ok {
 			return
 		}
