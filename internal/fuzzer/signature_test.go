@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/rng"
 )
 
@@ -21,10 +22,12 @@ func TestColdSignatureMatchesFreshBench(t *testing.T) {
 	}
 	r := rng.New(7)
 	gadgets := make([]Gadget, 500)
+	ops := make([][2]microarch.Op, len(gadgets))
 	want := make([]gadgetSig, len(gadgets))
 	for i := range gadgets {
 		gadgets[i] = Gadget{Reset: legal[r.Intn(len(legal))], Trigger: legal[r.Intn(len(legal))]}
-		if want[i], err = f.newBench(nil, nil).signature(gadgets[i]); err != nil {
+		ops[i] = gadgets[i].ops()
+		if want[i], err = f.newBench(nil, nil).signature(ops[i][:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +45,7 @@ func TestColdSignatureMatchesFreshBench(t *testing.T) {
 			defer wg.Done()
 			for k := w; k < len(order); k += workers {
 				i := order[k]
-				got, err := f.coldSignature(gadgets[i])
+				got, err := f.coldSignature(ops[i][:])
 				if err != nil {
 					t.Error(err)
 					return

@@ -198,8 +198,9 @@ func execCore(t *testing.T, n int) *microarch.Core {
 			break
 		}
 	}
+	op := microarch.Decode(&load)
 	for i := 0; i < n; i++ {
-		if err := core.Execute(&load, ctx); err != nil {
+		if err := core.ExecuteOp(op, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,8 +224,9 @@ func TestPMUProgramAndRead(t *testing.T) {
 			break
 		}
 	}
+	op := microarch.Decode(&alu)
 	for i := 0; i < 25; i++ {
-		if err := core.Execute(&alu, ctx); err != nil {
+		if err := core.ExecuteOp(op, ctx); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -314,20 +314,17 @@ func (c *Core) Reset() {
 	c.ctrs = Counters{}
 }
 
-// ErrIllegalInstruction reports execution of a variant that faults on this
-// core; the fuzzer's cleanup step is expected to have removed them. A
-// faulting op run through ExecuteOp reports a variant with only its class
-// set.
+// ErrIllegalInstruction reports execution of an op that faults on this
+// core; the fuzzer's cleanup step is expected to have removed them. The op
+// carries only its class, so callers that know the instruction wrap the
+// error with its name.
 type ErrIllegalInstruction struct {
-	Variant isa.Variant
-	Fault   isa.FaultKind
+	Class isa.Class
+	Fault isa.FaultKind
 }
 
 func (e *ErrIllegalInstruction) Error() string {
-	if e.Variant.Mnemonic == "" {
-		return fmt.Sprintf("microarch: decoded %s op faults with %s", e.Variant.Class, e.Fault)
-	}
-	return fmt.Sprintf("microarch: %s faults with %s", e.Variant.Key(), e.Fault)
+	return fmt.Sprintf("microarch: %s op faults with %s", e.Class, e.Fault)
 }
 
 // Op is an instruction variant decoded to exactly what a core reads to
@@ -387,32 +384,15 @@ func (o Op) Class() isa.Class { return isa.Class(o>>opClassShift) & math.MaxUint
 // is neither.
 func (o Op) WithoutStack() Op { return o &^ opStack }
 
-// Execute retires one instruction variant in the given context, updating
+// ExecuteOp retires one decoded instruction in the given context, updating
 // caches, predictor and counters mechanistically. It returns an error for
-// variants that fault (reserved encodings, privileged instructions). v is
-// only read.
-func (c *Core) Execute(v *isa.Variant, ctx *ExecContext) error {
-	return c.execute(Decode(v), v, ctx)
-}
-
-// ExecuteOp retires one decoded instruction exactly as Execute retires the
-// variant it was decoded from.
+// ops that fault (reserved encodings, privileged instructions).
 func (c *Core) ExecuteOp(op Op, ctx *ExecContext) error {
-	return c.execute(op, nil, ctx)
-}
-
-// execute is the one retirement path; v, when non-nil, names the variant
-// in a fault error.
-func (c *Core) execute(op Op, v *isa.Variant, ctx *ExecContext) error {
 	if kind := op.fault(); kind != 0 {
 		if kind == isa.FaultPF {
 			c.ctrs.PageFaults++
 		}
-		err := &ErrIllegalInstruction{Variant: isa.Variant{Class: op.Class()}, Fault: kind}
-		if v != nil {
-			err.Variant = *v
-		}
-		return err
+		return &ErrIllegalInstruction{Class: op.Class(), Fault: kind}
 	}
 
 	ctx.PC += 4
@@ -553,11 +533,11 @@ func (c *Core) dataAccess(addr uint64, write bool) uint64 {
 	return cycles
 }
 
-// ExecuteSequence retires a slice of variants in order, stopping at the
-// first fault.
-func (c *Core) ExecuteSequence(seq []isa.Variant, ctx *ExecContext) error {
-	for i := range seq {
-		if err := c.Execute(&seq[i], ctx); err != nil {
+// ExecuteSequence retires a slice of ops in order, stopping at the first
+// fault.
+func (c *Core) ExecuteSequence(seq []Op, ctx *ExecContext) error {
+	for _, op := range seq {
+		if err := c.ExecuteOp(op, ctx); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package microarch
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/repro/aegis/internal/isa"
@@ -313,10 +315,52 @@ func TestTLBMatchesReference(t *testing.T) {
 	}
 }
 
-// refExecute is the variant-based Core.Execute that Decode and ExecuteOp
-// replaced, kept as the reference TestExecuteOpMatchesExecute checks both
-// execution paths against: it reads the variant's fields and compares its
-// mnemonic on every instruction, and divides the interrupt rate per draw.
+// edgeVariants are out-of-range variants the specifications never produce:
+// negative counts, classes outside the enumeration, and a page fault on an
+// I/O instruction.
+var edgeVariants = []isa.Variant{
+	{Mnemonic: "PUSH", Class: isa.ClassBranch, Uops: -4, MemReads: -1, MemWrites: 1},
+	{Mnemonic: "POP", Class: isa.ClassInvalid + 5, MemReads: 3},
+	{Mnemonic: "ODD", Class: -2, Uops: 0},
+	{Mnemonic: "IODD", Class: isa.ClassIO, PageFaults: true},
+}
+
+// newRefTwin builds a noisy core and workload context from seed; two calls
+// with the same arguments build identical twins.
+func newRefTwin(seed uint64, interruptRate float64) (*Core, *ExecContext) {
+	cfg := DefaultCoreConfig()
+	cfg.InterruptRate = interruptRate
+	r := rng.New(seed)
+	return NewCore(0, cfg, r.Split("noise")), NewWorkloadContext(0x10000, 1<<20, r.Split("ctx"))
+}
+
+// matchReference retires v through ExecuteOp(Decode(v)) on co and through
+// refExecute on cr, fails t unless the fault kinds, error messages,
+// counters and contexts agree afterwards, and reports whether v faulted.
+func matchReference(t testing.TB, co *Core, ctxO *ExecContext, cr *Core, ctxR *ExecContext, v *isa.Variant) bool {
+	t.Helper()
+	errO := co.ExecuteOp(Decode(v), ctxO)
+	errR := refExecute(cr, v, ctxR)
+	if (errO == nil) != (errR == nil) || errO != nil && errO.Error() != errR.Error() {
+		t.Fatalf("%s: ExecuteOp error %v, reference %v", v.Key(), errO, errR)
+	}
+	var illegal *ErrIllegalInstruction
+	if errO != nil && !errors.As(errO, &illegal) {
+		t.Fatalf("%s: err = %v, want ErrIllegalInstruction", v.Key(), errO)
+	}
+	if co.ctrs != cr.ctrs {
+		t.Fatalf("%s: counters diverge", v.Key())
+	}
+	if !reflect.DeepEqual(ctxO, ctxR) {
+		t.Fatalf("%s: contexts diverge", v.Key())
+	}
+	return errO != nil
+}
+
+// refExecute is the variant-based execution path that Decode and ExecuteOp
+// replaced, kept as the reference ExecuteOp is checked against: it reads
+// the variant's fields and compares its mnemonic on every instruction, and
+// divides the interrupt rate per draw.
 func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
 	if v.Reserved || v.PageFaults || v.Privileged || v.Class == isa.ClassIO || v.Class == isa.ClassInvalid {
 		kind := isa.FaultUD
@@ -327,7 +371,11 @@ func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
 		case v.Privileged, v.Class == isa.ClassIO:
 			kind = isa.FaultGP
 		}
-		return &ErrIllegalInstruction{Variant: *v, Fault: kind}
+		var class isa.Class
+		if v.Class > 0 && v.Class <= isa.ClassInvalid {
+			class = v.Class
+		}
+		return &ErrIllegalInstruction{Class: class, Fault: kind}
 	}
 
 	ctx.PC += 4

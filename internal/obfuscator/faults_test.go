@@ -371,3 +371,60 @@ func TestMultiPlanDegradesPerPlan(t *testing.T) {
 			sat.CounterRearms, sat.DegradedByReason)
 	}
 }
+
+// retiredCounter wraps the obfuscator and sums the instructions its Step
+// actually retired on the vCPU.
+type retiredCounter struct {
+	*Obfuscator
+	retired int
+}
+
+func (r *retiredCounter) Step(g *sev.GuestExecutor) {
+	before := g.Used()
+	r.Obfuscator.Step(g)
+	r.retired += g.Used() - before
+}
+
+func TestInjectedInstructionsCountRetired(t *testing.T) {
+	// Under heavy faults and a budget a few segments wide, injection is cut
+	// mid-segment by the budget and interrupted mid-segment by VM exits;
+	// the instruction counter must still match what retired.
+	lap, err := NewLaplaceMechanism(0.5, 400, rng.New(39))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(t, lap, 39)
+	cfg.Faults, err = faultinject.Preset(faultinject.PresetHeavy, 39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obf, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := sev.DefaultConfig(23)
+	wcfg.TickBudget = 3*len(cfg.Segment) + 1
+	w := sev.NewWorld(wcfg)
+	worldFaults, err := faultinject.Preset(faultinject.PresetHeavy, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetFaults(faultinject.New(worldFaults))
+	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := &retiredCounter{Obfuscator: obf}
+	if err := vm.AddProcess(0, proc); err != nil {
+		t.Fatal(err)
+	}
+	before := mInjectedInstr.Value()
+	w.Run(300)
+	if got := mInjectedInstr.Value() - before; got != float64(proc.retired) {
+		t.Errorf("obfuscator_injected_instructions_total moved by %v, obfuscator retired %d", got, proc.retired)
+	}
+	if r := obf.Report(); r.Retries == 0 || obf.SaturationRate() == 0 {
+		t.Errorf("run hit neither mid-segment interrupts nor the budget: %+v, saturation %v",
+			r, obf.SaturationRate())
+	}
+}

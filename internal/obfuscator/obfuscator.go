@@ -441,7 +441,7 @@ func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Inject
 	for i := range p.Segment {
 		ps.ops[i] = microarch.Decode(&p.Segment[i])
 	}
-	per, err := calibrateSegment(p.Segment, p.Event)
+	per, err := calibrateSegment(ps.ops, p.Event)
 	if err != nil {
 		return err
 	}
@@ -450,8 +450,8 @@ func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Inject
 }
 
 // calibrateSegment measures the reference event's count change of one
-// steady-state segment execution.
-func calibrateSegment(seg []isa.Variant, ev *hpc.Event) (float64, error) {
+// steady-state execution of seg, the decoded segment injection runs.
+func calibrateSegment(seg []microarch.Op, ev *hpc.Event) (float64, error) {
 	coreCfg := microarch.DefaultCoreConfig()
 	coreCfg.InterruptRate = 0
 	core := microarch.NewCore(0, coreCfg, nil)
@@ -761,10 +761,11 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 		saturated = true
 	}
 	info.Requested = reps
-	injectedReps := 0
+	injectedReps, injectedInstr := 0, 0
 	planned := reps
 	for i := 0; i < planned; {
 		n, err := g.ExecuteSeq(p.ops)
+		injectedInstr += n
 		if err != nil {
 			degrade(&info, ReasonExecError)
 			break
@@ -806,7 +807,7 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 	o.injectedReps += int64(injectedReps)
 	mInjectedReps.Add(float64(injectedReps))
 	mInjectedCounts.Add(applied)
-	mInjectedInstr.Add(float64(injectedReps * len(p.Segment)))
+	mInjectedInstr.Add(float64(injectedInstr))
 	if info.Outcome == TickInjected && injectedReps == 0 {
 		// The plan asked for reps but none retired (e.g. budget hit on
 		// the very first segment): an empty tick, not an injected one.

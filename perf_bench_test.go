@@ -130,7 +130,10 @@ var librarySink *workload.Library
 // "new-core" builds the core per signature; "reset-core" resets one reused
 // core, which is what the fuzzer's pooled benches do.
 func BenchmarkColdSignature(b *testing.B) {
-	seg := benchSegment(b)[:2]
+	var seg []microarch.Op
+	for _, v := range benchSegment(b)[:2] {
+		seg = append(seg, microarch.Decode(&v))
+	}
 	cfg := microarch.DefaultCoreConfig()
 	cfg.InterruptRate = 0
 	run := func(b *testing.B, cold func() *microarch.Core) {
