@@ -223,7 +223,7 @@ func AblationConfirmation(sc Scale) (*ConfirmationAblation, error) {
 		if err != nil {
 			return 0, err
 		}
-		findings, _, err := fz.FuzzEvent(event)
+		findings, _, _, err := fz.FuzzEvent(event)
 		if err != nil {
 			return 0, err
 		}
