@@ -60,10 +60,12 @@ lint-audit:
 fmt-check:
 	$(GO) run ./cmd/aegis-lint -gofmt
 
-# Coverage-guided fuzzing of the DP mechanisms, the faulted tick loop and
-# decoded-op execution against the variant-based reference.
+# Coverage-guided fuzzing of the DP mechanisms, the d* memo against an
+# unbounded reference, the faulted tick loop and decoded-op execution
+# against the variant-based reference.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarMemo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultinject/proptest/ -run='^$$' -fuzz=FuzzTickUnderFaults -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzExecuteOpMatchesReference -fuzztime $(FUZZTIME)
 

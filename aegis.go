@@ -318,7 +318,8 @@ type GadgetSet struct {
 	CoverSize int
 	// SegmentLen is the stacked segment's instruction count.
 	SegmentLen int
-	// GadgetsTried is the number of candidate executions.
+	// GadgetsTried is the number of candidate gadgets sampled
+	// (fuzzer.Result.CandidatesTried).
 	GadgetsTried int
 
 	segment  []isa.Variant

@@ -13,6 +13,7 @@
 package aegis
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -302,4 +303,42 @@ func TestZeroAllocLibraryFootprint(t *testing.T) {
 		t.Errorf("DefaultLibrary retains %d B per library, want at most %d", per, maxRetained)
 	}
 	runtime.KeepAlive(kept)
+}
+
+// TestZeroAllocTenantFootprint gates the heap an idle aegisd tenant keeps
+// once attached, for each DP mechanism: its SEV world and core, app
+// runner, queue and obfuscator. The d* memo is 64 level slots and each
+// noise calculator buffers 64 samples, so neither grows with the ticks a
+// tenant has run nor costs a d* tenant more than a Laplace one.
+func TestZeroAllocTenantFootprint(t *testing.T) {
+	quietTelemetry(t)
+	const (
+		tenants     = 32
+		maxRetained = 144 << 10
+	)
+	for _, mech := range []string{daemon.MechanismLaplace, daemon.MechanismDStar} {
+		t.Run(mech, func(t *testing.T) {
+			cfg := daemontest.BaseConfig(14)
+			cfg.Mechanism = mech
+			d, err := daemon.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < tenants; i++ {
+				if err := d.Attach(daemon.AttachSpec{Name: fmt.Sprintf("t%d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / tenants
+			if per > maxRetained {
+				t.Errorf("%s: %d B retained per idle tenant, want at most %d", mech, per, maxRetained)
+			}
+			runtime.KeepAlive(d)
+		})
+	}
 }

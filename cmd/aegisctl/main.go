@@ -246,7 +246,7 @@ func run(args []string) error {
 	}
 	world.Run(*ticks)
 
-	usage, err := vm.CPUUsage(0, 0)
+	usage, err := vm.CPUUsage(0)
 	if err != nil {
 		return err
 	}

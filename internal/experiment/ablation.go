@@ -272,7 +272,7 @@ func AblationNoiseBuffer(samples int) *NoiseBufferAblation {
 		samples = 1 << 16
 	}
 	r1 := rng.New(1).Split("buffered")
-	calc := obfuscator.NewNoiseCalculator(4096, r1)
+	calc := obfuscator.NewNoiseCalculator(r1)
 	start := time.Now()
 	var sinkB float64
 	for i := 0; i < samples; i++ {

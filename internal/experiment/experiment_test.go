@@ -92,6 +92,10 @@ func TestTable3Shape(t *testing.T) {
 		if row.GadgetsTried == 0 {
 			t.Errorf("%s: no gadgets tried", row.Processor)
 		}
+		if row.GadgetsMeasured == 0 || row.GadgetsMeasured >= row.GadgetsTried {
+			t.Errorf("%s: %d of %d sampled gadgets measured, want some but not all",
+				row.Processor, row.GadgetsMeasured, row.GadgetsTried)
+		}
 	}
 	// Legal instruction counts match the paper's cleanup results.
 	if res.Rows[0].LegalVariants != 3386 || res.Rows[1].LegalVariants != 3407 {

@@ -75,7 +75,7 @@ func jobRun(app workload.App, sc Scale, jobs int, defense obfuscator.Factory, wo
 	for _, t := range timings {
 		sum += float64(t.Duration())
 	}
-	usage, err := vm.CPUUsage(0, 0)
+	usage, err := vm.CPUUsage(0)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -17,7 +17,7 @@ import (
 // identity.
 func fingerprintResult(res *Result, events []*hpc.Event) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "tried=%d\n", res.CandidatesTried)
+	fmt.Fprintf(&sb, "tried=%d measured=%d\n", res.CandidatesTried, res.CandidatesMeasured)
 	for _, e := range events {
 		if e == nil {
 			continue

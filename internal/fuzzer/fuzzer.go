@@ -39,6 +39,7 @@ import (
 // rejection causes, confirmed-gadget strength and cover-reduction timing.
 var (
 	mCandidatesTried    = telemetry.C("fuzzer_candidates_tried_total")
+	mCandidatesMeasured = telemetry.C("fuzzer_candidates_measured_total")
 	mCandidatesScreened = telemetry.C("fuzzer_candidates_screened_total")
 	mConfirmed          = telemetry.C("fuzzer_candidates_confirmed_total")
 	mRejectedTriggers   = telemetry.C("fuzzer_candidates_rejected_total",
@@ -188,6 +189,16 @@ type StepTiming struct {
 	Filtering    time.Duration
 }
 
+// Counts tallies the candidates of an event search or a campaign.
+type Counts struct {
+	// Tried is every candidate gadget sampled, including those the
+	// noise-free signature prefilter rejects without running them.
+	Tried int
+	// Measured is the candidates run on the noisy measuring bench: those
+	// the prefilter lets through. Each runs its median-delta repeats.
+	Measured int
+}
+
 // SkippedEvent is one event dropped from a campaign because its FuzzEvent
 // failed; the rest of the campaign completed without it.
 type SkippedEvent struct {
@@ -209,8 +220,12 @@ type Result struct {
 	// Skipped lists the events whose searches failed, in input order.
 	// Their PerEvent entries are absent; everything else is complete.
 	Skipped []SkippedEvent
-	// CandidatesTried is the total number of gadget executions.
+	// CandidatesTried is the number of candidate gadgets sampled,
+	// including those the signature prefilter rejects unrun.
 	CandidatesTried int
+	// CandidatesMeasured is the number of candidates run on a measuring
+	// bench (Counts.Measured summed over the events).
+	CandidatesMeasured int
 	// Timing is the per-step wall clock.
 	Timing StepTiming
 }
@@ -509,12 +524,15 @@ func (b *bench) repeatedTriggers(event *hpc.Event, seq []microarch.Op, cfg Confi
 }
 
 // FuzzEvent searches gadgets for one target event and returns the
-// confirmed findings (pre-filtering), the candidates tried and the time
+// confirmed findings (pre-filtering), its candidate counts and the time
 // its generation+execution and confirmation phases took.
-func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error) {
-	var timing StepTiming
+func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, Counts, StepTiming, error) {
+	var (
+		timing StepTiming
+		n      Counts
+	)
 	if event == nil {
-		return nil, 0, timing, ErrNoTargetEvents
+		return nil, n, timing, ErrNoTargetEvents
 	}
 	span := telemetry.StartSpan("fuzzer.event")
 	defer func() {
@@ -531,7 +549,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 		delta float64
 	}
 	var reported []candidate
-	tried, dropped, measured := 0, 0, 0
+	dropped := 0
 	start := time.Now() //aegis:allow(detrand) wall-clock feeds Timing telemetry only, never simulation state
 
 	// Generation + execution: sample candidate pairs and keep the ones
@@ -551,16 +569,16 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 			Trigger: f.legal[r.Intn(len(f.legal))],
 		}
 		ops := g.ops()
-		tried++
+		n.Tried++
 		sig, err := f.signature(g, ops[:])
 		if err != nil {
-			return nil, tried, timing, err
+			return nil, n, timing, err
 		}
 		if !f.canPerturb(event, sig) {
 			mPrefiltered.Inc()
 			continue
 		}
-		measured++
+		n.Measured++
 		med, err := b.medianDelta(event, ops[:], 3)
 		if err != nil {
 			if errors.Is(err, hpc.ErrReadFault) {
@@ -568,17 +586,18 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 				mDroppedByFault.Inc()
 				continue
 			}
-			return nil, tried, timing, err
+			return nil, n, timing, err
 		}
 		if med >= f.cfg.MinDelta {
 			reported = append(reported, candidate{g: g, ops: ops, delta: med})
 		}
 	}
-	mCandidatesTried.Add(float64(tried))
+	mCandidatesTried.Add(float64(n.Tried))
+	mCandidatesMeasured.Add(float64(n.Measured))
 	mCandidatesScreened.Add(float64(len(reported)))
 	timing.GenerateExec = time.Since(start) //aegis:allow(detrand) wall-clock feeds Timing telemetry only, never simulation state
-	if measured > 0 && dropped == measured {
-		return nil, tried, timing, fmt.Errorf("fuzzer: every candidate measurement failed: %w", hpc.ErrReadFault)
+	if n.Measured > 0 && dropped == n.Measured {
+		return nil, n, timing, fmt.Errorf("fuzzer: every candidate measurement failed: %w", hpc.ErrReadFault)
 	}
 
 	if f.cfg.DisableConfirmation {
@@ -586,7 +605,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 		for _, c := range reported {
 			out = append(out, Finding{Gadget: c.g, Event: event, MedianDelta: c.delta})
 		}
-		return out, tried, timing, nil
+		return out, n, timing, nil
 	}
 
 	// Confirmation pass 1: repeated triggers on a fresh bench.
@@ -603,7 +622,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 				mRejectedTriggers.Inc()
 				continue
 			}
-			return nil, tried, timing, err
+			return nil, n, timing, err
 		}
 		if ok {
 			confirmed = append(confirmed, c)
@@ -627,7 +646,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 				stable[idx] = false
 				continue
 			}
-			return nil, tried, timing, err
+			return nil, n, timing, err
 		}
 		lo := c.delta * 0.5
 		hi := c.delta*1.5 + 2
@@ -645,7 +664,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, int, StepTiming, error)
 		}
 	}
 	timing.Confirmation = time.Since(start) //aegis:allow(detrand) wall-clock feeds Timing telemetry only, never simulation state
-	return out, tried, timing, nil
+	return out, n, timing, nil
 }
 
 // filter clusters findings by gadget properties and keeps the strongest
@@ -703,7 +722,7 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 	// never cached, so an error always re-runs.
 	type outcome struct {
 		findings []Finding
-		tried    int
+		n        Counts
 		timing   StepTiming
 		err      error
 	}
@@ -713,8 +732,8 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 		f.loadMemo()
 		for i, e := range events {
 			if e != nil {
-				if findings, tried, ok := f.loadEvent(e); ok {
-					outs[i] = outcome{findings: findings, tried: tried}
+				if findings, n, ok := f.loadEvent(e); ok {
+					outs[i] = outcome{findings: findings, n: n}
 					mFuzzResumeHit.Inc()
 					continue
 				}
@@ -734,8 +753,8 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 	pool := parallel.NewPool("fuzzer.events", f.cfg.Parallelism)
 	fresh, _ := parallel.Map(context.Background(), pool, len(missIdx),
 		func(_ context.Context, i int) (outcome, error) {
-			findings, tried, timing, err := f.FuzzEvent(events[missIdx[i]])
-			return outcome{findings: findings, tried: tried, timing: timing, err: err}, nil
+			findings, n, timing, err := f.FuzzEvent(events[missIdx[i]])
+			return outcome{findings: findings, n: n, timing: timing, err: err}, nil
 		})
 	// Merge point: fold the fresh outcomes back in input-event order and
 	// checkpoint the successful ones.
@@ -744,7 +763,7 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 		res.Timing.GenerateExec += fresh[mi].timing.GenerateExec
 		res.Timing.Confirmation += fresh[mi].timing.Confirmation
 		if f.cfg.Store != nil && fresh[mi].err == nil && events[i] != nil {
-			f.storeEvent(events[i], fresh[mi].findings, fresh[mi].tried)
+			f.storeEvent(events[i], fresh[mi].findings, fresh[mi].n)
 		}
 	}
 
@@ -755,7 +774,8 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 		if events[i] != nil {
 			name = events[i].Name
 		}
-		res.CandidatesTried += out.tried
+		res.CandidatesTried += out.n.Tried
+		res.CandidatesMeasured += out.n.Measured
 		if out.err != nil {
 			mEventsSkipped.Inc()
 			telemetry.Log().Warn("fuzzer: event skipped, search failed",
@@ -768,7 +788,7 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 		// Journal at the input-ordered merge point, not in the shard
 		// worker, so the stage records stay replay-stable.
 		fStage.Record(0, flight.CodeStageFuzzerEvent,
-			flight.CodeNone, float64(out.tried), float64(len(out.findings)), 0)
+			flight.CodeNone, float64(out.n.Tried), float64(len(out.findings)), 0)
 	}
 	if len(errs) == len(events) {
 		return nil, fmt.Errorf("fuzzer: every event failed: %w", errors.Join(errs...))

@@ -32,12 +32,17 @@ func TestFuzzEventFindsGadgets(t *testing.T) {
 	}
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	ev := cat.MustByName("RETIRED_UOPS")
-	findings, tried, _, err := f.FuzzEvent(ev)
+	findings, n, _, err := f.FuzzEvent(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tried != 150 {
-		t.Errorf("tried = %d, want 150", tried)
+	if n.Tried != 150 {
+		t.Errorf("tried = %d, want 150", n.Tried)
+	}
+	// Every instruction retires µops, so no signature is prefiltered
+	// off the measuring bench.
+	if n.Measured != n.Tried {
+		t.Errorf("measured = %d, want all %d tried", n.Measured, n.Tried)
 	}
 	// Every instruction retires µops, but the λ2 constraint only accepts
 	// gadgets whose trigger dominates the reset (e.g. 1-µop reset with a
@@ -65,12 +70,18 @@ func TestFuzzEventCacheRefills(t *testing.T) {
 	}
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	ev := cat.MustByName("DATA_CACHE_REFILLS_FROM_SYSTEM")
-	findings, _, _, err := f.FuzzEvent(ev)
+	findings, n, _, err := f.FuzzEvent(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) == 0 {
 		t.Fatal("no gadgets found for refill event")
+	}
+	// Most pairs have no flush, so their signatures show no refill and
+	// they never run on the measuring bench.
+	if n.Measured < len(findings) || 2*n.Measured > n.Tried {
+		t.Errorf("measured %d of %d tried, want at most half and at least the %d findings",
+			n.Measured, n.Tried, len(findings))
 	}
 	for _, fd := range findings {
 		resetFlushes := fd.Gadget.Reset.Class == isa.ClassFlush

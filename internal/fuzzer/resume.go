@@ -123,26 +123,27 @@ func (f *Fuzzer) ArtifactUniverse(events []*hpc.Event) map[string]string {
 	return out
 }
 
-// loadEvent restores one event's confirmed findings and tried count.
-func (f *Fuzzer) loadEvent(e *hpc.Event) ([]Finding, int, bool) {
+// loadEvent restores one event's confirmed findings and candidate counts.
+func (f *Fuzzer) loadEvent(e *hpc.Event) ([]Finding, Counts, bool) {
 	a, ok := f.cfg.Store.Get(kindFuzzEvent, f.eventFP(e))
 	if !ok {
-		return nil, 0, false
+		return nil, Counts{}, false
 	}
-	tried, err := strconv.Atoi(a.Meta["tried"])
-	if err != nil {
-		return nil, 0, false
+	tried, err1 := strconv.Atoi(a.Meta["tried"])
+	measured, err2 := strconv.Atoi(a.Meta["measured"])
+	if err1 != nil || err2 != nil {
+		return nil, Counts{}, false
 	}
 	rows := a.Section("findings")
 	if rows == nil || len(rows)%3 != 0 {
-		return nil, 0, false
+		return nil, Counts{}, false
 	}
 	var findings []Finding
 	for off := 0; off < len(rows); off += 3 {
 		reset, ok1 := f.variantByID(int(rows[off]))
 		trigger, ok2 := f.variantByID(int(rows[off+1]))
 		if !ok1 || !ok2 {
-			return nil, 0, false // legal list drifted under a stale store
+			return nil, Counts{}, false // legal list drifted under a stale store
 		}
 		findings = append(findings, Finding{
 			Gadget:      Gadget{Reset: reset, Trigger: trigger},
@@ -150,15 +151,16 @@ func (f *Fuzzer) loadEvent(e *hpc.Event) ([]Finding, int, bool) {
 			MedianDelta: rows[off+2],
 		})
 	}
-	return findings, tried, true
+	return findings, Counts{Tried: tried, Measured: measured}, true
 }
 
 // storeEvent checkpoints one event's search outcome as dense [reset ID,
 // trigger ID, median delta] rows.
-func (f *Fuzzer) storeEvent(e *hpc.Event, findings []Finding, tried int) {
+func (f *Fuzzer) storeEvent(e *hpc.Event, findings []Finding, n Counts) {
 	a := artifact.New(kindFuzzEvent, f.eventFP(e))
 	a.SetMeta("event", e.Name)
-	a.SetMeta("tried", strconv.Itoa(tried))
+	a.SetMeta("tried", strconv.Itoa(n.Tried))
+	a.SetMeta("measured", strconv.Itoa(n.Measured))
 	rows := make([]float64, 0, 3*len(findings))
 	for _, fd := range findings {
 		rows = append(rows,

@@ -1,27 +1,22 @@
 package obfuscator
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/repro/aegis/internal/rng"
 )
 
 // BenchmarkNoiseCalculatorLap measures the buffered Laplace draw — the
-// per-tick hot path every mechanism rides on (paper §VII-C) — across buffer
-// sizes, to show the amortised cost of the ring buffer versus refills.
+// per-tick hot path every mechanism rides on (paper §VII-C) — with the
+// ring's refills amortised in.
 func BenchmarkNoiseCalculatorLap(b *testing.B) {
-	for _, size := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("buf=%d", size), func(b *testing.B) {
-			c := NewNoiseCalculator(size, rng.New(1).Split("bench"))
-			b.ReportAllocs()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += c.Lap(2.0)
-			}
-			_ = sink
-		})
+	c := NewNoiseCalculator(rng.New(1).Split("bench"))
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += c.Lap(2.0)
 	}
+	_ = sink
 }
 
 // BenchmarkMechanismNoise measures the per-tick noise draw of each

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/repro/aegis/internal/rng"
 )
@@ -92,19 +93,17 @@ type Mechanism interface {
 // NoiseCalculator pre-computes unit-scale Laplace samples into a ring
 // buffer, transforming uniform [0,1) variates directly (paper §VII-C: the
 // calculator avoids library calls on the hot path by transforming uniform
-// samples and buffering them).
+// samples and buffering them). Each calculator owns its stream, so the
+// ring size changes only when samples are computed, never their values.
 type NoiseCalculator struct {
-	buf  []float64
+	buf  [64]float64 // 512 B: one refill per 64 ticks of one draw each
 	next int
 	r    *rng.Source
 }
 
-// NewNoiseCalculator builds a calculator with the given buffer size.
-func NewNoiseCalculator(bufSize int, r *rng.Source) *NoiseCalculator {
-	if bufSize < 16 {
-		bufSize = 16
-	}
-	c := &NoiseCalculator{buf: make([]float64, bufSize), r: r}
+// NewNoiseCalculator builds a calculator drawing from r.
+func NewNoiseCalculator(r *rng.Source) *NoiseCalculator {
+	c := &NoiseCalculator{r: r}
 	c.refill()
 	return c
 }
@@ -183,7 +182,7 @@ func NewLaplaceMechanism(epsilon, sensitivity float64, r *rng.Source) (*LaplaceM
 	return &LaplaceMechanism{
 		Epsilon:     epsilon,
 		Sensitivity: sensitivity,
-		calc:        NewNoiseCalculator(4096, r),
+		calc:        NewNoiseCalculator(r),
 	}, nil
 }
 
@@ -212,10 +211,20 @@ type DStarMechanism struct {
 	Epsilon     float64
 	Sensitivity float64
 	calc        *NoiseCalculator
-	// noiseAt memoises the *clipped, applied* noise per tick so the
-	// recursion reuses exactly what was injected. The obfuscator stores
-	// values back via Commit.
-	noiseAt map[int64]float64
+	// memo holds the *clipped, applied* noise the obfuscator Commits, so
+	// the recursion reuses exactly what was injected. Tick s is stored in
+	// slot TrailingZeros64(s). A tick with k trailing zeros is the parent
+	// only of ticks in (s, s+2^k], and the next tick with k trailing zeros
+	// is at least s+2^(k+1), so for increasing ticks an overwrite never
+	// drops a parent that a later tick still reads. Tick 0, the parent
+	// only of tick 1, shares slot 0 with the odd ticks.
+	memo [64]memoEntry
+}
+
+// memoEntry is one d* memo slot: the tick it holds and its noise.
+type memoEntry struct {
+	tick  int64
+	noise float64
 }
 
 // NewDStarMechanism builds the mechanism.
@@ -229,15 +238,10 @@ func NewDStarMechanism(epsilon, sensitivity float64, r *rng.Source) (*DStarMecha
 	if sensitivity <= 0 {
 		sensitivity = 1
 	}
-	// Pre-size the memo to its Commit eviction plateau so steady-state
-	// inserts reuse existing buckets instead of growing the table.
-	noiseAt := make(map[int64]float64, 4096)
-	noiseAt[0] = 0
 	return &DStarMechanism{
 		Epsilon:     epsilon,
 		Sensitivity: sensitivity,
-		calc:        NewNoiseCalculator(4096, r),
-		noiseAt:     noiseAt,
+		calc:        NewNoiseCalculator(r),
 	}, nil
 }
 
@@ -282,28 +286,27 @@ func (m *DStarMechanism) Noise(t int64, _ float64) float64 {
 	} else {
 		r = m.calc.Lap(m.Sensitivity * math.Floor(math.Log2(float64(t))) / m.Epsilon)
 	}
-	parent, ok := m.noiseAt[G(t)]
-	if !ok {
-		parent = 0
+	return m.committed(G(t)) + r
+}
+
+// committed returns the noise Committed at tick s, or 0 if s never
+// committed (a starved tick, or tick 0 before its first Commit).
+func (m *DStarMechanism) committed(s int64) float64 {
+	if e := &m.memo[memoSlot(s)]; e.tick == s {
+		return e.noise
 	}
-	return parent + r
+	return 0
+}
+
+// memoSlot is tick s's memo slot: its trailing zero count, 0 for tick 0.
+func memoSlot(s int64) int {
+	return bits.TrailingZeros64(uint64(s)) & 63
 }
 
 // Commit records the clipped noise actually injected at tick t, feeding
 // future recursion steps.
 func (m *DStarMechanism) Commit(t int64, applied float64) {
-	m.noiseAt[t] = applied
-	// Bound memory: only ancestors of future ticks are needed; drop
-	// entries older than the lowest possible ancestor (t - 2^k window).
-	if len(m.noiseAt) > 4096 {
-		cut := t - 2048
-		//aegis:allow(maprange) deletes below a fixed threshold are order-insensitive; surviving entries are identical either way
-		for k := range m.noiseAt {
-			if k != 0 && k < cut {
-				delete(m.noiseAt, k)
-			}
-		}
-	}
+	m.memo[memoSlot(t)] = memoEntry{t, applied}
 }
 
 // RandomNoiseMechanism is the §IX-A baseline: uniform noise in [0, Bound]

@@ -15,7 +15,7 @@ import (
 )
 
 func TestNoiseCalculatorLaplaceDistribution(t *testing.T) {
-	c := NewNoiseCalculator(1024, rng.New(1).Split("calc"))
+	c := NewNoiseCalculator(rng.New(1).Split("calc"))
 	const n = 200000
 	const scale = 3.0
 	var sum, sumAbs float64

@@ -53,7 +53,7 @@ func TestPreemptionSlashesBudget(t *testing.T) {
 	}
 	// Host-visible CPU usage is measured against the FULL tick budget, so
 	// a preempted guest looks under-utilised (as `top` on the host would).
-	u, err := vm.CPUUsage(0, 0)
+	u, err := vm.CPUUsage(0)
 	if err != nil {
 		t.Fatal(err)
 	}

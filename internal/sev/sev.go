@@ -169,21 +169,11 @@ type vcpu struct {
 	// loop stays allocation-free. Processes must not retain it across
 	// ticks (the Process.Step contract).
 	exec GuestExecutor
-	// usage history: fraction of tick budget consumed per tick. The
-	// all-time aggregate lives in usageSum/usageTicks; per-tick samples
-	// are kept in a fixed ring of the last usageWindow ticks so long runs
-	// do not grow memory per tick. Windowed queries larger than the ring
-	// fall back to the ring's span (no current caller asks for one).
-	usageRing  []float64
-	usageLen   int // filled ring entries, <= usageWindow
-	usageNext  int // next ring write position
+	// usageSum/usageTicks accumulate the fraction of the tick budget
+	// consumed per tick, for the whole-run CPUUsage mean.
 	usageSum   float64
 	usageTicks int64
 }
-
-// usageWindow is the per-vcpu utilisation history retained for windowed
-// CPUUsage queries; beyond it only the all-time mean survives.
-const usageWindow = 4096
 
 // VM is a guest virtual machine.
 type VM struct {
@@ -375,7 +365,6 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 		vc := &vcpu{
 			physCore:   core,
 			faultLabel: fmt.Sprintf("vm%d/vcpu%d", vm.id, i),
-			usageRing:  make([]float64, usageWindow),
 			ctx: microarch.NewWorkloadContext(
 				uint64(vm.id+1)<<32, 1<<20,
 				w.rand.SplitN(fmt.Sprintf("vm%d-vcpu", vm.id), i)),
@@ -452,14 +441,8 @@ func (w *World) Step() {
 			if n > 0 {
 				vc.nextFirst = (vc.nextFirst + 1) % n
 			}
-			u := float64(g.used) / float64(w.cfg.TickBudget)
-			vc.usageSum += u
+			vc.usageSum += float64(g.used) / float64(w.cfg.TickBudget)
 			vc.usageTicks++
-			vc.usageRing[vc.usageNext] = u
-			vc.usageNext = (vc.usageNext + 1) % usageWindow
-			if vc.usageLen < usageWindow {
-				vc.usageLen++
-			}
 		}
 	}
 	if w.tick%worldSummaryEvery == 0 {
@@ -546,12 +529,10 @@ func (vm *VM) HostReadMemory(offset, n int) ([]byte, error) {
 	return out, nil
 }
 
-// CPUUsage returns the vCPU's mean utilisation over the last n ticks, the
-// measurement the paper's host-side `top` sampling performs for Fig. 10.
-// lastN <= 0 (or larger than the history) means all ticks since launch.
-// Windowed queries are answered exactly from the retained ring when
-// lastN <= usageWindow; wider windows clamp to the ring's span.
-func (vm *VM) CPUUsage(vcpuIdx, lastN int) (float64, error) {
+// CPUUsage returns the vCPU's mean utilisation over every tick since
+// launch, the measurement the paper's host-side `top` sampling performs
+// for Fig. 10.
+func (vm *VM) CPUUsage(vcpuIdx int) (float64, error) {
 	if vcpuIdx < 0 || vcpuIdx >= len(vm.vcpus) {
 		return 0, fmt.Errorf("%w: %d", ErrNoSuchVCPU, vcpuIdx)
 	}
@@ -559,19 +540,5 @@ func (vm *VM) CPUUsage(vcpuIdx, lastN int) (float64, error) {
 	if vc.usageTicks == 0 {
 		return 0, nil
 	}
-	if lastN <= 0 || int64(lastN) >= vc.usageTicks {
-		return vc.usageSum / float64(vc.usageTicks), nil
-	}
-	n := lastN
-	if n > vc.usageLen {
-		n = vc.usageLen
-	}
-	// Sum in chronological order, matching the pre-ring implementation's
-	// float rounding exactly.
-	start := vc.usageNext - n
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += vc.usageRing[((start+i)%usageWindow+usageWindow)%usageWindow]
-	}
-	return sum / float64(n), nil
+	return vc.usageSum / float64(vc.usageTicks), nil
 }

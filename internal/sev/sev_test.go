@@ -191,7 +191,7 @@ func TestCPUUsageMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run(20)
-	usage, err := vm.CPUUsage(0, 0)
+	usage, err := vm.CPUUsage(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestGuestExecutorBudgetExhaustion(t *testing.T) {
 	if p.total != 10 {
 		t.Errorf("process executed %d, want capped 10", p.total)
 	}
-	usage, _ := vm.CPUUsage(0, 1)
+	usage, _ := vm.CPUUsage(0)
 	if usage != 1.0 {
 		t.Errorf("usage = %v, want 1.0 at saturation", usage)
 	}
@@ -294,7 +294,7 @@ func TestWorldErrors(t *testing.T) {
 	if err := vm.AddProcess(9, &burnProc{}); !errors.Is(err, ErrNoSuchVCPU) {
 		t.Errorf("AddProcess(9) = %v", err)
 	}
-	if _, err := vm.CPUUsage(9, 1); !errors.Is(err, ErrNoSuchVCPU) {
+	if _, err := vm.CPUUsage(9); !errors.Is(err, ErrNoSuchVCPU) {
 		t.Errorf("CPUUsage(9) = %v", err)
 	}
 	if _, err := vm.HostReadMemory(-1, 4); err == nil {

@@ -79,6 +79,7 @@ const (
 const (
 	MetricFuzzerCandidatesConfirmedTotal   = "fuzzer_candidates_confirmed_total"
 	MetricFuzzerCandidatesDroppedTotal     = "fuzzer_candidates_dropped_total"
+	MetricFuzzerCandidatesMeasuredTotal    = "fuzzer_candidates_measured_total"
 	MetricFuzzerCandidatesPrefilteredTotal = "fuzzer_candidates_prefiltered_total"
 	MetricFuzzerCandidatesRejectedTotal    = "fuzzer_candidates_rejected_total"
 	MetricFuzzerCandidatesScreenedTotal    = "fuzzer_candidates_screened_total"

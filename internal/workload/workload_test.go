@@ -307,7 +307,7 @@ func TestRunnerIdleActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run(10)
-	usage, err := vm.CPUUsage(0, 0)
+	usage, err := vm.CPUUsage(0)
 	if err != nil {
 		t.Fatal(err)
 	}
