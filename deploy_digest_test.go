@@ -8,12 +8,17 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
 	"github.com/repro/aegis/internal/experiment"
 	"github.com/repro/aegis/internal/faultinject"
+	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/obfuscator"
+	"github.com/repro/aegis/internal/profiler"
 	"github.com/repro/aegis/internal/sev"
 	"github.com/repro/aegis/internal/telemetry/flight"
+	"github.com/repro/aegis/internal/workload"
 )
 
 // TestDeploymentDigestsPinned pins what every plan-to-obfuscator
@@ -162,3 +167,100 @@ func fleetDigest(t *testing.T, mech, preset string) string {
 }
 
 func digestSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
+
+// TestPaperFigureDigestsPinned pins the guest-level inputs of the paper's
+// figures: victim traces of the attack scenario (undefended, Laplace and
+// d*), the Fig. 10 job timings and CPU usage, a defended cache-occupancy
+// trace and the profiler's event ranking. Each path builds its own SEV
+// guest from its own seeds; a change to how any of them assembles,
+// schedules or seeds that guest moves a digest here.
+func TestPaperFigureDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"collect/none":    "ea7dfcd2aff726c3",
+		"collect/laplace": "aac19e0146d34583",
+		"collect/dstar":   "1a0161f604ee64c3",
+		"figure10":        "357796e05c7a2262",
+		"occupancy":       "ae8180aea701f712",
+		"profiler/rank":   "24bd17363c1a05b7",
+	}
+	got := map[string]string{}
+
+	sc := experiment.TestScale(1)
+	kit, err := experiment.BuildDefenseKit(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := workload.Websites()[:sc.Sites]
+	scn := &attack.Scenario{
+		App:             &workload.WebsiteApp{Sites: sites},
+		Catalog:         kit.Catalog,
+		TracesPerSecret: sc.TracesPerSecret,
+		TraceTicks:      sc.TraceTicks,
+		Seed:            sc.Seed,
+	}
+	for _, d := range []struct {
+		name    string
+		defense obfuscator.Factory
+	}{
+		{"none", nil},
+		{"laplace", kit.Defense(experiment.MechLaplace, 1)},
+		{"dstar", kit.Defense(experiment.MechDStar, 1)},
+	} {
+		h := sha256.New()
+		for rep := 0; rep < 2; rep++ {
+			tr, err := scn.CollectOne(sites[rep], rep, d.defense)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "trace %+v\n", tr)
+		}
+		got["collect/"+d.name] = digestSum(h)
+	}
+
+	fig10, err := experiment.Figure10(sc, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, p := range fig10.Points {
+		fmt.Fprintf(h, "point %+v\n", p)
+	}
+	got["figure10"] = digestSum(h)
+
+	occ := &experiment.OccupancyScenario{
+		App:             &workload.WebsiteApp{Sites: sites[:1]},
+		TracesPerSecret: 1,
+		TraceTicks:      sc.TraceTicks,
+		Seed:            sc.Seed,
+	}
+	ds, err := occ.Collect(kit.Defense(experiment.MechLaplace, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = sha256.New()
+	fmt.Fprintf(h, "occupancy %+v\n", ds.Traces)
+	got["occupancy"] = digestSum(h)
+
+	pcfg := profiler.DefaultConfig(sc.Seed)
+	pcfg.TraceTicks = 40
+	pcfg.RankRepeats = 3
+	var events []*hpc.Event
+	for _, name := range attack.DefaultEventNames() {
+		events = append(events, kit.Catalog.MustByName(name))
+	}
+	ranked, err := profiler.New(kit.Catalog, pcfg).Rank(&workload.WebsiteApp{Sites: sites[:3]}, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = sha256.New()
+	for _, re := range ranked {
+		fmt.Fprintf(h, "rank %s %v %+v\n", re.Event.Name, re.MI, re.Classes)
+	}
+	got["profiler/rank"] = digestSum(h)
+
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: digest %s, want %s", name, got[name], w)
+		}
+	}
+}
