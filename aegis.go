@@ -27,7 +27,8 @@
 //	app := &workload.WebsiteApp{}
 //	profile, _ := fw.Profile(app)
 //	gadgets, _ := fw.Fuzz(profile.Top(4))
-//	obf, _ := fw.Protect(vm, 0, gadgets, aegis.MechanismLaplace, 1.0)
+//	guest, _ := sev.NewGuest(sev.GuestConfig{World: sev.DefaultConfig(1), App: runner})
+//	obf, _ := fw.Protect(guest.VM, 0, gadgets, aegis.MechanismLaplace, 1.0)
 package aegis
 
 import (
@@ -431,11 +432,11 @@ type MultiResult struct {
 
 // ProtectMulti deploys the multi-event reinforcement the paper recommends
 // the d* mechanism for (§VII-B): each protected event gets its own d*
-// recursion and its own strongest gadget sequence, all pinned to the
-// application's vCPU. Events for which fuzzing confirmed no gadget are
-// reported in the result's SkippedEvents (and counted in telemetry); if
-// every requested event would be skipped, ProtectMulti fails instead of
-// silently deploying nothing.
+// recursion and its own strongest gadget sequence, all in the defense
+// slot of the application's vCPU. Events for which fuzzing confirmed no
+// gadget are reported in the result's SkippedEvents (and counted in
+// telemetry); if every requested event would be skipped, ProtectMulti
+// fails instead of silently deploying nothing.
 func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon float64) (*MultiResult, error) {
 	if gs == nil || len(gs.perEventBest) == 0 {
 		return nil, ErrNoGadgets
@@ -479,7 +480,7 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 	if err != nil {
 		return nil, err
 	}
-	if err := vm.AddProcess(vcpu, multi); err != nil {
+	if err := vm.SetDefense(vcpu, multi); err != nil {
 		return nil, err
 	}
 	mMultiDeploys.Inc()
@@ -488,9 +489,10 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 	return result, nil
 }
 
-// Protect deploys an obfuscator into the VM, pinned to the given vCPU —
+// Protect deploys an obfuscator into the defense slot of the given vCPU —
 // the same vCPU the protected application runs on, so the hypervisor
-// cannot schedule them apart (§VII-C).
+// cannot schedule them apart (§VII-C). A defense already in the slot is
+// replaced.
 func (f *Framework) Protect(vm *sev.VM, vcpu int, gs *GadgetSet, mechanism string, param float64) (*obfuscator.Obfuscator, error) {
 	span := telemetry.StartSpan("aegis.protect")
 	defer span.End()
@@ -502,7 +504,7 @@ func (f *Framework) Protect(vm *sev.VM, vcpu int, gs *GadgetSet, mechanism strin
 	if err != nil {
 		return nil, err
 	}
-	if err := vm.AddProcess(vcpu, obf); err != nil {
+	if err := vm.SetDefense(vcpu, obf); err != nil {
 		return nil, err
 	}
 	mProtectDeploys.Inc()

@@ -184,16 +184,6 @@ func run(args []string) error {
 
 	fmt.Printf("\n[3/3] deploying %s obfuscator (param %g) into a SEV guest...\n",
 		*mechanism, chosenEps)
-	world := sev.NewWorld(sev.DefaultConfig(*seed))
-	world.SetFaults(fw.FaultInjector())
-	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		return err
-	}
-	att := vm.Attest()
-	fmt.Printf("attestation: %s / %s (measurement %x)\n",
-		att.Processor, att.SEVVersion, att.Measurement)
-
 	lib := workload.DefaultLibrary(1)
 	stream := rng.New(*seed).Split("aegisctl")
 	runner := workload.NewRunner(app.Name(), lib, stream.Split("runner"))
@@ -204,10 +194,17 @@ func run(args []string) error {
 		}
 		runner.Enqueue(job)
 	}
-	if err := vm.AddProcess(0, runner); err != nil {
+	guest, err := sev.NewGuest(sev.GuestConfig{
+		World: sev.DefaultConfig(*seed), VM: sev.VMConfig{VCPUs: 1, SEV: true},
+		Faults: fw.FaultInjector(), App: runner,
+	})
+	if err != nil {
 		return err
 	}
-	obf, err := fw.Protect(vm, 0, gadgets, *mechanism, chosenEps)
+	att := guest.VM.Attest()
+	fmt.Printf("attestation: %s / %s (measurement %x)\n",
+		att.Processor, att.SEVVersion, att.Measurement)
+	obf, err := fw.Protect(guest.VM, 0, gadgets, *mechanism, chosenEps)
 	if err != nil {
 		return err
 	}
@@ -244,9 +241,9 @@ func run(args []string) error {
 			return ops.Degraded(fmt.Sprintf("%.0f PMU read/saturation faults", hpcFaults))
 		}})
 	}
-	world.Run(*ticks)
+	guest.World.Run(*ticks)
 
-	usage, err := vm.CPUUsage(0)
+	usage, err := guest.VM.CPUUsage(0)
 	if err != nil {
 		return err
 	}

@@ -63,40 +63,30 @@ func run() error {
 
 	// 4. A victim world: malicious host, SEV guest, browser inside.
 	observe := func(defended bool) (float64, error) {
-		world := sev.NewWorld(sev.DefaultConfig(7))
-		vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-		if err != nil {
-			return 0, err
-		}
 		stream := rng.New(7).Split("quickstart")
 		runner := workload.NewRunner("browser", workload.DefaultLibrary(1), stream.Split("runner"))
 		runner.Enqueue(workload.WebsiteJob("github.com", stream.Split("load")))
-		if err := vm.AddProcess(0, runner); err != nil {
+		guest, err := sev.NewGuest(sev.GuestConfig{
+			World: sev.DefaultConfig(7), VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner,
+		})
+		if err != nil {
 			return 0, err
 		}
 		if defended {
-			if _, err := fw.Protect(vm, 0, gadgets, aegis.MechanismLaplace, 0.5); err != nil {
+			if _, err := fw.Protect(guest.VM, 0, gadgets, aegis.MechanismLaplace, 0.5); err != nil {
 				return 0, err
 			}
 		}
 		// The hypervisor cannot read guest memory...
-		if _, err := vm.HostReadMemory(0, 16); err != nil {
+		if _, err := guest.VM.HostReadMemory(0, 16); err != nil {
 			fmt.Printf("host memory read: %v\n", err)
 		}
 		// ...but it can watch the physical core's HPCs.
-		coreIdx, err := vm.PhysicalCore(0)
-		if err != nil {
-			return 0, err
-		}
-		core, err := world.Core(coreIdx)
-		if err != nil {
-			return 0, err
-		}
-		pmu := hpc.NewPMU(core, nil)
+		pmu := hpc.NewPMU(guest.Core, nil)
 		if err := pmu.Program(0, fw.Catalog().MustByName("RETIRED_UOPS")); err != nil {
 			return 0, err
 		}
-		world.Run(60)
+		guest.World.Run(60)
 		return pmu.RDPMC(0)
 	}
 

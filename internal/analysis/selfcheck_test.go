@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/types"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -78,4 +81,59 @@ func Analyze(pkgs []*Package, rules []*Rule) []Diagnostic {
 		results = append(results, AnalyzePackage(prog, pkg, rules))
 	}
 	return Merge(results, RunningSet(rules), true)
+}
+
+// TestRepoBuildsGuestsInOnePlace keeps protected-guest assembly in
+// sev.NewGuest, which puts the defense in its vCPU's typed defense slot. A
+// non-test file outside internal/sev that builds its own world
+// (sev.NewWorld) or schedules a process by hand ((*sev.VM).AddProcess)
+// would hide the defense from the scheduler. The nested bench module is a
+// module of its own and keeps its own assembly.
+func TestRepoBuildsGuestsInOnePlace(t *testing.T) {
+	// coTenants may schedule one process by hand: an unprotected VM
+	// launched next to a protected guest, not a guest itself.
+	coTenants := map[string]string{
+		"internal/experiment.collectOne": "the occupancy attacker probing the victim's shared L2",
+	}
+	used := map[string]bool{}
+	_, pkgs := loadRepo(t)
+	for _, pkg := range pkgs {
+		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, pkg.Module), "/")
+		if rel == "internal/sev" || rel == "bench" || strings.HasPrefix(rel, "bench/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				site := rel + "."
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					site += fd.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					fn := calleeFunc(pkg.Info, call)
+					if fn == nil || !pkgPathHasSuffix(fn.Pkg(), "internal/sev") {
+						return true
+					}
+					method := fn.Type().(*types.Signature).Recv() != nil
+					if method && fn.Name() == "AddProcess" && coTenants[site] != "" && !used[site] {
+						used[site] = true
+						return true
+					}
+					if (!method && fn.Name() == "NewWorld") || (method && fn.Name() == "AddProcess") {
+						t.Errorf("%s: %s outside internal/sev; build the guest with sev.NewGuest and place its defense with VM.SetDefense",
+							pkg.Fset.Position(call.Pos()), fn.Name())
+					}
+					return true
+				})
+			}
+		}
+	}
+	for site, why := range coTenants {
+		if !used[site] {
+			t.Errorf("co-tenant exemption %s (%s) matches no AddProcess call; drop it", site, why)
+		}
+	}
 }

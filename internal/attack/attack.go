@@ -93,34 +93,21 @@ func (s *Scenario) CollectOne(secret string, rep int, defense obfuscator.Factory
 	}
 	stream := rng.New(s.Seed).Split("collect/"+secret).SplitN("rep", rep)
 	worldCfg.Seed = stream.Uint64()
-	world := sev.NewWorld(worldCfg)
-	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		return trace.Trace{}, err
-	}
 	runner := workload.NewRunner(s.App.Name(), workload.DefaultLibrary(1), stream.Split("runner"))
 	job, err := s.App.Job(secret, stream.Split("job"))
 	if err != nil {
 		return trace.Trace{}, err
 	}
 	runner.Enqueue(job)
-	if err := vm.AddProcess(0, runner); err != nil {
-		return trace.Trace{}, err
-	}
+	var obf sev.Process
 	if defense != nil {
-		obf, err := defense(stream.Uint64())
-		if err != nil {
-			return trace.Trace{}, err
-		}
-		if err := vm.AddProcess(0, obf); err != nil {
+		if obf, err = defense(stream.Uint64()); err != nil {
 			return trace.Trace{}, err
 		}
 	}
-	coreIdx, err := vm.PhysicalCore(0)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	core, err := world.Core(coreIdx)
+	g, err := sev.NewGuest(sev.GuestConfig{
+		World: worldCfg, VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner, Defense: obf,
+	})
 	if err != nil {
 		return trace.Trace{}, err
 	}
@@ -128,11 +115,11 @@ func (s *Scenario) CollectOne(secret string, rep int, defense obfuscator.Factory
 	if !s.DisableMonitorNoise {
 		monitorNoise = stream.Split("monitor")
 	}
-	col, err := trace.NewCollector(core, events, monitorNoise)
+	col, err := trace.NewCollector(g.Core, events, monitorNoise)
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	return trace.CollectDuring(world, col, s.TraceTicks, secret)
+	return trace.CollectDuring(g.World, col, s.TraceTicks, secret)
 }
 
 // Collect records the full labelled dataset: TracesPerSecret recordings per

@@ -228,8 +228,7 @@ type Tenant struct {
 	secrets []string
 
 	state   State
-	world   *sev.World
-	vm      *sev.VM
+	guest   *sev.Guest
 	runner  *workload.Runner
 	obf     *obfuscator.Obfuscator
 	jobRng  *rng.Source
@@ -482,8 +481,8 @@ func (d *Daemon) buildObfuscator(t *Tenant, set settings) (*obfuscator.Obfuscato
 		d.tenantFaults(t.name))
 }
 
-// Attach launches a tenant: a fresh 1-core SEV world, the app runner and
-// an obfuscator co-scheduled on the same vCPU. The tenant starts
+// Attach launches a tenant: a fresh 1-core SEV guest running the app, with
+// the tenant's obfuscator in the same vCPU's defense slot. The tenant starts
 // Attaching and is promoted to Protecting at its first tick barrier.
 func (d *Daemon) Attach(spec AttachSpec) error {
 	if spec.Name == "" {
@@ -499,23 +498,21 @@ func (d *Daemon) Attach(spec AttachSpec) error {
 		return fmt.Errorf("%w: %q", ErrTenantExists, spec.Name)
 	}
 	seeds := rng.NewStream(d.cfg.Seed, "daemon", spec.Name)
-	world := sev.NewWorld(sev.Config{
-		Processor:     "AMD EPYC 7252",
-		PhysicalCores: 1,
-		Core:          microarch.DefaultCoreConfig(),
-		TickBudget:    d.cfg.TickBudget,
-		Seed:          seeds.Uint64(),
-	})
-	fcfg := d.tenantFaults(spec.Name)
-	if fcfg.Enabled() {
-		world.SetFaults(faultinject.New(fcfg))
-	}
-	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true, MemoryBytes: d.cfg.VMMemoryBytes})
-	if err != nil {
-		return fmt.Errorf("daemon: attach %q: %w", spec.Name, err)
-	}
+	worldSeed := seeds.Uint64()
 	runner := workload.NewRunner(spec.Name+"-app", workload.DefaultLibrary(seeds.Uint64()), seeds.Split("runner"))
-	if err := vm.AddProcess(0, runner); err != nil {
+	guest, err := sev.NewGuest(sev.GuestConfig{
+		World: sev.Config{
+			Processor:     "AMD EPYC 7252",
+			PhysicalCores: 1,
+			Core:          microarch.DefaultCoreConfig(),
+			TickBudget:    d.cfg.TickBudget,
+			Seed:          worldSeed,
+		},
+		VM:     sev.VMConfig{VCPUs: 1, SEV: true, MemoryBytes: d.cfg.VMMemoryBytes},
+		Faults: faultinject.New(d.tenantFaults(spec.Name)),
+		App:    runner,
+	})
+	if err != nil {
 		return fmt.Errorf("daemon: attach %q: %w", spec.Name, err)
 	}
 	t := &Tenant{
@@ -525,8 +522,7 @@ func (d *Daemon) Attach(spec AttachSpec) error {
 		app:     app,
 		secrets: app.Secrets(),
 		state:   StateAttaching,
-		world:   world,
-		vm:      vm,
+		guest:   guest,
 		runner:  runner,
 		jobRng:  seeds.Split("jobs"),
 		queue:   make([]workItem, d.set.queueCap),
@@ -540,9 +536,7 @@ func (d *Daemon) Attach(spec AttachSpec) error {
 		return fmt.Errorf("daemon: attach %q: %w", spec.Name, err)
 	}
 	t.obf = obf
-	if err := vm.AddProcess(0, obf); err != nil {
-		return fmt.Errorf("daemon: attach %q: %w", spec.Name, err)
-	}
+	_ = guest.VM.SetDefense(0, obf) // vCPU 0 always exists
 	d.nextID++
 	d.tenants[t.name] = t
 	d.order = append(d.order, t)
@@ -589,7 +583,7 @@ func (d *Daemon) Detach(name string, kill bool) error {
 //
 //aegis:serialized
 func (d *Daemon) removeLocked(t *Tenant) {
-	_ = t.world.DestroyVM(t.vm.ID())
+	t.guest = nil
 	t.state = StateDetached
 	t.gDepth.Set(0)
 	delete(d.tenants, t.name)
@@ -749,10 +743,8 @@ func (d *Daemon) applyReloadLocked() {
 				float64(t.id), 0, 0)
 			continue
 		}
-		if err := t.vm.RemoveProcess(0, t.obf.Name()); err == nil {
-			t.obf = obf
-			_ = t.vm.AddProcess(0, obf)
-		}
+		_ = t.guest.VM.SetDefense(0, obf) // vCPU 0 always exists
+		t.obf = obf
 		d.fDaemon.Record(d.tick, flight.CodeTenantReplan, flight.CodeNone,
 			float64(t.id), float64(t.planGen), 0)
 	}
@@ -872,12 +864,12 @@ func (d *Daemon) runTick(t *Tenant) {
 			t.shedTick++
 		}
 	}
-	t.world.Step()
+	t.guest.World.Step()
 	info := t.obf.LastTick()
 	// LastTick is only fresh when the obfuscator ran this world tick; a
 	// saturated runner can eat the whole vCPU budget before the
 	// obfuscator's turn, and a stale outcome must not be re-counted.
-	if info.Tick == t.world.Tick() && info.Outcome == obfuscator.TickDegraded {
+	if info.Tick == t.guest.World.Tick() && info.Outcome == obfuscator.TickDegraded {
 		t.degradedTick = true
 		t.degradedReason = info.DegradedReason
 	}

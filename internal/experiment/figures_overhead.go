@@ -35,12 +35,6 @@ type Figure10Result struct {
 // workload stream depends only on workloadSeed so a clean/defended pair
 // executes the identical job sequence; defenseSeed varies the noise.
 func jobRun(app workload.App, sc Scale, jobs int, defense obfuscator.Factory, workloadSeed, defenseSeed uint64) (meanTicks, cpuUsage float64, err error) {
-	worldCfg := sev.DefaultConfig(workloadSeed)
-	world := sev.NewWorld(worldCfg)
-	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		return 0, 0, err
-	}
 	stream := rng.New(workloadSeed).Split("overhead")
 	runner := workload.NewRunner(app.Name(), workload.DefaultLibrary(1), stream.Split("runner"))
 	secrets := app.Secrets()
@@ -51,21 +45,22 @@ func jobRun(app workload.App, sc Scale, jobs int, defense obfuscator.Factory, wo
 		}
 		runner.Enqueue(job)
 	}
-	if err := vm.AddProcess(0, runner); err != nil {
-		return 0, 0, err
-	}
+	var obf sev.Process
 	if defense != nil {
-		obf, err := defense(defenseSeed)
-		if err != nil {
+		if obf, err = defense(defenseSeed); err != nil {
 			return 0, 0, err
 		}
-		if err := vm.AddProcess(0, obf); err != nil {
-			return 0, 0, err
-		}
+	}
+	g, err := sev.NewGuest(sev.GuestConfig{
+		World: sev.DefaultConfig(workloadSeed), VM: sev.VMConfig{VCPUs: 1, SEV: true},
+		App: runner, Defense: obf,
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	maxTicks := jobs * sc.TraceTicks * 20
 	for i := 0; i < maxTicks && runner.Pending() > 0; i++ {
-		world.Step()
+		g.World.Step()
 	}
 	if runner.Pending() > 0 {
 		return 0, 0, fmt.Errorf("experiment: %s jobs did not finish within %d ticks", app.Name(), maxTicks)
@@ -75,7 +70,7 @@ func jobRun(app workload.App, sc Scale, jobs int, defense obfuscator.Factory, wo
 	for _, t := range timings {
 		sum += float64(t.Duration())
 	}
-	usage, err := vm.CPUUsage(0)
+	usage, err := g.VM.CPUUsage(0)
 	if err != nil {
 		return 0, 0, err
 	}

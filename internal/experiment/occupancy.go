@@ -61,34 +61,27 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 	cfg.SharedL2 = true
 	stream := rng.New(s.Seed).Split("occupancy/"+secret).SplitN("rep", rep)
 	cfg.Seed = stream.Uint64()
-	world := sev.NewWorld(cfg)
-
-	victim, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true}) // core 0
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	attacker, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: false}) // core 1 (sibling)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-
 	runner := workload.NewRunner("browser", workload.DefaultLibrary(1), stream.Split("runner"))
 	job, err := s.App.Job(secret, stream.Split("job"))
 	if err != nil {
 		return trace.Trace{}, err
 	}
 	runner.Enqueue(job)
-	if err := victim.AddProcess(0, runner); err != nil {
+	var obf sev.Process
+	if defense != nil {
+		if obf, err = defense(stream.Uint64()); err != nil {
+			return trace.Trace{}, err
+		}
+	}
+	victim, err := sev.NewGuest(sev.GuestConfig{ // core 0
+		World: cfg, VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner, Defense: obf,
+	})
+	if err != nil {
 		return trace.Trace{}, err
 	}
-	if defense != nil {
-		obf, err := defense(stream.Uint64())
-		if err != nil {
-			return trace.Trace{}, err
-		}
-		if err := victim.AddProcess(0, obf); err != nil {
-			return trace.Trace{}, err
-		}
+	attacker, err := victim.World.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: false}) // core 1 (sibling)
+	if err != nil {
+		return trace.Trace{}, err
 	}
 
 	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
@@ -109,7 +102,7 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	attackerCore, err := world.Core(attackerCoreIdx)
+	attackerCore, err := victim.World.Core(attackerCoreIdx)
 	if err != nil {
 		return trace.Trace{}, err
 	}
@@ -119,7 +112,7 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	return trace.CollectDuring(world, col, s.TraceTicks, secret)
+	return trace.CollectDuring(victim.World, col, s.TraceTicks, secret)
 }
 
 // Collect records the full labelled occupancy dataset.

@@ -92,22 +92,17 @@ func Robustness(sc Scale) (*RobustnessResult, error) {
 			return nil, err
 		}
 
-		w := sev.NewWorld(sev.DefaultConfig(sc.Seed))
-		w.SetFaults(injector)
-		vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-		if err != nil {
-			return nil, err
-		}
 		lib := workload.DefaultLibrary(1)
 		runner := workload.NewRunner("browser", lib, rng.New(sc.Seed).Split("robustness-runner"))
 		runner.Enqueue(workload.WebsiteJob("google.com", rng.New(sc.Seed).Split("robustness-load")))
-		if err := vm.AddProcess(0, runner); err != nil {
+		g, err := sev.NewGuest(sev.GuestConfig{
+			World: sev.DefaultConfig(sc.Seed), VM: sev.VMConfig{VCPUs: 1, SEV: true},
+			Faults: injector, App: runner, Defense: obf,
+		})
+		if err != nil {
 			return nil, err
 		}
-		if err := vm.AddProcess(0, obf); err != nil {
-			return nil, err
-		}
-		w.Run(sc.TraceTicks)
+		g.World.Run(sc.TraceTicks)
 
 		rep := obf.Report()
 		res.Rows = append(res.Rows, RobustnessRow{

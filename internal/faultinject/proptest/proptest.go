@@ -148,29 +148,26 @@ func (h *Harness) Run(s Schedule) (a Artifacts, err error) {
 		return a, err
 	}
 
-	w := sev.NewWorld(sev.DefaultConfig(s.Seed))
-	w.SetFaults(fw.FaultInjector())
-	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 2, SEV: true})
-	if err != nil {
-		return a, err
-	}
-	lib := workload.DefaultLibrary(1)
-	runner := workload.NewRunner("browser", lib, rng.New(s.Seed).Split("proptest-runner"))
+	runner := workload.NewRunner("browser", workload.DefaultLibrary(1), rng.New(s.Seed).Split("proptest-runner"))
 	runner.Enqueue(workload.WebsiteJob("google.com", rng.New(s.Seed).Split("proptest-load")))
-	if err := vm.AddProcess(0, runner); err != nil {
-		return a, err
-	}
-
-	obf, err := fw.Protect(vm, 0, h.gs, aegis.MechanismDStar, 1.0)
-	if err != nil {
-		return a, err
-	}
-	multi, err := fw.ProtectMulti(vm, 1, h.gs, 1.0)
+	g, err := sev.NewGuest(sev.GuestConfig{
+		World: sev.DefaultConfig(s.Seed), VM: sev.VMConfig{VCPUs: 2, SEV: true},
+		Faults: fw.FaultInjector(), App: runner,
+	})
 	if err != nil {
 		return a, err
 	}
 
-	w.Run(s.Ticks)
+	obf, err := fw.Protect(g.VM, 0, h.gs, aegis.MechanismDStar, 1.0)
+	if err != nil {
+		return a, err
+	}
+	multi, err := fw.ProtectMulti(g.VM, 1, h.gs, 1.0)
+	if err != nil {
+		return a, err
+	}
+
+	g.World.Run(s.Ticks)
 
 	if a.Single, err = deployment(obf); err != nil {
 		return a, err

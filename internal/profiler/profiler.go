@@ -177,15 +177,7 @@ func New(catalog *hpc.Catalog, cfg Config) *Profiler {
 // event formula on the same raw trace is equivalent to the paper's scheme
 // of repeating identical runs for each 4-event register group.
 func (p *Profiler) rawTrace(app workload.App, secret string, ticks int, stream *rng.Source, idle bool) ([][]float64, error) {
-	world := sev.NewWorld(p.cfg.World)
-	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		return nil, fmt.Errorf("launch template VM: %w", err)
-	}
 	runner := workload.NewRunner(app.Name(), p.lib, stream.Split("runner"))
-	if err := vm.AddProcess(0, runner); err != nil {
-		return nil, err
-	}
 	if !idle {
 		job, err := app.Job(secret, stream.Split("job"))
 		if err != nil {
@@ -193,22 +185,18 @@ func (p *Profiler) rawTrace(app workload.App, secret string, ticks int, stream *
 		}
 		runner.Enqueue(job)
 	}
-	coreIdx, err := vm.PhysicalCore(0)
+	g, err := sev.NewGuest(sev.GuestConfig{World: p.cfg.World, VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner})
 	if err != nil {
-		return nil, err
-	}
-	core, err := world.Core(coreIdx)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("launch template VM: %w", err)
 	}
 	// One slab for the whole trace: ticks rows are carved out of a single
 	// allocation instead of one make per tick.
 	out := make([][]float64, ticks)
 	slab := make([]float64, ticks*microarch.NumSignals)
-	prev := core.Counters()
+	prev := g.Core.Counters()
 	for i := 0; i < ticks; i++ {
-		world.Step()
-		now := core.Counters()
+		g.World.Step()
+		now := g.Core.Counters()
 		row := slab[i*microarch.NumSignals : (i+1)*microarch.NumSignals : (i+1)*microarch.NumSignals]
 		now.Sub(prev).VectorInto(row)
 		out[i] = row

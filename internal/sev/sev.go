@@ -29,6 +29,10 @@ var (
 	mVCPUSteps   = telemetry.C("sev_vcpu_steps_total")
 	mVMsLaunched = telemetry.C("sev_vms_launched_total")
 	gTickBudget  = telemetry.G("sev_tick_budget")
+	// mDefenseSkipped counts vCPU ticks on which a defense sat in the
+	// slot but the processes ahead of it used the whole budget, so its
+	// Step never ran: the starvation a saturated app imposes on it.
+	mDefenseSkipped = telemetry.C("sev_defense_skipped_ticks_total")
 
 	// fWorld journals a periodic world summary so a flight dump around an
 	// incident shows the machine shape without needing full metrics.
@@ -38,7 +42,6 @@ var (
 // Errors returned by the SEV world.
 var (
 	ErrEncrypted    = errors.New("sev: guest memory is encrypted")
-	ErrNoSuchVM     = errors.New("sev: no such VM")
 	ErrNoSuchVCPU   = errors.New("sev: no such vCPU")
 	ErrNoSuchCore   = errors.New("sev: no such physical core")
 	ErrCoreOccupied = errors.New("sev: physical core already has a vCPU pinned")
@@ -153,6 +156,9 @@ func (g *GuestExecutor) Core() *microarch.Core { return g.core }
 type vcpu struct {
 	physCore int
 	procs    []Process
+	// defended marks the last entry of procs as the vCPU's defense slot
+	// (SetDefense); every other process is scheduled ahead of it.
+	defended bool
 	ctx      *microarch.ExecContext
 	// faultLabel identifies this vCPU in fault schedules ("vm0/vcpu1");
 	// faults is derived lazily on the first Step after SetFaults. Labelling
@@ -206,18 +212,15 @@ type World struct {
 	// partner) is built on first use, by a LaunchVM pin or Core, so a
 	// world whose guests pin few of its cores never builds the rest.
 	cores []*microarch.Core
-	vms   map[int]*VM
-	// vmOrder holds the live VMs in launch order; Step iterates it so the
-	// tick loop is allocation-free and deterministic instead of following
-	// Go's randomised map order. (Fault schedules are keyed by (vm, vcpu)
-	// labels, so behaviour never depended on iteration order — this pins
-	// the order anyway.)
+	// vmOrder holds the VMs in launch order, indexed by VM id; Step
+	// iterates it, so the tick loop is allocation-free and deterministic.
 	vmOrder []*VM
-	pinned  map[int]*vcpu // physCore -> vcpu
-	nextVM  int
-	tick    int64
-	rand    *rng.Source
-	faults  *faultinject.Injector
+	// pinned counts the cores holding a vCPU. Cores are pinned in index
+	// order and never freed, so cores[pinned:] are the free ones.
+	pinned int
+	tick   int64
+	rand   *rng.Source
+	faults *faultinject.Injector
 }
 
 // SetFaults attaches a fault injector to the world: vCPUs start suffering
@@ -245,11 +248,9 @@ func NewWorld(cfg Config) *World {
 	// which observes the live deployment, not retired test worlds.
 	gTickBudget.Set(float64(cfg.TickBudget))
 	return &World{
-		cfg:    cfg,
-		cores:  make([]*microarch.Core, cfg.PhysicalCores),
-		vms:    make(map[int]*VM),
-		pinned: make(map[int]*vcpu),
-		rand:   rng.New(cfg.Seed).Split("sev/world"),
+		cfg:   cfg,
+		cores: make([]*microarch.Core, cfg.PhysicalCores),
+		rand:  rng.New(cfg.Seed).Split("sev/world"),
 	}
 }
 
@@ -340,28 +341,22 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 	if cfg.MemoryBytes <= 0 {
 		cfg.MemoryBytes = 1 << 20
 	}
-	free := make([]int, 0, len(w.cores))
-	for i := range w.cores {
-		if _, taken := w.pinned[i]; !taken {
-			free = append(free, i)
-		}
-	}
-	if len(free) < cfg.VCPUs {
-		return nil, fmt.Errorf("%w: need %d cores, %d free", ErrCoreOccupied, cfg.VCPUs, len(free))
+	if free := len(w.cores) - w.pinned; free < cfg.VCPUs {
+		return nil, fmt.Errorf("%w: need %d cores, %d free", ErrCoreOccupied, cfg.VCPUs, free)
 	}
 	version := cfg.Version
 	if version == SEVDisabled && cfg.SEV {
 		version = SEVSNP
 	}
 	vm := &VM{
-		id:         w.nextVM,
+		id:         len(w.vmOrder),
 		version:    version,
 		world:      w,
 		memorySize: cfg.MemoryBytes,
 	}
-	w.nextVM++
 	for i := 0; i < cfg.VCPUs; i++ {
-		core := free[i]
+		core := w.pinned
+		w.pinned++
 		vc := &vcpu{
 			physCore:   core,
 			faultLabel: fmt.Sprintf("vm%d/vcpu%d", vm.id, i),
@@ -370,32 +365,11 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 				w.rand.SplitN(fmt.Sprintf("vm%d-vcpu", vm.id), i)),
 		}
 		vm.vcpus = append(vm.vcpus, vc)
-		w.pinned[core] = vc
 		w.core(core) // built here so Step never allocates one
 	}
-	w.vms[vm.id] = vm
 	w.vmOrder = append(w.vmOrder, vm)
 	mVMsLaunched.Inc()
 	return vm, nil
-}
-
-// DestroyVM tears down a guest and frees its cores.
-func (w *World) DestroyVM(id int) error {
-	vm, ok := w.vms[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchVM, id)
-	}
-	for _, vc := range vm.vcpus {
-		delete(w.pinned, vc.physCore)
-	}
-	delete(w.vms, id)
-	for i, v := range w.vmOrder {
-		if v == vm {
-			w.vmOrder = append(w.vmOrder[:i:i], w.vmOrder[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // Step advances the world by one tick: every vCPU runs its processes
@@ -431,12 +405,17 @@ func (w *World) Step() {
 				faults: vc.faults,
 			}
 			n := len(vc.procs)
+			defenseRan := !vc.defended
 			for i := 0; i < n; i++ {
-				p := vc.procs[(vc.nextFirst+i)%n]
-				p.Step(g)
+				j := (vc.nextFirst + i) % n
+				vc.procs[j].Step(g)
+				defenseRan = defenseRan || j == n-1
 				if g.Remaining() == 0 {
 					break
 				}
+			}
+			if !defenseRan {
+				mDefenseSkipped.Inc()
 			}
 			if n > 0 {
 				vc.nextFirst = (vc.nextFirst + 1) % n
@@ -462,9 +441,6 @@ func (w *World) Run(n int) {
 	}
 }
 
-// ID returns the VM identifier.
-func (vm *VM) ID() int { return vm.id }
-
 // PhysicalCore returns the physical core index a vCPU is pinned to. The
 // hypervisor knows the mapping; what it cannot see is which guest process
 // runs on the vCPU (paper §VII-C: Aegis pins the obfuscator and the
@@ -478,28 +454,37 @@ func (vm *VM) PhysicalCore(vcpuIdx int) (int, error) {
 }
 
 // AddProcess schedules a guest process on a vCPU. Processes added to the
-// same vCPU share its tick budget in arrival order.
+// same vCPU share its tick budget in arrival order, ahead of the vCPU's
+// defense slot.
 func (vm *VM) AddProcess(vcpuIdx int, p Process) error {
 	if vcpuIdx < 0 || vcpuIdx >= len(vm.vcpus) {
 		return fmt.Errorf("%w: %d", ErrNoSuchVCPU, vcpuIdx)
 	}
-	vm.vcpus[vcpuIdx].procs = append(vm.vcpus[vcpuIdx].procs, p)
+	vc := vm.vcpus[vcpuIdx]
+	vc.procs = append(vc.procs, p)
+	if vc.defended {
+		last := len(vc.procs) - 1
+		vc.procs[last-1], vc.procs[last] = p, vc.procs[last-1]
+	}
 	return nil
 }
 
-// RemoveProcess unschedules the named process from a vCPU.
-func (vm *VM) RemoveProcess(vcpuIdx int, name string) error {
+// SetDefense puts p in the vCPU's defense slot, the last entry of its
+// process list. An empty slot is appended; an occupied one is swapped in
+// place, so a re-plan keeps the slot's position and the vCPU's
+// round-robin rotation and never changes the schedule.
+func (vm *VM) SetDefense(vcpuIdx int, p Process) error {
 	if vcpuIdx < 0 || vcpuIdx >= len(vm.vcpus) {
 		return fmt.Errorf("%w: %d", ErrNoSuchVCPU, vcpuIdx)
 	}
-	procs := vm.vcpus[vcpuIdx].procs
-	for i, p := range procs {
-		if p.Name() == name {
-			vm.vcpus[vcpuIdx].procs = append(procs[:i:i], procs[i+1:]...)
-			return nil
-		}
+	vc := vm.vcpus[vcpuIdx]
+	if vc.defended {
+		vc.procs[len(vc.procs)-1] = p
+		return nil
 	}
-	return fmt.Errorf("sev: process %q not found on vcpu %d", name, vcpuIdx)
+	vc.procs = append(vc.procs, p)
+	vc.defended = true
+	return nil
 }
 
 // Attest returns the PSP attestation report.

@@ -118,25 +118,6 @@ func TestLaunchFailsWhenCoresExhausted(t *testing.T) {
 	}
 }
 
-func TestDestroyVMFreesCores(t *testing.T) {
-	cfg := DefaultConfig(5)
-	cfg.PhysicalCores = 2
-	w := NewWorld(cfg)
-	vm, err := w.LaunchVM(VMConfig{VCPUs: 2, SEV: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DestroyVM(vm.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.LaunchVM(VMConfig{VCPUs: 2, SEV: true}); err != nil {
-		t.Errorf("relaunch after destroy failed: %v", err)
-	}
-	if err := w.DestroyVM(99); !errors.Is(err, ErrNoSuchVM) {
-		t.Errorf("destroy missing VM = %v", err)
-	}
-}
-
 func TestStepExecutesProcesses(t *testing.T) {
 	w := NewWorld(DefaultConfig(6))
 	vm, err := w.LaunchVM(VMConfig{VCPUs: 1, SEV: true})
@@ -232,28 +213,6 @@ func TestHostPMUSeesGuestActivity(t *testing.T) {
 	}
 	if v < 2000 {
 		t.Errorf("host-visible uops = %v, want >= 2500 guest instructions", v)
-	}
-}
-
-func TestRemoveProcess(t *testing.T) {
-	w := NewWorld(DefaultConfig(10))
-	vm, err := w.LaunchVM(VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &burnProc{name: "gone", perTick: 10, instr: aluVariant(t)}
-	if err := vm.AddProcess(0, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RemoveProcess(0, "gone"); err != nil {
-		t.Fatal(err)
-	}
-	w.Run(3)
-	if p.total != 0 {
-		t.Errorf("removed process executed %d instructions", p.total)
-	}
-	if err := vm.RemoveProcess(0, "missing"); err == nil {
-		t.Error("removing missing process did not error")
 	}
 }
 

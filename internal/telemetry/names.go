@@ -145,8 +145,9 @@ const (
 
 // SEV world scheduler.
 const (
-	MetricSevTickBudget       = "sev_tick_budget"
-	MetricSevVcpuStepsTotal   = "sev_vcpu_steps_total"
-	MetricSevVmsLaunchedTotal = "sev_vms_launched_total"
-	MetricSevWorldTicksTotal  = "sev_world_ticks_total"
+	MetricSevDefenseSkippedTicksTotal = "sev_defense_skipped_ticks_total"
+	MetricSevTickBudget               = "sev_tick_budget"
+	MetricSevVcpuStepsTotal           = "sev_vcpu_steps_total"
+	MetricSevVmsLaunchedTotal         = "sev_vms_launched_total"
+	MetricSevWorldTicksTotal          = "sev_world_ticks_total"
 )

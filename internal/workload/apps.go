@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"github.com/repro/aegis/internal/rng"
 )
@@ -98,11 +99,13 @@ func (a *KeystrokeApp) Job(secret string, r *rng.Source) (Job, error) {
 type DNNApp struct {
 	// Models overrides the zoo; nil uses the full 30-model zoo.
 	Models []ModelArch
-
-	zoo map[string]ModelArch
 }
 
 var _ App = (*DNNApp)(nil)
+
+// sharedZoo is the full model zoo, built once and never written: every
+// DNNApp without its own Models reads the same copy.
+var sharedZoo = sync.OnceValue(ModelZoo)
 
 // Name implements App.
 func (a *DNNApp) Name() string { return "dnn" }
@@ -111,7 +114,7 @@ func (a *DNNApp) models() []ModelArch {
 	if a.Models != nil {
 		return a.Models
 	}
-	return ModelZoo()
+	return sharedZoo()
 }
 
 // Secrets implements App.
@@ -124,19 +127,15 @@ func (a *DNNApp) Secrets() []string {
 	return out
 }
 
-// Arch resolves a model by secret name.
+// Arch resolves a model by secret name. It scans the models: there are at
+// most 30, and a scan allocates nothing.
 func (a *DNNApp) Arch(secret string) (ModelArch, error) {
-	if a.zoo == nil {
-		a.zoo = make(map[string]ModelArch)
-		for _, m := range a.models() {
-			a.zoo[m.Name] = m
+	for _, m := range a.models() {
+		if m.Name == secret {
+			return m, nil
 		}
 	}
-	m, ok := a.zoo[secret]
-	if !ok {
-		return ModelArch{}, fmt.Errorf("workload: unknown model %q", secret)
-	}
-	return m, nil
+	return ModelArch{}, fmt.Errorf("workload: unknown model %q", secret)
 }
 
 // Job implements App.

@@ -232,6 +232,35 @@ func TestModelZoo(t *testing.T) {
 	}
 }
 
+// TestDNNAppArchSharesZoo resolves models on fresh apps: the full zoo is
+// built once and shared, so a lookup allocates nothing, and an app with
+// its own Models still resolves only those.
+func TestDNNAppArchSharesZoo(t *testing.T) {
+	var warm DNNApp
+	if _, err := warm.Arch("resnetsim-3"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		var a DNNApp
+		if m, err := a.Arch("resnetsim-3"); err != nil || m.Name != "resnetsim-3" {
+			t.Fatalf("Arch = %v, %v", m.Name, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Arch on a fresh DNNApp allocates %v times, want 0", allocs)
+	}
+	if got := (&DNNApp{}).Secrets(); len(got) != 30 || got[0] != ModelZoo()[0].Name {
+		t.Errorf("Secrets = %v", got)
+	}
+	own := DNNApp{Models: ModelZoo()[:2]}
+	if _, err := own.Arch("resnetsim-3"); err == nil {
+		t.Error("an app with its own Models resolved a model outside them")
+	}
+	if m, err := own.Arch(ModelZoo()[1].Name); err != nil || len(m.Layers) == 0 {
+		t.Errorf("own-model lookup = %+v, %v", m, err)
+	}
+}
+
 func TestModelSequencesDistinct(t *testing.T) {
 	zoo := ModelZoo()
 	seen := map[string]string{}
