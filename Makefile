@@ -9,7 +9,7 @@ FUZZTIME ?= 5s
 # operator reaches for mid-incident, so their test coverage is gated.
 COVER_FLOOR ?= 85
 
-.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e
+.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e examples
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
@@ -28,6 +28,12 @@ test:
 e2e:
 	$(GO) test -count=1 -v -run 'TestScenario|TestSheds|TestFaultSoak|TestDaemonConcurrentLifecycle' ./internal/daemon/...
 	$(GO) test -count=1 -run 'TestDaemonSmoke|TestCtlClientSmoke' ./cmd/aegisd/ ./cmd/aegisctl/
+
+# The README's demos: the quickstart and the four paper attacks run as
+# root Example functions, printing their output. `go test` checks each
+# against its // Output: block, so they also run inside `make test`.
+examples:
+	$(GO) test -count=1 -v -run '^Example' .
 
 vet:
 	$(GO) vet ./...

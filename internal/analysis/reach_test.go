@@ -207,7 +207,7 @@ func (r *reacher) sink(t types.Type) {
 }
 
 // TestRepoHasNoUnreachableFuncs fails on any module function that no
-// binary, example, facade entry point or test-support package can reach.
+// binary, facade entry point or test-support package can reach.
 // Code with no production caller is deleted, or — when only its own
 // package's tests use it — moved into that package's _test.go.
 func TestRepoHasNoUnreachableFuncs(t *testing.T) {

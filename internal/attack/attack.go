@@ -343,6 +343,3 @@ func (c *Classifier) Evaluate(ds *trace.Dataset) (float64, error) {
 	}
 	return float64(correct) / float64(ds.Len()), nil
 }
-
-// Classes returns the number of secret classes (for random-guess baselines).
-func (c *Classifier) Classes() int { return c.labels.Len() }

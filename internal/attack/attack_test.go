@@ -78,8 +78,8 @@ func TestWFACleanAttackSucceeds(t *testing.T) {
 	if final.TrainAcc <= stats[0].TrainAcc {
 		t.Errorf("training accuracy did not improve: %v -> %v", stats[0].TrainAcc, final.TrainAcc)
 	}
-	if clf.Classes() != 5 {
-		t.Errorf("classes = %d", clf.Classes())
+	if clf.labels.Len() != 5 {
+		t.Errorf("classes = %d", clf.labels.Len())
 	}
 }
 
@@ -215,14 +215,14 @@ func TestMEACleanAttack(t *testing.T) {
 	if acc < 0.3 {
 		t.Errorf("MEA accuracy = %v, want > 0.3 at test scale (paper: 0.92 at full scale)", acc)
 	}
-	// Prediction returns layer types in the external alphabet.
-	pred, err := atk.Predict(ds.Traces[0])
+	// Decoding emits CTC labels, each one a layer type minus one.
+	raw, err := atk.decode(ds.Traces[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range pred {
-		if l < workload.LayerConv || l > workload.LayerSoftmax {
-			t.Errorf("predicted layer %v out of range", l)
+	for _, v := range raw {
+		if l := workload.LayerType(v + 1); l < workload.LayerConv || l > workload.LayerSoftmax {
+			t.Errorf("decoded layer %v out of range", l)
 		}
 	}
 }

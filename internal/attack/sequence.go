@@ -166,24 +166,14 @@ func TrainSequenceAttack(ds *trace.Dataset, app *workload.DNNApp, cfg SequenceTr
 	return atk, stats, nil
 }
 
-// Predict transcribes one trace into a layer-type sequence.
-func (a *SequenceAttack) Predict(tr trace.Trace) ([]workload.LayerType, error) {
+// decode transcribes one trace into raw CTC labels (layer type − 1),
+// greedily or by beam search when BeamWidth > 1.
+func (a *SequenceAttack) decode(tr trace.Trace) ([]int, error) {
 	xs := sequenceFeatures(tr, a.norm)
-	var raw []int
-	var err error
 	if a.BeamWidth > 1 {
-		raw, err = a.model.DecodeBeam(xs, a.BeamWidth)
-	} else {
-		raw, err = a.model.Decode(xs)
+		return a.model.DecodeBeam(xs, a.BeamWidth)
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]workload.LayerType, len(raw))
-	for i, v := range raw {
-		out[i] = workload.LayerType(v + 1)
-	}
-	return out, nil
+	return a.model.Decode(xs)
 }
 
 // Evaluate returns the mean layer-matching accuracy over a dataset (the
@@ -199,13 +189,7 @@ func (a *SequenceAttack) Evaluate(ds *trace.Dataset) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		xs := sequenceFeatures(tr, a.norm)
-		var raw []int
-		if a.BeamWidth > 1 {
-			raw, err = a.model.DecodeBeam(xs, a.BeamWidth)
-		} else {
-			raw, err = a.model.Decode(xs)
-		}
+		raw, err := a.decode(tr)
 		if err != nil {
 			return 0, err
 		}

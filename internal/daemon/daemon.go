@@ -112,8 +112,9 @@ type Config struct {
 	// Faults, when enabled, gives every tenant a fault schedule derived
 	// from its own seed, so tenants degrade independently.
 	Faults faultinject.Config
-	// VMMemoryBytes sizes each tenant VM's guest memory (0 means 64 KiB —
-	// daemons hold many VMs, so the sev default of 1 MiB is too fat).
+	// VMMemoryBytes sets each tenant VM's guest-memory bound (0 means
+	// 64 KiB). It costs no heap at any size: guest memory is allocated on
+	// the first guest write, and nothing outside sev's tests writes it.
 	VMMemoryBytes int
 	// JournalCapacity sizes the daemon's own flight ring (0 means
 	// flight.DefaultCapacity).

@@ -41,7 +41,6 @@ var (
 
 // Errors returned by the SEV world.
 var (
-	ErrEncrypted    = errors.New("sev: guest memory is encrypted")
 	ErrNoSuchVCPU   = errors.New("sev: no such vCPU")
 	ErrNoSuchCore   = errors.New("sev: no such physical core")
 	ErrCoreOccupied = errors.New("sev: physical core already has a vCPU pinned")
@@ -496,22 +495,6 @@ func (vm *VM) Attest() Attestation {
 		Measurement: rng.HashString(
 			fmt.Sprintf("%s/%d/%d", vm.world.cfg.Processor, vm.id, len(vm.vcpus))),
 	}
-}
-
-// HostReadMemory is the hypervisor's attempt to read guest memory. Under
-// SEV it fails: pages are encrypted with a key held by the PSP.
-func (vm *VM) HostReadMemory(offset, n int) ([]byte, error) {
-	if vm.version != SEVDisabled {
-		return nil, ErrEncrypted
-	}
-	if offset < 0 || n < 0 || offset+n > vm.memorySize {
-		return nil, fmt.Errorf("sev: memory read out of range")
-	}
-	out := make([]byte, n)
-	if vm.memory != nil {
-		copy(out, vm.memory[offset:offset+n])
-	}
-	return out, nil
 }
 
 // CPUUsage returns the vCPU's mean utilisation over every tick since

@@ -482,6 +482,25 @@ func (vm *VM) GuestWriteMemory(offset int, data []byte) error {
 	return nil
 }
 
+// ErrEncrypted is HostReadMemory's refusal to read an SEV guest.
+var ErrEncrypted = errors.New("sev: guest memory is encrypted")
+
+// HostReadMemory is the hypervisor's attempt to read guest memory. Under
+// SEV it fails: pages are encrypted with a key held by the PSP.
+func (vm *VM) HostReadMemory(offset, n int) ([]byte, error) {
+	if vm.version != SEVDisabled {
+		return nil, ErrEncrypted
+	}
+	if offset < 0 || n < 0 || offset+n > vm.memorySize {
+		return nil, errors.New("sev: memory read out of range")
+	}
+	out := make([]byte, n)
+	if vm.memory != nil {
+		copy(out, vm.memory[offset:offset+n])
+	}
+	return out, nil
+}
+
 // TestLazyCoresMatchEagerBuild checks that building cores on first use, in
 // any order, yields the cores an eager build from the same per-core noise
 // streams does, with each shared-L2 pair around one cache.

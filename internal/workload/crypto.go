@@ -158,19 +158,3 @@ func (a *CryptoApp) Job(secret string, r *rng.Source) (Job, error) {
 	}
 	return Job{}, fmt.Errorf("workload: unknown key %q", secret)
 }
-
-// HammingWeight returns the number of 1-bits of a key secret, the
-// first-order quantity the side channel leaks (total multiply time scales
-// with it).
-func HammingWeight(label string) (int, error) {
-	k, err := parseKeyLabel(label)
-	if err != nil {
-		return 0, err
-	}
-	w := 0
-	for k != 0 {
-		w += int(k & 1)
-		k >>= 1
-	}
-	return w, nil
-}

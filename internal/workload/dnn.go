@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/rng"
@@ -66,15 +65,6 @@ func (m ModelArch) LayerSequence() []LayerType {
 		out[i] = l.Type
 	}
 	return out
-}
-
-// SequenceString renders the layer sequence as "conv-bn-relu-...".
-func (m ModelArch) SequenceString() string {
-	parts := make([]string, len(m.Layers))
-	for i, l := range m.Layers {
-		parts[i] = l.Type.String()
-	}
-	return strings.Join(parts, "-")
 }
 
 // ModelZoo returns the 30 victim model architectures: VGG-style plain

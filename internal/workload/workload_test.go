@@ -265,7 +265,7 @@ func TestModelSequencesDistinct(t *testing.T) {
 	zoo := ModelZoo()
 	seen := map[string]string{}
 	for _, m := range zoo {
-		seq := m.SequenceString()
+		seq := fmt.Sprint(m.LayerSequence())
 		if prev, dup := seen[seq]; dup {
 			t.Errorf("models %s and %s share a layer sequence", prev, m.Name)
 		}
