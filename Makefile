@@ -9,7 +9,7 @@ FUZZTIME ?= 5s
 # operator reaches for mid-incident, so their test coverage is gated.
 COVER_FLOOR ?= 85
 
-.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e examples
+.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e examples loc
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
@@ -91,6 +91,18 @@ bench-alloc:
 # ProtectionReport to match the daemon's exactly.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Go line totals, non-test and test files apart, for the root module and
+# the nested bench/ module (testdata/ fixtures excluded): the net line
+# count a change reports next to its benchmark delta.
+loc:
+	@for mod in . bench; do \
+		if [ $$mod = . ]; then files=$$(find . -path ./bench -prune -o -path '*/testdata' -prune -o -name '*.go' -print); \
+		else files=$$(find bench -path '*/testdata' -prune -o -name '*.go' -print); fi; \
+		src=$$(echo "$$files" | grep -v '_test\.go$$' | xargs -r cat | wc -l); \
+		tst=$$(echo "$$files" | grep '_test\.go$$' | xargs -r cat | wc -l); \
+		printf 'loc: %-6s non-test %6d  test %6d\n' $$mod $$src $$tst; \
+	done
 
 # Coverage gate on the observability layer: fails when total statement
 # coverage across internal/telemetry/... + internal/ops drops below

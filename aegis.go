@@ -93,10 +93,6 @@ type Config struct {
 	ProfileRepeats int
 	// FuzzCandidates is the gadget candidates sampled per event.
 	FuzzCandidates int
-	// ClipBound is the obfuscator's B_u per-tick noise clip.
-	ClipBound float64
-	// Sensitivity converts normalised DP sensitivity to event counts.
-	Sensitivity float64
 	// Parallelism bounds the worker pools of the offline pipelines
 	// (profiling and fuzzing); <= 0 means GOMAXPROCS. Results are
 	// byte-identical at any value — only wall-clock time changes.
@@ -147,12 +143,6 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.FuzzCandidates <= 0 {
 		cfg.FuzzCandidates = 600
 	}
-	if cfg.ClipBound <= 0 {
-		cfg.ClipBound = obfuscator.DefaultClipBound
-	}
-	if cfg.Sensitivity <= 0 {
-		cfg.Sensitivity = obfuscator.DefaultSensitivity
-	}
 	catalog, err := hpc.CatalogByProcessor(cfg.Processor, 1)
 	if err != nil {
 		return nil, err
@@ -167,8 +157,8 @@ func New(cfg Config) (*Framework, error) {
 	telemetry.G("aegis_config_fuzz_candidates").Set(float64(cfg.FuzzCandidates))
 	telemetry.G("aegis_config_profile_trace_ticks").Set(float64(cfg.ProfileTraceTicks))
 	telemetry.G("aegis_config_profile_repeats").Set(float64(cfg.ProfileRepeats))
-	telemetry.G("aegis_config_clip_bound").Set(cfg.ClipBound)
-	telemetry.G("aegis_config_sensitivity").Set(cfg.Sensitivity)
+	telemetry.G("aegis_config_clip_bound").Set(obfuscator.DefaultClipBound)
+	telemetry.G("aegis_config_sensitivity").Set(obfuscator.DefaultSensitivity)
 	telemetry.G("aegis_catalog_events").Set(float64(catalog.Size()))
 	telemetry.G("aegis_legal_instructions").Set(float64(len(clean.Legal)))
 	f := &Framework{
@@ -188,14 +178,7 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.Ops.Addr != "" {
 		opsCfg := cfg.Ops
 		if opsCfg.Budget == nil {
-			// Default tracker: the paper's <2% ceiling, fed continuously
-			// from the injected-instruction and vCPU-capacity counters.
-			opsCfg.Budget = ops.NewOverheadBudget(0)
-			reg := opsCfg.Registry
-			if reg == nil {
-				reg = telemetry.Default()
-			}
-			opsCfg.Budget.SetSource(ops.TelemetrySource(reg))
+			opsCfg.Budget = ops.NewTelemetryBudget(opsCfg.Registry)
 		}
 		f.opsSrv = ops.NewServer(opsCfg)
 		f.opsSrv.RegisterReadiness(f.warmGate.Probe())
@@ -412,8 +395,8 @@ func (f *Framework) NewDefense(gs *GadgetSet, mechanism string, param float64) (
 	recipe := obfuscator.Recipe{
 		Segment:     gs.segment,
 		RefEvent:    gs.refEvent,
-		ClipBound:   f.cfg.ClipBound,
-		Sensitivity: f.cfg.Sensitivity,
+		ClipBound:   obfuscator.DefaultClipBound,
+		Sensitivity: obfuscator.DefaultSensitivity,
 	}
 	return recipe.Factory(mechanism, param, param, "aegis-defense", f.cfg.Faults), nil
 }
@@ -459,7 +442,7 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownEvent, name)
 		}
-		mech, err := obfuscator.NewDStarMechanism(epsilon, f.cfg.Sensitivity,
+		mech, err := obfuscator.NewDStarMechanism(epsilon, obfuscator.DefaultSensitivity,
 			rng.New(f.cfg.Seed).SplitN("multi-defense", i))
 		if err != nil {
 			return nil, err
@@ -468,7 +451,7 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 			Mechanism: mech,
 			Segment:   seg,
 			Event:     ev,
-			ClipBound: f.cfg.ClipBound,
+			ClipBound: obfuscator.DefaultClipBound,
 		})
 		result.ProtectedEvents = append(result.ProtectedEvents, name)
 	}

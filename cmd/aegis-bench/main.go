@@ -248,9 +248,7 @@ func run(args []string) error {
 	}
 	if *telem {
 		fmt.Printf("=== telemetry ===\n%s", telemetry.Default().Summary())
-		budget := ops.NewOverheadBudget(0)
-		budget.SetSource(ops.TelemetrySource(telemetry.Default()))
-		fmt.Println(budget.Status().Verdict())
+		fmt.Println(ops.NewTelemetryBudget(nil).Status().Verdict())
 	}
 	return nil
 }

@@ -138,7 +138,9 @@ func run(args []string) error {
 		}
 	}
 
-	srv := ops.NewServer(ops.Config{Addr: *addr, Recorder: d.Journal()})
+	srv := ops.NewServer(ops.Config{
+		Addr: *addr, Recorder: d.Journal(), Budget: ops.NewTelemetryBudget(nil),
+	})
 	srv.RegisterReadiness(d.ReadyProbe())
 	srv.RegisterHealth(d.HealthProbe())
 	srv.Mount(daemon.CtlPrefix, "ctl", d.CtlHandler())

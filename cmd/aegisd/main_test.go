@@ -13,6 +13,8 @@ import (
 
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
+	"github.com/repro/aegis/internal/ops"
+	"github.com/repro/aegis/internal/telemetry"
 	"github.com/repro/aegis/internal/workload"
 )
 
@@ -174,5 +176,93 @@ func TestProfiledAppMatchesTenant(t *testing.T) {
 	}
 	if profiled == nil || !reflect.DeepEqual(profiled.Secrets(), tenant.Secrets()) {
 		t.Fatalf("profiled secrets %v, tenant secrets %v", profiled.Secrets(), tenant.Secrets())
+	}
+}
+
+// TestOpsBudgetRegistered checks that aegisd serves its own overhead
+// budget: /snapshot carries the budget section and /healthz lists the
+// budget probe. A breached budget degrades /healthz but keeps it at 200,
+// because the daemon is alive.
+func TestOpsBudgetRegistered(t *testing.T) {
+	addrCh := make(chan string, 1)
+	opsAddrNotify = func(addr string) { addrCh <- addr }
+	defer func() { opsAddrNotify = nil }()
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-addr", "127.0.0.1:0",
+			"-events", "RETIRED_UOPS",
+			"-candidates", "30",
+			"-tenants", "1",
+			"-ticks", "400",
+			"-tick-interval", "2ms",
+			"-seed", "4",
+		})
+	}()
+	var base string
+	select {
+	case addr := <-addrCh:
+		base = "http://" + addr
+	case err := <-done:
+		t.Fatalf("daemon exited before serving: %v", err)
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon did not come up in 60s")
+	}
+	getJSON := func(path string, v any) int {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: body not JSON: %v", path, err)
+		}
+		return resp.StatusCode
+	}
+	type health struct {
+		Status     string `json:"status"`
+		Components map[string]struct {
+			State int `json:"state"`
+		} `json:"components"`
+	}
+	var snap struct {
+		Budget *struct {
+			Target   float64 `json:"target"`
+			Breached bool    `json:"breached"`
+		} `json:"budget"`
+	}
+	if code := getJSON("/snapshot", &snap); code != 200 || snap.Budget == nil || snap.Budget.Target != ops.DefaultOverheadTarget {
+		t.Fatalf("/snapshot = %d, budget section %+v", code, snap.Budget)
+	}
+	var h health
+	if code := getJSON("/healthz", &h); code != 200 {
+		t.Fatalf("/healthz = %d: %+v", code, h)
+	}
+	if _, ok := h.Components["overhead-budget"]; !ok {
+		t.Fatalf("/healthz lists no overhead-budget probe: %+v", h)
+	}
+
+	// Breach the budget through the telemetry it is fed from.
+	telemetry.Default().Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal).Add(1e15)
+	h = health{}
+	if code := getJSON("/healthz", &h); code != 200 {
+		t.Fatalf("/healthz with a breached budget = %d, want 200: %+v", code, h)
+	}
+	if h.Status != "degraded" || h.Components["overhead-budget"].State != int(ops.StateDegraded) {
+		t.Fatalf("breached budget not reported as degraded: %+v", h)
+	}
+	if getJSON("/snapshot", &snap); !snap.Budget.Breached {
+		t.Fatalf("/snapshot budget not breached: %+v", snap.Budget)
+	}
+
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("daemon run: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon did not stop at the -ticks bound")
 	}
 }

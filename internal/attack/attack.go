@@ -21,11 +21,8 @@ import (
 	"github.com/repro/aegis/internal/workload"
 )
 
-// Errors returned by the package.
-var (
-	ErrNoDataset = errors.New("attack: empty dataset")
-	ErrNoEvents  = errors.New("attack: scenario has no monitored events")
-)
+// ErrNoDataset is returned when training or evaluation gets no traces.
+var ErrNoDataset = errors.New("attack: empty dataset")
 
 // DefaultEventNames are the four monitored events of the paper's attacks
 // (§III-B), selected by the profiler's ranking.
@@ -42,10 +39,9 @@ func DefaultEventNames() []string {
 type Scenario struct {
 	// App is the victim application.
 	App workload.App
-	// Catalog is the processor's event catalog.
+	// Catalog is the processor's event catalog; the attacks monitor its
+	// DefaultEventNames.
 	Catalog *hpc.Catalog
-	// EventNames are the monitored events (max 4); nil uses the default.
-	EventNames []string
 	// TracesPerSecret is the number of recordings per secret.
 	TracesPerSecret int
 	// TraceTicks is the length of each recording (the paper samples 3 s
@@ -55,20 +51,10 @@ type Scenario struct {
 	Seed uint64
 	// World configures the host machine; zero value uses the AMD testbed.
 	World sev.Config
-	// DisableMonitorNoise turns off the host-side measurement noise that
-	// is otherwise always applied; calibration tests use it for exact
-	// reads.
-	DisableMonitorNoise bool
 }
 
 func (s *Scenario) events() ([]*hpc.Event, error) {
-	names := s.EventNames
-	if names == nil {
-		names = DefaultEventNames()
-	}
-	if len(names) == 0 {
-		return nil, ErrNoEvents
-	}
+	names := DefaultEventNames()
 	out := make([]*hpc.Event, 0, len(names))
 	for _, n := range names {
 		e, ok := s.Catalog.ByName(n)
@@ -111,11 +97,7 @@ func (s *Scenario) CollectOne(secret string, rep int, defense obfuscator.Factory
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	var monitorNoise *rng.Source
-	if !s.DisableMonitorNoise {
-		monitorNoise = stream.Split("monitor")
-	}
-	col, err := trace.NewCollector(g.Core, events, monitorNoise)
+	col, err := trace.NewCollector(g.Core, events, stream.Split("monitor"))
 	if err != nil {
 		return trace.Trace{}, err
 	}

@@ -47,14 +47,9 @@ func TestCollectDataset(t *testing.T) {
 
 func TestCollectErrors(t *testing.T) {
 	sc := wfaScenario(2)
-	sc.EventNames = []string{"NO_SUCH_EVENT"}
+	sc.Catalog = &hpc.Catalog{Processor: "no events"} // lacks every default event
 	if _, err := sc.Collect(nil); err == nil {
 		t.Error("unknown event accepted")
-	}
-	sc2 := wfaScenario(2)
-	sc2.EventNames = []string{}
-	if _, err := sc2.Collect(nil); !errors.Is(err, ErrNoEvents) {
-		t.Errorf("no events error = %v", err)
 	}
 }
 

@@ -116,6 +116,19 @@ type Finding struct {
 	MedianDelta float64
 }
 
+// The confirmation constants of paper §VI-E: repeats is R, the
+// executions of each repeated-trigger path and of the reordering median;
+// lambda1 is λ1 in |V2-V1 - R(v2-v1)| <= λ1·R·|v2-v1|; lambda2 is λ2 in
+// V2 > λ2·V1. minDelta is the smallest median count change that counts
+// as a perturbation. Fuzzing always measures through a noisy PMU, so the
+// confirmations are load-bearing.
+const (
+	repeats  = 10
+	lambda1  = 0.2
+	lambda2  = 10
+	minDelta = 0.75
+)
+
 // Config tunes the fuzzing campaign.
 type Config struct {
 	// CandidatesPerEvent is the number of gadget candidates sampled per
@@ -123,22 +136,10 @@ type Config struct {
 	// native hardware; the simulator samples a subset and documents the
 	// scaling in EXPERIMENTS.md.
 	CandidatesPerEvent int
-	// Repeats is the R of the repeated-trigger confirmation (paper: 10).
-	Repeats int
-	// Lambda1 bounds |V2-V1 - R(v2-v1)| <= λ1·R·|v2-v1| (paper: 0.2).
-	Lambda1 float64
-	// Lambda2 requires V2 > λ2·V1 (paper: 10).
-	Lambda2 float64
-	// MinDelta is the smallest median count change that counts as a
-	// perturbation.
-	MinDelta float64
 	// Seed drives candidate sampling and reordering.
 	Seed uint64
 	// Core configures the isolated measurement core (isolcpus analog).
 	Core microarch.CoreConfig
-	// MeasureNoise enables PMU read noise during fuzzing; the
-	// confirmation mechanisms are then load-bearing.
-	MeasureNoise bool
 	// DisableConfirmation skips the repeated-trigger and reordering
 	// checks, accepting every screened candidate. Only the ablation
 	// benchmarks use this; it quantifies the false positives the paper's
@@ -166,13 +167,8 @@ type Config struct {
 func DefaultConfig(seed uint64) Config {
 	cfg := Config{
 		CandidatesPerEvent: 600,
-		Repeats:            10,
-		Lambda1:            0.2,
-		Lambda2:            10,
-		MinDelta:           0.75,
 		Seed:               seed,
 		Core:               microarch.DefaultCoreConfig(),
-		MeasureNoise:       true,
 	}
 	// The fuzzing core is isolated (isolcpus): no scheduler interrupts.
 	cfg.Core.InterruptRate = 0
@@ -347,39 +343,21 @@ func (b *bench) signature(seq []microarch.Op) (gadgetSig, error) {
 }
 
 // canPerturb reports whether the signature shows any mechanistic effect of
-// at least MinDelta on the event, in either the cold or steady-state
+// at least minDelta on the event, in either the cold or steady-state
 // execution. Candidates that fail this cannot pass screening except
 // through measurement noise, so FuzzEvent rejects them without paying for
 // the repeated noisy measurements.
 func (f *Fuzzer) canPerturb(event *hpc.Event, sig gadgetSig) bool {
-	return event.Value(sig.cold) >= f.cfg.MinDelta ||
-		event.Value(sig.warm) >= f.cfg.MinDelta ||
-		event.Value(sig.total) >= f.cfg.MinDelta
+	return event.Value(sig.cold) >= minDelta ||
+		event.Value(sig.warm) >= minDelta ||
+		event.Value(sig.total) >= minDelta
 }
 
-// New builds a fuzzer over the post-cleanup legal instruction list.
+// New builds a fuzzer over the post-cleanup legal instruction list. cfg
+// starts from DefaultConfig; New fills in nothing.
 func New(legal []isa.Variant, cfg Config) (*Fuzzer, error) {
 	if len(legal) == 0 {
 		return nil, ErrNoLegalInstructions
-	}
-	if cfg.CandidatesPerEvent <= 0 {
-		cfg.CandidatesPerEvent = 600
-	}
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 10
-	}
-	if cfg.Lambda1 <= 0 {
-		cfg.Lambda1 = 0.2
-	}
-	if cfg.Lambda2 <= 0 {
-		cfg.Lambda2 = 10
-	}
-	if cfg.MinDelta <= 0 {
-		cfg.MinDelta = 1
-	}
-	if cfg.Core.L1DSets == 0 {
-		cfg.Core = microarch.DefaultCoreConfig()
-		cfg.Core.InterruptRate = 0
 	}
 	f := &Fuzzer{
 		legal:  append([]isa.Variant(nil), legal...),
@@ -411,11 +389,7 @@ type bench struct {
 
 func (f *Fuzzer) newBench(noise *rng.Source, faults *faultinject.Handle) *bench {
 	core := microarch.NewCore(0, f.cfg.Core, nil)
-	var pmuNoise *rng.Source
-	if f.cfg.MeasureNoise {
-		pmuNoise = noise
-	}
-	pmu := hpc.NewPMU(core, pmuNoise)
+	pmu := hpc.NewPMU(core, noise)
 	pmu.SetFaults(faults)
 	return &bench{
 		core: core,
@@ -476,14 +450,13 @@ func (b *bench) medianDelta(event *hpc.Event, seq []microarch.Op, n int) (float6
 // reset+trigger; both repeated R times. The change must be attributable to
 // the trigger, and the reset must restore S0 each iteration. seq is the
 // decoded gadget, reset first.
-func (b *bench) repeatedTriggers(event *hpc.Event, seq []microarch.Op, cfg Config) (bool, error) {
-	R := cfg.Repeats
+func (b *bench) repeatedTriggers(event *hpc.Event, seq []microarch.Op) (bool, error) {
 	coldSingle := b.cold[:0]
 	hotSingle := b.hot[:0]
 	var v1Cum, v2Cum float64
 
 	// Cold path: reset only.
-	for i := 0; i < R; i++ {
+	for i := 0; i < repeats; i++ {
 		v, err := b.measureGadget(event, seq[:1])
 		if err != nil {
 			return false, err
@@ -492,7 +465,7 @@ func (b *bench) repeatedTriggers(event *hpc.Event, seq []microarch.Op, cfg Confi
 		v1Cum += v
 	}
 	// Hot path: reset + trigger.
-	for i := 0; i < R; i++ {
+	for i := 0; i < repeats; i++ {
 		v, err := b.measureGadget(event, seq)
 		if err != nil {
 			return false, err
@@ -506,18 +479,18 @@ func (b *bench) repeatedTriggers(event *hpc.Event, seq []microarch.Op, cfg Confi
 	v1 := stats.SortedMedian(coldSingle)
 	v2 := stats.SortedMedian(hotSingle)
 	diff := v2 - v1
-	if diff < cfg.MinDelta {
+	if diff < minDelta {
 		return false, nil
 	}
 	// Constraint 1: V2 - V1 ≈ R (v2 - v1), within λ1 tolerance.
 	lhs := v2Cum - v1Cum
-	rhs := float64(R) * diff
-	if lhs < (1-cfg.Lambda1)*rhs || lhs > (1+cfg.Lambda1)*rhs {
+	rhs := repeats * diff
+	if lhs < (1-lambda1)*rhs || lhs > (1+lambda1)*rhs {
 		return false, nil
 	}
 	// Constraint 2: V2 > λ2 V1 — the trigger dominates the reset's own
 	// side effects on this event.
-	if v2Cum <= cfg.Lambda2*v1Cum {
+	if v2Cum <= lambda2*v1Cum {
 		return false, nil
 	}
 	return true, nil
@@ -588,7 +561,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, Counts, StepTiming, err
 			}
 			return nil, n, timing, err
 		}
-		if med >= f.cfg.MinDelta {
+		if med >= minDelta {
 			reported = append(reported, candidate{g: g, ops: ops, delta: med})
 		}
 	}
@@ -613,7 +586,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, Counts, StepTiming, err
 	confirmBench := f.newBench(r.Split("confirm"), f.faults.Handle("fuzzer", event.Name, "confirm"))
 	var confirmed []candidate
 	for _, c := range reported {
-		ok, err := confirmBench.repeatedTriggers(event, c.ops[:], f.cfg)
+		ok, err := confirmBench.repeatedTriggers(event, c.ops[:])
 		if err != nil {
 			// A read fault mid-confirmation rejects the candidate: we
 			// could not confirm it, so it must not ship.
@@ -639,7 +612,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, Counts, StepTiming, err
 	stable := make([]bool, len(confirmed))
 	for _, idx := range order {
 		c := confirmed[idx]
-		med, err := reorderBench.medianDelta(event, c.ops[:], f.cfg.Repeats)
+		med, err := reorderBench.medianDelta(event, c.ops[:], repeats)
 		if err != nil {
 			if errors.Is(err, hpc.ErrReadFault) {
 				mDroppedByFault.Inc()
@@ -650,7 +623,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, Counts, StepTiming, err
 		}
 		lo := c.delta * 0.5
 		hi := c.delta*1.5 + 2
-		stable[idx] = med >= f.cfg.MinDelta && med >= lo && med <= hi
+		stable[idx] = med >= minDelta && med >= lo && med <= hi
 	}
 
 	var out []Finding
@@ -841,7 +814,7 @@ type CoverageEntry struct {
 // per-gadget event perturbations (paper §VII-C: 43 gadgets cover all 137
 // vulnerable events). Coverage is measured mechanistically: each candidate
 // gadget is executed once on a fresh bench and credited with every target
-// event whose count it changes by at least MinDelta.
+// event whose count it changes by at least minDelta.
 func (f *Fuzzer) MinimalCover(res *Result, events []*hpc.Event) ([]CoverageEntry, error) {
 	if res == nil || len(events) == 0 {
 		return nil, ErrNoTargetEvents
@@ -889,7 +862,7 @@ func (f *Fuzzer) MinimalCover(res *Result, events []*hpc.Event) ([]CoverageEntry
 			}
 			var covers []int
 			for ei, e := range events {
-				if e.Value(sig.total) >= f.cfg.MinDelta {
+				if e.Value(sig.total) >= minDelta {
 					covers = append(covers, ei)
 				}
 			}

@@ -52,7 +52,7 @@ func TestFuzzEventFindsGadgets(t *testing.T) {
 	}
 	for _, fd := range findings {
 		if fd.MedianDelta < 1 {
-			t.Errorf("gadget %s has delta %v < MinDelta", fd.Gadget.Key(), fd.MedianDelta)
+			t.Errorf("gadget %s has delta %v < 1", fd.Gadget.Key(), fd.MedianDelta)
 		}
 	}
 }
@@ -114,7 +114,7 @@ func TestRepeatedTriggersRejectsResetOnlyEffect(t *testing.T) {
 	// Reset = load (retires uops), trigger = nop (also retires, but the
 	// cumulative hot path is NOT > λ2 × cold path).
 	ops := Gadget{Reset: load, Trigger: nop}.ops()
-	ok, err := b.repeatedTriggers(ev, ops[:], f.cfg)
+	ok, err := b.repeatedTriggers(ev, ops[:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,14 +72,17 @@ func (f *Fuzzer) variantByID(id int) (isa.Variant, bool) {
 
 // eventFP addresses one event's findings artifact. Everything the search
 // depends on participates: seed, legal list, event formula, campaign
-// tunables, core and fault configuration.
+// tunables, the confirmation constants, core and fault configuration.
+// The constants and the always-on measurement noise are hashed too, under
+// fixed keys, so a store's addresses move only when a value does (pinned
+// by TestArtifactFingerprintsPinned).
 func (f *Fuzzer) eventFP(e *hpc.Event) string {
 	fp := artifact.NewFingerprint(kindFuzzEvent)
 	fp.Uint64("seed", f.cfg.Seed).String("legal", f.legalFP())
-	fp.Int("candidates", f.cfg.CandidatesPerEvent).Int("repeats", f.cfg.Repeats)
-	fp.Float("lambda1", f.cfg.Lambda1).Float("lambda2", f.cfg.Lambda2)
-	fp.Float("min-delta", f.cfg.MinDelta)
-	fp.Bool("noise", f.cfg.MeasureNoise).Bool("no-confirm", f.cfg.DisableConfirmation)
+	fp.Int("candidates", f.cfg.CandidatesPerEvent).Int("repeats", repeats)
+	fp.Float("lambda1", lambda1).Float("lambda2", lambda2)
+	fp.Float("min-delta", minDelta)
+	fp.Bool("noise", true).Bool("no-confirm", f.cfg.DisableConfirmation)
 	fp.Core(f.cfg.Core)
 	fc := f.cfg.Faults
 	fp.Uint64("faults.seed", fc.Seed)

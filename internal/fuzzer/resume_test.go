@@ -170,3 +170,24 @@ func TestFuzzResumeStaleConfigMisses(t *testing.T) {
 		t.Error("changed campaign config resumed from a stale artifact")
 	}
 }
+
+// TestArtifactFingerprintsPinned pins the artifact addresses of a
+// DefaultConfig fuzzer. The confirmation constants (R, λ1, λ2, the
+// minimum delta, measurement noise) are part of eventFP, so an existing
+// store stays warm only while these hold; a change here invalidates every
+// cached campaign.
+func TestArtifactFingerprintsPinned(t *testing.T) {
+	cat := hpc.NewAMDEpyc7252Catalog(1)
+	f, err := New(legalAMD(t), DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct{ got, want string }{
+		"eventFP": {f.eventFP(cat.MustByName("RETIRED_UOPS")), "471f808354fbca0e"},
+		"memoFP":  {f.memoFP(), "28e8b94867e3ebcb"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", name, c.got, c.want)
+		}
+	}
+}

@@ -196,7 +196,6 @@ func TestDrawExtremesClipAndStillInject(t *testing.T) {
 	}
 	cfg := baseConfig(t, lap, 35)
 	cfg.Faults = faultinject.Config{Seed: 35, DrawExtremeRate: 1, DrawExtremeMagnitude: 1e9}
-	cfg.MaxRepsPerTick = 400
 	obf, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +224,7 @@ func TestDrawExtremesClipAndStillInject(t *testing.T) {
 
 func TestDStarFallsBackToLaplaceUnderClipStorm(t *testing.T) {
 	// Persistent positive extremes clip every draw; after
-	// FallbackAfterClips consecutive clips the d* recursion is abandoned
+	// fallbackAfterClips consecutive clips the d* recursion is abandoned
 	// for a memoryless Laplace with the same (ε, Δ).
 	dstar, err := NewDStarMechanism(1, 100, rng.New(36).Split("dstar"))
 	if err != nil {
@@ -233,8 +232,6 @@ func TestDStarFallsBackToLaplaceUnderClipStorm(t *testing.T) {
 	}
 	cfg := baseConfig(t, dstar, 36)
 	cfg.Faults = faultinject.Config{Seed: 36, DrawExtremeRate: 1, DrawExtremeMagnitude: 1e9}
-	cfg.FallbackAfterClips = 3
-	cfg.MaxRepsPerTick = 50
 	obf, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

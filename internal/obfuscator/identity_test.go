@@ -19,18 +19,18 @@ import (
 // it) and the final ProtectionReport, for 200-tick Laplace and d* runs
 // under each fault preset plus a "storm" schedule. Faults hit both the obfuscator's own substrate
 // and the world (preemption, mid-gadget interrupts), so the digests cover
-// the retry, re-arm, clip, fallback and rep-cap paths of the tick
+// the retry, re-arm, clip and budget-saturation paths of the tick
 // protocol. A refactor of the tick loop must leave every digest unchanged.
 func TestSinglePlanDigestPinned(t *testing.T) {
 	want := map[string]string{
-		"laplace/off":   "80a43feb494bf356",
-		"laplace/light": "f9a81a7ac8b30526",
-		"laplace/heavy": "0e693facac64c3c2",
-		"laplace/storm": "cb239879f4b3be79",
-		"dstar/off":     "f9612ad609861011",
-		"dstar/light":   "334775b273983451",
-		"dstar/heavy":   "e59e71ea0488875e",
-		"dstar/storm":   "fb68ff306bbcd34b",
+		"laplace/off":   "ea938ddf5431cea2",
+		"laplace/light": "af5c2176906475a9",
+		"laplace/heavy": "27eef4d90f9938de",
+		"laplace/storm": "7a35ab0787625034",
+		"dstar/off":     "8b5c6eea900c064d",
+		"dstar/light":   "d5761d3d7dae4239",
+		"dstar/heavy":   "49c0e829cc0b2600",
+		"dstar/storm":   "fd21ecdb36edde72",
 	}
 	rec := flight.Default()
 
@@ -52,8 +52,7 @@ func TestSinglePlanDigestPinned(t *testing.T) {
 			faults, worldFaults := digestFaults(t, preset, 52), digestFaults(t, preset, 54)
 			obf, err := New(Config{
 				Mechanism: mech, Segment: seg, RefEvent: ref,
-				ClipBound: 2000, MaxRepsPerTick: 12, Seed: 53, Faults: faults,
-				FallbackAfterClips: 3,
+				ClipBound: 2000, Seed: 53, Faults: faults,
 			})
 			if err != nil {
 				t.Fatal(err)

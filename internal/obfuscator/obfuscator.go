@@ -18,13 +18,13 @@ import (
 // mechanism draw latency, and the degradation funnel (every (plan, tick)
 // pair lands in exactly one of injected/zero-draw/no-injection/degraded).
 var (
-	mTicks           = telemetry.C("obfuscator_ticks_total")
-	mInjectedReps    = telemetry.C("obfuscator_injected_reps_total")
-	mInjectedCounts  = telemetry.C("obfuscator_injected_counts_total")
-	mClipSaturations = telemetry.C("obfuscator_clip_saturations_total")
-	mRepSaturations  = telemetry.C("obfuscator_budget_saturations_total")
-	mInjectedInstr   = telemetry.C("obfuscator_injected_instructions_total")
-	hDrawNanos       = telemetry.H("obfuscator_mechanism_draw_ns",
+	mTicks             = telemetry.C("obfuscator_ticks_total")
+	mInjectedReps      = telemetry.C("obfuscator_injected_reps_total")
+	mInjectedCounts    = telemetry.C("obfuscator_injected_counts_total")
+	mClipSaturations   = telemetry.C("obfuscator_clip_saturations_total")
+	mBudgetSaturations = telemetry.C("obfuscator_budget_saturations_total")
+	mInjectedInstr     = telemetry.C("obfuscator_injected_instructions_total")
+	hDrawNanos         = telemetry.H("obfuscator_mechanism_draw_ns",
 		telemetry.ExpBuckets(64, 4, 8))
 
 	// fTick journals every tick outcome in the flight recorder; degraded
@@ -211,26 +211,22 @@ type Config struct {
 	// gadgets cannot be negative (paper §VIII-C, e.g. 2e4 for
 	// RETIRED_UOPS).
 	ClipBound float64
-	// MaxRepsPerTick caps segment executions per tick so injection cannot
-	// starve the protected application outright; 0 means no cap beyond
-	// the vCPU budget.
-	MaxRepsPerTick int
 	// Seed drives the d*→Laplace fallback mechanism's noise stream.
 	Seed uint64
 	// Faults injects substrate faults into the obfuscator's own kernel
 	// module PMU and mechanism draws. The zero value is the healthy
 	// substrate.
 	Faults faultinject.Config
-	// FallbackAfterClips is the number of consecutive clip saturations
-	// after which an observation-based d* mechanism falls back to a
-	// Laplace mechanism with the same (ε, Δ); 0 means 8, negative
-	// disables the fallback.
-	FallbackAfterClips int
 }
 
 // maxRetries bounds per-plan, per-tick retries of failed PMU reads and
 // fault-interrupted gadget executions.
 const maxRetries = 3
+
+// fallbackAfterClips is the number of consecutive clip saturations after
+// which an observation-based d* mechanism falls back to a Laplace
+// mechanism with the same (ε, Δ).
+const fallbackAfterClips = 8
 
 // Errors returned by the obfuscator.
 var (
@@ -324,9 +320,6 @@ type planState struct {
 type Obfuscator struct {
 	plans []planState
 
-	maxRepsPerTick int
-	fallbackAfter  int
-
 	// Telemetry, summed across plans. Tick counts are (plan, tick) pairs.
 	injectedReps   int64
 	ticks          int64
@@ -373,22 +366,16 @@ func NewMulti(plans []Plan, seed uint64, faults faultinject.Config) (*Obfuscator
 	return build(plans, Config{Seed: seed, Faults: faults})
 }
 
-// build deploys plans under cfg's seed, faults and tick policy (cfg's
-// per-event fields are ignored).
+// build deploys plans under cfg's seed and faults (cfg's per-event fields
+// are ignored).
 func build(plans []Plan, cfg Config) (*Obfuscator, error) {
-	fallbackAfter := cfg.FallbackAfterClips
-	if fallbackAfter == 0 {
-		fallbackAfter = 8
-	}
 	o := &Obfuscator{
 		plans:            make([]planState, len(plans)),
-		maxRepsPerTick:   cfg.MaxRepsPerTick,
-		fallbackAfter:    fallbackAfter,
 		degradedByReason: make(map[DegradeReason]int64),
 	}
 	faults := faultinject.New(cfg.Faults)
 	for i, p := range plans {
-		if err := o.plans[i].init(p, i, cfg.Seed, faults, fallbackAfter); err != nil {
+		if err := o.plans[i].init(p, i, cfg.Seed, faults); err != nil {
 			if len(plans) > 1 {
 				err = fmt.Errorf("plan %d: %w", i, err)
 			}
@@ -408,7 +395,7 @@ func planLabel(label string, i int) string {
 	return fmt.Sprintf("%s-plan%d", label, i)
 }
 
-func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Injector, fallbackAfter int) error {
+func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Injector) error {
 	if p.Mechanism == nil {
 		return ErrNoMechanism
 	}
@@ -429,7 +416,7 @@ func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Inject
 	// Prepare the d*→Laplace fallback with the same privacy parameters:
 	// if draws clip persistently, the tree recursion's committed noise no
 	// longer matches what was drawn, so a memoryless mechanism is safer.
-	if d, ok := p.Mechanism.(*DStarMechanism); ok && fallbackAfter > 0 {
+	if d, ok := p.Mechanism.(*DStarMechanism); ok {
 		fb, err := NewLaplaceMechanism(d.Epsilon, d.Sensitivity,
 			rng.New(seed).Split(planLabel("obfuscator-fallback", i)))
 		if err != nil {
@@ -524,7 +511,7 @@ func (o *Obfuscator) PlanStatus(i int) (PlanStatus, error) {
 func (o *Obfuscator) InjectedReps() int64 { return o.injectedReps }
 
 // SaturationRate returns the fraction of (plan, tick) pairs where the
-// vCPU budget or rep cap truncated the requested injection.
+// vCPU budget truncated the requested injection.
 func (o *Obfuscator) SaturationRate() float64 {
 	if o.ticks == 0 {
 		return 0
@@ -727,7 +714,7 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 	// Persistent clip saturation: the d* recursion keeps committing
 	// clipped values that diverge from its draws, so swap to the prepared
 	// memoryless Laplace fallback (same ε and Δ) from the next tick on.
-	if p.fallback != nil && p.mech != p.fallback && p.consecClips >= o.fallbackAfter {
+	if p.fallback != nil && p.mech != p.fallback && p.consecClips >= fallbackAfterClips {
 		p.mech = p.fallback
 		p.mechCode = mechFlightCode(p.mech)
 		o.fallbacks++
@@ -752,14 +739,7 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 	// fault-interrupted executions with a deterministic backoff (each
 	// retry halves the remaining plan, so interrupt storms converge
 	// instead of hammering the executor).
-	// A tick counts as saturated at most once, whether the rep cap, the
-	// vCPU budget or both truncated it.
 	reps := int(noise/p.perExec + 0.5)
-	saturated := false
-	if o.maxRepsPerTick > 0 && reps > o.maxRepsPerTick {
-		reps = o.maxRepsPerTick
-		saturated = true
-	}
 	info.Requested = reps
 	injectedReps, injectedInstr := 0, 0
 	planned := reps
@@ -778,7 +758,8 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 		if g.Remaining() == 0 {
 			// vCPU tick budget exhausted mid-segment: physics, not a
 			// fault — stop here as before.
-			saturated = true
+			o.saturatedTicks++
+			mBudgetSaturations.Inc()
 			if n > 0 {
 				injectedReps++ // partial execution still perturbs
 			}
@@ -795,10 +776,6 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 		}
 		degrade(&info, ReasonRetryExhausted)
 		break
-	}
-	if saturated {
-		o.saturatedTicks++
-		mRepSaturations.Inc()
 	}
 	applied := float64(injectedReps) * p.perExec
 	info.Injected = injectedReps

@@ -409,33 +409,6 @@ func TestObfuscatorPerturbsHostView(t *testing.T) {
 	}
 }
 
-func TestObfuscatorSaturationAccounting(t *testing.T) {
-	seg, ref := coverSegment(t)
-	lap, err := NewLaplaceMechanism(0.01, 100000, rng.New(13)) // huge noise
-	if err != nil {
-		t.Fatal(err)
-	}
-	obf, err := New(Config{
-		Mechanism: lap, Segment: seg, RefEvent: ref,
-		ClipBound: 1e9, MaxRepsPerTick: 2, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := sev.NewWorld(sev.DefaultConfig(14))
-	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.AddProcess(0, obf); err != nil {
-		t.Fatal(err)
-	}
-	w.Run(50)
-	if obf.SaturationRate() == 0 {
-		t.Error("huge noise with rep cap never saturated")
-	}
-}
-
 func TestDStarDyadicNoiseScales(t *testing.T) {
 	// Paper Eq. 5: at dyadic ticks (t = D(t)) the noise is Lap(1/ε); at
 	// other ticks Lap(⌊log2 t⌋/ε). Measure E|r| at t = 1024 (dyadic) and
@@ -481,9 +454,9 @@ func TestNoiseNonNegativityAfterClip(t *testing.T) {
 	}
 }
 
-// TestSaturationRateCountsTicksOnce: a tick whose rep cap truncates the
-// plan and whose vCPU budget then runs out mid-injection is one saturated
-// tick, not two, so the rate stays a fraction of ticks.
+// TestSaturationRateCountsTicksOnce: huge noise exhausts the vCPU budget
+// mid-injection on most ticks; each such tick is one saturated tick, so
+// the rate stays a fraction of ticks.
 func TestSaturationRateCountsTicksOnce(t *testing.T) {
 	seg, ref := coverSegment(t)
 	lap, err := NewLaplaceMechanism(0.01, 100000, rng.New(13))
@@ -492,7 +465,7 @@ func TestSaturationRateCountsTicksOnce(t *testing.T) {
 	}
 	obf, err := New(Config{
 		Mechanism: lap, Segment: seg, RefEvent: ref,
-		ClipBound: 1e9, MaxRepsPerTick: 100000, Seed: 13,
+		ClipBound: 1e9, Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,14 +40,14 @@ func (s BudgetStatus) Verdict() string {
 
 // OverheadBudget continuously compares injected work against capacity and
 // flips its health probe to degraded when the fraction crosses the
-// target. Feed it either by accumulation (Add) or by attaching a Source
-// that reports cumulative totals (e.g. TelemetrySource).
+// target. Feed it by accumulation (Add), or build it with
+// NewTelemetryBudget, which reads cumulative totals on every Status call.
 type OverheadBudget struct {
 	mu       sync.Mutex
 	target   float64
 	injected float64
 	capacity float64
-	source   func() (injected, capacity float64)
+	source   func() (injected, capacity float64) // nil: Add-fed
 }
 
 // NewOverheadBudget builds a tracker; target <= 0 means
@@ -57,14 +57,6 @@ func NewOverheadBudget(target float64) *OverheadBudget {
 		target = DefaultOverheadTarget
 	}
 	return &OverheadBudget{target: target}
-}
-
-// SetSource attaches a cumulative-totals source consulted on every
-// Status call; it overrides values accumulated with Add.
-func (b *OverheadBudget) SetSource(src func() (injected, capacity float64)) {
-	b.mu.Lock()
-	b.source = src
-	b.mu.Unlock()
 }
 
 // Add accumulates injected work and capacity deltas.
@@ -104,20 +96,22 @@ func (b *OverheadBudget) Probe() Probe {
 	}}
 }
 
-// TelemetrySource derives cumulative (injected, capacity) instruction
-// totals from a registry: injected is the obfuscators' injected
-// instructions, capacity is vCPU steps × the per-tick instruction budget.
-// This is the overhead-budget math of DESIGN.md: the defense's share of
-// the machine's instruction capacity, the quantity the paper holds under
-// 2%.
-func TelemetrySource(reg *telemetry.Registry) func() (float64, float64) {
+// NewTelemetryBudget returns the default overhead tracker of a process
+// serving the ops surface: the paper's <2% ceiling, fed on every Status
+// call from reg's cumulative counters (nil reg means the process-wide
+// default registry). Injected work is the obfuscators' injected
+// instructions; capacity is vCPU steps × the per-tick instruction
+// budget. This is the overhead-budget math of DESIGN.md: the defense's
+// share of the machine's instruction capacity, the quantity the paper
+// holds under 2%.
+func NewTelemetryBudget(reg *telemetry.Registry) *OverheadBudget {
 	if reg == nil {
 		reg = telemetry.Default()
 	}
 	injected := reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal)
 	steps := reg.Counter(telemetry.MetricSevVcpuStepsTotal)
 	budget := reg.Gauge(telemetry.MetricSevTickBudget)
-	return func() (float64, float64) {
+	return &OverheadBudget{target: DefaultOverheadTarget, source: func() (float64, float64) {
 		return injected.Value(), steps.Value() * budget.Value()
-	}
+	}}
 }

@@ -38,10 +38,10 @@ type Config struct {
 	// Budget, when set, adds the overhead-budget health probe and the
 	// budget section of /snapshot.
 	Budget *OverheadBudget
-	// SnapshotFlightWindow bounds the flight tail embedded in /snapshot;
-	// 0 means 64.
-	SnapshotFlightWindow int
 }
+
+// snapshotFlightWindow bounds the flight tail embedded in /snapshot.
+const snapshotFlightWindow = 64
 
 // Server is the ops HTTP server. Construct with NewServer, register
 // probes, then Start (or mount Handler on an external server).
@@ -72,9 +72,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = flight.Default()
-	}
-	if cfg.SnapshotFlightWindow <= 0 {
-		cfg.SnapshotFlightWindow = 64
 	}
 	s := &Server{cfg: cfg}
 	if cfg.Budget != nil {
@@ -326,7 +323,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	}
 	var tail strings.Builder
 	if err := s.cfg.Recorder.WriteJSONL(&tail, flight.DumpOptions{
-		Window: s.cfg.SnapshotFlightWindow, Label: "snapshot",
+		Window: snapshotFlightWindow, Label: "snapshot",
 	}); err == nil {
 		lines, _ := json.Marshal(strings.Split(strings.TrimSuffix(tail.String(), "\n"), "\n"))
 		body.Flight = lines

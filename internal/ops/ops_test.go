@@ -171,11 +171,9 @@ func TestBudgetTelemetrySource(t *testing.T) {
 	reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal).Add(15)
 	reg.Counter(telemetry.MetricSevVcpuStepsTotal).Add(100)
 	reg.Gauge(telemetry.MetricSevTickBudget).Set(20)
-	b := NewOverheadBudget(0)
-	b.SetSource(TelemetrySource(reg))
-	st := b.Status()
-	if st.Injected != 15 || st.Capacity != 2000 {
-		t.Fatalf("source status = %+v, want injected 15 capacity 2000", st)
+	st := NewTelemetryBudget(reg).Status()
+	if st.Injected != 15 || st.Capacity != 2000 || st.Target != DefaultOverheadTarget {
+		t.Fatalf("source status = %+v, want injected 15 capacity 2000 at the default target", st)
 	}
 	if st.Breached { // 0.75% < 2%
 		t.Fatalf("0.75%% must not breach: %+v", st)

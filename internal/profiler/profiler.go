@@ -58,6 +58,11 @@ var (
 	ErrNoEvents  = errors.New("profiler: no events to rank")
 )
 
+// warmupThreshold is the minimum relative count change (above a small
+// absolute floor) for an event to count as "changed" by the workload in
+// the warm-up sweep (paper §V-B).
+const warmupThreshold = 0.05
+
 // Config tunes the profiling runs.
 type Config struct {
 	// WarmupTicks is the monitoring window of each warm-up measurement
@@ -67,9 +72,6 @@ type Config struct {
 	// an event is kept if it differs in any repeat (paper: 5 repeats with
 	// near-identical results).
 	WarmupRepeats int
-	// WarmupThreshold is the minimum relative count change (with a small
-	// absolute floor) for an event to be considered "changed".
-	WarmupThreshold float64
 	// RankRepeats is the number of measurements per secret (paper: 100,
 	// reducible to 10 for rough analysis).
 	RankRepeats int
@@ -83,7 +85,7 @@ type Config struct {
 	RawMeanFeature bool
 	// Seed drives all stochastic behaviour.
 	Seed uint64
-	// World configures the template server; zero value uses the AMD
+	// World configures the template server; DefaultConfig uses the AMD
 	// default testbed.
 	World sev.Config
 	// Parallelism bounds the worker count of trace collection and event
@@ -106,7 +108,6 @@ func DefaultConfig(seed uint64) Config {
 	return Config{
 		WarmupTicks:     100,
 		WarmupRepeats:   5,
-		WarmupThreshold: 0.05,
 		RankRepeats:     10,
 		TraceTicks:      150,
 		QuadratureSteps: 600,
@@ -139,29 +140,9 @@ type scoreScratch struct {
 	st    stats.Scratch
 }
 
-// New builds a profiler for the catalog.
+// New builds a profiler for the catalog. cfg starts from DefaultConfig;
+// New fills in nothing.
 func New(catalog *hpc.Catalog, cfg Config) *Profiler {
-	if cfg.WarmupTicks <= 0 {
-		cfg.WarmupTicks = 100
-	}
-	if cfg.WarmupRepeats <= 0 {
-		cfg.WarmupRepeats = 5
-	}
-	if cfg.WarmupThreshold <= 0 {
-		cfg.WarmupThreshold = 0.05
-	}
-	if cfg.RankRepeats <= 0 {
-		cfg.RankRepeats = 10
-	}
-	if cfg.TraceTicks <= 0 {
-		cfg.TraceTicks = 150
-	}
-	if cfg.QuadratureSteps <= 0 {
-		cfg.QuadratureSteps = 600
-	}
-	if cfg.World.PhysicalCores == 0 {
-		cfg.World = sev.DefaultConfig(cfg.Seed)
-	}
 	p := &Profiler{
 		catalog: catalog,
 		cfg:     cfg,
@@ -302,7 +283,7 @@ func (p *Profiler) Warmup(app workload.App) (*WarmupResult, error) {
 			av := e.Value(activeSum)
 			diff := math.Abs(av - iv)
 			floor := 5.0
-			if diff > floor && diff > p.cfg.WarmupThreshold*(iv+1) {
+			if diff > floor && diff > warmupThreshold*(iv+1) {
 				changed[i] = true
 			}
 		}

@@ -69,12 +69,14 @@ func (p *Profiler) catalogFP() string {
 	return p.catFP
 }
 
-// warmupFP addresses the warm-up verdict bitmap for an application.
+// warmupFP addresses the warm-up verdict bitmap for an application. The
+// threshold constant is hashed under a fixed key, so a store's addresses
+// move only when its value does (pinned by TestArtifactFingerprintsPinned).
 func (p *Profiler) warmupFP(app workload.App) string {
 	f := artifact.NewFingerprint(kindWarmup)
 	f.Uint64("seed", p.cfg.Seed).String("app", app.Name())
 	f.Int("warmup-ticks", p.cfg.WarmupTicks).Int("warmup-repeats", p.cfg.WarmupRepeats)
-	f.Float("warmup-threshold", p.cfg.WarmupThreshold)
+	f.Float("warmup-threshold", warmupThreshold)
 	f.String("catalog", p.catalogFP())
 	for _, s := range app.Secrets() {
 		f.String("secret", s)

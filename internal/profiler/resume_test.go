@@ -139,3 +139,23 @@ func TestWarmupResumeByteIdentical(t *testing.T) {
 		t.Error("changed seed resumed from a stale artifact")
 	}
 }
+
+// TestArtifactFingerprintsPinned pins the artifact addresses of a
+// DefaultConfig profiler for one event, app and secret. The warm-up
+// threshold is part of warmupFP, so an existing store stays warm only
+// while these hold; a change here invalidates every cached profile.
+func TestArtifactFingerprintsPinned(t *testing.T) {
+	cat := hpc.NewAMDEpyc7252Catalog(1)
+	p := New(cat, DefaultConfig(1))
+	app := smallWebsiteApp()
+	trace := p.traceFP(app, "google.com")
+	for name, c := range map[string]struct{ got, want string }{
+		"warmupFP": {p.warmupFP(app), "396213d6151a0812"},
+		"traceFP":  {trace, "b60af290e79b2159"},
+		"scoreFP":  {p.scoreFP(cat.MustByName("RETIRED_UOPS"), trace), "22e86144d42585c3"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", name, c.got, c.want)
+		}
+	}
+}
