@@ -67,13 +67,15 @@ fmt-check:
 	$(GO) run ./cmd/aegis-lint -gofmt
 
 # Coverage-guided fuzzing of the DP mechanisms, the d* memo against an
-# unbounded reference, the faulted tick loop and decoded-op execution
-# against the variant-based reference.
+# unbounded reference, the faulted tick loop, decoded-op execution against
+# the variant-based reference, and the flat caches and TLB against the
+# reference LRU model.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarMemo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultinject/proptest/ -run='^$$' -fuzz=FuzzTickUnderFaults -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzExecuteOpMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -278,12 +278,12 @@ func TestZeroAllocTemplateWorld(t *testing.T) {
 // TestZeroAllocLibraryFootprint gates what an aegisd tenant pays for its
 // instruction library at attach: DefaultLibrary replays the seed's alias
 // draws over documented ops decoded once per process, so it makes a few
-// allocations and keeps only its ops, instead of generating and cleaning a
-// full 14k-variant specification.
+// allocations and keeps only one-byte indices into the shared op table,
+// instead of generating and cleaning a full 14k-variant specification.
 func TestZeroAllocLibraryFootprint(t *testing.T) {
 	const (
 		maxAllocs   = 32
-		maxRetained = 64 << 10
+		maxRetained = 8 << 10
 		libs        = 64
 	)
 	seed := uint64(1)
@@ -306,15 +306,15 @@ func TestZeroAllocLibraryFootprint(t *testing.T) {
 }
 
 // TestZeroAllocTenantFootprint gates the heap an idle aegisd tenant keeps
-// once attached, for each DP mechanism: its SEV world and core, app
-// runner, queue and obfuscator. The d* memo is 64 level slots and each
+// once attached, for each DP mechanism: its SEV world and core (31-bit
+// tags in uint32 cache ways), app runner, queue and obfuscator. The d* memo is 64 level slots and each
 // noise calculator buffers 64 samples, so neither grows with the ticks a
 // tenant has run nor costs a d* tenant more than a Laplace one.
 func TestZeroAllocTenantFootprint(t *testing.T) {
 	quietTelemetry(t)
 	const (
 		tenants     = 32
-		maxRetained = 144 << 10
+		maxRetained = 64 << 10
 	)
 	for _, mech := range []string{daemon.MechanismLaplace, daemon.MechanismDStar} {
 		t.Run(mech, func(t *testing.T) {

@@ -138,8 +138,6 @@ type Config struct {
 	CandidatesPerEvent int
 	// Seed drives candidate sampling and reordering.
 	Seed uint64
-	// Core configures the isolated measurement core (isolcpus analog).
-	Core microarch.CoreConfig
 	// DisableConfirmation skips the repeated-trigger and reordering
 	// checks, accepting every screened candidate. Only the ablation
 	// benchmarks use this; it quantifies the false positives the paper's
@@ -165,13 +163,14 @@ type Config struct {
 
 // DefaultConfig returns evaluation defaults.
 func DefaultConfig(seed uint64) Config {
-	cfg := Config{
-		CandidatesPerEvent: 600,
-		Seed:               seed,
-		Core:               microarch.DefaultCoreConfig(),
-	}
-	// The fuzzing core is isolated (isolcpus): no scheduler interrupts.
-	cfg.Core.InterruptRate = 0
+	return Config{CandidatesPerEvent: 600, Seed: seed}
+}
+
+// benchCore configures the measurement core: the default core, isolated
+// (isolcpus analog), so no scheduler interrupts reach it.
+func benchCore() microarch.CoreConfig {
+	cfg := microarch.DefaultCoreConfig()
+	cfg.InterruptRate = 0
 	return cfg
 }
 
@@ -388,7 +387,7 @@ type bench struct {
 }
 
 func (f *Fuzzer) newBench(noise *rng.Source, faults *faultinject.Handle) *bench {
-	core := microarch.NewCore(0, f.cfg.Core, nil)
+	core := microarch.NewCore(0, benchCore(), nil)
 	pmu := hpc.NewPMU(core, noise)
 	pmu.SetFaults(faults)
 	return &bench{

@@ -83,7 +83,7 @@ func (f *Fuzzer) eventFP(e *hpc.Event) string {
 	fp.Float("lambda1", lambda1).Float("lambda2", lambda2)
 	fp.Float("min-delta", minDelta)
 	fp.Bool("noise", true).Bool("no-confirm", f.cfg.DisableConfirmation)
-	fp.Core(f.cfg.Core)
+	fp.Core(benchCore())
 	fc := f.cfg.Faults
 	fp.Uint64("faults.seed", fc.Seed)
 	fp.Float("faults.read-err", fc.PMUReadErrorRate)
@@ -107,7 +107,7 @@ func (f *Fuzzer) eventFP(e *hpc.Event) string {
 func (f *Fuzzer) memoFP() string {
 	fp := artifact.NewFingerprint(kindScreenMemo)
 	fp.String("legal", f.legalFP())
-	fp.Core(f.cfg.Core)
+	fp.Core(benchCore())
 	return fp.Sum()
 }
 

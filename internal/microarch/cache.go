@@ -10,12 +10,25 @@
 // Caches and the TLB share one replacement policy: a miss fills the first
 // free way (entry), and a full set evicts its last way. A hit does not
 // protect a line from eviction; the policy is not LRU.
+//
+// Tags are 31 bits wide. A cache way holds its line's tag, the line number
+// above the set index, truncated to 31 bits; a TLB entry holds its page
+// number truncated to 31 bits. Addresses that agree in the bits a tag,
+// set index and line offset cover share a line (page). With the default
+// geometry (64-byte lines, 64 L1 sets, 4 KiB pages) L1 and the TLB cover
+// 43 bits, exactly the physical address space of the EPYC 7002, and L2's
+// 1024 sets cover 47. Every address the simulator generates is below 2^43
+// (VM bases at (id+1)<<32, the fuzzer's scratch page at 0x1000_0000,
+// calibration at 0x2000_0000, code from 0x400000), so the truncation never
+// merges two of them.
 package microarch
 
-// free marks an empty way or TLB entry. Ways store a line or page number
-// plus one, and line and page sizes are at least two bytes, so no address
-// maps to it.
-const free = 0
+// Ways and TLB entries store a tag plus one, so free marks an empty one.
+const (
+	free    = 0
+	tagBits = 31
+	tagMask = 1<<tagBits - 1
+)
 
 // Cache is a set-associative cache: a miss fills the first free way of its
 // set, else replaces the set's last way.
@@ -23,11 +36,12 @@ type Cache struct {
 	name     string
 	sets     uint64
 	setMask  uint64 // sets-1 when sets is a power of two, else 0
+	setBits  uint   // log2(sets) when sets is a power of two
 	ways     int
 	lineBits uint
-	// lines holds each way's line number plus one, set-major:
+	// lines holds each way's tag plus one, set-major:
 	// lines[set*ways+way], free when empty.
-	lines []uint64
+	lines []uint32
 }
 
 // CacheConfig sizes a cache.
@@ -38,10 +52,8 @@ type CacheConfig struct {
 	LineSize int // bytes; must be a power of two
 }
 
-// NewCache builds a cache. Invalid configurations (including one-byte
-// lines, which would leave no line number for the free marker) are
-// normalised to small positive values so a zero-value config still yields
-// a working cache.
+// NewCache builds a cache. Invalid configurations are normalised to small
+// positive values so a zero-value config still yields a working cache.
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Sets < 1 {
 		cfg.Sets = 1
@@ -49,7 +61,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Ways < 1 {
 		cfg.Ways = 1
 	}
-	if cfg.LineSize < 2 {
+	if cfg.LineSize < 1 {
 		cfg.LineSize = 64
 	}
 	c := &Cache{
@@ -57,10 +69,11 @@ func NewCache(cfg CacheConfig) *Cache {
 		sets:     uint64(cfg.Sets),
 		ways:     cfg.Ways,
 		lineBits: log2Ceil(cfg.LineSize),
-		lines:    make([]uint64, cfg.Sets*cfg.Ways),
+		lines:    make([]uint32, cfg.Sets*cfg.Ways),
 	}
 	if c.sets&(c.sets-1) == 0 {
 		c.setMask = c.sets - 1
+		c.setBits = log2Ceil(cfg.Sets)
 	}
 	return c
 }
@@ -74,19 +87,20 @@ func log2Ceil(n int) uint {
 	return b
 }
 
-// set returns addr's stored line value and the ways of its set.
-func (c *Cache) set(addr uint64) (line uint64, ways []uint64) {
-	tag := addr >> c.lineBits
-	s := tag & c.setMask // a mask instead of a division on the usual sizes
-	if c.setMask == 0 {
-		s = tag % c.sets
+// set returns addr's stored tag value and the ways of its set.
+func (c *Cache) set(addr uint64) (tag uint32, ways []uint32) {
+	line := addr >> c.lineBits
+	// A mask and a shift instead of a division on the usual sizes.
+	s, above := line&c.setMask, line>>c.setBits
+	if c.setMask+1 != c.sets { // sets is not a power of two
+		s, above = line%c.sets, line/c.sets
 	}
 	i := int(s) * c.ways
-	return tag + 1, c.lines[i : i+c.ways]
+	return uint32(above&tagMask) + 1, c.lines[i : i+c.ways]
 }
 
 // find returns the index of the first way holding v, or -1.
-func find(ways []uint64, v uint64) int {
+func find(ways []uint32, v uint32) int {
 	for w, l := range ways {
 		if l == v {
 			return w
@@ -99,29 +113,29 @@ func find(ways []uint64, v uint64) int {
 // filled into the first free way, or over the set's last way when the set
 // is full.
 func (c *Cache) Access(addr uint64) bool {
-	line, ways := c.set(addr)
-	if find(ways, line) >= 0 {
+	tag, ways := c.set(addr)
+	if find(ways, tag) >= 0 {
 		return true
 	}
 	victim := find(ways[:len(ways)-1], free)
 	if victim < 0 {
 		victim = len(ways) - 1
 	}
-	ways[victim] = line
+	ways[victim] = tag
 	return false
 }
 
 // Contains reports whether addr's line is cached, without filling it or
 // updating statistics (a probe, not an access).
 func (c *Cache) Contains(addr uint64) bool {
-	line, ways := c.set(addr)
-	return find(ways, line) >= 0
+	tag, ways := c.set(addr)
+	return find(ways, tag) >= 0
 }
 
 // Flush evicts addr's line if present and reports whether it was cached.
 func (c *Cache) Flush(addr uint64) bool {
-	line, ways := c.set(addr)
-	w := find(ways, line)
+	tag, ways := c.set(addr)
+	w := find(ways, tag)
 	if w < 0 {
 		return false
 	}
@@ -132,46 +146,47 @@ func (c *Cache) Flush(addr uint64) bool {
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
 
-// TLB is a fully-associative translation lookaside buffer over page
-// numbers with the cache's policy: a miss fills the first free entry, else
-// replaces the last one. Only Flush frees entries, so the entries in use
-// are always a prefix, and all but the last stay put until the next Flush.
+// TLB is a fully-associative translation lookaside buffer over 31-bit
+// page numbers with the cache's policy: a miss fills the first free entry,
+// else replaces the last one. Only Flush frees entries, so the entries in
+// use are always a prefix, and all but the last stay put until the next
+// Flush.
 type TLB struct {
 	pageBits uint
 	// pages holds each entry's page number plus one, free when empty;
 	// entries [0, used) are in use, and so is the last once it is filled.
 	// Resident pages are unique.
-	pages []uint64
+	pages []uint32
 	used  int
 	last  int // the most recently hit or filled entry
 	// settled is an insert-only open-addressing set of the pages in
 	// entries [0, len(pages)-1), which no miss replaces. It has at least
 	// twice as many slots as entries, so probes end at a free slot.
-	settled []uint64
+	settled []uint32
 	shift   uint
 }
 
 // NewTLB builds a TLB with the given entry count and page size; page sizes
-// below two bytes are normalised to 4096.
+// below one byte are normalised to 4096.
 func NewTLB(entries, pageSize int) *TLB {
 	if entries < 1 {
 		entries = 1
 	}
-	if pageSize < 2 {
+	if pageSize < 1 {
 		pageSize = 4096
 	}
 	bits := log2Ceil(2 * entries)
 	return &TLB{
 		pageBits: log2Ceil(pageSize),
-		pages:    make([]uint64, entries),
-		settled:  make([]uint64, 1<<bits),
+		pages:    make([]uint32, entries),
+		settled:  make([]uint32, 1<<bits),
 		shift:    64 - bits,
 	}
 }
 
 // Access translates addr and returns whether the page entry was resident.
 func (t *TLB) Access(addr uint64) bool {
-	page := addr>>t.pageBits + 1
+	page := uint32(addr>>t.pageBits&tagMask) + 1
 	n := len(t.pages) - 1
 	if t.pages[t.last] == page || t.pages[n] == page {
 		return true
@@ -193,9 +208,9 @@ func (t *TLB) Access(addr uint64) bool {
 
 // slot returns the settled slot holding page, or the free slot where it
 // belongs.
-func (t *TLB) slot(page uint64) uint64 {
+func (t *TLB) slot(page uint32) uint64 {
 	mask := uint64(len(t.settled) - 1)
-	i := (page * 0x9e3779b97f4a7c15) >> t.shift
+	i := (uint64(page) * 0x9e3779b97f4a7c15) >> t.shift
 	for t.settled[i] != page && t.settled[i] != free {
 		i = (i + 1) & mask
 	}

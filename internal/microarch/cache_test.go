@@ -209,3 +209,49 @@ func TestZeroConfigNormalised(t *testing.T) {
 	tlb := NewTLB(0, 0)
 	tlb.Access(0x1000)
 }
+
+// TestTagAliasing pins the 31-bit tag width on the default geometry: no
+// two distinct lines (pages) below 2^43 share a way in L1D, L1I, L2 or the
+// TLB, while addresses equal in their low 43 bits share an L1 line and a
+// TLB page (L2's 1024 sets stretch its reach to 47 bits). Tags truncate
+// bits, so two addresses share a line exactly when they agree on every bit
+// the tag, set index and offset cover; flipping one bit at a time checks
+// every such bit.
+func TestTagAliasing(t *testing.T) {
+	cfg := DefaultCoreConfig()
+	r := rng.New(43)
+	for i := 0; i < 200; i++ {
+		addr := r.Uint64() % (1 << 43)
+		core := NewCore(0, cfg, nil)
+		for _, c := range []*Cache{core.L1D, core.L1I, core.L2} {
+			c.Access(addr)
+			for bit := 6; bit < 43; bit++ {
+				if other := addr ^ 1<<bit; c.Contains(other) {
+					t.Fatalf("%s: %#x and %#x share a line", c.Name(), addr, other)
+				}
+			}
+		}
+		for bit := 12; bit < 43; bit++ {
+			tlb := NewTLB(cfg.TLBEntries, 4096)
+			tlb.Access(addr)
+			if other := addr ^ 1<<bit; tlb.Access(other) {
+				t.Fatalf("TLB: %#x and %#x share a page", addr, other)
+			}
+		}
+
+		high := addr | r.Uint64()>>43<<43
+		for _, c := range []*Cache{core.L1D, core.L1I} {
+			if !c.Contains(high) {
+				t.Fatalf("%s: %#x and %#x agree below bit 43 but miss", c.Name(), addr, high)
+			}
+		}
+		if l2 := addr | r.Uint64()>>47<<47; !core.L2.Contains(l2) {
+			t.Fatalf("L2: %#x and %#x agree below bit 47 but miss", addr, l2)
+		}
+		tlb := NewTLB(cfg.TLBEntries, 4096)
+		tlb.Access(addr)
+		if !tlb.Access(high) {
+			t.Fatalf("TLB: %#x and %#x agree below bit 43 but miss", addr, high)
+		}
+	}
+}

@@ -328,9 +328,9 @@ func (e *ErrIllegalInstruction) Error() string {
 }
 
 // Op is an instruction variant decoded to exactly what a core reads to
-// retire it, packed into one word. Workload libraries hold ops instead of
-// variants, so a simulated instruction touches 8 bytes instead of a
-// 112-byte variant and its mnemonic string.
+// retire it, packed into one word. Workload libraries index a shared table
+// of ops instead of holding variants, so a simulated instruction touches
+// an 8-byte op instead of a 112-byte variant and its mnemonic string.
 type Op uint64
 
 // Op bit layout: micro-ops (at least 1), memory reads and writes, the

@@ -1,8 +1,10 @@
 package microarch
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/repro/aegis/internal/isa"
@@ -22,7 +24,7 @@ type refCache struct {
 	sets     int
 	ways     int
 	lineBits uint
-	// lines[set][way] holds the cached line tag; lru[set][way] holds the
+	// lines[set][way] holds the cached line's tag; lru[set][way] holds the
 	// recency rank (0 = most recent).
 	lines [][]uint64
 	valid [][]bool
@@ -62,11 +64,11 @@ func newRefCache(cfg CacheConfig) *refCache {
 	return c
 }
 
-// line returns the line address (tag) and set index for addr.
+// line returns the tag and set index for addr: the tag is the line
+// number above the set index, truncated to 31 bits.
 func (c *refCache) line(addr uint64) (tag uint64, set int) {
-	tag = addr >> c.lineBits
-	set = int(tag % uint64(c.sets))
-	return tag, set
+	line := addr >> c.lineBits
+	return line / uint64(c.sets) % (1 << 31), int(line % uint64(c.sets))
 }
 
 // Access touches addr and returns whether it hit. On a miss the line is
@@ -156,7 +158,7 @@ func (c *refCache) touch(set, way int) {
 }
 
 // refTLB is a fully-associative translation lookaside buffer with LRU
-// replacement over page numbers.
+// replacement over page numbers truncated to 31 bits.
 type refTLB struct {
 	entries  int
 	pageBits uint
@@ -188,7 +190,7 @@ func newRefTLB(entries, pageSize int) *refTLB {
 
 // Access translates addr and returns whether the page entry was resident.
 func (t *refTLB) Access(addr uint64) bool {
-	page := addr >> t.pageBits
+	page := (addr >> t.pageBits) % (1 << 31)
 	for i := 0; i < t.entries; i++ {
 		if t.valid[i] && t.pages[i] == page {
 			t.touch(i)
@@ -268,15 +270,22 @@ func TestCacheMatchesReference(t *testing.T) {
 				want.Insert(addr)
 			}
 		}
-		for s := 0; s < geo.sets; s++ {
-			for w := 0; w < geo.ways; w++ {
-				ref := uint64(free)
-				if want.valid[s][w] {
-					ref = want.lines[s][w] + 1
-				}
-				if l := got.lines[s*geo.ways+w]; l != ref {
-					t.Errorf("%v: set %d way %d holds %#x, reference %#x", cfg, s, w, l, ref)
-				}
+		cacheAgrees(t, got, want)
+	}
+}
+
+// cacheAgrees fails t unless got holds the reference's tag, plus one, in
+// every way, and free where the reference's way is invalid.
+func cacheAgrees(t *testing.T, got *Cache, want *refCache) {
+	t.Helper()
+	for s := 0; s < want.sets; s++ {
+		for w := 0; w < want.ways; w++ {
+			ref := uint32(free)
+			if want.valid[s][w] {
+				ref = uint32(want.lines[s][w]) + 1
+			}
+			if l := got.lines[s*want.ways+w]; l != ref {
+				t.Errorf("%d sets x %d ways: set %d way %d holds %#x, reference %#x", want.sets, want.ways, s, w, l, ref)
 			}
 		}
 	}
@@ -303,14 +312,21 @@ func TestTLBMatchesReference(t *testing.T) {
 				t.Fatalf("%d entries op %d: Access(%#x) = %v, reference %v", entries, i, addr, g, w)
 			}
 		}
-		for i := 0; i < entries; i++ {
-			ref := uint64(free)
-			if want.valid[i] {
-				ref = want.pages[i] + 1
-			}
-			if p := got.pages[i]; p != ref {
-				t.Errorf("%d entries: entry %d holds %#x, reference %#x", entries, i, p, ref)
-			}
+		tlbAgrees(t, got, want)
+	}
+}
+
+// tlbAgrees fails t unless got holds the reference's page, plus one, in
+// every entry, and free where the reference's entry is invalid.
+func tlbAgrees(t *testing.T, got *TLB, want *refTLB) {
+	t.Helper()
+	for i := 0; i < want.entries; i++ {
+		ref := uint32(free)
+		if want.valid[i] {
+			ref = uint32(want.pages[i]) + 1
+		}
+		if p := got.pages[i]; p != ref {
+			t.Errorf("%d entries: entry %d holds %#x, reference %#x", want.entries, i, p, ref)
 		}
 	}
 }
@@ -474,4 +490,71 @@ func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
 		}
 	}
 	return nil
+}
+
+// FuzzCacheMatchesReference drives an arbitrary cache geometry, TLB size
+// and operation sequence through the flat Cache and TLB and the reference
+// model, failing on any differing result or final content. Each operation
+// is 9 bytes: an op byte and a little-endian address. The op byte's low
+// bits pick Access, Contains or Flush on the cache, or Access or Flush on
+// the TLB; its top two bits pick the address: the raw word, the word
+// folded into twice the structure's capacity (so sets fill, overflow and
+// hit), or folded and then given the word's bits from 43 up (so addresses
+// that differ only above the 31-bit tags meet).
+func FuzzCacheMatchesReference(f *testing.F) {
+	step := func(op byte, addr uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{op}, addr)
+	}
+	f.Add(uint16(64), uint8(8), uint8(6), uint8(64), slices.Concat(
+		step(0x40, 0x1000), step(0x80|2, 5<<43|0x1000), step(0xc0|3, 0x1000), step(4, 0x1000), step(0x80|4, 7<<43|0x1000), step(7, 0)))
+	f.Add(uint16(3), uint8(4), uint8(6), uint8(5), slices.Concat(
+		step(0x40, 0xff040), step(0x80, 0xff040), step(0x40|2, 0xff040), step(0x40|5, 0x3000)))
+	f.Add(uint16(1024), uint8(8), uint8(1), uint8(1), slices.Concat(
+		step(0xc0, 1<<63|1<<47), step(0, 1<<47), step(2, 1<<63), step(6, 1<<43), step(6, 0)))
+	f.Fuzz(func(t *testing.T, sets uint16, ways, lineBits, entries uint8, prog []byte) {
+		cfg := CacheConfig{Sets: int(sets % 2049), Ways: int(ways % 17), LineSize: 1 << (lineBits % 13)}
+		got, want := NewCache(cfg), newRefCache(cfg)
+		tlb, refTLB := NewTLB(int(entries%130), 4096), newRefTLB(int(entries%130), 4096)
+		cacheSpan := uint64(2*want.sets*want.ways) << want.lineBits
+		tlbSpan := uint64(2*refTLB.entries) << 12
+		for ; len(prog) >= 9; prog = prog[9:] {
+			op, raw := prog[0], binary.LittleEndian.Uint64(prog[1:9])
+			addr := func(span uint64) uint64 {
+				switch op >> 6 {
+				case 0:
+					return raw
+				case 1:
+					return raw % span
+				}
+				return raw%span | raw>>43<<43
+			}
+			switch op & 7 {
+			case 0, 1:
+				a := addr(cacheSpan)
+				if g, w := got.Access(a), want.Access(a); g != w {
+					t.Fatalf("%+v: Access(%#x) = %v, reference %v", cfg, a, g, w)
+				}
+			case 2:
+				a := addr(cacheSpan)
+				if g, w := got.Contains(a), want.Contains(a); g != w {
+					t.Fatalf("%+v: Contains(%#x) = %v, reference %v", cfg, a, g, w)
+				}
+			case 3:
+				a := addr(cacheSpan)
+				if g, w := got.Flush(a), want.Flush(a); g != w {
+					t.Fatalf("%+v: Flush(%#x) = %v, reference %v", cfg, a, g, w)
+				}
+			case 4, 5, 6:
+				a := addr(tlbSpan)
+				if g, w := tlb.Access(a), refTLB.Access(a); g != w {
+					t.Fatalf("%d entries: TLB Access(%#x) = %v, reference %v", refTLB.entries, a, g, w)
+				}
+			default:
+				tlb.Flush()
+				refTLB.Flush()
+			}
+		}
+		cacheAgrees(t, got, want)
+		tlbAgrees(t, tlb, refTLB)
+	})
 }

@@ -85,9 +85,6 @@ type Config struct {
 	RawMeanFeature bool
 	// Seed drives all stochastic behaviour.
 	Seed uint64
-	// World configures the template server; DefaultConfig uses the AMD
-	// default testbed.
-	World sev.Config
 	// Parallelism bounds the worker count of trace collection and event
 	// scoring; <= 0 uses GOMAXPROCS. Results are byte-identical at any
 	// value: every shard derives its RNG stream from (Seed, secret,
@@ -112,7 +109,6 @@ func DefaultConfig(seed uint64) Config {
 		TraceTicks:      150,
 		QuadratureSteps: 600,
 		Seed:            seed,
-		World:           sev.DefaultConfig(seed),
 	}
 }
 
@@ -166,7 +162,7 @@ func (p *Profiler) rawTrace(app workload.App, secret string, ticks int, stream *
 		}
 		runner.Enqueue(job)
 	}
-	g, err := sev.NewGuest(sev.GuestConfig{World: p.cfg.World, VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner})
+	g, err := sev.NewGuest(sev.GuestConfig{World: sev.DefaultConfig(p.cfg.Seed), VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner})
 	if err != nil {
 		return nil, fmt.Errorf("launch template VM: %w", err)
 	}

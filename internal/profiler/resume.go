@@ -13,6 +13,7 @@ import (
 	"github.com/repro/aegis/internal/artifact"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/microarch"
+	"github.com/repro/aegis/internal/sev"
 	"github.com/repro/aegis/internal/stats"
 	"github.com/repro/aegis/internal/telemetry"
 	"github.com/repro/aegis/internal/workload"
@@ -46,10 +47,10 @@ func resumeCounter(stage, outcome string) *telemetry.Counter {
 		telemetry.L("stage", stage), telemetry.L("outcome", outcome))
 }
 
-// worldFP mixes the template-server world configuration into a
-// fingerprint: it shapes every collected trace.
+// worldFP mixes the template-server world configuration, the AMD default
+// testbed, into a fingerprint: it shapes every collected trace.
 func (p *Profiler) worldFP(f *artifact.Fingerprint) {
-	w := p.cfg.World
+	w := sev.DefaultConfig(p.cfg.Seed)
 	f.String("world.processor", w.Processor)
 	f.Int("world.cores", w.PhysicalCores).Int("world.budget", w.TickBudget)
 	f.Bool("world.shared-l2", w.SharedL2).Uint64("world.seed", w.Seed)

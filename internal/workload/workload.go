@@ -23,42 +23,70 @@ import (
 	"github.com/repro/aegis/internal/sev"
 )
 
-// Library indexes the legal instructions of a processor by class, decoded
-// to ops, so workloads can sample concrete instructions for a mix.
+// Library indexes the legal instructions of a processor by class, so
+// workloads can sample concrete instructions for a mix. Pools hold one-byte
+// indices into a table of decoded ops shared by every library of a
+// processor: a library's thousands of instructions decode to only a few
+// dozen distinct ops.
 type Library struct {
 	// byClass is indexed by class, so a per-instruction draw costs no hash
 	// lookup. Ops of classes outside the isa enumeration are dropped:
 	// Sample could never ask for them.
-	byClass [isa.ClassInvalid + 1][]microarch.Op
+	byClass [isa.ClassInvalid + 1][]uint8
+	// ops is the table the pools index; every DefaultLibrary shares
+	// amdDocumented's.
+	ops *opTable
 }
 
+// opTable holds each distinct decoded op of a processor once; a uint8
+// indexes it without a bounds check.
+type opTable [256]microarch.Op
+
 // documentedOps is the seed-independent part of every library of one
-// processor: its documented variants, decoded.
+// processor: its documented variants, decoded and interned into ops.
 type documentedOps struct {
 	// legal[i] reports whether documented variant i executes normally;
 	// only those are alias bases.
 	legal []bool
-	// alias[i] is the op of every encoding alias of documented variant i.
-	alias []microarch.Op
-	// byClass holds the legal documented ops by class, in ID order.
-	byClass [isa.ClassInvalid + 1][]microarch.Op
+	// alias[i] indexes the op of every encoding alias of documented
+	// variant i.
+	alias []uint8
+	// byClass indexes the legal documented ops by class, in ID order.
+	byClass [isa.ClassInvalid + 1][]uint8
+	ops     opTable
+	// distinct counts the entries of ops in use.
+	distinct int
 }
 
 // amdDocumented is decoded once per process, for every DefaultLibrary.
 var amdDocumented = decodeDocumented(isa.AMDEpycFeatures())
 
-func decodeDocumented(features isa.CPUFeatures) documentedOps {
+func decodeDocumented(features isa.CPUFeatures) *documentedOps {
 	doc := isa.Documented()
-	d := documentedOps{
+	d := &documentedOps{
 		legal: make([]bool, len(doc)),
-		alias: make([]microarch.Op, len(doc)),
+		alias: make([]uint8, len(doc)),
+	}
+	index := map[microarch.Op]uint8{}
+	intern := func(op microarch.Op) uint8 {
+		i, ok := index[op]
+		if !ok {
+			if d.distinct == len(d.ops) {
+				panic("workload: more distinct decoded ops than a uint8 indexes")
+			}
+			i = uint8(d.distinct)
+			d.ops[i] = op
+			index[op] = i
+			d.distinct++
+		}
+		return i
 	}
 	for i := range doc {
 		op := microarch.Decode(&doc[i])
-		d.alias[i] = op.WithoutStack()
+		d.alias[i] = intern(op.WithoutStack())
 		d.legal[i] = isa.Probe(doc[i], features) == isa.FaultNone
 		if c := op.Class(); d.legal[i] && c > 0 {
-			d.byClass[c] = append(d.byClass[c], op)
+			d.byClass[c] = append(d.byClass[c], intern(op))
 		}
 	}
 	return d
@@ -70,7 +98,7 @@ func decodeDocumented(features isa.CPUFeatures) documentedOps {
 // amdDocumented; it builds no mnemonic string and no reserved encoding,
 // since an op carries neither.
 func DefaultLibrary(seed uint64) *Library {
-	doc := &amdDocumented
+	doc := amdDocumented
 	draws := isa.DrawAliases("amd", doc.legal, isa.AMDTotalVariants, isa.AMDLegalVariants, seed)
 
 	// Size every class pool first, so all pools share one allocation.
@@ -81,17 +109,18 @@ func DefaultLibrary(seed uint64) *Library {
 		total += len(pool)
 	}
 	for _, a := range draws {
-		size[doc.alias[a.Base].Class()]++
+		size[doc.ops[doc.alias[a.Base]].Class()]++
 	}
-	ops := make([]microarch.Op, total)
-	l := &Library{}
+	idx := make([]uint8, total)
+	l := &Library{ops: &doc.ops}
 	for c := range l.byClass {
-		n := copy(ops, doc.byClass[c])
-		l.byClass[c], ops = ops[:n:size[c]], ops[size[c]:]
+		n := copy(idx, doc.byClass[c])
+		l.byClass[c], idx = idx[:n:size[c]], idx[size[c]:]
 	}
 	for _, a := range draws {
-		op := doc.alias[a.Base]
-		l.byClass[op.Class()] = append(l.byClass[op.Class()], op)
+		i := doc.alias[a.Base]
+		c := doc.ops[i].Class()
+		l.byClass[c] = append(l.byClass[c], i)
 	}
 	return l
 }
@@ -104,7 +133,7 @@ var nop = microarch.Decode(&isa.Variant{Mnemonic: "NOP", Class: isa.ClassNop, Uo
 // classes absent from the library, including values outside the isa
 // enumeration.
 func (l *Library) Sample(class isa.Class, r *rng.Source) microarch.Op {
-	var pool []microarch.Op
+	var pool []uint8
 	if class > 0 && class <= isa.ClassInvalid {
 		pool = l.byClass[class]
 	}
@@ -114,7 +143,7 @@ func (l *Library) Sample(class isa.Class, r *rng.Source) microarch.Op {
 			return nop
 		}
 	}
-	return pool[r.Intn(len(pool))]
+	return l.ops[pool[r.Intn(len(pool))]]
 }
 
 // Mix is a weighted instruction-class distribution.

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"testing"
@@ -12,16 +15,37 @@ import (
 	"github.com/repro/aegis/internal/sev"
 )
 
-// newLibrary builds a library from a post-cleanup legal variant list, by
-// decoding each variant in order.
-func newLibrary(legal []isa.Variant) *Library {
-	l := &Library{}
+// decodePools decodes a post-cleanup legal variant list into class pools,
+// each in list order.
+func decodePools(legal []isa.Variant) (pools [isa.ClassInvalid + 1][]microarch.Op) {
 	for i := range legal {
 		if c := legal[i].Class; c > 0 && c <= isa.ClassInvalid {
-			l.byClass[c] = append(l.byClass[c], microarch.Decode(&legal[i]))
+			pools[c] = append(pools[c], microarch.Decode(&legal[i]))
+		}
+	}
+	return pools
+}
+
+// newLibrary builds a library of at most 256 variants, each decoded into
+// its own table entry.
+func newLibrary(legal []isa.Variant) *Library {
+	l := &Library{ops: new(opTable)}
+	for i := range legal {
+		if c := legal[i].Class; c > 0 && c <= isa.ClassInvalid {
+			l.ops[i] = microarch.Decode(&legal[i])
+			l.byClass[c] = append(l.byClass[c], uint8(i))
 		}
 	}
 	return l
+}
+
+// pool returns l's pool of class c as decoded ops.
+func (l *Library) pool(c int) []microarch.Op {
+	ops := make([]microarch.Op, len(l.byClass[c]))
+	for i, idx := range l.byClass[c] {
+		ops[i] = l.ops[idx]
+	}
+	return ops
 }
 
 func TestLibrarySample(t *testing.T) {
@@ -97,13 +121,63 @@ func TestDefaultLibraryMatchesSpec(t *testing.T) {
 		}
 	}
 	for _, seed := range seeds {
-		want := newLibrary(isa.Cleanup(isa.SpecAMDEpyc(seed), isa.AMDEpycFeatures()).Legal)
+		want := decodePools(isa.Cleanup(isa.SpecAMDEpyc(seed), isa.AMDEpycFeatures()).Legal)
 		got := DefaultLibrary(seed)
-		for c := range want.byClass {
-			if !slices.Equal(got.byClass[c], want.byClass[c]) {
+		for c := range want {
+			if pool := got.pool(c); !slices.Equal(pool, want[c]) {
 				t.Fatalf("seed %d: %v pool differs from the decoded spec (%d ops, want %d)",
-					seed, isa.Class(c), len(got.byClass[c]), len(want.byClass[c]))
+					seed, isa.Class(c), len(pool), len(want[c]))
 			}
+		}
+	}
+}
+
+// TestOpTableFitsByteIndex checks the table every DefaultLibrary indexes:
+// its entries in use fit a uint8 index and are distinct, and every
+// library index points at one of them.
+func TestOpTableFitsByteIndex(t *testing.T) {
+	doc := amdDocumented
+	if doc.distinct > len(doc.ops) {
+		t.Fatalf("%d distinct ops, a uint8 indexes %d", doc.distinct, len(doc.ops))
+	}
+	seen := map[microarch.Op]bool{}
+	for _, op := range doc.ops[:doc.distinct] {
+		if seen[op] {
+			t.Fatalf("op %#x is in the table twice", uint64(op))
+		}
+		seen[op] = true
+	}
+	for c, pool := range DefaultLibrary(1).byClass {
+		for _, i := range pool {
+			if int(i) >= doc.distinct {
+				t.Fatalf("%v pool indexes entry %d of %d", isa.Class(c), i, doc.distinct)
+			}
+		}
+	}
+}
+
+// TestLibrarySampleStreamPinned hashes 100k Sample draws per library seed,
+// cycling through every class from -1 to one past ClassInvalid, so the
+// ALU fallback (non-positive, past-invalid and absent classes) is drawn
+// too. Any change to a pool's contents, order or length moves a digest.
+func TestLibrarySampleStreamPinned(t *testing.T) {
+	want := map[uint64]string{
+		1:  "819281a943a7532d",
+		2:  "9d90ef8303087268",
+		99: "8bb137f24c605489",
+	}
+	for _, seed := range []uint64{1, 2, 99} {
+		lib := DefaultLibrary(seed)
+		r := rng.New(seed).Split("draws")
+		h := sha256.New()
+		var buf [8]byte
+		for i := 0; i < 100000; i++ {
+			class := isa.Class(i%int(isa.ClassInvalid+3) - 1)
+			binary.LittleEndian.PutUint64(buf[:], uint64(lib.Sample(class, r)))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want[seed] {
+			t.Errorf("seed %d: draw digest %s, want %s", seed, got, want[seed])
 		}
 	}
 }
