@@ -68,20 +68,23 @@ fmt-check:
 
 # Coverage-guided fuzzing of the DP mechanisms, the d* memo against an
 # unbounded reference, the faulted tick loop, decoded-op execution against
-# the variant-based reference, and the flat caches and TLB against the
-# reference LRU model.
+# the variant-based reference, the flat caches and TLB against the
+# reference LRU model, and the breakpoint class sampler against the weight
+# scan it replaces.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarMemo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultinject/proptest/ -run='^$$' -fuzz=FuzzTickUnderFaults -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzExecuteOpMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzMixSampler -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Allocation gates: assert the steady-state hot paths (RDPMC, World.Step,
-# obfuscator tick, stats scratch kernels) stay at 0 allocs/op. The gates
+# obfuscator tick, stats scratch kernels) stay at 0 allocs/op, and bound
+# the bytes a DefaultLibrary build and a Daemon.Attach allocate. The gates
 # are excluded under -race (instrumentation allocates), so `make race`
 # still covers the same code for data races.
 bench-alloc:

@@ -280,10 +280,13 @@ func TestZeroAllocTemplateWorld(t *testing.T) {
 // draws over documented ops decoded once per process, so it makes a few
 // allocations and keeps only one-byte indices into the shared op table,
 // instead of generating and cleaning a full 14k-variant specification.
+// The draws stream into a stack buffer, so a build allocates little more
+// than the library keeps.
 func TestZeroAllocLibraryFootprint(t *testing.T) {
 	const (
 		maxAllocs   = 32
 		maxRetained = 8 << 10
+		maxBuilt    = 8 << 10
 		libs        = 64
 	)
 	seed := uint64(1)
@@ -302,7 +305,44 @@ func TestZeroAllocLibraryFootprint(t *testing.T) {
 	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / libs; per > maxRetained {
 		t.Errorf("DefaultLibrary retains %d B per library, want at most %d", per, maxRetained)
 	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / libs; per > maxBuilt {
+		t.Errorf("DefaultLibrary allocates %d B per build, want at most %d", per, maxBuilt)
+	}
 	runtime.KeepAlive(kept)
+}
+
+// TestZeroAllocAttachBytes gates what one aegisd Daemon.Attach allocates,
+// garbage included: the tenant's world, core, library, runner and
+// obfuscator. The library's alias draws stream through a stack buffer,
+// and the obfuscator reuses the segment calibration of the daemon's first
+// deploy instead of building a calibration core per attach.
+func TestZeroAllocAttachBytes(t *testing.T) {
+	quietTelemetry(t)
+	const (
+		tenants  = 32
+		maxBytes = 64 << 10
+	)
+	d, err := daemon.New(daemontest.BaseConfig(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Attach(daemon.AttachSpec{Name: "warm"}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < tenants; i++ {
+		if err := d.Attach(daemon.AttachSpec{Name: fmt.Sprintf("t%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / tenants
+	t.Logf("Daemon.Attach allocates %d B per tenant", per)
+	if per > maxBytes {
+		t.Errorf("Daemon.Attach allocates %d B per tenant, want at most %d", per, maxBytes)
+	}
+	runtime.KeepAlive(d)
 }
 
 // TestZeroAllocTenantFootprint gates the heap an idle aegisd tenant keeps

@@ -397,11 +397,12 @@ func GenerateSpec(vendor string, totalVariants, targetLegal int, seed uint64) *S
 
 	// 2. Vendor-specific documented aliases, padding the legal count to
 	// exactly targetLegal.
-	for i, a := range DrawAliases(vendor, legal, totalVariants, targetLegal, seed) {
+	aliases := DrawAliases(vendor, legal, totalVariants, targetLegal, seed)
+	for a, ok := aliases.Next(); ok; a, ok = aliases.Next() {
 		base := variants[a.Base]
 		variants = append(variants, Variant{
 			ID:        len(variants),
-			Mnemonic:  base.Mnemonic + aliasSuffixes[a.suffix] + strconv.Itoa(i+1),
+			Mnemonic:  base.Mnemonic + aliasSuffixes[a.suffix] + strconv.Itoa(len(variants)-len(doc)+1),
 			Operands:  base.Operands,
 			Extension: base.Extension,
 			Category:  base.Category,
@@ -517,13 +518,20 @@ type AliasDraw struct {
 	suffix uint8
 }
 
-// DrawAliases replays the alias draws of GenerateSpec(vendor,
+// AliasDraws replays the alias draws of one specification in ID order, one
+// per Next call, so a caller consumes them without holding them all.
+type AliasDraws struct {
+	r     *rng.Source
+	legal []bool
+	left  int
+}
+
+// DrawAliases starts replaying the alias draws of GenerateSpec(vendor,
 // totalVariants, targetLegal, seed). legal[i] reports whether documented
 // variant i executes normally on the vendor's reference micro-architecture;
 // only those serve as bases. Aliases are drawn until exactly targetLegal
-// variants are legal or the specification is full, and are returned in ID
-// order.
-func DrawAliases(vendor string, legal []bool, totalVariants, targetLegal int, seed uint64) []AliasDraw {
+// variants are legal or the specification is full.
+func DrawAliases(vendor string, legal []bool, totalVariants, targetLegal int, seed uint64) AliasDraws {
 	documentedLegal := 0
 	for _, ok := range legal {
 		if ok {
@@ -532,18 +540,23 @@ func DrawAliases(vendor string, legal []bool, totalVariants, targetLegal int, se
 	}
 	n := min(targetLegal-documentedLegal, totalVariants-len(legal))
 	if n <= 0 || documentedLegal == 0 {
-		return nil
+		return AliasDraws{}
 	}
-	r := rng.New(seed).Split("isa/" + vendor)
-	draws := make([]AliasDraw, 0, n)
-	for len(draws) < n {
-		base := r.Intn(len(legal))
-		if !legal[base] {
-			continue
+	return AliasDraws{r: rng.New(seed).Split("isa/" + vendor), legal: legal, left: n}
+}
+
+// Next returns the next alias draw, or false once every alias is drawn.
+func (d *AliasDraws) Next() (AliasDraw, bool) {
+	if d.left == 0 {
+		return AliasDraw{}, false
+	}
+	for {
+		base := d.r.Intn(len(d.legal))
+		if d.legal[base] {
+			d.left--
+			return AliasDraw{Base: int32(base), suffix: uint8(d.r.Intn(len(aliasSuffixes)))}, true
 		}
-		draws = append(draws, AliasDraw{Base: int32(base), suffix: uint8(r.Intn(len(aliasSuffixes)))})
 	}
-	return draws
 }
 
 // referenceFeatures returns the feature set of the vendor's reference

@@ -11,6 +11,12 @@
 // free way (entry), and a full set evicts its last way. A hit does not
 // protect a line from eviction; the policy is not LRU.
 //
+// Because a hit changes nothing, a cache remembers the line of its last
+// access and answers a repeat of it as a hit without a lookup: only
+// another access, a flush or a reset can evict that line, and each of
+// them replaces or clears the memory. A set's ways are stored two to a
+// word and matched a word at a time; see find.
+//
 // Tags are 31 bits wide. A cache way holds its line's tag, the line number
 // above the set index, truncated to 31 bits; a TLB entry holds its page
 // number truncated to 31 bits. Addresses that agree in the bits a tag,
@@ -30,6 +36,16 @@ const (
 	tagMask = 1<<tagBits - 1
 )
 
+// A cache stores its ways two to a uint64 word: way 2i in the low lane of
+// word i, way 2i+1 in the high lane. A set with an odd way count pads its
+// last word's high lane with pad, which equals neither a tag plus one
+// (at most 1<<tagBits) nor free, so no lookup ever finds it.
+const (
+	lanes    = 1<<32 | 1 // one in each lane
+	laneHigh = lanes << 31
+	pad      = 1<<32 - 1
+)
+
 // Cache is a set-associative cache: a miss fills the first free way of its
 // set, else replaces the set's last way.
 type Cache struct {
@@ -38,10 +54,16 @@ type Cache struct {
 	setMask  uint64 // sets-1 when sets is a power of two, else 0
 	setBits  uint   // log2(sets) when sets is a power of two
 	ways     int
+	words    int // uint64 words per set, ways/2 rounded up
 	lineBits uint
-	// lines holds each way's tag plus one, set-major:
-	// lines[set*ways+way], free when empty.
-	lines []uint32
+	// lines holds each way's tag plus one, free when empty, two ways to a
+	// word, set-major: way w of set s is lane w%2 of lines[s*words+w/2].
+	lines []uint64
+	// last is the line of the most recent Access while hasLast holds. The
+	// line is then cached: only another Access, a Flush or a reset can
+	// evict it, and a hit changes nothing, so repeating the line hits.
+	last    uint64
+	hasLast bool
 }
 
 // CacheConfig sizes a cache.
@@ -64,18 +86,33 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineSize < 1 {
 		cfg.LineSize = 64
 	}
+	words := (cfg.Ways + 1) / 2
 	c := &Cache{
 		name:     cfg.Name,
 		sets:     uint64(cfg.Sets),
 		ways:     cfg.Ways,
+		words:    words,
 		lineBits: log2Ceil(cfg.LineSize),
-		lines:    make([]uint32, cfg.Sets*cfg.Ways),
+		lines:    make([]uint64, cfg.Sets*words),
 	}
 	if c.sets&(c.sets-1) == 0 {
 		c.setMask = c.sets - 1
 		c.setBits = log2Ceil(cfg.Sets)
 	}
+	c.reset()
 	return c
+}
+
+// reset empties every way, keeping the pad lanes, and forgets the last
+// line.
+func (c *Cache) reset() {
+	clear(c.lines)
+	if c.ways%2 != 0 {
+		for i := c.words - 1; i < len(c.lines); i += c.words {
+			c.lines[i] = pad << 32
+		}
+	}
+	c.last, c.hasLast = 0, false
 }
 
 // log2Ceil returns the smallest b with 1<<b >= n.
@@ -87,23 +124,28 @@ func log2Ceil(n int) uint {
 	return b
 }
 
-// set returns addr's stored tag value and the ways of its set.
-func (c *Cache) set(addr uint64) (tag uint32, ways []uint32) {
-	line := addr >> c.lineBits
+// set returns line's stored tag value and the words of its set.
+func (c *Cache) set(line uint64) (tag uint32, words []uint64) {
 	// A mask and a shift instead of a division on the usual sizes.
 	s, above := line&c.setMask, line>>c.setBits
 	if c.setMask+1 != c.sets { // sets is not a power of two
 		s, above = line%c.sets, line/c.sets
 	}
-	i := int(s) * c.ways
-	return uint32(above&tagMask) + 1, c.lines[i : i+c.ways]
+	i := int(s) * c.words
+	return uint32(above&tagMask) + 1, c.lines[i : i+c.words]
 }
 
-// find returns the index of the first way holding v, or -1.
-func find(ways []uint32, v uint32) int {
-	for w, l := range ways {
-		if l == v {
-			return w
+// find returns the first way of a set's words holding v, or -1. Each word
+// is tested for a lane equal to v at once: x = word^(v in both lanes) has
+// a zero lane exactly where a way holds v, and (x-lanes)&^x sets a lane's
+// top bit when the lane is zero. A borrow out of a zero low lane can also
+// mark the high lane, but then the low lane, which comes first, is a match.
+func find(words []uint64, v uint32) int {
+	both := uint64(v) * lanes
+	for i, w := range words {
+		x := w ^ both
+		if z := (x - lanes) &^ x & laneHigh; z != 0 {
+			return 2*i + int(^z>>31&1)
 		}
 	}
 	return -1
@@ -113,33 +155,50 @@ func find(ways []uint32, v uint32) int {
 // filled into the first free way, or over the set's last way when the set
 // is full.
 func (c *Cache) Access(addr uint64) bool {
-	tag, ways := c.set(addr)
-	if find(ways, tag) >= 0 {
+	line := addr >> c.lineBits
+	if line == c.last && c.hasLast {
 		return true
 	}
-	victim := find(ways[:len(ways)-1], free)
-	if victim < 0 {
-		victim = len(ways) - 1
+	return c.access(line)
+}
+
+// access looks line up and fills it on a miss, and remembers it as the
+// last line.
+func (c *Cache) access(line uint64) bool {
+	c.last, c.hasLast = line, true
+	tag, words := c.set(line)
+	if find(words, tag) >= 0 {
+		return true
 	}
-	ways[victim] = tag
+	// The first free way, or the last way when none is: a free last way
+	// is the last way either way, and no pad lane is free.
+	victim := find(words, free)
+	if victim < 0 {
+		victim = c.ways - 1
+	}
+	shift := 32 * uint(victim%2)
+	words[victim/2] = words[victim/2]&^(pad<<shift) | uint64(tag)<<shift
 	return false
 }
 
 // Contains reports whether addr's line is cached, without filling it or
 // updating statistics (a probe, not an access).
 func (c *Cache) Contains(addr uint64) bool {
-	tag, ways := c.set(addr)
-	return find(ways, tag) >= 0
+	tag, words := c.set(addr >> c.lineBits)
+	return find(words, tag) >= 0
 }
 
 // Flush evicts addr's line if present and reports whether it was cached.
 func (c *Cache) Flush(addr uint64) bool {
-	tag, ways := c.set(addr)
-	w := find(ways, tag)
+	tag, words := c.set(addr >> c.lineBits)
+	w := find(words, tag)
 	if w < 0 {
 		return false
 	}
-	ways[w] = free
+	shift := 32 * uint(w%2)
+	words[w/2] &^= pad << shift
+	// The last line may be the one evicted.
+	c.hasLast = false
 	return true
 }
 

@@ -212,10 +212,14 @@ func NewWorkloadContext(base, workingSet uint64, r *rng.Source) *ExecContext {
 
 // dataAddr picks the next memory operand address.
 func (e *ExecContext) dataAddr() uint64 {
-	if e.WorkingSet == 0 || e.Rand == nil {
+	ws := e.WorkingSet
+	if ws == 0 || e.Rand == nil {
 		return e.Base
 	}
-	return e.Base + e.Rand.Uint64()%e.WorkingSet
+	if ws&(ws-1) == 0 { // the remainder modulo a power of two is a mask
+		return e.Base + e.Rand.Uint64()&(ws-1)
+	}
+	return e.Base + e.Rand.Uint64()%ws
 }
 
 // branchTaken picks the direction of a conditional branch.
@@ -265,8 +269,10 @@ type Core struct {
 	ctrs Counters
 
 	interruptRate float64
-	interruptP    float64 // interruptRate per instruction, divided out once
-	noise         *rng.Source
+	// interruptBelow is drawThreshold(interruptRate/1e6): an instruction
+	// interrupts when its noise draw's top 53 bits are below it.
+	interruptBelow uint64
+	noise          *rng.Source
 }
 
 // NewCore builds a core with the given configuration and noise stream.
@@ -291,9 +297,9 @@ func NewCoreWithL2(id int, cfg CoreConfig, noise *rng.Source, sharedL2 *Cache) *
 		TLB: NewTLB(cfg.TLBEntries, 4096),
 		BP:  NewBranchPredictor(cfg.PredictorEntries),
 
-		interruptRate: cfg.InterruptRate,
-		interruptP:    cfg.InterruptRate / 1e6,
-		noise:         noise,
+		interruptRate:  cfg.InterruptRate,
+		interruptBelow: drawThreshold(cfg.InterruptRate / 1e6),
+		noise:          noise,
 	}
 }
 
@@ -306,9 +312,9 @@ func (c *Core) Counters() Counters { return c.ctrs }
 // cleared too, under every core that shares it, so only a core with a
 // private L2 (the fuzzer's) can be reset without disturbing another.
 func (c *Core) Reset() {
-	clear(c.L1D.lines)
-	clear(c.L1I.lines)
-	clear(c.L2.lines)
+	c.L1D.reset()
+	c.L1I.reset()
+	c.L2.reset()
 	c.TLB.Flush()
 	clear(c.BP.table)
 	c.ctrs = Counters{}
@@ -493,11 +499,26 @@ func (c *Core) ExecuteOp(op Op, ctx *ExecContext) error {
 	// Spurious interrupts (paper challenge C2: HPCs cannot count
 	// precisely because of external interference).
 	if c.noise != nil && c.interruptRate > 0 {
-		if c.noise.Float64() < c.interruptP {
+		if c.noise.Uint64()>>11 < c.interruptBelow {
 			c.Interrupt()
 		}
 	}
 	return nil
+}
+
+// drawThreshold returns the bound t with k < t exactly when the uniform
+// rng.Source.Float64 drawn from the same word, k/2⁵³ for its top 53 bits
+// k, is below p. k/2⁵³ and p·2⁵³ are exact in float64, so k/2⁵³ < p holds
+// exactly when the integer k is below ⌈p·2⁵³⌉; t clamps that to [0, 2⁵³],
+// and is 0 for NaN.
+func drawThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(math.Ldexp(p, 53)))
 }
 
 // dataAccess performs one data memory access and returns its cycle cost.

@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -279,6 +280,28 @@ func TestInterruptNoiseRate(t *testing.T) {
 	}
 	if c.Counters().Interrupts == 0 {
 		t.Error("no interrupts at 10% rate over 1000 instructions")
+	}
+}
+
+// TestInterruptThresholdMatchesFloat64 checks the integer interrupt test
+// against the float one it replaces: for each probability p, a draw whose
+// top 53 bits are k is below drawThreshold(p) exactly when Float64 of the
+// same draw, k/2⁵³, is below p, at the threshold and on both sides of it.
+func TestInterruptThresholdMatchesFloat64(t *testing.T) {
+	for _, p := range []float64{
+		30 / 1e6, 1e-6, 1.0 / 3, 0.5, math.Nextafter(0.25, 1), math.Nextafter(1, 0),
+		5e-324, math.Ldexp(1, -53), math.Ldexp(3, -54),
+		0, math.Copysign(0, -1), -1, 1, 2, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		below := drawThreshold(p)
+		for _, k := range []uint64{0, 1, below - 1, below, below + 1, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if got, want := k < below, float64(k)/(1<<53) < p; got != want {
+				t.Errorf("p %v: draw %#x below threshold %#x is %v, Float64 below p is %v", p, k, below, got, want)
+			}
+		}
 	}
 }
 

@@ -274,6 +274,11 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
+// way returns way w of set s: its tag plus one, or free.
+func (c *Cache) way(s, w int) uint32 {
+	return uint32(c.lines[s*c.words+w/2] >> (32 * (w % 2)))
+}
+
 // cacheAgrees fails t unless got holds the reference's tag, plus one, in
 // every way, and free where the reference's way is invalid.
 func cacheAgrees(t *testing.T, got *Cache, want *refCache) {
@@ -284,11 +289,137 @@ func cacheAgrees(t *testing.T, got *Cache, want *refCache) {
 			if want.valid[s][w] {
 				ref = uint32(want.lines[s][w]) + 1
 			}
-			if l := got.lines[s*want.ways+w]; l != ref {
+			if l := got.way(s, w); l != ref {
 				t.Errorf("%d sets x %d ways: set %d way %d holds %#x, reference %#x", want.sets, want.ways, s, w, l, ref)
 			}
 		}
 	}
+}
+
+// TestCacheMemoMatchesReference drives the sequences where a remembered
+// last line could go stale through the cache and the reference model,
+// which remembers nothing, and requires every result and the final ways to
+// agree: a repeat after the line's Flush, after a set neighbour's Flush,
+// after eviction by the set's other lines (with an odd way count, so a pad
+// lane is present), and the all-ones line of 1-byte lines on a fresh
+// cache, which a memo storing the line plus one would mistake for its
+// empty marker.
+func TestCacheMemoMatchesReference(t *testing.T) {
+	type step struct {
+		flush bool
+		addr  uint64
+	}
+	const ones = ^uint64(0)
+	for _, tc := range []struct {
+		name  string
+		cfg   CacheConfig
+		steps []step
+	}{
+		{"flush-then-access", CacheConfig{Sets: 4, Ways: 2, LineSize: 64},
+			[]step{{false, 0x1000}, {false, 0x1010}, {true, 0x1020}, {false, 0x1000}, {false, 0x1000}}},
+		{"neighbour-flush", CacheConfig{Sets: 4, Ways: 2, LineSize: 64},
+			[]step{{false, 0x1000}, {false, 0x1100}, {false, 0x1000}, {true, 0x1100}, {false, 0x1000}, {false, 0x1100}}},
+		{"evicted-by-set", CacheConfig{Sets: 1, Ways: 3, LineSize: 64},
+			[]step{{false, 0}, {false, 64}, {false, 128}, {false, 128}, {false, 192}, {false, 128}, {false, 0}, {false, 192}, {false, 192}}},
+		{"all-ones-line", CacheConfig{Sets: 1, Ways: 1, LineSize: 1},
+			[]step{{false, ones}, {false, ones}, {false, 0}, {false, ones}, {true, ones}, {false, ones}}},
+		{"all-ones-line-sets", CacheConfig{Sets: 16, Ways: 2, LineSize: 1},
+			[]step{{false, ones}, {false, ones - 16}, {false, ones}}},
+	} {
+		got, want := NewCache(tc.cfg), newRefCache(tc.cfg)
+		for i, s := range tc.steps {
+			if s.flush {
+				if g, w := got.Flush(s.addr), want.Flush(s.addr); g != w {
+					t.Fatalf("%s step %d: Flush(%#x) = %v, reference %v", tc.name, i, s.addr, g, w)
+				}
+				continue
+			}
+			if g, w := got.Access(s.addr), want.Access(s.addr); g != w {
+				t.Fatalf("%s step %d: Access(%#x) = %v, reference %v", tc.name, i, s.addr, g, w)
+			}
+		}
+		cacheAgrees(t, got, want)
+	}
+}
+
+// TestCoreResetForgetsLastLines checks that Core.Reset empties the
+// remembered last line of each cache with its ways: the lines the core
+// touched last miss afterwards, as they do in an empty reference cache.
+func TestCoreResetForgetsLastLines(t *testing.T) {
+	cfg := DefaultCoreConfig()
+	c := NewCore(0, cfg, nil)
+	ctx := NewScratchContext(0x2000_0000)
+	load := Decode(&isa.Variant{Mnemonic: "MOV", Class: isa.ClassLoad, Uops: 1, MemReads: 1})
+	for i := 0; i < 2; i++ {
+		if err := c.ExecuteOp(load, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Reset()
+	for _, tc := range []struct {
+		cache *Cache
+		sets  int
+		ways  int
+		addr  uint64
+	}{
+		{c.L1I, cfg.L1ISets, cfg.L1IWays, ctx.PC},
+		{c.L1D, cfg.L1DSets, cfg.L1DWays, ctx.Base},
+		{c.L2, cfg.L2Sets, cfg.L2Ways, ctx.Base},
+	} {
+		want := newRefCache(CacheConfig{Sets: tc.sets, Ways: tc.ways, LineSize: cfg.LineSize})
+		cacheAgrees(t, tc.cache, want)
+		if g, w := tc.cache.Access(tc.addr), want.Access(tc.addr); g != w {
+			t.Errorf("%s after Reset: Access(%#x) = %v, reference %v", tc.cache.Name(), tc.addr, g, w)
+		}
+	}
+}
+
+// TestSharedL2MemoMatchesReference runs loads and flushes on two cores
+// sharing a small L2, so each core's remembered L2 line is evicted or
+// flushed by the other, and mirrors every L2 access the counters reveal
+// (an L1I or L1D miss, a flush) into the reference model: each op's L2
+// misses and the final ways must agree with it.
+func TestSharedL2MemoMatchesReference(t *testing.T) {
+	cfg := DefaultCoreConfig()
+	cfg.L1DSets, cfg.L1DWays, cfg.L1ISets, cfg.L1IWays = 1, 1, 1, 1
+	cfg.L2Sets, cfg.L2Ways = 2, 3
+	cfg.InterruptRate = 0
+	l2cfg := CacheConfig{Name: "L2", Sets: cfg.L2Sets, Ways: cfg.L2Ways, LineSize: cfg.LineSize}
+	l2, ref := NewCache(l2cfg), newRefCache(l2cfg)
+	cores := []*Core{NewCoreWithL2(0, cfg, nil, l2), NewCoreWithL2(1, cfg, nil, l2)}
+	ctxs := []*ExecContext{NewScratchContext(0), NewScratchContext(0)}
+	ops := []Op{
+		Decode(&isa.Variant{Mnemonic: "MOV", Class: isa.ClassLoad, Uops: 1, MemReads: 1}),
+		Decode(&isa.Variant{Mnemonic: "CLFLUSH", Class: isa.ClassFlush, Uops: 1}),
+	}
+	r := rng.New(11)
+	for i := 0; i < 20000; i++ {
+		n := r.Intn(2)
+		c, ctx, op := cores[n], ctxs[n], ops[r.Intn(2)]
+		ctx.Base = uint64(r.Intn(16)) * 64
+		if r.Intn(64) == 0 {
+			ctx.PC = 0x400000 // refetch lines the other core may have evicted
+		}
+		pc, before := ctx.PC+4, c.Counters()
+		if err := c.ExecuteOp(op, ctx); err != nil {
+			t.Fatal(err)
+		}
+		d := c.Counters().Sub(before)
+		var misses uint64
+		if d.L1IMisses > 0 && !ref.Access(pc) {
+			misses++
+		}
+		if d.L1DMisses > 0 && !ref.Access(ctx.Base) {
+			misses++
+		}
+		if op.Class() == isa.ClassFlush {
+			ref.Flush(ctx.Base)
+		}
+		if d.L2Misses != misses {
+			t.Fatalf("op %d on core %d: %d L2 misses, reference %d", i, n, d.L2Misses, misses)
+		}
+	}
+	cacheAgrees(t, l2, ref)
 }
 
 // TestTLBMatchesReference does the same for seeded random TLB Access and
@@ -511,6 +642,8 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		step(0x40, 0xff040), step(0x80, 0xff040), step(0x40|2, 0xff040), step(0x40|5, 0x3000)))
 	f.Add(uint16(1024), uint8(8), uint8(1), uint8(1), slices.Concat(
 		step(0xc0, 1<<63|1<<47), step(0, 1<<47), step(2, 1<<63), step(6, 1<<43), step(6, 0)))
+	f.Add(uint16(16), uint8(3), uint8(0), uint8(2), slices.Concat(
+		step(0, 1<<64-1), step(0, 1<<64-1), step(3, 1<<64-1), step(0, 1<<64-1), step(0x40, 7), step(0x40, 55)))
 	f.Fuzz(func(t *testing.T, sets uint16, ways, lineBits, entries uint8, prog []byte) {
 		cfg := CacheConfig{Sets: int(sets % 2049), Ways: int(ways % 17), LineSize: 1 << (lineBits % 13)}
 		got, want := NewCache(cfg), newRefCache(cfg)

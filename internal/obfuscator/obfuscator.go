@@ -1,7 +1,10 @@
 package obfuscator
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"github.com/repro/aegis/internal/faultinject"
@@ -436,9 +439,51 @@ func (ps *planState) init(p Plan, i int, seed uint64, faults *faultinject.Inject
 	return nil
 }
 
+// calibrations memoises calibrateSegment, a pure function of the decoded
+// segment and the event's terms, so the deploys of one recipe (each aegisd
+// attach and re-plan) build and run the calibration core only once. It is
+// emptied when it reaches maxCalibrations entries.
+var calibrations struct {
+	sync.Mutex
+	perExec map[string]float64
+}
+
+const maxCalibrations = 64
+
 // calibrateSegment measures the reference event's count change of one
-// steady-state execution of seg, the decoded segment injection runs.
+// steady-state execution of seg, the decoded segment injection runs,
+// measuring each (segment, event terms) pair once per process.
 func calibrateSegment(seg []microarch.Op, ev *hpc.Event) (float64, error) {
+	key := make([]byte, 0, 8*len(seg)+16*len(ev.Terms))
+	for _, op := range seg {
+		key = binary.LittleEndian.AppendUint64(key, uint64(op))
+	}
+	for _, t := range ev.Terms {
+		key = binary.LittleEndian.AppendUint64(key, uint64(t.Signal))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(t.Weight))
+	}
+	calibrations.Lock()
+	per, ok := calibrations.perExec[string(key)]
+	calibrations.Unlock()
+	if ok {
+		return per, nil
+	}
+	per, err := measureSegment(seg, ev)
+	if err != nil {
+		return 0, err
+	}
+	calibrations.Lock()
+	if len(calibrations.perExec) >= maxCalibrations || calibrations.perExec == nil {
+		calibrations.perExec = make(map[string]float64)
+	}
+	calibrations.perExec[string(key)] = per
+	calibrations.Unlock()
+	return per, nil
+}
+
+// measureSegment runs the calibration of calibrateSegment on a fresh
+// interrupt-free core.
+func measureSegment(seg []microarch.Op, ev *hpc.Event) (float64, error) {
 	coreCfg := microarch.DefaultCoreConfig()
 	coreCfg.InterruptRate = 0
 	core := microarch.NewCore(0, coreCfg, nil)

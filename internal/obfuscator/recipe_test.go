@@ -3,9 +3,12 @@ package obfuscator
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/repro/aegis/internal/faultinject"
+	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
 )
@@ -67,4 +70,54 @@ func runTicks(t *testing.T, obf *Obfuscator) ProtectionReport {
 	}
 	w.Run(120)
 	return obf.Report()
+}
+
+// TestCalibrationMemoMatchesMeasurement checks the per-process calibration
+// memo from several goroutines at once: every lookup returns exactly the
+// measurement of its own (segment, event terms) pair, across more distinct
+// pairs than the memo holds, so it is emptied and refilled along the way.
+func TestCalibrationMemoMatchesMeasurement(t *testing.T) {
+	seg, ref := coverSegment(t)
+	ops := make([]microarch.Op, len(seg))
+	for i := range seg {
+		ops[i] = microarch.Decode(&seg[i])
+	}
+	type pair struct {
+		ops  []microarch.Op
+		ev   *hpc.Event
+		want float64
+	}
+	var pairs []pair
+	for i := 0; len(pairs) < maxCalibrations+8; i++ {
+		ev := *ref
+		ev.Terms = append([]hpc.Term(nil), ref.Terms...)
+		for j := range ev.Terms {
+			ev.Terms[j].Weight *= float64(1 + i/len(ops))
+		}
+		p := pair{ops: ops[:1+i%len(ops)], ev: &ev}
+		want, err := measureSegment(p.ops, p.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.want = want
+		pairs = append(pairs, p)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range pairs {
+					p := pairs[(k+g*17)%len(pairs)]
+					got, err := calibrateSegment(p.ops, p.ev)
+					if err != nil || got != p.want {
+						t.Errorf("calibration %d ops: got %v (%v), measured %v", len(p.ops), got, err, p.want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

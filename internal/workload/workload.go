@@ -15,7 +15,7 @@
 package workload
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/microarch"
@@ -99,17 +99,23 @@ func decodeDocumented(features isa.CPUFeatures) *documentedOps {
 // since an op carries neither.
 func DefaultLibrary(seed uint64) *Library {
 	doc := amdDocumented
-	draws := isa.DrawAliases("amd", doc.legal, isa.AMDTotalVariants, isa.AMDLegalVariants, seed)
-
-	// Size every class pool first, so all pools share one allocation.
+	// Stage each alias's op, so every class pool can be sized before one
+	// allocation holds them all. The specification never holds more than
+	// AMDLegalVariants legal variants, so the stage fits on the stack.
+	var staged [isa.AMDLegalVariants]uint8
+	drawn := 0
 	var size [isa.ClassInvalid + 1]int
-	total := len(draws)
-	for c, pool := range doc.byClass {
-		size[c] = len(pool)
-		total += len(pool)
+	aliases := isa.DrawAliases("amd", doc.legal, isa.AMDTotalVariants, isa.AMDLegalVariants, seed)
+	for a, ok := aliases.Next(); ok; a, ok = aliases.Next() {
+		i := doc.alias[a.Base]
+		staged[drawn] = i
+		drawn++
+		size[doc.ops[i].Class()]++
 	}
-	for _, a := range draws {
-		size[doc.ops[doc.alias[a.Base]].Class()]++
+	total := drawn
+	for c, pool := range doc.byClass {
+		size[c] += len(pool)
+		total += len(pool)
 	}
 	idx := make([]uint8, total)
 	l := &Library{ops: &doc.ops}
@@ -117,8 +123,7 @@ func DefaultLibrary(seed uint64) *Library {
 		n := copy(idx, doc.byClass[c])
 		l.byClass[c], idx = idx[:n:size[c]], idx[size[c]:]
 	}
-	for _, a := range draws {
-		i := doc.alias[a.Base]
+	for _, i := range staged[:drawn] {
 		c := doc.ops[i].Class()
 		l.byClass[c] = append(l.byClass[c], i)
 	}
@@ -149,26 +154,43 @@ func (l *Library) Sample(class isa.Class, r *rng.Source) microarch.Op {
 // Mix is a weighted instruction-class distribution.
 type Mix map[isa.Class]float64
 
-// mixSampler is a Mix compiled to a sorted class/weight table, so per-
-// instruction draws dispatch on slice index without rebuilding and sorting
-// the class list per call. It draws a class proportional to the weights.
+// mixSampler is a Mix compiled for per-instruction draws: it draws a class
+// proportional to the positive weights.
+//
+// The class is defined by scan over the top 53 bits k of one rng word
+// (the bits rng.Source.Float64 divides by 2⁵³). scan is monotone in k: a
+// larger k scales to a larger x, every subtraction keeps that order, so
+// the first class x falls below can only come later. Each class therefore
+// owns one run of draws, and sample finds the run by counting the run
+// starts at or below k: breaks, found by bisecting scan when the mix is
+// compiled, so sample picks exactly the class scan would.
 type mixSampler struct {
 	classes []isa.Class // all mix classes, ascending (incl. non-positive weights)
 	weights []float64
 	total   float64 // sum of positive weights
+	// breaks[i] is the least k whose scan picks classes[i+1] or a later
+	// class, or 1<<53 when no k does.
+	breaks []uint64
 }
 
-// compileMix builds the sampler for a mix. The original map is not
-// retained; mutating a Mix after compiling requires recompiling.
+// drawCount is the number of distinct 53-bit draws.
+const drawCount = 1 << 53
+
+// compileMix builds the sampler for a mix.
 func compileMix(m Mix) *mixSampler {
-	s := &mixSampler{
-		classes: make([]isa.Class, 0, len(m)),
-		weights: make([]float64, 0, len(m)),
-	}
+	s := &mixSampler{}
+	s.compile(m)
+	return s
+}
+
+// compile recompiles s for m, reusing its tables. The original map is not
+// retained; mutating a Mix after compiling requires recompiling.
+func (s *mixSampler) compile(m Mix) {
+	s.classes, s.weights, s.breaks, s.total = s.classes[:0], s.weights[:0], s.breaks[:0], 0
 	for c := range m {
 		s.classes = append(s.classes, c)
 	}
-	sort.Slice(s.classes, func(i, j int) bool { return s.classes[i] < s.classes[j] })
+	slices.Sort(s.classes)
 	for _, c := range s.classes {
 		w := m[c]
 		s.weights = append(s.weights, w)
@@ -176,25 +198,90 @@ func compileMix(m Mix) *mixSampler {
 			s.total += w
 		}
 	}
-	return s
+	// Start each bisection at the run start the weights predict; float
+	// rounding of the scan moves the exact start by a few draws at most
+	// on ordinary weights.
+	cum, lo := 0.0, uint64(0)
+	for i := 1; i < len(s.classes); i++ {
+		if w := s.weights[i-1]; w > 0 {
+			cum += w
+		}
+		lo = s.runStart(i, lo, guessDraw(cum/s.total))
+		s.breaks = append(s.breaks, lo)
+	}
+}
+
+// guessDraw returns the draw nearest to p·2⁵³, clamped to [0, 2⁵³].
+func guessDraw(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return drawCount
+	}
+	return uint64(p * drawCount)
+}
+
+// scan returns the index of the class the draw k picks: the first class,
+// in class order, whose positive weight the running remainder of
+// k/2⁵³·total falls below, else the last class.
+func (s *mixSampler) scan(k uint64) int {
+	x := float64(k) / drawCount * s.total
+	for i, w := range s.weights {
+		if w <= 0 {
+			continue
+		}
+		if x < w {
+			return i
+		}
+		x -= w
+	}
+	return len(s.classes) - 1
+}
+
+// reaches reports whether the draw k picks class i or a later one; every
+// k past the last draw does.
+func (s *mixSampler) reaches(k uint64, i int) bool {
+	return k >= drawCount || s.scan(k) >= i
+}
+
+// runStart returns the least k >= lo that reaches class i, given that
+// lo-1 does not (or lo is 0). It widens a bracket around guess until its
+// top reaches class i and the draw below its bottom does not, then
+// bisects the bracket.
+func (s *mixSampler) runStart(i int, lo, guess uint64) uint64 {
+	guess = min(max(guess, lo), drawCount)
+	a, b := guess, guess
+	for step := uint64(1); a > lo && s.reaches(a-1, i) || !s.reaches(b, i); step *= 2 {
+		a, b = guess-min(step, guess-lo), min(guess+step, drawCount)
+	}
+	for a < b {
+		mid := a + (b-a)/2
+		if s.reaches(mid, i) {
+			b = mid
+		} else {
+			a = mid + 1
+		}
+	}
+	return a
 }
 
 func (s *mixSampler) sample(r *rng.Source) isa.Class {
 	if s.total == 0 {
 		return isa.ClassNop
 	}
-	x := r.Float64() * s.total
-	for i, c := range s.classes {
-		w := s.weights[i]
-		if w <= 0 {
-			continue
-		}
-		if x < w {
-			return c
-		}
-		x -= w
+	return s.pick(r.Uint64() >> 11)
+}
+
+// pick returns the class of the 53-bit draw k: the one whose run starts
+// at the last break at or below k. The count adds the sign bit of b-k-1,
+// which is set exactly when b <= k, since both are below 2⁵⁴.
+func (s *mixSampler) pick(k uint64) isa.Class {
+	i := 0
+	for _, b := range s.breaks {
+		i += int((b - k - 1) >> 63)
 	}
-	return s.classes[len(s.classes)-1]
+	return s.classes[i]
 }
 
 // Phase is one stage of a job: a mix executed at a per-tick intensity until
@@ -244,34 +331,36 @@ type Runner struct {
 	// IdleIntensity is the per-tick instruction count when no job is
 	// queued (0 disables idle activity).
 	IdleIntensity int
-	idleMix       Mix
-	idleSampler   *mixSampler
-	// sampler caches the compiled mix of the phase identified by
+	// sampler holds the compiled mix of the phase identified by
 	// samplerOf, so the per-instruction draw loop does not rebuild the
 	// sorted class table every tick. The pointer identity of the phase
 	// within the queued job is stable until the job advances.
-	sampler   *mixSampler
+	sampler   mixSampler
 	samplerOf *Phase
 }
 
 var _ sev.Process = (*Runner)(nil)
 
-// NewRunner builds a job runner named name.
-func NewRunner(name string, lib *Library, r *rng.Source) *Runner {
-	idleMix := Mix{
+// idleMix is the activity of every runner with no job queued, compiled
+// once per process into idleSampler, which runners only read.
+var (
+	idleMix = Mix{
 		isa.ClassALU:    4,
 		isa.ClassLoad:   2,
 		isa.ClassStore:  1,
 		isa.ClassBranch: 2,
 		isa.ClassNop:    3,
 	}
+	idleSampler = compileMix(idleMix)
+)
+
+// NewRunner builds a job runner named name.
+func NewRunner(name string, lib *Library, r *rng.Source) *Runner {
 	return &Runner{
 		name:          name,
 		lib:           lib,
 		r:             r,
 		IdleIntensity: 20,
-		idleMix:       idleMix,
-		idleSampler:   compileMix(idleMix),
 	}
 }
 
@@ -307,7 +396,7 @@ func (r *Runner) Step(g *sev.GuestExecutor) {
 	for r.phaseIdx < len(job.Phases) {
 		phase := &job.Phases[r.phaseIdx]
 		if r.samplerOf != phase {
-			r.sampler = compileMix(phase.Mix)
+			r.sampler.compile(phase.Mix)
 			r.samplerOf = phase
 		}
 		intensity := phase.Intensity
@@ -355,7 +444,7 @@ func (r *Runner) Step(g *sev.GuestExecutor) {
 
 func (r *Runner) stepIdle(g *sev.GuestExecutor) {
 	for i := 0; i < r.IdleIntensity; i++ {
-		op := r.lib.Sample(r.idleSampler.sample(r.r), r.r)
+		op := r.lib.Sample(idleSampler.sample(r.r), r.r)
 		ok, err := g.ExecuteOp(op)
 		if err != nil || !ok {
 			return

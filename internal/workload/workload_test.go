@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -524,4 +525,139 @@ func (j Job) TotalInstructions() int {
 		n += p.Instructions
 	}
 	return n
+}
+
+// scanClass is the class sampler as a weight scan, kept as the reference
+// the breakpoint sampler is checked against: the classes in ascending
+// order, the 53-bit draw k scaled to k/2⁵³ of the positive total, and the
+// first class whose weight the running remainder falls below.
+func scanClass(m Mix, k uint64) isa.Class {
+	var classes []isa.Class
+	for c := range m {
+		classes = append(classes, c)
+	}
+	slices.Sort(classes)
+	total := 0.0
+	for _, c := range classes {
+		if w := m[c]; w > 0 {
+			total += w
+		}
+	}
+	if total == 0 {
+		return isa.ClassNop
+	}
+	x := float64(k) / (1 << 53) * total
+	for _, c := range classes {
+		w := m[c]
+		if w <= 0 {
+			continue
+		}
+		if x < w {
+			return c
+		}
+		x -= w
+	}
+	return classes[len(classes)-1]
+}
+
+// samplerMatchesScan fails t unless the sampler compiled from m picks
+// scanClass's class at the first and last draw and at every breakpoint b
+// and its neighbours b-1 and b+1.
+func samplerMatchesScan(t *testing.T, name string, m Mix) {
+	t.Helper()
+	s := compileMix(m)
+	ks := []uint64{0, drawCount - 1}
+	for _, b := range s.breaks {
+		ks = append(ks, b-1, b, b+1)
+	}
+	for _, k := range ks {
+		if k >= drawCount {
+			continue
+		}
+		got := isa.ClassNop
+		if s.total != 0 {
+			got = s.pick(k)
+		}
+		if want := scanClass(m, k); got != want {
+			t.Fatalf("%s %v: draw %#x picks %v, scan picks %v (breaks %#x)", name, m, k, got, want, s.breaks)
+		}
+	}
+}
+
+// TestMixSamplerMatchesScan checks the breakpoint sampler against the
+// weight scan on every mix an application job or an idle runner draws
+// from, at each breakpoint and the draws on either side of it.
+func TestMixSamplerMatchesScan(t *testing.T) {
+	samplerMatchesScan(t, "idle", idleMix)
+	apps := []App{&WebsiteApp{}, &KeystrokeApp{}, &DNNApp{}, &CryptoApp{}}
+	mixes := 0
+	for _, app := range apps {
+		for _, secret := range app.Secrets() {
+			job, err := app.Job(secret, rng.New(3).Split(secret))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range job.Phases {
+				samplerMatchesScan(t, app.Name()+"/"+secret+"/"+p.Name, p.Mix)
+				mixes++
+			}
+		}
+	}
+	if mixes < 100 {
+		t.Fatalf("checked only %d phase mixes", mixes)
+	}
+}
+
+// TestMixSamplerDrawStream checks that a sampler recompiled in place for
+// a new mix draws exactly as a freshly compiled one, and that an empty
+// mix consumes no draw.
+func TestMixSamplerDrawStream(t *testing.T) {
+	a := Mix{isa.ClassALU: 3, isa.ClassLoad: 1, isa.ClassBranch: 2}
+	b := Mix{isa.ClassMul: 4, isa.ClassDiv: 1.5, isa.ClassALU: 2, isa.ClassStore: 0}
+	var reused mixSampler
+	r1, r2 := rng.New(8), rng.New(8)
+	for _, m := range []Mix{a, b, {}, a} {
+		reused.compile(m)
+		fresh := compileMix(m)
+		for i := 0; i < 1000; i++ {
+			if g, w := reused.sample(r1), fresh.sample(r2); g != w {
+				t.Fatalf("%v draw %d: recompiled sampler picks %v, fresh %v", m, i, g, w)
+			}
+		}
+	}
+	if r1.Uint64() != r2.Uint64() {
+		t.Fatal("the samplers consumed different numbers of draws")
+	}
+}
+
+// FuzzMixSampler checks the breakpoint sampler against the weight scan on
+// arbitrary mixes: each 9-byte record is a class (a signed byte, so
+// classes outside the enumeration occur) and a weight's raw float64 bits,
+// so zero, negative, subnormal, huge, NaN and infinite weights all occur.
+// k is one more draw to check besides the breakpoints.
+func FuzzMixSampler(f *testing.F) {
+	rec := func(c int8, w float64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{byte(c)}, math.Float64bits(w))
+	}
+	f.Add(slices.Concat(rec(1, 3), rec(4, 1)), uint64(0))
+	f.Add(slices.Concat(rec(1, 0), rec(2, -1), rec(3, 2)), uint64(1<<52))
+	f.Add(slices.Concat(rec(1, math.NaN()), rec(5, math.Inf(1)), rec(7, 1)), uint64(1<<53-1))
+	f.Add(slices.Concat(rec(-3, math.Inf(-1)), rec(9, 1e308), rec(10, 1e308), rec(40, 5e-324)), uint64(12345))
+	f.Add(slices.Concat(rec(2, 1e-300), rec(3, 1e300), rec(4, 1)), uint64(1<<40))
+	f.Fuzz(func(t *testing.T, raw []byte, k uint64) {
+		m := Mix{}
+		for ; len(raw) >= 9; raw = raw[9:] {
+			m[isa.Class(int8(raw[0]))] = math.Float64frombits(binary.LittleEndian.Uint64(raw[1:9]))
+		}
+		samplerMatchesScan(t, "fuzz", m)
+		s := compileMix(m)
+		k >>= 11
+		got := isa.ClassNop
+		if s.total != 0 {
+			got = s.pick(k)
+		}
+		if want := scanClass(m, k); got != want {
+			t.Fatalf("%v: draw %#x picks %v, scan picks %v", m, k, got, want)
+		}
+	})
 }

@@ -7,7 +7,7 @@ package aegis
 // and allocs/op. End-to-end and per-layer costs are measured by the repo
 // benchmark in bench/ (see bench/README.md). Run with:
 //
-//	go test -bench='RDPMC|WorldStep|RunnerStep|DefaultLibrary|ColdSignature|ObfuscatorTick|FitPCA|MutualInformation' -benchmem -run=^$ .
+//	go test -bench='RDPMC|WorldStep|RunnerStep|SimulatedInstruction|DefaultLibrary|ColdSignature|ObfuscatorTick|FitPCA|MutualInformation' -benchmem -run=^$ .
 
 import (
 	"testing"
@@ -110,6 +110,41 @@ func BenchmarkRunnerStep(b *testing.B) {
 	if n := core.Counters().Instructions - start; n > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/instr")
 	}
+}
+
+// BenchmarkSimulatedInstruction reports host ns per simulated instruction
+// on a noisy default core: "scratch" retires library ops whose memory
+// operands all hit the fuzzer's one scratch line, "workingset-1MiB" draws
+// them over a 1 MiB working set, and "website-tick" is BenchmarkRunnerStep,
+// a guest tick of a website page load with the class and op draws included.
+func BenchmarkSimulatedInstruction(b *testing.B) {
+	lib := workload.DefaultLibrary(1)
+	classes := []isa.Class{isa.ClassALU, isa.ClassLoad, isa.ClassStore, isa.ClassBranch, isa.ClassMul, isa.ClassSSE, isa.ClassNop}
+	r := rng.New(7)
+	ops := make([]microarch.Op, 4096)
+	for i := range ops {
+		ops[i] = lib.Sample(classes[r.Intn(len(classes))], r)
+	}
+	for _, bc := range []struct {
+		name string
+		ctx  *microarch.ExecContext
+	}{
+		{"scratch", microarch.NewScratchContext(0x1000_0000)},
+		{"workingset-1MiB", microarch.NewWorkloadContext(0x10000, 1<<20, rng.New(2))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			core := microarch.NewCore(0, microarch.DefaultCoreConfig(), rng.New(3))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := core.ExecuteOp(ops[i%len(ops)], bc.ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/instr")
+		})
+	}
+	b.Run("website-tick", BenchmarkRunnerStep)
 }
 
 // BenchmarkDefaultLibrary measures what an aegisd tenant pays for its
