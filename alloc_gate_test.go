@@ -186,6 +186,58 @@ func TestZeroAllocDaemonTick(t *testing.T) {
 	}
 }
 
+// TestZeroAllocDaemonHandOff gates what handing a queued item off to a
+// tenant's guest costs: the item moves into the tenant's backlog as its
+// 8-byte work item, and the job is built only when the runner starts it.
+// One Protecting website tenant, warmed up inside its first job, then
+// gets 8 items a tick while its runner stays inside that job, so every
+// item of the measured window lands in the backlog. The backlog doubles
+// when full, which across whole doublings costs 16 B per item: the
+// window takes it from empty to 128 items in 128 slots.
+func TestZeroAllocDaemonHandOff(t *testing.T) {
+	quietTelemetry(t)
+	const (
+		perTick  = 8
+		ticks    = 16
+		maxBytes = 16
+	)
+	d, err := daemon.New(daemontest.BaseConfig(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Attach(daemon.AttachSpec{Name: "handoff"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Submit("handoff", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ { // promote to Protecting, start the job, settle the guest
+		d.Step()
+	}
+	load := perTick
+	if err := d.Reload(daemon.Tunables{LoadPerTick: &load}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ticks; i++ {
+		d.Step()
+	}
+	runtime.ReadMemStats(&after)
+	jf, err := d.TenantJobs("handoff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jf.Completed != 0 || jf.Running != 1 || jf.Backlog != perTick*ticks {
+		t.Fatalf("job funnel %+v: the runner must stay inside its first job for the whole window", jf)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (perTick * ticks)
+	t.Logf("daemon hand-off allocates %.1f B per item", per)
+	if per > maxBytes {
+		t.Errorf("daemon hand-off allocates %.1f B per item, want at most %d", per, maxBytes)
+	}
+}
+
 // TestZeroAllocFlightRecord gates the recorder write itself: a journaled
 // record is a mutex-guarded ring store plus counter bumps, and must not
 // allocate.

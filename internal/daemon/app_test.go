@@ -9,22 +9,28 @@ import (
 	"github.com/repro/aegis/internal/isa"
 )
 
-// TestAttachRunsBuildApp checks that a tenant's secret alphabet is the
-// one BuildApp gives for its attach spec, including the secrets <= 0
-// default that aegisd's profiling relies on.
-func TestAttachRunsBuildApp(t *testing.T) {
+// smallConfig is a daemon config around a two-load-variant plan with
+// small guests.
+func smallConfig(seed uint64) Config {
 	var seg []isa.Variant
 	for _, v := range isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal {
 		if v.Class == isa.ClassLoad && len(seg) < 2 {
 			seg = append(seg, v)
 		}
 	}
-	d, err := New(Config{
+	return Config{
 		Segment:       seg,
 		RefEvent:      hpc.NewAMDEpyc7252Catalog(1).MustByName("RETIRED_UOPS"),
-		Seed:          1,
+		Seed:          seed,
 		VMMemoryBytes: 16 << 10,
-	})
+	}
+}
+
+// TestAttachRunsBuildApp checks that a tenant's secret alphabet is the
+// one BuildApp gives for its attach spec, including the secrets <= 0
+// default that aegisd's profiling relies on.
+func TestAttachRunsBuildApp(t *testing.T) {
+	d, err := New(smallConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}

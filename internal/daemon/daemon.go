@@ -51,6 +51,7 @@ var (
 	mReloads             = telemetry.C("daemon_reloads_total")
 	mReloadRejects       = telemetry.C("daemon_reload_rejects_total")
 	mDegradedTenantTicks = telemetry.C("daemon_degraded_tenant_ticks_total")
+	mJobErrors           = telemetry.C("daemon_job_errors_total")
 	gOverloaded          = telemetry.G("daemon_overloaded")
 )
 
@@ -184,7 +185,8 @@ func (t Tunables) validate() error {
 // Draining on a graceful detach (queue drains, no new work accepted);
 // Draining → Detached at the first tick barrier with an empty queue. A
 // kill-detach jumps straight to Detached, shedding the queue (counted
-// and journaled, never silent).
+// and journaled, never silent). Either way, items already handed off to
+// the guest (the backlog) leave with the tenant.
 type State uint8
 
 // Tenant lifecycle states.
@@ -217,6 +219,54 @@ type workItem struct {
 	secret int
 }
 
+// fifo is a ring of work items, oldest first: buf[head..head+n) mod
+// len(buf). A tenant's queue is a fifo of fixed capacity; its backlog
+// doubles whenever it fills.
+type fifo struct {
+	buf  []workItem
+	head int
+	n    int
+}
+
+// minBacklog is the capacity of a backlog's first buffer.
+const minBacklog = 8
+
+// full reports whether the ring has no free slot.
+func (q *fifo) full() bool { return q.n == len(q.buf) }
+
+// push appends an item; call only when the ring is not full.
+func (q *fifo) push(it workItem) {
+	idx := q.head + q.n
+	if idx >= len(q.buf) {
+		idx -= len(q.buf)
+	}
+	q.buf[idx] = it
+	q.n++
+}
+
+// pop removes the oldest item; call only with n > 0.
+func (q *fifo) pop() workItem {
+	it := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return it
+}
+
+// resize moves the ring onto a fresh buffer of the given capacity,
+// keeping the oldest items that fit, and returns how many it dropped.
+func (q *fifo) resize(capacity int) (dropped int) {
+	next := make([]workItem, capacity)
+	keep := min(q.n, capacity)
+	k := copy(next[:keep], q.buf[q.head:])
+	copy(next[k:keep], q.buf)
+	dropped = q.n - keep
+	q.buf, q.head, q.n = next, 0, keep
+	return dropped
+}
+
 // Tenant is one protected guest: its own 1-core SEV world, the app
 // runner, and an obfuscator sharing the runner's vCPU (paper §VII-C).
 // All fields are owned by the daemon and guarded by its mutex; runTick
@@ -235,18 +285,23 @@ type Tenant struct {
 	jobRng  *rng.Source
 	planGen int
 
-	// Bounded work queue (ring): queue[qHead..qHead+qLen) mod cap.
-	queue []workItem
-	qHead int
-	qLen  int
+	// Bounded work queue; items leave it by hand-off to the backlog.
+	queue fifo
 	seq   int64 // enqueue sequence, drives secret rotation
+	// Items handed off to the guest whose job has not started. The job
+	// is built only when the runner goes idle, so an item waits here as
+	// 8 bytes rather than as a built job.
+	backlog fifo
 
-	// All-time funnel. Reconciles as enqueued == processed + shed + qLen.
+	// All-time funnel. Reconciles as enqueued == processed + shed +
+	// queue.n, and processed (hand-offs) == jobs completed + running +
+	// backlog.n + jobErrors.
 	ticks         int64
 	enqueued      int64
 	processed     int64
 	shed          int64
 	degradedTicks int64
+	jobErrors     int64
 
 	// Per-tick scratch, written by runTick, consumed and reset at the
 	// post-tick barrier.
@@ -255,11 +310,12 @@ type Tenant struct {
 	shedTick       int64
 	degradedTick   bool
 	degradedReason obfuscator.DegradeReason
+	jobErrorTick   bool
 
 	// Pre-created per-tenant instruments so the barrier stays
 	// allocation-free.
 	mEnq, mProc, mShed *telemetry.Counter
-	gDepth             *telemetry.Gauge
+	gDepth, gBacklog   *telemetry.Gauge
 }
 
 // AttachSpec describes a tenant to attach.
@@ -517,20 +573,21 @@ func (d *Daemon) Attach(spec AttachSpec) error {
 		return fmt.Errorf("daemon: attach %q: %w", spec.Name, err)
 	}
 	t := &Tenant{
-		name:    spec.Name,
-		id:      d.nextID,
-		appName: app.Name(),
-		app:     app,
-		secrets: app.Secrets(),
-		state:   StateAttaching,
-		guest:   guest,
-		runner:  runner,
-		jobRng:  seeds.Split("jobs"),
-		queue:   make([]workItem, d.set.queueCap),
-		mEnq:    telemetry.C("daemon_events_enqueued_total", telemetry.L("tenant", spec.Name)),
-		mProc:   telemetry.C("daemon_events_processed_total", telemetry.L("tenant", spec.Name)),
-		mShed:   telemetry.C("daemon_events_shed_total", telemetry.L("tenant", spec.Name)),
-		gDepth:  telemetry.G("daemon_queue_depth", telemetry.L("tenant", spec.Name)),
+		name:     spec.Name,
+		id:       d.nextID,
+		appName:  app.Name(),
+		app:      app,
+		secrets:  app.Secrets(),
+		state:    StateAttaching,
+		guest:    guest,
+		runner:   runner,
+		jobRng:   seeds.Split("jobs"),
+		queue:    fifo{buf: make([]workItem, d.set.queueCap)},
+		mEnq:     telemetry.C("daemon_events_enqueued_total", telemetry.L("tenant", spec.Name)),
+		mProc:    telemetry.C("daemon_events_processed_total", telemetry.L("tenant", spec.Name)),
+		mShed:    telemetry.C("daemon_events_shed_total", telemetry.L("tenant", spec.Name)),
+		gDepth:   telemetry.G("daemon_queue_depth", telemetry.L("tenant", spec.Name)),
+		gBacklog: telemetry.G("daemon_backlog_jobs", telemetry.L("tenant", spec.Name)),
 	}
 	obf, err := d.buildObfuscator(t, d.set)
 	if err != nil {
@@ -564,17 +621,17 @@ func (d *Daemon) Detach(name string, kill bool) error {
 		if t.state != StateDraining {
 			t.state = StateDraining
 			d.fDaemon.Record(d.tick, flight.CodeTenantDrain, flight.CodeNone,
-				float64(t.id), float64(t.qLen), 0)
+				float64(t.id), float64(t.queue.n), 0)
 		}
 		return nil
 	}
-	if t.qLen > 0 {
-		t.shed += int64(t.qLen)
-		d.shedTotal += int64(t.qLen)
-		t.mShed.Add(float64(t.qLen))
+	if n := t.queue.n; n > 0 {
+		t.shed += int64(n)
+		d.shedTotal += int64(n)
+		t.mShed.Add(float64(n))
 		d.fDaemon.Incident(d.tick, flight.CodeTenantShed, flight.CodeNone,
-			float64(t.id), float64(t.qLen), 0)
-		t.qLen = 0
+			float64(t.id), float64(n), 0)
+		t.queue.n = 0
 	}
 	d.removeLocked(t)
 	return nil
@@ -587,6 +644,7 @@ func (d *Daemon) removeLocked(t *Tenant) {
 	t.guest = nil
 	t.state = StateDetached
 	t.gDepth.Set(0)
+	t.gBacklog.Set(0)
 	delete(d.tenants, t.name)
 	for i, o := range d.order {
 		if o == t {
@@ -638,35 +696,19 @@ func (d *Daemon) Submit(name string, jobs int) (accepted int, err error) {
 			float64(t.id), float64(shed), 0)
 		d.setOverloadedLocked(true)
 	}
-	t.gDepth.Set(float64(t.qLen))
+	t.gDepth.Set(float64(t.queue.n))
 	return accepted, nil
 }
 
-// push appends one work item to the tenant ring, reporting false when the
-// queue is full (the caller sheds).
+// push appends one work item to the tenant queue, reporting false when
+// the queue is full (the caller sheds).
 func (t *Tenant) push() bool {
-	if t.qLen == len(t.queue) {
+	if t.queue.full() {
 		return false
 	}
-	idx := t.qHead + t.qLen
-	if idx >= len(t.queue) {
-		idx -= len(t.queue)
-	}
-	t.queue[idx] = workItem{secret: int(t.seq % int64(len(t.secrets)))}
+	t.queue.push(workItem{secret: int(t.seq % int64(len(t.secrets)))})
 	t.seq++
-	t.qLen++
 	return true
-}
-
-// pop removes the oldest work item; call only with qLen > 0.
-func (t *Tenant) pop() workItem {
-	it := t.queue[t.qHead]
-	t.qHead++
-	if t.qHead == len(t.queue) {
-		t.qHead = 0
-	}
-	t.qLen--
-	return it
 }
 
 // Reload validates a tunables delta and stages it; the delta is applied
@@ -751,30 +793,12 @@ func (d *Daemon) applyReloadLocked() {
 	}
 }
 
-// resizeQueueLocked swaps a tenant onto a new ring capacity, shedding the
-// overflow oldest-last (the items that no longer fit).
+// resizeQueueLocked swaps a tenant onto a new queue capacity, shedding
+// the newest items that no longer fit. The shed is journaled at this
+// tick's barrier along with any tick-time sheds.
 func (d *Daemon) resizeQueueLocked(t *Tenant, capacity int) {
-	next := make([]workItem, capacity)
-	keep := t.qLen
-	if keep > capacity {
-		keep = capacity
-	}
-	for i := 0; i < keep; i++ {
-		idx := t.qHead + i
-		if idx >= len(t.queue) {
-			idx -= len(t.queue)
-		}
-		next[i] = t.queue[idx]
-	}
-	overflow := t.qLen - keep
-	t.queue = next
-	t.qHead = 0
-	t.qLen = keep
-	if overflow > 0 {
-		// Journaled at this tick's barrier along with any tick-time sheds.
-		t.shedTick += int64(overflow)
-	}
-	t.gDepth.Set(float64(t.qLen))
+	t.shedTick += int64(t.queue.resize(capacity))
+	t.gDepth.Set(float64(t.queue.n))
 }
 
 // setOverloadedLocked flips the overload latch, the readiness gate and
@@ -833,12 +857,13 @@ func (d *Daemon) Step() {
 	d.finishTickLocked()
 }
 
-// runTick advances one tenant by one tick: generate internal load, drain
-// up to maxItems queued jobs into the guest runner, step the tenant's
-// world (runner + obfuscator share the vCPU budget), and fold the
-// obfuscator's outcome into the per-tick scratch. May run concurrently
-// across tenants; it touches only tenant-owned state and never the
-// daemon journal — all journaling happens at the serialized barrier.
+// runTick advances one tenant by one tick: generate internal load, hand
+// up to maxItems queued items off to the guest's backlog, start the
+// oldest backlogged job if the runner is idle, step the tenant's world
+// (runner + obfuscator share the vCPU budget), and fold the obfuscator's
+// outcome into the per-tick scratch. May run concurrently across
+// tenants; it touches only tenant-owned state and never the daemon
+// journal — all journaling happens at the serialized barrier.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocDaemonTick
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -856,14 +881,20 @@ func (d *Daemon) runTick(t *Tenant) {
 			}
 		}
 	}
-	for n := 0; n < d.set.maxItems && t.qLen > 0; n++ {
-		it := t.pop()
-		//aegis:allow(hotpathdeep) applyItem synthesizes guest jobs — modeled tenant work, not daemon bookkeeping; the zero-alloc tick contract covers the protection loop and is gated dynamically by TestZeroAllocDaemonTick
-		if t.applyItem(it) {
-			t.processedTick++
-		} else {
-			t.shedTick++
+	for n := 0; n < d.set.maxItems && t.queue.n > 0; n++ {
+		if t.backlog.full() {
+			t.backlog.resize(max(2*len(t.backlog.buf), minBacklog))
 		}
+		t.backlog.push(t.queue.pop())
+		t.processedTick++
+	}
+	// A runner starts its next job on the world step after the one that
+	// finished the last, so building the job only once the runner is idle
+	// starts every job on the same tick as building it at hand-off did,
+	// from the same job stream in the same order.
+	if t.runner.Pending() == 0 && t.backlog.n > 0 {
+		//aegis:allow(hotpathdeep) startJob synthesizes a guest job — modeled tenant work, not daemon bookkeeping, once per job start; the hand-off itself is gated by TestZeroAllocDaemonHandOff and the protection loop by TestZeroAllocDaemonTick
+		t.startJob()
 	}
 	t.guest.World.Step()
 	info := t.obf.LastTick()
@@ -877,15 +908,18 @@ func (d *Daemon) runTick(t *Tenant) {
 	t.ticks++
 }
 
-// applyItem turns a queued work item into a guest job, reporting false
-// when the job could not be built (counted as shed — never silent).
-func (t *Tenant) applyItem(it workItem) bool {
+// startJob builds the oldest backlogged item's job and gives it to the
+// runner. Every secret of a BuildApp alphabet builds, so a build error
+// means a broken app: the item is dropped, counted and journaled at the
+// barrier as an incident, and the runner idles this tick.
+func (t *Tenant) startJob() {
+	it := t.backlog.pop()
 	job, err := t.app.Job(t.secrets[it.secret], t.jobRng)
 	if err != nil {
-		return false
+		t.jobErrorTick = true
+		return
 	}
 	t.runner.Enqueue(job)
-	return true
 }
 
 // finishTickLocked is the post-tick barrier: iterate tenants in attach
@@ -940,15 +974,22 @@ func (d *Daemon) finishTickLocked() {
 			d.fDaemon.Incident(d.tick, flight.CodeTenantDegraded, t.degradedReason.FlightCode(),
 				float64(t.id), 1, 0)
 		}
-		t.gDepth.Set(float64(t.qLen))
-		if t.qLen == len(t.queue) {
+		if t.jobErrorTick {
+			t.jobErrors++
+			mJobErrors.Inc()
+			d.fDaemon.Incident(d.tick, flight.CodeTenantJobError, flight.CodeNone,
+				float64(t.id), 1, 0)
+		}
+		t.gDepth.Set(float64(t.queue.n))
+		t.gBacklog.Set(float64(t.backlog.n))
+		if t.queue.full() {
 			anyFull = true
 		}
-		if t.state == StateDraining && t.qLen == 0 {
+		if t.state == StateDraining && t.queue.n == 0 {
 			drained++
 		}
 		t.enqueuedTick, t.processedTick, t.shedTick = 0, 0, 0
-		t.degradedTick = false
+		t.degradedTick, t.jobErrorTick = false, false
 		t.degradedReason = ""
 	}
 	// Complete finished drains after the stats pass: removal splices
@@ -956,7 +997,7 @@ func (d *Daemon) finishTickLocked() {
 	for drained > 0 {
 		drained = 0
 		for _, t := range d.order {
-			if t.state == StateDraining && t.qLen == 0 {
+			if t.state == StateDraining && t.queue.n == 0 {
 				//aegis:allow(hotpathdeep) tenant teardown runs only when a drain completes — a rare administrative branch of the barrier, not steady-state work
 				d.removeLocked(t)
 				drained++
@@ -981,6 +1022,38 @@ func (d *Daemon) TenantStatus(name string) (TenantStatus, error) {
 	return d.tenantStatusLocked(t), nil
 }
 
+// JobFunnel is where one tenant's handed-off work items stand. While the
+// tenant is attached, its processed_total (hand-offs) equals Completed +
+// Running + Backlog + Errors.
+type JobFunnel struct {
+	// Completed counts the jobs the guest runner finished.
+	Completed int64
+	// Running counts jobs given to the runner and not finished (0 or 1).
+	Running int64
+	// Backlog counts items handed off whose job has not started.
+	Backlog int64
+	// Errors counts items dropped because their job failed to build.
+	Errors int64
+}
+
+// TenantJobs returns one tenant's job funnel. It is kept out of
+// TenantStatus: the backlog is the guest's business, not the daemon's
+// queue.
+func (d *Daemon) TenantJobs(name string) (JobFunnel, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t, ok := d.tenants[name]
+	if !ok {
+		return JobFunnel{}, fmt.Errorf("%w: %q", ErrNoTenant, name)
+	}
+	return JobFunnel{
+		Completed: int64(len(t.runner.Timings())),
+		Running:   int64(t.runner.Pending()),
+		Backlog:   int64(t.backlog.n),
+		Errors:    t.jobErrors,
+	}, nil
+}
+
 func (d *Daemon) tenantStatusLocked(t *Tenant) TenantStatus {
 	return TenantStatus{
 		Name:           t.name,
@@ -989,8 +1062,8 @@ func (d *Daemon) tenantStatusLocked(t *Tenant) TenantStatus {
 		App:            t.appName,
 		PlanGeneration: t.planGen,
 		Ticks:          t.ticks,
-		QueueDepth:     t.qLen,
-		QueueCapacity:  len(t.queue),
+		QueueDepth:     t.queue.n,
+		QueueCapacity:  len(t.queue.buf),
 		Enqueued:       t.enqueued,
 		Processed:      t.processed,
 		Shed:           t.shed,

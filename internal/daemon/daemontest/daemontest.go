@@ -20,6 +20,7 @@ import (
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/telemetry"
 	"github.com/repro/aegis/internal/telemetry/flight"
 )
 
@@ -112,6 +113,9 @@ type Scenario struct {
 	Faults string
 	// Ops are the scripted mid-run operations.
 	Ops []Op
+	// Check, when set, runs after every Step, at the tick barrier; an
+	// error aborts the run.
+	Check func(d *daemon.Daemon) error
 }
 
 // Result is everything a scenario run exposes for assertions.
@@ -177,6 +181,11 @@ func Run(sc Scenario, parallelism int) (*Result, error) {
 			next++
 		}
 		d.Step()
+		if sc.Check != nil {
+			if err := sc.Check(d); err != nil {
+				return nil, fmt.Errorf("daemontest: tick %d: %w", tick, err)
+			}
+		}
 	}
 	for _, st := range d.Statuses() {
 		res.Final[st.Name] = st
@@ -190,6 +199,32 @@ func Run(sc Scenario, parallelism int) (*Result, error) {
 	res.Journal = sb.String()
 	res.Records = d.Journal().Snapshot()
 	return res, nil
+}
+
+// CheckJobFunnel reports the first live tenant whose hand-offs do not
+// reconcile: its processed_total must equal the jobs its runner
+// completed, the one job it is running and the items still backlogged,
+// no job may have failed to build, and daemon_backlog_jobs{tenant} must
+// show the backlog.
+func CheckJobFunnel(d *daemon.Daemon) error {
+	for _, st := range d.Statuses() {
+		jf, err := d.TenantJobs(st.Name)
+		if err != nil {
+			return err
+		}
+		if st.Processed != jf.Completed+jf.Running+jf.Backlog || jf.Running > 1 || jf.Errors != 0 {
+			return fmt.Errorf("tenant %s: processed %d, job funnel %+v", st.Name, st.Processed, jf)
+		}
+		if g := BacklogGauge(st.Name); g != float64(jf.Backlog) {
+			return fmt.Errorf("tenant %s: daemon_backlog_jobs %v, backlog %d", st.Name, g, jf.Backlog)
+		}
+	}
+	return nil
+}
+
+// BacklogGauge reads daemon_backlog_jobs{tenant}.
+func BacklogGauge(tenant string) float64 {
+	return telemetry.G("daemon_backlog_jobs", telemetry.L("tenant", tenant)).Value()
 }
 
 // apply executes one scripted op, snapshotting tenant status before a

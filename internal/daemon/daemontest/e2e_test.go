@@ -128,6 +128,61 @@ func TestScenarioHundredTenants(t *testing.T) {
 	}
 }
 
+// TestScenarioBacklogReconciles runs CheckJobFunnel at every tick
+// barrier under each fault preset: every hand-off is a completed,
+// running or backlogged job, and daemon_backlog_jobs{tenant} shows the
+// backlog. The script completes several jobs on website, keystroke and
+// dnn tenants, bursts past a queue, shrinks the queues, kills one tenant
+// and drains another; the detached tenants' gauges must read 0.
+func TestScenarioBacklogReconciles(t *testing.T) {
+	for _, preset := range []string{"off", "light", "heavy"} {
+		t.Run(preset, func(t *testing.T) {
+			three := 3
+			res, err := Run(Scenario{
+				Seed:            17,
+				Ticks:           700,
+				Tenants:         3,
+				Secrets:         3,
+				LoadPerTick:     1,
+				QueueCapacity:   8,
+				MaxItemsPerTick: 3,
+				TickBudget:      2000,
+				Faults:          preset,
+				Ops: []Op{
+					{AtTick: 1, Kind: OpAttach, Tenant: "keys", App: "keystroke", Secrets: 4},
+					{AtTick: 1, Kind: OpAttach, Tenant: "dnn", App: "dnn"},
+					{AtTick: 20, Kind: OpSubmit, Tenant: BaseTenantName(0), Jobs: 20},
+					{AtTick: 40, Kind: OpReload, Reload: daemon.Tunables{QueueCapacity: &three}},
+					{AtTick: 60, Kind: OpKill, Tenant: BaseTenantName(1)},
+					{AtTick: 80, Kind: OpDetach, Tenant: BaseTenantName(2)},
+				},
+				Check: CheckJobFunnel,
+			}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{BaseTenantName(0), "keys", "dnn"} {
+				jf, err := res.Daemon.TenantJobs(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if jf.Completed < 2 {
+					t.Errorf("tenant %s completed %d jobs, want several", name, jf.Completed)
+				}
+			}
+			for _, name := range []string{BaseTenantName(1), BaseTenantName(2)} {
+				if _, seen := res.Final[name]; !seen {
+					t.Fatalf("tenant %s never reached a detach", name)
+				}
+				if g := BacklogGauge(name); g != 0 {
+					t.Errorf("detached tenant %s: daemon_backlog_jobs %v, want 0", name, g)
+				}
+			}
+			checkFunnels(t, res)
+		})
+	}
+}
+
 // TestScenarioJournalContents asserts the journal narrates the scripted
 // lifecycle: attach/detach/replan/reject records where the script put
 // them, and one summary per tick.

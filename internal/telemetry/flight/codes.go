@@ -68,10 +68,10 @@ const (
 	CodeStageFuzzerResume
 
 	// KindDaemon codes: tenant lifecycle transitions (a = tenant id),
-	// per-tenant shed/degradation incidents (b = event count, sub = the
-	// degradation reason where one applies), config reload outcomes and
-	// the per-tick daemon summary (a = live tenants, b = items
-	// processed, c = items shed that tick).
+	// per-tenant shed/degradation/job-error incidents (b = event count,
+	// sub = the degradation reason where one applies), config reload
+	// outcomes and the per-tick daemon summary (a = live tenants, b =
+	// items processed, c = items shed that tick).
 	CodeTenantAttach
 	CodeTenantDrain
 	CodeTenantDetach
@@ -81,6 +81,7 @@ const (
 	CodeDaemonReload
 	CodeDaemonReloadReject
 	CodeDaemonSummary
+	CodeTenantJobError
 
 	numCodes
 )
@@ -134,6 +135,7 @@ var codeNames = [numCodes]string{
 	CodeDaemonReload:       "daemon:reload",
 	CodeDaemonReloadReject: "daemon:reload-reject",
 	CodeDaemonSummary:      "daemon:summary",
+	CodeTenantJobError:     "tenant:job-error",
 }
 
 // String returns the stable wire name of the code.

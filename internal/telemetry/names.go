@@ -49,12 +49,14 @@ const (
 // Multi-tenant protection daemon (internal/daemon, cmd/aegisd).
 const (
 	MetricDaemonAttachesTotal        = "daemon_attaches_total"
+	MetricDaemonBacklogJobs          = "daemon_backlog_jobs"
 	MetricDaemonCtlRequestsTotal     = "daemon_ctl_requests_total"
 	MetricDaemonDegradedTenantTicks  = "daemon_degraded_tenant_ticks_total"
 	MetricDaemonDetachesTotal        = "daemon_detaches_total"
 	MetricDaemonEventsEnqueuedTotal  = "daemon_events_enqueued_total"
 	MetricDaemonEventsProcessedTotal = "daemon_events_processed_total"
 	MetricDaemonEventsShedTotal      = "daemon_events_shed_total"
+	MetricDaemonJobErrorsTotal       = "daemon_job_errors_total"
 	MetricDaemonOverloaded           = "daemon_overloaded"
 	MetricDaemonQueueDepth           = "daemon_queue_depth"
 	MetricDaemonReloadRejectsTotal   = "daemon_reload_rejects_total"
