@@ -69,8 +69,9 @@ fmt-check:
 # Coverage-guided fuzzing of the DP mechanisms, the d* memo against an
 # unbounded reference, the faulted tick loop, decoded-op execution against
 # the variant-based reference, the flat caches and TLB against the
-# reference LRU model, and the breakpoint class sampler against the weight
-# scan it replaces.
+# reference LRU model, the breakpoint class sampler against the weight
+# scan it replaces, and the vCPU's app/defense slots against the process
+# list scheduler they replaced.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarMemo -fuzztime $(FUZZTIME)
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzExecuteOpMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzMixSampler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sev/ -run='^$$' -fuzz=FuzzSlotsMatchListScheduler -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

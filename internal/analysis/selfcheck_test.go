@@ -84,10 +84,11 @@ func Analyze(pkgs []*Package, rules []*Rule) []Diagnostic {
 }
 
 // TestRepoBuildsGuestsInOnePlace keeps protected-guest assembly in
-// sev.NewGuest, which puts the defense in its vCPU's typed defense slot. A
-// non-test file outside internal/sev that builds its own world
-// (sev.NewWorld) or schedules a process by hand ((*sev.VM).AddProcess)
-// would hide the defense from the scheduler. The nested bench module is a
+// sev.NewGuest, which fills vCPU 0's app and defense slots. A non-test
+// file outside internal/sev that builds its own world (sev.NewWorld) or
+// schedules a process by hand ((*sev.VM).AddProcess) would assemble a
+// guest elsewhere: a hand-scheduled second process lands in the defense
+// slot whether or not it is a defense. The nested bench module is a
 // module of its own and keeps its own assembly.
 func TestRepoBuildsGuestsInOnePlace(t *testing.T) {
 	// coTenants may schedule one process by hand: an unprotected VM
@@ -123,7 +124,7 @@ func TestRepoBuildsGuestsInOnePlace(t *testing.T) {
 						return true
 					}
 					if (!method && fn.Name() == "NewWorld") || (method && fn.Name() == "AddProcess") {
-						t.Errorf("%s: %s outside internal/sev; build the guest with sev.NewGuest and place its defense with VM.SetDefense",
+						t.Errorf("%s: %s outside internal/sev; build the guest with sev.NewGuest (app and defense slots) and replace its defense with VM.SetDefense",
 							pkg.Fset.Position(call.Pos()), fn.Name())
 					}
 					return true

@@ -30,8 +30,6 @@ type probeProc struct {
 	perTick int
 }
 
-func (p *probeProc) Name() string { return "l2-probe" }
-
 func (p *probeProc) Step(g *sev.GuestExecutor) {
 	// The probe working set matches the L2 size so every victim line
 	// evicts a probe line.

@@ -203,8 +203,8 @@ func checkDeployment(s Schedule, name string, d Deployment) error {
 	if plans == 0 {
 		return fmt.Errorf("%v: %s deployment has no plans", s, name)
 	}
-	// The obfuscator shares its vCPU round-robin with the workload: a tick
-	// whose budget dies before the obfuscator's turn never reaches it, so
+	// The obfuscator takes turns going first with the workload on its
+	// vCPU: a tick whose budget dies before its turn never reaches it, so
 	// it runs at most — not exactly — the world's tick count. When it
 	// runs, every plan does, so the funnel counts whole ticks of plans.
 	if r.Ticks <= 0 || r.Ticks > plans*int64(s.Ticks) || r.Ticks%plans != 0 {

@@ -508,9 +508,6 @@ func measureSegment(seg []microarch.Op, ev *hpc.Event) (float64, error) {
 	return delta, nil
 }
 
-// Name implements sev.Process.
-func (o *Obfuscator) Name() string { return "aegis-obfuscator" }
-
 // Plans returns the number of protected events.
 func (o *Obfuscator) Plans() int { return len(o.plans) }
 

@@ -10,12 +10,9 @@ import (
 // seqProc runs one fixed instruction sequence per tick via ExecuteSeq and
 // records how many instructions retired each tick.
 type seqProc struct {
-	name string
-	seq  []microarch.Op
-	ran  []int
+	seq []microarch.Op
+	ran []int
 }
-
-func (p *seqProc) Name() string { return p.name }
 
 func (p *seqProc) Step(g *GuestExecutor) {
 	n, err := g.ExecuteSeq(p.seq)
@@ -37,7 +34,7 @@ func launchOne(t *testing.T, seed uint64) (*World, *VM) {
 
 func TestPreemptionSlashesBudget(t *testing.T) {
 	w, vm := launchOne(t, 1)
-	p := &burnProc{name: "burner", perTick: 1 << 30, instr: aluVariant(t)}
+	p := &burnProc{perTick: 1 << 30, instr: aluVariant(t)}
 	if err := vm.AddProcess(0, p); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestGadgetInterruptExecutesPartialSequence(t *testing.T) {
 		alu := aluVariant(t)
 		seq[i] = microarch.Decode(&alu)
 	}
-	p := &seqProc{name: "gadget", seq: seq}
+	p := &seqProc{seq: seq}
 	if err := vm.AddProcess(0, p); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestHealthyWorldUnchangedByNilInjector(t *testing.T) {
 		if set {
 			w.SetFaults(nil)
 		}
-		p := &burnProc{name: "b", perTick: 300, instr: aluVariant(t)}
+		p := &burnProc{perTick: 300, instr: aluVariant(t)}
 		if err := vm.AddProcess(0, p); err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +121,11 @@ func TestFaultSchedulesIndependentOfVMOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := other.AddProcess(0, &burnProc{name: "other", perTick: 100, instr: aluVariant(t)}); err != nil {
+			if err := other.AddProcess(0, &burnProc{perTick: 100, instr: aluVariant(t)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		p := &seqProc{name: "probe", seq: make([]microarch.Op, 8)}
+		p := &seqProc{seq: make([]microarch.Op, 8)}
 		for i := range p.seq {
 			alu := aluVariant(t)
 			p.seq[i] = microarch.Decode(&alu)

@@ -15,10 +15,10 @@ type GuestConfig struct {
 	VM VMConfig
 	// Faults, when non-nil, injects substrate faults into the world.
 	Faults *faultinject.Injector
-	// App is the protected application, scheduled on vCPU 0.
+	// App, when non-nil, fills vCPU 0's app slot.
 	App Process
 	// Defense, when non-nil, fills vCPU 0's defense slot; VM.SetDefense
-	// places or swaps it later.
+	// places or replaces it later.
 	Defense Process
 }
 
@@ -31,8 +31,8 @@ type Guest struct {
 	Core *microarch.Core
 }
 
-// NewGuest builds the world, launches the VM and schedules the app ahead
-// of the defense slot on vCPU 0.
+// NewGuest builds the world, launches the VM and fills vCPU 0's app and
+// defense slots; a nil App or Defense leaves its slot empty.
 func NewGuest(cfg GuestConfig) (*Guest, error) {
 	w := NewWorld(cfg.World)
 	w.SetFaults(cfg.Faults)
@@ -40,10 +40,7 @@ func NewGuest(cfg GuestConfig) (*Guest, error) {
 	if err != nil {
 		return nil, err
 	}
-	// LaunchVM always gives the VM a vCPU 0, so neither call can fail.
-	_ = vm.AddProcess(0, cfg.App)
-	if cfg.Defense != nil {
-		_ = vm.SetDefense(0, cfg.Defense)
-	}
-	return &Guest{World: w, VM: vm, Core: w.cores[vm.vcpus[0].physCore]}, nil
+	vc := vm.vcpus[0] // LaunchVM always gives the VM a vCPU 0
+	vc.app, vc.defense = cfg.App, cfg.Defense
+	return &Guest{World: w, VM: vm, Core: w.cores[vc.physCore]}, nil
 }

@@ -30,8 +30,8 @@ var (
 	mVMsLaunched = telemetry.C("sev_vms_launched_total")
 	gTickBudget  = telemetry.G("sev_tick_budget")
 	// mDefenseSkipped counts vCPU ticks on which a defense sat in the
-	// slot but the processes ahead of it used the whole budget, so its
-	// Step never ran: the starvation a saturated app imposes on it.
+	// slot but the app ahead of it used the whole budget, so its Step
+	// never ran: the starvation a saturated app imposes on it.
 	mDefenseSkipped = telemetry.C("sev_defense_skipped_ticks_total")
 
 	// fWorld journals a periodic world summary so a flight dump around an
@@ -44,6 +44,7 @@ var (
 	ErrNoSuchVCPU   = errors.New("sev: no such vCPU")
 	ErrNoSuchCore   = errors.New("sev: no such physical core")
 	ErrCoreOccupied = errors.New("sev: physical core already has a vCPU pinned")
+	ErrVCPUFull     = errors.New("sev: vCPU already holds an app and a defense")
 )
 
 // Config sizes the simulated host machine.
@@ -78,12 +79,8 @@ func DefaultConfig(seed uint64) Config {
 
 // Process is a guest workload entity scheduled on a vCPU. Step is called
 // once per tick with an executor bounded by the tick's remaining
-// instruction budget.
+// instruction budget; implementations should stop when it is exhausted.
 type Process interface {
-	// Name identifies the process inside the guest.
-	Name() string
-	// Step runs up to one tick of work. Implementations should stop when
-	// the executor's budget is exhausted.
 	Step(g *GuestExecutor)
 }
 
@@ -151,25 +148,25 @@ func (g *GuestExecutor) Context() *microarch.ExecContext { return g.ctx }
 // kernel module reads HPCs with RDPMC from inside the VM).
 func (g *GuestExecutor) Core() *microarch.Core { return g.core }
 
-// vcpu is one virtual CPU of a VM.
+// vcpu is one virtual CPU of a VM. It holds at most two processes, in
+// typed slots: the app and the defense co-scheduled with it (paper
+// §VII-C). A nil slot is empty.
 type vcpu struct {
 	physCore int
-	procs    []Process
-	// defended marks the last entry of procs as the vCPU's defense slot
-	// (SetDefense); every other process is scheduled ahead of it.
-	defended bool
-	ctx      *microarch.ExecContext
+	app      Process
+	defense  Process
+	// defenseFirst says which slot runs first this tick. It flips after
+	// every tick on which both slots are filled, so the two timeshare the
+	// budget (otherwise the app could never be delayed, and the defense
+	// would impose no latency on it); with one slot filled it never moves.
+	defenseFirst bool
+	ctx          *microarch.ExecContext
 	// faultLabel identifies this vCPU in fault schedules ("vm0/vcpu1");
 	// faults is derived lazily on the first Step after SetFaults. Labelling
 	// by (vm, vcpu) — not by iteration order — keeps schedules independent
 	// of Go's map ordering in World.Step.
 	faultLabel string
 	faults     *faultinject.Handle
-	// nextFirst rotates which process runs first each tick, so co-located
-	// processes timeshare the budget fairly (without this, a process
-	// added later could never delay an earlier one, and the obfuscator
-	// would impose no latency on the protected application).
-	nextFirst int
 	// exec is the per-tick guest executor, reused every Step so the tick
 	// loop stays allocation-free. Processes must not retain it across
 	// ticks (the Process.Step contract).
@@ -371,8 +368,9 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 	return vm, nil
 }
 
-// Step advances the world by one tick: every vCPU runs its processes
-// round-robin on its physical core until the tick budget is exhausted.
+// Step advances the world by one tick: on every vCPU the slot whose turn
+// it is runs first on the physical core, and the other slot runs only if
+// budget remains.
 //
 // The steady-state path is allocation-free: gated dynamically by TestZeroAllocWorldStep
 // (alloc_gate_test.go, `make bench-alloc`) and statically by the
@@ -403,21 +401,23 @@ func (w *World) Step() {
 				tick:   w.tick,
 				faults: vc.faults,
 			}
-			n := len(vc.procs)
-			defenseRan := !vc.defended
-			for i := 0; i < n; i++ {
-				j := (vc.nextFirst + i) % n
-				vc.procs[j].Step(g)
-				defenseRan = defenseRan || j == n-1
-				if g.Remaining() == 0 {
-					break
+			switch {
+			case vc.app != nil && vc.defense != nil:
+				first, second := vc.app, vc.defense
+				if vc.defenseFirst {
+					first, second = second, first
 				}
-			}
-			if !defenseRan {
-				mDefenseSkipped.Inc()
-			}
-			if n > 0 {
-				vc.nextFirst = (vc.nextFirst + 1) % n
+				first.Step(g)
+				if g.Remaining() > 0 {
+					second.Step(g)
+				} else if !vc.defenseFirst {
+					mDefenseSkipped.Inc()
+				}
+				vc.defenseFirst = !vc.defenseFirst
+			case vc.app != nil:
+				vc.app.Step(g)
+			case vc.defense != nil:
+				vc.defense.Step(g)
 			}
 			vc.usageSum += float64(g.used) / float64(w.cfg.TickBudget)
 			vc.usageTicks++
@@ -452,37 +452,33 @@ func (vm *VM) PhysicalCore(vcpuIdx int) (int, error) {
 	return vm.vcpus[vcpuIdx].physCore, nil
 }
 
-// AddProcess schedules a guest process on a vCPU. Processes added to the
-// same vCPU share its tick budget in arrival order, ahead of the vCPU's
-// defense slot.
+// AddProcess schedules a guest process in the vCPU's first empty slot:
+// the app slot, then the defense slot. A vCPU with both filled returns
+// ErrVCPUFull.
 func (vm *VM) AddProcess(vcpuIdx int, p Process) error {
 	if vcpuIdx < 0 || vcpuIdx >= len(vm.vcpus) {
 		return fmt.Errorf("%w: %d", ErrNoSuchVCPU, vcpuIdx)
 	}
 	vc := vm.vcpus[vcpuIdx]
-	vc.procs = append(vc.procs, p)
-	if vc.defended {
-		last := len(vc.procs) - 1
-		vc.procs[last-1], vc.procs[last] = p, vc.procs[last-1]
+	switch {
+	case vc.app == nil:
+		vc.app = p
+	case vc.defense == nil:
+		vc.defense = p
+	default:
+		return fmt.Errorf("%w: %s", ErrVCPUFull, vc.faultLabel)
 	}
 	return nil
 }
 
-// SetDefense puts p in the vCPU's defense slot, the last entry of its
-// process list. An empty slot is appended; an occupied one is swapped in
-// place, so a re-plan keeps the slot's position and the vCPU's
-// round-robin rotation and never changes the schedule.
+// SetDefense puts p in the vCPU's defense slot, replacing any defense
+// already there. The slot keeps its turn, so a re-plan never changes the
+// schedule.
 func (vm *VM) SetDefense(vcpuIdx int, p Process) error {
 	if vcpuIdx < 0 || vcpuIdx >= len(vm.vcpus) {
 		return fmt.Errorf("%w: %d", ErrNoSuchVCPU, vcpuIdx)
 	}
-	vc := vm.vcpus[vcpuIdx]
-	if vc.defended {
-		vc.procs[len(vc.procs)-1] = p
-		return nil
-	}
-	vc.procs = append(vc.procs, p)
-	vc.defended = true
+	vm.vcpus[vcpuIdx].defense = p
 	return nil
 }
 

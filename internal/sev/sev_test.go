@@ -11,17 +11,17 @@ import (
 	"github.com/repro/aegis/internal/rng"
 )
 
-// burnProc executes a fixed number of ALU instructions per tick.
+// burnProc executes a fixed number of ALU instructions per tick and
+// counts its Step calls and retired instructions.
 type burnProc struct {
-	name    string
 	perTick int
 	instr   isa.Variant
+	steps   int
 	total   int
 }
 
-func (b *burnProc) Name() string { return b.name }
-
 func (b *burnProc) Step(g *GuestExecutor) {
+	b.steps++
 	for i := 0; i < b.perTick; i++ {
 		ok, err := g.ExecuteOp(microarch.Decode(&b.instr))
 		if err != nil || !ok {
@@ -31,7 +31,7 @@ func (b *burnProc) Step(g *GuestExecutor) {
 	}
 }
 
-func aluVariant(t *testing.T) isa.Variant {
+func aluVariant(t testing.TB) isa.Variant {
 	t.Helper()
 	res := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures())
 	for _, v := range res.Legal {
@@ -124,7 +124,7 @@ func TestStepExecutesProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &burnProc{name: "burn", perTick: 100, instr: aluVariant(t)}
+	p := &burnProc{perTick: 100, instr: aluVariant(t)}
 	if err := vm.AddProcess(0, p); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestTickBudgetShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &burnProc{name: "a", perTick: 100, instr: aluVariant(t)}
-	b := &burnProc{name: "b", perTick: 100, instr: aluVariant(t)}
+	a := &burnProc{perTick: 100, instr: aluVariant(t)}
+	b := &burnProc{perTick: 100, instr: aluVariant(t)}
 	if err := vm.AddProcess(0, a); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCPUUsageMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &burnProc{name: "half", perTick: 100, instr: aluVariant(t)}
+	p := &burnProc{perTick: 100, instr: aluVariant(t)}
 	if err := vm.AddProcess(0, p); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestHostPMUSeesGuestActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.AddProcess(0, &burnProc{name: "victim", perTick: 500, instr: aluVariant(t)}); err != nil {
+	if err := vm.AddProcess(0, &burnProc{perTick: 500, instr: aluVariant(t)}); err != nil {
 		t.Fatal(err)
 	}
 	coreIdx, err := vm.PhysicalCore(0)
@@ -224,7 +224,7 @@ func TestGuestExecutorBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &burnProc{name: "greedy", perTick: 1000, instr: aluVariant(t)}
+	p := &burnProc{perTick: 1000, instr: aluVariant(t)}
 	if err := vm.AddProcess(0, p); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCrossVMCoreIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := neighbor.AddProcess(0, &burnProc{name: "noisy", perTick: 800, instr: aluVariant(t)}); err != nil {
+	if err := neighbor.AddProcess(0, &burnProc{perTick: 800, instr: aluVariant(t)}); err != nil {
 		t.Fatal(err)
 	}
 	victimCoreIdx, err := victim.PhysicalCore(0)
@@ -332,8 +332,8 @@ func TestSameVCPUProcessesShareCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &burnProc{name: "app", perTick: 100, instr: aluVariant(t)}
-	b := &burnProc{name: "obf", perTick: 100, instr: aluVariant(t)}
+	a := &burnProc{perTick: 100, instr: aluVariant(t)}
+	b := &burnProc{perTick: 100, instr: aluVariant(t)}
 	if err := vm.AddProcess(0, a); err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +412,13 @@ func TestSharedL2CrossCoreContention(t *testing.T) {
 			}
 		}
 		// Victim repeatedly walks a small working set that fits in L2.
-		victimProc := &wsProc{name: "victim", instr: load, perTick: 300, ws: 128 << 10}
+		victimProc := &wsProc{instr: load, perTick: 300, ws: 128 << 10}
 		if err := victim.AddProcess(0, victimProc); err != nil {
 			t.Fatal(err)
 		}
 		if neighborActive {
 			// Neighbor thrashes a huge working set.
-			if err := neighbor.AddProcess(0, &wsProc{name: "thrash", instr: load, perTick: 1500, ws: 64 << 20}); err != nil {
+			if err := neighbor.AddProcess(0, &wsProc{instr: load, perTick: 1500, ws: 64 << 20}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -452,13 +452,10 @@ func TestSharedL2CrossCoreContention(t *testing.T) {
 
 // wsProc executes loads over a working set.
 type wsProc struct {
-	name    string
 	instr   isa.Variant
 	perTick int
 	ws      uint64
 }
-
-func (p *wsProc) Name() string { return p.name }
 
 func (p *wsProc) Step(g *GuestExecutor) {
 	g.Context().WorkingSet = p.ws
