@@ -284,9 +284,14 @@ func TestZeroAllocStatsScratch(t *testing.T) {
 // per core its guests pin (the fuzzer resets pooled cores instead, see
 // TestZeroAllocCoreReset): each cache and the TLB is one flat allocation,
 // so a core makes the same small number of allocations however many sets
-// its caches have.
+// its caches have. A default core's bytes are bounded too; its L2's ways
+// are most of them.
 func TestZeroAllocPerCacheSet(t *testing.T) {
-	const maxAllocs = 12 // the core, 3 caches, TLB and predictor, and their 6 tables
+	const (
+		maxAllocs = 12 // the core, 3 caches, TLB and predictor, and their 6 tables
+		maxBytes  = 40 << 10
+		cores     = 16
+	)
 	cfg := microarch.DefaultCoreConfig()
 	base := testing.AllocsPerRun(16, func() { coreSink = microarch.NewCore(0, cfg, nil) })
 	if base > maxAllocs {
@@ -297,7 +302,44 @@ func TestZeroAllocPerCacheSet(t *testing.T) {
 	if n := testing.AllocsPerRun(16, func() { coreSink = microarch.NewCore(0, big, nil) }); n != base {
 		t.Errorf("NewCore with 4x the sets: %v allocs, want %v as with the default sets", n, base)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cores; i++ {
+		coreSink = microarch.NewCore(0, cfg, nil)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / cores
+	t.Logf("NewCore allocates %d B", per)
+	if per > maxBytes {
+		t.Errorf("NewCore allocates %d B, want at most %d", per, maxBytes)
+	}
 }
+
+// TestZeroAllocWebsiteJobMembership gates a website job build's check
+// that the secret is one of the app's sites: with the daemon's four-site
+// app and with the full default list, Job allocates exactly what
+// WebsiteJob, the page load itself, does.
+func TestZeroAllocWebsiteJobMembership(t *testing.T) {
+	four, err := daemon.BuildApp("website", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	for _, app := range []workload.App{four, &workload.WebsiteApp{}} {
+		site := app.Secrets()[3]
+		page := testing.AllocsPerRun(16, func() { jobSink = workload.WebsiteJob(site, r) })
+		job := testing.AllocsPerRun(16, func() {
+			if jobSink, err = app.Job(site, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if job != page {
+			t.Errorf("%d-site app: Job(%q) makes %v allocs, WebsiteJob %v", len(app.Secrets()), site, job, page)
+		}
+	}
+}
+
+var jobSink workload.Job
 
 // TestZeroAllocCoreReset gates Core.Reset, which the fuzzer runs on a
 // pooled core before every signature it measures: returning a core to cold

@@ -251,7 +251,7 @@ func run(args []string) error {
 	fmt.Printf("injected %d gadget-segment executions (%.0f reference-event counts, saturation %.1f%%)\n",
 		obf.InjectedReps(), obf.InjectedCounts(), obf.SaturationRate()*100)
 	fmt.Printf("completed %d/%d application jobs\n",
-		len(runner.Timings()), len(app.Secrets()))
+		runner.Completed(), len(app.Secrets()))
 
 	report := obf.Report()
 	if report.Full() {

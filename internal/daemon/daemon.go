@@ -1047,7 +1047,7 @@ func (d *Daemon) TenantJobs(name string) (JobFunnel, error) {
 		return JobFunnel{}, fmt.Errorf("%w: %q", ErrNoTenant, name)
 	}
 	return JobFunnel{
-		Completed: int64(len(t.runner.Timings())),
+		Completed: int64(t.runner.Completed()),
 		Running:   int64(t.runner.Pending()),
 		Backlog:   int64(t.backlog.n),
 		Errors:    t.jobErrors,

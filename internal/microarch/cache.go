@@ -15,7 +15,9 @@
 // access and answers a repeat of it as a hit without a lookup: only
 // another access, a flush or a reset can evict that line, and each of
 // them replaces or clears the memory. A set's ways are stored two to a
-// word and matched a word at a time; see find.
+// word and matched a word at a time; see find. An access matches the tag
+// and finds a miss's victim in one branch-free pass over the set; see
+// access.
 //
 // Tags are 31 bits wide. A cache way holds its line's tag, the line number
 // above the set index, truncated to 31 bits; a TLB entry holds its page
@@ -135,16 +137,20 @@ func (c *Cache) set(line uint64) (tag uint32, words []uint64) {
 	return uint32(above&tagMask) + 1, c.lines[i : i+c.words]
 }
 
+// zeroLanes sets the top bit of each lane of x that is zero and clears
+// every other bit: (x-lanes)&^x sets a lane's top bit when the lane is
+// zero. A borrow out of a zero low lane can also mark the high lane, but
+// then the low lane, which comes first, is zero; so for z != 0 the first
+// zero lane is ^z>>31&1 (0 low, 1 high).
+func zeroLanes(x uint64) uint64 { return (x - lanes) &^ x & laneHigh }
+
 // find returns the first way of a set's words holding v, or -1. Each word
-// is tested for a lane equal to v at once: x = word^(v in both lanes) has
-// a zero lane exactly where a way holds v, and (x-lanes)&^x sets a lane's
-// top bit when the lane is zero. A borrow out of a zero low lane can also
-// mark the high lane, but then the low lane, which comes first, is a match.
+// is tested for a lane equal to v at once: word^(v in both lanes) is zero
+// in exactly the lanes that hold v.
 func find(words []uint64, v uint32) int {
 	both := uint64(v) * lanes
 	for i, w := range words {
-		x := w ^ both
-		if z := (x - lanes) &^ x & laneHigh; z != 0 {
+		if z := zeroLanes(w ^ both); z != 0 {
 			return 2*i + int(^z>>31&1)
 		}
 	}
@@ -162,23 +168,38 @@ func (c *Cache) Access(addr uint64) bool {
 	return c.access(line)
 }
 
-// access looks line up and fills it on a miss, and remembers it as the
-// last line.
+// access looks line up, fills it on a miss and remembers it as the last
+// line.
+//
+// One pass over the set, last word first, matches the tag and finds the
+// victim: each word with a free lane makes its first free lane the
+// victim, so the pass ends on the set's first free way, else on the last
+// way (a free last way is the last way either way, and no pad lane is
+// free). The pass has no early exit, and a hit stores its word back
+// unchanged. To the host's branch predictor, whether a random access hits
+// is a coin flip, and selects in place of branches keep a mispredict from
+// discarding the work of the accesses after it.
 func (c *Cache) access(line uint64) bool {
 	c.last, c.hasLast = line, true
 	tag, words := c.set(line)
-	if find(words, tag) >= 0 {
-		return true
+	both := uint64(tag) * lanes
+	victim, match := c.ways-1, uint64(0)
+	for i := len(words) - 1; i >= 0; i-- {
+		w := words[i]
+		match |= zeroLanes(w ^ both)
+		if z := zeroLanes(w); z != 0 {
+			victim = 2*i + int(^z>>31&1)
+		}
 	}
-	// The first free way, or the last way when none is: a free last way
-	// is the last way either way, and no pad lane is free.
-	victim := find(words, free)
-	if victim < 0 {
-		victim = c.ways - 1
-	}
+	hit := match != 0
 	shift := 32 * uint(victim%2)
-	words[victim/2] = words[victim/2]&^(pad<<shift) | uint64(tag)<<shift
-	return false
+	old := words[victim/2]
+	filled := old&^(pad<<shift) | uint64(tag)<<shift
+	if hit {
+		filled = old
+	}
+	words[victim/2] = filled
+	return hit
 }
 
 // Contains reports whether addr's line is cached, without filling it or
@@ -220,7 +241,8 @@ type TLB struct {
 	last  int // the most recently hit or filled entry
 	// settled is an insert-only open-addressing set of the pages in
 	// entries [0, len(pages)-1), which no miss replaces. It has at least
-	// twice as many slots as entries, so probes end at a free slot.
+	// four times as many slots as entries, so it is at most a quarter
+	// full and a miss's probe ends at a free slot after few steps.
 	settled []uint32
 	shift   uint
 }
@@ -234,7 +256,7 @@ func NewTLB(entries, pageSize int) *TLB {
 	if pageSize < 1 {
 		pageSize = 4096
 	}
-	bits := log2Ceil(2 * entries)
+	bits := log2Ceil(4 * entries)
 	return &TLB{
 		pageBits: log2Ceil(pageSize),
 		pages:    make([]uint32, entries),
@@ -244,6 +266,9 @@ func NewTLB(entries, pageSize int) *TLB {
 }
 
 // Access translates addr and returns whether the page entry was resident.
+// Once every settled entry is in use, a miss only replaces the last
+// entry, which Access does with selects rather than a branch on the
+// lookup, as Cache.access does.
 func (t *TLB) Access(addr uint64) bool {
 	page := uint32(addr>>t.pageBits&tagMask) + 1
 	n := len(t.pages) - 1
@@ -251,18 +276,23 @@ func (t *TLB) Access(addr uint64) bool {
 		return true
 	}
 	i := t.slot(page)
-	if t.settled[i] == page {
-		return true
-	}
-	victim := n
+	hit := t.settled[i] == page
 	if t.used < n {
-		victim = t.used
+		if hit {
+			return true
+		}
+		t.pages[t.used] = page
+		t.last = t.used
 		t.used++
 		t.settled[i] = page
+		return false
 	}
-	t.pages[victim] = page
-	t.last = victim
-	return false
+	keep, last := t.pages[n], t.last
+	if !hit {
+		keep, last = page, n
+	}
+	t.pages[n], t.last = keep, last
+	return hit
 }
 
 // slot returns the settled slot holding page, or the free slot where it

@@ -316,7 +316,7 @@ func (c *Core) Reset() {
 	c.L1I.reset()
 	c.L2.reset()
 	c.TLB.Flush()
-	clear(c.BP.table)
+	clear(c.BP.counters)
 	c.ctrs = Counters{}
 }
 
@@ -522,13 +522,14 @@ func drawThreshold(p float64) uint64 {
 }
 
 // dataAccess performs one data memory access and returns its cycle cost.
+// The TLB and L2 outcomes are counted as 0 or 1 rather than branched on:
+// see Cache.access.
 func (c *Core) dataAccess(addr uint64, write bool) uint64 {
 	cycles := uint64(4)
 	c.ctrs.DTLBAccesses++
-	if !c.TLB.Access(addr) {
-		c.ctrs.DTLBMisses++
-		cycles += 7 // page walk
-	}
+	tlbMiss := 1 - b2u(c.TLB.Access(addr))
+	c.ctrs.DTLBMisses += tlbMiss
+	cycles += 7 * tlbMiss // page walk
 	if write {
 		c.ctrs.StoresDisp++
 		c.ctrs.MemWrites++
@@ -542,16 +543,21 @@ func (c *Core) dataAccess(addr uint64, write bool) uint64 {
 		c.ctrs.L1DMisses++
 		c.ctrs.MABAllocations++
 		c.ctrs.L2Accesses++
-		if c.L2.Access(addr) {
-			c.ctrs.RefillsFromL2++
-			cycles += 8
-		} else {
-			c.ctrs.L2Misses++
-			c.ctrs.RefillsFromSystem++
-			cycles += 60
-		}
+		l2Hit := b2u(c.L2.Access(addr))
+		c.ctrs.RefillsFromL2 += l2Hit
+		c.ctrs.L2Misses += 1 - l2Hit
+		c.ctrs.RefillsFromSystem += 1 - l2Hit
+		cycles += 60 - 52*l2Hit // 8 cycles from L2, 60 from memory
 	}
 	return cycles
+}
+
+// b2u returns 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ExecuteSequence retires a slice of ops in order, stopping at the first

@@ -236,6 +236,84 @@ func (t *refTLB) touch(entry int) {
 	t.lru[entry] = 0
 }
 
+// refPredictor is the bimodal predictor the packed BranchPredictor is
+// checked against: one 2-bit counter per byte, indexed modulo the table
+// size.
+type refPredictor struct {
+	table []uint8
+}
+
+// newRefPredictor builds a refPredictor with the given table size (rounded
+// up to at least 16 entries).
+func newRefPredictor(entries int) *refPredictor {
+	if entries < 16 {
+		entries = 16
+	}
+	return &refPredictor{table: make([]uint8, entries)}
+}
+
+func (b *refPredictor) index(pc uint64) int {
+	pc ^= pc >> 16
+	pc *= 0x45d9f3b3335b369d
+	pc ^= pc >> 32
+	return int(pc % uint64(len(b.table)))
+}
+
+// Resolve records the actual outcome, updates the counter, and reports
+// whether the prediction was wrong.
+func (b *refPredictor) Resolve(pc uint64, taken bool) bool {
+	idx := b.index(pc)
+	predicted := b.table[idx] >= 2
+	mispredicted := predicted != taken
+	if taken {
+		if b.table[idx] < 3 {
+			b.table[idx]++
+		}
+	} else {
+		if b.table[idx] > 0 {
+			b.table[idx]--
+		}
+	}
+	return mispredicted
+}
+
+// TestPredictorMatchesReference drives seeded random branch streams
+// through the packed predictor and the byte-per-counter reference, at
+// power-of-two and other table sizes (below the 16-entry floor, and not a
+// multiple of four), and requires every prediction, and the final counters
+// entry by entry, to agree. Each PC has its own bias toward taken, so
+// counters both saturate and flip.
+func TestPredictorMatchesReference(t *testing.T) {
+	for _, entries := range []int{0, 16, 17, 100, 1000, 4096} {
+		got, want := NewBranchPredictor(entries), newRefPredictor(entries)
+		r := rng.New(uint64(entries) + 1)
+		pcs := make([]uint64, len(want.table))
+		bias := make([]float64, len(pcs))
+		for i := range pcs {
+			pcs[i] = 0x400000 + 4*uint64(r.Intn(1<<20))
+			bias[i] = r.Float64()
+		}
+		for i := 0; i < 200000; i++ {
+			k := r.Intn(len(pcs))
+			pc, taken := pcs[k], r.Bernoulli(bias[k])
+			if i%64 == 0 {
+				pc = r.Uint64()
+			}
+			if g, w := got.Resolve(pc, taken), want.Resolve(pc, taken); g != w {
+				t.Fatalf("%d entries op %d: Resolve(%#x, %v) = %v, reference %v", entries, i, pc, taken, g, w)
+			}
+		}
+		for i, w := range want.table {
+			if g := got.counters[i/4] >> (2 * (i % 4)) & 3; g != w {
+				t.Errorf("%d entries: counter %d is %d, reference %d", entries, i, g, w)
+			}
+		}
+		if pad := len(want.table) % 4; pad != 0 && got.counters[len(got.counters)-1]>>(2*pad) != 0 {
+			t.Errorf("%d entries: the last byte's unused counters are set", entries)
+		}
+	}
+}
+
 // TestCacheMatchesReference drives seeded random Access, Contains, Flush
 // and Insert sequences through the flat cache and the reference model and
 // requires every result, and the final contents way by way, to agree.
@@ -644,6 +722,15 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		step(0xc0, 1<<63|1<<47), step(0, 1<<47), step(2, 1<<63), step(6, 1<<43), step(6, 0)))
 	f.Add(uint16(16), uint8(3), uint8(0), uint8(2), slices.Concat(
 		step(0, 1<<64-1), step(0, 1<<64-1), step(3, 1<<64-1), step(0, 1<<64-1), step(0x40, 7), step(0x40, 55)))
+	// One 5-way set, so its third word has a pad lane: fill it and miss
+	// once (evicting the last way, not the pad lane), flush two middle
+	// ways (way 1, a high lane, and way 2, a low lane) and miss twice, so
+	// the misses must fill way 1 and then way 2, the first free way each
+	// time, and a third miss the last way again.
+	f.Add(uint16(1), uint8(5), uint8(6), uint8(4), slices.Concat(
+		step(0, 0), step(0, 64), step(0, 128), step(0, 192), step(0, 256), step(0, 320),
+		step(3, 64), step(3, 128), step(0, 384), step(2, 384), step(0, 448), step(2, 448),
+		step(0, 128), step(2, 320), step(2, 192)))
 	f.Fuzz(func(t *testing.T, sets uint16, ways, lineBits, entries uint8, prog []byte) {
 		cfg := CacheConfig{Sets: int(sets % 2049), Ways: int(ways % 17), LineSize: 1 << (lineBits % 13)}
 		got, want := NewCache(cfg), newRefCache(cfg)

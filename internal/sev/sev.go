@@ -112,23 +112,23 @@ func (g *GuestExecutor) ExecuteOp(op microarch.Op) (bool, error) {
 // budget runs out; it returns the number of instructions executed. Under
 // fault injection an interrupt (VM exit) can land mid-sequence, in which
 // case fewer instructions retire even though budget remains — callers
-// distinguish the two by checking Remaining.
+// distinguish the two by checking Remaining. It retires exactly what
+// ExecuteOp would op by op, with one budget check per sequence.
 func (g *GuestExecutor) ExecuteSeq(seq []microarch.Op) (int, error) {
 	if stop, ok := g.faults.GadgetInterrupt(len(seq)); ok {
 		seq = seq[:stop]
 	}
-	n := 0
-	for _, op := range seq {
-		ok, err := g.ExecuteOp(op)
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		n++
+	if left := max(g.budget-g.used, 0); len(seq) > left {
+		seq = seq[:left]
 	}
-	return n, nil
+	for i, op := range seq {
+		if err := g.core.ExecuteOp(op, g.ctx); err != nil {
+			g.used += i
+			return i, err
+		}
+	}
+	g.used += len(seq)
+	return len(seq), nil
 }
 
 // Remaining returns the instruction budget left this tick.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -44,12 +45,14 @@ func (a *WebsiteApp) Secrets() []string {
 
 // Job implements App.
 func (a *WebsiteApp) Job(secret string, r *rng.Source) (Job, error) {
-	for _, s := range a.Secrets() {
-		if s == secret {
-			return WebsiteJob(secret, r), nil
-		}
+	sites := a.Sites
+	if sites == nil {
+		sites = websites[:]
 	}
-	return Job{}, fmt.Errorf("workload: unknown website %q", secret)
+	if !slices.Contains(sites, secret) {
+		return Job{}, fmt.Errorf("workload: unknown website %q", secret)
+	}
+	return WebsiteJob(secret, r), nil
 }
 
 // KeystrokeApp is the terminal workload of the keystroke sniffing attack:

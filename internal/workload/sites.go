@@ -1,27 +1,30 @@
 package workload
 
 import (
+	"slices"
+
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/rng"
 )
 
 // Websites returns the 45 attack-target sites (Alexa top-50 minus 5
 // blocked, as in paper §III-C).
-func Websites() []string {
-	return []string{
-		"google.com", "youtube.com", "facebook.com", "twitter.com",
-		"instagram.com", "wikipedia.org", "yahoo.com", "whatsapp.com",
-		"amazon.com", "live.com", "netflix.com", "reddit.com",
-		"office.com", "linkedin.com", "zoom.us", "discord.com",
-		"twitch.tv", "bing.com", "microsoft.com", "ebay.com",
-		"apple.com", "stackoverflow.com", "github.com", "paypal.com",
-		"adobe.com", "dropbox.com", "spotify.com", "cnn.com",
-		"bbc.com", "nytimes.com", "espn.com", "imdb.com",
-		"etsy.com", "walmart.com", "target.com", "booking.com",
-		"airbnb.com", "salesforce.com", "slack.com", "pinterest.com",
-		"quora.com", "medium.com", "shopify.com", "wordpress.com",
-		"tumblr.com",
-	}
+func Websites() []string { return slices.Clone(websites[:]) }
+
+// websites is the list Websites copies.
+var websites = [...]string{
+	"google.com", "youtube.com", "facebook.com", "twitter.com",
+	"instagram.com", "wikipedia.org", "yahoo.com", "whatsapp.com",
+	"amazon.com", "live.com", "netflix.com", "reddit.com",
+	"office.com", "linkedin.com", "zoom.us", "discord.com",
+	"twitch.tv", "bing.com", "microsoft.com", "ebay.com",
+	"apple.com", "stackoverflow.com", "github.com", "paypal.com",
+	"adobe.com", "dropbox.com", "spotify.com", "cnn.com",
+	"bbc.com", "nytimes.com", "espn.com", "imdb.com",
+	"etsy.com", "walmart.com", "target.com", "booking.com",
+	"airbnb.com", "salesforce.com", "slack.com", "pinterest.com",
+	"quora.com", "medium.com", "shopify.com", "wordpress.com",
+	"tumblr.com",
 }
 
 // siteProfile is the stable signature of a website, derived

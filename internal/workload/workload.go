@@ -373,6 +373,10 @@ func (r *Runner) Enqueue(job Job) { r.queue = append(r.queue, job) }
 // Pending returns the number of jobs not yet finished.
 func (r *Runner) Pending() int { return len(r.queue) }
 
+// Completed returns the number of completed jobs, without the copy
+// Timings makes.
+func (r *Runner) Completed() int { return len(r.timings) }
+
 // Timings returns completed job timings.
 func (r *Runner) Timings() []JobTiming {
 	return append([]JobTiming(nil), r.timings...)

@@ -233,6 +233,36 @@ func TestWebsiteJobStructure(t *testing.T) {
 	}
 }
 
+// TestWebsiteAppJobMembership checks that WebsiteApp.Job builds a job for
+// exactly its secrets: every site of the full list when Sites is nil, and
+// only the listed sites otherwise. It also checks that the default list
+// is not shared: a caller editing the Websites copy changes neither.
+func TestWebsiteAppJobMembership(t *testing.T) {
+	all := Websites()
+	all[0] = "edited.example"
+	for _, tc := range []struct {
+		app *WebsiteApp
+		in  []string
+		out []string
+	}{
+		{&WebsiteApp{}, Websites(), []string{"edited.example", "", "GOOGLE.COM"}},
+		{&WebsiteApp{Sites: []string{"bing.com", "cnn.com"}}, []string{"bing.com", "cnn.com"}, []string{"google.com", "tumblr.com"}},
+		{&WebsiteApp{Sites: []string{}}, nil, []string{"google.com"}},
+	} {
+		for _, site := range tc.in {
+			job, err := tc.app.Job(site, rng.New(1))
+			if err != nil || job.Label != site {
+				t.Errorf("%v: Job(%q) = %q, %v; want its page load", tc.app.Sites, site, job.Label, err)
+			}
+		}
+		for _, site := range tc.out {
+			if _, err := tc.app.Job(site, rng.New(1)); err == nil {
+				t.Errorf("%v: Job(%q) built a job for a site outside the secrets", tc.app.Sites, site)
+			}
+		}
+	}
+}
+
 func TestWebsiteProfilesDiffer(t *testing.T) {
 	a := WebsiteJob("google.com", rng.New(1))
 	b := WebsiteJob("youtube.com", rng.New(1))
@@ -439,6 +469,9 @@ func TestRunnerSequentialJobs(t *testing.T) {
 	runner.Enqueue(KeystrokeJob(5, 50, r.Split("b")))
 	for i := 0; i < 5000 && runner.Pending() > 0; i++ {
 		w.Step()
+		if n, want := runner.Completed(), len(runner.Timings()); n != want {
+			t.Fatalf("tick %d: Completed() = %d, want %d, one per timing", i, n, want)
+		}
 	}
 	timings := runner.Timings()
 	if len(timings) != 2 {

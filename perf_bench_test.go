@@ -215,7 +215,10 @@ func benchSegment(tb testing.TB) []isa.Variant {
 
 // BenchmarkObfuscatorTick measures one full obfuscator tick (kernel-module
 // read for observation-based mechanisms, noise draw, clip, gadget injection)
-// driven through World.Step, per mechanism.
+// driven through World.Step, per mechanism. It also reports host ns per
+// simulated instruction, which here are the injected gadget instructions:
+// the defense's own cost per instruction, next to an app's in
+// BenchmarkSimulatedInstruction's website-tick.
 func BenchmarkObfuscatorTick(b *testing.B) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	ref := cat.MustByName("RETIRED_UOPS")
@@ -252,11 +255,24 @@ func BenchmarkObfuscatorTick(b *testing.B) {
 			if err := vm.AddProcess(0, obf); err != nil {
 				b.Fatal(err)
 			}
+			pc, err := vm.PhysicalCore(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			core, err := world.Core(pc)
+			if err != nil {
+				b.Fatal(err)
+			}
 			world.Run(8) // attach the kernel module, settle the caches
 			b.ReportAllocs()
 			b.ResetTimer()
+			start := core.Counters().Instructions
 			for i := 0; i < b.N; i++ {
 				world.Step()
+			}
+			b.StopTimer()
+			if n := core.Counters().Instructions - start; n > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/instr")
 			}
 		})
 	}
