@@ -65,8 +65,7 @@ func Example_websiteFingerprinting() {
 		fmt.Println("error:", err)
 		return
 	}
-	cfg := attack.DefaultTrainConfig(1)
-	cfg.Epochs = 20
+	cfg := attack.TrainConfig{Epochs: 20, Seed: 1}
 	clf, stats, err := attack.TrainClassifier(clean, cfg)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -130,8 +129,7 @@ func Example_keystrokeSniffing() {
 		fmt.Println("error:", err)
 		return
 	}
-	cfg := attack.DefaultTrainConfig(5)
-	cfg.Epochs = 25
+	cfg := attack.TrainConfig{Epochs: 25, Seed: 5}
 	clf, stats, err := attack.TrainClassifier(clean, cfg)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -196,8 +194,7 @@ func Example_modelExtraction() {
 		fmt.Println("error:", err)
 		return
 	}
-	cfg := attack.DefaultSequenceTrainConfig(9)
-	cfg.Epochs = 10
+	cfg := attack.TrainConfig{Epochs: 10, Seed: 9}
 	atk, stats, err := attack.TrainSequenceAttack(clean, app, cfg)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -257,8 +254,7 @@ func Example_cryptoKeyRecovery() {
 		fmt.Println("error:", err)
 		return
 	}
-	cfg := attack.DefaultTrainConfig(13)
-	cfg.Epochs = 20
+	cfg := attack.TrainConfig{Epochs: 20, Seed: 13}
 	clf, stats, err := attack.TrainClassifier(clean, cfg)
 	if err != nil {
 		fmt.Println("error:", err)

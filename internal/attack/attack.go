@@ -128,44 +128,26 @@ func (s *Scenario) Collect(defense obfuscator.Factory) (*trace.Dataset, error) {
 	return ds, nil
 }
 
-// ModelKind selects the classification architecture.
-type ModelKind string
-
-// Classifier architectures: the MLP over flattened traces with pooled
-// summary features, or the paper's 1-D CNN over the raw channel series.
-const (
-	ModelMLP ModelKind = "mlp"
-	ModelCNN ModelKind = "cnn"
-)
-
-// Classifier is a trained classification attack (WFA or KSA). The paper
-// uses a compact CNN (§III-C); this harness offers both that CNN and an
-// MLP with engineered pooled features, selected by TrainConfig.Model.
+// Classifier is a trained classification attack (WFA or KSA): an MLP over
+// the flattened trace plus pooled per-channel summaries.
 type Classifier struct {
 	mlp    *ml.MLP
-	cnn    *ml.CNN1D
 	labels *trace.LabelIndex
 	norm   *trace.Normalizer
 }
 
-// TrainConfig tunes attack-model training.
+// TrainConfig tunes the training of either attack model.
 type TrainConfig struct {
-	// Epochs of SGD (paper Fig. 1 trains until the curve flattens).
+	// Epochs of SGD (paper Fig. 1 trains until the curve flattens); zero
+	// uses the attack's default, 25 for a Classifier and 12 for a
+	// SequenceAttack.
 	Epochs int
-	// ValFraction of the dataset held out for validation (paper: 0.3).
-	ValFraction float64
-	// Hidden layer widths (MLP only); nil uses defaults.
-	Hidden []int
-	// Model selects the architecture; empty means ModelMLP.
-	Model ModelKind
-	// Seed drives initialisation and shuffling.
+	// Seed drives the validation split, initialisation and shuffling.
 	Seed uint64
 }
 
-// DefaultTrainConfig returns the evaluation defaults.
-func DefaultTrainConfig(seed uint64) TrainConfig {
-	return TrainConfig{Epochs: 25, ValFraction: 0.3, Seed: seed}
-}
+// valFraction of each dataset is held out for validation (paper: 0.3).
+const valFraction = 0.3
 
 // featurize z-scores a trace with the training normaliser and returns the
 // flattened time series plus per-channel pooled summaries (sum, max, and
@@ -195,18 +177,6 @@ func featurize(tr trace.Trace, norm *trace.Normalizer) []float64 {
 	return out
 }
 
-// channels transposes a normalised trace into channels×length form for
-// the CNN.
-func channels(tr trace.Trace, norm *trace.Normalizer) [][]float64 {
-	cp := tr.Clone()
-	norm.Apply(&cp)
-	out := make([][]float64, cp.Events())
-	for ch := range out {
-		out[ch] = cp.Channel(ch)
-	}
-	return out
-}
-
 // TrainClassifier fits the classification attack on a labelled dataset and
 // returns the model plus per-epoch training curves (Fig. 1a/1b).
 func TrainClassifier(ds *trace.Dataset, cfg TrainConfig) (*Classifier, []ml.EpochStats, error) {
@@ -216,45 +186,13 @@ func TrainClassifier(ds *trace.Dataset, cfg TrainConfig) (*Classifier, []ml.Epoc
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 25
 	}
-	if cfg.ValFraction <= 0 || cfg.ValFraction >= 1 {
-		cfg.ValFraction = 0.3
-	}
-	if cfg.Model == "" {
-		cfg.Model = ModelMLP
-	}
 	r := rng.New(cfg.Seed).Split("classifier")
-	train, val := ds.Split(1-cfg.ValFraction, r)
+	train, val := ds.Split(1-valFraction, r)
 	norm, err := trace.FitNormalizer(train)
 	if err != nil {
 		return nil, nil, err
 	}
 	labels := trace.NewLabelIndex(ds.Classes())
-
-	if cfg.Model == ModelCNN {
-		build := func(sub *trace.Dataset) ([][][]float64, []int) {
-			xs := make([][][]float64, 0, sub.Len())
-			ys := make([]int, 0, sub.Len())
-			for _, tr := range sub.Traces {
-				xs = append(xs, channels(tr, norm))
-				ys = append(ys, labels.Index(tr.Label))
-			}
-			return xs, ys
-		}
-		trainX, trainY := build(train)
-		valX, valY := build(val)
-		cnnCfg := ml.DefaultCNNConfig(
-			train.Traces[0].Events(), train.Traces[0].Ticks(), labels.Len())
-		cnnCfg.Seed = float64(cfg.Seed + 1)
-		model, err := ml.NewCNN1D(cnnCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats, err := model.Train(trainX, trainY, cfg.Epochs, valX, valY)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Classifier{cnn: model, labels: labels, norm: norm}, stats, nil
-	}
 
 	build := func(sub *trace.Dataset) ([][]float64, []int) {
 		xs := make([][]float64, 0, sub.Len())
@@ -268,13 +206,7 @@ func TrainClassifier(ds *trace.Dataset, cfg TrainConfig) (*Classifier, []ml.Epoc
 	trainX, trainY := build(train)
 	valX, valY := build(val)
 
-	inDim := len(trainX[0])
-	mlpCfg := ml.DefaultMLPConfig(inDim, labels.Len())
-	if cfg.Hidden != nil {
-		layers := append([]int{inDim}, cfg.Hidden...)
-		layers = append(layers, labels.Len())
-		mlpCfg.Layers = layers
-	}
+	mlpCfg := ml.DefaultMLPConfig(len(trainX[0]), labels.Len())
 	mlpCfg.Seed = cfg.Seed + 1
 	model, err := ml.NewMLP(mlpCfg)
 	if err != nil {
@@ -292,9 +224,6 @@ func TrainClassifier(ds *trace.Dataset, cfg TrainConfig) (*Classifier, []ml.Epoc
 // comparisons stay on integers instead of round-tripping index → name →
 // index through the label table.
 func (c *Classifier) PredictIndex(tr trace.Trace) (int, error) {
-	if c.cnn != nil {
-		return c.cnn.Predict(channels(tr, c.norm))
-	}
 	return c.mlp.Predict(featurize(tr, c.norm))
 }
 

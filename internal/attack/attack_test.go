@@ -61,7 +61,7 @@ func TestWFACleanAttackSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf, stats, err := TrainClassifier(ds, DefaultTrainConfig(3))
+	clf, stats, err := TrainClassifier(ds, TrainConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestKSACleanAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := TrainClassifier(ds, DefaultTrainConfig(4))
+	_, stats, err := TrainClassifier(ds, TrainConfig{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDefenseReducesAttackAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf, _, err := TrainClassifier(clean, DefaultTrainConfig(5))
+	clf, _, err := TrainClassifier(clean, TrainConfig{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,7 @@ func TestMEACleanAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultSequenceTrainConfig(7)
-	cfg.Epochs = 8
-	cfg.Hidden = 16
+	cfg := TrainConfig{Epochs: 8, Seed: 7}
 	atk, stats, err := TrainSequenceAttack(ds, app, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,44 +221,14 @@ func TestMEACleanAttack(t *testing.T) {
 }
 
 func TestTrainClassifierErrors(t *testing.T) {
-	if _, _, err := TrainClassifier(nil, DefaultTrainConfig(1)); !errors.Is(err, ErrNoDataset) {
+	if _, _, err := TrainClassifier(nil, TrainConfig{Seed: 1}); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("nil dataset error = %v", err)
 	}
 }
 
 func TestTrainSequenceAttackErrors(t *testing.T) {
-	if _, _, err := TrainSequenceAttack(nil, &workload.DNNApp{}, DefaultSequenceTrainConfig(1)); !errors.Is(err, ErrNoDataset) {
+	if _, _, err := TrainSequenceAttack(nil, &workload.DNNApp{}, TrainConfig{Seed: 1}); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("nil dataset error = %v", err)
-	}
-}
-
-func TestWFAWithCNNModel(t *testing.T) {
-	// The paper's actual WFA model is a CNN (§III-C); verify the CNN path
-	// also learns the clean traces.
-	sc := wfaScenario(20)
-	sc.TracesPerSecret = 8
-	ds, err := sc.Collect(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultTrainConfig(20)
-	cfg.Model = ModelCNN
-	cfg.Epochs = 18
-	clf, stats, err := TrainClassifier(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := stats[len(stats)-1]
-	// 5 classes, chance 20%.
-	if final.ValAcc < 0.5 {
-		t.Errorf("CNN WFA val accuracy = %v, want > 0.5", final.ValAcc)
-	}
-	acc, err := clf.Evaluate(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.5 {
-		t.Errorf("CNN evaluate accuracy = %v", acc)
 	}
 }
 
@@ -280,8 +248,7 @@ func TestCryptoKeyAttackAndDefense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTrainConfig(33)
-	cfg.Epochs = 20
+	cfg := TrainConfig{Epochs: 20, Seed: 33}
 	clf, stats, err := TrainClassifier(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +302,7 @@ func TestWFAOnIntelPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTrainConfig(70)
-	cfg.Epochs = 15
+	cfg := TrainConfig{Epochs: 15, Seed: 70}
 	_, stats, err := TrainClassifier(ds, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,10 @@ type SequenceAttack struct {
 	model *ml.BiGRUCTC
 	norm  *trace.Normalizer
 	app   *workload.DNNApp
-	// BeamWidth for decoding; <= 1 means greedy.
-	BeamWidth int
 }
+
+// beamWidth is the CTC prefix beam the sequence attack decodes with.
+const beamWidth = 4
 
 // SequenceEpochStats records one MEA training epoch (Fig. 1c curve).
 type SequenceEpochStats struct {
@@ -26,28 +27,6 @@ type SequenceEpochStats struct {
 	TrainLoss float64
 	// ValAcc is the mean layer-matching accuracy on the validation set.
 	ValAcc float64
-}
-
-// SequenceTrainConfig tunes MEA training.
-type SequenceTrainConfig struct {
-	Epochs      int
-	ValFraction float64
-	Hidden      int
-	LR          float64
-	BeamWidth   int
-	Seed        uint64
-}
-
-// DefaultSequenceTrainConfig returns the evaluation defaults.
-func DefaultSequenceTrainConfig(seed uint64) SequenceTrainConfig {
-	return SequenceTrainConfig{
-		Epochs:      12,
-		ValFraction: 0.3,
-		Hidden:      24,
-		LR:          0.02,
-		BeamWidth:   4,
-		Seed:        seed,
-	}
 }
 
 // layerLabel converts a model's layer sequence into the CTC alphabet.
@@ -73,7 +52,7 @@ func sequenceFeatures(tr trace.Trace, norm *trace.Normalizer) [][]float64 {
 
 // TrainSequenceAttack fits the MEA model on a labelled dataset of DNN
 // inference traces and returns per-epoch statistics.
-func TrainSequenceAttack(ds *trace.Dataset, app *workload.DNNApp, cfg SequenceTrainConfig) (*SequenceAttack, []SequenceEpochStats, error) {
+func TrainSequenceAttack(ds *trace.Dataset, app *workload.DNNApp, cfg TrainConfig) (*SequenceAttack, []SequenceEpochStats, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil, ErrNoDataset
 	}
@@ -83,17 +62,8 @@ func TrainSequenceAttack(ds *trace.Dataset, app *workload.DNNApp, cfg SequenceTr
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 12
 	}
-	if cfg.ValFraction <= 0 || cfg.ValFraction >= 1 {
-		cfg.ValFraction = 0.3
-	}
-	if cfg.Hidden <= 0 {
-		cfg.Hidden = 24
-	}
-	if cfg.BeamWidth <= 0 {
-		cfg.BeamWidth = 4
-	}
 	r := rng.New(cfg.Seed).Split("seq-attack")
-	train, val := ds.Split(1-cfg.ValFraction, r)
+	train, val := ds.Split(1-valFraction, r)
 	norm, err := trace.FitNormalizer(train)
 	if err != nil {
 		return nil, nil, err
@@ -101,16 +71,12 @@ func TrainSequenceAttack(ds *trace.Dataset, app *workload.DNNApp, cfg SequenceTr
 
 	classes := len(workload.AllLayerTypes())
 	gruCfg := ml.DefaultGRUConfig(train.Traces[0].Events(), classes)
-	gruCfg.Hidden = cfg.Hidden
-	if cfg.LR > 0 {
-		gruCfg.LR = cfg.LR
-	}
 	gruCfg.Seed = cfg.Seed + 1
 	model, err := ml.NewBiGRUCTC(gruCfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	atk := &SequenceAttack{model: model, norm: norm, app: app, BeamWidth: cfg.BeamWidth}
+	atk := &SequenceAttack{model: model, norm: norm, app: app}
 
 	// Pre-resolve labels and drop traces whose label cannot align with the
 	// trace length (CTC requires T >= L).
@@ -166,14 +132,9 @@ func TrainSequenceAttack(ds *trace.Dataset, app *workload.DNNApp, cfg SequenceTr
 	return atk, stats, nil
 }
 
-// decode transcribes one trace into raw CTC labels (layer type − 1),
-// greedily or by beam search when BeamWidth > 1.
+// decode transcribes one trace into raw CTC labels (layer type − 1).
 func (a *SequenceAttack) decode(tr trace.Trace) ([]int, error) {
-	xs := sequenceFeatures(tr, a.norm)
-	if a.BeamWidth > 1 {
-		return a.model.DecodeBeam(xs, a.BeamWidth)
-	}
-	return a.model.Decode(xs)
+	return a.model.DecodeBeam(sequenceFeatures(tr, a.norm), beamWidth)
 }
 
 // Evaluate returns the mean layer-matching accuracy over a dataset (the

@@ -122,17 +122,8 @@ type Config struct {
 	JournalCapacity int
 }
 
-// settings is the live, reloadable subset of Config.
-type settings struct {
-	mechanism   string
-	epsilon     float64
-	clipBound   float64
-	queueCap    int
-	maxItems    int
-	loadPerTick int
-}
-
-// Settings is the JSON view of the daemon's effective tunables.
+// Settings is the live, reloadable subset of Config: the daemon's
+// effective tunables, as /status reports them.
 type Settings struct {
 	Mechanism       string  `json:"mechanism"`
 	Epsilon         float64 `json:"epsilon"`
@@ -373,7 +364,7 @@ type Daemon struct {
 	cfg Config
 
 	mu      sync.Mutex
-	set     settings
+	set     Settings
 	pending *Tunables
 	tenants map[string]*Tenant
 	order   []*Tenant // live tenants in attach order; Step iterates this
@@ -436,13 +427,13 @@ func New(cfg Config) (*Daemon, error) {
 	journal := flight.NewRecorder(cfg.JournalCapacity)
 	d := &Daemon{
 		cfg: cfg,
-		set: settings{
-			mechanism:   cfg.Mechanism,
-			epsilon:     cfg.Epsilon,
-			clipBound:   cfg.ClipBound,
-			queueCap:    cfg.QueueCapacity,
-			maxItems:    cfg.MaxItemsPerTick,
-			loadPerTick: cfg.LoadPerTick,
+		set: Settings{
+			Mechanism:       cfg.Mechanism,
+			Epsilon:         cfg.Epsilon,
+			ClipBound:       cfg.ClipBound,
+			QueueCapacity:   cfg.QueueCapacity,
+			MaxItemsPerTick: cfg.MaxItemsPerTick,
+			LoadPerTick:     cfg.LoadPerTick,
 		},
 		tenants: make(map[string]*Tenant),
 		journal: journal,
@@ -526,13 +517,13 @@ func (d *Daemon) tenantFaults(name string) faultinject.Config {
 // buildObfuscator constructs tenant t's obfuscator for the given settings
 // at the current plan generation: mechanism and fallback streams are
 // generation-derived, so replans re-seed deterministically.
-func (d *Daemon) buildObfuscator(t *Tenant, set settings) (*obfuscator.Obfuscator, error) {
-	mech, err := obfuscator.NewMechanism(set.mechanism, set.epsilon, set.clipBound, d.cfg.Sensitivity,
+func (d *Daemon) buildObfuscator(t *Tenant, set Settings) (*obfuscator.Obfuscator, error) {
+	mech, err := obfuscator.NewMechanism(set.Mechanism, set.Epsilon, set.ClipBound, d.cfg.Sensitivity,
 		rng.NewStream(d.cfg.Seed, "daemon", t.name, "mech").SplitN("gen", t.planGen))
 	if err != nil {
 		return nil, err
 	}
-	recipe := obfuscator.Recipe{Segment: d.cfg.Segment, RefEvent: d.cfg.RefEvent, ClipBound: set.clipBound}
+	recipe := obfuscator.Recipe{Segment: d.cfg.Segment, RefEvent: d.cfg.RefEvent, ClipBound: set.ClipBound}
 	return recipe.Deploy(mech,
 		rng.NewStream(d.cfg.Seed, "daemon", t.name, "plan").SplitN("gen", t.planGen).Uint64(),
 		d.tenantFaults(t.name))
@@ -582,7 +573,7 @@ func (d *Daemon) Attach(spec AttachSpec) error {
 		guest:    guest,
 		runner:   runner,
 		jobRng:   seeds.Split("jobs"),
-		queue:    fifo{buf: make([]workItem, d.set.queueCap)},
+		queue:    fifo{buf: make([]workItem, d.set.QueueCapacity)},
 		mEnq:     telemetry.C("daemon_events_enqueued_total", telemetry.L("tenant", spec.Name)),
 		mProc:    telemetry.C("daemon_events_processed_total", telemetry.L("tenant", spec.Name)),
 		mShed:    telemetry.C("daemon_events_shed_total", telemetry.L("tenant", spec.Name)),
@@ -744,33 +735,33 @@ func (d *Daemon) applyReloadLocked() {
 	d.pending = nil
 	next := d.set
 	if tun.Mechanism != "" {
-		next.mechanism = tun.Mechanism
+		next.Mechanism = tun.Mechanism
 	}
 	if tun.Epsilon != nil {
-		next.epsilon = *tun.Epsilon
+		next.Epsilon = *tun.Epsilon
 	}
 	if tun.ClipBound != nil {
-		next.clipBound = *tun.ClipBound
+		next.ClipBound = *tun.ClipBound
 	}
 	if tun.QueueCapacity != nil {
-		next.queueCap = *tun.QueueCapacity
+		next.QueueCapacity = *tun.QueueCapacity
 	}
 	if tun.MaxItemsPerTick != nil {
-		next.maxItems = *tun.MaxItemsPerTick
+		next.MaxItemsPerTick = *tun.MaxItemsPerTick
 	}
 	if tun.LoadPerTick != nil {
-		next.loadPerTick = *tun.LoadPerTick
+		next.LoadPerTick = *tun.LoadPerTick
 	}
-	replan := next.mechanism != d.set.mechanism ||
-		next.epsilon != d.set.epsilon || next.clipBound != d.set.clipBound
-	resize := next.queueCap != d.set.queueCap
+	replan := next.Mechanism != d.set.Mechanism ||
+		next.Epsilon != d.set.Epsilon || next.ClipBound != d.set.ClipBound
+	resize := next.QueueCapacity != d.set.QueueCapacity
 	d.set = next
 	if !replan && !resize {
 		return
 	}
 	for _, t := range d.order {
 		if resize {
-			d.resizeQueueLocked(t, next.queueCap)
+			d.resizeQueueLocked(t, next.QueueCapacity)
 		}
 		if !replan {
 			continue
@@ -873,7 +864,7 @@ func (d *Daemon) Step() {
 //aegis:hotpath
 func (d *Daemon) runTick(t *Tenant) {
 	if t.state == StateAttaching || t.state == StateProtecting {
-		for i := 0; i < d.set.loadPerTick; i++ {
+		for i := 0; i < d.set.LoadPerTick; i++ {
 			if t.push() {
 				t.enqueuedTick++
 			} else {
@@ -881,7 +872,7 @@ func (d *Daemon) runTick(t *Tenant) {
 			}
 		}
 	}
-	for n := 0; n < d.set.maxItems && t.queue.n > 0; n++ {
+	for n := 0; n < d.set.MaxItemsPerTick && t.queue.n > 0; n++ {
 		if t.backlog.full() {
 			t.backlog.resize(max(2*len(t.backlog.buf), minBacklog))
 		}
@@ -1100,15 +1091,8 @@ func (d *Daemon) Status() Status {
 		ReloadRejects:       d.reloadRejects,
 		Overloaded:          d.overloaded,
 		PendingReload:       d.pending != nil,
-		Settings: Settings{
-			Mechanism:       d.set.mechanism,
-			Epsilon:         d.set.epsilon,
-			ClipBound:       d.set.clipBound,
-			QueueCapacity:   d.set.queueCap,
-			MaxItemsPerTick: d.set.maxItems,
-			LoadPerTick:     d.set.loadPerTick,
-		},
-		JournalRecords:   d.journal.Total(),
-		JournalIncidents: d.journal.Incidents(),
+		Settings:            d.set,
+		JournalRecords:      d.journal.Total(),
+		JournalIncidents:    d.journal.Incidents(),
 	}
 }

@@ -68,9 +68,7 @@ func trainAll(sc Scale) (*trainedAttacks, *Figure1Result, error) {
 		return nil, nil, fmt.Errorf("collect WFA: %w", err)
 	}
 	ta.wfaData = wfaData
-	wfaCfg := attack.DefaultTrainConfig(sc.Seed)
-	wfaCfg.Epochs = sc.Epochs
-	wfaClf, wfaStats, err := attack.TrainClassifier(wfaData, wfaCfg)
+	wfaClf, wfaStats, err := attack.TrainClassifier(wfaData, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed})
 	if err != nil {
 		return nil, nil, fmt.Errorf("train WFA: %w", err)
 	}
@@ -89,9 +87,7 @@ func trainAll(sc Scale) (*trainedAttacks, *Figure1Result, error) {
 		return nil, nil, fmt.Errorf("collect KSA: %w", err)
 	}
 	ta.ksaData = ksaData
-	ksaCfg := attack.DefaultTrainConfig(sc.Seed + 1)
-	ksaCfg.Epochs = sc.Epochs
-	ksaClf, ksaStats, err := attack.TrainClassifier(ksaData, ksaCfg)
+	ksaClf, ksaStats, err := attack.TrainClassifier(ksaData, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 1})
 	if err != nil {
 		return nil, nil, fmt.Errorf("train KSA: %w", err)
 	}
@@ -111,9 +107,7 @@ func trainAll(sc Scale) (*trainedAttacks, *Figure1Result, error) {
 		return nil, nil, fmt.Errorf("collect MEA: %w", err)
 	}
 	ta.meaData = meaData
-	meaCfg := attack.DefaultSequenceTrainConfig(sc.Seed + 2)
-	meaCfg.Epochs = sc.SeqEpochs
-	meaAtk, meaStats, err := attack.TrainSequenceAttack(meaData, app, meaCfg)
+	meaAtk, meaStats, err := attack.TrainSequenceAttack(meaData, app, attack.TrainConfig{Epochs: sc.SeqEpochs, Seed: sc.Seed + 2})
 	if err != nil {
 		return nil, nil, fmt.Errorf("train MEA: %w", err)
 	}

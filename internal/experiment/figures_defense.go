@@ -161,9 +161,7 @@ func Figure9b(sc Scale, epsilons []float64) (*Figure9bResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				cfg := attack.DefaultTrainConfig(sc.Seed + uint64(eps*64))
-				cfg.Epochs = sc.Epochs
-				clf, _, err := attack.TrainClassifier(trainDs, cfg)
+				clf, _, err := attack.TrainClassifier(trainDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + uint64(eps*64)})
 				if err != nil {
 					return nil, err
 				}

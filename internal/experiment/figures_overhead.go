@@ -174,9 +174,7 @@ func Figure11(sc Scale) (*Figure11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := attack.DefaultTrainConfig(sc.Seed + 11)
-	cfg.Epochs = sc.Epochs
-	clf, _, err := attack.TrainClassifier(cleanDs, cfg)
+	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 11})
 	if err != nil {
 		return nil, err
 	}

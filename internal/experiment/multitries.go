@@ -98,9 +98,7 @@ func MultipleTriesAnalysis(sc Scale, averagedCounts []int) (*MultipleTriesResult
 	if err != nil {
 		return nil, err
 	}
-	cfg := attack.DefaultTrainConfig(sc.Seed + 21)
-	cfg.Epochs = sc.Epochs
-	clf, _, err := attack.TrainClassifier(cleanDs, cfg)
+	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 21})
 	if err != nil {
 		return nil, err
 	}

@@ -154,9 +154,7 @@ func CacheOccupancyExtension(sc Scale, epsilon float64) (*OccupancyResult, error
 	if err != nil {
 		return nil, err
 	}
-	cfg := attack.DefaultTrainConfig(sc.Seed + 41)
-	cfg.Epochs = sc.Epochs
-	clf, _, err := attack.TrainClassifier(cleanDs, cfg)
+	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 41})
 	if err != nil {
 		return nil, err
 	}

@@ -55,9 +55,7 @@ func FindOperatingPoints(sc Scale, target float64, epsilons []float64) (*Operati
 	if err != nil {
 		return nil, err
 	}
-	cfg := attack.DefaultTrainConfig(sc.Seed + 31)
-	cfg.Epochs = sc.Epochs
-	clf, _, err := attack.TrainClassifier(cleanDs, cfg)
+	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 31})
 	if err != nil {
 		return nil, err
 	}

@@ -209,7 +209,7 @@ func TestBiGRULearnsSimpleSequences(t *testing.T) {
 	correct := 0
 	for _, lab := range labels {
 		xs, y := mk(lab)
-		pred, err := m.Decode(xs)
+		pred, err := m.DecodeBeam(xs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

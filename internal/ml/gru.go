@@ -329,17 +329,8 @@ func (m *BiGRUCTC) TrainStep(xs [][]float64, label []int) (float64, error) {
 	return loss, nil
 }
 
-// Decode returns the greedy CTC decoding of a sequence: per-timestep argmax,
-// collapse repeats, drop blanks.
-func (m *BiGRUCTC) Decode(xs [][]float64) ([]int, error) {
-	logits, err := m.Logits(xs)
-	if err != nil {
-		return nil, err
-	}
-	return GreedyCTCDecode(logits), nil
-}
-
-// DecodeBeam returns the beam-search CTC decoding with the given width.
+// DecodeBeam returns the beam-search CTC decoding with the given width;
+// width 1 is the greedy best-path decoding.
 func (m *BiGRUCTC) DecodeBeam(xs [][]float64, width int) ([]int, error) {
 	logits, err := m.Logits(xs)
 	if err != nil {

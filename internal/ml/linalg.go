@@ -1,12 +1,10 @@
 // Package ml implements the machine-learning models of the paper's attack
 // abstraction (f_θ : X → Y) from scratch on the standard library:
 //
-//   - a multilayer perceptron and a small 1-D convolutional network for the
-//     classification attacks (website fingerprinting, keystroke sniffing),
+//   - a multilayer perceptron for the classification attacks (website
+//     fingerprinting, keystroke sniffing),
 //   - a bidirectional GRU with a CTC decoder for the sequence-to-sequence
-//     model extraction attack,
-//   - a Gaussian template (naive Bayes) classifier used as a cheap
-//     baseline and by the profiler's vulnerability analysis.
+//     model extraction attack.
 //
 // All training is plain SGD with momentum; the package records per-epoch
 // statistics so experiments can regenerate the paper's training curves

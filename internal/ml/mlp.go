@@ -34,8 +34,7 @@ type MLPConfig struct {
 	Momentum float64
 	// L2 is the weight decay coefficient.
 	L2 float64
-	// Dropout is the hidden-layer dropout probability during training
-	// (the paper's CNN uses dropout as regularisation).
+	// Dropout is the hidden-layer dropout probability during training.
 	Dropout float64
 	// GradClip bounds the L2 norm of each layer's delta vector per SGD
 	// step, keeping per-sample SGD stable on unnormalised features.

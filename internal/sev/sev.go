@@ -179,10 +179,10 @@ type vcpu struct {
 
 // VM is a guest virtual machine.
 type VM struct {
-	id      int
-	version SEVVersion
-	world   *World
-	vcpus   []*vcpu
+	id    int
+	sev   bool
+	world *World
+	vcpus []*vcpu
 	// memory is the guest's (plaintext) memory content; the SEV engine
 	// encrypts it from the host's perspective. It is allocated on first
 	// write; until then all memorySize bytes read as zero.
@@ -285,46 +285,14 @@ func (w *World) Core(i int) (*microarch.Core, error) {
 	return w.core(i), nil
 }
 
-// SEVVersion selects the generation of the encryption feature; each adds
-// protections (paper §II-B): plain SEV encrypts memory only, SEV-ES also
-// encrypts the register state on world switches, SEV-SNP adds memory
-// integrity (Reverse Map Table).
-type SEVVersion int
-
-// SEV generations.
-const (
-	SEVDisabled SEVVersion = iota
-	SEVPlain
-	SEVES
-	SEVSNP
-)
-
-func (v SEVVersion) String() string {
-	switch v {
-	case SEVDisabled:
-		return "none"
-	case SEVPlain:
-		return "SEV"
-	case SEVES:
-		return "SEV-ES"
-	case SEVSNP:
-		return "SEV-SNP"
-	default:
-		return fmt.Sprintf("sev(%d)", int(v))
-	}
-}
-
 // VMConfig configures a guest launch.
 type VMConfig struct {
 	// VCPUs is the number of virtual CPUs; each is pinned to a dedicated
 	// physical core chosen by the hypervisor.
 	VCPUs int
 	// SEV enables memory encryption at the SEV-SNP level (the paper's
-	// threat model). For finer control set Version instead.
+	// threat model).
 	SEV bool
-	// Version selects the SEV generation explicitly; zero with SEV=true
-	// means SEV-SNP.
-	Version SEVVersion
 	// MemoryBytes sizes guest memory.
 	MemoryBytes int
 }
@@ -340,13 +308,9 @@ func (w *World) LaunchVM(cfg VMConfig) (*VM, error) {
 	if free := len(w.cores) - w.pinned; free < cfg.VCPUs {
 		return nil, fmt.Errorf("%w: need %d cores, %d free", ErrCoreOccupied, cfg.VCPUs, free)
 	}
-	version := cfg.Version
-	if version == SEVDisabled && cfg.SEV {
-		version = SEVSNP
-	}
 	vm := &VM{
 		id:         len(w.vmOrder),
-		version:    version,
+		sev:        cfg.SEV,
 		world:      w,
 		memorySize: cfg.MemoryBytes,
 	}
@@ -484,9 +448,13 @@ func (vm *VM) SetDefense(vcpuIdx int, p Process) error {
 
 // Attest returns the PSP attestation report.
 func (vm *VM) Attest() Attestation {
+	version := "none"
+	if vm.sev {
+		version = "SEV-SNP"
+	}
 	return Attestation{
 		Processor:  vm.world.cfg.Processor,
-		SEVVersion: vm.version.String(),
+		SEVVersion: version,
 		VMID:       vm.id,
 		Measurement: rng.HashString(
 			fmt.Sprintf("%s/%d/%d", vm.world.cfg.Processor, vm.id, len(vm.vcpus))),

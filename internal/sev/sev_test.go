@@ -357,33 +357,17 @@ func TestSameVCPUProcessesShareCore(t *testing.T) {
 
 func TestSEVVersionAttestation(t *testing.T) {
 	w := NewWorld(DefaultConfig(60))
-	mk := func(v SEVVersion) *VM {
-		vm, err := w.LaunchVM(VMConfig{VCPUs: 1, Version: v})
+	for _, c := range []struct {
+		sev  bool
+		want string
+	}{{true, "SEV-SNP"}, {false, "none"}} {
+		vm, err := w.LaunchVM(VMConfig{VCPUs: 1, SEV: c.sev})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return vm
-	}
-	plain := mk(SEVPlain)
-	if plain.Attest().SEVVersion != "SEV" {
-		t.Errorf("attested version = %q", plain.Attest().SEVVersion)
-	}
-	snp := mk(SEVSNP)
-	if snp.Attest().SEVVersion != "SEV-SNP" {
-		t.Errorf("attested version = %q", snp.Attest().SEVVersion)
-	}
-
-	// Memory stays encrypted for every SEV generation.
-	if _, err := plain.HostReadMemory(0, 4); !errors.Is(err, ErrEncrypted) {
-		t.Errorf("plain SEV memory read = %v, want ErrEncrypted", err)
-	}
-	// SEV=true shorthand still means SNP.
-	vmShort, err := w.LaunchVM(VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vmShort.version != SEVSNP {
-		t.Errorf("SEV=true version = %v, want SEV-SNP", vmShort.version)
+		if got := vm.Attest().SEVVersion; got != c.want {
+			t.Errorf("SEV=%v attested version = %q, want %q", c.sev, got, c.want)
+		}
 	}
 }
 
@@ -485,7 +469,7 @@ var ErrEncrypted = errors.New("sev: guest memory is encrypted")
 // HostReadMemory is the hypervisor's attempt to read guest memory. Under
 // SEV it fails: pages are encrypted with a key held by the PSP.
 func (vm *VM) HostReadMemory(offset, n int) ([]byte, error) {
-	if vm.version != SEVDisabled {
+	if vm.sev {
 		return nil, ErrEncrypted
 	}
 	if offset < 0 || n < 0 || offset+n > vm.memorySize {

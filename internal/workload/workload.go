@@ -328,9 +328,6 @@ type Runner struct {
 	startTok int64
 
 	timings []JobTiming
-	// IdleIntensity is the per-tick instruction count when no job is
-	// queued (0 disables idle activity).
-	IdleIntensity int
 	// sampler holds the compiled mix of the phase identified by
 	// samplerOf, so the per-instruction draw loop does not rebuild the
 	// sorted class table every tick. The pointer identity of the phase
@@ -340,6 +337,10 @@ type Runner struct {
 }
 
 var _ sev.Process = (*Runner)(nil)
+
+// idleIntensity is a runner's per-tick instruction count when no job is
+// queued.
+const idleIntensity = 20
 
 // idleMix is the activity of every runner with no job queued, compiled
 // once per process into idleSampler, which runners only read.
@@ -356,12 +357,7 @@ var (
 
 // NewRunner builds a job runner named name.
 func NewRunner(name string, lib *Library, r *rng.Source) *Runner {
-	return &Runner{
-		name:          name,
-		lib:           lib,
-		r:             r,
-		IdleIntensity: 20,
-	}
+	return &Runner{name: name, lib: lib, r: r}
 }
 
 // Name implements sev.Process.
@@ -447,7 +443,7 @@ func (r *Runner) Step(g *sev.GuestExecutor) {
 }
 
 func (r *Runner) stepIdle(g *sev.GuestExecutor) {
-	for i := 0; i < r.IdleIntensity; i++ {
+	for i := 0; i < idleIntensity; i++ {
 		op := r.lib.Sample(idleSampler.sample(r.r), r.r)
 		ok, err := g.ExecuteOp(op)
 		if err != nil || !ok {
