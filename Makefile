@@ -70,8 +70,9 @@ fmt-check:
 # unbounded reference, the faulted tick loop, decoded-op execution against
 # the variant-based reference, the flat caches and TLB against the
 # reference LRU model, the breakpoint class sampler against the weight
-# scan it replaces, and the vCPU's app/defense slots against the process
-# list scheduler they replaced.
+# scan it replaces, a compiled mix's op draws against the class draw and
+# Library.Sample they replaced, and the vCPU's app/defense slots against
+# the process list scheduler they replaced.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarMemo -fuzztime $(FUZZTIME)
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzExecuteOpMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/microarch/ -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzMixSampler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzCompiledMixMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sev/ -run='^$$' -fuzz=FuzzSlotsMatchListScheduler -fuzztime $(FUZZTIME)
 
 bench:

@@ -92,6 +92,40 @@ func TestZeroAllocWorldStep(t *testing.T) {
 	}
 }
 
+// TestZeroAllocRunnerStep gates a whole website page load, every tick of
+// it through World.Step: the runner draws each chunk of app ops into a
+// stack array and retires it with GuestExecutor.ExecuteRun, and reuses
+// its sampler's tables across phases and jobs. Two loads warm the tables
+// and the timing list; the gate's own warm-up run takes the third and the
+// measured run the fourth, so none of them grows a slice.
+func TestZeroAllocRunnerStep(t *testing.T) {
+	quietTelemetry(t)
+	world := sev.NewWorld(sev.DefaultConfig(4))
+	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := workload.NewRunner("gate", workload.DefaultLibrary(1), rng.New(5).Split("r"))
+	if err := vm.AddProcess(0, runner); err != nil {
+		t.Fatal(err)
+	}
+	jobs := rng.New(6)
+	for range 4 {
+		runner.Enqueue(workload.WebsiteJob("google.com", jobs))
+	}
+	runJob := func() {
+		for done := runner.Completed(); runner.Completed() == done; {
+			world.Step()
+		}
+	}
+	runJob()
+	runJob()
+	requireZeroAllocs(t, "Runner.Step over a website job", 1, runJob)
+	if runner.Pending() != 0 {
+		t.Fatalf("%d jobs still queued, want all 4 run", runner.Pending())
+	}
+}
+
 // TestZeroAllocObfuscatorTick gates the full per-tick protection loop
 // (kernel-module read, noise draw, clip, gadget injection) for both DP
 // mechanisms and for a two-plan (Laplace plus d*) multi-event deployment,

@@ -15,6 +15,13 @@ func executeSeqByOps(g *GuestExecutor, seq []microarch.Op) (int, error) {
 	if stop, ok := g.faults.GadgetInterrupt(len(seq)); ok {
 		seq = seq[:stop]
 	}
+	return executeRunByOps(g, seq)
+}
+
+// executeRunByOps is the reference ExecuteRun is checked against:
+// ExecuteOp op by op, each with its own budget check, stopping at the
+// first fault or refusal.
+func executeRunByOps(g *GuestExecutor, seq []microarch.Op) (int, error) {
 	n := 0
 	for _, op := range seq {
 		ok, err := g.ExecuteOp(op)
@@ -29,12 +36,12 @@ func executeSeqByOps(g *GuestExecutor, seq []microarch.Op) (int, error) {
 	return n, nil
 }
 
-// seqCall is one sequence call's outcome: its return values and the
-// executor's Used after it.
+// seqCall is one sequence call's outcome: the budget left before it, its
+// return values and the executor's Used after it.
 type seqCall struct {
-	tick    int64
-	n, used int
-	err     string
+	tick          int64
+	left, n, used int
+	err           string
 }
 
 // seqCallProc burns a tick-dependent number of single ops, then runs its
@@ -52,8 +59,9 @@ func (p *seqCallProc) Step(g *GuestExecutor) {
 		g.ExecuteOp(p.burn)
 	}
 	for call := 0; call < 4; call++ {
+		left := g.Remaining()
 		n, err := p.run(g, p.seq)
-		c := seqCall{tick: g.Tick(), n: n, used: g.Used()}
+		c := seqCall{tick: g.Tick(), left: left, n: n, used: g.Used()}
 		if err != nil {
 			c.err = err.Error()
 		}
@@ -64,12 +72,13 @@ func (p *seqCallProc) Step(g *GuestExecutor) {
 	}
 }
 
-// TestExecuteSeqMatchesOpByOp runs ExecuteSeq and the op-by-op reference
-// in twin worlds and requires every call's return value, error and Used,
-// and the cores' final counters, to agree: with a budget the sequence
-// crosses mid-call (the burn before it walks the remainder across every
-// offset), under gadget interrupts, and with a faulting op inside the
-// sequence.
+// TestExecuteSeqMatchesOpByOp runs ExecuteSeq and ExecuteRun against
+// their op-by-op references in twin worlds and requires every call's
+// return value, error and Used, and the cores' final counters, to agree:
+// with a budget the sequence crosses mid-call (the burn before it walks
+// the remainder across every offset, zero included), under gadget
+// interrupts, and with a faulting op inside the sequence, where the count
+// is the ops retired before the fault.
 func TestExecuteSeqMatchesOpByOp(t *testing.T) {
 	alu := aluVariant(t)
 	aluOp := microarch.Decode(&alu)
@@ -78,21 +87,29 @@ func TestExecuteSeqMatchesOpByOp(t *testing.T) {
 	seq := []microarch.Op{load, aluOp, load, load, aluOp, load, aluOp, load}
 	faulting := append(append([]microarch.Op(nil), seq[:3]...), fault, load)
 	// edges says which ways a call ends short: the budget ran out, an
-	// interrupt landed with budget left, or an op faulted.
-	type edges struct{ budget, interrupt, fault bool }
+	// interrupt landed with budget left, or an op faulted. zero says a
+	// call started with no budget left.
+	type edges struct{ budget, interrupt, fault, zero bool }
+	type exec = func(*GuestExecutor, []microarch.Op) (int, error)
+	seqExec, seqRef := (*GuestExecutor).ExecuteSeq, executeSeqByOps
+	runExec, runRef := (*GuestExecutor).ExecuteRun, executeRunByOps
 	for _, tc := range []struct {
-		name   string
-		seq    []microarch.Op
-		budget int
-		faults faultinject.Config
-		edges  edges
+		name      string
+		exec, ref exec
+		seq       []microarch.Op
+		budget    int
+		faults    faultinject.Config
+		edges     edges
 	}{
-		{"budget-edge", seq, 20, faultinject.Config{}, edges{budget: true}},
-		{"gadget-interrupt", seq, 2000, faultinject.Config{Seed: 3, GadgetInterruptRate: 0.5}, edges{interrupt: true}},
-		{"interrupt-at-budget-edge", seq, 20, faultinject.Config{Seed: 4, GadgetInterruptRate: 0.5}, edges{budget: true, interrupt: true}},
-		{"faulting-op", faulting, 2000, faultinject.Config{}, edges{fault: true}},
+		{"budget-edge", seqExec, seqRef, seq, 20, faultinject.Config{}, edges{budget: true, zero: true}},
+		{"gadget-interrupt", seqExec, seqRef, seq, 2000, faultinject.Config{Seed: 3, GadgetInterruptRate: 0.5}, edges{interrupt: true}},
+		{"interrupt-at-budget-edge", seqExec, seqRef, seq, 20, faultinject.Config{Seed: 4, GadgetInterruptRate: 0.5}, edges{budget: true, interrupt: true, zero: true}},
+		{"faulting-op", seqExec, seqRef, faulting, 2000, faultinject.Config{}, edges{fault: true}},
+		{"run-budget-edge", runExec, runRef, seq, 20, faultinject.Config{}, edges{budget: true, zero: true}},
+		{"run-faulting-op", runExec, runRef, faulting, 2000, faultinject.Config{}, edges{fault: true}},
+		{"run-fault-at-budget-edge", runExec, runRef, faulting, 20, faultinject.Config{}, edges{budget: true, fault: true, zero: true}},
 	} {
-		run := func(exec func(*GuestExecutor, []microarch.Op) (int, error)) (*seqCallProc, microarch.Counters) {
+		run := func(exec exec) (*seqCallProc, microarch.Counters) {
 			cfg := DefaultConfig(9)
 			cfg.TickBudget = tc.budget
 			w := NewWorld(cfg)
@@ -118,8 +135,8 @@ func TestExecuteSeqMatchesOpByOp(t *testing.T) {
 			}
 			return p, core.Counters()
 		}
-		got, gotCtrs := run((*GuestExecutor).ExecuteSeq)
-		want, wantCtrs := run(executeSeqByOps)
+		got, gotCtrs := run(tc.exec)
+		want, wantCtrs := run(tc.ref)
 		for i := range min(len(got.log), len(want.log)) {
 			if got.log[i] != want.log[i] {
 				t.Fatalf("%s: call %d: %+v, reference %+v", tc.name, i, got.log[i], want.log[i])
@@ -134,6 +151,7 @@ func TestExecuteSeqMatchesOpByOp(t *testing.T) {
 		// The case must reach exactly the edges it is named for.
 		var seen edges
 		for _, c := range got.log {
+			seen.zero = seen.zero || c.left == 0
 			switch {
 			case c.err != "":
 				seen.fault = true

@@ -112,12 +112,20 @@ func (g *GuestExecutor) ExecuteOp(op microarch.Op) (bool, error) {
 // budget runs out; it returns the number of instructions executed. Under
 // fault injection an interrupt (VM exit) can land mid-sequence, in which
 // case fewer instructions retire even though budget remains — callers
-// distinguish the two by checking Remaining. It retires exactly what
-// ExecuteOp would op by op, with one budget check per sequence.
+// distinguish the two by checking Remaining. It is ExecuteRun after the
+// interrupt draw.
 func (g *GuestExecutor) ExecuteSeq(seq []microarch.Op) (int, error) {
 	if stop, ok := g.faults.GadgetInterrupt(len(seq)); ok {
 		seq = seq[:stop]
 	}
+	return g.ExecuteRun(seq)
+}
+
+// ExecuteRun retires ops in order, stopping when the budget runs out or
+// an op faults; it returns the number retired. It retires exactly what
+// ExecuteOp would op by op, with one budget check per run: the faulting
+// op and the ops after it are not retired and use no budget.
+func (g *GuestExecutor) ExecuteRun(seq []microarch.Op) (int, error) {
 	if left := max(g.budget-g.used, 0); len(seq) > left {
 		seq = seq[:left]
 	}

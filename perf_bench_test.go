@@ -118,12 +118,22 @@ func BenchmarkRunnerStep(b *testing.B) {
 // them over a 1 MiB working set, and "website-tick" is BenchmarkRunnerStep,
 // a guest tick of a website page load with the class and op draws included.
 func BenchmarkSimulatedInstruction(b *testing.B) {
-	lib := workload.DefaultLibrary(1)
+	// The class pools of workload.DefaultLibrary(1): the decoded legal
+	// variants of the seed's specification, by class and in spec order.
+	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
+	pools := map[isa.Class][]microarch.Op{}
+	for i := range legal {
+		pools[legal[i].Class] = append(pools[legal[i].Class], microarch.Decode(&legal[i]))
+	}
 	classes := []isa.Class{isa.ClassALU, isa.ClassLoad, isa.ClassStore, isa.ClassBranch, isa.ClassMul, isa.ClassSSE, isa.ClassNop}
 	r := rng.New(7)
 	ops := make([]microarch.Op, 4096)
 	for i := range ops {
-		ops[i] = lib.Sample(classes[r.Intn(len(classes))], r)
+		pool := pools[classes[r.Intn(len(classes))]]
+		if len(pool) == 0 {
+			pool = pools[isa.ClassALU]
+		}
+		ops[i] = pool[r.Intn(len(pool))]
 	}
 	for _, bc := range []struct {
 		name string
