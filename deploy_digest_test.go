@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math"
 	"strings"
 	"testing"
 
@@ -171,7 +172,8 @@ func digestSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] 
 // TestPaperFigureDigestsPinned pins the guest-level inputs of the paper's
 // figures: victim traces of the attack scenario (undefended, Laplace and
 // d*), the Fig. 10 job timings and CPU usage, a defended cache-occupancy
-// trace and the profiler's event ranking. Each path builds its own SEV
+// trace, the profiler's warm-up survivors and event ranking, and the
+// Fig. 3 per-trace totals. Each path builds its own SEV
 // guest from its own seeds; a change to how any of them assembles,
 // schedules or seeds that guest moves a digest here.
 func TestPaperFigureDigestsPinned(t *testing.T) {
@@ -182,6 +184,8 @@ func TestPaperFigureDigestsPinned(t *testing.T) {
 		"figure10":        "357796e05c7a2262",
 		"occupancy":       "ae8180aea701f712",
 		"profiler/rank":   "24bd17363c1a05b7",
+		"profiler/warmup": "7e734b9d003a6d29",
+		"figure3":         "70517b1097420580",
 	}
 	got := map[string]string{}
 
@@ -257,6 +261,39 @@ func TestPaperFigureDigestsPinned(t *testing.T) {
 		fmt.Fprintf(h, "rank %s %v %+v\n", re.Event.Name, re.MI, re.Classes)
 	}
 	got["profiler/rank"] = digestSum(h)
+
+	// The warm-up's idle and active sums are internal to the profiler;
+	// their bits are pinned by TestWarmupSumsPinned there, and the
+	// survivors they select are pinned here.
+	warm, err := profiler.New(kit.Catalog, profiler.DefaultConfig(sc.Seed)).Warmup(&workload.WebsiteApp{Sites: sites})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.Remaining) == 0 {
+		t.Fatal("warm-up kept no events")
+	}
+	h = sha256.New()
+	for _, e := range warm.Remaining {
+		fmt.Fprintf(h, "survivor %s\n", e.Name)
+	}
+	got["profiler/warmup"] = digestSum(h)
+
+	// Fig. 3's configuration: the first site's per-trace totals of
+	// DATA_CACHE_REFILLS_FROM_SYSTEM over 4·TracesPerSecret (at least 20)
+	// repeats.
+	fcfg := profiler.DefaultConfig(sc.Seed)
+	fcfg.TraceTicks = sc.TraceTicks
+	fcfg.RankRepeats = sc.RankRepeats
+	dist, err := profiler.New(kit.Catalog, fcfg).DistributionFor(&workload.WebsiteApp{Sites: sites}, sites[0],
+		kit.Catalog.MustByName("DATA_CACHE_REFILLS_FROM_SYSTEM"), max(4*sc.TracesPerSecret, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = sha256.New()
+	for _, v := range dist.Samples {
+		fmt.Fprintf(h, "sample %x\n", math.Float64bits(v))
+	}
+	got["figure3"] = digestSum(h)
 
 	for name, w := range want {
 		if got[name] != w {

@@ -1,6 +1,8 @@
 package profiler
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/workload"
 )
 
 // fingerprintRanking serialises a ranking with bit-exact scores so two runs
@@ -106,5 +109,34 @@ func TestDistributionDeterministicAcrossParallelism(t *testing.T) {
 		if got := run(w); got != serial {
 			t.Errorf("distribution at parallelism %d differs from serial run", w)
 		}
+	}
+}
+
+// TestWarmupSumsPinned pins the bits of the warm-up's idle and active raw
+// sums, which Warmup's verdicts are drawn from but never returns. The
+// shards are derived as Warmup derives them: stream
+// warmup/<rep>/<idle|active>, secret rep mod |secrets|.
+func TestWarmupSumsPinned(t *testing.T) {
+	const want = "14b4bff9e2677821"
+	p := New(hpc.NewAMDEpyc7252Catalog(1), DefaultConfig(1))
+	app := &workload.WebsiteApp{Sites: workload.Websites()[:4]}
+	secrets := app.Secrets()
+	h := sha256.New()
+	for rep := 0; rep < p.cfg.WarmupRepeats; rep++ {
+		for _, label := range []string{"idle", "active"} {
+			raw, err := p.rawTrace(app, secrets[rep%len(secrets)], p.cfg.WarmupTicks,
+				p.root.SplitN("warmup", rep).Split(label), label == "idle")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%d %s", rep, label)
+			for _, v := range sumVec(raw) {
+				fmt.Fprintf(h, " %x", math.Float64bits(v))
+			}
+			fmt.Fprintln(h)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want {
+		t.Errorf("warm-up sums digest %s, want %s", got, want)
 	}
 }
