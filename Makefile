@@ -71,8 +71,10 @@ fmt-check:
 # the variant-based reference, the flat caches and TLB against the
 # reference LRU model, the breakpoint class sampler against the weight
 # scan it replaces, a compiled mix's op draws against the class draw and
-# Library.Sample they replaced, and the vCPU's app/defense slots against
-# the process list scheduler they replaced.
+# Library.Sample they replaced, the vCPU's app/defense slots against
+# the process list scheduler they replaced, and the host view (a core's
+# recorded raw rows projected onto up to four events) against the PMU's
+# per-tick RDPMC-and-reset loop.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarMemo -fuzztime $(FUZZTIME)
@@ -82,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzMixSampler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run='^$$' -fuzz=FuzzCompiledMixMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sev/ -run='^$$' -fuzz=FuzzSlotsMatchListScheduler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run='^$$' -fuzz=FuzzHostViewMatchesPMU -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -97,11 +97,7 @@ func (s *Scenario) CollectOne(secret string, rep int, defense obfuscator.Factory
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	col, err := trace.NewCollector(g.Core, events, stream.Split("monitor"))
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	return trace.CollectDuring(g.World, col, s.TraceTicks, secret)
+	return trace.Project(trace.Record(g.World, g.Core, s.TraceTicks), events, stream.Split("monitor"), secret)
 }
 
 // Collect records the full labelled dataset: TracesPerSecret recordings per

@@ -351,11 +351,8 @@ func TestMonitoringWrongCoreSeesNoSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := hpc.NewAMDEpyc7252Catalog(1)
-	col, err := trace.NewCollector(otherCore, []*hpc.Event{cat.MustByName("RETIRED_UOPS")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong, err := trace.CollectDuring(world, col, 60, "google.com")
+	wrong, err := trace.Project(trace.Record(world, otherCore, 60),
+		[]*hpc.Event{cat.MustByName("RETIRED_UOPS")}, nil, "google.com")
 	if err != nil {
 		t.Fatal(err)
 	}

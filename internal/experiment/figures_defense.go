@@ -7,6 +7,7 @@ import (
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/stats"
+	"github.com/repro/aegis/internal/trace"
 	"github.com/repro/aegis/internal/workload"
 )
 
@@ -51,45 +52,33 @@ func Figure9a(sc Scale, epsilons []float64) (*Figure9aResult, error) {
 		res.RandomGuess[a.Attack] = a.RandomGuess
 	}
 
-	evalDefended := func(name AttackName, mech MechanismKind, eps float64) (float64, error) {
-		defense := kit.Defense(mech, eps)
-		switch name {
-		case WFA:
-			sc2 := scenarioFor(websiteApp(sc), sc, 100+uint64(eps*1024)+hashMech(mech))
-			sc2.TracesPerSecret = victimReps(sc)
-			ds, err := sc2.Collect(defense)
-			if err != nil {
-				return 0, err
-			}
-			return ta.wfa.Evaluate(ds)
-		case KSA:
-			sc2 := scenarioFor(keystrokeApp(sc), sc, 200+uint64(eps*1024)+hashMech(mech))
-			sc2.TracesPerSecret = victimReps(sc)
-			ds, err := sc2.Collect(defense)
-			if err != nil {
-				return 0, err
-			}
-			return ta.ksa.Evaluate(ds)
-		default:
-			sc2 := scenarioFor(dnnApp(sc), sc, 300+uint64(eps*1024)+hashMech(mech))
-			sc2.TracesPerSecret = victimReps(sc)
-			ds, err := sc2.Collect(defense)
-			if err != nil {
-				return 0, err
-			}
-			return ta.mea.Evaluate(ds)
-		}
+	// Each attack's defended victims come from its own app and seed
+	// offset, and its clean-trained model scores them.
+	attacks := []struct {
+		name     AttackName
+		app      workload.App
+		off      uint64
+		evaluate func(*trace.Dataset) (float64, error)
+	}{
+		{WFA, websiteApp(sc), 100, ta.wfa.Evaluate},
+		{KSA, keystrokeApp(sc), 200, ta.ksa.Evaluate},
+		{MEA, dnnApp(sc), 300, ta.mea.Evaluate},
 	}
-
 	for _, mech := range []MechanismKind{MechLaplace, MechDStar} {
 		for _, eps := range epsilons {
-			for _, name := range []AttackName{WFA, KSA, MEA} {
-				acc, err := evalDefended(name, mech, eps)
+			for _, a := range attacks {
+				sc2 := scenarioFor(a.app, sc, a.off+uint64(eps*1024)+hashMech(mech))
+				sc2.TracesPerSecret = victimReps(sc)
+				ds, err := sc2.Collect(kit.Defense(mech, eps))
+				var acc float64
+				if err == nil {
+					acc, err = a.evaluate(ds)
+				}
 				if err != nil {
-					return nil, fmt.Errorf("defended %s %s eps=%v: %w", name, mech, eps, err)
+					return nil, fmt.Errorf("defended %s %s eps=%v: %w", a.name, mech, eps, err)
 				}
 				res.Points = append(res.Points, DefensePoint{
-					Mechanism: mech, Epsilon: eps, Attack: name, Accuracy: acc,
+					Mechanism: mech, Epsilon: eps, Attack: a.name, Accuracy: acc,
 				})
 			}
 		}

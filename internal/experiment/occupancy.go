@@ -104,13 +104,9 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	cat := hpc.NewAMDEpyc7252Catalog(1)
-	col, err := trace.NewCollector(attackerCore,
-		[]*hpc.Event{cat.MustByName("L2_CACHE_MISSES")}, stream.Split("probe-noise"))
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	return trace.CollectDuring(victim.World, col, s.TraceTicks, secret)
+	l2Misses := hpc.NewAMDEpyc7252Catalog(1).MustByName("L2_CACHE_MISSES")
+	return trace.Project(trace.Record(victim.World, attackerCore, s.TraceTicks),
+		[]*hpc.Event{l2Misses}, stream.Split("probe-noise"), secret)
 }
 
 // Collect records the full labelled occupancy dataset.

@@ -141,22 +141,31 @@ func (p *PMU) RDPMC(slot int) (float64, error) {
 	}
 	delta := p.core.Counters().Sub(s.base)
 	p.vec = delta.VectorInto(p.vec)
-	v := s.event.Value(p.vec)
-	if p.noise != nil && s.event.NoiseSigma > 0 {
+	var v float64
+	v, s.drift = s.event.Measure(s.event.Value(p.vec), s.drift, p.noise)
+	return v, nil
+}
+
+// Measure is the PMU's read noise: it turns the exact count v of event e
+// into what RDPMC reports from a register carrying drift, and returns the
+// read and the register's new drift. The read is clamped at 0; a nil noise
+// source (or an event with no NoiseSigma) leaves it otherwise exact.
+func (e *Event) Measure(v, drift float64, noise *rng.Source) (float64, float64) {
+	if noise != nil && e.NoiseSigma > 0 {
 		// Relative jitter proportional to the accumulated count plus a
 		// small absolute floor so idle counters also wobble.
-		jitter := p.noise.Gaussian(0, s.event.NoiseSigma*v+0.05)
-		s.drift += jitter * 0.1 // most jitter is transient; a bit sticks
-		v += jitter + s.drift
+		jitter := noise.Gaussian(0, e.NoiseSigma*v+0.05)
+		drift += jitter * 0.1 // most jitter is transient; a bit sticks
+		v += jitter + drift
 		// Interrupt spike: rare large positive excursion.
-		if p.noise.Float64() < 0.005 {
-			v += p.noise.Float64() * 50
+		if noise.Float64() < 0.005 {
+			v += noise.Float64() * 50
 		}
 	}
 	if v < 0 {
 		v = 0
 	}
-	return v, nil
+	return v, drift
 }
 
 // Reset re-zeroes a programmed counter without changing its event.

@@ -26,13 +26,13 @@ import (
 
 	"github.com/repro/aegis/internal/artifact"
 	"github.com/repro/aegis/internal/hpc"
-	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/parallel"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
 	"github.com/repro/aegis/internal/stats"
 	"github.com/repro/aegis/internal/telemetry"
 	"github.com/repro/aegis/internal/telemetry/flight"
+	"github.com/repro/aegis/internal/trace"
 	"github.com/repro/aegis/internal/workload"
 )
 
@@ -166,20 +166,7 @@ func (p *Profiler) rawTrace(app workload.App, secret string, ticks int, stream *
 	if err != nil {
 		return nil, fmt.Errorf("launch template VM: %w", err)
 	}
-	// One slab for the whole trace: ticks rows are carved out of a single
-	// allocation instead of one make per tick.
-	out := make([][]float64, ticks)
-	slab := make([]float64, ticks*microarch.NumSignals)
-	prev := g.Core.Counters()
-	for i := 0; i < ticks; i++ {
-		g.World.Step()
-		now := g.Core.Counters()
-		row := slab[i*microarch.NumSignals : (i+1)*microarch.NumSignals : (i+1)*microarch.NumSignals]
-		now.Sub(prev).VectorInto(row)
-		out[i] = row
-		prev = now
-	}
-	return out, nil
+	return trace.Record(g.World, g.Core, ticks), nil
 }
 
 // sumVec sums raw per-tick vectors into one delta vector.

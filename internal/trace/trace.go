@@ -1,8 +1,10 @@
 // Package trace implements HPC leakage-trace collection and dataset
 // handling. A trace is the time series the paper's attacker records: for T
 // sampling ticks, the per-tick counts of the monitored HPC events on the
-// physical core backing the victim VM's vCPU. Datasets bundle labelled
-// traces for attack training/validation and for defense evaluation.
+// physical core backing the victim VM's vCPU. The host view is recorded
+// once as the core's raw signal rows (Record) and projected onto the
+// monitored events (Project). Datasets bundle labelled traces for attack
+// training/validation and for defense evaluation.
 package trace
 
 import (
@@ -19,7 +21,7 @@ import (
 
 // Errors returned by the package.
 var (
-	ErrNoEvents      = errors.New("trace: collector needs at least one event")
+	ErrNoEvents      = errors.New("trace: projection needs at least one event")
 	ErrTooManyEvents = errors.New("trace: more events than counter registers")
 	ErrEmptyTrace    = errors.New("trace: empty trace")
 )
@@ -73,75 +75,54 @@ func (tr Trace) Clone() Trace {
 	return Trace{Label: tr.Label, Data: data}
 }
 
-// Collector samples the per-tick counts of up to four HPC events from one
-// physical core, using RDPMC reads with a counter reset per tick — the
-// host-side monitoring loop of the paper's attacks.
-type Collector struct {
-	pmu    *hpc.PMU
-	events []*hpc.Event
-}
-
-// NewCollector attaches a collector to a core. At most
-// hpc.NumCounterRegisters events can be monitored concurrently; noise may
-// be nil for exact reads.
-func NewCollector(core *microarch.Core, events []*hpc.Event, noise *rng.Source) (*Collector, error) {
-	if len(events) == 0 {
-		return nil, ErrNoEvents
-	}
-	if len(events) > hpc.NumCounterRegisters {
-		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyEvents, len(events), hpc.NumCounterRegisters)
-	}
-	c := &Collector{
-		pmu:    hpc.NewPMU(core, noise),
-		events: append([]*hpc.Event(nil), events...),
-	}
-	for i, e := range events {
-		if err := c.pmu.Program(i, e); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// SampleInto reads the per-tick counts, re-arms the counters, and fills
-// dst (reallocating only when its capacity is short). The returned slice
-// has one value per monitored event, in channel order.
-func (c *Collector) SampleInto(dst []float64) ([]float64, error) {
-	if cap(dst) < len(c.events) {
-		dst = make([]float64, len(c.events))
-	}
-	dst = dst[:len(c.events)]
-	for i := range c.events {
-		v, err := c.pmu.RDPMC(i)
-		if err != nil {
-			return nil, err
-		}
-		dst[i] = v
-		if err := c.pmu.Reset(i); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-// CollectDuring advances the world by ticks steps, sampling the collector
-// at each tick boundary, and returns the recorded trace. All rows are
-// carved from one slab so a recording costs two allocations instead of one
-// per tick.
-func CollectDuring(w *sev.World, c *Collector, ticks int, label string) (Trace, error) {
+// Record steps the world ticks times and returns the core's raw per-tick
+// signal deltas, in microarch.Counters.Vector order: the host's view of
+// the core before it picks any event. Every catalog event is a formula
+// over these signals, so one recording serves any set of events (see
+// Project). All rows are carved from one slab.
+func Record(w *sev.World, core *microarch.Core, ticks int) [][]float64 {
 	if ticks < 0 {
 		ticks = 0
 	}
-	e := len(c.events)
-	data := make([][]float64, ticks)
-	slab := make([]float64, ticks*e)
+	n := microarch.NumSignals
+	out := make([][]float64, ticks)
+	slab := make([]float64, ticks*n)
+	prev := core.Counters()
 	for i := 0; i < ticks; i++ {
 		w.Step()
-		row := slab[i*e : (i+1)*e : (i+1)*e]
-		if _, err := c.SampleInto(row); err != nil {
-			return Trace{}, err
+		now := core.Counters()
+		row := slab[i*n : (i+1)*n : (i+1)*n]
+		now.Sub(prev).VectorInto(row)
+		out[i] = row
+		prev = now
+	}
+	return out
+}
+
+// Project derives from a recording the trace the host's monitoring loop
+// reads when it programs events into the PMU's registers and, each tick,
+// reads (RDPMC) and resets every register: Data[t][i] is event i's count
+// over raw tick t with the PMU's read noise drawn from noise (nil for
+// exact reads). The reset after every read zeroes the register's drift,
+// so each read carries drift 0 + jitter/10; drawing from noise in (tick,
+// register) order therefore gives that loop's trace bit for bit. At most
+// hpc.NumCounterRegisters events fit.
+func Project(raw [][]float64, events []*hpc.Event, noise *rng.Source, label string) (Trace, error) {
+	if len(events) == 0 {
+		return Trace{}, ErrNoEvents
+	}
+	if len(events) > hpc.NumCounterRegisters {
+		return Trace{}, fmt.Errorf("%w: %d > %d", ErrTooManyEvents, len(events), hpc.NumCounterRegisters)
+	}
+	e := len(events)
+	data := make([][]float64, len(raw))
+	slab := make([]float64, len(raw)*e)
+	for t, signals := range raw {
+		row := slab[t*e : (t+1)*e : (t+1)*e]
+		for i, ev := range events {
+			row[i], _ = ev.Measure(ev.Value(signals), 0, noise)
 		}
-		data[i] = row
+		data[t] = row
 	}
 	return Trace{Label: label, Data: data}, nil
 }

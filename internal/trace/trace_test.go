@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
 	"github.com/repro/aegis/internal/workload"
@@ -41,13 +42,8 @@ func TestTraceClone(t *testing.T) {
 	}
 }
 
-func TestNewCollectorValidation(t *testing.T) {
-	w := sev.NewWorld(sev.DefaultConfig(1))
-	core, err := w.Core(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCollector(core, nil, nil); !errors.Is(err, ErrNoEvents) {
+func TestProjectValidation(t *testing.T) {
+	if _, err := Project(nil, nil, nil, "x"); !errors.Is(err, ErrNoEvents) {
 		t.Errorf("no events error = %v", err)
 	}
 	cat := hpc.NewAMDEpyc7252Catalog(1)
@@ -55,64 +51,71 @@ func TestNewCollectorValidation(t *testing.T) {
 	for i := range events {
 		events[i] = cat.Events[i]
 	}
-	if _, err := NewCollector(core, events, nil); !errors.Is(err, ErrTooManyEvents) {
+	if _, err := Project(nil, events, nil, "x"); !errors.Is(err, ErrTooManyEvents) {
 		t.Errorf("too many events error = %v", err)
 	}
 }
 
-// buildVictim launches a VM running a website load and returns the world,
-// collector, and the runner.
-func buildVictim(t *testing.T, seed uint64, site string) (*sev.World, *Collector, *workload.Runner) {
-	t.Helper()
-	w := sev.NewWorld(sev.DefaultConfig(seed))
-	vm, err := w.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := workload.DefaultLibrary(1)
-	r := rng.New(seed).Split("victim")
-	runner := workload.NewRunner("browser", lib, r.Split("runner"))
-	if err := vm.AddProcess(0, runner); err != nil {
-		t.Fatal(err)
-	}
-	runner.Enqueue(workload.WebsiteJob(site, r.Split("load")))
-
-	coreIdx, err := vm.PhysicalCore(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := w.Core(coreIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
+// attackEvents are the four events the paper's attacks monitor.
+func attackEvents() []*hpc.Event {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
-	events := []*hpc.Event{
+	return []*hpc.Event{
 		cat.MustByName("RETIRED_UOPS"),
 		cat.MustByName("LS_DISPATCH"),
 		cat.MustByName("MAB_ALLOCATION_BY_PIPE"),
 		cat.MustByName("DATA_CACHE_REFILLS_FROM_SYSTEM"),
 	}
-	col, err := NewCollector(core, events, r.Split("noise"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, col, runner
 }
 
-func TestCollectDuring(t *testing.T) {
-	w, col, _ := buildVictim(t, 2, "google.com")
-	tr, err := CollectDuring(w, col, 50, "google.com")
+// buildVictim launches a VM running a website load and returns the world,
+// the core backing its vCPU, and the monitor's noise stream.
+func buildVictim(t *testing.T, seed uint64, site string) (*sev.World, *microarch.Core, *rng.Source) {
+	t.Helper()
+	r := rng.New(seed).Split("victim")
+	runner := workload.NewRunner("browser", workload.DefaultLibrary(1), r.Split("runner"))
+	runner.Enqueue(workload.WebsiteJob(site, r.Split("load")))
+	g, err := sev.NewGuest(sev.GuestConfig{
+		World: sev.DefaultConfig(seed), VM: sev.VMConfig{VCPUs: 1, SEV: true}, App: runner,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Ticks() != 50 || tr.Events() != 4 {
-		t.Fatalf("trace dims = %dx%d, want 50x4", tr.Ticks(), tr.Events())
+	return g.World, g.Core, r.Split("noise")
+}
+
+func TestRecordProject(t *testing.T) {
+	w, core, noise := buildVictim(t, 2, "google.com")
+	raw := Record(w, core, 50)
+	if len(raw) != 50 || len(raw[0]) != microarch.NumSignals {
+		t.Fatalf("recording dims = %dx%d, want 50x%d", len(raw), len(raw[0]), microarch.NumSignals)
+	}
+	events := attackEvents()
+	tr, err := Project(raw, events, noise, "google.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Ticks() != 50 || tr.Events() != 4 || tr.Label != "google.com" {
+		t.Fatalf("trace %q dims = %dx%d, want google.com 50x4", tr.Label, tr.Ticks(), tr.Events())
 	}
 	if channelTotal(tr, 0) == 0 {
 		t.Error("RETIRED_UOPS channel is all zero during a page load")
 	}
-	if col.events[0].Name != "RETIRED_UOPS" || col.events[3].Name != "DATA_CACHE_REFILLS_FROM_SYSTEM" {
-		t.Errorf("events = %s, %s", col.events[0].Name, col.events[3].Name)
+	// Channels follow register order: channel i of an exact projection is
+	// event i projected alone.
+	exact, err := Project(raw, events, nil, "google.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range events {
+		alone, err := Project(raw, []*hpc.Event{e}, nil, "google.com")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := range raw {
+			if exact.Data[tick][i] != alone.Data[tick][0] {
+				t.Fatalf("tick %d channel %d = %v, %s alone = %v", tick, i, exact.Data[tick][i], e.Name, alone.Data[tick][0])
+			}
+		}
 	}
 }
 
@@ -120,8 +123,8 @@ func TestTracesDistinguishSites(t *testing.T) {
 	// Different sites must produce visibly different leakage totals on at
 	// least one channel; identical-site repeats should be closer together.
 	total := func(seed uint64, site string) float64 {
-		w, col, _ := buildVictim(t, seed, site)
-		tr, err := CollectDuring(w, col, 80, site)
+		w, core, noise := buildVictim(t, seed, site)
+		tr, err := Project(Record(w, core, 80), attackEvents(), noise, site)
 		if err != nil {
 			t.Fatal(err)
 		}
