@@ -9,11 +9,11 @@ FUZZTIME ?= 5s
 # operator reaches for mid-incident, so their test coverage is gated.
 COVER_FLOOR ?= 85
 
-.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e examples loc
+.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-smoke cover e2e examples loc paper-check
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
-check: build vet fmt-check lint test bench-alloc bench-smoke race fuzz
+check: build vet fmt-check lint test bench-alloc bench-smoke race fuzz paper-check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,26 @@ examples:
 
 vet:
 	$(GO) vet ./...
+
+# The paper's numbers at HEAD, gated: regenerate the eval-scale run that
+# EXPERIMENTS.md reproduces and diff it against the committed golden, so
+# any drift in a paper number shows as a diff. PAPER_STRIP drops what
+# depends on the wall clock: the "(<job> in <dur>)" lines, the noise-buffer
+# ablation, and Table III's timing and rate cells (whose strings also size
+# its columns); Table III keeps its processor, Sampled and Measured cells.
+# A change that moves a paper number re-pins the golden with the same
+# pipeline: aegis-bench ... | $(PAPER_STRIP) > $(PAPER_GOLDEN). Not part of
+# `make test`: the run takes about half a minute.
+PAPER_GOLDEN = internal/experiment/testdata/eval-seed1.golden
+PAPER_STRIP = awk -F '  +' '/^\(.* in .*\)$$/ || /^Ablation: noise buffer/ { next } \
+	/^Table III:/ { t3 = 1; print; next } t3 && NF == 0 { t3 = 0 } \
+	t3 { print $$1 "  " $$6 "  " $$7; next } { print }'
+
+paper-check:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/aegis-bench -scale eval -seed 1 -telemetry=false > "$$out" && \
+	$(PAPER_STRIP) "$$out" | diff -u $(PAPER_GOLDEN) - && \
+	echo "paper-check: output matches $(PAPER_GOLDEN)"
 
 # Race instrumentation slows the end-to-end experiment suites well past
 # Go's default 10-minute per-package timeout; give them headroom.
