@@ -6,7 +6,6 @@ import (
 
 	"github.com/repro/aegis/internal/fuzzer"
 	"github.com/repro/aegis/internal/hpc"
-	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/profiler"
 	"github.com/repro/aegis/internal/rng"
@@ -41,11 +40,11 @@ func (a SetCoverAblation) Reduction() float64 {
 // two injection strategies.
 func AblationSetCover(sc Scale) (*SetCoverAblation, error) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
-	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
-	fcfg := fuzzer.DefaultConfig(sc.Seed)
-	fcfg.CandidatesPerEvent = sc.FuzzCandidates
-	fcfg.Parallelism = sc.Parallelism
-	fz, err := fuzzer.New(legal, fcfg)
+	fcfg, err := sc.fuzzerConfig(sc.FuzzCandidates)
+	if err != nil {
+		return nil, err
+	}
+	fz, err := fuzzer.New(amdLegal(), fcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -117,13 +116,12 @@ func AblationPCA(sc Scale) (*PCAAblation, error) {
 	}
 
 	rank := func(raw bool) ([]profiler.RankedEvent, error) {
-		pcfg := profiler.DefaultConfig(sc.Seed)
-		pcfg.TraceTicks = sc.TraceTicks
-		pcfg.RankRepeats = sc.RankRepeats
-		pcfg.Parallelism = sc.Parallelism
+		pcfg, err := sc.profilerConfig()
+		if err != nil {
+			return nil, err
+		}
 		pcfg.RawMeanFeature = raw
-		p := profiler.New(cat, pcfg)
-		return p.Rank(app, events)
+		return profiler.New(cat, pcfg).Rank(app, events)
 	}
 	pcaRank, err := rank(false)
 	if err != nil {
@@ -210,14 +208,14 @@ func (a ConfirmationAblation) FalsePositiveRate() float64 {
 
 // AblationConfirmation fuzzes one event with and without confirmation.
 func AblationConfirmation(sc Scale) (*ConfirmationAblation, error) {
-	cat := hpc.NewAMDEpyc7252Catalog(1)
-	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
-	event := cat.MustByName("DATA_CACHE_REFILLS_FROM_SYSTEM")
+	event := hpc.NewAMDEpyc7252Catalog(1).MustByName("DATA_CACHE_REFILLS_FROM_SYSTEM")
+	legal := amdLegal()
 
 	run := func(disable bool) (int, error) {
-		fcfg := fuzzer.DefaultConfig(sc.Seed)
-		fcfg.CandidatesPerEvent = sc.FuzzCandidates * 4
-		fcfg.Parallelism = sc.Parallelism
+		fcfg, err := sc.fuzzerConfig(sc.FuzzCandidates * 4)
+		if err != nil {
+			return 0, err
+		}
 		fcfg.DisableConfirmation = disable
 		fz, err := fuzzer.New(legal, fcfg)
 		if err != nil {

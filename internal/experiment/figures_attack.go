@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"github.com/repro/aegis/internal/attack"
-	"github.com/repro/aegis/internal/ml"
 	"github.com/repro/aegis/internal/trace"
+	"github.com/repro/aegis/internal/workload"
 )
 
 // AttackName identifies one of the three case-study attacks.
@@ -50,54 +50,54 @@ type Figure1Result struct {
 type trainedAttacks struct {
 	wfaData *trace.Dataset
 	ksaData *trace.Dataset
-	meaData *trace.Dataset
 	wfa     *attack.Classifier
 	ksa     *attack.Classifier
 	mea     *attack.SequenceAttack
 }
 
 // trainAll collects clean datasets and trains the three attack models.
+// The classification attacks (WFA, KSA) share one path, each from its own
+// app, scenario offset and training seed; MEA trains a sequence model.
 func trainAll(sc Scale) (*trainedAttacks, *Figure1Result, error) {
 	out := &Figure1Result{}
 	ta := &trainedAttacks{}
-
-	// WFA.
-	wfaSc := scenarioFor(websiteApp(sc), sc, 100)
-	wfaData, err := wfaSc.Collect(nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("collect WFA: %w", err)
+	for _, a := range []struct {
+		name      AttackName
+		app       workload.App
+		off, seed uint64
+		data      **trace.Dataset
+		clf       **attack.Classifier
+	}{
+		{WFA, websiteApp(sc), 100, 0, &ta.wfaData, &ta.wfa},
+		{KSA, keystrokeApp(sc), 200, 1, &ta.ksaData, &ta.ksa},
+	} {
+		scn := scenarioFor(a.app, sc, a.off)
+		data, err := scn.Collect(nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("collect %s: %w", a.name, err)
+		}
+		clf, stats, err := attack.TrainClassifier(data, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + a.seed})
+		if err != nil {
+			return nil, nil, fmt.Errorf("train %s: %w", a.name, err)
+		}
+		victim, err := victimData(scn)
+		if err != nil {
+			return nil, nil, err
+		}
+		victimAcc, err := clf.Evaluate(victim)
+		if err != nil {
+			return nil, nil, err
+		}
+		*a.data, *a.clf = data, clf
+		panel := Figure1Attack{Attack: a.name, VictimAcc: victimAcc, RandomGuess: 1 / float64(len(a.app.Secrets()))}
+		for _, st := range stats {
+			panel.Curve = append(panel.Curve, CurvePoint{Epoch: st.Epoch, Loss: st.ValLoss, Accuracy: st.ValAcc})
+		}
+		if len(stats) > 0 {
+			panel.FinalValAcc = stats[len(stats)-1].ValAcc
+		}
+		out.Attacks = append(out.Attacks, panel)
 	}
-	ta.wfaData = wfaData
-	wfaClf, wfaStats, err := attack.TrainClassifier(wfaData, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed})
-	if err != nil {
-		return nil, nil, fmt.Errorf("train WFA: %w", err)
-	}
-	ta.wfa = wfaClf
-	victim, err := victimAccuracyClassifier(wfaSc, wfaClf, sc, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	out.Attacks = append(out.Attacks, figure1Panel(WFA, wfaStats, victim,
-		1/float64(len(wfaSc.App.Secrets()))))
-
-	// KSA.
-	ksaSc := scenarioFor(keystrokeApp(sc), sc, 200)
-	ksaData, err := ksaSc.Collect(nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("collect KSA: %w", err)
-	}
-	ta.ksaData = ksaData
-	ksaClf, ksaStats, err := attack.TrainClassifier(ksaData, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 1})
-	if err != nil {
-		return nil, nil, fmt.Errorf("train KSA: %w", err)
-	}
-	ta.ksa = ksaClf
-	victim, err = victimAccuracyClassifier(ksaSc, ksaClf, sc, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	out.Attacks = append(out.Attacks, figure1Panel(KSA, ksaStats, victim,
-		1/float64(len(ksaSc.App.Secrets()))))
 
 	// MEA.
 	app := dnnApp(sc)
@@ -106,20 +106,16 @@ func trainAll(sc Scale) (*trainedAttacks, *Figure1Result, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("collect MEA: %w", err)
 	}
-	ta.meaData = meaData
 	meaAtk, meaStats, err := attack.TrainSequenceAttack(meaData, app, attack.TrainConfig{Epochs: sc.SeqEpochs, Seed: sc.Seed + 2})
 	if err != nil {
 		return nil, nil, fmt.Errorf("train MEA: %w", err)
 	}
 	ta.mea = meaAtk
-	meaVictimSc := *meaSc
-	meaVictimSc.Seed += 1000
-	meaVictimSc.TracesPerSecret = 2
-	victimData, err := meaVictimSc.Collect(nil)
+	victim, err := victimData(meaSc)
 	if err != nil {
 		return nil, nil, err
 	}
-	meaVictim, err := meaAtk.Evaluate(victimData)
+	meaVictim, err := meaAtk.Evaluate(victim)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,28 +131,13 @@ func trainAll(sc Scale) (*trainedAttacks, *Figure1Result, error) {
 	return ta, out, nil
 }
 
-func figure1Panel(name AttackName, stats []ml.EpochStats, victimAcc, chance float64) Figure1Attack {
-	panel := Figure1Attack{Attack: name, VictimAcc: victimAcc, RandomGuess: chance}
-	for _, st := range stats {
-		panel.Curve = append(panel.Curve, CurvePoint{Epoch: st.Epoch, Loss: st.ValLoss, Accuracy: st.ValAcc})
-	}
-	if len(stats) > 0 {
-		panel.FinalValAcc = stats[len(stats)-1].ValAcc
-	}
-	return panel
-}
-
-// victimAccuracyClassifier evaluates a trained classifier on freshly
-// collected victim traces.
-func victimAccuracyClassifier(sc *attack.Scenario, clf *attack.Classifier, scale Scale, reps int) (float64, error) {
-	victimSc := *sc
-	victimSc.Seed += 1000
-	victimSc.TracesPerSecret = reps
-	ds, err := victimSc.Collect(nil)
-	if err != nil {
-		return 0, err
-	}
-	return clf.Evaluate(ds)
+// victimData collects two fresh clean victim traces per secret for an
+// attack trained on the scenario's traces.
+func victimData(scn *attack.Scenario) (*trace.Dataset, error) {
+	victim := *scn
+	victim.Seed += 1000
+	victim.TracesPerSecret = 2
+	return victim.Collect(nil)
 }
 
 // Figure1 runs the three clean attacks and returns their training curves.

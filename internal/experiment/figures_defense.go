@@ -130,22 +130,25 @@ func Figure9b(sc Scale, epsilons []float64) (*Figure9bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure9bResult{RandomGuess: map[AttackName]float64{
-		WFA: 1 / float64(len(websiteApp(sc).Secrets())),
-		KSA: 1 / float64(len(keystrokeApp(sc).Secrets())),
-	}}
+	// Each attack trains and is scored on its own app from its own
+	// scenario offset.
+	attacks := []struct {
+		name AttackName
+		app  workload.App
+		off  uint64
+	}{
+		{WFA, websiteApp(sc), 400},
+		{KSA, keystrokeApp(sc), 500},
+	}
+	res := &Figure9bResult{RandomGuess: map[AttackName]float64{}}
+	for _, a := range attacks {
+		res.RandomGuess[a.name] = 1 / float64(len(a.app.Secrets()))
+	}
 	for _, mech := range []MechanismKind{MechLaplace, MechDStar} {
 		for _, eps := range epsilons {
 			defense := kit.Defense(mech, eps)
-			for _, name := range []AttackName{WFA, KSA} {
-				var app workload.App
-				var off uint64
-				if name == WFA {
-					app, off = websiteApp(sc), 400
-				} else {
-					app, off = keystrokeApp(sc), 500
-				}
-				trainSc := scenarioFor(app, sc, off+uint64(eps*4096)+hashMech(mech))
+			for _, a := range attacks {
+				trainSc := scenarioFor(a.app, sc, a.off+uint64(eps*4096)+hashMech(mech))
 				trainDs, err := trainSc.Collect(defense)
 				if err != nil {
 					return nil, err
@@ -154,7 +157,7 @@ func Figure9b(sc Scale, epsilons []float64) (*Figure9bResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				evalSc := scenarioFor(app, sc, off+2000+uint64(eps*4096)+hashMech(mech))
+				evalSc := scenarioFor(a.app, sc, a.off+2000+uint64(eps*4096)+hashMech(mech))
 				evalSc.TracesPerSecret = victimReps(sc)
 				evalDs, err := evalSc.Collect(defense)
 				if err != nil {
@@ -165,7 +168,7 @@ func Figure9b(sc Scale, epsilons []float64) (*Figure9bResult, error) {
 					return nil, err
 				}
 				res.Points = append(res.Points, DefensePoint{
-					Mechanism: mech, Epsilon: eps, Attack: name, Accuracy: acc,
+					Mechanism: mech, Epsilon: eps, Attack: a.name, Accuracy: acc,
 				})
 			}
 		}

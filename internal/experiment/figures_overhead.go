@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/sev"
@@ -92,22 +91,15 @@ func Figure10(sc Scale, epsilons []float64) (*Figure10Result, error) {
 	if jobs < 4 {
 		jobs = 4
 	}
-	apps := []struct {
-		name string
-		app  workload.App
-	}{
-		{"website", websiteApp(sc)},
-		{"dnn", dnnApp(sc)},
-	}
-	for _, a := range apps {
-		workloadSeed := sc.Seed + 9000 + rng.HashString(a.name)%1024
-		cleanTicks, cleanCPU, err := jobRun(a.app, sc, jobs, nil, workloadSeed, 0)
+	for _, app := range []workload.App{websiteApp(sc), dnnApp(sc)} {
+		workloadSeed := sc.Seed + 9000 + rng.HashString(app.Name())%1024
+		cleanTicks, cleanCPU, err := jobRun(app, sc, jobs, nil, workloadSeed, 0)
 		if err != nil {
 			return nil, err
 		}
 		for _, mech := range []MechanismKind{MechLaplace, MechDStar} {
 			for _, eps := range epsilons {
-				defTicks, defCPU, err := jobRun(a.app, sc, jobs, kit.Defense(mech, eps),
+				defTicks, defCPU, err := jobRun(app, sc, jobs, kit.Defense(mech, eps),
 					workloadSeed, sc.Seed+uint64(eps*512)+hashMech(mech))
 				if err != nil {
 					return nil, err
@@ -115,7 +107,7 @@ func Figure10(sc Scale, epsilons []float64) (*Figure10Result, error) {
 				res.Points = append(res.Points, OverheadPoint{
 					Mechanism:        mech,
 					Epsilon:          eps,
-					App:              a.name,
+					App:              app.Name(),
 					LatencyOverhead:  defTicks/cleanTicks - 1,
 					CPUUsageClean:    cleanCPU,
 					CPUUsageDefended: defCPU,
@@ -169,69 +161,33 @@ func Figure11(sc Scale) (*Figure11Result, error) {
 		return nil, err
 	}
 	app := websiteApp(sc)
-	cleanSc := scenarioFor(app, sc, 700)
-	cleanDs, err := cleanSc.Collect(nil)
+	cleanDs, err := scenarioFor(app, sc, 700).Collect(nil)
 	if err != nil {
 		return nil, err
 	}
-	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 11})
+	clf, _, err := cleanAttacker(cleanDs, sc, 11)
 	if err != nil {
 		return nil, err
 	}
-	// Peak per-tick value of the reference channel.
-	var peak float64
-	for _, tr := range cleanDs.Traces {
-		for _, v := range tr.Channel(0) {
-			if v > peak {
-				peak = v
-			}
-		}
-	}
-	res := &Figure11Result{Peak: peak}
+	res := &Figure11Result{Peak: peak(cleanDs)}
 
-	// injected collects a defended dataset while summing the per-run
-	// injected noise counts, then evaluates the clean-trained attacker.
-	injected := func(defense obfuscator.Factory, off uint64) (float64, float64, error) {
-		sc2 := scenarioFor(app, sc, off)
-		sc2.TracesPerSecret = victimReps(sc)
-		ds := &trace.Dataset{EventNames: cleanDs.EventNames}
-		var total float64
-		var runs int
-		for _, secret := range app.Secrets() {
-			for rep := 0; rep < sc2.TracesPerSecret; rep++ {
-				o, err := defense(rng.HashString(fmt.Sprintf("%d/%s/%d", off, secret, rep)))
-				if err != nil {
-					return 0, 0, err
-				}
-				tr, err := sc2.CollectOne(secret, rep, func(uint64) (*obfuscator.Obfuscator, error) {
-					return o, nil
-				})
-				if err != nil {
-					return 0, 0, err
-				}
-				ds.Add(tr)
-				total += o.InjectedCounts()
-				runs++
-			}
-		}
-		acc, err := clf.Evaluate(ds)
+	// run scores the clean-trained attacker on one defense's probe runs.
+	run := func(defense obfuscator.Factory, off uint64) (float64, float64, error) {
+		ds, injected, err := injectedNoise(app, sc, off, app.Secrets(), victimReps(sc), "", defense)
 		if err != nil {
 			return 0, 0, err
 		}
-		return acc, total / float64(runs), nil
+		acc, err := clf.Evaluate(ds)
+		return acc, injected, err
 	}
 
 	// Laplace reference at ε = 1.
-	lapAcc, lapInj, err := injected(kit.Defense(MechLaplace, 1), 710)
+	res.LaplaceAccuracy, res.LaplaceInjected, err = run(kit.Defense(MechLaplace, 1), 710)
 	if err != nil {
 		return nil, err
 	}
-	res.LaplaceAccuracy = lapAcc
-	res.LaplaceInjected = lapInj
-
 	for i, frac := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
-		bound := frac * peak
-		acc, inj, err := injected(kit.Defense(MechRandom, bound), 720+uint64(i))
+		acc, inj, err := run(kit.Defense(MechRandom, frac*res.Peak), 720+uint64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -242,6 +198,48 @@ func Figure11(sc Scale) (*Figure11Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// peak returns the largest per-tick value of the reference channel (the
+// first event) over a dataset: the paper's peak p.
+func peak(ds *trace.Dataset) float64 {
+	var p float64
+	for _, tr := range ds.Traces {
+		for _, v := range tr.Channel(0) {
+			if v > p {
+				p = v
+			}
+		}
+	}
+	return p
+}
+
+// injectedNoise probes a defense's cost: it records one defended trace of
+// app per (secret, repetition) from the scenario at offset off, each
+// under an obfuscator built from the seed
+// rng.HashString(fmt.Sprintf("%s%d/%s/%d", label, off, secret, rep)), and
+// returns the traces and the mean counts injected per run.
+func injectedNoise(app workload.App, sc Scale, off uint64, secrets []string, reps int, label string, defense obfuscator.Factory) (*trace.Dataset, float64, error) {
+	scn := scenarioFor(app, sc, off)
+	ds := &trace.Dataset{}
+	var total float64
+	for _, secret := range secrets {
+		for rep := 0; rep < reps; rep++ {
+			o, err := defense(rng.HashString(fmt.Sprintf("%s%d/%s/%d", label, off, secret, rep)))
+			if err != nil {
+				return nil, 0, err
+			}
+			tr, err := scn.CollectOne(secret, rep, func(uint64) (*obfuscator.Obfuscator, error) {
+				return o, nil
+			})
+			if err != nil {
+				return nil, 0, err
+			}
+			ds.Add(tr)
+			total += o.InjectedCounts()
+		}
+	}
+	return ds, total / float64(ds.Len()), nil
 }
 
 // Render prints the comparison.
@@ -296,52 +294,17 @@ func ConstantOutputComparison(sc Scale) (*ConstantOutputResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var peak float64
-	for _, tr := range cleanDs.Traces {
-		for _, v := range tr.Channel(0) {
-			if v > peak {
-				peak = v
-			}
-		}
+	res := &ConstantOutputResult{Peak: peak(cleanDs)}
+	secrets := app.Secrets()
+	if len(secrets) > 2 {
+		secrets = secrets[:2]
 	}
-	res := &ConstantOutputResult{Peak: peak}
-
-	measure := func(defense obfuscator.Factory, off uint64) (float64, error) {
-		sc2 := scenarioFor(app, sc, off)
-		var total float64
-		var runs int
-		secrets := app.Secrets()
-		if len(secrets) > 2 {
-			secrets = secrets[:2]
-		}
-		for _, secret := range secrets {
-			for rep := 0; rep < 2; rep++ {
-				o, err := defense(rng.HashString(fmt.Sprintf("c%d/%s/%d", off, secret, rep)))
-				if err != nil {
-					return 0, err
-				}
-				if _, err := sc2.CollectOne(secret, rep, func(uint64) (*obfuscator.Obfuscator, error) {
-					return o, nil
-				}); err != nil {
-					return 0, err
-				}
-				total += o.InjectedCounts()
-				runs++
-			}
-		}
-		return total / float64(runs), nil
-	}
-
-	constInjected, err := measure(kit.Defense(MechConstant, peak), 810)
-	if err != nil {
+	if _, res.ConstantInjected, err = injectedNoise(app, sc, 810, secrets, 2, "c", kit.Defense(MechConstant, res.Peak)); err != nil {
 		return nil, err
 	}
-	lapInjected, err := measure(kit.Defense(MechLaplace, 1), 820)
-	if err != nil {
+	if _, res.LaplaceInjected, err = injectedNoise(app, sc, 820, secrets, 2, "c", kit.Defense(MechLaplace, 1)); err != nil {
 		return nil, err
 	}
-	res.ConstantInjected = constInjected
-	res.LaplaceInjected = lapInjected
 	return res, nil
 }
 

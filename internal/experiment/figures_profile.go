@@ -7,6 +7,7 @@ import (
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/profiler"
 	"github.com/repro/aegis/internal/stats"
+	"github.com/repro/aegis/internal/workload"
 )
 
 // Figure3Result reproduces Fig. 3: the Gaussianity evidence for HPC event
@@ -31,10 +32,10 @@ type Figure3Result struct {
 // website accesses.
 func Figure3(sc Scale) (*Figure3Result, error) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
-	pcfg := profiler.DefaultConfig(sc.Seed)
-	pcfg.TraceTicks = sc.TraceTicks
-	pcfg.RankRepeats = sc.RankRepeats
-	pcfg.Parallelism = sc.Parallelism
+	pcfg, err := sc.profilerConfig()
+	if err != nil {
+		return nil, err
+	}
 	p := profiler.New(cat, pcfg)
 	app := websiteApp(sc)
 	event := cat.MustByName("DATA_CACHE_REFILLS_FROM_SYSTEM")
@@ -101,35 +102,18 @@ type Figure8Result struct {
 // Figure8 profiles all three applications and ranks events by MI.
 func Figure8(sc Scale) (*Figure8Result, error) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
+	pcfg, err := sc.profilerConfig()
+	if err != nil {
+		return nil, err
+	}
+	pcfg.WarmupRepeats = 2
 	res := &Figure8Result{}
-	for _, entry := range []struct {
-		name string
-	}{{"website"}, {"keystroke"}, {"dnn"}} {
-		pcfg := profiler.DefaultConfig(sc.Seed)
-		pcfg.TraceTicks = sc.TraceTicks
-		pcfg.RankRepeats = sc.RankRepeats
-		pcfg.Parallelism = sc.Parallelism
-		pcfg.WarmupTicks = sc.TraceTicks / 2
-		if pcfg.WarmupTicks < 20 {
-			pcfg.WarmupTicks = 20
-		}
-		pcfg.WarmupRepeats = 2
-		p := profiler.New(cat, pcfg)
-
-		var result *profiler.Result
-		var err error
-		switch entry.name {
-		case "website":
-			result, err = p.Profile(websiteApp(sc))
-		case "keystroke":
-			result, err = p.Profile(keystrokeApp(sc))
-		default:
-			result, err = p.Profile(dnnApp(sc))
-		}
+	for _, app := range []workload.App{websiteApp(sc), keystrokeApp(sc), dnnApp(sc)} {
+		result, err := profiler.New(cat, pcfg).Profile(app)
 		if err != nil {
-			return nil, fmt.Errorf("profile %s: %w", entry.name, err)
+			return nil, fmt.Errorf("profile %s: %w", app.Name(), err)
 		}
-		series := Figure8Series{App: entry.name}
+		series := Figure8Series{App: app.Name()}
 		for _, rk := range result.Ranked {
 			series.MI = append(series.MI, rk.MI)
 		}

@@ -7,18 +7,17 @@ import (
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/fuzzer"
 	"github.com/repro/aegis/internal/hpc"
-	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/obfuscator"
+	"github.com/repro/aegis/internal/trace"
 	"github.com/repro/aegis/internal/workload"
 )
 
 // DefenseKit bundles the offline Aegis artefacts shared by the defense
-// experiments: the fuzzed gadget cover and the deployable recipe (stacked
-// noise segment, reference event, the paper's B_u and Δ).
+// experiments: the catalog the gadget cover was fuzzed against and the
+// deployable recipe (stacked noise segment, reference event, the paper's
+// B_u and Δ).
 type DefenseKit struct {
 	Catalog *hpc.Catalog
-	Events  []*hpc.Event
-	Cover   []fuzzer.CoverageEntry
 	obfuscator.Recipe
 }
 
@@ -26,16 +25,11 @@ type DefenseKit struct {
 // stack) over the paper's four monitored events.
 func BuildDefenseKit(sc Scale) (*DefenseKit, error) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
-	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
-	fcfg := fuzzer.DefaultConfig(sc.Seed)
-	fcfg.CandidatesPerEvent = sc.FuzzCandidates
-	fcfg.Parallelism = sc.Parallelism
-	store, err := sc.Store()
+	fcfg, err := sc.fuzzerConfig(sc.FuzzCandidates)
 	if err != nil {
 		return nil, err
 	}
-	fcfg.Store = store
-	fz, err := fuzzer.New(legal, fcfg)
+	fz, err := fuzzer.New(amdLegal(), fcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -57,8 +51,6 @@ func BuildDefenseKit(sc Scale) (*DefenseKit, error) {
 	}
 	return &DefenseKit{
 		Catalog: cat,
-		Events:  events,
-		Cover:   cover,
 		Recipe: obfuscator.Recipe{
 			Segment:     seg,
 			RefEvent:    cat.MustByName("RETIRED_UOPS"),
@@ -128,4 +120,19 @@ func scenarioFor(app workload.App, sc Scale, seedOffset uint64) *attack.Scenario
 		TraceTicks:      sc.TraceTicks,
 		Seed:            sc.Seed + seedOffset,
 	}
+}
+
+// cleanAttacker trains the WFA classifier on a clean dataset with the
+// scale's epochs and seed sc.Seed+seedOffset, and scores it on that same
+// dataset: the reference attacker a defense experiment evaluates against.
+func cleanAttacker(ds *trace.Dataset, sc Scale, seedOffset uint64) (*attack.Classifier, float64, error) {
+	clf, _, err := attack.TrainClassifier(ds, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + seedOffset})
+	if err != nil {
+		return nil, 0, err
+	}
+	acc, err := clf.Evaluate(ds)
+	if err != nil {
+		return nil, 0, err
+	}
+	return clf, acc, nil
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
@@ -93,21 +92,15 @@ func MultipleTriesAnalysis(sc Scale, averagedCounts []int) (*MultipleTriesResult
 		return nil, err
 	}
 	app := websiteApp(sc)
-	cleanSc := scenarioFor(app, sc, 900)
-	cleanDs, err := cleanSc.Collect(nil)
+	cleanDs, err := scenarioFor(app, sc, 900).Collect(nil)
 	if err != nil {
 		return nil, err
 	}
-	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 21})
+	clf, cleanAcc, err := cleanAttacker(cleanDs, sc, 21)
 	if err != nil {
 		return nil, err
 	}
-	res := &MultipleTriesResult{}
-	cleanAcc, err := clf.Evaluate(cleanDs)
-	if err != nil {
-		return nil, err
-	}
-	res.CleanAccuracy = cleanAcc
+	res := &MultipleTriesResult{CleanAccuracy: cleanAcc}
 	refMeans := channelMeans(cleanDs)
 
 	maxAvg := 0
@@ -139,18 +132,20 @@ func MultipleTriesAnalysis(sc Scale, averagedCounts []int) (*MultipleTriesResult
 	}
 
 	const groups = 2 // disjoint averaging groups per secret
-	for _, withOffset := range []bool{false, true} {
-		name := "laplace"
-		if withOffset {
-			name = "laplace+secret"
-		}
+	for _, d := range []struct {
+		name       string
+		withOffset bool
+		repBase    int
+	}{
+		{"laplace", false, 0},
+		{"laplace+secret", true, 1000},
+	} {
 		// Collect groups×maxAvg defended traces per secret.
 		perSecret := make(map[string][]trace.Trace)
 		collectSc := scenarioFor(app, sc, 910)
 		for _, secret := range app.Secrets() {
 			for rep := 0; rep < groups*maxAvg; rep++ {
-				tr, err := collectSc.CollectOne(secret, rep+boolOffset(withOffset)*1000,
-					mkDefense(withOffset, secret))
+				tr, err := collectSc.CollectOne(secret, d.repBase+rep, mkDefense(d.withOffset, secret))
 				if err != nil {
 					return nil, err
 				}
@@ -194,20 +189,13 @@ func MultipleTriesAnalysis(sc Scale, averagedCounts []int) (*MultipleTriesResult
 				}
 			}
 			res.Points = append(res.Points, MultipleTriesPoint{
-				Defense:  name,
+				Defense:  d.name,
 				Averaged: n,
 				Accuracy: float64(correct) / float64(total),
 			})
 		}
 	}
 	return res, nil
-}
-
-func boolOffset(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Render prints the analysis.

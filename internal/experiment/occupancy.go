@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/microarch"
@@ -53,8 +52,8 @@ type OccupancyScenario struct {
 }
 
 // collectOne records one occupancy trace, optionally with the victim
-// defended.
-func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscator.Factory) (trace.Trace, error) {
+// defended: probe runs on the attacker's core, which counts l2Misses.
+func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscator.Factory, probe *probeProc, l2Misses *hpc.Event) (trace.Trace, error) {
 	cfg := sev.DefaultConfig(s.Seed)
 	cfg.SharedL2 = true
 	stream := rng.New(s.Seed).Split("occupancy/"+secret).SplitN("rep", rep)
@@ -81,16 +80,7 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 	if err != nil {
 		return trace.Trace{}, err
 	}
-
-	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
-	var load isa.Variant
-	for _, v := range legal {
-		if v.Class == isa.ClassLoad {
-			load = v
-			break
-		}
-	}
-	if err := attacker.AddProcess(0, &probeProc{load: microarch.Decode(&load), perTick: 600}); err != nil {
+	if err := attacker.AddProcess(0, probe); err != nil {
 		return trace.Trace{}, err
 	}
 
@@ -104,17 +94,28 @@ func (s *OccupancyScenario) collectOne(secret string, rep int, defense obfuscato
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	l2Misses := hpc.NewAMDEpyc7252Catalog(1).MustByName("L2_CACHE_MISSES")
 	return trace.Project(trace.Record(victim.World, attackerCore, s.TraceTicks),
 		[]*hpc.Event{l2Misses}, stream.Split("probe-noise"), secret)
 }
 
 // Collect records the full labelled occupancy dataset.
 func (s *OccupancyScenario) Collect(defense obfuscator.Factory) (*trace.Dataset, error) {
+	// The probe's load and the attacker's event are the same for every
+	// trace: resolve them once. The probe holds no state between ticks,
+	// so every trace's attacker runs the same one.
+	var load isa.Variant
+	for _, v := range amdLegal() {
+		if v.Class == isa.ClassLoad {
+			load = v
+			break
+		}
+	}
+	probe := &probeProc{load: microarch.Decode(&load), perTick: 600}
+	l2Misses := hpc.NewAMDEpyc7252Catalog(1).MustByName("L2_CACHE_MISSES")
 	ds := &trace.Dataset{EventNames: []string{"L2_CACHE_MISSES(attacker-core)"}}
 	for _, secret := range s.App.Secrets() {
 		for rep := 0; rep < s.TracesPerSecret; rep++ {
-			tr, err := s.collectOne(secret, rep, defense)
+			tr, err := s.collectOne(secret, rep, defense, probe, l2Misses)
 			if err != nil {
 				return nil, fmt.Errorf("occupancy %s rep %d: %w", secret, rep, err)
 			}
@@ -150,11 +151,7 @@ func CacheOccupancyExtension(sc Scale, epsilon float64) (*OccupancyResult, error
 	if err != nil {
 		return nil, err
 	}
-	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 41})
-	if err != nil {
-		return nil, err
-	}
-	cleanAcc, err := clf.Evaluate(cleanDs)
+	clf, cleanAcc, err := cleanAttacker(cleanDs, sc, 41)
 	if err != nil {
 		return nil, err
 	}

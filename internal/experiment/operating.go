@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"sort"
-
-	"github.com/repro/aegis/internal/attack"
 )
 
 // OperatingPoint is the recommended ε for one mechanism: the largest ε
@@ -50,21 +48,15 @@ func FindOperatingPoints(sc Scale, target float64, epsilons []float64) (*Operati
 		return nil, err
 	}
 	app := websiteApp(sc)
-	cleanSc := scenarioFor(app, sc, 950)
-	cleanDs, err := cleanSc.Collect(nil)
+	cleanDs, err := scenarioFor(app, sc, 950).Collect(nil)
 	if err != nil {
 		return nil, err
 	}
-	clf, _, err := attack.TrainClassifier(cleanDs, attack.TrainConfig{Epochs: sc.Epochs, Seed: sc.Seed + 31})
+	clf, cleanAcc, err := cleanAttacker(cleanDs, sc, 31)
 	if err != nil {
 		return nil, err
 	}
-	res := &OperatingPointResult{TargetAccuracy: target}
-	cleanAcc, err := clf.Evaluate(cleanDs)
-	if err != nil {
-		return nil, err
-	}
-	res.CleanAccuracy = cleanAcc
+	res := &OperatingPointResult{TargetAccuracy: target, CleanAccuracy: cleanAcc}
 
 	for _, mech := range []MechanismKind{MechLaplace, MechDStar} {
 		point := OperatingPoint{Mechanism: mech}

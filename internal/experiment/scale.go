@@ -16,6 +16,9 @@ import (
 	"text/tabwriter"
 
 	"github.com/repro/aegis/internal/artifact"
+	"github.com/repro/aegis/internal/fuzzer"
+	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/profiler"
 )
 
 // Scale sizes an experiment run. Tests use TestScale; the bench harness
@@ -99,6 +102,45 @@ func (sc Scale) Store() (*artifact.Store, error) {
 		return nil, nil
 	}
 	return artifact.Open(sc.ArtifactDir)
+}
+
+// profilerConfig is every profiling experiment's configuration: the
+// scale's seed, trace length, repeats, parallelism and artifact store, and
+// a warm-up window of max(TraceTicks/2, 20) ticks. Callers set only what
+// differs, such as WarmupRepeats.
+func (sc Scale) profilerConfig() (profiler.Config, error) {
+	store, err := sc.Store()
+	if err != nil {
+		return profiler.Config{}, err
+	}
+	cfg := profiler.DefaultConfig(sc.Seed)
+	cfg.TraceTicks = sc.TraceTicks
+	cfg.RankRepeats = sc.RankRepeats
+	cfg.WarmupTicks = max(sc.TraceTicks/2, 20)
+	cfg.Parallelism = sc.Parallelism
+	cfg.Store = store
+	return cfg, nil
+}
+
+// fuzzerConfig is every fuzzing experiment's configuration: the scale's
+// seed, parallelism and artifact store, sampling candidates per event.
+func (sc Scale) fuzzerConfig(candidates int) (fuzzer.Config, error) {
+	store, err := sc.Store()
+	if err != nil {
+		return fuzzer.Config{}, err
+	}
+	cfg := fuzzer.DefaultConfig(sc.Seed)
+	cfg.CandidatesPerEvent = candidates
+	cfg.Parallelism = sc.Parallelism
+	cfg.Store = store
+	return cfg, nil
+}
+
+// amdLegal returns the cleaned AMD EPYC 7252 instruction variants: the
+// pool the fuzzing experiments draw gadgets from and the occupancy probe
+// its load.
+func amdLegal() []isa.Variant {
+	return isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
 }
 
 // Epsilons returns the paper's Fig. 9a privacy budget sweep 2^-3 .. 2^3.

@@ -83,24 +83,16 @@ type Table2Result struct {
 func Table2(sc Scale) (Table2Result, error) {
 	var out Table2Result
 	app := websiteApp(sc)
-	store, err := sc.Store()
+	pcfg, err := sc.profilerConfig()
 	if err != nil {
 		return Table2Result{}, err
 	}
+	pcfg.WarmupRepeats = 3
 	for _, cat := range []*hpc.Catalog{
 		hpc.NewIntelXeonE51650Catalog(1),
 		hpc.NewAMDEpyc7252Catalog(1),
 	} {
-		pcfg := profiler.DefaultConfig(sc.Seed)
-		pcfg.Parallelism = sc.Parallelism
-		pcfg.Store = store
-		pcfg.WarmupTicks = sc.TraceTicks / 2
-		if pcfg.WarmupTicks < 20 {
-			pcfg.WarmupTicks = 20
-		}
-		pcfg.WarmupRepeats = 3
-		p := profiler.New(cat, pcfg)
-		warm, err := p.Warmup(app)
+		warm, err := profiler.New(cat, pcfg).Warmup(app)
 		if err != nil {
 			return Table2Result{}, err
 		}
@@ -167,7 +159,7 @@ type Table3Result struct {
 // specifications and reports per-step wall-clock.
 func Table3(sc Scale) (Table3Result, error) {
 	var out Table3Result
-	store, err := sc.Store()
+	fcfg, err := sc.fuzzerConfig(sc.FuzzCandidates)
 	if err != nil {
 		return Table3Result{}, err
 	}
@@ -185,10 +177,6 @@ func Table3(sc Scale) (Table3Result, error) {
 		clean := isa.Cleanup(v.spec, v.feats)
 		cleanElapsed := time.Since(cleanStart)
 
-		fcfg := fuzzer.DefaultConfig(sc.Seed)
-		fcfg.CandidatesPerEvent = sc.FuzzCandidates
-		fcfg.Parallelism = sc.Parallelism
-		fcfg.Store = store
 		fz, err := fuzzer.New(clean.Legal, fcfg)
 		if err != nil {
 			return Table3Result{}, err
