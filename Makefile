@@ -13,7 +13,7 @@ COVER_FLOOR ?= 85
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
-check: build vet fmt-check lint test bench-alloc bench-smoke race fuzz paper-check
+check: build vet fmt-check lint test cover bench-alloc bench-smoke race fuzz paper-check
 
 build:
 	$(GO) build ./...
@@ -138,7 +138,7 @@ loc:
 
 # Coverage gate on the observability layer: fails when total statement
 # coverage across internal/telemetry/... + internal/ops drops below
-# COVER_FLOOR percent.
+# COVER_FLOOR percent. Part of `make check`.
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/telemetry/... ./internal/ops/
 	@$(GO) tool cover -func=cover.out | tail -1

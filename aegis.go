@@ -62,6 +62,11 @@ var (
 	gProfileRemaining = telemetry.G("aegis_profile_warmup_remaining")
 	gFuzzCoverSize    = telemetry.G("aegis_fuzz_cover_size")
 	gFuzzSegmentLen   = telemetry.G("aegis_fuzz_segment_len")
+
+	stageProfile      = telemetry.Stage("aegis.profile")
+	stageFuzz         = telemetry.Stage("aegis.fuzz")
+	stageProtect      = telemetry.Stage("aegis.protect")
+	stageProtectMulti = telemetry.Stage("aegis.protect_multi")
 )
 
 // Mechanism names accepted by NewDefense/Protect.
@@ -244,18 +249,32 @@ func (p *Profile) Top(n int) []string {
 	return out
 }
 
+// profilerConfig and fuzzerConfig are the pipeline configurations of
+// every facade stage: Profile and Fuzz run with them, and
+// ArtifactInventory fingerprints them.
+func (f *Framework) profilerConfig() profiler.Config {
+	cfg := profiler.DefaultConfig(f.cfg.Seed)
+	cfg.TraceTicks = f.cfg.ProfileTraceTicks
+	cfg.RankRepeats = f.cfg.ProfileRepeats
+	cfg.Parallelism = f.cfg.Parallelism
+	cfg.Store = f.store
+	return cfg
+}
+
+func (f *Framework) fuzzerConfig() fuzzer.Config {
+	cfg := fuzzer.DefaultConfig(f.cfg.Seed)
+	cfg.CandidatesPerEvent = f.cfg.FuzzCandidates
+	cfg.Parallelism = f.cfg.Parallelism
+	cfg.Faults = f.cfg.Faults
+	cfg.Store = f.store
+	return cfg
+}
+
 // Profile runs warm-up profiling and event ranking for the application.
 func (f *Framework) Profile(app workload.App) (*Profile, error) {
-	span := telemetry.StartSpan("aegis.profile")
-	defer span.End()
+	defer stageProfile.Start().Stop()
 	mProfileRuns.Inc()
-	pcfg := profiler.DefaultConfig(f.cfg.Seed)
-	pcfg.TraceTicks = f.cfg.ProfileTraceTicks
-	pcfg.RankRepeats = f.cfg.ProfileRepeats
-	pcfg.Parallelism = f.cfg.Parallelism
-	pcfg.Store = f.store
-	p := profiler.New(f.catalog, pcfg)
-	res, err := p.Profile(app)
+	res, err := profiler.New(f.catalog, f.profilerConfig()).Profile(app)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", app.Name(), err)
 	}
@@ -275,15 +294,8 @@ func (f *Framework) Profile(app workload.App) (*Profile, error) {
 // an entry whose fingerprint is absent can never be loaded by this
 // configuration — it is stale, left over from other flags.
 func (f *Framework) ArtifactInventory(app workload.App) (map[string]string, error) {
-	pcfg := profiler.DefaultConfig(f.cfg.Seed)
-	pcfg.TraceTicks = f.cfg.ProfileTraceTicks
-	pcfg.RankRepeats = f.cfg.ProfileRepeats
-	pcfg.Parallelism = f.cfg.Parallelism
-	out := profiler.New(f.catalog, pcfg).ArtifactUniverse(app)
-	fcfg := fuzzer.DefaultConfig(f.cfg.Seed)
-	fcfg.CandidatesPerEvent = f.cfg.FuzzCandidates
-	fcfg.Faults = f.cfg.Faults
-	fz, err := fuzzer.New(f.legal, fcfg)
+	out := profiler.New(f.catalog, f.profilerConfig()).ArtifactUniverse(app)
+	fz, err := fuzzer.New(f.legal, f.fuzzerConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +331,7 @@ func (f *Framework) Fuzz(eventNames []string) (*GadgetSet, error) {
 	if len(eventNames) == 0 {
 		return nil, fuzzer.ErrNoTargetEvents
 	}
-	span := telemetry.StartSpan("aegis.fuzz")
-	defer span.End()
+	defer stageFuzz.Start().Stop()
 	mFuzzRuns.Inc()
 	events := make([]*hpc.Event, 0, len(eventNames))
 	for _, n := range eventNames {
@@ -330,12 +341,7 @@ func (f *Framework) Fuzz(eventNames []string) (*GadgetSet, error) {
 		}
 		events = append(events, e)
 	}
-	fcfg := fuzzer.DefaultConfig(f.cfg.Seed)
-	fcfg.CandidatesPerEvent = f.cfg.FuzzCandidates
-	fcfg.Parallelism = f.cfg.Parallelism
-	fcfg.Faults = f.cfg.Faults
-	fcfg.Store = f.store
-	fz, err := fuzzer.New(f.legal, fcfg)
+	fz, err := fuzzer.New(f.legal, f.fuzzerConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -424,8 +430,7 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 	if gs == nil || len(gs.perEventBest) == 0 {
 		return nil, ErrNoGadgets
 	}
-	span := telemetry.StartSpan("aegis.protect_multi")
-	defer span.End()
+	defer stageProtectMulti.Start().Stop()
 	plans := make([]obfuscator.Plan, 0, len(gs.Events))
 	result := &MultiResult{}
 	for i, name := range gs.Events {
@@ -477,8 +482,7 @@ func (f *Framework) ProtectMulti(vm *sev.VM, vcpu int, gs *GadgetSet, epsilon fl
 // cannot schedule them apart (§VII-C). A defense already in the slot is
 // replaced.
 func (f *Framework) Protect(vm *sev.VM, vcpu int, gs *GadgetSet, mechanism string, param float64) (*obfuscator.Obfuscator, error) {
-	span := telemetry.StartSpan("aegis.protect")
-	defer span.End()
+	defer stageProtect.Start().Stop()
 	factory, err := f.NewDefense(gs, mechanism, param)
 	if err != nil {
 		return nil, err

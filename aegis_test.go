@@ -1,12 +1,16 @@
 package aegis
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/repro/aegis/internal/profiler"
 	"github.com/repro/aegis/internal/sev"
+	"github.com/repro/aegis/internal/telemetry"
 	"github.com/repro/aegis/internal/workload"
 )
 
@@ -95,6 +99,83 @@ func TestPipelineEndToEnd(t *testing.T) {
 	world.Run(50)
 	if obf.InjectedReps() == 0 {
 		t.Error("protected VM injected no noise in 50 ticks")
+	}
+}
+
+// promCounts reads every histogram _count series of the default
+// registry's Prometheus dump, keyed by series name and labels.
+func promCounts(t *testing.T) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := telemetry.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		series, val, ok := strings.Cut(sc.Text(), " ")
+		if !ok || !strings.Contains(series, "_count") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("series %s: %v", series, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestStageTimingsExposed runs the facade pipeline through a single- and
+// a multi-event protected run and checks that every timed stage gained
+// observations on /metrics: the two fuzzer histograms and one
+// stage_seconds series per stage.
+func TestStageTimingsExposed(t *testing.T) {
+	reg := telemetry.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(true)
+	t.Cleanup(func() { reg.SetEnabled(was) })
+	before := promCounts(t)
+
+	fw := smallFramework(t)
+	profile, err := fw.Profile(&workload.WebsiteApp{Sites: []string{"google.com", "github.com"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gadgets, err := fw.Fuzz(profile.Top(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := sev.NewWorld(sev.DefaultConfig(3))
+	single, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Protect(single, 0, gadgets, MechanismLaplace, 1); err != nil {
+		t.Fatal(err)
+	}
+	multi, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.ProtectMulti(multi, 0, gadgets, 1); err != nil {
+		t.Fatal(err)
+	}
+	world.Run(10)
+
+	after := promCounts(t)
+	series := []string{"fuzzer_event_seconds_count", "fuzzer_cover_seconds_count"}
+	for _, stage := range []string{
+		"aegis.profile", "aegis.fuzz", "aegis.protect", "aegis.protect_multi",
+		"fuzzer.campaign", "profiler.warmup", "profiler.rank", "profiler.rank.score",
+		"obfuscator.tick",
+	} {
+		series = append(series, `stage_seconds_count{stage="`+stage+`"}`)
+	}
+	for _, s := range series {
+		if after[s] <= before[s] {
+			t.Errorf("%s: %v observations after the pipeline, %v before", s, after[s], before[s])
+		}
 	}
 }
 

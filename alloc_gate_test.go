@@ -31,11 +31,10 @@ import (
 	"github.com/repro/aegis/internal/workload"
 )
 
-// quietTelemetry disables the default registry for the test (the hot-path
-// configuration the experiment harness runs with via -telemetry=false) and
-// restores it afterwards. With the registry enabled, a tick additionally
-// allocates one tracing span — the cost of observability, not the
-// substrate.
+// quietTelemetry disables the default registry for the test, as the repo
+// benchmark's untimed fleet and campaign runs do, and restores it
+// afterwards. An enabled registry allocates nothing on these paths either:
+// the obfuscator and daemon tick gates measure both settings.
 func quietTelemetry(t *testing.T) {
 	t.Helper()
 	reg := telemetry.Default()
@@ -129,9 +128,11 @@ func TestZeroAllocRunnerStep(t *testing.T) {
 // TestZeroAllocObfuscatorTick gates the full per-tick protection loop
 // (kernel-module read, noise draw, clip, gadget injection) for both DP
 // mechanisms and for a two-plan (Laplace plus d*) multi-event deployment,
-// driven through World.Step like a deployed obfuscator.
+// driven through World.Step like a deployed obfuscator, with the default
+// registry disabled and then enabled, when each tick is also timed.
 func TestZeroAllocObfuscatorTick(t *testing.T) {
 	quietTelemetry(t)
+	ticks := telemetry.Stage("obfuscator.tick")
 	rec := flight.Default()
 	before := rec.Total()
 	cat := hpc.NewAMDEpyc7252Catalog(1)
@@ -188,7 +189,15 @@ func TestZeroAllocObfuscatorTick(t *testing.T) {
 				t.Fatal(err)
 			}
 			world.Run(8) // attach the kernel modules, settle the caches
-			requireZeroAllocs(t, "obfuscator tick "+tc.name, 128, func() { world.Step() })
+			for _, on := range []bool{false, true} {
+				telemetry.Default().SetEnabled(on)
+				timed := ticks.Count()
+				requireZeroAllocs(t, fmt.Sprintf("obfuscator tick %s (telemetry %v)", tc.name, on), 128,
+					func() { world.Step() })
+				if got := ticks.Count() - timed; on == (got == 0) {
+					t.Errorf("telemetry %v: %d ticks timed", on, got)
+				}
+			}
 		})
 	}
 	if rec.Total() == before {
@@ -200,7 +209,9 @@ func TestZeroAllocObfuscatorTick(t *testing.T) {
 // per-tenant fan-out plus the serialized journal barrier — with one
 // protecting tenant and an empty queue, the configuration a healthy
 // multi-tenant deployment spends its life in. The daemon journal is its
-// own always-enabled recorder, so the gate covers the recording path.
+// own always-enabled recorder, so the gate covers the recording path; the
+// default registry is measured disabled and then enabled, as a live aegisd
+// runs it.
 func TestZeroAllocDaemonTick(t *testing.T) {
 	quietTelemetry(t)
 	d, err := daemon.New(daemontest.BaseConfig(13))
@@ -214,7 +225,10 @@ func TestZeroAllocDaemonTick(t *testing.T) {
 		d.Step()
 	}
 	before := d.Journal().Total()
-	requireZeroAllocs(t, "daemon.Step", 256, func() { d.Step() })
+	for _, on := range []bool{false, true} {
+		telemetry.Default().SetEnabled(on)
+		requireZeroAllocs(t, fmt.Sprintf("daemon.Step (telemetry %v)", on), 256, func() { d.Step() })
+	}
 	if d.Journal().Total() == before {
 		t.Error("no tick summaries journaled: the gate must cover the recording path")
 	}

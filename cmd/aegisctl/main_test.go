@@ -17,8 +17,7 @@ import (
 // operators alert on, which must stay stable across releases.
 var faultMetricLine = regexp.MustCompile(`^(fault_injected_total|fuzzer_candidates_dropped_total|` +
 	`obfuscator_(retries_total|degraded_ticks_total|zero_draw_ticks_total|no_injection_ticks_total|` +
-	`injected_ticks_total|mechanism_fallbacks_total|counter_rearms_total|` +
-	`multi_degraded_plan_ticks_total|multi_retries_total|multi_counter_rearms_total))([{ ])`)
+	`injected_ticks_total|mechanism_fallbacks_total|counter_rearms_total))([{ ])`)
 
 // filterFaultMetrics extracts the fault/degradation metric lines from a
 // prometheus dump and normalises the sample values to "N" so the golden

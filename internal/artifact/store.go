@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/repro/aegis/internal/telemetry"
 )
@@ -53,7 +52,7 @@ func (s *Store) path(kind, fingerprint string) string {
 // recomputes and overwrites, which is always safe because the file name
 // is the content address of its inputs.
 func (s *Store) Get(kind, fingerprint string) (*Artifact, bool) {
-	start := time.Now()
+	load := hLoadSeconds.Start()
 	buf, err := os.ReadFile(s.path(kind, fingerprint))
 	if err != nil {
 		miss(kind)
@@ -65,7 +64,7 @@ func (s *Store) Get(kind, fingerprint string) (*Artifact, bool) {
 		miss(kind)
 		return nil, false
 	}
-	hLoadSeconds.Observe(time.Since(start).Seconds())
+	load.Stop()
 	telemetry.C("artifact_cache_hits_total", telemetry.L("kind", kind)).Inc()
 	return a, true
 }
@@ -79,7 +78,7 @@ func miss(kind string) {
 // crash at any point leaves either the old file, no file, or the complete
 // new file — never a torn one.
 func (s *Store) Put(a *Artifact) error {
-	start := time.Now()
+	write := hWriteSeconds.Start()
 	buf, err := a.encode()
 	if err != nil {
 		return err
@@ -110,7 +109,7 @@ func (s *Store) Put(a *Artifact) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("artifact: put %s/%s: %w", a.Kind, a.Fingerprint, err)
 	}
-	hWriteSeconds.Observe(time.Since(start).Seconds())
+	write.Stop()
 	telemetry.C("artifact_writes_total", telemetry.L("kind", a.Kind)).Inc()
 	return nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/repro/aegis/internal/attack"
 	"github.com/repro/aegis/internal/faultinject"
@@ -21,9 +22,41 @@ type DefenseKit struct {
 	obfuscator.Recipe
 }
 
+// kitKey is everything a defense kit depends on: the fuzzer is
+// byte-identical at any parallelism and with or without the artifact
+// store, so the seed and the candidate budget fix the kit.
+type kitKey struct {
+	seed       uint64
+	candidates int
+}
+
+// kitCell builds one kitKey's kit once, however many experiments ask.
+type kitCell struct {
+	once sync.Once
+	kit  *DefenseKit
+	err  error
+}
+
+// kits memoises BuildDefenseKit for the life of the process (kitKey ->
+// *kitCell), so one run's defense experiments share one fuzzed cover.
+var kits sync.Map
+
 // BuildDefenseKit runs the offline pipeline (fuzz → confirm → cover →
-// stack) over the paper's four monitored events.
+// stack) over the paper's four monitored events, once per seed and
+// candidate budget; callers share the kit and only read it. A failed
+// build is not kept, so the next call retries.
 func BuildDefenseKit(sc Scale) (*DefenseKit, error) {
+	key := kitKey{seed: sc.Seed, candidates: sc.FuzzCandidates}
+	v, _ := kits.LoadOrStore(key, &kitCell{})
+	cell := v.(*kitCell)
+	cell.once.Do(func() { cell.kit, cell.err = buildDefenseKit(sc) })
+	if cell.err != nil {
+		kits.CompareAndDelete(key, cell)
+	}
+	return cell.kit, cell.err
+}
+
+func buildDefenseKit(sc Scale) (*DefenseKit, error) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	fcfg, err := sc.fuzzerConfig(sc.FuzzCandidates)
 	if err != nil {

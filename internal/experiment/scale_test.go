@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/repro/aegis/internal/telemetry"
@@ -41,4 +42,39 @@ func storeHits() float64 {
 		}
 	}
 	return n
+}
+
+// TestDefenseKitBuiltOncePerSeed checks the kit memo: concurrent callers
+// with the same seed and candidate budget share one kit whatever their
+// parallelism, and another seed gets its own.
+func TestDefenseKitBuiltOncePerSeed(t *testing.T) {
+	const callers = 4
+	kits := make([]*DefenseKit, callers)
+	var wg sync.WaitGroup
+	for i := range kits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := TestScale(41)
+			sc.Parallelism = 1 + i%2
+			kit, err := BuildDefenseKit(sc)
+			if err != nil {
+				t.Error(err)
+			}
+			kits[i] = kit
+		}()
+	}
+	wg.Wait()
+	for i, kit := range kits {
+		if kit == nil || kit != kits[0] {
+			t.Fatalf("caller %d got kit %p, caller 0 got %p", i, kit, kits[0])
+		}
+	}
+	other, err := BuildDefenseKit(TestScale(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == kits[0] {
+		t.Error("seeds 41 and 42 share a kit")
+	}
 }

@@ -57,6 +57,7 @@ var (
 		[]float64{1, 2, 5, 10, 25, 50, 100, 250})
 	hEventSeconds = telemetry.H("fuzzer_event_seconds", telemetry.DefBuckets)
 	hCoverSeconds = telemetry.H("fuzzer_cover_seconds", telemetry.DefBuckets)
+	stageCampaign = telemetry.Stage("fuzzer.campaign")
 
 	// fStage journals stage completions; only from input-ordered merge
 	// points or stage boundaries, never from shard workers, so the
@@ -506,12 +507,7 @@ func (f *Fuzzer) FuzzEvent(event *hpc.Event) ([]Finding, Counts, StepTiming, err
 	if event == nil {
 		return nil, n, timing, ErrNoTargetEvents
 	}
-	span := telemetry.StartSpan("fuzzer.event")
-	defer func() {
-		if d := span.End(); d > 0 {
-			hEventSeconds.Observe(d.Seconds())
-		}
-	}()
+	defer hEventSeconds.Start().Stop()
 	r := f.root.Split("event/" + event.Name)
 	b := f.newBench(r.Split("bench"), f.faults.Handle("fuzzer", event.Name, "bench"))
 
@@ -679,8 +675,7 @@ func (f *Fuzzer) Fuzz(events []*hpc.Event) (*Result, error) {
 	if len(events) == 0 {
 		return nil, ErrNoTargetEvents
 	}
-	span := telemetry.StartSpan("fuzzer.campaign")
-	defer span.End()
+	defer stageCampaign.Start().Stop()
 	res := &Result{
 		PerEvent:        make(map[string][]Finding, len(events)),
 		Representatives: make(map[string][]Finding, len(events)),
@@ -818,12 +813,7 @@ func (f *Fuzzer) MinimalCover(res *Result, events []*hpc.Event) ([]CoverageEntry
 	if res == nil || len(events) == 0 {
 		return nil, ErrNoTargetEvents
 	}
-	span := telemetry.StartSpan("fuzzer.minimal_cover")
-	defer func() {
-		if d := span.End(); d > 0 {
-			hCoverSeconds.Observe(d.Seconds())
-		}
-	}()
+	defer hCoverSeconds.Start().Stop()
 	// Candidate pool: all representatives, deduplicated by dense gadget
 	// identity, visiting events in sorted-name order so the Finding that
 	// wins a duplicated gadget is the same on every run — map order must

@@ -6,6 +6,7 @@ import (
 
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
+	"github.com/repro/aegis/internal/telemetry"
 )
 
 func legalAMD(t *testing.T) []isa.Variant {
@@ -281,6 +282,31 @@ func TestFuzzDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("identical campaigns found different gadget counts")
+	}
+}
+
+// TestFuzzEventTimingWithoutTelemetry: Table III's phase times are
+// results, not telemetry, so FuzzEvent measures them with the default
+// registry disabled too, while its telemetry timer stays inert.
+func TestFuzzEventTimingWithoutTelemetry(t *testing.T) {
+	reg := telemetry.Default()
+	was := reg.Enabled()
+	reg.SetEnabled(false)
+	t.Cleanup(func() { reg.SetEnabled(was) })
+	f, err := New(legalAMD(t), smallConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := hEventSeconds.Count()
+	_, _, tm, err := f.FuzzEvent(hpc.NewAMDEpyc7252Catalog(1).MustByName("RETIRED_UOPS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.GenerateExec <= 0 || tm.Confirmation <= 0 {
+		t.Errorf("timing = %+v, want GenerateExec and Confirmation > 0", tm)
+	}
+	if n := hEventSeconds.Count() - observed; n != 0 {
+		t.Errorf("disabled registry: fuzzer_event_seconds gained %d observations", n)
 	}
 }
 

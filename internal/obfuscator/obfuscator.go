@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/hpc"
@@ -18,8 +17,9 @@ import (
 )
 
 // Obfuscator metrics: per-tick injection volume, clip/budget saturation,
-// mechanism draw latency, and the degradation funnel (every (plan, tick)
-// pair lands in exactly one of injected/zero-draw/no-injection/degraded).
+// mechanism draw latency, tick time, and the degradation funnel (every
+// (plan, tick) pair lands in exactly one of
+// injected/zero-draw/no-injection/degraded).
 var (
 	mTicks             = telemetry.C("obfuscator_ticks_total")
 	mInjectedReps      = telemetry.C("obfuscator_injected_reps_total")
@@ -29,6 +29,7 @@ var (
 	mInjectedInstr     = telemetry.C("obfuscator_injected_instructions_total")
 	hDrawNanos         = telemetry.H("obfuscator_mechanism_draw_ns",
 		telemetry.ExpBuckets(64, 4, 8))
+	stageTick = telemetry.Stage("obfuscator.tick")
 
 	// fTick journals every tick outcome in the flight recorder; degraded
 	// ticks are incidents.
@@ -604,9 +605,9 @@ func (o *Obfuscator) Step(g *sev.GuestExecutor) {
 	for i := range o.plans {
 		p := &o.plans[i]
 		o.ticks++
-		tickSpan := telemetry.StartSpan("obfuscator.tick")
+		tick := stageTick.Start()
 		info := o.runTick(p, g, t)
-		tickSpan.End()
+		tick.Stop()
 		mTicks.Inc()
 		if i == 0 || (info.Outcome == TickDegraded && o.last.Outcome != TickDegraded) {
 			o.last = info
@@ -842,11 +843,8 @@ func (o *Obfuscator) runTick(p *planState, g *sev.GuestExecutor, t int64) TickIn
 
 // drawNoise samples the mechanism, timing the draw when telemetry is live.
 func drawNoise(m Mechanism, t int64, x float64) float64 {
-	if !telemetry.Enabled() {
-		return m.Noise(t, x)
-	}
-	start := time.Now() //aegis:allow(detrand) wall-clock times the draw for telemetry only, never feeds the mechanism
+	draw := hDrawNanos.Start()
 	v := m.Noise(t, x)
-	hDrawNanos.Observe(float64(time.Since(start).Nanoseconds())) //aegis:allow(detrand) wall-clock times the draw for telemetry only, never feeds the mechanism
+	draw.Stop()
 	return v
 }

@@ -4,9 +4,8 @@
 // (/metrics, the telemetry registry's existing exposition), profiling
 // (/debug/pprof/*), the flight recorder (/flight, versioned JSONL with
 // window/kind/since filters) and a one-shot incident snapshot (/snapshot:
-// metrics + recent spans + flight tail + overhead-budget status). The
-// ROADMAP's aegisd daemon mounts this same server; aegisctl serves it
-// with -ops.
+// metrics + flight tail + overhead-budget status). The ROADMAP's aegisd
+// daemon mounts this same server; aegisctl serves it with -ops.
 package ops
 
 import (
@@ -290,21 +289,20 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 
 // snapshotBody is the JSON shape of /snapshot.
 type snapshotBody struct {
-	Schema  string                 `json:"schema"`
-	Health  healthReport           `json:"health"`
-	Ready   healthReport           `json:"ready"`
-	Budget  *BudgetStatus          `json:"budget,omitempty"`
-	Metrics telemetry.Snapshot     `json:"metrics"`
-	Spans   []telemetry.SpanRecord `json:"recent_spans,omitempty"`
-	Flight  json.RawMessage        `json:"flight_tail"`
+	Schema  string             `json:"schema"`
+	Health  healthReport       `json:"health"`
+	Ready   healthReport       `json:"ready"`
+	Budget  *BudgetStatus      `json:"budget,omitempty"`
+	Metrics telemetry.Snapshot `json:"metrics"`
+	Flight  json.RawMessage    `json:"flight_tail"`
 }
 
 // SnapshotSchema versions the /snapshot body.
 const SnapshotSchema = "aegis-snapshot/v1"
 
 // handleSnapshot returns one JSON document with everything an incident
-// report needs: health, budget, metrics, recent spans and the flight
-// tail.
+// report needs: health, budget, metrics (stage timings among them) and
+// the flight tail.
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	health := append([]Probe(nil), s.health...)
@@ -315,7 +313,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		Health:  evaluate(health),
 		Ready:   evaluate(ready),
 		Metrics: s.cfg.Registry.Snapshot(),
-		Spans:   s.cfg.Registry.Tracer().Recent(),
 	}
 	if s.cfg.Budget != nil {
 		st := s.cfg.Budget.Status()

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/repro/aegis/internal/telemetry"
 )
@@ -106,7 +105,6 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context
 		fails []itemError
 		wg    sync.WaitGroup
 	)
-	timed := telemetry.Enabled()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -121,14 +119,9 @@ func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context
 				if runCtx.Err() != nil {
 					return
 				}
-				var start time.Time
-				if timed {
-					start = time.Now()
-				}
+				shard := p.hShard.Start()
 				v, err := fn(runCtx, i)
-				if timed {
-					p.hShard.Observe(time.Since(start).Seconds())
-				}
+				shard.Stop()
 				p.cItems.Inc()
 				if err != nil {
 					p.cErrors.Inc()

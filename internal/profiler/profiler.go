@@ -22,7 +22,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/repro/aegis/internal/artifact"
 	"github.com/repro/aegis/internal/hpc"
@@ -36,7 +35,8 @@ import (
 	"github.com/repro/aegis/internal/workload"
 )
 
-// Profiler metrics: warm-up filtering volume and MI-ranking timings.
+// Profiler metrics: warm-up filtering volume, MI-ranking timings and the
+// warm-up, rank and scoring stage times.
 var (
 	mWarmupRuns      = telemetry.C("profiler_warmup_runs_total")
 	mWarmupFiltered  = telemetry.C("profiler_warmup_filtered_total")
@@ -46,6 +46,9 @@ var (
 	hTraceSeconds    = telemetry.H("profiler_trace_collect_seconds", telemetry.DefBuckets)
 	hMIScoreSeconds  = telemetry.H("profiler_mi_score_seconds",
 		telemetry.ExpBuckets(1e-5, 10, 8))
+	stageWarmup    = telemetry.Stage("profiler.warmup")
+	stageRank      = telemetry.Stage("profiler.rank")
+	stageRankScore = telemetry.Stage("profiler.rank.score")
 
 	// fStage journals stage completions at stage boundaries only (never
 	// from shard workers), keeping the journal replay-stable.
@@ -202,8 +205,7 @@ func (p *Profiler) Warmup(app workload.App) (*WarmupResult, error) {
 	if len(secrets) == 0 {
 		return nil, ErrNoSecrets
 	}
-	span := telemetry.StartSpan("profiler.warmup")
-	defer span.End()
+	defer stageWarmup.Start().Stop()
 	mWarmupRuns.Inc()
 	// Resume: a matching warm-up artifact replaces the whole fan-out. The
 	// verdict bitmap is a pure function of the fingerprinted inputs, so the
@@ -320,14 +322,8 @@ type rawSet struct {
 // (event, raws) — no RNG, no shared mutable state — which is what lets
 // Rank score events concurrently without changing any score. A nil return
 // marks a degenerate, unrankable event.
-func (p *Profiler) scoreEvent(e *hpc.Event, raws []rawSet, timed bool) *RankedEvent {
-	var scoreStart time.Time
-	if timed {
-		scoreStart = time.Now() //aegis:allow(detrand) wall-clock feeds timing histograms only, never ranking state
-		defer func() {
-			hMIScoreSeconds.Observe(time.Since(scoreStart).Seconds()) //aegis:allow(detrand) wall-clock feeds timing histograms only, never ranking state
-		}()
-	}
+func (p *Profiler) scoreEvent(e *hpc.Event, raws []rawSet) *RankedEvent {
+	defer hMIScoreSeconds.Start().Stop()
 	// All intermediates are staged in pooled per-worker scratch: the
 	// series slab, the PCA fit and the MI grids only allocate until each
 	// worker's buffers reach the campaign's trace shape.
@@ -420,9 +416,7 @@ func (p *Profiler) Rank(app workload.App, events []*hpc.Event) ([]RankedEvent, e
 	if len(events) == 0 {
 		return nil, ErrNoEvents
 	}
-	span := telemetry.StartSpan("profiler.rank")
-	defer span.End()
-	timed := telemetry.Enabled()
+	defer stageRank.Start().Stop()
 
 	// Collect raw traces once per (secret, repeat); every event formula is
 	// evaluated on the same traces. The (secret, repeat) matrix fans out
@@ -431,10 +425,7 @@ func (p *Profiler) Rank(app workload.App, events []*hpc.Event) ([]RankedEvent, e
 	// rng.Source forbids sharing a stream — and the shard outputs land in
 	// (secret, repeat) order, so the matrix is identical to a serial
 	// collection.
-	var traceStart time.Time
-	if timed {
-		traceStart = time.Now() //aegis:allow(detrand) wall-clock feeds timing histograms only, never ranking state
-	}
+	collect := hTraceSeconds.Start()
 	pool := parallel.NewPool("profiler.rank", p.cfg.Parallelism)
 	reps := p.cfg.RankRepeats
 	// Resume: restore whole per-secret trace matrices from the store and
@@ -475,14 +466,12 @@ func (p *Profiler) Rank(app workload.App, events []*hpc.Event) ([]RankedEvent, e
 			p.storeTraces(app, secrets[si], raws[si].traces)
 		}
 	}
-	if timed {
-		hTraceSeconds.Observe(time.Since(traceStart).Seconds()) //aegis:allow(detrand) wall-clock feeds timing histograms only, never ranking state
-	}
+	collect.Stop()
 
 	// Score the events concurrently: PCA + MI over the shared raw traces
 	// is a pure per-event computation, so shards stay deterministic and
 	// merge in input-event order (nil = degenerate, unrankable).
-	scoreSpan := span.Child("profiler.rank.score")
+	score := stageRankScore.Start()
 	// Resume: a score cell depends only on (event formula, trace matrix,
 	// scoring config), all covered by its fingerprint; restore hits
 	// (including cached degenerate verdicts) and score only the misses.
@@ -509,7 +498,7 @@ func (p *Profiler) Rank(app workload.App, events []*hpc.Event) ([]RankedEvent, e
 	}
 	fresh, err := parallel.Map(context.Background(), pool, len(missIdx),
 		func(_ context.Context, i int) (*RankedEvent, error) {
-			return p.scoreEvent(events[missIdx[i]], raws, timed), nil
+			return p.scoreEvent(events[missIdx[i]], raws), nil
 		})
 	if err != nil {
 		return nil, err
@@ -528,7 +517,7 @@ func (p *Profiler) Rank(app workload.App, events []*hpc.Event) ([]RankedEvent, e
 			ranked = append(ranked, *re)
 		}
 	}
-	scoreSpan.End()
+	score.Stop()
 	mRankedEvents.Add(float64(len(ranked)))
 	fStage.Record(0, flight.CodeStageProfilerRank, flight.CodeNone,
 		float64(len(ranked)), float64(len(events)-len(ranked)), 0)

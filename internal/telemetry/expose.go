@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // MetricPoint is one counter or gauge series in a snapshot.
@@ -66,22 +65,12 @@ type HistogramPoint struct {
 	Buckets []BucketPoint     `json:"buckets"`
 }
 
-// SpanPoint is one aggregated span name in a snapshot.
-type SpanPoint struct {
-	Name        string  `json:"name"`
-	Count       int     `json:"count"`
-	TotalMillis float64 `json:"total_ms"`
-	MeanMillis  float64 `json:"mean_ms"`
-	MaxMillis   float64 `json:"max_ms"`
-}
-
 // Snapshot is a point-in-time copy of every instrument, ordered
 // deterministically (by name, then label signature).
 type Snapshot struct {
 	Counters   []MetricPoint    `json:"counters"`
 	Gauges     []MetricPoint    `json:"gauges"`
 	Histograms []HistogramPoint `json:"histograms"`
-	Spans      []SpanPoint      `json:"spans,omitempty"`
 }
 
 func labelMap(labels []Label) map[string]string {
@@ -157,15 +146,6 @@ func (r *Registry) Snapshot() Snapshot {
 		hp.Buckets = append(hp.Buckets, BucketPoint{UpperBound: math.Inf(1), Count: cum})
 		snap.Histograms = append(snap.Histograms, hp)
 	}
-	for _, st := range r.tracer.Stats() {
-		snap.Spans = append(snap.Spans, SpanPoint{
-			Name:        st.Name,
-			Count:       st.Count,
-			TotalMillis: float64(st.Total) / float64(time.Millisecond),
-			MeanMillis:  float64(st.Mean()) / float64(time.Millisecond),
-			MaxMillis:   float64(st.Max) / float64(time.Millisecond),
-		})
-	}
 	return snap
 }
 
@@ -222,7 +202,7 @@ func promLabels(labels map[string]string, extraKey, extraVal string) string {
 }
 
 // WritePrometheus writes every metric in the Prometheus text exposition
-// format (0.0.4). Span aggregates are exposed as aegis_span_* series.
+// format (0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	snap := r.Snapshot()
 	typed := make(map[string]bool)
@@ -249,13 +229,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(w, "%s_sum%s %s\n", h.Name, promLabels(h.Labels, "", ""), formatValue(h.Sum))
 		fmt.Fprintf(w, "%s_count%s %d\n", h.Name, promLabels(h.Labels, "", ""), h.Count)
 	}
-	for _, s := range snap.Spans {
-		writeType("aegis_span_count", "gauge")
-		fmt.Fprintf(w, "aegis_span_count{name=\"%s\"} %d\n", escapeLabelValue(s.Name), s.Count)
-		writeType("aegis_span_total_ms", "gauge")
-		fmt.Fprintf(w, "aegis_span_total_ms{name=\"%s\"} %s\n",
-			escapeLabelValue(s.Name), formatValue(s.TotalMillis))
-	}
 	return nil
 }
 
@@ -278,8 +251,7 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Summary renders a compact human-readable digest: non-zero counters and
-// gauges, histogram count/mean, and span aggregates. CLIs print it after a
-// run.
+// gauges, and histogram count/mean. CLIs print it after a run.
 func (r *Registry) Summary() string {
 	snap := r.Snapshot()
 	var b strings.Builder
@@ -325,14 +297,6 @@ func (r *Registry) Summary() string {
 			mean := h.Sum / float64(h.Count)
 			fmt.Fprintf(&b, "  %-46s count=%d sum=%s mean=%s\n",
 				h.Name+promLabels(h.Labels, "", ""), h.Count, formatValue(h.Sum), formatValue(mean))
-		}
-	}
-	if len(snap.Spans) > 0 {
-		wroteAny = true
-		section("spans (ring buffer)")
-		for _, s := range snap.Spans {
-			fmt.Fprintf(&b, "  %-46s count=%d total=%.1fms mean=%.2fms max=%.2fms\n",
-				s.Name, s.Count, s.TotalMillis, s.MeanMillis, s.MaxMillis)
 		}
 	}
 	if !wroteAny {

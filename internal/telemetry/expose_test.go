@@ -178,9 +178,9 @@ func TestSummary(t *testing.T) {
 	}
 	r.Counter("c_total").Add(2)
 	r.Gauge("zero_gauge").Set(0) // zero metrics are elided
-	r.Tracer().Start("phase").End()
+	r.Stage("phase").Start().Stop()
 	got := r.Summary()
-	if !strings.Contains(got, "c_total") || !strings.Contains(got, "phase") {
+	if !strings.Contains(got, "c_total") || !strings.Contains(got, `stage_seconds{stage="phase"}`) {
 		t.Errorf("summary missing entries:\n%s", got)
 	}
 	if strings.Contains(got, "zero_gauge") {

@@ -145,6 +145,13 @@ const (
 	MetricProfilerWarmupRunsTotal      = "profiler_warmup_runs_total"
 )
 
+// Pipeline stage durations, one series per stage label (Registry.Stage):
+// the facade's profile, fuzz and protect calls, the fuzzing campaign, the
+// profiler's warm-up, rank and scoring, and the obfuscator tick.
+const (
+	MetricStageSeconds = "stage_seconds"
+)
+
 // SEV world scheduler.
 const (
 	MetricSevDefenseSkippedTicksTotal = "sev_defense_skipped_ticks_total"

@@ -1,14 +1,17 @@
 // Package telemetry is Aegis's dependency-free observability layer: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms, all with label support), lightweight span tracing with
-// parent linkage and a ring-buffered span log, and a leveled structured
-// event log with a pluggable sink.
+// histograms, all with label support), zero-alloc stage timers that
+// observe into histograms, and a leveled structured event log with a
+// pluggable sink.
 //
 // The package is built for hot paths: instruments are looked up once
 // (typically in a package-level var) and then updated with single atomic
 // operations; the event log is a no-op unless a sink is installed; and a
-// disabled registry turns every instrument update and span start into an
+// disabled registry turns every instrument update and timer start into an
 // early return, so disabled telemetry costs roughly one atomic load.
+//
+// Timing feeds histograms, never values: a [Timer] observes its elapsed
+// time into its histogram and returns nothing to the code it times.
 //
 // Exposition is available as a JSON snapshot ([Registry.WriteJSON]), as
 // Prometheus text format ([Registry.WritePrometheus]), via an optional
@@ -22,6 +25,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Label is one name=value metric dimension.
@@ -113,7 +117,8 @@ type Histogram struct {
 	name    string
 	labels  []Label
 	enabled *atomic.Bool
-	bounds  []float64 // ascending upper bounds; +Inf is implicit
+	bounds  []float64     // ascending upper bounds; +Inf is implicit
+	unit    time.Duration // what one unit of a timed observation is
 	buckets []atomic.Uint64
 	sum     atomicFloat
 	count   atomic.Uint64
@@ -149,6 +154,37 @@ func (h *Histogram) BucketCounts() []uint64 {
 // Name returns the metric name.
 func (h *Histogram) Name() string { return h.name }
 
+// Timer times one operation into a histogram. It is a value, so timing
+// allocates nothing, and Stop returns nothing, so a measured duration
+// reaches the histogram and never the timed code. The zero Timer is inert.
+type Timer struct {
+	h     *Histogram
+	start time.Time
+}
+
+// Start starts a timer observing into h. With the registry disabled it
+// costs one atomic load and returns an inert timer.
+func (h *Histogram) Start() Timer {
+	if !h.enabled.Load() {
+		return Timer{}
+	}
+	return Timer{h: h, start: time.Now()}
+}
+
+// Stop observes the time since Start in the histogram's unit: nanoseconds
+// for a name ending in _ns, seconds otherwise. Each call observes once.
+func (t Timer) Stop() {
+	if t.h != nil {
+		t.h.observeSince(t.start)
+	}
+}
+
+// observeSince is Stop's live path, kept apart so that Stop inlines and
+// an inert timer costs its caller one nil check.
+func (h *Histogram) observeSince(start time.Time) {
+	h.Observe(float64(time.Since(start)) / float64(h.unit))
+}
+
 // DefBuckets are general-purpose duration buckets in seconds.
 var DefBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
@@ -166,7 +202,11 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Registry holds a set of named instruments plus a tracer and a logger.
+// stageBuckets bound MetricStageSeconds from a microsecond obfuscator tick
+// to a fuzzing campaign of several minutes: 1 µs to about 18 min, ×4 apart.
+var stageBuckets = ExpBuckets(1e-6, 4, 16)
+
+// Registry holds a set of named instruments plus a logger.
 // All methods are safe for concurrent use.
 type Registry struct {
 	mu      sync.Mutex
@@ -174,7 +214,6 @@ type Registry struct {
 	gauge   map[string]*Gauge
 	hist    map[string]*Histogram
 	enabled atomic.Bool
-	tracer  *Tracer
 	logger  *Logger
 }
 
@@ -187,7 +226,6 @@ func NewRegistry() *Registry {
 		logger:  &Logger{},
 	}
 	r.enabled.Store(true)
-	r.tracer = newTracer(&r.enabled, defaultSpanRing)
 	return r
 }
 
@@ -202,8 +240,7 @@ func Default() *Registry { return std }
 // no-op mode. Disabled instruments ignore updates but keep their values.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether the registry records updates. Hot paths use it
-// to skip work (e.g. time.Now calls) feeding disabled instruments.
+// Enabled reports whether the registry records updates.
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
 // key builds the identity of an instrument: name plus sorted labels.
@@ -274,19 +311,27 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}
 	bounds = append([]float64(nil), bounds...)
 	sort.Float64s(bounds)
+	unit := time.Second
+	if strings.HasSuffix(name, "_ns") {
+		unit = time.Nanosecond
+	}
 	h := &Histogram{
 		name:    name,
 		labels:  labels,
 		enabled: &r.enabled,
 		bounds:  bounds,
+		unit:    unit,
 		buckets: make([]atomic.Uint64, len(bounds)+1),
 	}
 	r.hist[k] = h
 	return h
 }
 
-// Tracer returns the registry's span tracer.
-func (r *Registry) Tracer() *Tracer { return r.tracer }
+// Stage returns the MetricStageSeconds histogram of one named pipeline
+// stage (label stage=name), which a stage times with Start and Stop.
+func (r *Registry) Stage(name string) *Histogram {
+	return r.Histogram(MetricStageSeconds, stageBuckets, L("stage", name))
+}
 
 // Package-level helpers bound to the default registry.
 
@@ -301,11 +346,8 @@ func H(name string, bounds []float64, labels ...Label) *Histogram {
 	return std.Histogram(name, bounds, labels...)
 }
 
-// StartSpan opens a root span on the default registry's tracer.
-func StartSpan(name string) *Span { return std.tracer.Start(name) }
-
-// Enabled reports whether the default registry records updates.
-func Enabled() bool { return std.Enabled() }
+// Stage returns a stage's duration histogram from the default registry.
+func Stage(name string) *Histogram { return std.Stage(name) }
 
 // Log returns the default registry's structured event log.
 func Log() *Logger { return std.logger }

@@ -24,10 +24,9 @@ import (
 )
 
 // disableTelemetry turns the default registry off for the benchmark and
-// restores it afterwards. Hot-path benchmarks run in the experiment
-// harness's `-telemetry=false` configuration; with the registry enabled,
-// each obfuscator tick additionally allocates one tracing span, which is
-// the cost of observability rather than of the substrate.
+// restores it afterwards, as the repo benchmark's untimed fleet and
+// campaign runs do, so a hot-path benchmark measures the substrate
+// without the clock reads and histogram updates of its stage timers.
 func disableTelemetry(b *testing.B) {
 	b.Helper()
 	reg := telemetry.Default()
