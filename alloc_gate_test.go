@@ -242,6 +242,12 @@ func TestZeroAllocDaemonTick(t *testing.T) {
 // item of the measured window lands in the backlog. The backlog doubles
 // when full, which across whole doublings costs 16 B per item: the
 // window takes it from empty to 128 items in 128 slots.
+//
+// The window reads the process-wide TotalAlloc, so it runs on one P: with
+// a second P, the runtime can start an OS thread mid-window (to run a
+// garbage-collector worker, say, or a goroutine left queued when
+// ReadMemStats restarts the world), and a new thread's runtime
+// structures cost about 5.5 KB of heap, 43 B per item here.
 func TestZeroAllocDaemonHandOff(t *testing.T) {
 	quietTelemetry(t)
 	const (
@@ -266,12 +272,14 @@ func TestZeroAllocDaemonHandOff(t *testing.T) {
 	if err := d.Reload(daemon.Tunables{LoadPerTick: &load}); err != nil {
 		t.Fatal(err)
 	}
+	procs := runtime.GOMAXPROCS(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ticks; i++ {
 		d.Step()
 	}
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	jf, err := d.TenantJobs("handoff")
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
-// Command aegis-lint runs the project's static-analysis suite: the
-// intra-procedural determinism, hot-path, telemetry-naming, and
-// error-wrapping rules plus the interprocedural call-graph rules
-// (hotpathdeep, detranddeep, lockjournal) defined in internal/analysis
-// (see DESIGN.md "Mechanically enforced invariants").
+// Command aegis-lint runs the project's static-analysis suite defined in
+// internal/analysis: the map-order, telemetry-naming, flight-kind and
+// error-wrapping rules, plus the rules that also walk the module-wide
+// call graph (hotpath, detrand, lockjournal). See DESIGN.md
+// "Mechanically enforced invariants".
 //
 // Usage:
 //

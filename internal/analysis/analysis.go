@@ -48,7 +48,7 @@ type Pass struct {
 	Types *types.Package
 	Info  *types.Info
 	Pkg   *Package // the package under analysis
-	Prog  *Program // the whole loaded program (nil in legacy single-package passes)
+	Prog  *Program // the whole loaded program
 
 	rule string
 	sink *[]Diagnostic
@@ -67,7 +67,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // AllowedAt reports whether a valid //aegis:allow for the running rule
 // covers pos (same line or the line above) and marks that allow used. The
-// deep rules call this at call sites to prune traversal: an allowed edge
+// closure walk calls this at call sites to prune traversal: an allowed edge
 // is cut out of the transitive closure entirely, which is how the
 // conservative dispatch over-approximation is relaxed site-by-site. A
 // pruning allow counts as used even when no diagnostic would have survived
@@ -95,7 +95,7 @@ const SuppressionRule = "suppression"
 
 // rulesetVersion names the rule set in SARIF and -audit output: bump it
 // whenever any rule's logic or message format changes.
-const rulesetVersion = "aegis-lint-rules/v2"
+const rulesetVersion = "aegis-lint-rules/v3"
 
 // AllRules returns every registered rule, sorted by name. Adding a rule to
 // the suite means adding one file defining it, listing it here, and adding
@@ -103,11 +103,9 @@ const rulesetVersion = "aegis-lint-rules/v2"
 func AllRules() []*Rule {
 	rules := []*Rule{
 		detrandRule,
-		detranddeepRule,
 		errwrapRule,
 		flightkindRule,
 		hotpathRule,
-		hotpathdeepRule,
 		lockjournalRule,
 		maprangeRule,
 		metricnameRule,
@@ -175,7 +173,7 @@ func pkgPathHasSuffix(pkg *types.Package, suffix string) bool {
 
 // PackageResult is everything one package's analysis produces, shaped so
 // per-package results can be merged later: the surviving rule
-// diagnostics (which for deep rules may be positioned in dependency
+// diagnostics (which for interprocedural rules may be positioned in dependency
 // files), the inventory of //aegis:allow comments in the package's own
 // files, and the keys of every allow the analysis marked used — including
 // allows in dependency files matched along call chains. Hygiene

@@ -10,7 +10,8 @@ import (
 )
 
 // This file builds the module-wide call graph behind the interprocedural
-// rules (hotpathdeep, detranddeep, lockjournal). The graph is exact where
+// checks (hotpath, detrand, lockjournal) and the one closure walk that
+// hotpath and detrand share. The graph is exact where
 // Go lets it be and conservative everywhere else:
 //
 //   - A call whose callee resolves statically to a function or method
@@ -18,7 +19,7 @@ import (
 //   - A call through an interface method becomes one over-approximated
 //     edge to every module method with the same name and an identical
 //     signature that is declared inside the calling package's import
-//     closure. These edges carry Dynamic=true, and the deep rules name
+//     closure. These edges carry Dynamic=true, and the closure walk names
 //     the dispatch in their call chains. The closure restriction keeps
 //     per-package analysis results independent of which other packages
 //     happen to be loaded, so a single-directory run reports the same
@@ -32,18 +33,18 @@ import (
 //     say) must dispatch to every matching method instead.
 //   - A call of a function-typed value (a method value, a stored closure,
 //     a func field or parameter) cannot be resolved at all; the site is
-//     recorded as a DynSite and the deep rules report it conservatively —
-//     the callee could do anything — unless the site carries an
-//     //aegis:allow for the reporting rule.
+//     recorded as a DynSite and the closure walk reports it
+//     conservatively — the callee could do anything — unless the site
+//     carries an //aegis:allow for the reporting rule.
 //
 // Calls lexically inside a func literal are attributed to the enclosing
-// declared function with InClosure=true: hotpathdeep skips them (the
-// intra-procedural rule already flags closure construction on hot paths,
-// and a literal's body is cold until invoked), detranddeep follows them
-// (the closure will run eventually), and lockjournal treats them as
-// escaping the caller's lockset (the literal may run on another
-// goroutine). Edges launched by a go statement carry Async=true and never
-// extend a lockset.
+// declared function with InClosure=true: hotpath's walk skips them (the
+// body scan already flags closure construction on hot paths, and a
+// literal's body is cold until invoked), detrand's follows them (the
+// closure will run eventually), and lockjournal treats them as escaping
+// the caller's lockset (the literal may run on another goroutine). Edges
+// launched by a go statement carry Async=true: hotpath skips them,
+// detrand follows them, and they never extend a lockset.
 //
 // Node and edge order is deterministic: nodes sort by their full
 // type-qualified name, edges by (callee name, position), so two runs over
@@ -388,10 +389,75 @@ func chainString(chain []chainHop, module string) string {
 	return b.String()
 }
 
-// extendChain copies chain and appends one hop (chains are shared across
-// BFS branches, so append-in-place would alias).
-func extendChain(chain []chainHop, n *Node, dynamic bool) []chainHop {
-	out := make([]chainHop, len(chain), len(chain)+1)
-	copy(out, chain)
-	return append(out, chainHop{n: n, dynamic: dynamic})
+// closureWalk is the one walk over a root's static call closure, shared
+// by hotpath and detrand. It reaches every module function breadth
+// first, so each along a shortest call chain from the root, and reports
+// each finding once per package analysis with that chain appended. An
+// //aegis:allow for the running rule at a call site prunes the edge
+// there, or silences the function-value call there.
+type closureWalk struct {
+	pass     *Pass
+	reported map[token.Pos]bool
+	// deferred follows edges inside func literals and edges launched by
+	// go statements, and reports function-value calls there too.
+	deferred bool
+	// stop, when set, keeps the walk out of a callee.
+	stop func(callee *Node) bool
+}
+
+func newClosureWalk(pass *Pass, deferred bool, stop func(callee *Node) bool) *closureWalk {
+	return &closureWalk{pass: pass, reported: make(map[token.Pos]bool), deferred: deferred, stop: stop}
+}
+
+// skips reports whether the walk leaves out a call site with these flags.
+func (w *closureWalk) skips(inClosure, async bool) bool {
+	return !w.deferred && (inClosure || async)
+}
+
+// walk calls visit once for every function root reaches, root excluded,
+// with the call chain from root to it.
+func (w *closureWalk) walk(root *Node, visit func(n *Node, chain []chainHop)) {
+	type item struct {
+		n     *Node
+		chain []chainHop
+	}
+	visited := map[*Node]bool{root: true}
+	queue := []item{{root, []chainHop{{n: root}}}}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		for _, e := range it.n.Edges {
+			if w.skips(e.InClosure, e.Async) || (w.stop != nil && w.stop(e.Callee)) ||
+				w.pass.AllowedAt(e.Pos) || visited[e.Callee] {
+				continue
+			}
+			visited[e.Callee] = true
+			chain := make([]chainHop, len(it.chain), len(it.chain)+1)
+			copy(chain, it.chain) // chains are shared across branches
+			chain = append(chain, chainHop{e.Callee, e.Dynamic})
+			visit(e.Callee, chain)
+			queue = append(queue, item{e.Callee, chain})
+		}
+	}
+}
+
+// report records msg at pos, reached along chain, unless the walk
+// already reported there.
+func (w *closureWalk) report(pos token.Pos, chain []chainHop, msg string) {
+	if w.reported[pos] {
+		return
+	}
+	w.reported[pos] = true
+	w.pass.Reportf(pos, "%s (call chain: %s)", msg, chainString(chain, w.pass.Pkg.Module))
+}
+
+// reportDynSites reports n's calls of function values, whose callees the
+// graph cannot resolve, with msg naming the called expression.
+func (w *closureWalk) reportDynSites(n *Node, chain []chainHop, msg func(expr string) string) {
+	for _, ds := range n.Dynamic {
+		if w.skips(ds.InClosure, ds.Async) || w.reported[ds.Pos] || w.pass.AllowedAt(ds.Pos) {
+			continue
+		}
+		w.report(ds.Pos, chain, msg(ds.Expr))
+	}
 }

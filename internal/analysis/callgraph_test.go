@@ -214,7 +214,7 @@ func TestCallGraphDeterminism(t *testing.T) {
 // exact same diagnostics in the exact same order.
 func TestAnalyzeDeterministicDiagnostics(t *testing.T) {
 	render := func() []string {
-		pkgs := loadFixture(t, "hotpathdeep")
+		pkgs := loadFixture(t, "hotpath")
 		diags := Analyze(pkgs, AllRules())
 		out := make([]string, len(diags))
 		for i, d := range diags {

@@ -9,10 +9,11 @@ import (
 )
 
 // hotpathRule is the static twin of the dynamic allocation gate
-// (alloc_gate_test.go / `make bench-alloc`): functions annotated with a
-// //aegis:hotpath doc-comment line must stay allocation-free in steady
-// state, so inside their bodies the rule bans the allocation shapes the
-// PR-4 rebuild eliminated:
+// (alloc_gate_test.go / `make bench-alloc`): a function annotated with a
+// //aegis:hotpath doc-comment line, and everything it reaches through the
+// call graph, must stay allocation-free in steady state, so the rule bans
+// the allocation shapes the zero-alloc rebuild of the hot paths
+// eliminated:
 //
 //   - fmt formatting calls (Sprintf, Sprint, Sprintln, Errorf, Appendf,
 //     Append, Appendln) — cold error branches may be suppressed with a
@@ -20,18 +21,30 @@ import (
 //   - []byte <-> string conversions, which copy;
 //   - map construction (make or composite literal) and closure literals,
 //     which heap-allocate;
-//   - append whose destination is not a variable local to the annotated
-//     function (a field, a package-level var, or a captured variable):
-//     growth of an escaping slice allocates, and the zero-alloc kernels
-//     instead reuse caller-owned or receiver-owned scratch.
+//   - append whose destination is not a variable local to the function
+//     (a field, a package-level var, or a captured variable): growth of
+//     an escaping slice allocates, and the zero-alloc kernels instead
+//     reuse caller-owned or receiver-owned scratch;
+//   - calls of function values, which the call graph cannot resolve, so
+//     the callee may allocate.
+//
+// The closure walk (callgraph.go) skips edges inside func literals (the
+// literal's body is cold until invoked, and constructing it is already a
+// finding) and edges launched by go statements (a spawned goroutine's
+// work is not the hot path's synchronous work). It follows interface
+// dispatch, marked "~>" in the reported chain. An annotated callee is
+// walked through but not scanned again: it is a root of its own. An
+// //aegis:allow(hotpath) on a line suppresses the finding there and
+// prunes the call edge there. A finding in a reached function is
+// reported once, with the shortest call chain from the first root (in
+// file order) that reaches it.
 //
 // The annotation is load-bearing documentation: every function gated by a
 // TestZeroAlloc* benchmark carries it, so the dynamic gate and this rule
-// police the same set. The hotpathdeep rule extends the same op scan to
-// everything an annotated function transitively calls.
+// police the same set.
 var hotpathRule = &Rule{
 	Name: "hotpath",
-	Doc:  "functions annotated //aegis:hotpath must avoid allocating constructs",
+	Doc:  "functions annotated //aegis:hotpath, and all they call, must avoid allocating constructs",
 	Run:  runHotpath,
 }
 
@@ -66,6 +79,15 @@ func hasDirective(fd *ast.FuncDecl, directive string) bool {
 }
 
 func runHotpath(pass *Pass) {
+	g := pass.Prog.CallGraph()
+	module := pass.Pkg.Module
+	w := newClosureWalk(pass, false, nil)
+	dynSites := func(n *Node, chain []chainHop) {
+		name := shortFuncName(n, module)
+		w.reportDynSites(n, chain, func(expr string) string {
+			return name + " calls function value " + expr + " on the hot path; the callee cannot be resolved statically and may allocate"
+		})
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -75,15 +97,29 @@ func runHotpath(pass *Pass) {
 			scanAllocOps(pass.Info, fd, func(pos token.Pos, op string) {
 				pass.Reportf(pos, "hot path %s %s", fd.Name.Name, op)
 			})
+			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
+			root := g.Node(fn)
+			if root == nil {
+				continue
+			}
+			dynSites(root, []chainHop{{n: root}})
+			w.walk(root, func(n *Node, chain []chainHop) {
+				if isHotpathAnnotated(n.Decl) {
+					return
+				}
+				name := shortFuncName(n, module)
+				scanAllocOps(n.Pkg.Info, n.Decl, func(pos token.Pos, op string) {
+					w.report(pos, chain, name+" "+op+" on the hot path")
+				})
+				dynSites(n, chain)
+			})
 		}
 	}
 }
 
 // scanAllocOps walks one function body reporting every allocating
 // construct the hot-path contract bans, as (position, op description)
-// pairs. It is shared between the intra-procedural hotpath rule (which
-// prefixes "hot path <fn>") and hotpathdeep (which appends the call
-// chain). Func-literal bodies are not descended: the literal itself is
+// pairs. Func-literal bodies are not descended: the literal itself is
 // reported, and its body is cold until invoked.
 func scanAllocOps(info *types.Info, fd *ast.FuncDecl, report func(pos token.Pos, op string)) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -58,7 +58,7 @@ const lockjournalPkgSuffix = "internal/daemon"
 const flightPkgSuffixLJ = "internal/telemetry/flight"
 
 func runLockjournal(pass *Pass) {
-	if pass.Prog == nil || !pathHasSuffix(pass.Path, lockjournalPkgSuffix) {
+	if !pathHasSuffix(pass.Path, lockjournalPkgSuffix) {
 		return
 	}
 	g := pass.Prog.CallGraph()

@@ -53,8 +53,8 @@ func TestRepoIsLintClean(t *testing.T) {
 	_, pkgs := loadRepo(t)
 	// The self-check must include the interprocedural rules: if one is
 	// ever dropped from the registry, this clean-tree run would silently
-	// stop proving the deep contracts.
-	for _, name := range []string{"hotpathdeep", "detranddeep", "lockjournal"} {
+	// stop proving the call-graph contracts.
+	for _, name := range []string{"hotpath", "detrand", "lockjournal"} {
 		if RuleByName(name) == nil {
 			t.Fatalf("call-graph rule %q missing from AllRules", name)
 		}

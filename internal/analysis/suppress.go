@@ -20,8 +20,8 @@ type allow struct {
 	used   bool
 }
 
-// key identifies an allow stably across separate analysis runs: the deep
-// rules can mark a dependency file's allow used while analyzing a
+// key identifies an allow stably across separate analysis runs: the
+// closure walk can mark a dependency file's allow used while analyzing a
 // downstream package, and Merge unions these keys before judging
 // unused-ness.
 func (a *allow) key() string {
@@ -103,8 +103,8 @@ func (s *suppressions) suppresses(d Diagnostic) bool {
 }
 
 // allowsAt reports whether a valid allow for rule covers the given
-// position (same line or line above) and marks it used. The deep rules
-// use this to prune call-graph traversal at explicitly-allowed call
+// position (same line or line above) and marks it used. The closure walk
+// uses this to prune call-graph traversal at explicitly-allowed call
 // sites.
 func (s *suppressions) allowsAt(pos token.Position, rule string) bool {
 	lines := s.byLine[pos.Filename]
@@ -140,7 +140,7 @@ func (s *suppressions) records(ownFiles map[string]bool) []AllowRecord {
 
 // usedKeys returns the keys of every allow marked used during this
 // analysis, in discovery order. Keys may reference files of dependency
-// packages: deep rules mark call-site allows along whole call chains.
+// packages: the closure walk marks call-site allows along whole call chains.
 func (s *suppressions) usedKeys() []string {
 	var out []string
 	for _, a := range s.order {

@@ -1,5 +1,6 @@
-// Fixture for the hotpath rule: only functions annotated //aegis:hotpath
-// are checked.
+// Fixture for the hotpath rule: only functions annotated //aegis:hotpath,
+// and what they call, are checked. This file holds findings in the
+// annotated bodies themselves; chain.go holds findings in what they reach.
 package hot
 
 import "fmt"

@@ -884,7 +884,7 @@ func (d *Daemon) runTick(t *Tenant) {
 	// starts every job on the same tick as building it at hand-off did,
 	// from the same job stream in the same order.
 	if t.runner.Pending() == 0 && t.backlog.n > 0 {
-		//aegis:allow(hotpathdeep) startJob synthesizes a guest job — modeled tenant work, not daemon bookkeeping, once per job start; the hand-off itself is gated by TestZeroAllocDaemonHandOff and the protection loop by TestZeroAllocDaemonTick
+		//aegis:allow(hotpath) startJob synthesizes a guest job — modeled tenant work, not daemon bookkeeping, once per job start; the hand-off itself is gated by TestZeroAllocDaemonHandOff and the protection loop by TestZeroAllocDaemonTick
 		t.startJob()
 	}
 	t.guest.World.Step()
@@ -989,7 +989,7 @@ func (d *Daemon) finishTickLocked() {
 		drained = 0
 		for _, t := range d.order {
 			if t.state == StateDraining && t.queue.n == 0 {
-				//aegis:allow(hotpathdeep) tenant teardown runs only when a drain completes — a rare administrative branch of the barrier, not steady-state work
+				//aegis:allow(hotpath) tenant teardown runs only when a drain completes — a rare administrative branch of the barrier, not steady-state work
 				d.removeLocked(t)
 				drained++
 				break

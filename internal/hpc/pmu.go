@@ -96,7 +96,7 @@ func (p *PMU) Saturated(slot int) bool {
 // Program loads an event into a counter register and zeroes it.
 func (p *PMU) Program(slot int, e *Event) error {
 	if slot < 0 || slot >= NumCounterRegisters {
-		//aegis:allow(hotpathdeep) cold guard: an invalid slot is a caller programming error, never taken on the steady-state path
+		//aegis:allow(hotpath) cold guard: an invalid slot is a caller programming error, never taken on the steady-state path
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
 	if e == nil {
@@ -171,7 +171,7 @@ func (e *Event) Measure(v, drift float64, noise *rng.Source) (float64, float64) 
 // Reset re-zeroes a programmed counter without changing its event.
 func (p *PMU) Reset(slot int) error {
 	if slot < 0 || slot >= NumCounterRegisters {
-		//aegis:allow(hotpathdeep) cold guard: an invalid slot is a caller programming error, never taken on the steady-state path
+		//aegis:allow(hotpath) cold guard: an invalid slot is a caller programming error, never taken on the steady-state path
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
 	s := &p.slots[slot]
