@@ -62,6 +62,19 @@ func collectWants(t *testing.T, pkgs []*Package) map[string][]string {
 	return wants
 }
 
+// closureFixtures names the call-closure half of the two merged fixtures:
+// the files whose want markers exercise the walk from an annotated function
+// or a deterministic package into what it reaches. TestRuleFixtures checks
+// them again as their own subtest, so a regression in the walk is reported
+// under that name as well as under the rule's.
+var closureFixtures = []struct {
+	name, rule string
+	files      []string
+}{
+	{"hotpathdeep", "hotpath", []string{"dep/dep.go", "hot/chain.go"}},
+	{"detranddeep", "detrand", []string{"util/util.go", "internal/stats/stats.go"}},
+}
+
 // TestRuleFixtures runs every registered rule against its fixture tree and
 // checks the produced diagnostics exactly match the want markers: each
 // marker substring must be matched by a diagnostic on its line, and every
@@ -70,44 +83,88 @@ func collectWants(t *testing.T, pkgs []*Package) map[string][]string {
 func TestRuleFixtures(t *testing.T) {
 	for _, rule := range AllRules() {
 		t.Run(rule.Name, func(t *testing.T) {
-			pkgs := loadFixture(t, rule.Name)
-			diags := Analyze(pkgs, []*Rule{rule})
-			wants := collectWants(t, pkgs)
-			if len(wants) == 0 {
-				t.Fatalf("fixture %s has no want markers; every rule fixture must demonstrate at least one violation", rule.Name)
-			}
-
-			matched := make(map[string][]bool)
-			for _, d := range diags {
-				if d.Rule != rule.Name {
-					t.Errorf("unexpected %s diagnostic in %s fixture: %s", d.Rule, rule.Name, d)
-					continue
-				}
-				key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-				subs := wants[key]
-				hit := false
-				for i, sub := range subs {
-					if len(matched[key]) == 0 {
-						matched[key] = make([]bool, len(subs))
-					}
-					if !matched[key][i] && strings.Contains(d.Message, sub) {
-						matched[key][i] = true
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					t.Errorf("unexpected diagnostic: %s", d)
-				}
-			}
-			for key, subs := range wants {
-				for i, sub := range subs {
-					if len(matched[key]) == 0 || !matched[key][i] {
-						t.Errorf("missing diagnostic at %s matching %q", key, sub)
-					}
-				}
-			}
+			checkFixture(t, rule, nil)
 		})
+	}
+	for _, c := range closureFixtures {
+		t.Run(c.name, func(t *testing.T) {
+			rule := RuleByName(c.rule)
+			if rule == nil {
+				t.Fatalf("rule %q missing from AllRules", c.rule)
+			}
+			checkFixture(t, rule, c.files)
+		})
+	}
+}
+
+// checkFixture runs rule over its fixture tree and matches diagnostics
+// against want markers. With files non-nil, only markers and diagnostics in
+// those files (slash paths relative to the fixture root) are compared.
+func checkFixture(t *testing.T, rule *Rule, files []string) {
+	t.Helper()
+	pkgs := loadFixture(t, rule.Name)
+	root, err := filepath.Abs(filepath.Join("testdata", "src", rule.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inScope := func(file string) bool {
+		if files == nil {
+			return true
+		}
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			return false
+		}
+		for _, f := range files {
+			if filepath.ToSlash(rel) == f {
+				return true
+			}
+		}
+		return false
+	}
+	diags := Analyze(pkgs, []*Rule{rule})
+	wants := collectWants(t, pkgs)
+	for key := range wants {
+		if !inScope(key[:strings.LastIndex(key, ":")]) {
+			delete(wants, key)
+		}
+	}
+	if len(wants) == 0 {
+		t.Fatalf("fixture %s has no want markers; every rule fixture must demonstrate at least one violation", rule.Name)
+	}
+
+	matched := make(map[string][]bool)
+	for _, d := range diags {
+		if !inScope(d.Pos.Filename) {
+			continue
+		}
+		if d.Rule != rule.Name {
+			t.Errorf("unexpected %s diagnostic in %s fixture: %s", d.Rule, rule.Name, d)
+			continue
+		}
+		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
+		subs := wants[key]
+		hit := false
+		for i, sub := range subs {
+			if len(matched[key]) == 0 {
+				matched[key] = make([]bool, len(subs))
+			}
+			if !matched[key][i] && strings.Contains(d.Message, sub) {
+				matched[key][i] = true
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
+	}
+	for key, subs := range wants {
+		for i, sub := range subs {
+			if len(matched[key]) == 0 || !matched[key][i] {
+				t.Errorf("missing diagnostic at %s matching %q", key, sub)
+			}
+		}
 	}
 }
 
