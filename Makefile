@@ -111,7 +111,8 @@ bench:
 
 # Allocation gates: assert the steady-state hot paths (RDPMC, World.Step,
 # obfuscator tick, stats scratch kernels) stay at 0 allocs/op, and bound
-# the bytes a DefaultLibrary build and a Daemon.Attach allocate. The gates
+# the bytes a DefaultLibrary build, a Daemon.Attach and an aegis.New
+# allocate. The gates
 # are excluded under -race (instrumentation allocates), so `make race`
 # still covers the same code for data races.
 bench-alloc:

@@ -532,3 +532,40 @@ func TestZeroAllocTenantFootprint(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroAllocFrameworkNew gates one cold aegis.New, the set-up every
+// campaign and every aegisd start pays before any simulation: the AMD
+// event catalog and the cleaned-up 14k-variant ISA specification. Names
+// are formatted by appends, each variant is built once and the legal
+// subset is sized once, so a build makes about 7,200 allocations of about
+// 2.7 MB, most of it the specification's variants; the bounds leave
+// headroom above that. The registry's state does not change either count.
+func TestZeroAllocFrameworkNew(t *testing.T) {
+	quietTelemetry(t)
+	const (
+		maxAllocs = 8000
+		maxBytes  = 3 << 20
+		builds    = 8
+	)
+	build := func() {
+		fw, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Close()
+	}
+	if n := testing.AllocsPerRun(builds, build); n > maxAllocs {
+		t.Errorf("aegis.New makes %v allocs, want at most %d", n, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("aegis.New allocates %d B", per)
+	if per > maxBytes {
+		t.Errorf("aegis.New allocates %d B, want at most %d", per, maxBytes)
+	}
+}

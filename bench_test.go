@@ -383,6 +383,20 @@ func BenchmarkGRUCTCTrainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkFrameworkNew builds the default framework: the AMD EPYC 7252
+// event catalog and the cleaned-up AMD ISA specification, the set-up
+// every campaign and every aegisd start pays before any simulation.
+func BenchmarkFrameworkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fw, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fw.Close()
+	}
+}
+
 func BenchmarkISACleanup(b *testing.B) {
 	spec := isa.SpecAMDEpyc(1)
 	feats := isa.AMDEpycFeatures()

@@ -42,6 +42,9 @@ var opsAddrNotify func(addr string)
 // profiles to select events.
 var profileNotify func(app workload.App)
 
+// planNotify, when set (by tests), receives the gadget plan aegisd deploys.
+var planNotify func(gadgets *aegis.GadgetSet)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "aegisd:", err)
@@ -70,6 +73,7 @@ func run(args []string) error {
 		parallelism  = fs.Int("parallelism", 0, "tenant tick fan-out goroutines (<= 1 = serial; journal is identical either way)")
 		faultsFlag   = fs.String("faults", faultinject.PresetOff, "substrate fault preset: off | light | heavy (deterministic, seed-derived)")
 		configPath   = fs.String("config", "", "JSON tunables file re-read on SIGHUP and staged as a live reload")
+		artifactDir  = fs.String("artifact-dir", "", "artifact store directory: a warm start resumes profiling and fuzzing from it (same plan, only faster)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,7 +83,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := aegis.New(aegis.Config{Seed: *seed, FuzzCandidates: *candidates, Faults: faults})
+	fw, err := aegis.New(aegis.Config{
+		Seed: *seed, FuzzCandidates: *candidates, Faults: faults, ArtifactDir: *artifactDir,
+	})
 	if err != nil {
 		return err
 	}
@@ -115,6 +121,9 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("plan: %d gadgets, %d instructions stacked\n", gadgets.CoverSize, gadgets.SegmentLen)
+	if planNotify != nil {
+		planNotify(gadgets)
+	}
 
 	d, err := daemon.New(daemon.Config{
 		Segment:         gadgets.Segment(),

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	aegis "github.com/repro/aegis"
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
 	"github.com/repro/aegis/internal/ops"
@@ -119,6 +120,54 @@ func TestDaemonSmoke(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("daemon did not stop at the -ticks bound")
 	}
+}
+
+// TestArtifactDirWarmStart starts aegisd twice on one -artifact-dir: the
+// cold start profiles and fuzzes from scratch and fills the store, the
+// warm start resumes from it and deploys the same plan.
+func TestArtifactDirWarmStart(t *testing.T) {
+	var plans []*aegis.GadgetSet
+	planNotify = func(g *aegis.GadgetSet) { plans = append(plans, g) }
+	defer func() { planNotify = nil }()
+	dir := t.TempDir()
+	args := []string{
+		"-addr", "127.0.0.1:0",
+		"-app", "keystroke",
+		"-secrets", "2",
+		"-top", "1",
+		"-candidates", "60",
+		"-ticks", "1",
+		"-tick-interval", "1ms",
+		"-artifact-dir", dir,
+	}
+	var hits [2]float64
+	for i := range hits {
+		before := storeHits()
+		if err := run(args); err != nil {
+			t.Fatalf("start %d: %v", i, err)
+		}
+		hits[i] = storeHits() - before
+	}
+	if hits[0] != 0 || hits[1] == 0 {
+		t.Fatalf("store hits: cold start %v, warm start %v; want 0 and some", hits[0], hits[1])
+	}
+	cold, warm := plans[0], plans[1]
+	if cold.CoverSize != warm.CoverSize || !reflect.DeepEqual(cold.Events, warm.Events) ||
+		!reflect.DeepEqual(cold.Segment(), warm.Segment()) || cold.RefEvent().Name != warm.RefEvent().Name {
+		t.Fatalf("warm plan %v: %d gadgets, %d instructions; cold plan %v: %d gadgets, %d instructions",
+			warm.Events, warm.CoverSize, warm.SegmentLen, cold.Events, cold.CoverSize, cold.SegmentLen)
+	}
+}
+
+// storeHits sums the artifact store's cache hits over every kind.
+func storeHits() float64 {
+	var n float64
+	for _, c := range telemetry.Default().Snapshot().Counters {
+		if c.Name == "artifact_cache_hits_total" {
+			n += c.Value
+		}
+	}
+	return n
 }
 
 // TestReloadFromFile covers the SIGHUP config path without signals: a

@@ -20,6 +20,7 @@ package hpc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/repro/aegis/internal/microarch"
@@ -283,10 +284,13 @@ var rareSignals = []int{
 
 func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 	r := rng.New(seed).Split("hpc/" + spec.Family)
+	m := spec.mix
+	size := m.h + m.s + m.hc + m.t + m.r + m.o
 	cat := &Catalog{
 		Processor: spec.Processor,
 		Family:    spec.Family,
-		byName:    make(map[string]*Event),
+		Events:    make([]*Event, 0, size),
+		byName:    make(map[string]*Event, size),
 	}
 	add := func(e *Event) {
 		e.ID = len(cat.Events)
@@ -305,13 +309,13 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 		})
 	}
 
-	counts := map[EventType]int{
-		TypeHardware:      spec.mix.h,
-		TypeSoftware:      spec.mix.s,
-		TypeHardwareCache: spec.mix.hc,
-		TypeTracepoint:    spec.mix.t,
-		TypeRaw:           spec.mix.r,
-		TypeOther:         spec.mix.o,
+	counts := [TypeOther + 1]int{
+		TypeHardware:      m.h,
+		TypeSoftware:      m.s,
+		TypeHardwareCache: m.hc,
+		TypeTracepoint:    m.t,
+		TypeRaw:           m.r,
+		TypeOther:         m.o,
 	}
 	// Named events already consumed part of each type budget.
 	for _, e := range cat.Events {
@@ -325,7 +329,7 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 		for i := 0; i < n; i++ {
 			visible := r.Float64() < visibleFrac
 			e := &Event{
-				Name:         fmt.Sprintf("%s_%04d", prefix, i),
+				Name:         eventName(prefix, i),
 				Type:         typ,
 				GuestVisible: visible,
 				NoiseSigma:   0.01 + r.Float64()*0.03,
@@ -338,7 +342,8 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 					pool = rareSignals
 				}
 				nTerms := 1 + r.Intn(3)
-				seen := make(map[int]bool, nTerms)
+				e.Terms = make([]Term, 0, nTerms)
+				var seen [SignalIndexCount]bool
 				for t := 0; t < nTerms; t++ {
 					sig := pool[r.Intn(len(pool))]
 					if seen[sig] {
@@ -353,13 +358,13 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 	}
 	genHW(TypeHardware, counts[TypeHardware], "HW_GENERIC", 1.0)
 	genHW(TypeHardwareCache, counts[TypeHardwareCache], "HW_CACHE_GEN", 1.0)
-	genHW(TypeRaw, counts[TypeRaw], "RAW_PMC", spec.mix.rVisible)
+	genHW(TypeRaw, counts[TypeRaw], "RAW_PMC", m.rVisible)
 
 	// 3. Software events: host-kernel constructs (cpu-clock, faults seen
 	// by the host), never guest-visible through SEV.
 	for i := 0; i < counts[TypeSoftware]; i++ {
 		add(&Event{
-			Name:       fmt.Sprintf("SW_%04d", i),
+			Name:       eventName("SW", i),
 			Type:       TypeSoftware,
 			NoiseSigma: 0.05,
 		})
@@ -368,9 +373,9 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 	// 4. Tracepoints: host kernel tracepoints; only the fraction attached
 	// to VM-exit-adjacent paths reflect guest activity.
 	for i := 0; i < counts[TypeTracepoint]; i++ {
-		visible := r.Float64() < spec.mix.tVisible
+		visible := r.Float64() < m.tVisible
 		e := &Event{
-			Name:         fmt.Sprintf("TP_syscalls_%04d", i),
+			Name:         eventName("TP_syscalls", i),
 			Type:         TypeTracepoint,
 			GuestVisible: visible,
 			NoiseSigma:   0.04,
@@ -391,7 +396,7 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 	// normal VM applications never invoke.
 	for i := 0; i < counts[TypeOther]; i++ {
 		add(&Event{
-			Name:       fmt.Sprintf("OTHER_bp_%04d", i),
+			Name:       eventName("OTHER_bp", i),
 			Type:       TypeOther,
 			NoiseSigma: 0.05,
 		})
@@ -415,6 +420,17 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 	}
 
 	return cat
+}
+
+// eventName formats a generated event's name as prefix_NNNN, the index
+// zero-padded to four digits.
+func eventName(prefix string, i int) string {
+	var buf [32]byte
+	b := append(append(buf[:0], prefix...), '_')
+	for d := 1000; d > 1 && i < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // ByName resolves an event by name.

@@ -236,144 +236,144 @@ var (
 	rrForms  = []OperandForm{"R8, R8", "R16, R16", "R32, R32", "R64, R64", "R32, I32", "R64, I32"}
 	rmForms  = []OperandForm{"R32, M32", "R64, M64", "R16, M16", "R8, M8"}
 	mrForms  = []OperandForm{"M32, R32", "M64, R64", "M16, R16", "M8, R8"}
+	xmmForms = []OperandForm{"XMM, XMM", "XMM, M128"}
 	vecForms = []OperandForm{"XMM, XMM", "XMM, M128", "YMM, YMM", "YMM, M256"}
 )
 
-func baseTemplates() []mnemonicTemplate {
-	return []mnemonicTemplate{
-		// BASE integer ALU.
-		{"ADD", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
-		{"SUB", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
-		{"ADC", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
-		{"SBB", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
-		{"INC", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, []OperandForm{"R8", "R16", "R32", "R64"}},
-		{"DEC", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, []OperandForm{"R8", "R16", "R32", "R64"}},
-		{"NEG", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, []OperandForm{"R32", "R64"}},
-		{"IMUL", ExtBase, CatArithmetic, ClassMul, 1, 0, 0, false, rrForms},
-		{"MUL", ExtBase, CatArithmetic, ClassMul, 2, 0, 0, false, []OperandForm{"R32", "R64"}},
-		{"IDIV", ExtBase, CatArithmetic, ClassDiv, 9, 0, 0, false, []OperandForm{"R32", "R64"}},
-		{"DIV", ExtBase, CatArithmetic, ClassDiv, 9, 0, 0, false, []OperandForm{"R32", "R64"}},
-		{"AND", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, rrForms},
-		{"OR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, rrForms},
-		{"XOR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, rrForms},
-		{"NOT", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32", "R64"}},
-		{"SHL", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8", "R32, CL", "R64, CL"}},
-		{"SHR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8", "R32, CL", "R64, CL"}},
-		{"SAR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8"}},
-		{"ROL", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8"}},
-		{"ROR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8"}},
-		{"CMP", ExtBase, CatCompare, ClassALU, 1, 0, 0, false, rrForms},
-		{"TEST", ExtBase, CatCompare, ClassALU, 1, 0, 0, false, rrForms},
-		{"SETZ", ExtBase, CatCompare, ClassALU, 1, 0, 0, false, []OperandForm{"R8"}},
-		{"CMOVZ", ExtBase, CatDataMove, ClassALU, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
-		// Loads / stores.
-		{"MOV", ExtBase, CatDataMove, ClassLoad, 1, 1, 0, false, rmForms},
-		{"MOVST", ExtBase, CatDataMove, ClassStore, 1, 0, 1, false, mrForms},
-		{"MOVZX", ExtBase, CatDataMove, ClassLoad, 1, 1, 0, false, []OperandForm{"R32, M8", "R64, M16"}},
-		{"MOVSX", ExtBase, CatDataMove, ClassLoad, 1, 1, 0, false, []OperandForm{"R32, M8", "R64, M16"}},
-		{"LEA", ExtBase, CatDataMove, ClassALU, 1, 0, 0, false, []OperandForm{"R32, M", "R64, M"}},
-		{"PUSH", ExtBase, CatMemory, ClassStore, 1, 0, 1, false, []OperandForm{"R64", "I32"}},
-		{"POP", ExtBase, CatMemory, ClassLoad, 1, 1, 0, false, []OperandForm{"R64"}},
-		{"XCHG", ExtBase, CatMemory, ClassLoadStore, 2, 1, 1, false, []OperandForm{"M32, R32", "M64, R64"}},
-		{"XADD", ExtBase, CatMemory, ClassLoadStore, 3, 1, 1, false, []OperandForm{"M32, R32", "M64, R64"}},
-		{"CMPXCHG", ExtBase, CatSync, ClassLoadStore, 4, 1, 1, false, []OperandForm{"M32, R32", "M64, R64"}},
-		// Branches.
-		{"JMP", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32", "R64"}},
-		{"JZ", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32"}},
-		{"JNZ", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32"}},
-		{"JC", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32"}},
-		{"CALL", ExtBase, CatControl, ClassBranch, 2, 0, 1, false, []OperandForm{"REL32"}},
-		{"RET", ExtBase, CatControl, ClassBranch, 2, 1, 0, false, []OperandForm{""}},
-		{"LOOP", ExtBase, CatControl, ClassBranch, 2, 0, 0, false, []OperandForm{"REL8"}},
-		// Nop family.
-		{"NOP", ExtBase, CatDataMove, ClassNop, 1, 0, 0, false, []OperandForm{"", "R32", "M32"}},
-		{"PAUSE", ExtBase, CatSync, ClassNop, 1, 0, 0, false, []OperandForm{""}},
-		// Bit manipulation.
-		{"POPCNT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
-		{"LZCNT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
-		{"TZCNT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
-		{"BSF", ExtBase, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
-		{"BSR", ExtBase, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
-		{"ANDN", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32, R32", "R64, R64, R64"}},
-		{"PDEP", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R64, R64, R64"}},
-		{"PEXT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R64, R64, R64"}},
-		// String ops.
-		{"MOVSB", ExtBase, CatStringOp, ClassString, 2, 1, 1, false, []OperandForm{""}},
-		{"STOSB", ExtBase, CatStringOp, ClassString, 2, 0, 1, false, []OperandForm{""}},
-		{"LODSB", ExtBase, CatStringOp, ClassString, 2, 1, 0, false, []OperandForm{""}},
-		{"CMPSB", ExtBase, CatStringOp, ClassString, 2, 2, 0, false, []OperandForm{""}},
-		// x87 FPU.
-		{"FADD", ExtX87, CatArithmetic, ClassX87, 1, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP", "M64FP"}},
-		{"FSUB", ExtX87, CatArithmetic, ClassX87, 1, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP", "M64FP"}},
-		{"FMUL", ExtX87, CatArithmetic, ClassX87, 1, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP", "M64FP"}},
-		{"FDIV", ExtX87, CatArithmetic, ClassX87, 4, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP"}},
-		{"FLD", ExtX87, CatDataMove, ClassX87, 1, 1, 0, false, []OperandForm{"M32FP", "M64FP"}},
-		{"FST", ExtX87, CatDataMove, ClassX87, 1, 0, 1, false, []OperandForm{"M32FP", "M64FP"}},
-		{"FSQRT", ExtX87, CatArithmetic, ClassX87, 8, 0, 0, false, []OperandForm{""}},
-		{"FSIN", ExtX87, CatArithmetic, ClassX87, 40, 0, 0, false, []OperandForm{""}},
-		// MMX.
-		{"PADDB", ExtMMX, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"MM, MM", "MM, M64"}},
-		{"PSUBB", ExtMMX, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"MM, MM", "MM, M64"}},
-		{"PMULLW", ExtMMX, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"MM, MM"}},
-		{"EMMS", ExtMMX, CatSystemOp, ClassSSE, 1, 0, 0, false, []OperandForm{""}},
-		// SSE families.
-		{"ADDPS", ExtSSE, CatVector, ClassSSE, 1, 0, 0, false, vecForms[:2]},
-		{"MULPS", ExtSSE, CatVector, ClassSSE, 1, 0, 0, false, vecForms[:2]},
-		{"DIVPS", ExtSSE, CatVector, ClassSSE, 6, 0, 0, false, vecForms[:2]},
-		{"SQRTPS", ExtSSE, CatVector, ClassSSE, 6, 0, 0, false, vecForms[:2]},
-		{"ADDPD", ExtSSE2, CatVector, ClassSSE, 1, 0, 0, false, vecForms[:2]},
-		{"MULPD", ExtSSE2, CatVector, ClassSSE, 1, 0, 0, false, vecForms[:2]},
-		{"MOVAPS", ExtSSE, CatDataMove, ClassSSE, 1, 1, 0, false, []OperandForm{"XMM, M128"}},
-		{"MOVAPSST", ExtSSE, CatDataMove, ClassSSE, 1, 0, 1, false, []OperandForm{"M128, XMM"}},
-		{"MOVNTPS", ExtSSE, CatMemory, ClassStore, 1, 0, 1, false, []OperandForm{"M128, XMM"}},
-		{"PSHUFB", ExtSSE4, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
-		{"PTEST", ExtSSE4, CatCompare, ClassSSE, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
-		{"CVTSI2SS", ExtSSE, CatConvert, ClassSSE, 2, 0, 0, false, []OperandForm{"XMM, R32", "XMM, R64"}},
-		{"CVTSS2SI", ExtSSE, CatConvert, ClassSSE, 2, 0, 0, false, []OperandForm{"R32, XMM", "R64, XMM"}},
-		// AVX.
-		{"VADDPS", ExtAVX, CatVector, ClassAVX, 1, 0, 0, false, vecForms},
-		{"VMULPS", ExtAVX, CatVector, ClassAVX, 1, 0, 0, false, vecForms},
-		{"VFMADD231PS", ExtAVX2, CatVector, ClassAVX, 1, 0, 0, false, []OperandForm{"YMM, YMM, YMM"}},
-		{"VPAND", ExtAVX2, CatVector, ClassAVX, 1, 0, 0, false, []OperandForm{"YMM, YMM, YMM"}},
-		{"VMOVDQA", ExtAVX, CatDataMove, ClassAVX, 1, 1, 0, false, []OperandForm{"YMM, M256"}},
-		{"VMOVDQAST", ExtAVX, CatDataMove, ClassAVX, 1, 0, 1, false, []OperandForm{"M256, YMM"}},
-		{"VZEROUPPER", ExtAVX, CatSystemOp, ClassAVX, 1, 0, 0, false, []OperandForm{""}},
-		{"VPADDD512", ExtAVX512, CatVector, ClassAVX, 1, 0, 0, false, []OperandForm{"ZMM, ZMM, ZMM", "ZMM, M512"}},
-		{"VPERMW512", ExtAVX512, CatVector, ClassAVX, 2, 0, 0, false, []OperandForm{"ZMM, ZMM, ZMM"}},
-		// Crypto.
-		{"AESENC", ExtAES, CatCryptoOp, ClassCrypto, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
-		{"AESDEC", ExtAES, CatCryptoOp, ClassCrypto, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
-		{"PCLMULQDQ", ExtAES, CatCryptoOp, ClassCrypto, 1, 0, 0, false, []OperandForm{"XMM, XMM, I8"}},
-		// Cache control.
-		{"CLFLUSH", ExtCLFSH, CatCache, ClassFlush, 2, 0, 0, false, []OperandForm{"M8"}},
-		{"CLFLUSHOPT", ExtCLFSH, CatCache, ClassFlush, 2, 0, 0, false, []OperandForm{"M8"}},
-		{"CLWB", ExtCLFSH, CatCache, ClassFlush, 2, 0, 0, false, []OperandForm{"M8"}},
-		{"PREFETCHT0", ExtSSE, CatCache, ClassPrefetch, 1, 0, 0, false, []OperandForm{"M8"}},
-		{"PREFETCHT1", ExtSSE, CatCache, ClassPrefetch, 1, 0, 0, false, []OperandForm{"M8"}},
-		{"PREFETCHNTA", ExtSSE, CatCache, ClassPrefetch, 1, 0, 0, false, []OperandForm{"M8"}},
-		// Fences / serialisation.
-		{"MFENCE", ExtSSE2, CatSync, ClassFence, 1, 0, 0, false, []OperandForm{""}},
-		{"LFENCE", ExtSSE2, CatSync, ClassFence, 1, 0, 0, false, []OperandForm{""}},
-		{"SFENCE", ExtSSE, CatSync, ClassFence, 1, 0, 0, false, []OperandForm{""}},
-		{"CPUID", ExtBase, CatSystemOp, ClassSerial, 20, 0, 0, false, []OperandForm{""}},
-		{"RDTSC", ExtBase, CatSystemOp, ClassSerial, 15, 0, 0, false, []OperandForm{""}},
-		{"RDTSCP", ExtBase, CatSystemOp, ClassSerial, 20, 0, 0, false, []OperandForm{""}},
-		{"XGETBV", ExtBase, CatSystemOp, ClassSerial, 8, 0, 0, false, []OperandForm{""}},
-		// Privileged (fault in user mode, removed at cleanup).
-		{"RDMSR", ExtBase, CatSystemOp, ClassSystem, 30, 0, 0, true, []OperandForm{""}},
-		{"WRMSR", ExtBase, CatSystemOp, ClassSystem, 30, 0, 0, true, []OperandForm{""}},
-		{"INVLPG", ExtBase, CatSystemOp, ClassSystem, 20, 0, 0, true, []OperandForm{"M8"}},
-		{"WBINVD", ExtBase, CatCache, ClassSystem, 100, 0, 0, true, []OperandForm{""}},
-		{"HLT", ExtBase, CatSystemOp, ClassSystem, 1, 0, 0, true, []OperandForm{""}},
-		{"IN", ExtBase, CatSystemOp, ClassIO, 10, 0, 0, true, []OperandForm{"AL, I8", "EAX, DX"}},
-		{"OUT", ExtBase, CatSystemOp, ClassIO, 10, 0, 0, true, []OperandForm{"I8, AL", "DX, EAX"}},
-		{"VMLAUNCH", ExtVMX, CatSystemOp, ClassSystem, 200, 0, 0, true, []OperandForm{""}},
-		{"VMRESUME", ExtVMX, CatSystemOp, ClassSystem, 200, 0, 0, true, []OperandForm{""}},
-		{"ENCLS", ExtSGX, CatSystemOp, ClassSystem, 200, 0, 0, true, []OperandForm{""}},
-		{"XBEGIN", ExtTSX, CatSync, ClassBranch, 5, 0, 0, false, []OperandForm{"REL32"}},
-		{"XEND", ExtTSX, CatSync, ClassFence, 5, 0, 0, false, []OperandForm{""}},
-		{"ENDBR64", ExtCET, CatControl, ClassNop, 1, 0, 0, false, []OperandForm{""}},
-	}
+// templates are the mnemonic families of every specification, in ID order.
+var templates = []mnemonicTemplate{
+	// BASE integer ALU.
+	{"ADD", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
+	{"SUB", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
+	{"ADC", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
+	{"SBB", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, rrForms},
+	{"INC", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, []OperandForm{"R8", "R16", "R32", "R64"}},
+	{"DEC", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, []OperandForm{"R8", "R16", "R32", "R64"}},
+	{"NEG", ExtBase, CatArithmetic, ClassALU, 1, 0, 0, false, []OperandForm{"R32", "R64"}},
+	{"IMUL", ExtBase, CatArithmetic, ClassMul, 1, 0, 0, false, rrForms},
+	{"MUL", ExtBase, CatArithmetic, ClassMul, 2, 0, 0, false, []OperandForm{"R32", "R64"}},
+	{"IDIV", ExtBase, CatArithmetic, ClassDiv, 9, 0, 0, false, []OperandForm{"R32", "R64"}},
+	{"DIV", ExtBase, CatArithmetic, ClassDiv, 9, 0, 0, false, []OperandForm{"R32", "R64"}},
+	{"AND", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, rrForms},
+	{"OR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, rrForms},
+	{"XOR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, rrForms},
+	{"NOT", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32", "R64"}},
+	{"SHL", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8", "R32, CL", "R64, CL"}},
+	{"SHR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8", "R32, CL", "R64, CL"}},
+	{"SAR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8"}},
+	{"ROL", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8"}},
+	{"ROR", ExtBase, CatLogical, ClassALU, 1, 0, 0, false, []OperandForm{"R32, I8", "R64, I8"}},
+	{"CMP", ExtBase, CatCompare, ClassALU, 1, 0, 0, false, rrForms},
+	{"TEST", ExtBase, CatCompare, ClassALU, 1, 0, 0, false, rrForms},
+	{"SETZ", ExtBase, CatCompare, ClassALU, 1, 0, 0, false, []OperandForm{"R8"}},
+	{"CMOVZ", ExtBase, CatDataMove, ClassALU, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
+	// Loads / stores.
+	{"MOV", ExtBase, CatDataMove, ClassLoad, 1, 1, 0, false, rmForms},
+	{"MOVST", ExtBase, CatDataMove, ClassStore, 1, 0, 1, false, mrForms},
+	{"MOVZX", ExtBase, CatDataMove, ClassLoad, 1, 1, 0, false, []OperandForm{"R32, M8", "R64, M16"}},
+	{"MOVSX", ExtBase, CatDataMove, ClassLoad, 1, 1, 0, false, []OperandForm{"R32, M8", "R64, M16"}},
+	{"LEA", ExtBase, CatDataMove, ClassALU, 1, 0, 0, false, []OperandForm{"R32, M", "R64, M"}},
+	{"PUSH", ExtBase, CatMemory, ClassStore, 1, 0, 1, false, []OperandForm{"R64", "I32"}},
+	{"POP", ExtBase, CatMemory, ClassLoad, 1, 1, 0, false, []OperandForm{"R64"}},
+	{"XCHG", ExtBase, CatMemory, ClassLoadStore, 2, 1, 1, false, []OperandForm{"M32, R32", "M64, R64"}},
+	{"XADD", ExtBase, CatMemory, ClassLoadStore, 3, 1, 1, false, []OperandForm{"M32, R32", "M64, R64"}},
+	{"CMPXCHG", ExtBase, CatSync, ClassLoadStore, 4, 1, 1, false, []OperandForm{"M32, R32", "M64, R64"}},
+	// Branches.
+	{"JMP", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32", "R64"}},
+	{"JZ", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32"}},
+	{"JNZ", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32"}},
+	{"JC", ExtBase, CatControl, ClassBranch, 1, 0, 0, false, []OperandForm{"REL8", "REL32"}},
+	{"CALL", ExtBase, CatControl, ClassBranch, 2, 0, 1, false, []OperandForm{"REL32"}},
+	{"RET", ExtBase, CatControl, ClassBranch, 2, 1, 0, false, []OperandForm{""}},
+	{"LOOP", ExtBase, CatControl, ClassBranch, 2, 0, 0, false, []OperandForm{"REL8"}},
+	// Nop family.
+	{"NOP", ExtBase, CatDataMove, ClassNop, 1, 0, 0, false, []OperandForm{"", "R32", "M32"}},
+	{"PAUSE", ExtBase, CatSync, ClassNop, 1, 0, 0, false, []OperandForm{""}},
+	// Bit manipulation.
+	{"POPCNT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
+	{"LZCNT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
+	{"TZCNT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
+	{"BSF", ExtBase, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
+	{"BSR", ExtBase, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32", "R64, R64"}},
+	{"ANDN", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R32, R32, R32", "R64, R64, R64"}},
+	{"PDEP", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R64, R64, R64"}},
+	{"PEXT", ExtBMI, CatLogical, ClassBit, 1, 0, 0, false, []OperandForm{"R64, R64, R64"}},
+	// String ops.
+	{"MOVSB", ExtBase, CatStringOp, ClassString, 2, 1, 1, false, []OperandForm{""}},
+	{"STOSB", ExtBase, CatStringOp, ClassString, 2, 0, 1, false, []OperandForm{""}},
+	{"LODSB", ExtBase, CatStringOp, ClassString, 2, 1, 0, false, []OperandForm{""}},
+	{"CMPSB", ExtBase, CatStringOp, ClassString, 2, 2, 0, false, []OperandForm{""}},
+	// x87 FPU.
+	{"FADD", ExtX87, CatArithmetic, ClassX87, 1, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP", "M64FP"}},
+	{"FSUB", ExtX87, CatArithmetic, ClassX87, 1, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP", "M64FP"}},
+	{"FMUL", ExtX87, CatArithmetic, ClassX87, 1, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP", "M64FP"}},
+	{"FDIV", ExtX87, CatArithmetic, ClassX87, 4, 0, 0, false, []OperandForm{"ST0, ST1", "M32FP"}},
+	{"FLD", ExtX87, CatDataMove, ClassX87, 1, 1, 0, false, []OperandForm{"M32FP", "M64FP"}},
+	{"FST", ExtX87, CatDataMove, ClassX87, 1, 0, 1, false, []OperandForm{"M32FP", "M64FP"}},
+	{"FSQRT", ExtX87, CatArithmetic, ClassX87, 8, 0, 0, false, []OperandForm{""}},
+	{"FSIN", ExtX87, CatArithmetic, ClassX87, 40, 0, 0, false, []OperandForm{""}},
+	// MMX.
+	{"PADDB", ExtMMX, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"MM, MM", "MM, M64"}},
+	{"PSUBB", ExtMMX, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"MM, MM", "MM, M64"}},
+	{"PMULLW", ExtMMX, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"MM, MM"}},
+	{"EMMS", ExtMMX, CatSystemOp, ClassSSE, 1, 0, 0, false, []OperandForm{""}},
+	// SSE families.
+	{"ADDPS", ExtSSE, CatVector, ClassSSE, 1, 0, 0, false, xmmForms},
+	{"MULPS", ExtSSE, CatVector, ClassSSE, 1, 0, 0, false, xmmForms},
+	{"DIVPS", ExtSSE, CatVector, ClassSSE, 6, 0, 0, false, xmmForms},
+	{"SQRTPS", ExtSSE, CatVector, ClassSSE, 6, 0, 0, false, xmmForms},
+	{"ADDPD", ExtSSE2, CatVector, ClassSSE, 1, 0, 0, false, xmmForms},
+	{"MULPD", ExtSSE2, CatVector, ClassSSE, 1, 0, 0, false, xmmForms},
+	{"MOVAPS", ExtSSE, CatDataMove, ClassSSE, 1, 1, 0, false, []OperandForm{"XMM, M128"}},
+	{"MOVAPSST", ExtSSE, CatDataMove, ClassSSE, 1, 0, 1, false, []OperandForm{"M128, XMM"}},
+	{"MOVNTPS", ExtSSE, CatMemory, ClassStore, 1, 0, 1, false, []OperandForm{"M128, XMM"}},
+	{"PSHUFB", ExtSSE4, CatVector, ClassSSE, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
+	{"PTEST", ExtSSE4, CatCompare, ClassSSE, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
+	{"CVTSI2SS", ExtSSE, CatConvert, ClassSSE, 2, 0, 0, false, []OperandForm{"XMM, R32", "XMM, R64"}},
+	{"CVTSS2SI", ExtSSE, CatConvert, ClassSSE, 2, 0, 0, false, []OperandForm{"R32, XMM", "R64, XMM"}},
+	// AVX.
+	{"VADDPS", ExtAVX, CatVector, ClassAVX, 1, 0, 0, false, vecForms},
+	{"VMULPS", ExtAVX, CatVector, ClassAVX, 1, 0, 0, false, vecForms},
+	{"VFMADD231PS", ExtAVX2, CatVector, ClassAVX, 1, 0, 0, false, []OperandForm{"YMM, YMM, YMM"}},
+	{"VPAND", ExtAVX2, CatVector, ClassAVX, 1, 0, 0, false, []OperandForm{"YMM, YMM, YMM"}},
+	{"VMOVDQA", ExtAVX, CatDataMove, ClassAVX, 1, 1, 0, false, []OperandForm{"YMM, M256"}},
+	{"VMOVDQAST", ExtAVX, CatDataMove, ClassAVX, 1, 0, 1, false, []OperandForm{"M256, YMM"}},
+	{"VZEROUPPER", ExtAVX, CatSystemOp, ClassAVX, 1, 0, 0, false, []OperandForm{""}},
+	{"VPADDD512", ExtAVX512, CatVector, ClassAVX, 1, 0, 0, false, []OperandForm{"ZMM, ZMM, ZMM", "ZMM, M512"}},
+	{"VPERMW512", ExtAVX512, CatVector, ClassAVX, 2, 0, 0, false, []OperandForm{"ZMM, ZMM, ZMM"}},
+	// Crypto.
+	{"AESENC", ExtAES, CatCryptoOp, ClassCrypto, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
+	{"AESDEC", ExtAES, CatCryptoOp, ClassCrypto, 1, 0, 0, false, []OperandForm{"XMM, XMM"}},
+	{"PCLMULQDQ", ExtAES, CatCryptoOp, ClassCrypto, 1, 0, 0, false, []OperandForm{"XMM, XMM, I8"}},
+	// Cache control.
+	{"CLFLUSH", ExtCLFSH, CatCache, ClassFlush, 2, 0, 0, false, []OperandForm{"M8"}},
+	{"CLFLUSHOPT", ExtCLFSH, CatCache, ClassFlush, 2, 0, 0, false, []OperandForm{"M8"}},
+	{"CLWB", ExtCLFSH, CatCache, ClassFlush, 2, 0, 0, false, []OperandForm{"M8"}},
+	{"PREFETCHT0", ExtSSE, CatCache, ClassPrefetch, 1, 0, 0, false, []OperandForm{"M8"}},
+	{"PREFETCHT1", ExtSSE, CatCache, ClassPrefetch, 1, 0, 0, false, []OperandForm{"M8"}},
+	{"PREFETCHNTA", ExtSSE, CatCache, ClassPrefetch, 1, 0, 0, false, []OperandForm{"M8"}},
+	// Fences / serialisation.
+	{"MFENCE", ExtSSE2, CatSync, ClassFence, 1, 0, 0, false, []OperandForm{""}},
+	{"LFENCE", ExtSSE2, CatSync, ClassFence, 1, 0, 0, false, []OperandForm{""}},
+	{"SFENCE", ExtSSE, CatSync, ClassFence, 1, 0, 0, false, []OperandForm{""}},
+	{"CPUID", ExtBase, CatSystemOp, ClassSerial, 20, 0, 0, false, []OperandForm{""}},
+	{"RDTSC", ExtBase, CatSystemOp, ClassSerial, 15, 0, 0, false, []OperandForm{""}},
+	{"RDTSCP", ExtBase, CatSystemOp, ClassSerial, 20, 0, 0, false, []OperandForm{""}},
+	{"XGETBV", ExtBase, CatSystemOp, ClassSerial, 8, 0, 0, false, []OperandForm{""}},
+	// Privileged (fault in user mode, removed at cleanup).
+	{"RDMSR", ExtBase, CatSystemOp, ClassSystem, 30, 0, 0, true, []OperandForm{""}},
+	{"WRMSR", ExtBase, CatSystemOp, ClassSystem, 30, 0, 0, true, []OperandForm{""}},
+	{"INVLPG", ExtBase, CatSystemOp, ClassSystem, 20, 0, 0, true, []OperandForm{"M8"}},
+	{"WBINVD", ExtBase, CatCache, ClassSystem, 100, 0, 0, true, []OperandForm{""}},
+	{"HLT", ExtBase, CatSystemOp, ClassSystem, 1, 0, 0, true, []OperandForm{""}},
+	{"IN", ExtBase, CatSystemOp, ClassIO, 10, 0, 0, true, []OperandForm{"AL, I8", "EAX, DX"}},
+	{"OUT", ExtBase, CatSystemOp, ClassIO, 10, 0, 0, true, []OperandForm{"I8, AL", "DX, EAX"}},
+	{"VMLAUNCH", ExtVMX, CatSystemOp, ClassSystem, 200, 0, 0, true, []OperandForm{""}},
+	{"VMRESUME", ExtVMX, CatSystemOp, ClassSystem, 200, 0, 0, true, []OperandForm{""}},
+	{"ENCLS", ExtSGX, CatSystemOp, ClassSystem, 200, 0, 0, true, []OperandForm{""}},
+	{"XBEGIN", ExtTSX, CatSync, ClassBranch, 5, 0, 0, false, []OperandForm{"REL32"}},
+	{"XEND", ExtTSX, CatSync, ClassFence, 5, 0, 0, false, []OperandForm{""}},
+	{"ENDBR64", ExtCET, CatControl, ClassNop, 1, 0, 0, false, []OperandForm{""}},
 }
 
 // GenerateSpec builds the synthetic machine-readable specification for a
@@ -383,26 +383,34 @@ func baseTemplates() []mnemonicTemplate {
 // micro-architecture, and fills the remainder with reserved/undocumented
 // encodings so the total variant count and the legal fraction match the
 // paper's measurements (~14k variants, ~24% legal after cleanup).
+//
+// Every variant is built once, in place. Each alias mnemonic is its own
+// string, since a deployed plan keeps legal variants for its whole life
+// and must not pin anything larger. The reserved mnemonics never pass
+// cleanup, so they are carved from one string that goes with the spec.
 func GenerateSpec(vendor string, totalVariants, targetLegal int, seed uint64) *Spec {
 	features := referenceFeatures(vendor)
 
 	// 1. Documented variants from templates.
-	doc := Documented()
-	variants := make([]Variant, len(doc), max(totalVariants, len(doc)))
-	copy(variants, doc)
-	legal := make([]bool, len(doc))
-	for i, v := range doc {
-		legal[i] = Probe(v, features) == FaultNone
+	variants := appendDocumented(make([]Variant, 0, totalVariants))
+	documented := len(variants)
+	legal := make([]bool, documented)
+	for i := range legal {
+		legal[i] = Probe(&variants[i], features) == FaultNone
 	}
 
 	// 2. Vendor-specific documented aliases, padding the legal count to
 	// exactly targetLegal.
+	var name [64]byte
 	aliases := DrawAliases(vendor, legal, totalVariants, targetLegal, seed)
 	for a, ok := aliases.Next(); ok; a, ok = aliases.Next() {
-		base := variants[a.Base]
+		base := &variants[a.Base]
+		b := append(name[:0], base.Mnemonic...)
+		b = append(b, aliasSuffixes[a.suffix]...)
+		b = strconv.AppendInt(b, int64(len(variants)-documented+1), 10)
 		variants = append(variants, Variant{
 			ID:        len(variants),
-			Mnemonic:  base.Mnemonic + aliasSuffixes[a.suffix] + strconv.Itoa(len(variants)-len(doc)+1),
+			Mnemonic:  string(b),
 			Operands:  base.Operands,
 			Extension: base.Extension,
 			Category:  base.Category,
@@ -417,13 +425,13 @@ func GenerateSpec(vendor string, totalVariants, targetLegal int, seed uint64) *S
 	// Nearly all fault with #UD, matching the paper's observation that
 	// ~98.8% of cleanup faults are illegal-instruction faults; a small
 	// share are system-reserved encodings that raise #GP or #PF instead.
-	opByte := 0
-	for len(variants) < totalVariants {
-		opByte++
+	first := len(variants)
+	reserved := max(totalVariants-first, 0)
+	names := make([]byte, 0, reserved*len("DB 0x0F,0x00,0x00"))
+	ends := make([]int32, 0, reserved)
+	for opByte := 1; len(variants) < totalVariants; opByte++ {
 		v := Variant{
 			ID:        len(variants),
-			Mnemonic:  fmt.Sprintf("DB 0x0F,0x%02X,0x%02X", opByte%251, (opByte*7)%256),
-			Operands:  "",
 			Extension: ExtUndoc,
 			Category:  CatSystemOp,
 			Class:     ClassInvalid,
@@ -432,7 +440,7 @@ func GenerateSpec(vendor string, totalVariants, targetLegal int, seed uint64) *S
 		switch {
 		case opByte%97 == 0:
 			// System-reserved encoding: decodes but faults #GP in user mode.
-			v.Mnemonic = fmt.Sprintf("SYSRSV%d", opByte)
+			names = strconv.AppendInt(append(names, "SYSRSV"...), int64(opByte), 10)
 			v.Extension = ExtBase
 			v.Class = ClassSystem
 			v.Privileged = true
@@ -440,17 +448,30 @@ func GenerateSpec(vendor string, totalVariants, targetLegal int, seed uint64) *S
 			v.Uops = 1
 		case opByte%311 == 0:
 			// Encoding with a bad implicit memory access: raises #PF.
-			v.Mnemonic = fmt.Sprintf("BADMEM%d", opByte)
+			names = strconv.AppendInt(append(names, "BADMEM"...), int64(opByte), 10)
 			v.Extension = ExtBase
-			v.Class = ClassInvalid
 			v.Reserved = false
 			v.PageFaults = true
 			v.Uops = 1
+		default:
+			names = appendHexByte(append(names, "DB 0x0F,0x"...), opByte%251)
+			names = appendHexByte(append(names, ",0x"...), (opByte*7)%256)
 		}
+		ends = append(ends, int32(len(names)))
 		variants = append(variants, v)
 	}
-
+	all, start := string(names), int32(0)
+	for i, end := range ends {
+		variants[first+i].Mnemonic = all[start:end]
+		start = end
+	}
 	return &Spec{Vendor: vendor, Variants: variants}
+}
+
+// appendHexByte appends b as two upper-case hex digits.
+func appendHexByte(dst []byte, b int) []byte {
+	const digits = "0123456789ABCDEF"
+	return append(dst, digits[b>>4&0xF], digits[b&0xF])
 }
 
 // Documented returns the documented variants that open every
@@ -459,8 +480,20 @@ func GenerateSpec(vendor string, totalVariants, targetLegal int, seed uint64) *S
 // of them so each family contributes a realistic number of encodings.
 // Variant i has ID i.
 func Documented() []Variant {
-	var variants []Variant
-	for _, t := range baseTemplates() {
+	return appendDocumented(nil)
+}
+
+// appendDocumented appends the documented variants to an empty dst.
+func appendDocumented(variants []Variant) []Variant {
+	for i := range templates {
+		t := &templates[i]
+		var lock, rep string
+		if t.class == ClassLoadStore || t.class == ClassStore {
+			lock = "LOCK " + t.mnemonic
+		}
+		if t.class == ClassString {
+			rep = "REP " + t.mnemonic
+		}
 		for _, form := range t.forms {
 			variants = append(variants, Variant{
 				ID:         len(variants),
@@ -475,10 +508,10 @@ func Documented() []Variant {
 				Privileged: t.priv,
 			})
 			// Locked / rep / suffix aliases for a subset of forms.
-			if t.class == ClassLoadStore || t.class == ClassStore {
+			if lock != "" {
 				variants = append(variants, Variant{
 					ID:         len(variants),
-					Mnemonic:   "LOCK " + t.mnemonic,
+					Mnemonic:   lock,
 					Operands:   form,
 					Extension:  t.extension,
 					Category:   CatSync,
@@ -489,10 +522,10 @@ func Documented() []Variant {
 					Privileged: t.priv,
 				})
 			}
-			if t.class == ClassString {
+			if rep != "" {
 				variants = append(variants, Variant{
 					ID:        len(variants),
-					Mnemonic:  "REP " + t.mnemonic,
+					Mnemonic:  rep,
 					Operands:  form,
 					Extension: t.extension,
 					Category:  t.category,
@@ -606,7 +639,7 @@ func AMDEpycFeatures() CPUFeatures {
 
 // Probe reports the fault behaviour of a variant on a micro-architecture in
 // user mode, reproducing the cleanup test of paper §VI-C.
-func Probe(v Variant, features CPUFeatures) FaultKind {
+func Probe(v *Variant, features CPUFeatures) FaultKind {
 	switch {
 	case v.Reserved:
 		return FaultUD
@@ -627,21 +660,23 @@ func Probe(v Variant, features CPUFeatures) FaultKind {
 type CleanupResult struct {
 	Legal       []Variant
 	TotalProbed int
-	FaultCounts map[FaultKind]int
+	// FaultCounts counts the variants of each probe outcome, indexed by
+	// FaultKind.
+	FaultCounts [FaultPF + 1]int
 }
 
 // Cleanup probes every variant of the specification against the
 // micro-architecture and returns the legal subset plus fault statistics.
+// A first pass counts the outcomes, so the legal subset is sized once.
 func Cleanup(spec *Spec, features CPUFeatures) CleanupResult {
-	res := CleanupResult{
-		TotalProbed: len(spec.Variants),
-		FaultCounts: make(map[FaultKind]int),
+	res := CleanupResult{TotalProbed: len(spec.Variants)}
+	for i := range spec.Variants {
+		res.FaultCounts[Probe(&spec.Variants[i], features)]++
 	}
-	for _, v := range spec.Variants {
-		f := Probe(v, features)
-		res.FaultCounts[f]++
-		if f == FaultNone {
-			res.Legal = append(res.Legal, v)
+	res.Legal = make([]Variant, 0, res.FaultCounts[FaultNone])
+	for i := range spec.Variants {
+		if Probe(&spec.Variants[i], features) == FaultNone {
+			res.Legal = append(res.Legal, spec.Variants[i])
 		}
 	}
 	return res

@@ -101,7 +101,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		c.setMask = c.sets - 1
 		c.setBits = log2Ceil(cfg.Sets)
 	}
-	c.reset()
+	c.padLanes() // make already emptied every way
 	return c
 }
 
@@ -109,12 +109,18 @@ func NewCache(cfg CacheConfig) *Cache {
 // line.
 func (c *Cache) reset() {
 	clear(c.lines)
+	c.padLanes()
+	c.last, c.hasLast = 0, false
+}
+
+// padLanes writes pad into each set's unused high lane when the way count
+// is odd.
+func (c *Cache) padLanes() {
 	if c.ways%2 != 0 {
 		for i := c.words - 1; i < len(c.lines); i += c.words {
 			c.lines[i] = pad << 32
 		}
 	}
-	c.last, c.hasLast = 0, false
 }
 
 // log2Ceil returns the smallest b with 1<<b >= n.

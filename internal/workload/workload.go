@@ -85,7 +85,7 @@ func decodeDocumented(features isa.CPUFeatures) *documentedOps {
 	for i := range doc {
 		op := microarch.Decode(&doc[i])
 		d.alias[i] = intern(op.WithoutStack())
-		d.legal[i] = isa.Probe(doc[i], features) == isa.FaultNone
+		d.legal[i] = isa.Probe(&doc[i], features) == isa.FaultNone
 		if c := op.Class(); d.legal[i] && c > 0 {
 			d.byClass[c] = append(d.byClass[c], intern(op))
 		}
