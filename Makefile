@@ -39,22 +39,29 @@ vet:
 	$(GO) vet ./...
 
 # The paper's numbers at HEAD, gated: regenerate the eval-scale run that
-# EXPERIMENTS.md reproduces and diff it against the committed golden, so
-# any drift in a paper number shows as a diff. PAPER_STRIP drops what
-# depends on the wall clock: the "(<job> in <dur>)" lines, the noise-buffer
-# ablation, and Table III's timing and rate cells (whose strings also size
-# its columns); Table III keeps its processor, Sampled and Measured cells.
+# EXPERIMENTS.md reproduces, telemetry summary included, and diff it
+# against the committed golden, so drift in a paper number or a pipeline
+# count shows as a diff. PAPER_STRIP drops what depends on the wall clock
+# or the host: the "(<job> in <dur>)" lines; Table III's timing and rate
+# cells (whose strings also size its columns; the table keeps its
+# processor, Sampled and Measured cells); the telemetry timing series,
+# whose names end in _seconds or _ns (stage_seconds{...} and
+# parallel_shard_seconds{...} among them); and the parallel_pool_workers
+# gauges, which read the CPU count. The other series stay: histogram sums
+# are exact on a fixed grid, so parallel workers cannot reorder them.
 # A change that moves a paper number re-pins the golden with the same
 # pipeline: aegis-bench ... | $(PAPER_STRIP) > $(PAPER_GOLDEN). Not part of
 # `make test`: the run takes about half a minute.
 PAPER_GOLDEN = internal/experiment/testdata/eval-seed1.golden
-PAPER_STRIP = awk -F '  +' '/^\(.* in .*\)$$/ || /^Ablation: noise buffer/ { next } \
+PAPER_STRIP = awk -F '  +' '/^\(.* in .*\)$$/ { next } \
+	/^=== telemetry ===$$/ { tel = 1 } \
+	tel && /^  ([a-z0-9_]+_(seconds|ns)|parallel_pool_workers)[{ ]/ { next } \
 	/^Table III:/ { t3 = 1; print; next } t3 && NF == 0 { t3 = 0 } \
 	t3 { print $$1 "  " $$6 "  " $$7; next } { print }'
 
 paper-check:
 	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	$(GO) run ./cmd/aegis-bench -scale eval -seed 1 -telemetry=false > "$$out" && \
+	$(GO) run ./cmd/aegis-bench -scale eval -seed 1 > "$$out" && \
 	$(PAPER_STRIP) "$$out" | diff -u $(PAPER_GOLDEN) - && \
 	echo "paper-check: output matches $(PAPER_GOLDEN)"
 

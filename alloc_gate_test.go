@@ -21,6 +21,7 @@ import (
 	"github.com/repro/aegis/internal/daemon/daemontest"
 	"github.com/repro/aegis/internal/faultinject"
 	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
@@ -94,9 +95,9 @@ func TestZeroAllocWorldStep(t *testing.T) {
 // TestZeroAllocRunnerStep gates a whole website page load, every tick of
 // it through World.Step: the runner draws each chunk of app ops into a
 // stack array and retires it with GuestExecutor.ExecuteRun, and reuses
-// its sampler's tables across phases and jobs. Two loads warm the tables
-// and the timing list; the gate's own warm-up run takes the third and the
-// measured run the fourth, so none of them grows a slice.
+// its sampler's tables across phases and jobs. Two loads warm the
+// tables; the gate's own warm-up run takes the third and the measured run
+// the fourth.
 func TestZeroAllocRunnerStep(t *testing.T) {
 	quietTelemetry(t)
 	world := sev.NewWorld(sev.DefaultConfig(4))
@@ -122,6 +123,37 @@ func TestZeroAllocRunnerStep(t *testing.T) {
 	requireZeroAllocs(t, "Runner.Step over a website job", 1, runJob)
 	if runner.Pending() != 0 {
 		t.Fatalf("%d jobs still queued, want all 4 run", runner.Pending())
+	}
+}
+
+// TestZeroAllocRunnerJobs gates what a runner keeps per finished job: a
+// count and a tick total, never a per-job record. It finishes 1,000
+// pre-enqueued one-instruction jobs, one per tick; the gate's warm-up run
+// takes the first 500 and its measured run the last 500, which must not
+// allocate.
+func TestZeroAllocRunnerJobs(t *testing.T) {
+	quietTelemetry(t)
+	world := sev.NewWorld(sev.DefaultConfig(4))
+	vm, err := world.LaunchVM(sev.VMConfig{VCPUs: 1, SEV: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := workload.NewRunner("gate", workload.DefaultLibrary(1), rng.New(5).Split("r"))
+	if err := vm.AddProcess(0, runner); err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 1000
+	job := workload.Job{Label: "tiny", Phases: []workload.Phase{{Mix: workload.Mix{isa.ClassALU: 1}, Instructions: 1}}}
+	for range jobs {
+		runner.Enqueue(job)
+	}
+	requireZeroAllocs(t, "Runner finishing 500 queued jobs", 1, func() {
+		for done := runner.Completed(); runner.Completed() < done+jobs/2; {
+			world.Step()
+		}
+	})
+	if runner.Pending() != 0 || runner.Completed() != jobs {
+		t.Fatalf("%d jobs pending and %d completed, want 0 and %d", runner.Pending(), runner.Completed(), jobs)
 	}
 }
 

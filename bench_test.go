@@ -242,15 +242,6 @@ func BenchmarkAblationConfirmation(b *testing.B) {
 	b.ReportMetric(fp*100, "false-positive-%")
 }
 
-func BenchmarkAblationNoiseBuffer(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		res := experiment.AblationNoiseBuffer(1 << 18)
-		speedup = res.Speedup()
-	}
-	b.ReportMetric(speedup, "direct/buffered")
-}
-
 // --- Substrate micro-benchmarks -----------------------------------------------
 
 func BenchmarkCacheAccess(b *testing.B) {

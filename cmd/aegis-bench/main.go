@@ -96,7 +96,6 @@ func jobs() []job {
 		{"ablation-cover", func(sc experiment.Scale) (string, error) { return render(experiment.AblationSetCover(sc)) }},
 		{"ablation-pca", func(sc experiment.Scale) (string, error) { return render(experiment.AblationPCA(sc)) }},
 		{"ablation-confirm", func(sc experiment.Scale) (string, error) { return render(experiment.AblationConfirmation(sc)) }},
-		{"ablation-buffer", func(experiment.Scale) (string, error) { return experiment.AblationNoiseBuffer(1 << 20).Render(), nil }},
 		{"robustness", func(sc experiment.Scale) (string, error) { return render(experiment.Robustness(sc)) }},
 	}
 }

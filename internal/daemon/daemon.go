@@ -24,6 +24,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -489,7 +490,8 @@ func BuildApp(name string, secrets int) (workload.App, error) {
 	case "", "website":
 		sites := workload.Websites()
 		if secrets < len(sites) {
-			sites = sites[:secrets]
+			// Copy the tenant's sites: a reslice would keep all 45 alive.
+			sites = slices.Clone(sites[:secrets])
 		}
 		return &workload.WebsiteApp{Sites: sites}, nil
 	case "keystroke":

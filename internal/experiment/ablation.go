@@ -2,20 +2,16 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/repro/aegis/internal/fuzzer"
 	"github.com/repro/aegis/internal/hpc"
-	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/profiler"
-	"github.com/repro/aegis/internal/rng"
 	"github.com/repro/aegis/internal/stats"
 )
 
 // Ablation benches quantify the design choices DESIGN.md calls out:
-// gadget set cover vs per-event injection, PCA features vs raw sums,
-// confirmation on vs off, and the precomputed noise buffer vs direct
-// sampling.
+// gadget set cover vs per-event injection, PCA features vs raw sums, and
+// confirmation on vs off.
 
 // SetCoverAblation compares the minimal-cover gadget count against naive
 // per-event injection (one best gadget per event, no sharing).
@@ -247,55 +243,4 @@ func (a *ConfirmationAblation) Render() string {
 	return fmt.Sprintf(
 		"Ablation: confirmation — %s: %d raw candidates, %d confirmed (%.0f%% rejected as side effects/dirty state)\n",
 		a.Event, a.Unconfirmed, a.Confirmed, a.FalsePositiveRate()*100)
-}
-
-// NoiseBufferAblation compares the precomputed-buffer noise calculator
-// against direct per-sample transformation.
-type NoiseBufferAblation struct {
-	BufferedNsPerSample float64
-	DirectNsPerSample   float64
-}
-
-// Speedup returns direct/buffered.
-func (a NoiseBufferAblation) Speedup() float64 {
-	if a.BufferedNsPerSample == 0 {
-		return 0
-	}
-	return a.DirectNsPerSample / a.BufferedNsPerSample
-}
-
-// AblationNoiseBuffer times both sampling paths.
-func AblationNoiseBuffer(samples int) *NoiseBufferAblation {
-	if samples < 1<<16 {
-		samples = 1 << 16
-	}
-	r1 := rng.New(1).Split("buffered")
-	calc := obfuscator.NewNoiseCalculator(r1)
-	start := time.Now()
-	var sinkB float64
-	for i := 0; i < samples; i++ {
-		sinkB += calc.Lap(1)
-	}
-	buffered := time.Since(start)
-
-	r2 := rng.New(1).Split("direct")
-	start = time.Now()
-	var sinkD float64
-	for i := 0; i < samples; i++ {
-		sinkD += r2.Laplace(1)
-	}
-	direct := time.Since(start)
-	_ = sinkB + sinkD
-
-	return &NoiseBufferAblation{
-		BufferedNsPerSample: float64(buffered.Nanoseconds()) / float64(samples),
-		DirectNsPerSample:   float64(direct.Nanoseconds()) / float64(samples),
-	}
-}
-
-// Render prints the ablation.
-func (a *NoiseBufferAblation) Render() string {
-	return fmt.Sprintf(
-		"Ablation: noise buffer — buffered %.1f ns/sample vs direct %.1f ns/sample (%.2fx)\n",
-		a.BufferedNsPerSample, a.DirectNsPerSample, a.Speedup())
 }

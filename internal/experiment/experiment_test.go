@@ -133,16 +133,6 @@ func TestFigure3Shape(t *testing.T) {
 	}
 }
 
-func TestAblationNoiseBuffer(t *testing.T) {
-	res := AblationNoiseBuffer(1 << 18)
-	if res.BufferedNsPerSample <= 0 || res.DirectNsPerSample <= 0 {
-		t.Fatalf("timings = %+v", res)
-	}
-	if res.Render() == "" {
-		t.Error("empty render")
-	}
-}
-
 func TestAblationSetCover(t *testing.T) {
 	res, err := AblationSetCover(TestScale(4))
 	if err != nil {

@@ -64,16 +64,11 @@ func jobRun(app workload.App, sc Scale, jobs int, defense obfuscator.Factory, wo
 	if runner.Pending() > 0 {
 		return 0, 0, fmt.Errorf("experiment: %s jobs did not finish within %d ticks", app.Name(), maxTicks)
 	}
-	timings := runner.Timings()
-	var sum float64
-	for _, t := range timings {
-		sum += float64(t.Duration())
-	}
 	usage, err := g.VM.CPUUsage(0)
 	if err != nil {
 		return 0, 0, err
 	}
-	return sum / float64(len(timings)), usage, nil
+	return float64(runner.JobTicks()) / float64(runner.Completed()), usage, nil
 }
 
 // Figure10 measures website-load latency and DNN-inference latency plus

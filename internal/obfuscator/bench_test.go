@@ -6,19 +6,6 @@ import (
 	"github.com/repro/aegis/internal/rng"
 )
 
-// BenchmarkNoiseCalculatorLap measures the buffered Laplace draw — the
-// per-tick hot path every mechanism rides on (paper §VII-C) — with the
-// ring's refills amortised in.
-func BenchmarkNoiseCalculatorLap(b *testing.B) {
-	c := NewNoiseCalculator(rng.New(1).Split("bench"))
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += c.Lap(2.0)
-	}
-	_ = sink
-}
-
 // BenchmarkMechanismNoise measures the per-tick noise draw of each
 // mechanism end to end, including the D* observation bookkeeping.
 func BenchmarkMechanismNoise(b *testing.B) {

@@ -14,25 +14,6 @@ import (
 	"github.com/repro/aegis/internal/workload"
 )
 
-func TestNoiseCalculatorLaplaceDistribution(t *testing.T) {
-	c := NewNoiseCalculator(rng.New(1).Split("calc"))
-	const n = 200000
-	const scale = 3.0
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		v := c.Lap(scale)
-		sum += v
-		sumAbs += math.Abs(v)
-	}
-	if m := sum / n; math.Abs(m) > 0.05 {
-		t.Errorf("laplace mean = %v, want ~0", m)
-	}
-	// E|X| = scale for Laplace(0, scale).
-	if m := sumAbs / n; math.Abs(m-scale) > 0.05 {
-		t.Errorf("laplace E|X| = %v, want ~%v", m, scale)
-	}
-}
-
 func TestLaplaceMechanismScale(t *testing.T) {
 	// Smaller epsilon must produce larger noise (paper remark 2 of
 	// Fig. 9a inverted: larger ε → less noise).

@@ -113,16 +113,29 @@ func (g *Gauge) Name() string { return g.name }
 // in the first bucket whose upper bound satisfies v <= bound (Prometheus
 // "le" semantics); values above every bound land in the implicit +Inf
 // bucket.
+//
+// The sum is an integer count of grid steps, so one multiset of
+// observations gives the same sum in any order: a float sum would depend
+// on the order parallel workers observe in. The name picks the grid. A
+// timed histogram (name ending in _seconds or _ns) sums whole
+// nanoseconds. Any other histogram sums data values on a grid of 2^-20
+// (about 1e-6) up to a capacity of ±2^43 (about 8.8e12). Each observation
+// rounds to the nearest step, and a sum past the capacity saturates there.
 type Histogram struct {
 	name    string
 	labels  []Label
 	enabled *atomic.Bool
 	bounds  []float64     // ascending upper bounds; +Inf is implicit
 	unit    time.Duration // what one unit of a timed observation is
+	steps   float64       // grid steps per unit of an observed value
 	buckets []atomic.Uint64
-	sum     atomicFloat
+	sum     atomic.Int64 // in grid steps
 	count   atomic.Uint64
 }
+
+// dataGridSteps is the grid of a histogram whose name carries no time
+// unit: 2^20 steps per unit.
+const dataGridSteps = 1 << 20
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -131,15 +144,44 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.buckets[i].Add(1)
-	h.sum.Add(v)
+	h.addSteps(h.toSteps(v))
 	h.count.Add(1)
+}
+
+// toSteps rounds v to the nearest grid step, clamped to the int64 range.
+func (h *Histogram) toSteps(v float64) int64 {
+	switch s := math.RoundToEven(v * h.steps); {
+	case s >= math.MaxInt64: // 2^63 as a float64
+		return math.MaxInt64
+	case s <= math.MinInt64:
+		return math.MinInt64
+	default:
+		return int64(s)
+	}
+}
+
+// addSteps adds n steps to the sum, saturating at the int64 range.
+func (h *Histogram) addSteps(n int64) {
+	for {
+		old := h.sum.Load()
+		s := old + n
+		if (s < old) != (n < 0) { // wrapped around
+			s = math.MaxInt64
+			if n < 0 {
+				s = math.MinInt64
+			}
+		}
+		if h.sum.CompareAndSwap(old, s) {
+			return
+		}
+	}
 }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
+// Sum returns the sum of all observed values, on the histogram's grid.
+func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) / h.steps }
 
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the +Inf bucket.
@@ -311,9 +353,12 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}
 	bounds = append([]float64(nil), bounds...)
 	sort.Float64s(bounds)
-	unit := time.Second
-	if strings.HasSuffix(name, "_ns") {
-		unit = time.Nanosecond
+	unit, steps := time.Second, float64(dataGridSteps)
+	switch {
+	case strings.HasSuffix(name, "_ns"):
+		unit, steps = time.Nanosecond, 1
+	case strings.HasSuffix(name, "_seconds"):
+		steps = float64(time.Second)
 	}
 	h := &Histogram{
 		name:    name,
@@ -321,6 +366,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 		enabled: &r.enabled,
 		bounds:  bounds,
 		unit:    unit,
+		steps:   steps,
 		buckets: make([]atomic.Uint64, len(bounds)+1),
 	}
 	r.hist[k] = h

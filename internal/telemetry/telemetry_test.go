@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -112,6 +114,106 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Errorf("count = %d, want 8000", h.Count())
 	}
+}
+
+// TestHistogramSumOrderIndependent feeds one multiset of data values and
+// durations in three orders and from four goroutines. Every run must give
+// a bit-identical Sum, which a float sum of values spanning nine decades
+// does not.
+func TestHistogramSumOrderIndependent(t *testing.T) {
+	src := rand.New(rand.NewPCG(1, 2))
+	const n = 2000
+	values := make([]float64, n)
+	durations := make([]time.Duration, n)
+	var total time.Duration
+	for i := range values {
+		values[i] = src.Float64() * math.Pow(10, float64(src.IntN(10)-3))
+		durations[i] = time.Duration(src.Int64N(int64(10 * time.Second)))
+		total += durations[i]
+	}
+	perm := src.Perm(n)
+	type sums struct{ data, secs, nanos float64 }
+	run := func(feed func(observe func(i int))) sums {
+		r := NewRegistry()
+		data := r.Histogram("delta", nil)
+		secs := r.Histogram("op_seconds", DefBuckets)
+		nanos := r.Histogram("op_ns", nil)
+		feed(func(i int) {
+			data.Observe(values[i])
+			secs.Observe(durations[i].Seconds())
+			nanos.Observe(float64(durations[i]))
+		})
+		return sums{data.Sum(), secs.Sum(), nanos.Sum()}
+	}
+	inOrder := func(at func(i int) int) func(observe func(i int)) {
+		return func(observe func(i int)) {
+			for i := 0; i < n; i++ {
+				observe(at(i))
+			}
+		}
+	}
+	want := run(inOrder(func(i int) int { return i }))
+	// Timers sum whole nanoseconds.
+	if want.secs != float64(total)/float64(time.Second) || want.nanos != float64(total) {
+		t.Errorf("duration sums = %v s, %v ns, want %v s, %d ns", want.secs, want.nanos, total.Seconds(), total)
+	}
+	got := map[string]sums{
+		"reverse":  run(inOrder(func(i int) int { return n - 1 - i })),
+		"shuffled": run(inOrder(func(i int) int { return perm[i] })),
+		"4 goroutines": run(func(observe func(i int)) {
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := g; i < n; i += 4 {
+						observe(i)
+					}
+				}()
+			}
+			wg.Wait()
+		}),
+	}
+	bits := func(s sums) [3]uint64 {
+		return [3]uint64{math.Float64bits(s.data), math.Float64bits(s.secs), math.Float64bits(s.nanos)}
+	}
+	for name, s := range got {
+		if bits(s) != bits(want) {
+			t.Errorf("%s: sums %+v, want %+v as fed in order", name, s, want)
+		}
+	}
+
+	// At the capacity of a data histogram: 2^63-1 steps of 2^-20. Three
+	// values reach it exactly in any order; one more step saturates
+	// there instead of wrapping, and so does a value past the capacity.
+	t.Run("capacity", func(t *testing.T) {
+		vs := []float64{0x1p42, 0x1p42 - 0x1p-10, 1023 * 0x1p-20}
+		for _, order := range [][3]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}} {
+			h := NewRegistry().Histogram("delta", nil)
+			for _, i := range order {
+				h.Observe(vs[i])
+			}
+			if got := h.sum.Load(); got != math.MaxInt64 {
+				t.Errorf("order %v: sum = %d steps, want %d", order, got, int64(math.MaxInt64))
+			}
+			h.Observe(0x1p-20)
+			h.Observe(1e300)
+			if got := h.sum.Load(); got != math.MaxInt64 {
+				t.Errorf("order %v: past capacity: sum = %d steps, want it saturated", order, got)
+			}
+			if h.Sum() != 0x1p43 {
+				t.Errorf("order %v: Sum() = %v at capacity, want 2^43", order, h.Sum())
+			}
+		}
+		h := NewRegistry().Histogram("delta", nil)
+		h.Observe(-0x1p42)
+		h.Observe(-0x1p42)
+		h.Observe(-1)
+		h.Observe(math.Inf(-1))
+		if got := h.sum.Load(); got != math.MinInt64 {
+			t.Errorf("negative capacity: sum = %d steps, want %d", got, int64(math.MinInt64))
+		}
+	})
 }
 
 func TestBucketHelpers(t *testing.T) {

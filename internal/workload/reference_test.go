@@ -109,11 +109,8 @@ func (r opByOpRunner) Step(g *sev.GuestExecutor) {
 		}
 		return
 	}
-	r.timings = append(r.timings, JobTiming{
-		Label:     job.Label,
-		StartTick: r.startTok,
-		EndTick:   g.Tick(),
-	})
+	r.completed++
+	r.jobTicks += g.Tick() - r.startTok
 	r.queue = r.queue[1:]
 	r.started = false
 }

@@ -46,7 +46,7 @@ type runnerTick struct {
 func (p *leaveBudget) snapshot(r *Runner, core *microarch.Core) runnerTick {
 	peek, ctxPeek := *r.r, *p.ctx.Rand
 	return runnerTick{
-		queued: len(r.queue), completed: len(r.timings), phaseIdx: r.phaseIdx, phaseRun: r.phaseRun,
+		queued: len(r.queue), completed: r.completed, phaseIdx: r.phaseIdx, phaseRun: r.phaseRun,
 		started: r.started,
 		base:    p.ctx.Base, workingSet: p.ctx.WorkingSet, pc: p.ctx.PC,
 		nextRunnerDraw: peek.Uint64(), nextContextDraw: ctxPeek.Uint64(),

@@ -326,16 +326,6 @@ type Job struct {
 	Phases []Phase
 }
 
-// JobTiming records when a job ran, in world ticks.
-type JobTiming struct {
-	Label     string
-	StartTick int64
-	EndTick   int64
-}
-
-// Duration returns the job's tick count.
-func (t JobTiming) Duration() int64 { return t.EndTick - t.StartTick }
-
 // Runner executes a queue of jobs as a guest process. Between jobs it emits
 // light idle activity (browser event loop, OS housekeeping).
 type Runner struct {
@@ -349,7 +339,10 @@ type Runner struct {
 	started  bool
 	startTok int64
 
-	timings []JobTiming
+	// completed counts finished jobs and jobTicks sums their durations
+	// in world ticks: a long-lived runner keeps no per-job record.
+	completed int
+	jobTicks  int64
 	// sampler holds the compiled mix of the phase identified by
 	// samplerOf (idlePhase between jobs), so the per-instruction draw
 	// loop does not rebuild the sorted class table or rebind the pools
@@ -397,14 +390,12 @@ func (r *Runner) Enqueue(job Job) { r.queue = append(r.queue, job) }
 // Pending returns the number of jobs not yet finished.
 func (r *Runner) Pending() int { return len(r.queue) }
 
-// Completed returns the number of completed jobs, without the copy
-// Timings makes.
-func (r *Runner) Completed() int { return len(r.timings) }
+// Completed returns the number of completed jobs.
+func (r *Runner) Completed() int { return r.completed }
 
-// Timings returns completed job timings.
-func (r *Runner) Timings() []JobTiming {
-	return append([]JobTiming(nil), r.timings...)
-}
+// JobTicks returns the summed duration of the completed jobs, in world
+// ticks from each job's first tick to its last.
+func (r *Runner) JobTicks() int64 { return r.jobTicks }
 
 // Step implements sev.Process: run up to one tick of the current job.
 func (r *Runner) Step(g *sev.GuestExecutor) {
@@ -452,11 +443,8 @@ func (r *Runner) Step(g *sev.GuestExecutor) {
 		return
 	}
 	// Job complete.
-	r.timings = append(r.timings, JobTiming{
-		Label:     job.Label,
-		StartTick: r.startTok,
-		EndTick:   g.Tick(),
-	})
+	r.completed++
+	r.jobTicks += g.Tick() - r.startTok
 	r.queue = r.queue[1:]
 	r.started = false
 }
