@@ -336,9 +336,9 @@ func (b *bench) signature(seq []microarch.Op) (gadgetSig, error) {
 	}
 	afterWarm := b.core.Counters()
 	return gadgetSig{
-		cold:  afterCold.Sub(before).Vector(),
-		warm:  afterWarm.Sub(afterCold).Vector(),
-		total: afterWarm.Sub(before).Vector(),
+		cold:  afterCold.Sub(before).VectorInto(nil),
+		warm:  afterWarm.Sub(afterCold).VectorInto(nil),
+		total: afterWarm.Sub(before).VectorInto(nil),
 	}, nil
 }
 

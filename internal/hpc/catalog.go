@@ -67,7 +67,7 @@ func AllEventTypes() []EventType {
 
 // Term is one weighted raw signal in an event's derivation formula.
 type Term struct {
-	Signal int // index into microarch.Counters.Vector()
+	Signal int // a microarch.Sig* raw signal index
 	Weight float64
 }
 
@@ -112,49 +112,6 @@ type Catalog struct {
 	byName map[string]*Event
 }
 
-// signal indices into microarch.Counters.Vector(); kept in sync with
-// microarch.SignalNames by TestSignalIndices.
-const (
-	sigCycles = iota
-	sigInstructions
-	sigUops
-	sigLoadsDisp
-	sigStoresDisp
-	sigL1DAccesses
-	sigL1DMisses
-	sigL1DWrites
-	sigRefillsL2
-	sigRefillsSystem
-	sigL1IAccesses
-	sigL1IMisses
-	sigL2Accesses
-	sigL2Misses
-	sigMABAlloc
-	sigDTLBAccesses
-	sigDTLBMisses
-	sigITLBMisses
-	sigBranchesRet
-	sigBranchMispred
-	sigX87Ops
-	sigSSEOps
-	sigAVXOps
-	sigMulOps
-	sigDivOps
-	sigBitOps
-	sigStringOps
-	sigCryptoOps
-	sigPrefetches
-	sigCacheFlushes
-	sigFences
-	sigSerializeOps
-	sigStackOps
-	sigMemReads
-	sigMemWrites
-	sigPageFaults
-	sigInterrupts
-	sigCtxSwitches
-)
-
 // Named events the paper uses directly. They appear in every catalog with
 // fixed derivation formulas so experiments can reference them by name.
 var namedHardwareEvents = []struct {
@@ -162,28 +119,28 @@ var namedHardwareEvents = []struct {
 	typ   EventType
 	terms []Term
 }{
-	{"RETIRED_UOPS", TypeRaw, []Term{{sigUops, 1}}},
-	{"LS_DISPATCH", TypeRaw, []Term{{sigLoadsDisp, 1}, {sigStoresDisp, 1}}},
-	{"MAB_ALLOCATION_BY_PIPE", TypeRaw, []Term{{sigMABAlloc, 1}}},
-	{"DATA_CACHE_REFILLS_FROM_SYSTEM", TypeRaw, []Term{{sigRefillsSystem, 1}}},
-	{"HW_CACHE_L1D:WRITE", TypeHardwareCache, []Term{{sigL1DWrites, 1}}},
-	{"HW_CACHE_L1D:READ", TypeHardwareCache, []Term{{sigL1DAccesses, 1}, {sigL1DWrites, -1}}},
-	{"HW_CACHE_L1D:MISS", TypeHardwareCache, []Term{{sigL1DMisses, 1}}},
-	{"MEM_LOAD_UOPS_RETIRED:L1_HIT", TypeRaw, []Term{{sigL1DAccesses, 1}, {sigL1DMisses, -1}}},
-	{"RETIRED_MMX_FP_INSTRUCTIONS:SSE_INSTR", TypeRaw, []Term{{sigSSEOps, 1}}},
-	{"RETIRED_INSTRUCTIONS", TypeHardware, []Term{{sigInstructions, 1}}},
-	{"CPU_CYCLES", TypeHardware, []Term{{sigCycles, 1}}},
-	{"BRANCH_INSTRUCTIONS_RETIRED", TypeHardware, []Term{{sigBranchesRet, 1}}},
-	{"BRANCH_MISSES_RETIRED", TypeHardware, []Term{{sigBranchMispred, 1}}},
-	{"L2_CACHE_ACCESSES", TypeRaw, []Term{{sigL2Accesses, 1}}},
-	{"L2_CACHE_MISSES", TypeRaw, []Term{{sigL2Misses, 1}}},
-	{"DTLB_MISSES", TypeRaw, []Term{{sigDTLBMisses, 1}}},
-	{"RETIRED_X87_FP_OPS", TypeRaw, []Term{{sigX87Ops, 1}}},
-	{"RETIRED_AVX_OPS", TypeRaw, []Term{{sigAVXOps, 1}}},
-	{"DIV_OP_COUNT", TypeRaw, []Term{{sigDivOps, 1}}},
-	{"PREFETCH_INSTRS_DISPATCHED", TypeRaw, []Term{{sigPrefetches, 1}}},
-	{"CACHE_LINE_FLUSHES", TypeRaw, []Term{{sigCacheFlushes, 1}}},
-	{"SERIALIZING_OPS", TypeRaw, []Term{{sigSerializeOps, 1}}},
+	{"RETIRED_UOPS", TypeRaw, []Term{{microarch.SigUopsRetired, 1}}},
+	{"LS_DISPATCH", TypeRaw, []Term{{microarch.SigLoadsDisp, 1}, {microarch.SigStoresDisp, 1}}},
+	{"MAB_ALLOCATION_BY_PIPE", TypeRaw, []Term{{microarch.SigMABAllocations, 1}}},
+	{"DATA_CACHE_REFILLS_FROM_SYSTEM", TypeRaw, []Term{{microarch.SigRefillsFromSystem, 1}}},
+	{"HW_CACHE_L1D:WRITE", TypeHardwareCache, []Term{{microarch.SigL1DWrites, 1}}},
+	{"HW_CACHE_L1D:READ", TypeHardwareCache, []Term{{microarch.SigL1DAccesses, 1}, {microarch.SigL1DWrites, -1}}},
+	{"HW_CACHE_L1D:MISS", TypeHardwareCache, []Term{{microarch.SigL1DMisses, 1}}},
+	{"MEM_LOAD_UOPS_RETIRED:L1_HIT", TypeRaw, []Term{{microarch.SigL1DAccesses, 1}, {microarch.SigL1DMisses, -1}}},
+	{"RETIRED_MMX_FP_INSTRUCTIONS:SSE_INSTR", TypeRaw, []Term{{microarch.SigSSEOps, 1}}},
+	{"RETIRED_INSTRUCTIONS", TypeHardware, []Term{{microarch.SigInstructions, 1}}},
+	{"CPU_CYCLES", TypeHardware, []Term{{microarch.SigCycles, 1}}},
+	{"BRANCH_INSTRUCTIONS_RETIRED", TypeHardware, []Term{{microarch.SigBranchesRet, 1}}},
+	{"BRANCH_MISSES_RETIRED", TypeHardware, []Term{{microarch.SigBranchMispred, 1}}},
+	{"L2_CACHE_ACCESSES", TypeRaw, []Term{{microarch.SigL2Accesses, 1}}},
+	{"L2_CACHE_MISSES", TypeRaw, []Term{{microarch.SigL2Misses, 1}}},
+	{"DTLB_MISSES", TypeRaw, []Term{{microarch.SigDTLBMisses, 1}}},
+	{"RETIRED_X87_FP_OPS", TypeRaw, []Term{{microarch.SigX87Ops, 1}}},
+	{"RETIRED_AVX_OPS", TypeRaw, []Term{{microarch.SigAVXOps, 1}}},
+	{"DIV_OP_COUNT", TypeRaw, []Term{{microarch.SigDivOps, 1}}},
+	{"PREFETCH_INSTRS_DISPATCHED", TypeRaw, []Term{{microarch.SigPrefetches, 1}}},
+	{"CACHE_LINE_FLUSHES", TypeRaw, []Term{{microarch.SigCacheFlushes, 1}}},
+	{"SERIALIZING_OPS", TypeRaw, []Term{{microarch.SigSerializeOps, 1}}},
 }
 
 // typeMix is the per-type event count plan of a catalog.
@@ -262,24 +219,24 @@ func CatalogByProcessor(processor string, seed uint64) (*Catalog, error) {
 	}
 }
 
-// hardwareSignals are the raw signals guest-visible events may derive from.
-var hardwareSignals = []int{
-	sigCycles, sigInstructions, sigUops, sigLoadsDisp, sigStoresDisp,
-	sigL1DAccesses, sigL1DMisses, sigL1DWrites, sigRefillsL2,
-	sigRefillsSystem, sigL1IAccesses, sigL1IMisses, sigL2Accesses,
-	sigL2Misses, sigMABAlloc, sigDTLBAccesses, sigDTLBMisses, sigITLBMisses,
-	sigBranchesRet, sigBranchMispred, sigX87Ops, sigSSEOps, sigAVXOps,
-	sigMulOps, sigDivOps, sigBitOps, sigStringOps, sigCryptoOps,
-	sigPrefetches, sigCacheFlushes, sigFences, sigSerializeOps, sigStackOps,
-	sigMemReads, sigMemWrites,
-}
+// hardwareSignals are the raw signals guest-visible events may derive from:
+// every core signal ahead of the page-fault, interrupt and context-switch
+// signals that tracepoints follow.
+var hardwareSignals = func() []int {
+	sigs := make([]int, microarch.SigPageFaults)
+	for i := range sigs {
+		sigs[i] = i
+	}
+	return sigs
+}()
 
 // rareSignals move only for specialised instruction mixes; events derived
 // exclusively from them survive the warm-up but are filtered out by
 // app-specific profiling for workloads that never touch them.
 var rareSignals = []int{
-	sigX87Ops, sigCryptoOps, sigStringOps, sigBitOps, sigDivOps,
-	sigPrefetches, sigCacheFlushes, sigFences, sigSerializeOps,
+	microarch.SigX87Ops, microarch.SigCryptoOps, microarch.SigStringOps,
+	microarch.SigBitOps, microarch.SigDivOps, microarch.SigPrefetches,
+	microarch.SigCacheFlushes, microarch.SigFences, microarch.SigSerializeOps,
 }
 
 func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
@@ -343,7 +300,7 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 				}
 				nTerms := 1 + r.Intn(3)
 				e.Terms = make([]Term, 0, nTerms)
-				var seen [SignalIndexCount]bool
+				var seen [microarch.NumSignals]bool
 				for t := 0; t < nTerms; t++ {
 					sig := pool[r.Intn(len(pool))]
 					if seen[sig] {
@@ -384,9 +341,9 @@ func buildCatalog(spec CatalogSpec, seed uint64) *Catalog {
 			// VM-exit related tracepoints follow interrupt/context-switch
 			// and page-fault activity.
 			e.Terms = []Term{
-				{Signal: sigInterrupts, Weight: 1 + r.Float64()},
-				{Signal: sigCtxSwitches, Weight: r.Float64()},
-				{Signal: sigPageFaults, Weight: r.Float64()},
+				{Signal: microarch.SigInterrupts, Weight: 1 + r.Float64()},
+				{Signal: microarch.SigCtxSwitches, Weight: r.Float64()},
+				{Signal: microarch.SigPageFaults, Weight: r.Float64()},
 			}
 		}
 		add(e)
@@ -479,9 +436,3 @@ func DifferentEvents(a, b *Catalog) int {
 	}
 	return diff
 }
-
-// SignalIndexCount is the number of raw signals events may reference.
-// It must match microarch.NumSignals; the tests enforce this.
-const SignalIndexCount = sigCtxSwitches + 1
-
-var _ = microarch.NumSignals // dependency documented for signal ordering

@@ -12,27 +12,6 @@ import (
 	"github.com/repro/aegis/internal/rng"
 )
 
-func TestSignalIndices(t *testing.T) {
-	if SignalIndexCount != microarch.NumSignals {
-		t.Fatalf("hpc tracks %d signals, microarch exports %d", SignalIndexCount, microarch.NumSignals)
-	}
-	names := microarch.SignalNames()
-	// Spot-check the indices named constants rely on.
-	for idx, want := range map[int]string{
-		sigUops:          "uops_retired",
-		sigLoadsDisp:     "loads_dispatched",
-		sigMABAlloc:      "mab_allocations",
-		sigRefillsSystem: "l1d_refills_system",
-		sigL1DWrites:     "l1d_writes",
-		sigSSEOps:        "sse_ops",
-		sigCtxSwitches:   "ctx_switches",
-	} {
-		if names[idx] != want {
-			t.Errorf("signal %d = %q, want %q", idx, names[idx], want)
-		}
-	}
-}
-
 func TestCatalogSizesMatchTable1(t *testing.T) {
 	for _, tc := range []struct {
 		cat  *Catalog
@@ -152,16 +131,16 @@ func TestCatalogDeterministic(t *testing.T) {
 func TestEventValueDerivation(t *testing.T) {
 	cat := NewAMDEpyc7252Catalog(1)
 	var ctrs microarch.Counters
-	ctrs.UopsRetired = 100
-	ctrs.LoadsDisp = 30
-	ctrs.StoresDisp = 20
-	ctrs.MABAllocations = 7
-	ctrs.RefillsFromSystem = 5
-	ctrs.L1DWrites = 20
-	ctrs.L1DAccesses = 50
-	ctrs.L1DMisses = 7
-	ctrs.SSEOps = 11
-	vec := ctrs.Vector()
+	ctrs[microarch.SigUopsRetired] = 100
+	ctrs[microarch.SigLoadsDisp] = 30
+	ctrs[microarch.SigStoresDisp] = 20
+	ctrs[microarch.SigMABAllocations] = 7
+	ctrs[microarch.SigRefillsFromSystem] = 5
+	ctrs[microarch.SigL1DWrites] = 20
+	ctrs[microarch.SigL1DAccesses] = 50
+	ctrs[microarch.SigL1DMisses] = 7
+	ctrs[microarch.SigSSEOps] = 11
+	vec := ctrs.VectorInto(nil)
 	for name, want := range map[string]float64{
 		"RETIRED_UOPS":                          100,
 		"LS_DISPATCH":                           50,
@@ -179,11 +158,11 @@ func TestEventValueDerivation(t *testing.T) {
 }
 
 func TestEventValueNonNegative(t *testing.T) {
-	e := &Event{Terms: []Term{{Signal: sigL1DAccesses, Weight: 1}, {Signal: sigL1DMisses, Weight: -2}}}
+	e := &Event{Terms: []Term{{Signal: microarch.SigL1DAccesses, Weight: 1}, {Signal: microarch.SigL1DMisses, Weight: -2}}}
 	var ctrs microarch.Counters
-	ctrs.L1DAccesses = 1
-	ctrs.L1DMisses = 5
-	if v := e.Value(ctrs.Vector()); v != 0 {
+	ctrs[microarch.SigL1DAccesses] = 1
+	ctrs[microarch.SigL1DMisses] = 5
+	if v := e.Value(ctrs.VectorInto(nil)); v != 0 {
 		t.Errorf("value = %v, want clamped 0", v)
 	}
 }

@@ -8,176 +8,6 @@ import (
 	"github.com/repro/aegis/internal/rng"
 )
 
-// Counters is the raw micro-event ledger of a core. Every field is a
-// monotonically increasing count; the hpc package derives performance
-// counter events as (possibly weighted) functions of deltas of these
-// fields.
-type Counters struct {
-	Cycles            uint64
-	Instructions      uint64
-	UopsRetired       uint64
-	LoadsDisp         uint64 // load micro-ops dispatched
-	StoresDisp        uint64 // store micro-ops dispatched
-	L1DAccesses       uint64
-	L1DMisses         uint64
-	L1DWrites         uint64
-	RefillsFromL2     uint64 // L1D refills satisfied by L2
-	RefillsFromSystem uint64 // L1D refills that went to memory
-	L1IAccesses       uint64
-	L1IMisses         uint64
-	L2Accesses        uint64
-	L2Misses          uint64
-	MABAllocations    uint64 // miss-address-buffer allocations
-	DTLBAccesses      uint64
-	DTLBMisses        uint64
-	ITLBMisses        uint64
-	BranchesRet       uint64
-	BranchMispred     uint64
-	X87Ops            uint64
-	SSEOps            uint64 // MMX+SSE family
-	AVXOps            uint64
-	MulOps            uint64
-	DivOps            uint64
-	BitOps            uint64
-	StringOps         uint64
-	CryptoOps         uint64
-	Prefetches        uint64
-	CacheFlushes      uint64
-	Fences            uint64
-	SerializeOps      uint64
-	StackOps          uint64
-	MemReads          uint64
-	MemWrites         uint64
-	PageFaults        uint64
-	Interrupts        uint64
-	CtxSwitches       uint64
-}
-
-// Sub returns the element-wise difference c - prev.
-func (c Counters) Sub(prev Counters) Counters {
-	return Counters{
-		Cycles:            c.Cycles - prev.Cycles,
-		Instructions:      c.Instructions - prev.Instructions,
-		UopsRetired:       c.UopsRetired - prev.UopsRetired,
-		LoadsDisp:         c.LoadsDisp - prev.LoadsDisp,
-		StoresDisp:        c.StoresDisp - prev.StoresDisp,
-		L1DAccesses:       c.L1DAccesses - prev.L1DAccesses,
-		L1DMisses:         c.L1DMisses - prev.L1DMisses,
-		L1DWrites:         c.L1DWrites - prev.L1DWrites,
-		RefillsFromL2:     c.RefillsFromL2 - prev.RefillsFromL2,
-		RefillsFromSystem: c.RefillsFromSystem - prev.RefillsFromSystem,
-		L1IAccesses:       c.L1IAccesses - prev.L1IAccesses,
-		L1IMisses:         c.L1IMisses - prev.L1IMisses,
-		L2Accesses:        c.L2Accesses - prev.L2Accesses,
-		L2Misses:          c.L2Misses - prev.L2Misses,
-		MABAllocations:    c.MABAllocations - prev.MABAllocations,
-		DTLBAccesses:      c.DTLBAccesses - prev.DTLBAccesses,
-		DTLBMisses:        c.DTLBMisses - prev.DTLBMisses,
-		ITLBMisses:        c.ITLBMisses - prev.ITLBMisses,
-		BranchesRet:       c.BranchesRet - prev.BranchesRet,
-		BranchMispred:     c.BranchMispred - prev.BranchMispred,
-		X87Ops:            c.X87Ops - prev.X87Ops,
-		SSEOps:            c.SSEOps - prev.SSEOps,
-		AVXOps:            c.AVXOps - prev.AVXOps,
-		MulOps:            c.MulOps - prev.MulOps,
-		DivOps:            c.DivOps - prev.DivOps,
-		BitOps:            c.BitOps - prev.BitOps,
-		StringOps:         c.StringOps - prev.StringOps,
-		CryptoOps:         c.CryptoOps - prev.CryptoOps,
-		Prefetches:        c.Prefetches - prev.Prefetches,
-		CacheFlushes:      c.CacheFlushes - prev.CacheFlushes,
-		Fences:            c.Fences - prev.Fences,
-		SerializeOps:      c.SerializeOps - prev.SerializeOps,
-		StackOps:          c.StackOps - prev.StackOps,
-		MemReads:          c.MemReads - prev.MemReads,
-		MemWrites:         c.MemWrites - prev.MemWrites,
-		PageFaults:        c.PageFaults - prev.PageFaults,
-		Interrupts:        c.Interrupts - prev.Interrupts,
-		CtxSwitches:       c.CtxSwitches - prev.CtxSwitches,
-	}
-}
-
-// Vector flattens the counters into a fixed-order float slice; the hpc
-// event catalog addresses raw signals by these indices.
-func (c Counters) Vector() []float64 {
-	return c.VectorInto(nil)
-}
-
-// VectorInto writes the counters into dst in Vector order and returns the
-// filled slice. dst's backing array is reused when it has capacity for
-// NumSignals elements, so per-tick readers can flatten deltas without
-// allocating.
-func (c Counters) VectorInto(dst []float64) []float64 {
-	if cap(dst) < NumSignals {
-		dst = make([]float64, NumSignals)
-	}
-	dst = dst[:NumSignals]
-	dst[0] = float64(c.Cycles)
-	dst[1] = float64(c.Instructions)
-	dst[2] = float64(c.UopsRetired)
-	dst[3] = float64(c.LoadsDisp)
-	dst[4] = float64(c.StoresDisp)
-	dst[5] = float64(c.L1DAccesses)
-	dst[6] = float64(c.L1DMisses)
-	dst[7] = float64(c.L1DWrites)
-	dst[8] = float64(c.RefillsFromL2)
-	dst[9] = float64(c.RefillsFromSystem)
-	dst[10] = float64(c.L1IAccesses)
-	dst[11] = float64(c.L1IMisses)
-	dst[12] = float64(c.L2Accesses)
-	dst[13] = float64(c.L2Misses)
-	dst[14] = float64(c.MABAllocations)
-	dst[15] = float64(c.DTLBAccesses)
-	dst[16] = float64(c.DTLBMisses)
-	dst[17] = float64(c.ITLBMisses)
-	dst[18] = float64(c.BranchesRet)
-	dst[19] = float64(c.BranchMispred)
-	dst[20] = float64(c.X87Ops)
-	dst[21] = float64(c.SSEOps)
-	dst[22] = float64(c.AVXOps)
-	dst[23] = float64(c.MulOps)
-	dst[24] = float64(c.DivOps)
-	dst[25] = float64(c.BitOps)
-	dst[26] = float64(c.StringOps)
-	dst[27] = float64(c.CryptoOps)
-	dst[28] = float64(c.Prefetches)
-	dst[29] = float64(c.CacheFlushes)
-	dst[30] = float64(c.Fences)
-	dst[31] = float64(c.SerializeOps)
-	dst[32] = float64(c.StackOps)
-	dst[33] = float64(c.MemReads)
-	dst[34] = float64(c.MemWrites)
-	dst[35] = float64(c.PageFaults)
-	dst[36] = float64(c.Interrupts)
-	dst[37] = float64(c.CtxSwitches)
-	return dst
-}
-
-// SignalNames lists the raw signal names in Vector order.
-func SignalNames() []string {
-	return []string{
-		"cycles", "instructions", "uops_retired",
-		"loads_dispatched", "stores_dispatched",
-		"l1d_accesses", "l1d_misses", "l1d_writes",
-		"l1d_refills_l2", "l1d_refills_system",
-		"l1i_accesses", "l1i_misses",
-		"l2_accesses", "l2_misses",
-		"mab_allocations",
-		"dtlb_accesses", "dtlb_misses", "itlb_misses",
-		"branches_retired", "branch_mispredicts",
-		"x87_ops", "sse_ops", "avx_ops",
-		"mul_ops", "div_ops", "bit_ops",
-		"string_ops", "crypto_ops",
-		"prefetches", "cache_flushes", "fences",
-		"serialize_ops", "stack_ops",
-		"mem_reads", "mem_writes",
-		"page_faults", "interrupts", "ctx_switches",
-	}
-}
-
-// NumSignals is the length of Counters.Vector().
-var NumSignals = len(SignalNames())
-
 // ExecContext supplies the dynamic operand values of an execution stream:
 // where memory operands point and which way branches go. The fuzzer uses a
 // fixed scratch page so reset/trigger sequences interact through the cache;
@@ -396,28 +226,28 @@ func (o Op) WithoutStack() Op { return o &^ opStack }
 func (c *Core) ExecuteOp(op Op, ctx *ExecContext) error {
 	if kind := op.fault(); kind != 0 {
 		if kind == isa.FaultPF {
-			c.ctrs.PageFaults++
+			c.ctrs[SigPageFaults]++
 		}
 		return &ErrIllegalInstruction{Class: op.Class(), Fault: kind}
 	}
 
 	ctx.PC += 4
-	c.ctrs.Instructions++
-	c.ctrs.UopsRetired += op.uops()
+	c.ctrs[SigInstructions]++
+	c.ctrs[SigUopsRetired] += op.uops()
 	cycles := uint64(1)
 
 	// Instruction fetch.
 	if !c.L1I.Access(ctx.PC) {
-		c.ctrs.L1IMisses++
-		c.ctrs.L2Accesses++
+		c.ctrs[SigL1IMisses]++
+		c.ctrs[SigL2Accesses]++
 		if !c.L2.Access(ctx.PC) {
-			c.ctrs.L2Misses++
+			c.ctrs[SigL2Misses]++
 			cycles += 40
 		} else {
 			cycles += 8
 		}
 	}
-	c.ctrs.L1IAccesses++
+	c.ctrs[SigL1IAccesses]++
 
 	// Memory reads.
 	for i := op.reads(); i > 0; i-- {
@@ -433,42 +263,42 @@ func (c *Core) ExecuteOp(op Op, ctx *ExecContext) error {
 	case isa.ClassALU, isa.ClassNop:
 		// Plain retirement.
 	case isa.ClassMul:
-		c.ctrs.MulOps++
+		c.ctrs[SigMulOps]++
 		cycles += 2
 	case isa.ClassDiv:
-		c.ctrs.DivOps++
+		c.ctrs[SigDivOps]++
 		cycles += 20
 	case isa.ClassBit:
-		c.ctrs.BitOps++
+		c.ctrs[SigBitOps]++
 	case isa.ClassLoad, isa.ClassStore, isa.ClassLoadStore:
 		// Dispatch accounting happens in dataAccess.
 	case isa.ClassBranch:
 		taken := ctx.branchTaken()
 		if c.BP.Resolve(ctx.PC, taken) {
-			c.ctrs.BranchMispred++
+			c.ctrs[SigBranchMispred]++
 			cycles += 14
 		}
-		c.ctrs.BranchesRet++
+		c.ctrs[SigBranchesRet]++
 		if op.writes() > 0 || op.reads() > 0 {
-			c.ctrs.StackOps++ // CALL/RET stack engine activity
+			c.ctrs[SigStackOps]++ // CALL/RET stack engine activity
 		}
 	case isa.ClassX87:
-		c.ctrs.X87Ops++
+		c.ctrs[SigX87Ops]++
 		cycles += 3
 	case isa.ClassSSE:
-		c.ctrs.SSEOps++
+		c.ctrs[SigSSEOps]++
 	case isa.ClassAVX:
-		c.ctrs.AVXOps++
+		c.ctrs[SigAVXOps]++
 		cycles++
 	case isa.ClassString:
-		c.ctrs.StringOps++
+		c.ctrs[SigStringOps]++
 		cycles += 4
 	case isa.ClassCrypto:
-		c.ctrs.CryptoOps++
+		c.ctrs[SigCryptoOps]++
 		cycles += 2
 	case isa.ClassPrefetch:
 		addr := ctx.dataAddr()
-		c.ctrs.Prefetches++
+		c.ctrs[SigPrefetches]++
 		// Prefetch pulls the line into L1D through L2 without counting a
 		// demand access.
 		if !c.L1D.Contains(addr) {
@@ -477,24 +307,24 @@ func (c *Core) ExecuteOp(op Op, ctx *ExecContext) error {
 		}
 	case isa.ClassFlush:
 		addr := ctx.dataAddr()
-		c.ctrs.CacheFlushes++
+		c.ctrs[SigCacheFlushes]++
 		c.L1D.Flush(addr)
 		c.L2.Flush(addr)
 		cycles += 3
 	case isa.ClassFence:
-		c.ctrs.Fences++
+		c.ctrs[SigFences]++
 		cycles += 4
 	case isa.ClassSerial:
-		c.ctrs.SerializeOps++
+		c.ctrs[SigSerializeOps]++
 		cycles += 30
 	}
 
 	// Stack push/pop accounting.
 	if op&opStack != 0 {
-		c.ctrs.StackOps++
+		c.ctrs[SigStackOps]++
 	}
 
-	c.ctrs.Cycles += cycles
+	c.ctrs[SigCycles] += cycles
 
 	// Spurious interrupts (paper challenge C2: HPCs cannot count
 	// precisely because of external interference).
@@ -526,27 +356,27 @@ func drawThreshold(p float64) uint64 {
 // see Cache.access.
 func (c *Core) dataAccess(addr uint64, write bool) uint64 {
 	cycles := uint64(4)
-	c.ctrs.DTLBAccesses++
+	c.ctrs[SigDTLBAccesses]++
 	tlbMiss := 1 - b2u(c.TLB.Access(addr))
-	c.ctrs.DTLBMisses += tlbMiss
+	c.ctrs[SigDTLBMisses] += tlbMiss
 	cycles += 7 * tlbMiss // page walk
 	if write {
-		c.ctrs.StoresDisp++
-		c.ctrs.MemWrites++
-		c.ctrs.L1DWrites++
+		c.ctrs[SigStoresDisp]++
+		c.ctrs[SigMemWrites]++
+		c.ctrs[SigL1DWrites]++
 	} else {
-		c.ctrs.LoadsDisp++
-		c.ctrs.MemReads++
+		c.ctrs[SigLoadsDisp]++
+		c.ctrs[SigMemReads]++
 	}
-	c.ctrs.L1DAccesses++
+	c.ctrs[SigL1DAccesses]++
 	if !c.L1D.Access(addr) {
-		c.ctrs.L1DMisses++
-		c.ctrs.MABAllocations++
-		c.ctrs.L2Accesses++
+		c.ctrs[SigL1DMisses]++
+		c.ctrs[SigMABAllocations]++
+		c.ctrs[SigL2Accesses]++
 		l2Hit := b2u(c.L2.Access(addr))
-		c.ctrs.RefillsFromL2 += l2Hit
-		c.ctrs.L2Misses += 1 - l2Hit
-		c.ctrs.RefillsFromSystem += 1 - l2Hit
+		c.ctrs[SigRefillsFromL2] += l2Hit
+		c.ctrs[SigL2Misses] += 1 - l2Hit
+		c.ctrs[SigRefillsFromSystem] += 1 - l2Hit
 		cycles += 60 - 52*l2Hit // 8 cycles from L2, 60 from memory
 	}
 	return cycles
@@ -574,15 +404,15 @@ func (c *Core) ExecuteSequence(seq []Op, ctx *ExecContext) error {
 // Interrupt models a hardware interrupt: kernel entry/exit pollutes the
 // counters with a burst of unrelated activity and flushes the TLB.
 func (c *Core) Interrupt() {
-	c.ctrs.Interrupts++
-	c.ctrs.Instructions += 180
-	c.ctrs.UopsRetired += 250
-	c.ctrs.Cycles += 900
-	c.ctrs.L1DAccesses += 40
-	c.ctrs.LoadsDisp += 25
-	c.ctrs.StoresDisp += 15
-	c.ctrs.MemReads += 25
-	c.ctrs.MemWrites += 15
-	c.ctrs.BranchesRet += 30
+	c.ctrs[SigInterrupts]++
+	c.ctrs[SigInstructions] += 180
+	c.ctrs[SigUopsRetired] += 250
+	c.ctrs[SigCycles] += 900
+	c.ctrs[SigL1DAccesses] += 40
+	c.ctrs[SigLoadsDisp] += 25
+	c.ctrs[SigStoresDisp] += 15
+	c.ctrs[SigMemReads] += 25
+	c.ctrs[SigMemWrites] += 15
+	c.ctrs[SigBranchesRet] += 30
 	c.TLB.Flush()
 }

@@ -1,7 +1,10 @@
 package microarch
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -37,11 +40,11 @@ func TestExecuteCountsInstructions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Counters().Instructions; got != 10 {
+	if got := c.Counters()[SigInstructions]; got != 10 {
 		t.Errorf("instructions = %d, want 10", got)
 	}
-	if c.Counters().UopsRetired < 10 {
-		t.Errorf("uops = %d, want >= 10", c.Counters().UopsRetired)
+	if c.Counters()[SigUopsRetired] < 10 {
+		t.Errorf("uops = %d, want >= 10", c.Counters()[SigUopsRetired])
 	}
 }
 
@@ -54,14 +57,14 @@ func TestLoadDispatchAndRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrs := c.Counters()
-	if ctrs.LoadsDisp == 0 {
+	if ctrs[SigLoadsDisp] == 0 {
 		t.Error("load dispatched no load µop")
 	}
 	// First access misses everywhere → refill from system + MAB alloc.
-	if ctrs.RefillsFromSystem == 0 {
+	if ctrs[SigRefillsFromSystem] == 0 {
 		t.Error("cold load did not refill from system")
 	}
-	if ctrs.MABAllocations == 0 {
+	if ctrs[SigMABAllocations] == 0 {
 		t.Error("cold load did not allocate a MAB entry")
 	}
 
@@ -70,7 +73,7 @@ func TestLoadDispatchAndRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := c.Counters().Sub(before)
-	if delta.L1DMisses != 0 {
+	if delta[SigL1DMisses] != 0 {
 		t.Error("warm load missed L1D")
 	}
 }
@@ -95,11 +98,11 @@ func TestFlushThenLoadRefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := c.Counters().Sub(before)
-	if delta.CacheFlushes != 1 {
-		t.Errorf("flushes = %d, want 1", delta.CacheFlushes)
+	if delta[SigCacheFlushes] != 1 {
+		t.Errorf("flushes = %d, want 1", delta[SigCacheFlushes])
 	}
-	if delta.RefillsFromSystem != 1 {
-		t.Errorf("refills from system = %d, want 1 (flush must evict L2 too)", delta.RefillsFromSystem)
+	if delta[SigRefillsFromSystem] != 1 {
+		t.Errorf("refills from system = %d, want 1 (flush must evict L2 too)", delta[SigRefillsFromSystem])
 	}
 }
 
@@ -117,7 +120,7 @@ func TestPrefetchWarmsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := c.Counters().Sub(before)
-	if delta.L1DMisses != 0 {
+	if delta[SigL1DMisses] != 0 {
 		t.Error("load missed after prefetch of same line")
 	}
 }
@@ -130,9 +133,9 @@ func TestStoreCountsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrs := c.Counters()
-	if ctrs.StoresDisp == 0 || ctrs.L1DWrites == 0 || ctrs.MemWrites == 0 {
+	if ctrs[SigStoresDisp] == 0 || ctrs[SigL1DWrites] == 0 || ctrs[SigMemWrites] == 0 {
 		t.Errorf("store accounting: dispatches=%d writes=%d mem=%d",
-			ctrs.StoresDisp, ctrs.L1DWrites, ctrs.MemWrites)
+			ctrs[SigStoresDisp], ctrs[SigL1DWrites], ctrs[SigMemWrites])
 	}
 }
 
@@ -144,16 +147,16 @@ func TestVectorClassCounters(t *testing.T) {
 		get   func(Counters) uint64
 		name  string
 	}{
-		{isa.ClassSSE, func(c Counters) uint64 { return c.SSEOps }, "sse"},
-		{isa.ClassAVX, func(c Counters) uint64 { return c.AVXOps }, "avx"},
-		{isa.ClassX87, func(c Counters) uint64 { return c.X87Ops }, "x87"},
-		{isa.ClassDiv, func(c Counters) uint64 { return c.DivOps }, "div"},
-		{isa.ClassMul, func(c Counters) uint64 { return c.MulOps }, "mul"},
-		{isa.ClassCrypto, func(c Counters) uint64 { return c.CryptoOps }, "crypto"},
-		{isa.ClassSerial, func(c Counters) uint64 { return c.SerializeOps }, "serialize"},
-		{isa.ClassFence, func(c Counters) uint64 { return c.Fences }, "fence"},
-		{isa.ClassString, func(c Counters) uint64 { return c.StringOps }, "string"},
-		{isa.ClassBit, func(c Counters) uint64 { return c.BitOps }, "bit"},
+		{isa.ClassSSE, func(c Counters) uint64 { return c[SigSSEOps] }, "sse"},
+		{isa.ClassAVX, func(c Counters) uint64 { return c[SigAVXOps] }, "avx"},
+		{isa.ClassX87, func(c Counters) uint64 { return c[SigX87Ops] }, "x87"},
+		{isa.ClassDiv, func(c Counters) uint64 { return c[SigDivOps] }, "div"},
+		{isa.ClassMul, func(c Counters) uint64 { return c[SigMulOps] }, "mul"},
+		{isa.ClassCrypto, func(c Counters) uint64 { return c[SigCryptoOps] }, "crypto"},
+		{isa.ClassSerial, func(c Counters) uint64 { return c[SigSerializeOps] }, "serialize"},
+		{isa.ClassFence, func(c Counters) uint64 { return c[SigFences] }, "fence"},
+		{isa.ClassString, func(c Counters) uint64 { return c[SigStringOps] }, "string"},
+		{isa.ClassBit, func(c Counters) uint64 { return c[SigBitOps] }, "bit"},
 	} {
 		before := tc.get(c.Counters())
 		v := variantOf(t, tc.class)
@@ -177,13 +180,13 @@ func TestBranchExecution(t *testing.T) {
 		}
 	}
 	ctrs := c.Counters()
-	if ctrs.BranchesRet != 200 {
-		t.Errorf("branches retired = %d, want 200", ctrs.BranchesRet)
+	if ctrs[SigBranchesRet] != 200 {
+		t.Errorf("branches retired = %d, want 200", ctrs[SigBranchesRet])
 	}
-	if ctrs.BranchMispred == 0 {
+	if ctrs[SigBranchMispred] == 0 {
 		t.Error("no mispredictions on 60/40 random branches")
 	}
-	if ctrs.BranchMispred >= ctrs.BranchesRet {
+	if ctrs[SigBranchMispred] >= ctrs[SigBranchesRet] {
 		t.Error("every branch mispredicted")
 	}
 }
@@ -209,7 +212,7 @@ func TestIllegalExecutionFaults(t *testing.T) {
 	if want := "microarch: " + isa.ClassSystem.String() + " op faults with #GP"; err.Error() != want {
 		t.Errorf("error %q, want %q", err, want)
 	}
-	if got := c.Counters().Instructions; got != 0 {
+	if got := c.Counters()[SigInstructions]; got != 0 {
 		t.Errorf("faulting ops retired %d instructions", got)
 	}
 }
@@ -226,7 +229,7 @@ func TestExecuteSequenceStopsAtFault(t *testing.T) {
 	if err := c.ExecuteSequence(seq, ctx); err == nil {
 		t.Fatal("sequence with fault returned nil error")
 	}
-	if got := c.Counters().Instructions; got != 1 {
+	if got := c.Counters()[SigInstructions]; got != 1 {
 		t.Errorf("instructions = %d, want 1 (stop at fault)", got)
 	}
 }
@@ -245,7 +248,7 @@ func TestWorkingSetDrivesMissRate(t *testing.T) {
 			}
 		}
 		ctrs := c.Counters()
-		return float64(ctrs.L1DMisses) / float64(ctrs.L1DAccesses)
+		return float64(ctrs[SigL1DMisses]) / float64(ctrs[SigL1DAccesses])
 	}
 	small := missRate(16 << 10) // fits in 32K L1D
 	large := missRate(8 << 20)  // far exceeds L2
@@ -262,7 +265,7 @@ func TestInterruptPollutesCounters(t *testing.T) {
 	before := c.Counters()
 	c.Interrupt()
 	delta := c.Counters().Sub(before)
-	if delta.Interrupts != 1 || delta.Instructions == 0 {
+	if delta[SigInterrupts] != 1 || delta[SigInstructions] == 0 {
 		t.Errorf("interrupt delta = %+v", delta)
 	}
 }
@@ -278,7 +281,7 @@ func TestInterruptNoiseRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Counters().Interrupts == 0 {
+	if c.Counters()[SigInterrupts] == 0 {
 		t.Error("no interrupts at 10% rate over 1000 instructions")
 	}
 }
@@ -305,21 +308,55 @@ func TestInterruptThresholdMatchesFloat64(t *testing.T) {
 	}
 }
 
+// TestSignalTablePinned pins the raw signal layout: the count and every
+// name in index order. hpc formulas, trace rows and the artifact store's
+// trace slabs and screening memos address signals by index, and the store
+// fingerprints only the count, so a reordered table would decode a warm
+// store wrongly without error. Re-pin only on purpose, with the store's
+// fingerprints bumped.
+func TestSignalTablePinned(t *testing.T) {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d\n", NumSignals)
+	seen := make(map[string]bool, NumSignals)
+	for i, name := range signalNames {
+		if name == "" || seen[name] {
+			t.Errorf("signal %d: name %q is empty or repeated", i, name)
+		}
+		seen[name] = true
+		fmt.Fprintf(h, "%s\n", name)
+	}
+	const want = "2ac1437925a61d74b85efe264a7420a4698a1ce794e5ee1d0a7c441c5de3535e"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("signal table digest = %s, want %s", got, want)
+	}
+}
+
 func TestCountersVectorMatchesSignalNames(t *testing.T) {
 	var c Counters
-	if len(c.Vector()) != NumSignals {
-		t.Fatalf("Vector length %d != NumSignals %d", len(c.Vector()), NumSignals)
+	for i := range c {
+		c[i] = uint64(i + 1)
 	}
-	if len(SignalNames()) != NumSignals {
-		t.Fatalf("SignalNames length mismatch")
+	v := c.VectorInto(nil)
+	if len(v) != len(signalNames) {
+		t.Fatalf("VectorInto length %d, %d signal names", len(v), len(signalNames))
+	}
+	for i, x := range v {
+		if x != float64(i+1) {
+			t.Errorf("signal %d (%s) = %v, want %d", i, signalNames[i], x, i+1)
+		}
+	}
+	buf := make([]float64, 0, NumSignals)
+	if w := c.VectorInto(buf); &w[0] != &buf[:1][0] {
+		t.Error("VectorInto did not reuse a buffer with room for every signal")
 	}
 }
 
 func TestCountersSub(t *testing.T) {
-	a := Counters{Instructions: 10, Cycles: 100, L1DMisses: 3}
-	b := Counters{Instructions: 4, Cycles: 40, L1DMisses: 1}
+	var a, b Counters
+	a[SigInstructions], a[SigCycles], a[SigL1DMisses] = 10, 100, 3
+	b[SigInstructions], b[SigCycles], b[SigL1DMisses] = 4, 40, 1
 	d := a.Sub(b)
-	if d.Instructions != 6 || d.Cycles != 60 || d.L1DMisses != 2 {
+	if d[SigInstructions] != 6 || d[SigCycles] != 60 || d[SigL1DMisses] != 2 {
 		t.Errorf("Sub = %+v", d)
 	}
 }
@@ -385,9 +422,9 @@ func TestExecuteOpMatchesReference(t *testing.T) {
 	if !reflect.DeepEqual(co, cr) {
 		t.Error("cores diverge after the full specifications")
 	}
-	if faulted == 0 || cr.ctrs.PageFaults == 0 || cr.ctrs.Interrupts == 0 || cr.ctrs.StackOps == 0 {
+	if faulted == 0 || cr.ctrs[SigPageFaults] == 0 || cr.ctrs[SigInterrupts] == 0 || cr.ctrs[SigStackOps] == 0 {
 		t.Errorf("run exercised too little: %d faults, %d page faults, %d interrupts, %d stack ops",
-			faulted, cr.ctrs.PageFaults, cr.ctrs.Interrupts, cr.ctrs.StackOps)
+			faulted, cr.ctrs[SigPageFaults], cr.ctrs[SigInterrupts], cr.ctrs[SigStackOps])
 	}
 }
 

@@ -484,17 +484,17 @@ func TestSharedL2MemoMatchesReference(t *testing.T) {
 		}
 		d := c.Counters().Sub(before)
 		var misses uint64
-		if d.L1IMisses > 0 && !ref.Access(pc) {
+		if d[SigL1IMisses] > 0 && !ref.Access(pc) {
 			misses++
 		}
-		if d.L1DMisses > 0 && !ref.Access(ctx.Base) {
+		if d[SigL1DMisses] > 0 && !ref.Access(ctx.Base) {
 			misses++
 		}
 		if op.Class() == isa.ClassFlush {
 			ref.Flush(ctx.Base)
 		}
-		if d.L2Misses != misses {
-			t.Fatalf("op %d on core %d: %d L2 misses, reference %d", i, n, d.L2Misses, misses)
+		if d[SigL2Misses] != misses {
+			t.Fatalf("op %d on core %d: %d L2 misses, reference %d", i, n, d[SigL2Misses], misses)
 		}
 	}
 	cacheAgrees(t, l2, ref)
@@ -592,7 +592,7 @@ func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
 		switch {
 		case v.PageFaults:
 			kind = isa.FaultPF
-			c.ctrs.PageFaults++
+			c.ctrs[SigPageFaults]++
 		case v.Privileged, v.Class == isa.ClassIO:
 			kind = isa.FaultGP
 		}
@@ -604,25 +604,25 @@ func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
 	}
 
 	ctx.PC += 4
-	c.ctrs.Instructions++
+	c.ctrs[SigInstructions]++
 	uops := v.Uops
 	if uops < 1 {
 		uops = 1
 	}
-	c.ctrs.UopsRetired += uint64(uops)
+	c.ctrs[SigUopsRetired] += uint64(uops)
 	cycles := uint64(1)
 
 	if !c.L1I.Access(ctx.PC) {
-		c.ctrs.L1IMisses++
-		c.ctrs.L2Accesses++
+		c.ctrs[SigL1IMisses]++
+		c.ctrs[SigL2Accesses]++
 		if !c.L2.Access(ctx.PC) {
-			c.ctrs.L2Misses++
+			c.ctrs[SigL2Misses]++
 			cycles += 40
 		} else {
 			cycles += 8
 		}
 	}
-	c.ctrs.L1IAccesses++
+	c.ctrs[SigL1IAccesses]++
 
 	for i := 0; i < v.MemReads; i++ {
 		cycles += c.dataAccess(ctx.dataAddr(), false)
@@ -634,64 +634,64 @@ func refExecute(c *Core, v *isa.Variant, ctx *ExecContext) error {
 	switch v.Class {
 	case isa.ClassALU, isa.ClassNop:
 	case isa.ClassMul:
-		c.ctrs.MulOps++
+		c.ctrs[SigMulOps]++
 		cycles += 2
 	case isa.ClassDiv:
-		c.ctrs.DivOps++
+		c.ctrs[SigDivOps]++
 		cycles += 20
 	case isa.ClassBit:
-		c.ctrs.BitOps++
+		c.ctrs[SigBitOps]++
 	case isa.ClassLoad, isa.ClassStore, isa.ClassLoadStore:
 	case isa.ClassBranch:
 		taken := ctx.branchTaken()
 		if c.BP.Resolve(ctx.PC, taken) {
-			c.ctrs.BranchMispred++
+			c.ctrs[SigBranchMispred]++
 			cycles += 14
 		}
-		c.ctrs.BranchesRet++
+		c.ctrs[SigBranchesRet]++
 		if v.MemWrites > 0 || v.MemReads > 0 {
-			c.ctrs.StackOps++
+			c.ctrs[SigStackOps]++
 		}
 	case isa.ClassX87:
-		c.ctrs.X87Ops++
+		c.ctrs[SigX87Ops]++
 		cycles += 3
 	case isa.ClassSSE:
-		c.ctrs.SSEOps++
+		c.ctrs[SigSSEOps]++
 	case isa.ClassAVX:
-		c.ctrs.AVXOps++
+		c.ctrs[SigAVXOps]++
 		cycles++
 	case isa.ClassString:
-		c.ctrs.StringOps++
+		c.ctrs[SigStringOps]++
 		cycles += 4
 	case isa.ClassCrypto:
-		c.ctrs.CryptoOps++
+		c.ctrs[SigCryptoOps]++
 		cycles += 2
 	case isa.ClassPrefetch:
 		addr := ctx.dataAddr()
-		c.ctrs.Prefetches++
+		c.ctrs[SigPrefetches]++
 		if !c.L1D.Contains(addr) {
 			c.L2.Access(addr)
 			c.L1D.Access(addr)
 		}
 	case isa.ClassFlush:
 		addr := ctx.dataAddr()
-		c.ctrs.CacheFlushes++
+		c.ctrs[SigCacheFlushes]++
 		c.L1D.Flush(addr)
 		c.L2.Flush(addr)
 		cycles += 3
 	case isa.ClassFence:
-		c.ctrs.Fences++
+		c.ctrs[SigFences]++
 		cycles += 4
 	case isa.ClassSerial:
-		c.ctrs.SerializeOps++
+		c.ctrs[SigSerializeOps]++
 		cycles += 30
 	}
 
 	if v.Mnemonic == "PUSH" || v.Mnemonic == "POP" {
-		c.ctrs.StackOps++
+		c.ctrs[SigStackOps]++
 	}
 
-	c.ctrs.Cycles += cycles
+	c.ctrs[SigCycles] += cycles
 
 	if c.noise != nil && c.interruptRate > 0 {
 		if c.noise.Float64() < c.interruptRate/1e6 {

@@ -500,7 +500,7 @@ func measureSegment(seg []microarch.Op, ev *hpc.Event) (float64, error) {
 			return 0, fmt.Errorf("calibrate segment: %w", err)
 		}
 	}
-	delta := ev.Value(core.Counters().Sub(before).Vector()) / reps
+	delta := ev.Value(core.Counters().Sub(before).VectorInto(nil)) / reps
 	if delta <= 0 {
 		// The segment never perturbs the reference event; fall back to
 		// µop-weight so injection still paces sensibly.

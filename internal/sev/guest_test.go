@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ func TestNewGuestPinsAppAheadOfDefense(t *testing.T) {
 		t.Error("Guest.Core is not the core vCPU 0 is pinned to")
 	}
 	g.World.Run(5)
-	if got := g.Core.Counters().Instructions; got != uint64(app.total+def.total) || app.total != 500 || def.total != 500 {
+	if got := g.Core.Counters()[microarch.SigInstructions]; got != uint64(app.total+def.total) || app.total != 500 || def.total != 500 {
 		t.Errorf("core retired %d; app %d, defense %d, want 500 each", got, app.total, def.total)
 	}
 }

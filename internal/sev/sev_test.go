@@ -311,15 +311,15 @@ func TestCrossVMCoreIsolation(t *testing.T) {
 	w.Run(20)
 	delta := victimCore.Counters().Sub(before)
 	// The idle victim core sees at most stray interrupt noise.
-	if delta.Instructions > 2000 {
-		t.Errorf("idle victim core retired %d instructions while neighbor ran", delta.Instructions)
+	if delta[microarch.SigInstructions] > 2000 {
+		t.Errorf("idle victim core retired %d instructions while neighbor ran", delta[microarch.SigInstructions])
 	}
 	neighborCore, err := w.Core(neighborCoreIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if neighborCore.Counters().Instructions < 10000 {
-		t.Errorf("neighbor core retired only %d instructions", neighborCore.Counters().Instructions)
+	if neighborCore.Counters()[microarch.SigInstructions] < 10000 {
+		t.Errorf("neighbor core retired only %d instructions", neighborCore.Counters()[microarch.SigInstructions])
 	}
 }
 
@@ -350,7 +350,7 @@ func TestSameVCPUProcessesShareCore(t *testing.T) {
 	}
 	w.Run(10)
 	// The host sees the sum; it cannot attribute instructions to a or b.
-	if got := core.Counters().Instructions; got != uint64(a.total+b.total) {
+	if got := core.Counters()[microarch.SigInstructions]; got != uint64(a.total+b.total) {
 		t.Errorf("core retired %d, processes executed %d+%d", got, a.total, b.total)
 	}
 }
@@ -417,7 +417,7 @@ func TestSharedL2CrossCoreContention(t *testing.T) {
 		w.Run(30) // warm
 		before := core.Counters()
 		w.Run(60)
-		return core.Counters().Sub(before).L2Misses
+		return core.Counters().Sub(before)[microarch.SigL2Misses]
 	}
 
 	quietShared := missesWithNeighbor(true, false)

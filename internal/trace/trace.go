@@ -76,7 +76,7 @@ func (tr Trace) Clone() Trace {
 }
 
 // Record steps the world ticks times and returns the core's raw per-tick
-// signal deltas, in microarch.Counters.Vector order: the host's view of
+// signal deltas, in microarch signal index order: the host's view of
 // the core before it picks any event. Every catalog event is a formula
 // over these signals, so one recording serves any set of events (see
 // Project). All rows are carved from one slab.

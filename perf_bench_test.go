@@ -7,7 +7,7 @@ package aegis
 // and allocs/op. End-to-end and per-layer costs are measured by the repo
 // benchmark in bench/ (see bench/README.md). Run with:
 //
-//	go test -bench='RDPMC|WorldStep|RunnerStep|SimulatedInstruction|DefaultLibrary|ColdSignature|ObfuscatorTick|FitPCA|MutualInformation' -benchmem -run=^$ .
+//	go test -bench='RDPMC|WorldStep|RunnerStep|SimulatedInstruction|DefaultLibrary|ColdSignature|ObfuscatorTick|FitPCA|BinnedMI|MutualInformation' -benchmem -run=^$ .
 
 import (
 	"testing"
@@ -98,7 +98,7 @@ func BenchmarkRunnerStep(b *testing.B) {
 	jobs := rng.New(6)
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := core.Counters().Instructions
+	start := core.Counters()[microarch.SigInstructions]
 	for i := 0; i < b.N; i++ {
 		if runner.Pending() == 0 {
 			runner.Enqueue(workload.WebsiteJob("google.com", jobs))
@@ -106,7 +106,7 @@ func BenchmarkRunnerStep(b *testing.B) {
 		world.Step()
 	}
 	b.StopTimer()
-	if n := core.Counters().Instructions - start; n > 0 {
+	if n := core.Counters()[microarch.SigInstructions] - start; n > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/instr")
 	}
 }
@@ -275,12 +275,12 @@ func BenchmarkObfuscatorTick(b *testing.B) {
 			world.Run(8) // attach the kernel module, settle the caches
 			b.ReportAllocs()
 			b.ResetTimer()
-			start := core.Counters().Instructions
+			start := core.Counters()[microarch.SigInstructions]
 			for i := 0; i < b.N; i++ {
 				world.Step()
 			}
 			b.StopTimer()
-			if n := core.Counters().Instructions - start; n > 0 {
+			if n := core.Counters()[microarch.SigInstructions] - start; n > 0 {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/instr")
 			}
 		})
